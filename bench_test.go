@@ -218,24 +218,6 @@ func BenchmarkAccuracy_RealTraining(b *testing.B) {
 	}
 }
 
-// BenchmarkEpochE2E trains real distributed epochs end to end (sampling,
-// three-collective gather, blocked kernels, gradient all-reduce) at reduced
-// scale; the epoch-s metric is the same quantity BENCH_epoch.json tracks
-// across PRs. Run with -benchmem: steady-state batches are allocation-free,
-// so reported allocs amortize toward setup-only.
-func BenchmarkEpochE2E(b *testing.B) {
-	scale := benchScale()
-	scale.PapersN = 8000
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.EpochBench(scale, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.BestWallSeconds, "epoch-s")
-		b.ReportMetric(float64(res.Epochs[0].BytesSent), "bytes-sent")
-	}
-}
-
 // ---------------------------------------------------------------- ablations
 
 // BenchmarkAblationVIPAnalysis times Proposition 1 itself (the paper

@@ -10,7 +10,10 @@
 //
 //	gnnserve -papers 60000 -clients 8 -requests 200
 //	gnnserve -alphas 0,0.32 -maxbatch 64 -maxwait 2000
-//	gnnserve -json -serveout BENCH_serve.json
+//	gnnserve -checkpoint ckpts/ckpt-e00002-r000000.sppc
+//
+// Open-loop overload and cache drift are measured by the repository
+// benchmark (bench/, workloads serve.zipf and serve.drift), not here.
 package main
 
 import (
@@ -18,6 +21,8 @@ import (
 	"fmt"
 	"log"
 	"runtime"
+	"strconv"
+	"strings"
 
 	"salientpp"
 	"salientpp/internal/experiments"
@@ -35,27 +40,14 @@ func main() {
 		maxBatch = flag.Int("maxbatch", 32, "coalescing: max requests per rank per round")
 		maxWait  = flag.Int64("maxwait", 1000, "coalescing: max microseconds the oldest request waits for company")
 		useTCP   = flag.Bool("tcp", false, "serve the feature collectives over loopback TCP")
-		load     = flag.String("load", "closed", "workload: closed, or open (adds the open-loop overload curve — Poisson arrivals over a zipf popularity with deadline-based shedding)")
-		zipf     = flag.Float64("zipf", 1.1, "zipf popularity exponent for -load open")
-		offered  = flag.String("offered", "250,500,1000,2000", "comma-separated offered req/s rates for -load open")
-		loadsec  = flag.Float64("loadsec", 2, "seconds per offered-rate point for -load open")
-		flashF   = flag.Float64("flash", 0, "flash-crowd factor for -load open: mid-run the offered rate is multiplied by this (0 disables)")
-		deadline = flag.Int64("deadline", 25000, "per-request admission budget in µs for -load open")
-		drift    = flag.Bool("drift", false, "add the rotating-hot-set drift profile: the same seeded workload served with the static cache and with the online drift-tracking policy at equal capacity")
-		driftW   = flag.Int("driftwindows", 5, "hot-set rotations for -drift")
-		driftReq = flag.Int("driftreq", 960, "requests per drift window for -drift")
 		ckptPath = flag.String("checkpoint", "", "serve a frozen snapshot restored from this checkpoint file (gnntrain -checkpoint-dir format); dataset, seed, batch, fanouts, K, and the training codec/precision are reconstructed from the file, overriding the corresponding flags (-codec/-precision still select the serving group's settings)")
 		seed     = flag.Uint64("seed", 7, "random seed")
-		asJSON   = flag.Bool("json", false, "also write the machine-readable report (-serveout)")
-		serveOut = flag.String("serveout", "BENCH_serve.json", "machine-readable output path")
 	)
 	// Shared run surface (-codec, -precision, -parallelism): for gnnserve,
 	// empty codec/precision inherit the cluster's settings (the
 	// checkpoint's recorded values with -checkpoint, else fp32).
 	run := salientpp.RunConfig{Parallelism: 2}
 	run.RegisterFlags(flag.CommandLine)
-	// Deprecated alias: -workers predates the unified -parallelism flag.
-	flag.CommandLine.IntVar(&run.Parallelism, "workers", run.Parallelism, "deprecated alias for -parallelism")
 	flag.Parse()
 	if err := run.Validate(); err != nil {
 		log.Fatal(err)
@@ -64,16 +56,9 @@ func main() {
 	if runtime.NumCPU() == 1 {
 		log.Printf("warning: single-CPU machine; coalesced rounds serialize with the clients")
 	}
-	alphaList, err := experiments.ParseAlphas(*alphas)
+	alphaList, err := parseAlphas(*alphas)
 	if err != nil {
 		log.Fatalf("-alphas: %v", err)
-	}
-	if *load != "closed" && *load != "open" {
-		log.Fatalf("-load: want closed or open, got %q", *load)
-	}
-	rates, err := experiments.ParseFloatList(*offered, "offered rate")
-	if err != nil {
-		log.Fatalf("-offered: %v", err)
 	}
 
 	scale := experiments.DefaultScale()
@@ -86,18 +71,27 @@ func main() {
 		Alphas: alphaList, Clients: *clients, RequestsPerClient: *requests,
 		MaxBatch: *maxBatch, MaxWaitMicros: *maxWait, UseTCP: *useTCP,
 		Codec: run.Codec, Precision: run.Precision, Checkpoint: *ckptPath,
-		Load: *load, ZipfS: *zipf, OfferedRPS: rates,
-		LoadSeconds: *loadsec, FlashFactor: *flashF, DeadlineMicros: *deadline,
-		Drift: *drift, DriftWindows: *driftW, DriftRequestsPerWindow: *driftReq,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *asJSON {
-		if err := res.WriteJSON(*serveOut); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", *serveOut)
-	}
 	fmt.Println(experiments.RenderServeBench(res))
+}
+
+// parseAlphas parses a comma-separated list of non-negative replication
+// factors; empty entries are skipped.
+func parseAlphas(s string) ([]float64, error) {
+	var out []float64
+	for _, tok := range strings.Split(s, ",") {
+		tok = strings.TrimSpace(tok)
+		if tok == "" {
+			continue
+		}
+		a, err := strconv.ParseFloat(tok, 64)
+		if err != nil || a < 0 {
+			return nil, fmt.Errorf("bad alpha entry %q", tok)
+		}
+		out = append(out, a)
+	}
+	return out, nil
 }

@@ -46,11 +46,11 @@ func main() {
 		seed     = flag.Uint64("seed", 3, "random seed")
 	)
 	// The codec/precision/parallelism/checkpoint surface is the unified
-	// salientpp.RunConfig, so the three CLI harnesses spell it identically.
+	// salientpp.RunConfig, so gnntrain and gnnserve spell it identically.
 	run := salientpp.RunConfig{Codec: "fp32", Checkpoint: salientpp.CheckpointConfig{Retain: 3}}
 	run.RegisterFlags(flag.CommandLine)
 	run.RegisterCheckpointFlags(flag.CommandLine)
-	run.RegisterElasticFlags(flag.CommandLine)
+	run.RegisterTrainFlags(flag.CommandLine)
 	flag.Parse()
 	if err := run.Validate(); err != nil {
 		log.Fatal(err)

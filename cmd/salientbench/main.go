@@ -1,35 +1,22 @@
 // Command salientbench regenerates the paper's timing evaluation via the
 // discrete-event performance model: Table 1 (progressive optimizations),
-// Table 2 (datasets), Table 4 (DistDGL comparison), Figures 4–9, the
-// hot-path microbenchmarks (parallel VIP analysis and batch preparation),
-// and the real end-to-end epoch benchmark.
+// Table 2 (datasets), Table 4 (DistDGL comparison), and Figures 4–9.
 //
 // Example:
 //
 //	salientbench -exp table1
 //	salientbench -exp all -papers 200000 -batch 32
-//	salientbench -exp hotpaths -json          # writes BENCH_sample_vip.json
-//	salientbench -exp epoch -json             # writes BENCH_epoch.json
-//	salientbench -exp serve -json             # writes BENCH_serve.json
 //
-// It is also the CI perf-regression gate: compare two committed benchmark
-// reports of the same kind and exit non-zero when a headline metric
-// regresses beyond the tolerance:
-//
-//	salientbench -compare BENCH_epoch.json new_epoch.json -tolerance 0.25
+// Wall-clock performance of the real training and serving stack is
+// measured by the repository benchmark (bench/, run with bash bench/run.sh).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"os"
-	"runtime"
-	"strconv"
 	"strings"
 
-	"salientpp"
 	"salientpp/internal/experiments"
 )
 
@@ -37,79 +24,23 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("salientbench: ")
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|table2|table4|fig4|fig5|fig6|fig7|fig8|fig9|hotpaths|epoch|serve|all")
-		products  = flag.Int("products", 60000, "products-sim vertices")
-		papers    = flag.Int("papers", 200000, "papers-sim vertices")
-		mag240    = flag.Int("mag240", 100000, "mag240-sim vertices")
-		batch     = flag.Int("batch", 128, "per-machine batch size")
-		boost     = flag.Float64("trainboost", 8, "training-density boost for sparse-label datasets (see EXPERIMENTS.md)")
-		seed      = flag.Uint64("seed", 7, "random seed")
-		asJSON    = flag.Bool("json", false, "also write machine-readable reports (-jsonout, -epochout, -serveout)")
-		jsonOut   = flag.String("jsonout", "BENCH_sample_vip.json", "machine-readable hotpaths output path")
-		epochOut  = flag.String("epochout", "BENCH_epoch.json", "machine-readable epoch-benchmark output path")
-		serveOut  = flag.String("serveout", "BENCH_serve.json", "machine-readable serving-benchmark output path")
-		epochs    = flag.Int("epochs", 3, "epochs for -exp epoch")
-		sweep     = flag.String("sweep", "1,2,4,8", "comma-separated worker counts for -exp hotpaths")
-		alphas    = flag.String("alphas", "0,0.08,0.16,0.32", "comma-separated replication factors for -exp serve")
-		clients   = flag.Int("clients", 8, "closed-loop serving clients for -exp serve")
-		requests  = flag.Int("requests", 150, "requests per serving client for -exp serve")
-		load      = flag.String("load", "closed", "serving workload for -exp serve: closed, or open (adds the open-loop overload curve)")
-		zipf      = flag.Float64("zipf", 1.1, "zipf popularity exponent for -load open")
-		offered   = flag.String("offered", "250,500,1000,2000", "comma-separated offered req/s rates for -load open")
-		loadsec   = flag.Float64("loadsec", 2, "seconds per offered-rate point for -load open")
-		flashF    = flag.Float64("flash", 0, "flash-crowd factor for -load open: mid-run the offered rate is multiplied by this (0 disables)")
-		deadline  = flag.Int64("deadline", 25000, "per-request admission budget in µs for -load open")
-		drift     = flag.Bool("drift", false, "for -exp serve: add the rotating-hot-set drift profile (static vs online cache at equal capacity)")
-		driftWins = flag.Int("driftwindows", 5, "hot-set rotations for -drift")
-		driftReq  = flag.Int("driftreq", 960, "requests per drift window for -drift")
-		compare   = flag.String("compare", "", "gate mode: old benchmark report; the new report follows as a positional argument")
-		tolerance = flag.Float64("tolerance", 0.25, "relative regression tolerance for -compare")
+		exp         = flag.String("exp", "all", "experiment: table1|table2|table4|fig4|fig5|fig6|fig7|fig8|fig9|all")
+		products    = flag.Int("products", 60000, "products-sim vertices")
+		papers      = flag.Int("papers", 200000, "papers-sim vertices")
+		mag240      = flag.Int("mag240", 100000, "mag240-sim vertices")
+		batch       = flag.Int("batch", 128, "per-machine batch size")
+		boost       = flag.Float64("trainboost", 8, "training-density boost for sparse-label datasets (see EXPERIMENTS.md)")
+		seed        = flag.Uint64("seed", 7, "random seed")
+		parallelism = flag.Int("parallelism", 2, "sampler/analysis worker count (0 = harness default)")
 	)
-	// Shared run surface (-codec, -precision, -parallelism) via
-	// salientpp.RunConfig, identical across the three CLI harnesses.
-	runCfg := salientpp.RunConfig{Codec: "fp32", Parallelism: 2}
-	runCfg.RegisterFlags(flag.CommandLine)
-	// Deprecated alias: -workers predates the unified -parallelism flag.
-	flag.CommandLine.IntVar(&runCfg.Parallelism, "workers", runCfg.Parallelism, "deprecated alias for -parallelism")
 	flag.Parse()
-	if err := runCfg.Validate(); err != nil {
-		log.Fatal(err)
-	}
-
-	if *compare != "" {
-		runCompare(*compare, flag.Args(), *tolerance)
-		return
-	}
-
-	// The timing experiments measure parallel speedups; a runtime pinned to
-	// one proc on a multi-core box silently flattens every column (it has
-	// happened in CI — BENCH_sample_vip.json once shipped "gomaxprocs": 1).
-	// The harnesses lift GOMAXPROCS themselves; warn loudly when even the
-	// hardware is serial, so flat speedups are read correctly.
-	if runtime.GOMAXPROCS(0) == 1 && runtime.NumCPU() > 1 {
-		log.Printf("warning: GOMAXPROCS=1 on a %d-CPU machine; timing harnesses will raise it to all CPUs", runtime.NumCPU())
-	}
-	if runtime.NumCPU() == 1 {
-		log.Printf("warning: single-CPU machine; worker-sweep speedups will be flat (~1.0x)")
-	}
-
-	var sweepCounts []int
-	for _, tok := range strings.Split(*sweep, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		w, err := strconv.Atoi(tok)
-		if err != nil || w <= 0 {
-			log.Fatalf("bad -sweep entry %q", tok)
-		}
-		sweepCounts = append(sweepCounts, w)
+	if *parallelism < 0 {
+		log.Fatalf("-parallelism: negative worker count %d", *parallelism)
 	}
 
 	scale := experiments.Scale{
 		ProductsN: *products, PapersN: *papers, Mag240N: *mag240,
-		Batch: *batch, TrainBoost: *boost, Workers: runCfg.Parallelism, Seed: *seed,
-		Codec: runCfg.Codec, Precision: runCfg.Precision, GradCodec: runCfg.GradCodec,
+		Batch: *batch, TrainBoost: *boost, Workers: *parallelism, Seed: *seed,
 	}
 
 	run := map[string]func() (string, error){
@@ -170,65 +101,9 @@ func main() {
 			}
 			return experiments.RenderFig9(r), nil
 		},
-		"hotpaths": func() (string, error) {
-			r, err := experiments.HotPaths(scale, sweepCounts)
-			if err != nil {
-				return "", err
-			}
-			if *asJSON {
-				if err := r.WriteJSON(*jsonOut); err != nil {
-					return "", err
-				}
-				log.Printf("wrote %s", *jsonOut)
-			}
-			return experiments.RenderHotPaths(r), nil
-		},
-		"epoch": func() (string, error) {
-			r, err := experiments.EpochBench(scale, *epochs)
-			if err != nil {
-				return "", err
-			}
-			if *asJSON {
-				if err := r.WriteJSON(*epochOut); err != nil {
-					return "", err
-				}
-				log.Printf("wrote %s", *epochOut)
-			}
-			return experiments.RenderEpochBench(r), nil
-		},
-		"serve": func() (string, error) {
-			alphaList, err := experiments.ParseAlphas(*alphas)
-			if err != nil {
-				return "", fmt.Errorf("-alphas: %w", err)
-			}
-			if *load != "closed" && *load != "open" {
-				return "", fmt.Errorf("-load: want closed or open, got %q", *load)
-			}
-			rates, err := experiments.ParseFloatList(*offered, "offered rate")
-			if err != nil {
-				return "", fmt.Errorf("-offered: %w", err)
-			}
-			r, err := experiments.ServeBench(scale, experiments.ServeConfig{
-				Alphas: alphaList, Clients: *clients, RequestsPerClient: *requests,
-				Precision: runCfg.Precision,
-				Load:      *load, ZipfS: *zipf, OfferedRPS: rates,
-				LoadSeconds: *loadsec, FlashFactor: *flashF, DeadlineMicros: *deadline,
-				Drift: *drift, DriftWindows: *driftWins, DriftRequestsPerWindow: *driftReq,
-			})
-			if err != nil {
-				return "", err
-			}
-			if *asJSON {
-				if err := r.WriteJSON(*serveOut); err != nil {
-					return "", err
-				}
-				log.Printf("wrote %s", *serveOut)
-			}
-			return experiments.RenderServeBench(r), nil
-		},
 	}
 
-	order := []string{"table2", "table1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table4", "hotpaths", "epoch", "serve"}
+	order := []string{"table2", "table1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table4"}
 	var selected []string
 	if *exp == "all" {
 		selected = order
@@ -249,41 +124,4 @@ func main() {
 		fmt.Println(out)
 		fmt.Println()
 	}
-}
-
-// runCompare implements the CI perf-regression gate:
-//
-//	salientbench -compare old.json new.json -tolerance 0.25
-//
-// The new report arrives as the first positional argument; because the
-// flag package stops flag parsing there, a trailing -tolerance is parsed
-// by a second FlagSet over the remaining arguments (a -tolerance placed
-// before -compare is picked up by the ordinary flag). Exits 1 when any
-// headline metric regressed beyond the tolerance.
-func runCompare(oldPath string, args []string, tolerance float64) {
-	const usage = "usage: salientbench -compare old.json new.json [-tolerance 0.25]"
-	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
-		log.Fatal(usage)
-	}
-	newPath := args[0]
-	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
-	fs.SetOutput(io.Discard) // log.Fatalf below prints the one usage line
-	tol := fs.Float64("tolerance", tolerance, "relative regression tolerance")
-	if err := fs.Parse(args[1:]); err != nil {
-		log.Fatalf("%v (%s)", err, usage)
-	}
-	if fs.NArg() > 0 {
-		log.Fatalf("unexpected argument %q (%s)", fs.Arg(0), usage)
-	}
-	tolerance = *tol
-	cs, err := experiments.CompareBenchFiles(oldPath, newPath, tolerance)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(experiments.RenderComparisons(cs, tolerance))
-	if experiments.AnyRegressed(cs) {
-		log.Printf("FAIL: regression beyond %.0f%% against %s", tolerance*100, oldPath)
-		os.Exit(1)
-	}
-	log.Printf("ok: no metric regressed beyond %.0f%% against %s", tolerance*100, oldPath)
 }

@@ -195,8 +195,9 @@ func driftDemo() {
 			float64(staticHits)/float64(total), float64(onlineHits)/float64(total))
 	}
 	fmt.Println(table.String())
-	fmt.Printf("\n%d epoch installs; the serving analog is `gnnserve -drift` and the\n"+
-		"training analog is pipeline.SetupConfig{OnlineCache: true}.\n", installs)
+	fmt.Printf("\n%d epoch installs; the serving analog is serve.Config{Cache: \"online\"}\n"+
+		"(the bench/ workload serve.drift measures it) and the training analog is\n"+
+		"pipeline.SetupConfig{OnlineCache: true}.\n", installs)
 }
 
 // sameMembers reports whether two cache indexes hold the same vertex set.

@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -23,137 +20,56 @@ import (
 // α: a closed-loop load generator drives the coalescing server with a
 // same-seed workload, so rows differ only in the cache.
 type ServeAlphaRow struct {
-	Alpha         float64 `json:"alpha"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	Requests      int64   `json:"requests"`
-	ThroughputRPS float64 `json:"throughput_rps"`
+	Alpha         float64
+	WallSeconds   float64
+	Requests      int64
+	ThroughputRPS float64
 
-	P50  float64 `json:"p50_latency_seconds"`
-	P95  float64 `json:"p95_latency_seconds"`
-	P99  float64 `json:"p99_latency_seconds"`
-	Mean float64 `json:"mean_latency_seconds"`
+	// Latency quantiles, in seconds.
+	P50, P95, P99 float64
 
-	Rounds    int64   `json:"rounds"`
-	MeanBatch float64 `json:"mean_batch"`
+	MeanBatch float64
 
-	LocalRows     int64   `json:"local_rows"`
-	CacheHits     int64   `json:"cache_hits"`
-	RemoteFetches int64   `json:"remote_fetches"`
-	CacheHitRate  float64 `json:"cache_hit_rate"`
-	BytesSent     int64   `json:"bytes_sent"`
+	CacheHits     int64
+	RemoteFetches int64
+	CacheHitRate  float64
+	BytesSent     int64
 	// ComputeSeconds is cumulative forward-pass time across rounds — the
 	// column the reduced-precision serving backend is meant to shrink.
-	ComputeSeconds float64 `json:"compute_seconds"`
-	// FP32ComputeSeconds is the same-workload fp32 control, measured only
-	// when the row itself served a reduced precision: a second deployment
-	// over the same cluster replays the identical client streams at fp32,
-	// so ComputeSeconds/FP32ComputeSeconds is the precision's compute cut
-	// with everything else held fixed.
-	FP32ComputeSeconds float64 `json:"fp32_compute_seconds,omitempty"`
+	ComputeSeconds float64
 }
 
-// ServeBenchResult is the machine-readable online-inference report
-// (BENCH_serve.json): sustained closed-loop throughput and latency
-// percentiles of the coalescing server across the cache-α sweep, on the
-// real distributed data path (sampler → partitioned cache-aware gather →
-// frozen-model forward). The workload is identical across rows — each
-// client replays the same seeded vertex stream — so remote-fetch counts
-// and hit rates are directly attributable to the cache.
+// ServeBenchResult is the online-inference report: sustained closed-loop
+// throughput and latency percentiles of the coalescing server across the
+// cache-α sweep, on the real distributed data path (sampler → partitioned
+// cache-aware gather → frozen-model forward). The workload is identical
+// across rows — each client replays the same seeded vertex stream — so
+// remote-fetch counts and hit rates are directly attributable to the cache.
 type ServeBenchResult struct {
-	Dataset           string `json:"dataset"`
-	Vertices          int    `json:"vertices"`
-	Edges             int64  `json:"edges"`
-	K                 int    `json:"k"`
-	Fanouts           []int  `json:"fanouts"`
-	Hidden            int    `json:"hidden"`
-	MaxBatch          int    `json:"max_batch"`
-	MaxWaitMicros     int64  `json:"max_wait_micros"`
-	Clients           int    `json:"clients"`
-	RequestsPerClient int    `json:"requests_per_client"`
-	Seed              uint64 `json:"seed"`
+	Dataset           string
+	Vertices          int
+	K                 int
+	Fanouts           []int
+	Hidden            int
+	MaxBatch          int
+	MaxWaitMicros     int64
+	Clients           int
+	RequestsPerClient int
+	Seed              uint64
 	// Codec is the serving comm group's wire codec; each row's BytesSent
 	// counts encoded wire bytes, so fp16/int8 shrink it at identical
 	// remote-fetch counts.
-	Codec string `json:"codec"`
+	Codec string
 	// Precision is the serving compute precision; reduced values cut the
-	// rows' compute_seconds while argmax accuracy holds (gated by
+	// rows' ComputeSeconds while argmax accuracy holds (gated by
 	// TestInt8ForwardAccuracyDelta).
-	Precision string          `json:"precision"`
-	MaxProcs  int             `json:"gomaxprocs"`
-	NumCPU    int             `json:"numcpu"`
-	Alphas    []ServeAlphaRow `json:"alphas"`
-
-	// BestP95Seconds and BestThroughputRPS summarize the sweep (the gate
-	// in cmd/salientbench -compare also checks every row individually).
-	BestP95Seconds    float64 `json:"best_p95_latency_seconds"`
-	BestThroughputRPS float64 `json:"best_throughput_rps"`
-
-	// LoadCurve is the open-loop overload profile (present when the bench
-	// ran with Load="open"): seeded Poisson arrivals over a zipf(LoadZipf)
-	// vertex popularity at each offered rate, served under a
-	// DeadlineMicros admission budget. p99 versus offered load plus the
-	// shed and degraded rates show where the server tips from batching
-	// into shedding — and that it sheds explicitly instead of queueing
-	// without bound. Old baselines predate these columns; the -compare
-	// gate skips them in that case.
-	LoadZipf       float64        `json:"load_zipf,omitempty"`
-	DeadlineMicros int64          `json:"deadline_micros,omitempty"`
-	FlashFactor    float64        `json:"flash_factor,omitempty"`
-	LoadCurve      []ServeLoadRow `json:"load_curve,omitempty"`
-
-	// Drift profile (present when the bench ran with -drift): the same
-	// seeded rotating-hot-set workload served twice over one cluster —
-	// once with the pinned static cache, once with the online
-	// drift-tracking policy at equal capacity — with per-window hit rates.
-	// The steady-state rates skip window 0 (the online scorer starts cold
-	// on the static prefix); the gain is online minus static, the number
-	// the adaptive cache layer exists to make positive. Old baselines
-	// predate these columns; the -compare gate skips them in that case.
-	DriftWindows           int             `json:"drift_windows,omitempty"`
-	DriftRequestsPerWindow int             `json:"drift_requests_per_window,omitempty"`
-	DriftHotFrac           float64         `json:"drift_hot_frac,omitempty"`
-	DriftAlpha             float64         `json:"drift_alpha,omitempty"`
-	DriftStatic            []ServeDriftRow `json:"drift_static,omitempty"`
-	DriftOnline            []ServeDriftRow `json:"drift_online,omitempty"`
-	DriftStaticHitRate     float64         `json:"drift_static_hit_rate,omitempty"`
-	DriftOnlineHitRate     float64         `json:"drift_online_hit_rate,omitempty"`
-	DriftHitRateGain       float64         `json:"drift_hit_rate_gain,omitempty"`
-	DriftCacheInstalls     int64           `json:"drift_cache_installs,omitempty"`
+	Precision string
+	MaxProcs  int
+	NumCPU    int
+	Alphas    []ServeAlphaRow
 }
 
-// ServeDriftRow is one hot-set window of a drift run: the window's cache
-// hit rate over remote accesses, its raw hit/miss counts, and the cache
-// epochs installed during it (always zero for the static run).
-type ServeDriftRow struct {
-	Window        int     `json:"window"`
-	HitRate       float64 `json:"hit_rate"`
-	CacheHits     int64   `json:"cache_hits"`
-	RemoteFetches int64   `json:"remote_fetches"`
-	CacheInstalls int64   `json:"cache_installs"`
-}
-
-// ServeLoadRow is one offered-load point of the open-loop curve. Offered
-// counts dispatched arrivals; Served + Shed accounts for all of them
-// (shedding is explicit, never a silent drop).
-type ServeLoadRow struct {
-	OfferedRPS   float64 `json:"offered_rps"`
-	AchievedRPS  float64 `json:"achieved_rps"`
-	Offered      int64   `json:"offered_requests"`
-	Served       int64   `json:"served"`
-	Shed         int64   `json:"shed"`
-	ShedRate     float64 `json:"shed_rate"`
-	Degraded     int64   `json:"degraded"`
-	DegradedRate float64 `json:"degraded_rate"`
-
-	P50  float64 `json:"p50_latency_seconds"`
-	P95  float64 `json:"p95_latency_seconds"`
-	P99  float64 `json:"p99_latency_seconds"`
-	Mean float64 `json:"mean_latency_seconds"`
-
-	MeanBatch float64 `json:"mean_batch"`
-}
-
-// ServeConfig sizes the serving benchmark.
+// ServeConfig sizes the serving run.
 type ServeConfig struct {
 	// Alphas is the replication-factor sweep; nil uses {0, 0.08, 0.16, 0.32}.
 	Alphas []float64
@@ -181,57 +97,6 @@ type ServeConfig struct {
 	// from one). Like Codec, it is a serving-side choice: an fp32-trained
 	// cluster may serve int8.
 	Precision string
-	// Load selects the workload shape. "closed" (the default) is the
-	// fixed per-client replay of the α sweep. "open" additionally drives
-	// an open-loop curve after the sweep: seeded Poisson arrivals at each
-	// OfferedRPS rate — arrivals do not wait for replies, so overload
-	// actually builds queues — over a zipf(ZipfS) vertex popularity,
-	// served with a Deadline so the server sheds instead of queueing
-	// unboundedly.
-	Load string
-	// ZipfS is the open-loop popularity exponent (default 1.1).
-	ZipfS float64
-	// OfferedRPS is the open-loop offered-rate sweep (default
-	// {250, 500, 1000, 2000}).
-	OfferedRPS []float64
-	// LoadSeconds is the duration of each offered-rate point (default 2).
-	LoadSeconds float64
-	// FlashFactor, when > 1, turns the middle third of each open-loop
-	// point into a flash crowd: the offered rate is multiplied by this
-	// factor, then drops back — the recover-after-burst shape real
-	// serving sees.
-	FlashFactor float64
-	// DeadlineMicros is the per-request admission budget of the open-loop
-	// runs (default 25000 = 25ms).
-	DeadlineMicros int64
-	// Drift adds the rotating-hot-set drift profile after the sweep: each
-	// window draws most requests from a fresh hot set (a rotating slice of
-	// a seeded vertex permutation), and the workload is replayed twice —
-	// static cache, then online policy — so the per-window hit rates
-	// isolate what drift tracking buys.
-	Drift bool
-	// DriftWindows is the number of hot-set rotations (default 5).
-	DriftWindows int
-	// DriftRequestsPerWindow is the total requests per window, spread
-	// across Clients (default 960 — enough repeats per hot seed that the
-	// window's heat clears the online scorer's frequency prior).
-	DriftRequestsPerWindow int
-	// DriftHotFrac sizes each window's hot set as a fraction of the vertex
-	// space (default 0.0001, clamped to at least 4 seeds). The hot set is
-	// deliberately tiny: its sampled 2-hop footprint must fit within the
-	// cache capacity for adaptation to pay, because the wider 3-hop
-	// frontier is uncacheable at any policy.
-	DriftHotFrac float64
-	// DriftHotBias is the probability a request targets the window's hot
-	// set rather than a uniform vertex (default 1 — pure hot traffic).
-	DriftHotBias float64
-	// DriftRefreshRounds is the online policy's proposal cadence during
-	// the drift run (default 8 — several installs per window).
-	DriftRefreshRounds int
-	// DriftAlpha is the replication factor of the drift cluster (default
-	// 0.08 — enough capacity to matter, little enough that placement
-	// does). A checkpointed run uses the checkpoint's own cache instead.
-	DriftAlpha float64
 	// Checkpoint, when set, serves a frozen snapshot restored from this
 	// checkpoint file (the format cmd/gnntrain -checkpoint-dir writes):
 	// the cluster — dataset, partition layout, cache contents, trained
@@ -257,36 +122,6 @@ func (c ServeConfig) withDefaults() ServeConfig {
 	if c.MaxWaitMicros <= 0 {
 		c.MaxWaitMicros = 1000
 	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.1
-	}
-	if len(c.OfferedRPS) == 0 {
-		c.OfferedRPS = []float64{250, 500, 1000, 2000}
-	}
-	if c.LoadSeconds <= 0 {
-		c.LoadSeconds = 2
-	}
-	if c.DeadlineMicros <= 0 {
-		c.DeadlineMicros = 25000
-	}
-	if c.DriftWindows <= 0 {
-		c.DriftWindows = 5
-	}
-	if c.DriftRequestsPerWindow <= 0 {
-		c.DriftRequestsPerWindow = 960
-	}
-	if c.DriftHotFrac <= 0 {
-		c.DriftHotFrac = 0.0001
-	}
-	if c.DriftHotBias <= 0 {
-		c.DriftHotBias = 1.0
-	}
-	if c.DriftRefreshRounds <= 0 {
-		c.DriftRefreshRounds = 8
-	}
-	if c.DriftAlpha <= 0 {
-		c.DriftAlpha = 0.08
-	}
 	return c
 }
 
@@ -308,8 +143,6 @@ func serveBenchDataset(scale Scale) (*dataset.Dataset, error) {
 // only variable is cache capacity.
 func ServeBench(scale Scale, cfg ServeConfig) (*ServeBenchResult, error) {
 	cfg = cfg.withDefaults()
-	restore, procs := ensureParallel()
-	defer restore()
 	var (
 		ds    *dataset.Dataset
 		dims  ModelDims
@@ -373,12 +206,12 @@ func ServeBench(scale Scale, cfg ServeConfig) (*ServeBenchResult, error) {
 		return nil, err
 	}
 	res := &ServeBenchResult{
-		Dataset: ds.Name, Vertices: ds.NumVertices(), Edges: ds.Graph.NumEdges(),
+		Dataset: ds.Name, Vertices: ds.NumVertices(),
 		K: k, Fanouts: dims.Fanouts, Hidden: dims.Hidden,
 		MaxBatch: cfg.MaxBatch, MaxWaitMicros: cfg.MaxWaitMicros,
 		Clients: cfg.Clients, RequestsPerClient: cfg.RequestsPerClient,
 		Seed: seed, Codec: codec.String(), Precision: prec.String(),
-		MaxProcs: procs, NumCPU: runtime.NumCPU(),
+		MaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 	}
 	if state != nil {
 		// One row: the checkpoint's own cache configuration.
@@ -388,276 +221,16 @@ func ServeBench(scale Scale, cfg ServeConfig) (*ServeBenchResult, error) {
 			return nil, fmt.Errorf("serve bench from checkpoint %s: %w", cfg.Checkpoint, err)
 		}
 		res.Alphas = append(res.Alphas, *row)
-	} else {
-		for _, alpha := range cfg.Alphas {
-			row, err := serveOneAlpha(ds, scale, cfg, dims, k, alpha, nil)
-			if err != nil {
-				return nil, fmt.Errorf("serve bench at alpha=%v: %w", alpha, err)
-			}
-			res.Alphas = append(res.Alphas, *row)
-		}
+		return res, nil
 	}
-	for i, r := range res.Alphas {
-		if i == 0 || r.P95 < res.BestP95Seconds {
-			res.BestP95Seconds = r.P95
-		}
-		if r.ThroughputRPS > res.BestThroughputRPS {
-			res.BestThroughputRPS = r.ThroughputRPS
-		}
-	}
-	if cfg.Load == "open" {
-		// The open-loop curve runs at the sweep's largest cache (its last
-		// α, or the checkpoint's own α) so the overload behavior is
-		// measured on the best-served configuration.
-		alpha := cfg.Alphas[len(cfg.Alphas)-1]
-		if state != nil {
-			alpha = res.Alphas[0].Alpha
-		}
-		res.LoadZipf = cfg.ZipfS
-		res.DeadlineMicros = cfg.DeadlineMicros
-		if cfg.FlashFactor > 1 {
-			res.FlashFactor = cfg.FlashFactor
-		}
-		res.LoadCurve, err = serveLoadCurve(ds, scale, cfg, dims, k, alpha, state)
+	for _, alpha := range cfg.Alphas {
+		row, err := serveOneAlpha(ds, scale, cfg, dims, k, alpha, nil)
 		if err != nil {
-			return nil, fmt.Errorf("serve load curve at alpha=%v: %w", alpha, err)
+			return nil, fmt.Errorf("serve bench at alpha=%v: %w", alpha, err)
 		}
-	}
-	if cfg.Drift {
-		alpha := cfg.DriftAlpha
-		if state != nil {
-			alpha = res.Alphas[0].Alpha
-		}
-		if err := serveDrift(ds, scale, cfg, dims, k, alpha, state, res); err != nil {
-			return nil, fmt.Errorf("serve drift profile at alpha=%v: %w", alpha, err)
-		}
+		res.Alphas = append(res.Alphas, *row)
 	}
 	return res, nil
-}
-
-// serveDrift measures the drift profile: one cluster, two serving
-// deployments over it (static, then online at the same capacity), each
-// replaying the identical seeded rotating-hot-set workload window by
-// window. Only the cache policy differs between the two passes, so the
-// per-window hit-rate gap is attributable to drift tracking alone.
-func serveDrift(ds *dataset.Dataset, scale Scale, cfg ServeConfig, dims ModelDims, k int, alpha float64, resume *ckpt.TrainState, res *ServeBenchResult) error {
-	ccfg := serveClusterConfig(scale, cfg.UseTCP, dims, k, alpha)
-	ccfg.Resume = resume
-	cl, err := pipeline.NewCluster(ds, ccfg)
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-
-	run := func(mode string) ([]ServeDriftRow, error) {
-		srv, err := serve.New(cl, serve.Config{
-			MaxBatch:           cfg.MaxBatch,
-			MaxWait:            time.Duration(cfg.MaxWaitMicros) * time.Microsecond,
-			Seed:               scale.Seed,
-			UseTCP:             cfg.UseTCP,
-			Codec:              cfg.Codec,
-			Precision:          cfg.Precision,
-			Cache:              mode,
-			CacheRefreshRounds: cfg.DriftRefreshRounds,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer srv.Close()
-		return driveDriftWindows(srv, ds.NumVertices(), scale.Seed, cfg)
-	}
-	static, err := run("static")
-	if err != nil {
-		return err
-	}
-	online, err := run("online")
-	if err != nil {
-		return err
-	}
-	res.DriftWindows = cfg.DriftWindows
-	res.DriftRequestsPerWindow = cfg.DriftRequestsPerWindow
-	res.DriftHotFrac = cfg.DriftHotFrac
-	res.DriftAlpha = alpha
-	res.DriftStatic, res.DriftOnline = static, online
-	res.DriftStaticHitRate = driftSteadyHitRate(static)
-	res.DriftOnlineHitRate = driftSteadyHitRate(online)
-	res.DriftHitRateGain = res.DriftOnlineHitRate - res.DriftStaticHitRate
-	for _, w := range online {
-		res.DriftCacheInstalls += w.CacheInstalls
-	}
-	return nil
-}
-
-// driftSteadyHitRate aggregates hit rate over the steady-state windows:
-// all but window 0, which is the online scorer's cold-start transient
-// (the static pass skips the same window so the comparison stays paired).
-func driftSteadyHitRate(rows []ServeDriftRow) float64 {
-	var hits, remote int64
-	for _, r := range rows {
-		if r.Window == 0 && len(rows) > 1 {
-			continue
-		}
-		hits += r.CacheHits
-		remote += r.RemoteFetches
-	}
-	if hits+remote == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+remote)
-}
-
-// driveDriftWindows replays the rotating-hot-set workload: window w draws
-// DriftHotBias of its requests from hot set w (a disjoint rotating slice
-// of a seeded vertex permutation, so each window's heat is genuinely new)
-// and the rest uniformly. Client streams are seeded per (window, client),
-// so both serving passes see identical request sequences. Per-window
-// hit/miss/install counts come from snapshot deltas taken at the quiesced
-// window boundaries.
-func driveDriftWindows(srv *serve.Server, n int, seed uint64, cfg ServeConfig) ([]ServeDriftRow, error) {
-	hotN := int(cfg.DriftHotFrac * float64(n))
-	if hotN < 4 {
-		hotN = 4
-	}
-	if hotN > n {
-		hotN = n
-	}
-	perm := rng.New(seed ^ 0xd41f7).Perm(n)
-	perClient := cfg.DriftRequestsPerWindow / cfg.Clients
-	if perClient == 0 {
-		perClient = 1
-	}
-	var rows []ServeDriftRow
-	var prevHits, prevRemote, prevInstalls int64
-	for w := 0; w < cfg.DriftWindows; w++ {
-		base := (w * hotN) % n
-		var wg sync.WaitGroup
-		errCh := make(chan error, cfg.Clients)
-		for c := 0; c < cfg.Clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				r := rng.New(seed ^ 0xdf1).Split(uint64(w)).Split(uint64(c))
-				out := make([]float32, srv.Classes())
-				for i := 0; i < perClient; i++ {
-					var v int32
-					if r.Float64() < cfg.DriftHotBias {
-						v = perm[(base+r.Intn(hotN))%n]
-					} else {
-						v = int32(r.Intn(n))
-					}
-					if _, err := srv.Predict(v, out); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}(c)
-		}
-		wg.Wait()
-		select {
-		case err := <-errCh:
-			return nil, err
-		default:
-		}
-		snap := srv.Snapshot()
-		dh := snap.CacheHits - prevHits
-		dr := snap.RemoteFetches - prevRemote
-		di := snap.CacheInstalls - prevInstalls
-		prevHits, prevRemote, prevInstalls = snap.CacheHits, snap.RemoteFetches, snap.CacheInstalls
-		hitRate := 0.0
-		if dh+dr > 0 {
-			hitRate = float64(dh) / float64(dh+dr)
-		}
-		rows = append(rows, ServeDriftRow{
-			Window: w, HitRate: hitRate,
-			CacheHits: dh, RemoteFetches: dr, CacheInstalls: di,
-		})
-	}
-	return rows, nil
-}
-
-// serveLoadCurve measures the open-loop p99-vs-offered-load profile: one
-// cluster, and per offered rate a fresh serving deployment (so the shed
-// and degraded counters are per-point) driven by seeded Poisson arrivals
-// over a zipf popularity for LoadSeconds.
-func serveLoadCurve(ds *dataset.Dataset, scale Scale, cfg ServeConfig, dims ModelDims, k int, alpha float64, resume *ckpt.TrainState) ([]ServeLoadRow, error) {
-	ccfg := serveClusterConfig(scale, cfg.UseTCP, dims, k, alpha)
-	ccfg.Resume = resume
-	cl, err := pipeline.NewCluster(ds, ccfg)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-
-	var rows []ServeLoadRow
-	for _, offered := range cfg.OfferedRPS {
-		srv, err := serve.New(cl, serve.Config{
-			MaxBatch:  cfg.MaxBatch,
-			MaxWait:   time.Duration(cfg.MaxWaitMicros) * time.Microsecond,
-			Seed:      scale.Seed,
-			UseTCP:    cfg.UseTCP,
-			Codec:     cfg.Codec,
-			Precision: cfg.Precision,
-			Deadline:  time.Duration(cfg.DeadlineMicros) * time.Microsecond,
-		})
-		if err != nil {
-			return nil, err
-		}
-		dispatched, wall := driveOpenLoop(srv, ds.NumVertices(), scale.Seed, cfg.ZipfS, offered,
-			time.Duration(cfg.LoadSeconds*float64(time.Second)), cfg.FlashFactor)
-		snap := srv.Snapshot()
-		if err := srv.Close(); err != nil {
-			return nil, err
-		}
-		rows = append(rows, ServeLoadRow{
-			OfferedRPS: offered, AchievedRPS: float64(snap.Requests) / wall,
-			Offered: dispatched, Served: snap.Requests,
-			Shed: snap.Shed, ShedRate: snap.ShedRate,
-			Degraded: snap.Degraded, DegradedRate: snap.DegradedRate,
-			P50: snap.P50, P95: snap.P95, P99: snap.P99, Mean: snap.Mean,
-			MeanBatch: snap.MeanBatch,
-		})
-	}
-	return rows, nil
-}
-
-// driveOpenLoop dispatches seeded Poisson arrivals at the offered rate for
-// dur, each requesting a zipf-popular vertex (decorrelated from vertex ids
-// through a seeded permutation). Arrivals never wait for earlier replies —
-// the open-loop property that makes overload real — and every dispatched
-// request is accounted by the server as served or shed. With flash > 1 the
-// middle third of the run offers flash× the rate.
-func driveOpenLoop(srv *serve.Server, n int, seed uint64, zipfS, offered float64, dur time.Duration, flash float64) (dispatched int64, wall float64) {
-	perm := rng.New(seed ^ 0x9ea7).Perm(n)
-	z := rng.NewZipf(rng.New(seed).Split(7), zipfS, uint64(n))
-	arr := rng.New(seed).Split(8)
-	var wg sync.WaitGroup
-	start := time.Now()
-	var next time.Duration
-	for {
-		elapsed := time.Since(start)
-		if elapsed >= dur {
-			break
-		}
-		rate := offered
-		if flash > 1 && elapsed > dur/3 && elapsed < 2*dur/3 {
-			rate *= flash
-		}
-		next += time.Duration(-math.Log(1-arr.Float64()) / rate * float64(time.Second))
-		if d := next - time.Since(start); d > 0 {
-			time.Sleep(d)
-		}
-		v := perm[z.Uint64()]
-		dispatched++
-		wg.Add(1)
-		go func(v int32) {
-			defer wg.Done()
-			out := make([]float32, srv.Classes())
-			// Shed and error outcomes are accounted in the server snapshot.
-			_, _ = srv.Predict(v, out)
-		}(v)
-	}
-	wg.Wait()
-	return dispatched, time.Since(start).Seconds()
 }
 
 // serveClusterConfig is the cluster assembly serveOneAlpha uses. It is a
@@ -677,6 +250,8 @@ func serveClusterConfig(scale Scale, useTCP bool, dims ModelDims, k int, alpha f
 	}
 }
 
+// serveOneAlpha assembles one cluster at the given α, freezes it into a
+// serving deployment, and replays the seeded closed-loop workload.
 func serveOneAlpha(ds *dataset.Dataset, scale Scale, cfg ServeConfig, dims ModelDims, k int, alpha float64, resume *ckpt.TrainState) (*ServeAlphaRow, error) {
 	ccfg := serveClusterConfig(scale, cfg.UseTCP, dims, k, alpha)
 	ccfg.Resume = resume
@@ -686,97 +261,55 @@ func serveOneAlpha(ds *dataset.Dataset, scale Scale, cfg ServeConfig, dims Model
 	}
 	defer cl.Close()
 
-	// drive freezes the cluster into a deployment at the given precision and
-	// replays the seeded closed-loop workload, so two drives over the same
-	// cluster differ only in the serving compute precision.
-	drive := func(precision string) (serve.Snapshot, float64, error) {
-		srv, err := serve.New(cl, serve.Config{
-			MaxBatch:  cfg.MaxBatch,
-			MaxWait:   time.Duration(cfg.MaxWaitMicros) * time.Microsecond,
-			Seed:      scale.Seed,
-			UseTCP:    cfg.UseTCP,
-			Codec:     cfg.Codec, // "" inherits the cluster's codec via Sibling
-			Precision: precision, // "" inherits the cluster's precision
-		})
-		if err != nil {
-			return serve.Snapshot{}, 0, err
-		}
-		defer srv.Close()
+	srv, err := serve.New(cl, serve.Config{
+		MaxBatch:  cfg.MaxBatch,
+		MaxWait:   time.Duration(cfg.MaxWaitMicros) * time.Microsecond,
+		Seed:      scale.Seed,
+		UseTCP:    cfg.UseTCP,
+		Codec:     cfg.Codec,     // "" inherits the cluster's codec via Sibling
+		Precision: cfg.Precision, // "" inherits the cluster's precision
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer srv.Close()
 
-		n := ds.NumVertices()
-		start := time.Now()
-		var wg sync.WaitGroup
-		errCh := make(chan error, cfg.Clients)
-		for c := 0; c < cfg.Clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				// Same-seed vertex stream for every α row.
-				r := rng.New(scale.Seed ^ 0x5eed).Split(uint64(c))
-				out := make([]float32, srv.Classes())
-				for i := 0; i < cfg.RequestsPerClient; i++ {
-					if _, err := srv.Predict(int32(r.Intn(n)), out); err != nil {
-						errCh <- err
-						return
-					}
+	n := ds.NumVertices()
+	start := time.Now()
+	var wg sync.WaitGroup
+	errCh := make(chan error, cfg.Clients)
+	for c := 0; c < cfg.Clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			// Same-seed vertex stream for every α row.
+			r := rng.New(scale.Seed ^ 0x5eed).Split(uint64(c))
+			out := make([]float32, srv.Classes())
+			for i := 0; i < cfg.RequestsPerClient; i++ {
+				if _, err := srv.Predict(int32(r.Intn(n)), out); err != nil {
+					errCh <- err
+					return
 				}
-			}(c)
-		}
-		wg.Wait()
-		wall := time.Since(start).Seconds()
-		select {
-		case err := <-errCh:
-			return serve.Snapshot{}, 0, err
-		default:
-		}
-		return srv.Snapshot(), wall, nil
+			}
+		}(c)
 	}
-
-	// When the row serves a reduced precision, measure the fp32 control
-	// first: serve.New only switches the shared stores' gather path for
-	// reduced precisions, so the control must precede the reduced run.
-	servingPrecision := cfg.Precision
-	if servingPrecision == "" {
-		servingPrecision = scale.Precision
-	}
-	prec, err := tensor.ParsePrecision(servingPrecision)
-	if err != nil {
+	wg.Wait()
+	wall := time.Since(start).Seconds()
+	select {
+	case err := <-errCh:
 		return nil, err
+	default:
 	}
-	var fp32Compute float64
-	if prec != tensor.PrecisionFP32 {
-		ctl, _, err := drive("fp32")
-		if err != nil {
-			return nil, err
-		}
-		fp32Compute = ctl.ComputeSeconds
-	}
-
-	snap, wall, err := drive(cfg.Precision)
-	if err != nil {
-		return nil, err
-	}
-	row := &ServeAlphaRow{
+	snap := srv.Snapshot()
+	return &ServeAlphaRow{
 		Alpha: alpha, WallSeconds: wall, Requests: snap.Requests,
 		ThroughputRPS: float64(snap.Requests) / wall,
-		P50:           snap.P50, P95: snap.P95, P99: snap.P99, Mean: snap.Mean,
-		Rounds: snap.Rounds, MeanBatch: snap.MeanBatch,
-		LocalRows: snap.LocalGPU + snap.LocalCPU,
+		P50:           snap.P50, P95: snap.P95, P99: snap.P99,
+		MeanBatch: snap.MeanBatch,
 		CacheHits: snap.CacheHits, RemoteFetches: snap.RemoteFetches,
 		CacheHitRate: snap.CacheHitRate, BytesSent: snap.BytesSent,
-		ComputeSeconds: snap.ComputeSeconds, FP32ComputeSeconds: fp32Compute,
-	}
-	return row, nil
-}
-
-// WriteJSON writes the report for machine consumption (the serving perf
-// trajectory file committed as BENCH_serve.json).
-func (r *ServeBenchResult) WriteJSON(path string) error {
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
+		ComputeSeconds: snap.ComputeSeconds,
+	}, nil
 }
 
 // RenderServeBench formats the α-sweep table.
@@ -798,56 +331,5 @@ func RenderServeBench(r *ServeBenchResult) string {
 			fmt.Sprintf("%.2f", float64(row.BytesSent)/1e6),
 			fmt.Sprintf("%.4f", row.ComputeSeconds))
 	}
-	out := t.String()
-	var reduced, control float64
-	for _, row := range r.Alphas {
-		if row.FP32ComputeSeconds > 0 {
-			reduced += row.ComputeSeconds
-			control += row.FP32ComputeSeconds
-		}
-	}
-	if control > 0 {
-		out += fmt.Sprintf("\n%s compute across sweep: %.4fs vs %.4fs fp32 control (%.1f%% less)",
-			r.Precision, reduced, control, 100*(1-reduced/control))
-	}
-	if len(r.LoadCurve) > 0 {
-		flash := ""
-		if r.FlashFactor > 1 {
-			flash = fmt.Sprintf(", flash ×%.1f mid-run", r.FlashFactor)
-		}
-		lt := metrics.NewTable(
-			fmt.Sprintf("Open-loop overload profile (zipf %.2f, deadline %dµs%s)", r.LoadZipf, r.DeadlineMicros, flash),
-			"offered req/s", "achieved req/s", "p50 (ms)", "p99 (ms)", "shed rate", "degraded rate", "mean batch")
-		for _, row := range r.LoadCurve {
-			lt.AddRow(
-				fmt.Sprintf("%.0f", row.OfferedRPS),
-				fmt.Sprintf("%.0f", row.AchievedRPS),
-				fmt.Sprintf("%.3f", row.P50*1e3),
-				fmt.Sprintf("%.3f", row.P99*1e3),
-				fmt.Sprintf("%.3f", row.ShedRate),
-				fmt.Sprintf("%.3f", row.DegradedRate),
-				fmt.Sprintf("%.2f", row.MeanBatch))
-		}
-		out += "\n\n" + lt.String()
-	}
-	if len(r.DriftOnline) > 0 {
-		dt := metrics.NewTable(
-			fmt.Sprintf("Rotating-hot-set drift (α=%.2f, %d windows × %d reqs, hot frac %g)",
-				r.DriftAlpha, r.DriftWindows, r.DriftRequestsPerWindow, r.DriftHotFrac),
-			"window", "static hit rate", "online hit rate", "installs")
-		for i, o := range r.DriftOnline {
-			staticRate := 0.0
-			if i < len(r.DriftStatic) {
-				staticRate = r.DriftStatic[i].HitRate
-			}
-			dt.AddRow(o.Window,
-				fmt.Sprintf("%.3f", staticRate),
-				fmt.Sprintf("%.3f", o.HitRate),
-				o.CacheInstalls)
-		}
-		out += "\n\n" + dt.String()
-		out += fmt.Sprintf("\nsteady-state hit rate: online %.3f vs static %.3f (gain %+.3f, %d installs)",
-			r.DriftOnlineHitRate, r.DriftStaticHitRate, r.DriftHitRateGain, r.DriftCacheInstalls)
-	}
-	return out
+	return t.String()
 }

@@ -1,20 +1,13 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"runtime"
-	"time"
 
 	"salientpp/internal/cache"
 	"salientpp/internal/dataset"
 	"salientpp/internal/metrics"
 	"salientpp/internal/perfmodel"
-	"salientpp/internal/rng"
-	"salientpp/internal/sample"
-	"salientpp/internal/vip"
 )
 
 // Scale sets dataset sizes for the timing experiments. The paper's graphs
@@ -36,18 +29,13 @@ type Scale struct {
 	Workers                     int
 	Seed                        uint64
 	// Codec selects the feature-gather wire codec ("", "fp32", "fp16",
-	// "int8") for the benchmarks that run the real distributed cluster
-	// (EpochBench, ServeBench). The empty string is the raw fp32 default.
+	// "int8") of the real distributed cluster ServeBench runs. The empty
+	// string is the raw fp32 default.
 	Codec string
 	// Precision is the cluster's configured serving/freeze precision ("",
 	// "fp32", "fp16", "int8") — part of checkpoint run identity. Training
 	// compute is always fp32 regardless. Empty means fp32.
 	Precision string
-	// GradCodec selects the gradient all-reduce wire codec ("", "fp32",
-	// "fp16", "int8") for the benchmarks that train the real cluster.
-	// Lossy codecs use per-row quantization with error-feedback residuals;
-	// the empty string is the raw fp32 default.
-	GradCodec string
 }
 
 // DefaultScale is used by the CLI harness (a few minutes end to end).
@@ -652,167 +640,6 @@ func (r *Table4Result) Render() string {
 	t.AddRow("SALIENT++", fmt.Sprintf("%.3f", r.SalientPP), "α=0.32, VIP cache, deep pipeline")
 	t.AddRow("DistDGL-like", fmt.Sprintf("%.3f", r.DistDGL), "per-hop sampling RPCs, no cache, no pipeline")
 	t.AddRow("speedup", fmt.Sprintf("%.1fx", r.Speedup), "paper reports 12.7x vs public DistDGL")
-	return t.String()
-}
-
-// ------------------------------------------------------------- hot paths
-
-// HotPathRow is one worker-count measurement of the two dominant hot
-// paths: the VIP propagation and one epoch of minibatch preparation.
-type HotPathRow struct {
-	Workers       int     `json:"workers"`
-	VIPSeconds    float64 `json:"vip_seconds"`
-	VIPSpeedup    float64 `json:"vip_speedup"`
-	SampleSeconds float64 `json:"sample_seconds"`
-	SampleSpeedup float64 `json:"sample_speedup"`
-}
-
-// HotPathsResult is the machine-readable hot-path timing report
-// (BENCH_sample_vip.json); speedups are relative to the workers=1 row, so
-// the single- vs multi-worker trajectory survives across PRs. MaxProcs is
-// the effective GOMAXPROCS of the measurement (after ensureParallel lifts
-// a constrained runtime to all CPUs); when it is 1 the speedup columns are
-// necessarily flat and the report should be read as serial-only.
-type HotPathsResult struct {
-	Dataset  string       `json:"dataset"`
-	Vertices int          `json:"vertices"`
-	Edges    int64        `json:"edges"`
-	Fanouts  []int        `json:"fanouts"`
-	Batch    int          `json:"batch"`
-	Batches  int          `json:"batches_per_epoch"`
-	Seed     uint64       `json:"seed"`
-	MaxProcs int          `json:"gomaxprocs"`
-	NumCPU   int          `json:"numcpu"`
-	Rows     []HotPathRow `json:"rows"`
-}
-
-// ensureParallel lifts GOMAXPROCS to the machine's CPU count when the
-// runtime arrived constrained to one proc (a past CI run recorded
-// "gomaxprocs": 1 with flat speedups — the sweep measured nothing). The
-// returned restore func undoes the change; procs is the effective value
-// benchmarks should record. Callers should surface a warning when procs
-// is still 1: on a single-core machine worker sweeps cannot show speedup.
-func ensureParallel() (restore func(), procs int) {
-	if runtime.GOMAXPROCS(0) == 1 && runtime.NumCPU() > 1 {
-		prev := runtime.GOMAXPROCS(runtime.NumCPU())
-		return func() { runtime.GOMAXPROCS(prev) }, runtime.GOMAXPROCS(0)
-	}
-	return func() {}, runtime.GOMAXPROCS(0)
-}
-
-// HotPaths times vip.Probabilities and sample.PrepareEpoch on papers-sim
-// at each worker count (best of three runs, minimizing scheduler noise).
-// The workers=1 serial baseline anchors the speedup columns and is
-// prepended if the sweep omits it; nil selects the default {1, 2, 4, 8}.
-func HotPaths(scale Scale, workerCounts []int) (*HotPathsResult, error) {
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 2, 4, 8}
-	}
-	hasBaseline := false
-	for _, w := range workerCounts {
-		if w == 1 {
-			hasBaseline = true
-			break
-		}
-	}
-	if !hasBaseline {
-		workerCounts = append([]int{1}, workerCounts...)
-	}
-	restore, procs := ensureParallel()
-	defer restore()
-	ds, err := scale.makeDataset("papers-sim")
-	if err != nil {
-		return nil, err
-	}
-	dims := PaperDims(ds.Name)
-	train := ds.TrainIDs()
-	p0 := vip.UniformSeeds(ds.NumVertices(), train, scale.Batch)
-	smp, err := sample.NewSampler(ds.Graph, dims.Fanouts)
-	if err != nil {
-		return nil, err
-	}
-	batches := sample.EpochBatches(train, scale.Batch, rng.New(scale.Seed))
-
-	res := &HotPathsResult{
-		Dataset: ds.Name, Vertices: ds.NumVertices(), Edges: ds.Graph.NumEdges(),
-		Fanouts: dims.Fanouts, Batch: scale.Batch, Batches: len(batches),
-		Seed: scale.Seed, MaxProcs: procs, NumCPU: runtime.NumCPU(),
-	}
-	bestOf := func(f func() error) (float64, error) {
-		best := math.Inf(1)
-		for rep := 0; rep < 3; rep++ {
-			t0 := time.Now()
-			if err := f(); err != nil {
-				return 0, err
-			}
-			if s := time.Since(t0).Seconds(); s < best {
-				best = s
-			}
-		}
-		return best, nil
-	}
-	for _, w := range workerCounts {
-		vcfg := vip.Config{Fanouts: dims.Fanouts, BatchSize: scale.Batch, Workers: w}
-		vs, err := bestOf(func() error {
-			_, err := vip.Probabilities(ds.Graph, p0, vcfg, false)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		ss, err := bestOf(func() error {
-			mfgs := sample.PrepareEpoch(smp, batches, rng.New(scale.Seed+1), w)
-			for _, m := range mfgs {
-				m.Release()
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, HotPathRow{Workers: w, VIPSeconds: vs, SampleSeconds: ss})
-	}
-	// Speedups are filled after all measurements so the baseline's position
-	// in the sweep does not matter.
-	var vip1, smp1 float64
-	for _, row := range res.Rows {
-		if row.Workers == 1 {
-			vip1, smp1 = row.VIPSeconds, row.SampleSeconds
-			break
-		}
-	}
-	for i := range res.Rows {
-		if vip1 > 0 {
-			res.Rows[i].VIPSpeedup = vip1 / res.Rows[i].VIPSeconds
-		}
-		if smp1 > 0 {
-			res.Rows[i].SampleSpeedup = smp1 / res.Rows[i].SampleSeconds
-		}
-	}
-	return res, nil
-}
-
-// WriteJSON writes the report for machine consumption (the perf
-// trajectory file committed as BENCH_sample_vip.json).
-func (r *HotPathsResult) WriteJSON(path string) error {
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// RenderHotPaths formats the single- vs multi-worker comparison.
-func RenderHotPaths(r *HotPathsResult) string {
-	t := metrics.NewTable(
-		fmt.Sprintf("Hot paths: VIP analysis and batch preparation (%s, N=%d, M=%d, GOMAXPROCS=%d/%d CPUs)",
-			r.Dataset, r.Vertices, r.Edges, r.MaxProcs, r.NumCPU),
-		"workers", "VIP (s)", "VIP speedup", "sample epoch (s)", "sample speedup")
-	for _, row := range r.Rows {
-		t.AddRow(row.Workers,
-			fmt.Sprintf("%.4f", row.VIPSeconds), fmt.Sprintf("%.2fx", row.VIPSpeedup),
-			fmt.Sprintf("%.4f", row.SampleSeconds), fmt.Sprintf("%.2fx", row.SampleSpeedup))
-	}
 	return t.String()
 }
 

@@ -7,8 +7,8 @@ import (
 
 // Counter names the training-resilience layer increments. Keeping the
 // names here (rather than as ad-hoc strings at the call sites) makes the
-// BENCH_epoch.json fields, the elastic driver, and the tests agree on one
-// spelling.
+// elastic driver, the callers reading its counters, and the tests agree on
+// one spelling.
 const (
 	// CounterStallsDetected counts training collectives that failed with a
 	// recoverable error (timeout or closed group) and triggered a probe.
@@ -23,9 +23,10 @@ const (
 )
 
 // Counters is a small concurrency-safe named-counter registry. The elastic
-// training driver increments recovery counters through it; harnesses read
-// them out for BENCH_epoch.json. A nil *Counters is a valid no-op sink, so
-// callers never have to guard their Add calls.
+// training driver increments recovery counters through it (see
+// pipeline.ElasticConfig.Counters); callers and tests read them out. A nil
+// *Counters is a valid no-op sink, so callers never have to guard their Add
+// calls.
 type Counters struct {
 	mu sync.Mutex
 	m  map[string]int64

@@ -8,9 +8,9 @@ import (
 	"salientpp/internal/tensor"
 )
 
-// StageTimers accumulates compute-stage wall time in nanoseconds, split the
-// way the epoch benchmark reports it: neighbor aggregation, dense transforms
-// (weight GEMMs, bias, activations), and the backward pass. Model and Frozen
+// StageTimers accumulates compute-stage wall time in nanoseconds, split into
+// neighbor aggregation, dense transforms (weight GEMMs, bias, activations),
+// and the backward pass. Model and Frozen
 // each own one; TakeStageTimers drains it.
 type StageTimers struct {
 	AggregateNS int64

@@ -57,8 +57,8 @@ type Config struct {
 	// falls back to synchronously reducing each layer after the full
 	// backward pass, in the same layer order — identical arithmetic,
 	// strictly more idle time. The zero value (overlap on) is the
-	// production configuration; the flag exists so the epoch benchmark
-	// can measure the overlap win.
+	// production configuration; the flag exists for A/B measurement of
+	// the overlap win.
 	NoGradOverlap bool
 }
 
@@ -141,8 +141,7 @@ type EpochStats struct {
 	// Gradient-synchronization attribution. GradReduceTime is the total
 	// wall time spent inside gradient all-reduces; GradWaitTime is the
 	// part the training loop actually blocked on (the rest ran hidden
-	// under backward compute). Their difference is the overlap win the
-	// epoch benchmark reports as overlap_seconds_saved; with
+	// under backward compute). Their difference is the overlap win; with
 	// Config.NoGradOverlap the two are equal by construction.
 	GradBytesSent  int64 // gradient all-reduce bytes this epoch
 	GradReduceTime time.Duration

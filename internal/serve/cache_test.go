@@ -245,3 +245,88 @@ func TestServeRejectsUnknownCacheMode(t *testing.T) {
 		t.Fatal("unknown cache mode accepted")
 	}
 }
+
+// TestOnlineCacheBeatsStaticUnderDrift pins what the online cache layer is
+// for: under a workload whose hot set moves, the drift-tracking policy's
+// steady-state hit rate beats the pinned static cache at equal capacity.
+// Window w draws every request from hot set w — a disjoint slice of a
+// seeded vertex permutation, so each window's heat is genuinely new — and
+// client streams are seeded per (window, client), so the static and online
+// passes over the one cluster replay identical request sequences and only
+// the policy differs. Window 0 is left out of the steady state: the online
+// scorer starts cold on the static prefix.
+func TestOnlineCacheBeatsStaticUnderDrift(t *testing.T) {
+	const (
+		alpha     = 0.05
+		windows   = 5
+		hotN      = 4
+		clients   = 4
+		perClient = 120
+	)
+	cl := serveCluster(t, 2, alpha, false)
+	defer cl.Close()
+	n := cl.Data.NumVertices()
+	perm := rng.New(0xd41f7).Perm(n)
+
+	// run serves the drift workload and returns the steady-state hit rate
+	// and the cache epochs installed over the whole run.
+	run := func(mode string) (hitRate float64, installs int64) {
+		srv, err := New(cl, Config{
+			MaxBatch: 32, MaxWait: time.Millisecond, Seed: 7,
+			Cache: mode, CacheRefreshRounds: 8,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		var warm Snapshot
+		for w := 0; w < windows; w++ {
+			var wg sync.WaitGroup
+			errCh := make(chan error, clients)
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					r := rng.New(0xdf1).Split(uint64(w)).Split(uint64(c))
+					out := make([]float32, srv.Classes())
+					for i := 0; i < perClient; i++ {
+						v := perm[(w*hotN+r.Intn(hotN))%n]
+						if _, err := srv.Predict(v, out); err != nil {
+							errCh <- err
+							return
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			select {
+			case err := <-errCh:
+				t.Fatal(err)
+			default:
+			}
+			if w == 0 {
+				warm = srv.Snapshot()
+			}
+		}
+		snap := srv.Snapshot()
+		hits := snap.CacheHits - warm.CacheHits
+		remote := snap.RemoteFetches - warm.RemoteFetches
+		if hits+remote == 0 {
+			t.Fatalf("%s pass recorded no remote-classified accesses", mode)
+		}
+		return float64(hits) / float64(hits+remote), snap.CacheInstalls
+	}
+
+	staticRate, staticInstalls := run("static")
+	onlineRate, onlineInstalls := run("online")
+	t.Logf("steady-state hit rate: online %.3f vs static %.3f (%d installs)", onlineRate, staticRate, onlineInstalls)
+	if staticInstalls != 0 {
+		t.Fatalf("static pass installed %d cache epochs", staticInstalls)
+	}
+	if onlineInstalls <= 0 {
+		t.Fatal("online pass installed no cache epochs")
+	}
+	if onlineRate <= staticRate {
+		t.Fatalf("online cache did not beat static under drift: online %.4f <= static %.4f", onlineRate, staticRate)
+	}
+}

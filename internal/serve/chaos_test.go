@@ -350,6 +350,72 @@ func TestServeShedsWhenBudgetExceeded(t *testing.T) {
 	}
 }
 
+// TestServeAccountsEveryRequestUnderOverload pins explicit shedding under a
+// real overload: a concurrent Predict burst against rounds slowed (a seeded
+// 2ms delay on each of rank 1's collectives) past the 5ms Deadline. Every
+// call must end in a reply or ErrShed — never another error, never a
+// silent drop — and the snapshot must account for each call exactly once
+// as served or shed.
+func TestServeAccountsEveryRequestUnderOverload(t *testing.T) {
+	cl := serveCluster(t, 2, 0.1, false)
+	defer cl.Close()
+	slow := dist.NewChaos(dist.ChaosConfig{Seed: 4, SlowEveryN: 1, SlowDelay: 2 * time.Millisecond})
+	srv, err := New(cl, Config{
+		MaxBatch: 4, MaxWait: -1, Seed: 4, Deadline: 5 * time.Millisecond,
+		// A long gather timeout keeps every round on the healthy path, so
+		// shedding is the only way a request can miss its budget.
+		GatherTimeout: time.Minute,
+		WrapComm:      chaosWrap(slow, 1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	const callers, perCaller = 32, 8
+	n := cl.Data.NumVertices()
+	var served, shed atomic.Int64
+	errCh := make(chan error, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			r := rng.New(13).Split(uint64(c))
+			out := make([]float32, srv.Classes())
+			for i := 0; i < perCaller; i++ {
+				_, err := srv.Predict(int32(r.Intn(n)), out)
+				switch {
+				case err == nil:
+					served.Add(1)
+				case errors.Is(err, ErrShed):
+					shed.Add(1)
+				default:
+					errCh <- err
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	select {
+	case err := <-errCh:
+		t.Fatalf("overloaded Predict failed with neither a reply nor ErrShed: %v", err)
+	default:
+	}
+	snap := srv.Snapshot()
+	t.Logf("%d calls: %d served, %d shed", callers*perCaller, snap.Requests, snap.Shed)
+	if got := snap.Requests + snap.Shed; got != callers*perCaller {
+		t.Fatalf("snapshot accounts %d served + %d shed = %d of %d calls", snap.Requests, snap.Shed, got, callers*perCaller)
+	}
+	if snap.Requests != served.Load() || snap.Shed != shed.Load() {
+		t.Fatalf("snapshot %d served / %d shed, callers saw %d / %d", snap.Requests, snap.Shed, served.Load(), shed.Load())
+	}
+	if snap.Shed == 0 {
+		t.Fatalf("a %d-call burst against slowed rounds shed nothing: the test no longer overloads", callers*perCaller)
+	}
+}
+
 // TestAdaptiveBatchBounds unit-tests the driver's batch controller: halve
 // under SLO pressure with a floor of 1, double under backlog with ample
 // headroom up to MaxBatchCap, hold otherwise.

@@ -240,7 +240,7 @@ func TestTiledWarmPathAllocationFree(t *testing.T) {
 	}
 }
 
-// benchGEMM are the layer-0/layer-1 shapes of the CI-scale epoch benchmark
+// benchGEMM are the layer-0/layer-1 shapes of the papers-sim training runs
 // (FeatureDim 128 → Hidden 256), at a realistic MFG destination count.
 func benchGEMM(b *testing.B, f func(c, a, bm *Matrix), m, k, n int) {
 	b.Helper()

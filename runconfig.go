@@ -10,12 +10,12 @@ import (
 )
 
 // RunConfig is the unified run-configuration surface shared by the CLI
-// harnesses (cmd/gnntrain, cmd/gnnserve, cmd/salientbench) and available to
-// embedders. It folds the knobs that used to be ad-hoc per-command flags —
-// wire codec, compute precision, worker parallelism, and coordinated
-// checkpointing — into one struct with a single flag-registration and
-// validation path, so every harness spells them identically and a setting
-// means the same thing everywhere.
+// harnesses (cmd/gnntrain, cmd/gnnserve) and available to embedders. It
+// folds the knobs that used to be ad-hoc per-command flags — wire codec,
+// compute precision, worker parallelism, and coordinated checkpointing —
+// into one struct with a single flag-registration and validation path, so
+// every harness spells them identically and a setting means the same thing
+// everywhere.
 //
 // The zero value is a valid fp32, fp32-serving, auto-parallelism,
 // no-checkpoint run.
@@ -72,10 +72,6 @@ func (c *RunConfig) RegisterFlags(fs *flag.FlagSet) {
 		"feature-gather wire codec: fp32 (raw), fp16 (half-precision rows + varint ids), int8 (per-row-scaled rows + varint ids)")
 	fs.StringVar(&c.Precision, "precision", c.Precision,
 		"serving/freeze compute precision: fp32, fp16, int8 (training always computes fp32); int8 runs the integer SIMD forward over quantized gathers")
-	fs.StringVar(&c.GradCodec, "grad-codec", c.GradCodec,
-		"gradient all-reduce wire codec: fp32 (raw), fp16 (half-precision rows), int8 (per-row-scaled rows with error-feedback residuals)")
-	fs.BoolVar(&c.NoGradOverlap, "no-grad-overlap", c.NoGradOverlap,
-		"disable overlapping the per-layer gradient all-reduce with backward compute (A/B measurement; results are bitwise identical either way)")
 	fs.IntVar(&c.Parallelism, "parallelism", c.Parallelism,
 		"sampler/analysis worker count (0 = harness default)")
 }
@@ -95,10 +91,15 @@ func (c *RunConfig) RegisterCheckpointFlags(fs *flag.FlagSet) {
 		"restore the newest valid checkpoint in -checkpoint-dir and continue")
 }
 
-// RegisterElasticFlags installs the elastic-training flags (-elastic,
-// -stall-timeout) on fs. Only the training harness registers these —
-// serving has its own timeout/regroup surface.
-func (c *RunConfig) RegisterElasticFlags(fs *flag.FlagSet) {
+// RegisterTrainFlags installs the training-only flags on fs: the gradient
+// all-reduce knobs (-grad-codec, -no-grad-overlap) and elastic training
+// (-elastic, -stall-timeout). Only the training harness registers these —
+// serving never reduces gradients and has its own timeout/regroup surface.
+func (c *RunConfig) RegisterTrainFlags(fs *flag.FlagSet) {
+	fs.StringVar(&c.GradCodec, "grad-codec", c.GradCodec,
+		"gradient all-reduce wire codec: fp32 (raw), fp16 (half-precision rows), int8 (per-row-scaled rows with error-feedback residuals)")
+	fs.BoolVar(&c.NoGradOverlap, "no-grad-overlap", c.NoGradOverlap,
+		"disable overlapping the per-layer gradient all-reduce with backward compute (A/B measurement; results are bitwise identical either way)")
 	fs.BoolVar(&c.Elastic, "elastic", c.Elastic,
 		"survive a mid-run rank failure by shrinking onto the live ranks (needs -checkpoint-dir)")
 	fs.DurationVar(&c.StallTimeout, "stall-timeout", c.StallTimeout,

@@ -24,12 +24,14 @@
 //   - internal/simnet     — bandwidth/latency/token-bucket link models
 //   - internal/perfmodel  — discrete-event performance simulator
 //   - internal/metrics    — text tables and histograms for the harnesses
-//   - internal/experiments— harnesses for every table and figure
+//   - internal/experiments— the paper's tables, figures, and accuracy runs
 //
 // docs/ARCHITECTURE.md maps these packages onto the train and serve data
 // flows and lists where each guarantee is pinned by a test. The quickest
 // tour is examples/quickstart; cmd/salientbench regenerates the paper's
-// evaluation tables.
+// evaluation tables. Speed is measured by the repository benchmark, the
+// separate bench/ module (run it with bash bench/run.sh; see
+// bench/README.md).
 package salientpp
 
 import (
