@@ -195,9 +195,10 @@ func driftDemo() {
 			float64(staticHits)/float64(total), float64(onlineHits)/float64(total))
 	}
 	fmt.Println(table.String())
-	fmt.Printf("\n%d epoch installs; the serving analog is serve.Config{Cache: \"online\"}\n"+
-		"(the bench/ workload serve.drift measures it) and the training analog is\n"+
-		"pipeline.SetupConfig{OnlineCache: true}.\n", installs)
+	fmt.Printf("\n%d epoch installs; serving is the online deployment, serve.Config{Cache: \"online\"}\n"+
+		"(the bench/ workload serve.drift measures it). Training keeps the setup cache:\n"+
+		"its seeds are uniform over the training set every epoch, so the VIP ranking\n"+
+		"already is the access ranking an online scorer would converge to.\n", installs)
 }
 
 // sameMembers reports whether two cache indexes hold the same vertex set.

@@ -115,10 +115,6 @@ func NewEpochBuilder(n, dim int, row func(v int32) []float32) (*EpochBuilder, er
 	return &EpochBuilder{n: n, dim: dim, row: row, pool: tensor.NewPool()}, nil
 }
 
-// SetGen pins the generation counter so the next Build returns gen+1 —
-// used by resume to continue a checkpointed install stream.
-func (b *EpochBuilder) SetGen(gen uint64) { b.gen = gen }
-
 // Build materializes the next epoch holding exactly ids (slot order
 // preserved). The rows matrix is pooled; hand retired epochs back with
 // Release.

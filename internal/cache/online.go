@@ -29,11 +29,11 @@ type RoundAccess struct {
 // from a single goroutine in round order.
 //
 // Determinism contract: Propose must be a pure function of the observation
-// history (and construction parameters). The training installer relies on
-// this for bitwise cross-transport reproducibility — two runs that observe
-// the same rounds install the same epochs.
+// history (and construction parameters). Serving relies on this for
+// bitwise cross-transport reproducibility — two runs that observe the same
+// rounds install the same epochs.
 type Policy interface {
-	// Name is the short label recorded in checkpoints and benchmarks.
+	// Name is the policy's short label.
 	Name() string
 	// Observe folds one retired round's access outcome into the policy
 	// state. Called once per round, including empty rounds (it advances
@@ -83,28 +83,22 @@ type OnlineConfig struct {
 	// vertex's empirical access frequency decays to half. Longer half-lives
 	// smooth noise but track drift more slowly. <= 0 means 64.
 	HalfLife int
-	// PriorWeight scales the static prior against one fresh access: at 1.0
-	// (the default when 0; set negative for 0) the top-ranked setup vertex
-	// scores like a vertex accessed once this round, so the VIP head stays
-	// resident until the live mix actually outvotes it.
-	PriorWeight float64
-	// DegreeWeight scales the degree component inside the prior relative
-	// to the setup-ranking component (PaGraph's hybrid). <= 0 means 0.25.
-	DegreeWeight float64
 }
+
+const (
+	// priorWeight scales the static prior against one fresh access: at 1.0
+	// the top-ranked setup vertex scores like a vertex accessed once this
+	// round, so the VIP head stays resident until the live mix actually
+	// outvotes it.
+	priorWeight = 1.0
+	// degreeWeight scales the degree component inside the prior relative to
+	// the setup-ranking component (PaGraph's hybrid).
+	degreeWeight = 0.25
+)
 
 func (c OnlineConfig) withDefaults() OnlineConfig {
 	if c.HalfLife <= 0 {
 		c.HalfLife = 64
-	}
-	switch {
-	case c.PriorWeight < 0:
-		c.PriorWeight = 0
-	case c.PriorWeight == 0:
-		c.PriorWeight = 1
-	}
-	if c.DegreeWeight <= 0 {
-		c.DegreeWeight = 0.25
 	}
 	return c
 }
@@ -118,8 +112,7 @@ func (c OnlineConfig) withDefaults() OnlineConfig {
 //
 // All state updates are single-goroutine and the candidate ordering is
 // fully tie-broken (descending score, ascending id), so two runs observing
-// the same access streams propose identical memberships — the determinism
-// the training installer requires.
+// the same access streams propose identical memberships.
 type Online struct {
 	cfg   OnlineConfig
 	decay float64 // per-round multiplicative decay, 0.5^(1/HalfLife)
@@ -128,7 +121,7 @@ type Online struct {
 	freq  []float64 // decayed access frequency, valid as of last[v]
 	last  []uint64  // round of v's most recent access
 	seen  []bool    // v appears in cand
-	prior []float64 // PriorWeight·(rankPrior + DegreeWeight·degPrior)
+	prior []float64 // priorWeight·(rankPrior + degreeWeight·degPrior)
 	cand  []int32   // every vertex ever seeded or observed (append order)
 }
 
@@ -170,7 +163,7 @@ func NewOnline(n int, seedRanking []int32, degrees []int32, cfg OnlineConfig) (*
 		if degrees != nil {
 			degPrior = float64(degrees[v]) / float64(maxDeg)
 		}
-		o.prior[v] = cfg.PriorWeight * (rankPrior + cfg.DegreeWeight*degPrior)
+		o.prior[v] = priorWeight * (rankPrior + degreeWeight*degPrior)
 	}
 	return o, nil
 }
@@ -230,16 +223,15 @@ func (o *Online) Propose(capacity int) []int32 {
 // Installer drives one store's cache epochs: it owns the policy, the
 // epoch builder, and the capacity, counts installs and membership churn,
 // and is the single producer of new epochs for its store. The caller
-// decides when to call Next (the round-barrier or between-rounds cadence)
-// and performs the actual pointer swap on its store.
+// decides when to propose and performs the actual pointer swap on its
+// store.
 //
-// Two usage shapes are supported. Training calls Next synchronously from
-// the observing goroutine at epoch boundaries. Serving splits the steps:
-// Propose on the observing goroutine (the policy is single-goroutine),
-// the ids copied to a background goroutine that calls BuildFor off the
-// gather path, and the observing goroutine installs the delivered epoch
-// between rounds. Build and Release may run on different goroutines (the
-// builder's pool is thread-safe); only one goroutine may build.
+// Serving splits the steps: Propose on the observing goroutine (the policy
+// is single-goroutine), the ids copied to a background goroutine that calls
+// BuildFor off the gather path, and the observing goroutine installs the
+// delivered epoch between rounds. Build and Release may run on different
+// goroutines (the builder's pool is thread-safe); only one goroutine may
+// build.
 type Installer struct {
 	policy   Policy
 	builder  *EpochBuilder
@@ -260,10 +252,6 @@ func NewInstaller(policy Policy, builder *EpochBuilder, capacity int) (*Installe
 	}
 	return &Installer{policy: policy, builder: builder, capacity: capacity}, nil
 }
-
-// Policy returns the installer's policy (for Observe calls on the gather
-// path).
-func (in *Installer) Policy() Policy { return in.policy }
 
 // Observe forwards one round's access outcome to the policy.
 func (in *Installer) Observe(a RoundAccess) { in.policy.Observe(a) }
@@ -295,14 +283,6 @@ func (in *Installer) BuildFor(ids []int32, cur *Epoch) (next *Epoch, churn int, 
 	in.installs.Add(1)
 	in.churnRows.Add(int64(churn))
 	return next, churn, nil
-}
-
-// Next proposes the next membership and, when it differs from cur's,
-// builds the next epoch. Returns (nil, 0, nil) when the membership is
-// unchanged — the Static policy lands here every time, so the default
-// configuration never swaps an epoch.
-func (in *Installer) Next(cur *Epoch) (next *Epoch, churn int, err error) {
-	return in.BuildFor(in.policy.Propose(in.capacity), cur)
 }
 
 // Release hands a retired epoch back to the installer's builder.

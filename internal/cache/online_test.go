@@ -20,8 +20,8 @@ func testRowSource(dim int) func(v int32) []float32 {
 
 // TestStaticPolicyBitwiseUnchanged pins the default policy to the frozen
 // pre-refactor behavior: whatever the Static policy observes, Propose
-// returns the pinned setup prefix, the installer's Next never builds an
-// epoch, and the store-side swap therefore never happens — the cache stays
+// returns the pinned setup prefix, the installer never builds an epoch
+// for it, and the store-side swap therefore never happens — the cache stays
 // bitwise the setup-time truncated ranking for the life of the run.
 func TestStaticPolicyBitwiseUnchanged(t *testing.T) {
 	prefix := []int32{7, 2, 9, 4}
@@ -48,7 +48,7 @@ func TestStaticPolicyBitwiseUnchanged(t *testing.T) {
 	for round := 0; round < 100; round++ {
 		hot := int32(round % 16)
 		inst.Observe(RoundAccess{Hits: []int32{hot}, Misses: [][]int32{{hot, (hot + 1) % 16}}})
-		next, churn, err := inst.Next(setup)
+		next, churn, err := inst.BuildFor(inst.Propose(), setup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,8 +82,8 @@ func TestStaticPolicyBitwiseUnchanged(t *testing.T) {
 
 // TestOnlinePolicyDeterminism feeds two independently constructed scorers
 // the identical observation stream and requires identical proposals after
-// every round — the Policy determinism contract the training installer's
-// cross-transport reproducibility rests on.
+// every round — the Policy determinism contract serving's cross-transport
+// reproducibility rests on.
 func TestOnlinePolicyDeterminism(t *testing.T) {
 	const n = 64
 	seed := []int32{3, 1, 4, 1, 5, 9, 2, 6}
@@ -138,7 +138,7 @@ func TestOnlineAdmissionAndEviction(t *testing.T) {
 		return false
 	}
 	// Vertex 20 gets hot: after a handful of rounds its frequency (~1 per
-	// round) beats every prior (<= PriorWeight*(1+DegreeWeight)).
+	// round) beats every prior (<= priorWeight*(1+degreeWeight)).
 	for round := 0; round < 12; round++ {
 		o.Observe(RoundAccess{Hits: []int32{20}})
 	}
@@ -218,7 +218,7 @@ func TestInstallerChurnAndRelease(t *testing.T) {
 	for round := 0; round < 16; round++ {
 		inst.Observe(RoundAccess{Hits: []int32{9, 1}})
 	}
-	next, churn, err := inst.Next(cur)
+	next, churn, err := inst.BuildFor(inst.Propose(), cur)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,32 +38,16 @@ import (
 
 const (
 	magic uint32 = 0x4b435053 // "SPCK" little-endian
-	// version is the format written. v2 added the wire-codec identity to
-	// the header; v3 added the compute-precision identity and the
-	// per-stage compute attribution (aggregate/transform/backward) to the
-	// partial-epoch statistics; v4 added the gradient-codec identity,
-	// per-parameter error-feedback residuals, and gradient
-	// synchronization accounting to the partial-epoch statistics; v5
-	// added the optional cache-state section recording the online cache
-	// layer's installed epochs (policy name, per-rank generation and
-	// membership).
+	// version is the format written.
 	version uint32 = 5
-	// minVersion is the oldest format Decode still reads: v1 files lack
-	// the header codec string and decode with the "fp32" default — every
-	// v1 run trained under the only wire format that existed then. v2
-	// files likewise lack the precision string and stage timers; they
-	// decode with precision "fp32" and zero stage attribution. v3 files
-	// lack the gradient codec and residuals; they decode with gradient
-	// codec "fp32" (the only one that existed) and empty residuals. v4
-	// files lack the cache-state section; they decode with a nil
-	// CacheState — the static-prefix default, which is exactly how every
-	// v≤4 run cached.
-	minVersion uint32 = 1
+	// minVersion is the oldest format Decode reads. A v4 file has exactly
+	// the v5 layout, so the two decode identically; anything older or newer
+	// is rejected.
+	minVersion uint32 = 4
 
-	tagHeader     uint32 = 1
-	tagTopology   uint32 = 2
-	tagRank       uint32 = 3
-	tagCacheState uint32 = 4
+	tagHeader   uint32 = 1
+	tagTopology uint32 = 2
+	tagRank     uint32 = 3
 
 	// maxSection bounds a single section payload; anything larger is
 	// treated as corruption rather than allocated.
@@ -108,28 +92,26 @@ type PartialEpoch struct {
 	SampleNS  int64
 	GatherNS  int64
 	ComputeNS int64
-	// Stage attribution of ComputeNS (v3+): neighbor aggregation, dense
+	// Stage attribution of ComputeNS: neighbor aggregation, dense
 	// transform (GEMMs + activations), and the backward pass. Their sum is
 	// slightly below ComputeNS — loss and the optimizer step are only in
-	// the total. Zero when decoded from v1/v2 files.
+	// the total.
 	AggregateNS int64
 	TransformNS int64
 	BackwardNS  int64
-	// Gradient-synchronization accounting (v4+): the gradient all-reduce
-	// byte counter at the cursor (approximate after a resume, like
-	// BytesSent), the cumulative wall time inside gradient reduces, and
-	// the part of it the training loop actually blocked on. Zero when
-	// decoded from older files.
+	// Gradient-synchronization accounting: the gradient all-reduce byte
+	// counter at the cursor (approximate after a resume, like BytesSent),
+	// the cumulative wall time inside gradient reduces, and the part of it
+	// the training loop actually blocked on.
 	GradBytesSent int64
 	GradReduceNS  int64
 	GradWaitNS    int64
 }
 
 // ParamState is one parameter tensor's full optimizer state: value, Adam
-// first/second moments, and (v4+, lossy gradient codecs only) the
-// error-feedback residual of the compressed all-reduce — all float32,
-// flattened row-major. EF is empty for fp32-gradient runs and files older
-// than v4.
+// first/second moments, and (lossy gradient codecs only) the error-feedback
+// residual of the compressed all-reduce — all float32, flattened row-major.
+// EF is empty for fp32-gradient runs.
 type ParamState struct {
 	Rows, Cols int32
 	W, M, V    []float32
@@ -161,23 +143,6 @@ type Topology struct {
 	CacheIDs    [][]int32
 }
 
-// CacheState records the online cache layer's installed epochs at the
-// checkpoint barrier: the policy name and, per rank, the installed epoch
-// generation and the cache membership in slot order. A nil CacheState (all
-// files older than v5, and every run under the default static policy)
-// means the cache is the static setup prefix in Topology.CacheIDs — the
-// v≤4 behavior, unchanged.
-//
-// Only membership is persisted, not the policy's scorer state: a resumed
-// online run re-warms its frequency statistics from live traffic, so its
-// later installs may differ from the uninterrupted run's. The restored
-// epoch itself (membership and generation) is exact.
-type CacheState struct {
-	Policy string
-	Gens   []uint64
-	IDs    [][]int32
-}
-
 // TrainState is a complete coordinated checkpoint.
 type TrainState struct {
 	Step   Step
@@ -198,22 +163,17 @@ type TrainState struct {
 	// row, so resuming under a different codec would silently diverge from
 	// the checkpointed trajectory; restore validates it like the seed.
 	Codec string
-	// Precision names the compute backend precision ("fp32", "int8") the
-	// run executed under. Reduced-precision kernels round every GEMM, so
-	// it is run identity exactly like Codec; restore validates it. v1/v2
-	// files decode as "fp32", the only precision that existed then.
+	// Precision names the compute backend precision ("fp32", "fp16",
+	// "int8") the run executed under. Reduced-precision kernels round every
+	// GEMM, so it is run identity exactly like Codec; restore validates it.
 	Precision string
 	// GradCodec names the gradient all-reduce wire codec ("fp32", "fp16",
 	// "int8") the run trained under. A lossy gradient codec perturbs
 	// every optimizer step and carries error-feedback residual state, so
-	// it is run identity exactly like Codec; restore validates it. Files
-	// older than v4 decode as "fp32".
+	// it is run identity exactly like Codec; restore validates it.
 	GradCodec string
 	Topo      *Topology
 	Ranks     []*RankState
-	// Cache, when non-nil, is the online cache layer's installed state
-	// (v5+); nil means the static setup cache in Topo.CacheIDs.
-	Cache *CacheState
 }
 
 // Validate checks the internal consistency a decoder or resume path relies
@@ -284,21 +244,6 @@ func (t *TrainState) Validate() error {
 		for _, v := range ids {
 			if v < 0 || int64(v) >= n {
 				return fmt.Errorf("ckpt: rank %d caches vertex %d outside [0,%d)", r, v, n)
-			}
-		}
-	}
-	if cs := t.Cache; cs != nil {
-		if cs.Policy == "" || len(cs.Policy) > 32 {
-			return fmt.Errorf("ckpt: missing or oversized cache policy name")
-		}
-		if len(cs.Gens) != k || len(cs.IDs) != k {
-			return fmt.Errorf("ckpt: cache state covers %d/%d ranks for K=%d", len(cs.Gens), len(cs.IDs), k)
-		}
-		for r, ids := range cs.IDs {
-			for _, v := range ids {
-				if v < 0 || int64(v) >= n {
-					return fmt.Errorf("ckpt: cache state rank %d holds vertex %d outside [0,%d)", r, v, n)
-				}
 			}
 		}
 	}
@@ -420,18 +365,6 @@ func AppendEncode(dst []byte, t *TrainState) ([]byte, error) {
 		p.i32s(ids)
 	}
 	out = p.section(out, tagTopology)
-
-	// Cache state (v5+), only when an online policy has installed epochs;
-	// static runs omit the section and decode back to a nil CacheState.
-	if cs := t.Cache; cs != nil {
-		p.b = p.b[:0]
-		p.str(cs.Policy)
-		for r := range cs.Gens {
-			p.u64(cs.Gens[r])
-			p.i32s(cs.IDs[r])
-		}
-		out = p.section(out, tagCacheState)
-	}
 
 	// Rank sections, in rank order.
 	for _, rs := range t.Ranks {
@@ -722,27 +655,17 @@ func Decode(r io.Reader) (*TrainState, error) {
 			if err != nil {
 				return nil, err
 			}
-			// v1 headers end at the dataset name; the codec string was
-			// appended in v2, and every v1 run trained under fp32. The
-			// compute-precision string was appended in v3 with the same
-			// default for older files.
-			codec := "fp32"
-			if ver >= 2 {
-				if codec, err = c.str(); err != nil {
-					return nil, err
-				}
+			codec, err := c.str()
+			if err != nil {
+				return nil, err
 			}
-			precision := "fp32"
-			if ver >= 3 {
-				if precision, err = c.str(); err != nil {
-					return nil, err
-				}
+			precision, err := c.str()
+			if err != nil {
+				return nil, err
 			}
-			gradCodec := "fp32"
-			if ver >= 4 {
-				if gradCodec, err = c.str(); err != nil {
-					return nil, err
-				}
+			gradCodec, err := c.str()
+			if err != nil {
+				return nil, err
 			}
 			if k > 1<<16 || rounds > 1<<30 || epoch > 1<<30 || n > 1<<40 {
 				return nil, fmt.Errorf("ckpt: implausible header (k=%d rounds=%d epoch=%d n=%d)", k, rounds, epoch, n)
@@ -779,26 +702,6 @@ func Decode(r io.Reader) (*TrainState, error) {
 					return nil, err
 				}
 			}
-		case tagCacheState:
-			if !sawHeader {
-				return nil, fmt.Errorf("ckpt: cache state before header")
-			}
-			if t.Cache != nil {
-				return nil, fmt.Errorf("ckpt: duplicate cache-state section")
-			}
-			cs := &CacheState{Gens: make([]uint64, t.Topo.K), IDs: make([][]int32, t.Topo.K)}
-			if cs.Policy, err = c.str(); err != nil {
-				return nil, err
-			}
-			for i := range cs.Gens {
-				if cs.Gens[i], err = c.u64(); err != nil {
-					return nil, err
-				}
-				if cs.IDs[i], err = c.i32s(); err != nil {
-					return nil, err
-				}
-			}
-			t.Cache = cs
 		case tagRank:
 			if !sawHeader {
 				return nil, fmt.Errorf("ckpt: rank section before header")
@@ -811,10 +714,10 @@ func Decode(r io.Reader) (*TrainState, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Each encoded param costs at least 32 bytes (rows, cols, three
+			// Each encoded param costs at least 40 bytes (rows, cols, four
 			// length prefixes), so this bound keeps the ParamState slice
 			// allocation proportional to the bytes actually present.
-			if uint64(np) > uint64(c.remaining()/32) {
+			if uint64(np) > uint64(c.remaining()/40) {
 				return nil, fmt.Errorf("ckpt: %d params exceed payload", np)
 			}
 			rs.Params = make([]ParamState, np)
@@ -838,17 +741,13 @@ func Decode(r io.Reader) (*TrainState, error) {
 				if p.V, err = c.f32s(); err != nil {
 					return nil, err
 				}
-				// Error-feedback residuals were appended in v4; older files
-				// carry none (their runs reduced raw fp32 gradients). An
-				// empty residual normalizes to nil so fp32-gradient states
-				// round-trip exactly.
-				if ver >= 4 {
-					if p.EF, err = c.f32s(); err != nil {
-						return nil, err
-					}
-					if len(p.EF) == 0 {
-						p.EF = nil
-					}
+				// An empty residual normalizes to nil so fp32-gradient
+				// states round-trip exactly.
+				if p.EF, err = c.f32s(); err != nil {
+					return nil, err
+				}
+				if len(p.EF) == 0 {
+					p.EF = nil
 				}
 			}
 			if rs.AdamStep, err = c.i64(); err != nil {
@@ -866,26 +765,11 @@ func Decode(r io.Reader) (*TrainState, error) {
 				}
 			}
 			for _, dst := range []*int64{&pe.Batches, &pe.LocalGPU, &pe.LocalCPU, &pe.CacheHit,
-				&pe.Remote, &pe.BytesSent, &pe.SampleNS, &pe.GatherNS, &pe.ComputeNS} {
+				&pe.Remote, &pe.BytesSent, &pe.SampleNS, &pe.GatherNS, &pe.ComputeNS,
+				&pe.AggregateNS, &pe.TransformNS, &pe.BackwardNS,
+				&pe.GradBytesSent, &pe.GradReduceNS, &pe.GradWaitNS} {
 				if *dst, err = c.i64(); err != nil {
 					return nil, err
-				}
-			}
-			// The per-stage compute attribution was appended in v3; older
-			// files carry only the ComputeNS total.
-			if ver >= 3 {
-				for _, dst := range []*int64{&pe.AggregateNS, &pe.TransformNS, &pe.BackwardNS} {
-					if *dst, err = c.i64(); err != nil {
-						return nil, err
-					}
-				}
-			}
-			// Gradient-synchronization accounting was appended in v4.
-			if ver >= 4 {
-				for _, dst := range []*int64{&pe.GradBytesSent, &pe.GradReduceNS, &pe.GradWaitNS} {
-					if *dst, err = c.i64(); err != nil {
-						return nil, err
-					}
 				}
 			}
 			t.Ranks = append(t.Ranks, rs)

@@ -70,7 +70,6 @@ type Saver struct {
 	lastSaved Step
 	hasSaved  bool
 	encBuf    []byte
-	cache     func() *CacheState
 	err       error // sticky: a failed write poisons later Offers loudly
 }
 
@@ -129,14 +128,6 @@ func (s *Saver) SetRunConfig(dataset string, seed uint64, batchSize int, fanouts
 	s.gradCodec = gradCodec
 }
 
-// SetCacheState installs a snapshot callback for the online cache layer's
-// state, invoked under the barrier lock when the last rank's offer
-// completes a checkpoint. The callback must be safe to call from any
-// rank's goroutine — reading per-store installed-epoch pointers (atomic
-// loads of immutable epochs) qualifies. nil (the default, and the static
-// policy) omits the cache-state section entirely.
-func (s *Saver) SetCacheState(fn func() *CacheState) { s.cache = fn }
-
 // DueRound reports whether a checkpoint fires after roundsDone fully
 // retired rounds of the current epoch (roundsDone in [1, rounds]).
 func (s *Saver) DueRound(roundsDone int) bool {
@@ -191,9 +182,6 @@ func (s *Saver) Offer(rank int, step Step, fill func(*RankState)) error {
 		Step: step, Rounds: s.rounds,
 		Dataset: s.dataset, Seed: s.seed, BatchSize: s.batchSize, Fanouts: s.fanouts,
 		Codec: s.codec, Precision: s.precision, GradCodec: s.gradCodec, Topo: s.topo, Ranks: s.slots,
-	}
-	if s.cache != nil {
-		state.Cache = s.cache()
 	}
 	if err := s.write(state); err != nil {
 		s.err = err

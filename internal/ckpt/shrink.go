@@ -97,25 +97,6 @@ func ShrinkState(st *TrainState, survivors []int, rounds int) (*TrainState, erro
 		}
 	}
 
-	// The online cache layer's installed epochs shrink the same way: each
-	// survivor keeps its installed membership (minus newly local vertices)
-	// and its generation counter, so the resumed installer continues the
-	// same install stream instead of restarting at the setup prefix.
-	var cacheState *CacheState
-	if st.Cache != nil {
-		cacheState = &CacheState{Policy: st.Cache.Policy, Gens: make([]uint64, kNew), IDs: make([][]int32, kNew)}
-		for i, s := range survivors {
-			cacheState.Gens[i] = st.Cache.Gens[s]
-			lo, hi := newStarts[i], newStarts[i+1]
-			for _, v := range st.Cache.IDs[s] {
-				if int64(v) >= lo && int64(v) < hi {
-					continue
-				}
-				cacheState.IDs[i] = append(cacheState.IDs[i], v)
-			}
-		}
-	}
-
 	ranks := make([]*RankState, kNew)
 	for i, s := range survivors {
 		ranks[i] = cloneRankState(st.Ranks[s])
@@ -144,7 +125,6 @@ func ShrinkState(st *TrainState, survivors []int, rounds int) (*TrainState, erro
 			CacheIDs:    cacheIDs,
 		},
 		Ranks: ranks,
-		Cache: cacheState,
 	}
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("ckpt: shrunk state invalid: %w", err)

@@ -113,7 +113,7 @@ func runOnlineCacheScript(t *testing.T, mk func(k int) ([]Comm, error)) []epochT
 			rs.inst.Observe(cache.RoundAccess{Hits: stats.CacheHitIDs, Misses: stats.RemoteIDs})
 			tr.Rounds = append(tr.Rounds, [2]int64{int64(stats.CacheHits), int64(stats.RemoteFetch)})
 			if (round+1)%2 == 0 {
-				next, _, err := rs.inst.Next(rs.store.Epoch())
+				next, _, err := rs.inst.BuildFor(rs.inst.Propose(), rs.store.Epoch())
 				if err != nil {
 					return err
 				}

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"salientpp/internal/cache"
 	"salientpp/internal/ckpt"
 	"salientpp/internal/dist"
 	"salientpp/internal/nn"
@@ -106,16 +105,6 @@ type Rank struct {
 	// round boundaries. Rounds that do not checkpoint cost one integer
 	// check (guarded by TestCheckpointIdleAddsNoAllocations).
 	saver *ckpt.Saver
-
-	// installer, when set, drives the online cache layer: the feature
-	// collection stage feeds it every round's hit/miss ids (in round
-	// order, from that single goroutine), and the epoch boundary installs
-	// the policy's next cache epoch into the store — before the boundary
-	// checkpoint offer, so a restored run resumes with exactly the
-	// membership the uninterrupted run trained the next epoch under. Nil
-	// (the default) pins the setup cache forever, bitwise the historical
-	// behavior.
-	installer *cache.Installer
 }
 
 // EpochStats aggregates one training epoch on one rank.
@@ -146,12 +135,6 @@ type EpochStats struct {
 	GradBytesSent  int64 // gradient all-reduce bytes this epoch
 	GradReduceTime time.Duration
 	GradWaitTime   time.Duration
-
-	// Online cache layer accounting: epochs installed at this epoch's
-	// boundary (0 or 1 per epoch in training) and the cache rows newly
-	// admitted by them. Zero under the default static policy.
-	CacheInstalls int64
-	CacheChurn    int64
 }
 
 // NewRank wires one machine. labels must cover all global vertices
@@ -218,11 +201,6 @@ func (r *Rank) Sampler() *sample.Sampler { return r.sampler }
 // consistent). Install before training starts.
 func (r *Rank) SetCheckpointer(s *ckpt.Saver) { r.saver = s }
 
-// SetCacheInstaller attaches the rank's online cache installer (one per
-// rank; it owns the policy and epoch builder for this rank's store).
-// Install before training starts.
-func (r *Rank) SetCacheInstaller(in *cache.Installer) { r.installer = in }
-
 // RestoreState loads a checkpointed rank state: parameter values, Adam
 // moments, the Adam step counter, and the dropout RNG stream. Shapes must
 // match the rank's model.
@@ -240,8 +218,8 @@ func (r *Rank) RestoreState(st *ckpt.RankState) error {
 		copy(p.W.Data, sp.W)
 		copy(p.M.Data, sp.M)
 		copy(p.V.Data, sp.V)
-		// Error-feedback residuals (format v4; empty in older files and
-		// fp32 runs). Copy in place — the reducer holds aliases of p.EF.
+		// Error-feedback residuals (empty in fp32-gradient runs). Copy in
+		// place — the reducer holds aliases of p.EF.
 		if len(sp.EF) > 0 {
 			if len(sp.EF) != len(p.W.Data) {
 				return fmt.Errorf("pipeline: checkpoint param %d residual has %d values, want %d", i, len(sp.EF), len(p.W.Data))
@@ -429,12 +407,6 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 				closeAbort()
 				return
 			}
-			// Feed the online cache scorer while the round's hit/miss id
-			// lists are still valid — this goroutine sees rounds in order,
-			// matching the policy's single-caller contract.
-			if r.installer != nil {
-				r.installer.Observe(cache.RoundAccess{Hits: gstats.CacheHitIDs, Misses: gstats.RemoteIDs})
-			}
 			// RemoteByPeer and the hit/miss id lists alias store scratch the
 			// next Gather reuses; only the scalar counts cross into the
 			// compute stage.
@@ -614,27 +586,6 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 	// The last batch's intermediates would otherwise stay pinned in the
 	// model arena until the next epoch's first Forward.
 	r.model.ReleaseBatch()
-	// Online cache install at the epoch boundary: the feature-collection
-	// goroutine has exited (ready closed and drained), so no gather on this
-	// store is in flight — the displaced epoch can be released immediately.
-	// This precedes the boundary checkpoint offer so a restored run resumes
-	// with the membership the uninterrupted run trains the next epoch under.
-	if r.installer != nil {
-		next, churn, err := r.installer.Next(r.store.Epoch())
-		if err != nil {
-			return stats, err
-		}
-		if next != nil {
-			prev, err := r.store.InstallEpoch(next)
-			if err != nil {
-				r.installer.Release(next)
-				return stats, err
-			}
-			r.installer.Release(prev)
-			stats.CacheInstalls++
-			stats.CacheChurn += int64(churn)
-		}
-	}
 	// Epoch-boundary checkpoint (also where a round trigger landing exactly
 	// on the last round is normalized to): saved as (epoch+1, round 0), so
 	// a restore starts the next epoch afresh with no partial statistics.

@@ -32,19 +32,6 @@ type ClusterConfig struct {
 	// CachePolicy ranks each rank's remote vertices for the setup-time
 	// cache; nil means cache.VIP{}.
 	CachePolicy cache.Ranker
-	// OnlineCache enables the versioned online cache layer: each rank
-	// observes its live gather stream through a frequency-decayed scorer
-	// (cache.Online, seeded with the setup ranking and vertex degrees) and
-	// installs a new cache epoch at every epoch boundary whose membership
-	// drifted. Off (the default), the setup cache is pinned forever and
-	// the store behaves bitwise identically to the historical frozen
-	// cache. Installs are deterministic: the scorer is a pure function of
-	// the observed round stream, so two runs (on either transport)
-	// observing the same rounds install identical epochs.
-	OnlineCache bool
-	// OnlineCacheConfig tunes the online scorer; the zero value uses the
-	// cache.OnlineConfig defaults. Ignored unless OnlineCache is set.
-	OnlineCacheConfig cache.OnlineConfig
 	// Hidden, Layers, Dropout, and Train configure the model and loop.
 	Hidden  int
 	Layers  int
@@ -301,11 +288,6 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 
 	cl := &Cluster{Data: rds, Layout: layout, Parts: parts, Perm: perm, Precision: precision, commFeat: commFeat, commGrad: commGrad, resume: cfg.Resume}
 	cacheIDs := make([][]int32, cfg.K)
-	// The online scorer's degree prior is shared read-only by all ranks.
-	var degrees []int32
-	if cfg.OnlineCache && capacity > 0 {
-		degrees = rds.Graph.Degrees()
-	}
 	for rank := 0; rank < cfg.K; rank++ {
 		// Local shard in layout order.
 		lo, hi := starts[rank], starts[rank+1]
@@ -314,23 +296,14 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 			copy(local.Row(int(v-lo)), rds.FeatureRow(int32(v)))
 		}
 
-		// Remote cache: restored verbatim from the checkpoint (the online
-		// layer's installed membership when present, the setup topology
-		// otherwise), or built by the configured ranker (reordered id
-		// space) on a fresh cluster. Feature rows are always rehydrated
-		// from the dataset — checkpoints store cache membership, not
-		// feature bytes.
+		// Remote cache: restored verbatim from the checkpoint topology, or
+		// built by the configured ranker (reordered id space) on a fresh
+		// cluster. Feature rows are always rehydrated from the dataset —
+		// checkpoints store cache membership, not feature bytes.
 		var cc *cache.Cache
 		var cdata *tensor.Matrix
-		var epochGen uint64 // installed generation restored from the checkpoint
-		var ranking []int32 // full setup ranking (fresh clusters only)
 		if cfg.Resume != nil {
-			ids := cfg.Resume.Topo.CacheIDs[rank]
-			if cs := cfg.Resume.Cache; cs != nil {
-				ids = cs.IDs[rank]
-				epochGen = cs.Gens[rank]
-			}
-			if len(ids) > 0 {
+			if ids := cfg.Resume.Topo.CacheIDs[rank]; len(ids) > 0 {
 				cc, err = cache.Build(ids, ds.NumVertices())
 				if err != nil {
 					return nil, err
@@ -345,7 +318,7 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 				BatchSize: cfg.Train.BatchSize, Seed: cfg.Train.Seed + uint64(rank),
 				Workers: cfg.Train.Parallelism,
 			}
-			ranking, err = cfg.CachePolicy.Rank(ctx)
+			ranking, err := cfg.CachePolicy.Rank(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -365,7 +338,6 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		ep.Gen = epochGen
 
 		fc, gc := commFeat[rank], commGrad[rank]
 		if cfg.WrapComm != nil {
@@ -402,31 +374,6 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 				return nil, err
 			}
 		}
-		// Online cache layer: one scorer + epoch builder + installer per
-		// rank. Fresh clusters seed the scorer with the full setup ranking;
-		// resumed ones with the restored membership (re-analysis is skipped,
-		// so the installed prefix is the best prior available). The builder
-		// continues the checkpointed generation stream.
-		if cfg.OnlineCache && capacity > 0 {
-			seed := ranking
-			if seed == nil && cc != nil {
-				seed = cc.IDs()
-			}
-			builder, err := cache.NewEpochBuilder(ds.NumVertices(), rds.FeatureDim, rds.FeatureRow)
-			if err != nil {
-				return nil, err
-			}
-			builder.SetGen(epochGen)
-			policy, err := cache.NewOnline(ds.NumVertices(), seed, degrees, cfg.OnlineCacheConfig)
-			if err != nil {
-				return nil, err
-			}
-			installer, err := cache.NewInstaller(policy, builder, capacity)
-			if err != nil {
-				return nil, err
-			}
-			rk.SetCacheInstaller(installer)
-		}
 		cl.Ranks = append(cl.Ranks, rk)
 	}
 
@@ -447,24 +394,6 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 			Parts:       parts,
 			CacheIDs:    cacheIDs,
 		})
-		// Online runs snapshot their installed cache epochs into every
-		// checkpoint. The callback runs under the saver's barrier lock and
-		// reads only atomic pointers to immutable epochs, so it is safe
-		// from whichever rank's offer completes the barrier. Static runs
-		// leave the callback unset and write no cache-state section —
-		// their files decode exactly like v4's.
-		if cfg.OnlineCache && capacity > 0 {
-			ranks := cl.Ranks
-			saver.SetCacheState(func() *ckpt.CacheState {
-				cs := &ckpt.CacheState{Policy: "online", Gens: make([]uint64, len(ranks)), IDs: make([][]int32, len(ranks))}
-				for i, rk := range ranks {
-					st := rk.Store()
-					cs.Gens[i] = st.CacheGen()
-					cs.IDs[i] = append([]int32(nil), st.Epoch().IDs()...)
-				}
-				return cs
-			})
-		}
 		for _, rk := range cl.Ranks {
 			rk.SetCheckpointer(saver)
 		}
@@ -519,21 +448,6 @@ func validateResume(ds *dataset.Dataset, cfg ClusterConfig, st *ckpt.TrainState)
 		return err
 	} else if st.GradCodec != gradCodec.String() {
 		return fmt.Errorf("pipeline: checkpoint was taken with gradient codec %q, configuration says %q", st.GradCodec, gradCodec.String())
-	}
-	// The cache policy is run identity for the online layer: an installed
-	// membership only means anything under the policy that produced it,
-	// and silently pinning an online run's cache (or unpinning a static
-	// one) across a resume is exactly the drift the identity checks catch.
-	wantPolicy := "static"
-	if st.Cache != nil {
-		wantPolicy = st.Cache.Policy
-	}
-	gotPolicy := "static"
-	if cfg.OnlineCache {
-		gotPolicy = "online"
-	}
-	if wantPolicy != gotPolicy {
-		return fmt.Errorf("pipeline: checkpoint was taken with cache policy %q, configuration says %q", wantPolicy, gotPolicy)
 	}
 	if int(st.BatchSize) != cfg.Train.BatchSize {
 		return fmt.Errorf("pipeline: checkpoint was taken with batch size %d, configuration says %d", st.BatchSize, cfg.Train.BatchSize)

@@ -141,9 +141,6 @@ type Config struct {
 	// CacheRefreshRounds is the online proposal cadence in rounds; 0 means
 	// 32. Ignored unless Cache is "online".
 	CacheRefreshRounds int
-	// CacheConfig tunes the online scorer (zero value = defaults). Ignored
-	// unless Cache is "online".
-	CacheConfig cache.OnlineConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -368,10 +365,9 @@ func New(cl *pipeline.Cluster, cfg Config) (*Server, error) {
 			ended:  make(chan struct{}, 1),
 		}
 		// Online mode: an installer per engine at the parent epoch's
-		// capacity, seeded with its membership (the static VIP prefix, or
-		// whatever the training installer last swapped in) so a cold scorer
-		// proposes roughly the cache it inherited. A rank whose parent
-		// caches nothing has nothing to adapt — it stays static.
+		// capacity, seeded with its membership (the static VIP prefix) so a
+		// cold scorer proposes roughly the cache it inherited. A rank whose
+		// parent caches nothing has nothing to adapt — it stays static.
 		if pep := s.parents[r].Epoch(); online && pep.Len() > 0 {
 			if degrees == nil {
 				degrees = cl.Data.Graph.Degrees()
@@ -380,8 +376,7 @@ func New(cl *pipeline.Cluster, cfg Config) (*Server, error) {
 			if err != nil {
 				return fail(err)
 			}
-			builder.SetGen(pep.Gen)
-			policy, err := cache.NewOnline(s.numVerts, pep.IDs(), degrees, cfg.CacheConfig)
+			policy, err := cache.NewOnline(s.numVerts, pep.IDs(), degrees, cache.OnlineConfig{})
 			if err != nil {
 				return fail(err)
 			}
