@@ -105,6 +105,36 @@ func TestDecodeVersionWindow(t *testing.T) {
 	}
 }
 
+// TestDecodeAcceptsVersion4 pins the seam the version window rests on: a
+// v4 file is byte-for-byte the current encoding with only the version
+// field changed, so it decodes to the source state, and re-encoding that
+// state writes the same bytes stamped with the current version.
+func TestDecodeAcceptsVersion4(t *testing.T) {
+	st := testState()
+	var buf bytes.Buffer
+	if err := Encode(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	v4 := append([]byte(nil), buf.Bytes()...)
+	v4[4] = 4 // version u32, little-endian, after the 4-byte magic
+	got, err := Decode(bytes.NewReader(v4))
+	if err != nil {
+		t.Fatalf("v4 checkpoint no longer decodes: %v", err)
+	}
+	if !reflect.DeepEqual(st, got) {
+		t.Fatalf("v4 decode mismatch:\nwant %+v\ngot  %+v", st, got)
+	}
+	var re bytes.Buffer
+	if err := Encode(&re, got); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), v4...)
+	want[4] = byte(version)
+	if !bytes.Equal(re.Bytes(), want) {
+		t.Fatal("re-encoded v4 state differs from the v4 bytes beyond the version field")
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	st := testState()
 	var buf bytes.Buffer
