@@ -51,6 +51,65 @@ func TestGatherAllocationFree(t *testing.T) {
 	}
 }
 
+// TestGatherNextAllocationFree extends the warm-gather guard to the
+// training stream, under every codec: a warm GatherNext — classify into
+// the idle round slot, ship the previous answer with the next ids, hand
+// back the completed matrix — allocates nothing, and neither does the
+// flush that closes a stream.
+func TestGatherNextAllocationFree(t *testing.T) {
+	for _, codec := range []Codec{CodecFP32, CodecFP16, CodecInt8} {
+		t.Run(codec.String(), func(t *testing.T) {
+			const n, dim = 256, 16
+			comms, err := NewLocalGroup(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer comms[0].Close()
+			layout, err := NewLayout([]int64{0, n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			local := tensor.New(n, dim)
+			st, err := NewStore(comms[0], layout, dim, local, nil, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.SetCodec(codec)
+			ids := make([]int32, 64)
+			for i := range ids {
+				ids[i] = int32((i * 37) % n)
+			}
+			push := func() {
+				out, _, err := st.GatherNext(ids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.Release(out)
+			}
+			flush := func() {
+				out, _, err := st.GatherFlush()
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.Release(out)
+			}
+			for i := 0; i < 3; i++ {
+				push() // warm the pool, both round slots, and the frames
+			}
+			if allocs := testing.AllocsPerRun(100, push); allocs != 0 {
+				t.Fatalf("warm %s GatherNext allocated %.1f times per run, want 0", codec, allocs)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { flush(); push() }); allocs != 0 {
+				t.Fatalf("warm %s flush+push allocated %.1f times per run, want 0", codec, allocs)
+			}
+			flush()
+			if live := st.Live(); live != 0 {
+				t.Fatalf("%d pooled matrices live after the stream closed", live)
+			}
+		})
+	}
+}
+
 // BenchmarkGatherWarm measures the steady-state local gather path; run
 // with -benchmem to confirm 0 B/op.
 func BenchmarkGatherWarm(b *testing.B) {

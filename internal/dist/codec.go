@@ -8,9 +8,10 @@ import (
 	"salientpp/internal/tensor"
 )
 
-// Codec selects the wire encoding of the two dominant Gather payloads: the
-// per-peer request-id lists of collective 2 and the feature rows of
-// collective 3. The cache reduces how many remote rows move; the codec
+// Codec selects the wire encoding of the two sections of a gather frame:
+// the feature rows answering a peer's request list and the per-peer
+// request-id list that follows them. The cache reduces how many remote
+// rows move; the codec
 // reduces the bytes each remaining row costs — the residual communication
 // Tripathy et al. and Jiang & Rumi identify as the scaling cost once
 // caching saturates.
@@ -21,9 +22,8 @@ import (
 // payload sizes, so a mismatched group fails loudly instead of reading
 // garbage.
 //
-//   - CodecFP32: raw float32 rows and raw int32 id lists — byte-for-byte
-//     the historical wire format, shipped through the existing zero-copy
-//     slice views. The default.
+//   - CodecFP32: raw float32 rows and raw int32 id lists, shipped through
+//     zero-copy slice views. The default.
 //   - CodecFP16: IEEE-754 binary16 rows (round-to-nearest-even), 2 bytes
 //     per value; id lists as sorted varint deltas. ~50% smaller feature
 //     payloads with ~2^-11 relative precision — safe for normalized GNN
@@ -203,8 +203,8 @@ func (r *idDeltaReader) next() (int32, error) {
 	return int32(v), nil
 }
 
-// remaining reports undecoded bytes (must be zero once the announced count
-// has been read).
+// remaining reports undecoded bytes. A gather frame carries no id count:
+// the owner decodes until remaining reaches zero.
 func (r *idDeltaReader) remaining() int { return len(r.b) - r.off }
 
 // ---------------------------------------------------------------------------

@@ -137,25 +137,8 @@ func DecodeHealthFrame(b []byte) (uint32, error) {
 	return binary.LittleEndian.Uint32(b[4:]), nil
 }
 
-// i32ToBytes appends the little-endian encoding of ids to buf and returns
-// it. Payload helpers are shared by both transports and the feature store.
-func i32ToBytes(buf []byte, ids []int32) []byte {
-	for _, v := range ids {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-	}
-	return buf
-}
-
-// bytesToI32 decodes a payload produced by i32ToBytes.
-func bytesToI32(b []byte) []int32 {
-	out := make([]int32, len(b)/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
 // f32ToBytes appends the little-endian IEEE-754 encoding of xs to buf.
+// Both transports' all-reduce paths share it and bytesToF32.
 func f32ToBytes(buf []byte, xs []float32) []byte {
 	for _, v := range xs {
 		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))

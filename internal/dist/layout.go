@@ -1,8 +1,11 @@
 // Package dist provides the distributed substrate of the SALIENT++
 // reproduction: the contiguous partition layout, communicator groups with
 // the two collectives the training loop needs (all-to-all and all-reduce),
-// and the partitioned feature store whose three-collective Gather is the
-// paper's feature-communication protocol (§4.2).
+// and the partitioned feature store implementing the paper's
+// feature-communication protocol (§4.2): each gather frame carries the rows
+// answering a peer's previous request list followed by the next request
+// list, so a one-shot Gather costs two all-to-alls and the training stream
+// (GatherNext/GatherFlush) one per round plus a final flush.
 //
 // Two transports implement the Comm interface: an in-process channel
 // transport (the default for experiments and tests) and a loopback TCP

@@ -2,8 +2,10 @@ package dist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -36,7 +38,9 @@ type GatherStats struct {
 	// grouped per owning rank with each list ascending. Both alias the
 	// store's reusable scratch, valid only until the next gather — the
 	// online cache policy folds them into its own state via Observe
-	// (cache.RoundAccess) before the next round.
+	// (cache.RoundAccess) before the next round. The training stream
+	// (GatherNext/GatherFlush) reports counts only: both lists are nil
+	// there.
 	CacheHitIDs []int32
 	RemoteIDs   [][]int32
 }
@@ -44,8 +48,18 @@ type GatherStats struct {
 // Store is one rank's partitioned feature store: the local shard (split
 // into a GPU-resident prefix and a CPU remainder), the current cache epoch
 // of remote rows, and the communicator over which remote rows are fetched
-// with three matched collectives per Gather — request counts, request ids,
-// and feature payloads (§4.2).
+// (§4.2).
+//
+// Remote rows move in framed all-to-all exchanges. The frame a rank sends
+// peer p is [rows answering p's previous request list][this rank's next
+// request list for p]; the receiver splits it at the row count it asked p
+// for, so no separate count collective exists. A one-shot Gather is two
+// exchanges — an ids-only frame, then a rows-only frame. The training
+// stream (GatherNext/GatherFlush) overlaps them: each round's request ids
+// ride with the previous round's rows, so an R-round epoch costs R+1
+// collectives. Between the collective that delivers a peer's ids and the
+// next one, the owner reads the requested rows out of its shard into that
+// peer's outgoing frame.
 //
 // The cache is versioned: gathers read whichever cache.Epoch was current
 // when they started (one atomic pointer load per gather), and InstallEpoch
@@ -77,30 +91,35 @@ type Store struct {
 	qscratch   tensor.QuantMatrix
 	rowScratch []float32
 
-	// Reusable per-Gather scratch; a Store is used by one goroutine at a
-	// time (the pipeline's feature-collection stage).
-	reqIDs   [][]int32   // per-peer request ids (sorted before collective 2)
-	rowOf    [][]int32   // rowOf[p][j]: output row waiting on request j of peer p
-	cntFrame []byte      // 4·K bytes backing the count frames of collective 1
-	cntRecv  []int32     // decoded per-peer request counts
-	sendPtr  [][]byte    // per-collective payload views (headers reused)
-	featBuf  [][]float32 // per-peer contiguous feature staging (collective 3, fp32)
-	idEnc    [][]byte    // per-peer varint id encodings (collective 2, fp16/int8)
-	featEnc  [][]byte    // per-peer encoded feature payloads (collective 3, fp16/int8)
-	byPeer   []int       // RemoteByPeer scratch
-	hitIDs   []int32     // CacheHitIDs scratch
+	// Gather protocol state; a Store is used by one goroutine at a time
+	// (the pipeline's feature-collection stage). rounds double-buffers the
+	// per-round bookkeeping so one round can be pending — its ids sent, its
+	// rows not yet received — while the next is classified.
+	rounds  [2]gatherRound
+	pending *gatherRound // round awaiting its rows; nil when no round is in flight
+
+	// Outgoing frames, per peer: the staged answer to that peer's last
+	// request list (answered[p] float32 values or encoded bytes), with this
+	// rank's next request list appended at send time. fp32 frames are
+	// float32 buffers shipped as zero-copy byte views; fp16/int8 frames are
+	// encoded rows followed by varint id deltas.
+	frame32  [][]float32
+	frameEnc [][]byte
+	answered []int
+	sendPtr  [][]byte // per-collective payload views (headers reused)
 	sorter   idRowSorter
-	idsort   idSorter
 }
 
-// idSorter sorts a request list ascending with no parallel row list (the
-// degraded path has no output-row bookkeeping to carry along). Held in the
-// Store so sorting allocates nothing.
-type idSorter struct{ ids []int32 }
-
-func (s *idSorter) Len() int           { return len(s.ids) }
-func (s *idSorter) Less(i, j int) bool { return s.ids[i] < s.ids[j] }
-func (s *idSorter) Swap(i, j int)      { s.ids[i], s.ids[j] = s.ids[j], s.ids[i] }
+// gatherRound is the receiver-side bookkeeping of one gather round.
+type gatherRound struct {
+	out    *tensor.Matrix      // pooled fp32 sink; nil when qout is the sink
+	qout   *tensor.QuantMatrix // reduced-precision sink (store scratch)
+	stats  GatherStats
+	reqIDs [][]int32 // per-peer request ids, sorted ascending
+	rowOf  [][]int32 // rowOf[p][j]: output row waiting on reqIDs[p][j]
+	byPeer []int     // RemoteByPeer scratch
+	hitIDs []int32   // CacheHitIDs scratch
+}
 
 // idRowSorter sorts a peer's request ids ascending, carrying the matching
 // output-row list along. Held in the Store so sorting allocates nothing.
@@ -168,23 +187,26 @@ func validateEpoch(ep *cache.Epoch, dim int) error {
 // scratch field cannot be initialized in one and forgotten in the other.
 func newStore(comm Comm, layout *Layout, dim int, local *tensor.Matrix, gpuRows int) *Store {
 	k := layout.K()
-	return &Store{
+	s := &Store{
 		comm: comm, layout: layout, dim: dim,
 		local:    local,
 		gpuRows:  gpuRows,
 		pool:     tensor.NewPool(),
-		reqIDs:   make([][]int32, k),
-		rowOf:    make([][]int32, k),
-		cntFrame: make([]byte, 4*k),
-		cntRecv:  make([]int32, k),
+		frame32:  make([][]float32, k),
+		frameEnc: make([][]byte, k),
+		answered: make([]int, k),
 		sendPtr:  make([][]byte, k),
-		featBuf:  make([][]float32, k),
-		idEnc:    make([][]byte, k),
-		featEnc:  make([][]byte, k),
-		byPeer:   make([]int, k),
 
 		rowScratch: make([]float32, dim),
 	}
+	for i := range s.rounds {
+		s.rounds[i] = gatherRound{
+			reqIDs: make([][]int32, k),
+			rowOf:  make([][]int32, k),
+			byPeer: make([]int, k),
+		}
+	}
+	return s
 }
 
 // InstallEpoch atomically swaps in a new cache epoch and returns the one
@@ -220,9 +242,10 @@ func (s *Store) CacheGen() uint64 {
 
 // SetCodec selects the wire codec for this store's gathers. All members of
 // the comm group must agree (the decode paths reject mismatched payload
-// sizes). CodecFP32, the default, keeps the historical byte-for-byte wire
-// format. Install before the first Gather; do not call concurrently with
-// Gather. Siblings inherit the codec at Sibling time.
+// sizes). CodecFP32, the default, ships raw float32 rows and raw int32 id
+// lists. Install before the first Gather; do not call concurrently with
+// Gather or while a stream round is pending. Siblings inherit the codec at
+// Sibling time.
 func (s *Store) SetCodec(c Codec) { s.codec = c }
 
 // Codec returns the store's wire codec.
@@ -296,8 +319,9 @@ func (s *Store) Dim() int { return s.dim }
 func (s *Store) SetAbort(abort <-chan struct{}) { s.comm.SetAbort(abort) }
 
 // Live returns the number of matrices handed out by Gather and not yet
-// returned with Release — the store-pool leak gauge the shutdown/abort
-// regression tests assert returns to zero.
+// returned with Release, plus the one a pending stream round holds — the
+// store-pool leak gauge the shutdown/abort regression tests assert returns
+// to zero.
 func (s *Store) Live() int64 { return s.pool.Live() }
 
 // Release returns a matrix obtained from Gather to the store's pool. The
@@ -307,21 +331,21 @@ func (s *Store) Live() int64 { return s.pool.Live() }
 func (s *Store) Release(m *tensor.Matrix) { s.pool.Put(m) }
 
 // Gather assembles the feature matrix for ids (row i holds the features of
-// ids[i]) and classifies every access. All ranks in the group must call
-// Gather the same number of times per epoch — rounds with no local batch
-// pass an empty id list so the collectives stay matched. The returned
-// matrix belongs to the store's pool; hand it back with Release when the
-// batch retires.
+// ids[i]) and classifies every access. It runs two collectives — the
+// request ids out, then the rows back — and all ranks in the group must
+// call it the same number of times: rounds with no local batch pass an
+// empty id list so the collectives stay matched. The returned matrix
+// belongs to the store's pool; hand it back with Release when the batch
+// retires. Every error leaves the store idle with nothing of its own
+// checked out of the pool.
 func (s *Store) Gather(ids []int32) (*tensor.Matrix, GatherStats, error) {
-	out := s.pool.Get(len(ids), s.dim)
-	stats, err := s.gatherInto(ids, out, nil)
+	rd, err := s.gatherOnce(ids, s.pool.Get(len(ids), s.dim), nil)
 	if err != nil {
-		// Every error path hands the pooled output back, so an aborted or
-		// failed gather leaks nothing from the store's pool.
-		s.pool.Put(out)
-		return nil, stats, err
+		return nil, GatherStats{}, err
 	}
-	return out, stats, nil
+	out := rd.out
+	rd.out = nil
+	return out, rd.stats, nil
 }
 
 // GatherQuant is Gather with the output assembled directly in the store's
@@ -339,11 +363,111 @@ func (s *Store) GatherQuant(ids []int32) (*tensor.QuantMatrix, GatherStats, erro
 		return nil, GatherStats{}, fmt.Errorf("dist: GatherQuant needs a reduced precision (SetPrecision); store is fp32")
 	}
 	s.qscratch.Resize(s.prec, len(ids), s.dim)
-	stats, err := s.gatherInto(ids, nil, &s.qscratch)
+	rd, err := s.gatherOnce(ids, nil, &s.qscratch)
 	if err != nil {
-		return nil, stats, err
+		return nil, GatherStats{}, err
 	}
-	return &s.qscratch, stats, nil
+	return &s.qscratch, rd.stats, nil
+}
+
+// gatherOnce runs a one-shot gather into exactly one of out (pooled fp32)
+// or qout: classify, an ids-only exchange, then a rows-only exchange.
+func (s *Store) gatherOnce(ids []int32, out *tensor.Matrix, qout *tensor.QuantMatrix) (*gatherRound, error) {
+	rd := s.idleRound()
+	rd.out, rd.qout = out, qout
+	if s.pending != nil {
+		s.drop(rd)
+		return nil, errors.New("dist: one-shot gather while a stream round is pending (GatherFlush completes it)")
+	}
+	s.classify(rd, ids, false)
+	if err := s.exchange(rd); err != nil {
+		s.drop(rd)
+		return nil, err
+	}
+	if err := s.exchange(nil); err != nil {
+		s.drop(nil)
+		return nil, err
+	}
+	return rd, nil
+}
+
+// GatherNext is the training stream's gather: it classifies ids as Gather
+// does and sends their request lists in the same collective that carries
+// the rows answering the previous GatherNext, then returns that previous
+// round's completed matrix (nil, with zero stats, on the first call of a
+// stream). GatherFlush completes the last pending round, so a stream of R
+// rounds costs R+1 collectives where R Gathers cost 2R. All ranks must
+// issue the same sequence of GatherNext and GatherFlush calls; between a
+// GatherNext and its completion the store holds the pending round's pooled
+// matrix (counted by Live). The returned stats carry counts only —
+// CacheHitIDs and RemoteIDs are nil — and the matrix is the caller's to
+// Release. On error the pending round is dropped and the store is idle.
+func (s *Store) GatherNext(ids []int32) (*tensor.Matrix, GatherStats, error) {
+	rd := s.idleRound()
+	rd.out, rd.qout = s.pool.Get(len(ids), s.dim), nil
+	s.classify(rd, ids, false)
+	done := s.pending
+	if err := s.exchange(rd); err != nil {
+		s.drop(rd)
+		return nil, GatherStats{}, err
+	}
+	if done == nil {
+		return nil, GatherStats{}, nil
+	}
+	return s.complete(done)
+}
+
+// GatherFlush completes the pending stream round with one collective that
+// carries rows only, returning its matrix as GatherNext would have, and
+// leaves the store idle. It is an error to flush with no round pending.
+func (s *Store) GatherFlush() (*tensor.Matrix, GatherStats, error) {
+	done := s.pending
+	if done == nil {
+		return nil, GatherStats{}, errors.New("dist: GatherFlush with no stream round pending")
+	}
+	if err := s.exchange(nil); err != nil {
+		s.drop(nil)
+		return nil, GatherStats{}, err
+	}
+	return s.complete(done)
+}
+
+// GatherDiscard abandons a pending stream round without a collective,
+// returning its matrix to the pool: the unwind path of a consumer that
+// stops mid-stream because its epoch aborted. The comm group must not be
+// used for matched gathers afterwards (peers may still expect the
+// collective this round owed them). A no-op when no round is pending.
+func (s *Store) GatherDiscard() { s.drop(nil) }
+
+// complete hands a finished stream round's matrix and counts to the
+// caller.
+func (s *Store) complete(rd *gatherRound) (*tensor.Matrix, GatherStats, error) {
+	out, st := rd.out, rd.stats
+	rd.out = nil
+	st.CacheHitIDs, st.RemoteIDs = nil, nil
+	return out, st, nil
+}
+
+// idleRound returns the round slot not held by the pending round.
+func (s *Store) idleRound() *gatherRound {
+	if s.pending == &s.rounds[0] {
+		return &s.rounds[1]
+	}
+	return &s.rounds[0]
+}
+
+// drop returns the store to idle after a failure or an abandoned stream:
+// the pooled outputs of the pending round and of rd (the round being
+// pushed; may be nil) go back to the pool, and no answer stays staged.
+func (s *Store) drop(rd *gatherRound) {
+	for _, r := range [2]*gatherRound{s.pending, rd} {
+		if r != nil && r.out != nil {
+			s.pool.Put(r.out)
+			r.out = nil
+		}
+	}
+	s.pending = nil
+	clear(s.answered)
 }
 
 // SetGatherTimeout bounds each Gather's collectives on this store's
@@ -364,9 +488,12 @@ func (s *Store) SetGatherTimeout(d time.Duration) { s.comm.SetTimeout(d) }
 // on the missing rows for availability on all of them. The returned matrix
 // belongs to the store's pool; hand it back with Release.
 func (s *Store) GatherLocal(ids []int32) (*tensor.Matrix, GatherStats) {
-	out := s.pool.Get(len(ids), s.dim)
-	stats := s.gatherLocalInto(ids, out, nil)
-	return out, stats
+	rd := s.idleRound()
+	rd.out, rd.qout = s.pool.Get(len(ids), s.dim), nil
+	s.classify(rd, ids, true)
+	out := rd.out
+	rd.out = nil
+	return out, rd.stats
 }
 
 // GatherLocalQuant is GatherLocal with the output assembled in the store's
@@ -378,34 +505,40 @@ func (s *Store) GatherLocalQuant(ids []int32) (*tensor.QuantMatrix, GatherStats,
 		return nil, GatherStats{}, fmt.Errorf("dist: GatherLocalQuant needs a reduced precision (SetPrecision); store is fp32")
 	}
 	s.qscratch.Resize(s.prec, len(ids), s.dim)
-	stats := s.gatherLocalInto(ids, nil, &s.qscratch)
-	return &s.qscratch, stats, nil
+	rd := s.idleRound()
+	rd.out, rd.qout = nil, &s.qscratch
+	s.classify(rd, ids, true)
+	return &s.qscratch, rd.stats, nil
 }
 
-// gatherLocalInto classifies ids exactly as gatherInto does, but resolves
-// every row locally: shard rows and cache hits copy as usual, and rows
-// owned by unreachable peers zero-fill explicitly — pool memory is reused,
-// so a skipped write would leak a previous batch's features into the
-// prediction.
-func (s *Store) gatherLocalInto(ids []int32, out *tensor.Matrix, qout *tensor.QuantMatrix) GatherStats {
-	rank := s.comm.Rank()
+// classify resolves ids into rd's sink: local-shard rows and cache hits
+// are copied now, and every other id joins its owner's request list,
+// sorted ascending per peer so the owner reads its shard sequentially. In
+// local (degraded) mode those rows are zero-filled and counted Missing
+// instead — explicitly, because pool memory is reused and a skipped write
+// would leak a previous batch's features into the prediction.
+func (s *Store) classify(rd *gatherRound, ids []int32, local bool) {
 	k := s.layout.K()
+	rank := s.comm.Rank()
 	// One pointer load pins the cache version for the whole gather; an
 	// install racing this call flips either all of its lookups or none.
 	ep := s.epoch.Load()
-	s.hitIDs = s.hitIDs[:0]
+	out, qout := rd.out, rd.qout
+	rd.hitIDs = rd.hitIDs[:0]
 	for p := 0; p < k; p++ {
-		s.reqIDs[p] = s.reqIDs[p][:0]
+		rd.reqIDs[p] = rd.reqIDs[p][:0]
+		rd.rowOf[p] = rd.rowOf[p][:0]
+		rd.byPeer[p] = 0
 	}
-	var stats GatherStats
+	var st GatherStats
 	for i, v := range ids {
 		owner := s.layout.Owner(v)
 		if owner == rank {
 			row := int(int64(v) - s.layout.Starts[rank])
 			if row < s.gpuRows {
-				stats.LocalGPU++
+				st.LocalGPU++
 			} else {
-				stats.LocalCPU++
+				st.LocalCPU++
 			}
 			if qout != nil {
 				qout.CopyRow(i, s.qlocal, row)
@@ -416,8 +549,8 @@ func (s *Store) gatherLocalInto(ids []int32, out *tensor.Matrix, qout *tensor.Qu
 		}
 		if ep != nil && ep.Index != nil {
 			if slot, ok := ep.Index.Slot(v); ok {
-				stats.CacheHits++
-				s.hitIDs = append(s.hitIDs, v)
+				st.CacheHits++
+				rd.hitIDs = append(rd.hitIDs, v)
 				if qout != nil {
 					qout.CopyRow(i, ep.Quant, int(slot))
 				} else {
@@ -426,255 +559,187 @@ func (s *Store) gatherLocalInto(ids []int32, out *tensor.Matrix, qout *tensor.Qu
 				continue
 			}
 		}
-		stats.Missing++
-		s.reqIDs[owner] = append(s.reqIDs[owner], v)
+		rd.reqIDs[owner] = append(rd.reqIDs[owner], v)
+		rd.rowOf[owner] = append(rd.rowOf[owner], int32(i))
+		if !local {
+			st.RemoteFetch++
+			rd.byPeer[owner]++
+			continue
+		}
+		st.Missing++
 		if qout != nil {
-			for j := range s.rowScratch {
-				s.rowScratch[j] = 0
-			}
+			clear(s.rowScratch)
 			qout.SetRow(i, s.rowScratch)
 		} else {
-			row := out.Row(i)
-			for j := range row {
-				row[j] = 0
-			}
+			clear(out.Row(i))
 		}
 	}
-	// Degraded rounds still feed the online policy: the zero-filled ids
-	// are exactly the misses a healthy gather would have fetched. Sort for
-	// the same deterministic per-peer order gatherInto produces.
 	for p := 0; p < k; p++ {
-		if len(s.reqIDs[p]) > 1 {
-			s.idsort.ids = s.reqIDs[p]
-			sort.Sort(&s.idsort)
-		}
-	}
-	stats.CacheHitIDs = s.hitIDs
-	stats.RemoteIDs = s.reqIDs[:k]
-	return stats
-}
-
-// gatherInto runs the three matched collectives and scatters every feature
-// row into exactly one of out (fp32) or qout (reduced precision) — the four
-// row sinks (local shard, cache hit, codec payload, raw fp32 payload) are
-// the only places the two modes differ.
-func (s *Store) gatherInto(ids []int32, out *tensor.Matrix, qout *tensor.QuantMatrix) (GatherStats, error) {
-	k := s.layout.K()
-	rank := s.comm.Rank()
-	for p := range s.byPeer {
-		s.byPeer[p] = 0
-	}
-	stats := GatherStats{RemoteByPeer: s.byPeer[:k]}
-	// One pointer load pins the cache version for the whole gather; an
-	// install racing this call flips either all of its lookups or none.
-	ep := s.epoch.Load()
-	s.hitIDs = s.hitIDs[:0]
-
-	// Classify accesses, satisfy local/cached rows immediately, and build
-	// per-peer request lists for the rest.
-	for p := 0; p < k; p++ {
-		s.reqIDs[p] = s.reqIDs[p][:0]
-		s.rowOf[p] = s.rowOf[p][:0]
-	}
-	for i, v := range ids {
-		owner := s.layout.Owner(v)
-		if owner == rank {
-			row := int(int64(v) - s.layout.Starts[rank])
-			if row < s.gpuRows {
-				stats.LocalGPU++
-			} else {
-				stats.LocalCPU++
-			}
-			if qout != nil {
-				qout.CopyRow(i, s.qlocal, row)
-			} else {
-				copy(out.Row(i), s.local.Row(row))
-			}
-			continue
-		}
-		if ep != nil && ep.Index != nil {
-			if slot, ok := ep.Index.Slot(v); ok {
-				stats.CacheHits++
-				s.hitIDs = append(s.hitIDs, v)
-				if qout != nil {
-					qout.CopyRow(i, ep.Quant, int(slot))
-				} else {
-					copy(out.Row(i), ep.Rows.Row(int(slot)))
-				}
-				continue
-			}
-		}
-		stats.RemoteFetch++
-		stats.RemoteByPeer[owner]++
-		s.rowOf[owner] = append(s.rowOf[owner], int32(i))
-		s.reqIDs[owner] = append(s.reqIDs[owner], v)
-	}
-	stats.CacheHitIDs = s.hitIDs
-	stats.RemoteIDs = s.reqIDs[:k]
-
-	// Collective 1: request counts, so every rank knows how many ids each
-	// peer will ask of it (sized like the paper's first all-to-all).
-	for p := 0; p < k; p++ {
-		binary.LittleEndian.PutUint32(s.cntFrame[4*p:], uint32(len(s.reqIDs[p])))
-		s.sendPtr[p] = s.cntFrame[4*p : 4*p+4]
-	}
-	cnts, err := s.comm.AllToAll(s.sendPtr)
-	if err != nil {
-		return stats, err
-	}
-	// Decode before the next collective recycles the receive buffers.
-	for p := 0; p < k; p++ {
-		if p == rank {
-			s.cntRecv[p] = 0
-			continue
-		}
-		if len(cnts[p]) != 4 {
-			return stats, fmt.Errorf("dist: rank %d sent a %d-byte count frame", p, len(cnts[p]))
-		}
-		s.cntRecv[p] = int32(binary.LittleEndian.Uint32(cnts[p]))
-		if s.cntRecv[p] < 0 {
-			return stats, fmt.Errorf("dist: rank %d announced an implausible request count", p)
-		}
-	}
-
-	// Collective 2: request ids, sorted ascending per peer so the owner
-	// answers with sequential reads of its shard. Under the fp32 codec the
-	// payloads are zero-copy views of the (reused) request lists; under
-	// fp16/int8 the sorted lists delta-compress into reused varint buffers.
-	for p := 0; p < k; p++ {
-		if p != rank && len(s.reqIDs[p]) > 1 {
-			s.sorter.ids, s.sorter.rows = s.reqIDs[p], s.rowOf[p]
+		if len(rd.reqIDs[p]) > 1 {
+			s.sorter.ids, s.sorter.rows = rd.reqIDs[p], rd.rowOf[p]
 			sort.Sort(&s.sorter)
 		}
-		if s.codec == CodecFP32 {
-			s.sendPtr[p] = i32AsBytes(s.reqIDs[p])
-		} else {
-			s.idEnc[p] = appendIDsDelta(s.idEnc[p][:0], s.reqIDs[p])
-			s.sendPtr[p] = s.idEnc[p]
-		}
 	}
-	reqs, err := s.comm.AllToAll(s.sendPtr)
-	if err != nil {
-		return stats, err
-	}
+	st.RemoteByPeer = rd.byPeer
+	st.CacheHitIDs = rd.hitIDs
+	st.RemoteIDs = rd.reqIDs
+	rd.stats = st
+}
 
-	// Collective 3: feature payloads answering each peer's request list.
-	// fp32 stages rows once into a reused contiguous float32 buffer per
-	// peer and ships its byte view — no per-row encode/append; fp16/int8
-	// stream-decode the varint ids and encode each row straight into a
-	// reused per-peer wire buffer.
+// exchange runs one collective. To every peer it sends the staged rows
+// answering that peer's last request list followed by next's request list
+// for it — nothing more when next is nil (a flush). From every peer it
+// receives the mirror image: the prefix holds the rows the pending round
+// asked that peer for (the receiver knows their count, so the frame needs
+// no header) and scatters into the pending round's sink; the rest is the
+// peer's new request list, answered at once from the local shard into the
+// peer's outgoing frame for the following exchange. On success next
+// becomes the pending round.
+func (s *Store) exchange(next *gatherRound) error {
+	k := s.layout.K()
+	rank := s.comm.Rank()
 	for p := 0; p < k; p++ {
 		s.sendPtr[p] = nil
 		if p == rank {
 			continue
 		}
-		cnt := int(s.cntRecv[p])
-		if s.codec != CodecFP32 {
-			rd := idDeltaReader{b: reqs[p]}
-			enc := s.featEnc[p][:0]
-			for j := 0; j < cnt; j++ {
-				v, err := rd.next()
-				if err != nil {
-					return stats, fmt.Errorf("dist: rank %d request list: %w", p, err)
-				}
-				// Explicit interval check (see the fp32 branch below).
-				if int64(v) < s.layout.Starts[rank] || int64(v) >= s.layout.Starts[rank+1] {
-					return stats, fmt.Errorf("dist: rank %d requested vertex %d not owned here", p, v)
-				}
-				enc = s.codec.appendFeatRow(enc, s.local.Row(int(int64(v)-s.layout.Starts[rank])))
-			}
-			if rd.remaining() != 0 {
-				return stats, fmt.Errorf("dist: rank %d announced %d requests but sent %d trailing bytes", p, cnt, rd.remaining())
-			}
-			s.featEnc[p] = enc
-			if cnt > 0 {
-				s.sendPtr[p] = enc
-			}
-			continue
+		var ids []int32
+		if next != nil {
+			ids = next.reqIDs[p]
 		}
-		want := bytesAsI32(reqs[p])
-		if len(want) != cnt {
-			return stats, fmt.Errorf("dist: rank %d announced %d requests but sent %d ids", p, s.cntRecv[p], len(want))
-		}
-		if len(want) == 0 {
-			continue
-		}
-		buf := s.featBuf[p]
-		if need := len(want) * s.dim; cap(buf) < need {
-			buf = make([]float32, need)
+		n := s.answered[p]
+		if s.codec == CodecFP32 {
+			// Request ids ride in the float32 frame as their raw bits.
+			buf := slices.Grow(s.frame32[p][:n], len(ids))[:n+len(ids)]
+			copy(f32AsBytes(buf[n:]), i32AsBytes(ids))
+			s.frame32[p] = buf
+			s.sendPtr[p] = f32AsBytes(buf)
 		} else {
-			buf = buf[:need]
+			s.frameEnc[p] = appendIDsDelta(s.frameEnc[p][:n], ids)
+			s.sendPtr[p] = s.frameEnc[p]
 		}
-		for j, v := range want {
-			// Explicit interval check, not Owner(): a corrupt peer can send
-			// a negative or out-of-range id, and Owner maps everything below
-			// Starts[1] — including negatives — to rank 0, which would turn
-			// the row subtraction below into an out-of-bounds panic.
-			if int64(v) < s.layout.Starts[rank] || int64(v) >= s.layout.Starts[rank+1] {
-				return stats, fmt.Errorf("dist: rank %d requested vertex %d not owned here", p, v)
-			}
-			row := int(int64(v) - s.layout.Starts[rank])
-			copy(buf[j*s.dim:(j+1)*s.dim], s.local.Row(row))
-		}
-		s.featBuf[p] = buf
-		s.sendPtr[p] = f32AsBytes(buf)
 	}
-	feats, err := s.comm.AllToAll(s.sendPtr)
+	recv, err := s.comm.AllToAll(s.sendPtr)
 	if err != nil {
-		return stats, err
+		return err
 	}
-
-	// Scatter the received payloads directly into the waiting output rows:
-	// fp32 through a zero-copy float32 view of each payload, fp16/int8 by
-	// dequantizing each encoded row straight into its output row. Quantized
-	// outputs whose precision matches the wire codec take the passthrough:
-	// the payload's scale bits and quantized values are copied verbatim —
-	// the wire format is the compute format, no numeric op at all.
+	prev := s.pending
+	rowWire := s.codec.featRowWire(s.dim)
 	for p := 0; p < k; p++ {
-		if p == rank || len(s.rowOf[p]) == 0 {
+		if p == rank {
 			continue
 		}
-		if s.codec != CodecFP32 {
-			rowWire := s.codec.featRowWire(s.dim)
-			if len(feats[p]) != len(s.rowOf[p])*rowWire {
-				return stats, fmt.Errorf("dist: rank %d returned %d payload bytes for %d requested rows", p, len(feats[p]), len(s.rowOf[p]))
-			}
-			for j, row := range s.rowOf[p] {
-				src := feats[p][j*rowWire : (j+1)*rowWire]
-				switch {
-				case qout == nil:
-					s.codec.decodeFeatRow(out.Row(int(row)), src)
-				case s.codec == CodecInt8 && qout.Prec == tensor.PrecisionInt8:
-					qout.Scale[row] = math.Float32frombits(binary.LittleEndian.Uint32(src))
-					qrow := qout.I8[int(row)*s.dim : (int(row)+1)*s.dim]
-					for t := range qrow {
-						qrow[t] = int8(src[4+t])
-					}
-				case s.codec == CodecFP16 && qout.Prec == tensor.PrecisionFP16:
-					hrow := qout.H[int(row)*s.dim : (int(row)+1)*s.dim]
-					for t := range hrow {
-						hrow[t] = binary.LittleEndian.Uint16(src[2*t:])
-					}
-				default:
-					// Codec and precision disagree (e.g. fp16 wire feeding an
-					// int8 forward): decode, then requantize.
-					s.codec.decodeFeatRow(s.rowScratch, src)
-					qout.SetRow(int(row), s.rowScratch)
-				}
-			}
-			continue
+		want := 0
+		if prev != nil {
+			want = len(prev.reqIDs[p])
 		}
-		vals := bytesAsF32(feats[p])
-		if len(vals) != len(s.rowOf[p])*s.dim {
-			return stats, fmt.Errorf("dist: rank %d returned %d values for %d requested rows", p, len(vals), len(s.rowOf[p]))
+		frame := recv[p]
+		if len(frame) < want*rowWire {
+			return fmt.Errorf("dist: rank %d returned %d payload bytes for %d requested rows", p, len(frame), want)
 		}
-		for j, row := range s.rowOf[p] {
+		rows, ids := frame[:want*rowWire], frame[want*rowWire:]
+		if next == nil && len(ids) > 0 {
+			return fmt.Errorf("dist: rank %d sent %d request-id bytes on a flush frame", p, len(ids))
+		}
+		// Checked before any view is taken: a whole-element frame is also
+		// what keeps the zero-copy float32/int32 views aligned.
+		if s.codec == CodecFP32 && len(ids)%4 != 0 {
+			return fmt.Errorf("dist: rank %d sent a %d-byte fp32 request-id section", p, len(ids))
+		}
+		if want > 0 {
+			s.scatter(prev, p, rows)
+		}
+		if err := s.answer(p, ids); err != nil {
+			return err
+		}
+	}
+	s.pending = next
+	return nil
+}
+
+// answer stages this rank's reply to peer p's request list — the
+// owner-side shard read — into p's outgoing frame. fp32 copies each row
+// once into the reused float32 frame; fp16/int8 stream-decode the varint
+// ids to the end of the section and encode each row straight into the
+// reused wire buffer. Every id is interval-checked, not passed through
+// Owner(): a corrupt peer can send a negative or out-of-range id, and
+// Owner maps everything below Starts[1] — negatives included — to rank 0,
+// which would turn the row subtraction into an out-of-bounds panic.
+func (s *Store) answer(p int, ids []byte) error {
+	rank := s.comm.Rank()
+	lo, hi := s.layout.Starts[rank], s.layout.Starts[rank+1]
+	if s.codec == CodecFP32 {
+		want := bytesAsI32(ids)
+		buf := slices.Grow(s.frame32[p][:0], len(want)*s.dim)[:len(want)*s.dim]
+		for j, v := range want {
+			if int64(v) < lo || int64(v) >= hi {
+				return fmt.Errorf("dist: rank %d requested vertex %d not owned here", p, v)
+			}
+			copy(buf[j*s.dim:(j+1)*s.dim], s.local.Row(int(int64(v)-lo)))
+		}
+		s.frame32[p] = buf
+		s.answered[p] = len(buf)
+		return nil
+	}
+	rd := idDeltaReader{b: ids}
+	enc := s.frameEnc[p][:0]
+	for rd.remaining() > 0 {
+		v, err := rd.next()
+		if err != nil {
+			return fmt.Errorf("dist: rank %d request list: %w", p, err)
+		}
+		if int64(v) < lo || int64(v) >= hi {
+			return fmt.Errorf("dist: rank %d requested vertex %d not owned here", p, v)
+		}
+		enc = s.codec.appendFeatRow(enc, s.local.Row(int(int64(v)-lo)))
+	}
+	s.frameEnc[p] = enc
+	s.answered[p] = len(enc)
+	return nil
+}
+
+// scatter writes the rows peer p returned for rd's request list (exactly
+// len(rd.rowOf[p]) encoded rows, length-checked by the caller) into rd's
+// sink: fp32 through a zero-copy float32 view, fp16/int8 by dequantizing
+// each encoded row straight into its output row. Quantized outputs whose
+// precision matches the wire codec take the passthrough: the payload's
+// scale bits and quantized values are copied verbatim — the wire format is
+// the compute format, no numeric op at all.
+func (s *Store) scatter(rd *gatherRound, p int, rows []byte) {
+	out, qout := rd.out, rd.qout
+	if s.codec == CodecFP32 {
+		vals := bytesAsF32(rows)
+		for j, row := range rd.rowOf[p] {
 			if qout != nil {
 				qout.SetRow(int(row), vals[j*s.dim:(j+1)*s.dim])
 			} else {
 				copy(out.Row(int(row)), vals[j*s.dim:(j+1)*s.dim])
 			}
 		}
+		return
 	}
-	return stats, nil
+	rowWire := s.codec.featRowWire(s.dim)
+	for j, row := range rd.rowOf[p] {
+		src := rows[j*rowWire : (j+1)*rowWire]
+		switch {
+		case qout == nil:
+			s.codec.decodeFeatRow(out.Row(int(row)), src)
+		case s.codec == CodecInt8 && qout.Prec == tensor.PrecisionInt8:
+			qout.Scale[row] = math.Float32frombits(binary.LittleEndian.Uint32(src))
+			qrow := qout.I8[int(row)*s.dim : (int(row)+1)*s.dim]
+			for t := range qrow {
+				qrow[t] = int8(src[4+t])
+			}
+		case s.codec == CodecFP16 && qout.Prec == tensor.PrecisionFP16:
+			hrow := qout.H[int(row)*s.dim : (int(row)+1)*s.dim]
+			for t := range hrow {
+				hrow[t] = binary.LittleEndian.Uint16(src[2*t:])
+			}
+		default:
+			// Codec and precision disagree (e.g. fp16 wire feeding an
+			// int8 forward): decode, then requantize.
+			s.codec.decodeFeatRow(s.rowScratch, src)
+			qout.SetRow(int(row), s.rowScratch)
+		}
+	}
 }

@@ -14,8 +14,8 @@ import (
 //
 // The views use host byte order. Every supported deployment of this
 // reproduction runs all ranks inside one process (channel or loopback-TCP
-// transport), so encoder and decoder always agree; the little-endian
-// framing used for counts matches on the amd64/arm64 targets. The returned
+// transport), so encoder and decoder always agree; host order is
+// little-endian on the amd64/arm64 targets. The returned
 // slices alias their argument — they are views, not copies — and payloads
 // handed to AllToAll are only read until the collective returns.
 

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -112,6 +113,31 @@ func trainingChaosScenarios(featPE, gradPE int64) []chaosScenario {
 	}
 }
 
+// fileTrigger runs fire once, ahead of the first collective its member
+// issues after path exists.
+type fileTrigger struct {
+	dist.Comm
+	path string
+	once *sync.Once
+	fire func()
+}
+
+func (f *fileTrigger) check() {
+	if _, err := os.Stat(f.path); err == nil {
+		f.once.Do(f.fire)
+	}
+}
+
+func (f *fileTrigger) AllToAll(send [][]byte) ([][]byte, error) {
+	f.check()
+	return f.Comm.AllToAll(send)
+}
+
+func (f *fileTrigger) AllReduceSum(x []float32) error {
+	f.check()
+	return f.Comm.AllReduceSum(x)
+}
+
 func testTrainingChaosMatrix(t *testing.T, useTCP bool) {
 	d := crashDataset(t)
 	const victim = 1
@@ -146,26 +172,28 @@ func runTrainingChaosScenario(t *testing.T, d *dataset.Dataset, useTCP bool, vic
 	cfg := elasticConfig(useTCP, dir)
 	cfg.WrapComm = wrapVictim(ch, victim, sc.gradOnly)
 	if sc.watch {
+		// The fault fires at the victim's first collective after the
+		// mid-epoch-1 checkpoint file lands. The check is synchronous: a
+		// polling watcher could be scheduled late enough on a loaded machine
+		// for the short run to finish first, and no fault would fire.
 		target := filepath.Join(dir, ckpt.FileName(ckpt.Step{Epoch: 1, Round: 2}))
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			for {
-				if _, err := os.Stat(target); err == nil {
-					if sc.stall {
-						ch.Stall()
-					} else {
-						ch.Kill()
-					}
-					return
-				}
-				select {
-				case <-stop:
-					return
-				case <-time.After(time.Millisecond):
-				}
+		var once sync.Once
+		fire := func() {
+			if sc.stall {
+				ch.Stall()
+			} else {
+				ch.Kill()
 			}
-		}()
+		}
+		wrap := cfg.WrapComm
+		cfg.WrapComm = func(rank int, f, g dist.Comm) (dist.Comm, dist.Comm) {
+			f, g = wrap(rank, f, g)
+			if rank != victim {
+				return f, g
+			}
+			return &fileTrigger{Comm: f, path: target, once: &once, fire: fire},
+				&fileTrigger{Comm: g, path: target, once: &once, fire: fire}
+		}
 	}
 
 	counters := metrics.NewCounters()

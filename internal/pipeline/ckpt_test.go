@@ -117,15 +117,15 @@ func testCrashRecoveryBitwise(t *testing.T, useTCP bool) {
 
 	// Crashed run: checkpoint every 2 rounds and every epoch boundary;
 	// the shared collective counter kills both ranks' comms partway
-	// through epoch 1 (each epoch issues 3 gather collectives per round
-	// per rank; with ~5 rounds per rank that is ~30 per epoch, so 40 lands
-	// mid-epoch-1 at an arbitrary in-flight batch).
+	// through epoch 1 (each epoch issues R+1 gather collectives per rank;
+	// with ~5 rounds per rank that is ~12 per epoch across both ranks, so
+	// 20 lands mid-epoch-1 at an arbitrary in-flight batch).
 	dir := t.TempDir()
 	cfg := crashConfig(useTCP)
 	cfg.Checkpoint = ckpt.Config{Dir: dir, EveryRounds: 2, EveryEpochs: 1, Retain: 4}
 	var calls atomic.Int64
 	cfg.WrapComm = func(rank int, feat, grad dist.Comm) (dist.Comm, dist.Comm) {
-		return &killComm{Comm: feat, grad: grad, calls: &calls, failAt: 40}, grad
+		return &killComm{Comm: feat, grad: grad, calls: &calls, failAt: 20}, grad
 	}
 	got := map[int]epochResult{}
 	crashCl, err := NewCluster(d, cfg)

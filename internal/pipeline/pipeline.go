@@ -1,9 +1,12 @@
 // Package pipeline implements SALIENT++'s distributed minibatch training
 // loop with the deep minibatch-preparation pipeline of §4.3 / Appendix D:
-// neighborhood sampling, the three-collective feature gather (request
-// counts, request ids, feature payloads), host↔device bookkeeping, model
-// computation, and gradient synchronization — with up to PipelineDepth
-// minibatches in flight so communication overlaps computation.
+// neighborhood sampling, the feature gather, host↔device bookkeeping,
+// model computation, and gradient synchronization — with up to
+// PipelineDepth minibatches in flight so communication overlaps
+// computation. The gather is a stream: because sampling runs ahead, each
+// round's request ids travel in the same collective as the previous
+// round's feature rows, one feature collective per round plus a final
+// flush.
 //
 // Each "machine" is one goroutine group driving its own communicators.
 // Collectives are matched across ranks by construction: every rank
@@ -393,36 +396,14 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 	inflight := make(chan struct{}, r.cfg.PipelineDepth)
 	sampled := r.streamSampled(batches, base.Split(1), startRound, inflight, abort)
 
-	// Stage B: feature collection (three matched collectives per round).
+	// Stage B: feature collection, one collective per round plus a flush.
 	ready := make(chan preparedBatch, r.cfg.PipelineDepth)
 	errCh := make(chan error, 1)
 	go func() {
 		defer close(ready)
-		for sb := range sampled {
-			t0 := time.Now()
-			feats, gstats, err := r.store.Gather(sb.mfg.InputIDs())
-			if err != nil {
-				sb.mfg.Release()
-				errCh <- err
-				closeAbort()
-				return
-			}
-			// RemoteByPeer and the hit/miss id lists alias store scratch the
-			// next Gather reuses; only the scalar counts cross into the
-			// compute stage.
-			gstats.RemoteByPeer = nil
-			gstats.CacheHitIDs = nil
-			gstats.RemoteIDs = nil
-			pb := preparedBatch{mfg: sb.mfg, feats: feats, stats: gstats, gtime: time.Since(t0), stime: sb.stime, empty: sb.empty}
-			select {
-			case ready <- pb:
-			case <-abort:
-				// The undeliverable batch's pooled buffers go back now; the
-				// abort drain below can only see batches that reached ready.
-				r.store.Release(feats)
-				sb.mfg.Release()
-				return
-			}
+		if err := r.gatherStage(sampled, ready, abort); err != nil {
+			errCh <- err
+			closeAbort()
 		}
 	}()
 
@@ -602,6 +583,96 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 	stats.GradBytesSent = resumedGradBytes + r.commGrad.BytesSent() - gradBytesBefore
 	stats.Duration = time.Since(start)
 	return stats, nil
+}
+
+// gatherStage is stage B: it streams the sampled batches' input ids
+// through Store.GatherNext, so the collective that sends batch i's request
+// ids also carries the rows answering batch i-1's — R+1 feature
+// collectives for an R-round epoch instead of two per Gather. Each batch
+// therefore completes one push late (the last by GatherFlush) and is
+// delivered to ready in order. PipelineDepth 1 flushes after every push:
+// the look-ahead needs a second in-flight slot, and at depth 1 the next
+// batch cannot be sampled until this one retires. Every rank derives the
+// same schedule from the shared round count and depth, so the collectives
+// stay matched.
+//
+// A gather error is returned with every held batch's pooled buffers back in
+// their pools. On abort the stage stops without issuing another collective
+// and releases what it holds — including the store's pending round — and
+// returns nil; the caller's abort path owns the epoch's error.
+func (r *Rank) gatherStage(sampled <-chan sampledBatch, ready chan<- preparedBatch, abort <-chan struct{}) error {
+	var (
+		held  sampledBatch  // pushed batch whose rows are on the wire; nil mfg when none
+		carry time.Duration // gather time of a push that completed nothing
+	)
+	// deliver hands held, completed with feats after d of gather time, to
+	// the compute stage; false means the epoch aborted first.
+	deliver := func(feats *tensor.Matrix, gstats dist.GatherStats, d time.Duration) bool {
+		// RemoteByPeer aliases store scratch the next gather reuses; only
+		// the scalar counts cross into the compute stage.
+		gstats.RemoteByPeer = nil
+		pb := preparedBatch{mfg: held.mfg, feats: feats, stats: gstats, gtime: carry + d, stime: held.stime, empty: held.empty}
+		held, carry = sampledBatch{}, 0
+		select {
+		case ready <- pb:
+			return true
+		case <-abort:
+			// The undeliverable batch's pooled buffers go back now; the
+			// abort drain in stage C can only see batches that reached ready.
+			r.store.Release(feats)
+			pb.mfg.Release()
+			return false
+		}
+	}
+	// flush completes held; false with a nil error means aborted.
+	flush := func() (bool, error) {
+		t0 := time.Now()
+		feats, gstats, err := r.store.GatherFlush()
+		if err != nil {
+			held.mfg.Release()
+			return false, err
+		}
+		return deliver(feats, gstats, time.Since(t0)), nil
+	}
+	for sb := range sampled {
+		t0 := time.Now()
+		feats, gstats, err := r.store.GatherNext(sb.mfg.InputIDs())
+		d := time.Since(t0)
+		if err != nil {
+			sb.mfg.Release()
+			if held.mfg != nil {
+				held.mfg.Release()
+			}
+			return err
+		}
+		if held.mfg == nil {
+			carry = d
+		} else if !deliver(feats, gstats, d) {
+			sb.mfg.Release()
+			r.store.GatherDiscard()
+			return nil
+		}
+		held = sb
+		if r.cfg.PipelineDepth == 1 {
+			if ok, err := flush(); !ok {
+				return err
+			}
+		}
+	}
+	if held.mfg == nil {
+		return nil
+	}
+	// sampled also closes when the epoch aborts; flushing then would issue
+	// a collective peers may never match.
+	select {
+	case <-abort:
+		held.mfg.Release()
+		r.store.GatherDiscard()
+		return nil
+	default:
+	}
+	_, err := flush()
+	return err
 }
 
 // streamSampled runs the sampling stage: SamplerWorkers goroutines sample

@@ -6,6 +6,7 @@ import (
 
 	"salientpp/internal/cache"
 	"salientpp/internal/dataset"
+	"salientpp/internal/dist"
 	"salientpp/internal/tensor"
 )
 
@@ -188,6 +189,48 @@ func TestPipelineDepthDoesNotChangeResults(t *testing.T) {
 		if seq[i] != deep[i] {
 			t.Fatalf("pipelining changed training results at weight %d: %v vs %v", i, seq[i], deep[i])
 		}
+	}
+}
+
+// TestTrainEpochFeatureCollectives pins stage B's collective schedule: a
+// pipelined epoch of R rounds issues R+1 feature collectives (each
+// round's ids ride with the previous round's rows, then one flush), while
+// depth 1, which has no slot for the look-ahead, flushes every round (2R).
+func TestTrainEpochFeatureCollectives(t *testing.T) {
+	d := smallDataset(t)
+	for _, depth := range []int{1, 2, 10} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			count := dist.NewChaos(dist.ChaosConfig{}) // no faults: a call counter
+			cfg := smallConfig()
+			cfg.Train.PipelineDepth = depth
+			cfg.WrapComm = func(rank int, f, g dist.Comm) (dist.Comm, dist.Comm) {
+				if rank == 0 {
+					f = count.Wrap(f)
+				}
+				return f, g
+			}
+			cl, err := NewCluster(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if _, err := cl.TrainEpochAll(0); err != nil {
+				t.Fatal(err)
+			}
+			rounds := int64(cl.Ranks[0].rounds)
+			want := rounds + 1
+			if depth == 1 {
+				want = 2 * rounds
+			}
+			if got := count.Calls(); got != want {
+				t.Fatalf("%d-round epoch issued %d feature collectives, want %d", rounds, got, want)
+			}
+			for r, rk := range cl.Ranks {
+				if live := rk.Store().Live(); live != 0 {
+					t.Fatalf("rank %d holds %d pooled matrices after the epoch", r, live)
+				}
+			}
+		})
 	}
 }
 

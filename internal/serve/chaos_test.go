@@ -312,10 +312,13 @@ func TestServeShutdownWhileStalled(t *testing.T) {
 	waitServeGoroutines(t, baseline)
 }
 
-// TestServeShedsWhenBudgetExceeded pins admission control: with a Deadline
-// set and a round-time estimate that makes the budget hopeless, Predict
-// fails fast with ErrShed (counted in the snapshot); when the estimate
-// falls back inside the budget, admission resumes.
+// TestServeShedsWhenBudgetExceeded pins admission control: before any
+// estimate exists the first request is admitted; with a round-time
+// estimate that makes the budget hopeless, a request arriving behind a
+// queue is shed at the door, but one arriving at an empty queue is
+// admitted — it is the probe whose round refreshes the estimate; when the
+// estimate falls back inside the budget, queued arrivals are admitted
+// again.
 func TestServeShedsWhenBudgetExceeded(t *testing.T) {
 	cl := serveCluster(t, 2, 0, false)
 	defer cl.Close()
@@ -333,20 +336,110 @@ func TestServeShedsWhenBudgetExceeded(t *testing.T) {
 		t.Fatalf("first request shed before any estimate existed: %v", err)
 	}
 
-	// Hopeless estimate: one round alone exceeds the budget.
-	srv.roundNS.Store(int64(time.Second))
-	if _, err := srv.Predict(0, out); !errors.Is(err, ErrShed) {
-		t.Fatalf("overloaded Predict returned %v, want ErrShed", err)
+	// The door rule itself, on a driver-free server so no finished round
+	// can overwrite the scripted estimate.
+	s := &Server{cfg: Config{MaxBatch: 4, Deadline: 5 * time.Millisecond}.withDefaults()}
+	s.maxBatch.Store(4)
+	s.roundNS.Store(int64(time.Second)) // hopeless: one round alone exceeds the budget
+	if !s.shedAtDoor(1) || !s.shedAtDoor(9) {
+		t.Fatal("a queued arrival under a hopeless estimate was admitted")
 	}
-	snap := srv.Snapshot()
-	if snap.Shed == 0 || snap.ShedRate <= 0 {
-		t.Fatalf("shed not accounted: %+v", snap)
+	if s.shedAtDoor(0) {
+		t.Fatal("an arrival at an empty queue was shed: nothing would ever refresh the estimate")
+	}
+	s.roundNS.Store(int64(time.Millisecond)) // recovered
+	if s.shedAtDoor(3) {
+		t.Fatal("a queued arrival was shed after the estimate recovered")
+	}
+	if !s.shedAtDoor(20) { // ⌈20/4⌉+1 = 6 rounds ahead > 5ms
+		t.Fatal("a deep queue was admitted past the budget")
+	}
+	s.cfg.Deadline = 0
+	if s.shedAtDoor(1000) {
+		t.Fatal("admission control shed without a Deadline")
+	}
+}
+
+// TestServeShedRecoversAfterStall pins the escape from admission latch-up:
+// one round stalled 150ms past a 25ms Deadline lifts the round-time
+// estimate over the budget. Before the fix every later arrival was shed at
+// the door, so no round ran and the estimate never came down — a permanent
+// outage from one noisy-neighbour stall. Now an arrival at an empty queue
+// is the probe, so serving resumes within a bounded number of rounds, the
+// estimate decays back inside the budget, and every offered request is
+// accounted for as served, shed, or failed.
+func TestServeShedRecoversAfterStall(t *testing.T) {
+	cl := serveCluster(t, 2, 0.1, false)
+	defer cl.Close()
+	const deadline = 25 * time.Millisecond
+	ch := dist.NewChaos(dist.ChaosConfig{})
+	srv, err := New(cl, Config{
+		MaxBatch: 4, MaxWait: -1, Seed: 8, Deadline: deadline,
+		// A long gather timeout keeps the stalled round on the healthy path:
+		// it completes late instead of degrading, which is what lifts the
+		// estimate.
+		GatherTimeout: 10 * time.Second,
+		WrapComm:      chaosWrap(ch, 1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	out := make([]float32, srv.Classes())
+	var offered, served, shed, failed int64
+	predict := func(v int32) error {
+		offered++
+		_, err := srv.Predict(v, out)
+		switch {
+		case err == nil:
+			served++
+		case errors.Is(err, ErrShed):
+			shed++
+		default:
+			failed++
+		}
+		return err
 	}
 
-	// Recovery: a fast estimate readmits traffic.
-	srv.roundNS.Store(int64(50 * time.Microsecond))
-	if _, err := srv.Predict(0, out); err != nil {
-		t.Fatalf("request shed after the estimate recovered: %v", err)
+	for i := 0; i < 5; i++ { // a healthy estimate, well inside the budget
+		predict(int32(i))
+	}
+	ch.Stall()
+	unstall := time.AfterFunc(150*time.Millisecond, ch.Clear)
+	defer unstall.Stop()
+	if err := predict(7); err != nil {
+		t.Fatalf("request riding the stalled round: %v", err)
+	}
+	// The driver folds the stalled round in after replying; wait for it.
+	for limit := time.Now().Add(5 * time.Second); time.Duration(srv.roundNS.Load()) <= deadline; {
+		if time.Now().After(limit) {
+			t.Fatalf("a 150ms round left the estimate at %v, inside the %v budget: the test no longer reproduces the latch",
+				time.Duration(srv.roundNS.Load()), deadline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Recovery: each arrival finds an empty queue. Shedding must stop
+	// within a bound, and the estimate must come back inside the budget.
+	const bound, tail = 8, 40
+	lastShed := -1
+	for i := 0; i < bound+tail; i++ {
+		if errors.Is(predict(int32(i%97)), ErrShed) {
+			lastShed = i
+		}
+	}
+	if lastShed >= bound {
+		t.Fatalf("request %d after the stall was still shed (bound %d): admission is latched", lastShed, bound)
+	}
+	if est := time.Duration(srv.roundNS.Load()); est > deadline {
+		t.Fatalf("estimate still %v after %d post-stall rounds, budget %v", est, bound+tail, deadline)
+	}
+	snap := srv.Snapshot()
+	if failed != 0 || offered != served+shed+failed {
+		t.Fatalf("offered %d != served %d + shed %d + failed %d", offered, served, shed, failed)
+	}
+	if snap.Requests != served || snap.Shed != shed {
+		t.Fatalf("snapshot %d served / %d shed, callers saw %d / %d", snap.Requests, snap.Shed, served, shed)
 	}
 }
 

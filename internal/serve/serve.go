@@ -16,10 +16,10 @@
 //	                               │
 //	     per-request logits copied out, latency recorded, buffers recycled
 //
-// Rounds are lockstep across ranks because Gather's three collectives must
-// stay matched — a rank with an empty queue gathers an empty id list, the
-// same padding discipline the training pipeline uses. Within a round the K
-// engines run concurrently.
+// Rounds are lockstep across ranks because Gather's two collectives (request
+// ids out, feature rows back) must stay matched — a rank with an empty
+// queue gathers an empty id list, the same padding discipline the training
+// pipeline uses. Within a round the K engines run concurrently.
 //
 // The steady-state serving loop is allocation-free: requests are pooled,
 // seeds/batches reuse high-water-mark scratch, the MFG comes from the
@@ -554,23 +554,14 @@ func (s *Server) Predict(v int32, out []float32) (Stats, error) {
 		s.reqPool.Put(r)
 		return Stats{}, ErrClosed
 	}
-	cur := int(s.maxBatch.Load())
-	if s.cfg.Deadline > 0 {
-		// Admission control: with an EWMA round-time estimate in hand, a
-		// request that would sit behind ⌈queue/batch⌉ rounds plus its own
-		// cannot meet the budget — reject it now, while the caller can still
-		// retry elsewhere, rather than time it out after queueing.
-		if est := s.roundNS.Load(); est > 0 {
-			ahead := int64(len(e.pending)/cur) + 1
-			if time.Duration(ahead*est) > s.cfg.Deadline {
-				e.mu.Unlock()
-				r.out = nil
-				s.reqPool.Put(r)
-				s.met.shed.Add(1)
-				return Stats{}, ErrShed
-			}
-		}
+	if s.shedAtDoor(len(e.pending)) {
+		e.mu.Unlock()
+		r.out = nil
+		s.reqPool.Put(r)
+		s.met.shed.Add(1)
+		return Stats{}, ErrShed
 	}
+	cur := int(s.maxBatch.Load())
 	e.pending = append(e.pending, r)
 	isFull := len(e.pending) >= cur
 	e.mu.Unlock()
@@ -591,6 +582,26 @@ func (s *Server) Predict(v int32, out []float32) (Stats, error) {
 	r.out = nil
 	s.reqPool.Put(r)
 	return st, err
+}
+
+// shedAtDoor is admission control (active only with a Deadline): with an
+// EWMA round-time estimate in hand, a request that would sit behind
+// ⌈queued/batch⌉ rounds plus its own cannot meet the budget — reject it
+// now, while the caller can still retry elsewhere, rather than time it out
+// after queueing. A request arriving at an empty queue is never shed: it
+// is the probe. Only a finished round updates the estimate, so if one
+// stalled round lifted it over the budget and every arrival were shed, no
+// round would run and the estimate could never come back down.
+func (s *Server) shedAtDoor(queued int) bool {
+	if s.cfg.Deadline <= 0 || queued == 0 {
+		return false
+	}
+	est := s.roundNS.Load()
+	if est <= 0 {
+		return false
+	}
+	ahead := int64(queued/int(s.maxBatch.Load())) + 1
+	return time.Duration(ahead*est) > s.cfg.Deadline
 }
 
 // Close shuts the server down: queued and in-flight requests fail with
@@ -1052,12 +1063,16 @@ func (e *engine) run(m roundMsg) {
 	if s.cfg.Deadline > 0 {
 		// Snapshot-time shed: a request whose budget cannot cover this
 		// round (queue wait so far plus the round-time estimate) would only
-		// waste batch slots on a reply its caller has abandoned. The filter
+		// waste batch slots on a reply its caller has abandoned. The oldest
+		// request is the round's probe (see shedAtDoor): only a budget its
+		// own wait has already spent sheds it, never the estimate alone, so
+		// a stale estimate is corrected by a served round. The filter
 		// rewrites e.batch in place, keeping the warm path allocation-free.
 		est := time.Duration(s.roundNS.Load())
 		kept := e.batch[:0]
-		for _, r := range e.batch {
-			if roundStart.Sub(r.arrive)+est > s.cfg.Deadline {
+		for i, r := range e.batch {
+			wait := roundStart.Sub(r.arrive)
+			if wait+est > s.cfg.Deadline && (i > 0 || wait > s.cfg.Deadline) {
 				r.err = ErrShed
 				s.met.shed.Add(1)
 				r.done <- struct{}{}
