@@ -178,8 +178,8 @@ func driftDemo() {
 					misses = append(misses, v)
 				}
 			}
-			// Exactly what dist.Store feeds the serving installer each round.
-			online.Observe(cache.RoundAccess{Hits: hits, Misses: [][]int32{misses}})
+			// Exactly what dist.Store feeds the serving scorer each round.
+			online.Observe(hits, [][]int32{misses})
 			if (round+1)%refresh == 0 {
 				next, err := cache.Build(online.Propose(capacity), n)
 				if err != nil {

@@ -92,8 +92,9 @@ func (e *Epoch) EnsureQuant(p tensor.Precision) {
 // Release and the pool's Live gauge proves that shutdown — even mid-install
 // — leaks nothing.
 //
-// A builder serves one install stream (one store); Build/Release are not
-// safe for concurrent use with each other.
+// A builder serves one install stream (one store). Build/BuildFor and
+// Release may run on different goroutines (the pool is thread-safe); only
+// one goroutine may build.
 type EpochBuilder struct {
 	n    int
 	dim  int
@@ -129,6 +130,27 @@ func (b *EpochBuilder) Build(ids []int32) (*Epoch, error) {
 	}
 	b.gen++
 	return &Epoch{Gen: b.gen, Index: index, Rows: rows, owner: b}, nil
+}
+
+// BuildFor materializes an epoch holding exactly ids, counting churn (the
+// newly admitted ids) against cur. Returns (nil, 0, nil) when the
+// membership is unchanged from cur's. Serving calls it from a background
+// builder goroutine; cur must stay the store's current epoch until the
+// result is installed (one outstanding build per builder guarantees this).
+func (b *EpochBuilder) BuildFor(ids []int32, cur *Epoch) (next *Epoch, churn int, err error) {
+	for _, v := range ids {
+		if cur == nil || cur.Index == nil || !cur.Index.Has(v) {
+			churn++
+		}
+	}
+	if churn == 0 && len(ids) == cur.Len() {
+		return nil, 0, nil
+	}
+	next, err = b.Build(ids)
+	if err != nil {
+		return nil, 0, err
+	}
+	return next, churn, nil
 }
 
 // Release returns a retired epoch's row storage to the builder's pool.

@@ -18,71 +18,9 @@ func testRowSource(dim int) func(v int32) []float32 {
 	}
 }
 
-// TestStaticPolicyBitwiseUnchanged pins the default policy to the frozen
-// pre-refactor behavior: whatever the Static policy observes, Propose
-// returns the pinned setup prefix, the installer never builds an epoch
-// for it, and the store-side swap therefore never happens — the cache stays
-// bitwise the setup-time truncated ranking for the life of the run.
-func TestStaticPolicyBitwiseUnchanged(t *testing.T) {
-	prefix := []int32{7, 2, 9, 4}
-	pol := NewStatic(prefix)
-	if pol.Name() != "static" {
-		t.Fatalf("policy name %q", pol.Name())
-	}
-
-	builder, err := NewEpochBuilder(16, 3, testRowSource(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	setup, err := builder.Build(prefix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := NewInstaller(pol, builder, len(prefix))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Hammer the policy with drifting traffic that would flip an online
-	// scorer; the static policy must not move.
-	for round := 0; round < 100; round++ {
-		hot := int32(round % 16)
-		inst.Observe(RoundAccess{Hits: []int32{hot}, Misses: [][]int32{{hot, (hot + 1) % 16}}})
-		next, churn, err := inst.BuildFor(inst.Propose(), setup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if next != nil || churn != 0 {
-			t.Fatalf("round %d: static policy produced an epoch (churn %d)", round, churn)
-		}
-	}
-	if inst.Installs() != 0 || inst.ChurnRows() != 0 {
-		t.Fatalf("static installer counted installs=%d churn=%d", inst.Installs(), inst.ChurnRows())
-	}
-	for _, capacity := range []int{0, 2, 4, 10} {
-		got := pol.Propose(capacity)
-		want := capacity
-		if want > len(prefix) {
-			want = len(prefix)
-		}
-		if len(got) != want {
-			t.Fatalf("Propose(%d) returned %d ids", capacity, len(got))
-		}
-		for i := range got {
-			if got[i] != prefix[i] {
-				t.Fatalf("Propose(%d)[%d] = %d, want pinned %d", capacity, i, got[i], prefix[i])
-			}
-		}
-	}
-	builder.Release(setup)
-	if live := inst.Live(); live != 0 {
-		t.Fatalf("%d epochs live after release", live)
-	}
-}
-
 // TestOnlinePolicyDeterminism feeds two independently constructed scorers
 // the identical observation stream and requires identical proposals after
-// every round — the Policy determinism contract serving's cross-transport
+// every round — the Online determinism contract serving's cross-transport
 // reproducibility rests on.
 func TestOnlinePolicyDeterminism(t *testing.T) {
 	const n = 64
@@ -100,12 +38,10 @@ func TestOnlinePolicyDeterminism(t *testing.T) {
 	}
 	a, b := mk(), mk()
 	for round := 0; round < 200; round++ {
-		acc := RoundAccess{
-			Hits:   []int32{int32(round % n), int32((round * 7) % n)},
-			Misses: [][]int32{{int32((round * 3) % n)}, {int32((round*5 + 1) % n)}},
-		}
-		a.Observe(acc)
-		b.Observe(acc)
+		hits := []int32{int32(round % n), int32((round * 7) % n)}
+		misses := [][]int32{{int32((round * 3) % n)}, {int32((round*5 + 1) % n)}}
+		a.Observe(hits, misses)
+		b.Observe(hits, misses)
 		pa := a.Propose(10)
 		pb := b.Propose(10)
 		if len(pa) != len(pb) {
@@ -140,7 +76,7 @@ func TestOnlineAdmissionAndEviction(t *testing.T) {
 	// Vertex 20 gets hot: after a handful of rounds its frequency (~1 per
 	// round) beats every prior (<= priorWeight*(1+degreeWeight)).
 	for round := 0; round < 12; round++ {
-		o.Observe(RoundAccess{Hits: []int32{20}})
+		o.Observe([]int32{20}, nil)
 	}
 	if got := o.Propose(2); !has(got, 20) {
 		t.Fatalf("hot vertex not admitted: proposal %v", got)
@@ -148,7 +84,7 @@ func TestOnlineAdmissionAndEviction(t *testing.T) {
 	// Traffic moves to vertex 21; vertex 20's heat halves every 4 rounds
 	// and the prior-backed seeds plus the new hot vertex crowd it out.
 	for round := 0; round < 64; round++ {
-		o.Observe(RoundAccess{Misses: [][]int32{{21}}})
+		o.Observe(nil, [][]int32{{21}})
 	}
 	got := o.Propose(2)
 	if has(got, 20) {
@@ -167,7 +103,7 @@ func TestOnlineTieBreakAscendingID(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One access each, same round: identical decayed frequency, zero prior.
-	o.Observe(RoundAccess{Hits: []int32{9, 3, 12, 5}})
+	o.Observe([]int32{9, 3, 12, 5}, nil)
 	got := o.Propose(4)
 	want := []int32{3, 5, 9, 12}
 	for i := range want {
@@ -177,9 +113,59 @@ func TestOnlineTieBreakAscendingID(t *testing.T) {
 	}
 }
 
-// TestInstallerChurnAndRelease exercises the build/install/release cycle:
-// churn counts only newly admitted ids, an unchanged membership builds
-// nothing, and releasing every retired epoch drains the builder's pool.
+// TestStaticPolicyBitwiseUnchanged pins the static cache to the frozen
+// setup-time behavior: re-proposing the pinned setup prefix round after
+// round builds no epoch and counts no churn, so the store-side swap never
+// happens and the cache stays bitwise the setup-time truncated ranking —
+// rows hydrated from the row source in slot order — for the life of the run.
+func TestStaticPolicyBitwiseUnchanged(t *testing.T) {
+	const dim = 3
+	prefix := []int32{7, 2, 9, 4}
+	builder, err := NewEpochBuilder(16, dim, testRowSource(dim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup, err := builder.Build(prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := setup.IDs()
+	if len(ids) != len(prefix) {
+		t.Fatalf("setup epoch holds %d ids, want %d", len(ids), len(prefix))
+	}
+	for i, v := range ids {
+		if v != prefix[i] {
+			t.Fatalf("slot %d holds %d, want pinned %d", i, v, prefix[i])
+		}
+		for j := 0; j < dim; j++ {
+			if got, want := setup.Rows.At(i, j), float32(int(v)*10+j); got != want {
+				t.Fatalf("row %d col %d = %v, want %v", i, j, got, want)
+			}
+		}
+	}
+
+	for round := 0; round < 100; round++ {
+		next, churn, err := builder.BuildFor(prefix, setup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next != nil || churn != 0 {
+			t.Fatalf("round %d: static prefix produced an epoch (churn %d)", round, churn)
+		}
+	}
+	if live := builder.Live(); live != 1 {
+		t.Fatalf("static proposals left %d epochs live, want the 1 built", live)
+	}
+	builder.Release(setup)
+	if live := builder.Live(); live != 0 {
+		t.Fatalf("%d epochs live after release", live)
+	}
+}
+
+// TestInstallerChurnAndRelease exercises the build/install/release cycle of
+// EpochBuilder.BuildFor: churn counts only newly admitted ids, an unchanged
+// membership builds nothing, and releasing every retired epoch drains the
+// builder's pool.
 func TestInstallerChurnAndRelease(t *testing.T) {
 	const n, dim = 16, 3
 	builder, err := NewEpochBuilder(n, dim, testRowSource(dim))
@@ -187,10 +173,6 @@ func TestInstallerChurnAndRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol, err := NewOnline(n, []int32{1, 2}, nil, OnlineConfig{HalfLife: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := NewInstaller(pol, builder, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,16 +191,16 @@ func TestInstallerChurnAndRelease(t *testing.T) {
 		}
 	}
 
-	// Same membership proposed -> no build, no install counted.
-	if next, churn, err := inst.BuildFor([]int32{1, 2}, cur); err != nil || next != nil || churn != 0 {
+	// Same membership proposed -> no build, no churn.
+	if next, churn, err := builder.BuildFor([]int32{1, 2}, cur); err != nil || next != nil || churn != 0 {
 		t.Fatalf("unchanged membership built an epoch: %v %d %v", next, churn, err)
 	}
 
 	// Heat vertex 9 until it displaces a seed: churn 1 (only 9 is new).
 	for round := 0; round < 16; round++ {
-		inst.Observe(RoundAccess{Hits: []int32{9, 1}})
+		pol.Observe([]int32{9, 1}, nil)
 	}
-	next, churn, err := inst.BuildFor(inst.Propose(), cur)
+	next, churn, err := builder.BuildFor(pol.Propose(2), cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,23 +210,20 @@ func TestInstallerChurnAndRelease(t *testing.T) {
 	if next.Gen != cur.Gen+1 {
 		t.Fatalf("generation did not advance: %d after %d", next.Gen, cur.Gen)
 	}
-	inst.Release(cur)
-	if inst.Installs() != 1 || inst.ChurnRows() != 1 {
-		t.Fatalf("accounting: installs=%d churn=%d", inst.Installs(), inst.ChurnRows())
-	}
-	inst.Release(next)
-	if live := inst.Live(); live != 0 {
+	builder.Release(cur)
+	builder.Release(next)
+	if live := builder.Live(); live != 0 {
 		t.Fatalf("%d epochs live after releasing everything", live)
 	}
 	// Double release and foreign/nil release are no-ops.
-	inst.Release(next)
-	inst.Release(nil)
+	builder.Release(next)
+	builder.Release(nil)
 	setup, err := NewEpoch(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst.Release(setup)
-	if live := inst.Live(); live != 0 {
+	builder.Release(setup)
+	if live := builder.Live(); live != 0 {
 		t.Fatalf("release no-ops disturbed the gauge: %d", live)
 	}
 }

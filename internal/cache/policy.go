@@ -73,10 +73,9 @@ func (c *Context) remoteIDs() []int32 {
 
 // Ranker produces the setup-time ranking of remote vertices for one
 // partition, best candidates first. The seven Figure 2 policies implement
-// it; the truncated ranking becomes the first cache epoch (and, under the
-// default Static online policy, every epoch after it). The online
-// admission/eviction interface that evolves the cache after setup is
-// Policy (online.go).
+// it; the truncated ranking becomes the first cache epoch (and, in the
+// default static serving mode, every epoch after it). The online scorer
+// that evolves the cache after setup is Online (online.go).
 type Ranker interface {
 	// Name is the short label used in tables (matching Figure 2's legend).
 	Name() string

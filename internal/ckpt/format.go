@@ -163,9 +163,11 @@ type TrainState struct {
 	// row, so resuming under a different codec would silently diverge from
 	// the checkpointed trajectory; restore validates it like the seed.
 	Codec string
-	// Precision names the compute backend precision ("fp32", "fp16",
-	// "int8") the run executed under. Reduced-precision kernels round every
-	// GEMM, so it is run identity exactly like Codec; restore validates it.
+	// Precision names the serving compute precision ("fp32", "fp16",
+	// "int8") the run was configured with. Training always computes fp32,
+	// so it never changes the trajectory; it is recorded as run identity
+	// so a resumed run serves at the same precision, and restore validates
+	// it like Codec.
 	Precision string
 	// GradCodec names the gradient all-reduce wire codec ("fp32", "fp16",
 	// "int8") the run trained under. A lossy gradient codec perturbs

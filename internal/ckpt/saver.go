@@ -99,11 +99,11 @@ func NewSaver(cfg Config, k, rounds int) (*Saver, error) {
 func (s *Saver) SetTopology(t *Topology) { s.topo = t }
 
 // SetRunConfig pins the run identity (dataset name, sampling seed, batch
-// size, fanouts, the feature-gather wire codec, the compute-backend
-// precision, and the gradient all-reduce codec) in every checkpoint so
-// restore can reject drift that would silently train the wrong data,
-// replay different batches, dequantize different feature bytes, round
-// GEMMs differently, or quantize gradients against a stale residual. Must
+// size, fanouts, the feature-gather wire codec, the serving precision,
+// and the gradient all-reduce codec) in every checkpoint so restore can
+// reject drift that would silently train the wrong data, replay different
+// batches, dequantize different feature bytes, serve at a different
+// precision, or quantize gradients against a stale residual. Must
 // be called before the first Offer. An empty codec, precision, or
 // gradCodec records the "fp32" default.
 func (s *Saver) SetRunConfig(dataset string, seed uint64, batchSize int, fanouts []int, codec, precision, gradCodec string) {

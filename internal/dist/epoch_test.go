@@ -20,7 +20,7 @@ type epochTrace struct {
 
 // runOnlineCacheScript drives a scripted online-cache serving loop over a
 // 2-rank store pair on the given transport: seeded static epochs, a
-// deterministic per-rank gather stream, an Online policy observing every
+// deterministic per-rank gather stream, an Online scorer observing every
 // round, and a synchronous propose→build→install→release cycle every two
 // rounds. Returns one trace per rank.
 func runOnlineCacheScript(t *testing.T, mk func(k int) ([]Comm, error)) []epochTrace {
@@ -48,8 +48,9 @@ func runOnlineCacheScript(t *testing.T, mk func(k int) ([]Comm, error)) []epochT
 	defer comms[0].Close()
 
 	type rankState struct {
-		store *Store
-		inst  *cache.Installer
+		store   *Store
+		online  *cache.Online
+		builder *cache.EpochBuilder
 	}
 	ranks := make([]rankState, k)
 	for r := 0; r < k; r++ {
@@ -80,15 +81,11 @@ func runOnlineCacheScript(t *testing.T, mk func(k int) ([]Comm, error)) []epochT
 		if err != nil {
 			t.Fatal(err)
 		}
-		pol, err := cache.NewOnline(n, seedRanking, nil, cache.OnlineConfig{HalfLife: 4})
+		online, err := cache.NewOnline(n, seedRanking, nil, cache.OnlineConfig{HalfLife: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		inst, err := cache.NewInstaller(pol, builder, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ranks[r] = rankState{store: st, inst: inst}
+		ranks[r] = rankState{store: st, online: online, builder: builder}
 	}
 
 	traces := make([]epochTrace, k)
@@ -110,10 +107,10 @@ func runOnlineCacheScript(t *testing.T, mk func(k int) ([]Comm, error)) []epochT
 				return err
 			}
 			rs.store.Release(feats)
-			rs.inst.Observe(cache.RoundAccess{Hits: stats.CacheHitIDs, Misses: stats.RemoteIDs})
+			rs.online.Observe(stats.CacheHitIDs, stats.RemoteIDs)
 			tr.Rounds = append(tr.Rounds, [2]int64{int64(stats.CacheHits), int64(stats.RemoteFetch)})
 			if (round+1)%2 == 0 {
-				next, _, err := rs.inst.BuildFor(rs.inst.Propose(), rs.store.Epoch())
+				next, _, err := rs.builder.BuildFor(rs.online.Propose(2), rs.store.Epoch())
 				if err != nil {
 					return err
 				}
@@ -123,7 +120,7 @@ func runOnlineCacheScript(t *testing.T, mk func(k int) ([]Comm, error)) []epochT
 					if err != nil {
 						return err
 					}
-					rs.inst.Release(displaced)
+					rs.builder.Release(displaced)
 				}
 			}
 		}
@@ -132,10 +129,19 @@ func runOnlineCacheScript(t *testing.T, mk func(k int) ([]Comm, error)) []epochT
 		return nil
 	})
 
-	// Leak check: release the installed epoch; the builders must drain.
 	for r := range ranks {
-		ranks[r].inst.Release(ranks[r].store.Epoch())
-		if live := ranks[r].inst.Live(); live != 0 {
+		// An epoch with an index but no rows (the fields are exported) is
+		// refused, and the installed epoch stays in place.
+		cur := ranks[r].store.Epoch()
+		if _, err := ranks[r].store.InstallEpoch(&cache.Epoch{Index: cur.Index}); err == nil {
+			t.Fatalf("rank %d: installed an epoch with nil rows", r)
+		}
+		if ranks[r].store.Epoch() != cur {
+			t.Fatalf("rank %d: a refused install displaced the current epoch", r)
+		}
+		// Leak check: release the installed epoch; the builder must drain.
+		ranks[r].builder.Release(cur)
+		if live := ranks[r].builder.Live(); live != 0 {
 			t.Fatalf("rank %d: %d epochs live after release", r, live)
 		}
 		if live := ranks[r].store.Live(); live != 0 {
@@ -149,7 +155,7 @@ func runOnlineCacheScript(t *testing.T, mk func(k int) ([]Comm, error)) []epochT
 // online-cache loop over the in-process and the loopback-TCP transports
 // and requires bitwise-identical traces: same per-round gather
 // classification, same installed memberships in the same order, same
-// final generation. This is the Policy determinism contract surfacing end
+// final generation. This is the Online determinism contract surfacing end
 // to end — the transport must be invisible to the cache layer.
 func TestOnlineCacheCrossTransportDeterminism(t *testing.T) {
 	local := runOnlineCacheScript(t, NewLocalGroup)

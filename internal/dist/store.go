@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"salientpp/internal/cache"
 	"salientpp/internal/tensor"
@@ -37,8 +36,8 @@ type GatherStats struct {
 	// RemoteIDs the ids behind RemoteFetch (for GatherLocal: Missing),
 	// grouped per owning rank with each list ascending. Both alias the
 	// store's reusable scratch, valid only until the next gather — the
-	// online cache policy folds them into its own state via Observe
-	// (cache.RoundAccess) before the next round. The training stream
+	// online cache scorer folds them into its own state via
+	// cache.Online.Observe before the next round. The training stream
 	// (GatherNext/GatherFlush) reports counts only: both lists are nil
 	// there.
 	CacheHitIDs []int32
@@ -173,7 +172,10 @@ func validateEpoch(ep *cache.Epoch, dim int) error {
 	if ep == nil || ep.Index == nil {
 		return nil
 	}
-	if ep.Rows == nil || ep.Rows.Rows != ep.Index.Len() {
+	if ep.Rows == nil {
+		return fmt.Errorf("dist: cache epoch gen %d has no data rows for %d cached ids", ep.Gen, ep.Index.Len())
+	}
+	if ep.Rows.Rows != ep.Index.Len() {
 		return fmt.Errorf("dist: cache epoch gen %d has %d data rows for %d cached ids", ep.Gen, ep.Rows.Rows, ep.Index.Len())
 	}
 	if ep.Rows.Cols != dim {
@@ -469,15 +471,6 @@ func (s *Store) drop(rd *gatherRound) {
 	s.pending = nil
 	clear(s.answered)
 }
-
-// SetGatherTimeout bounds each Gather's collectives on this store's
-// communicator: a gather blocked on a stalled or dead peer fails with an
-// error satisfying errors.Is(err, dist.ErrTimeout) instead of hanging
-// (and, per the Comm contract, poisons the group — pair it with
-// GatherLocal and a fresh sibling group to serve through the failure).
-// Like SetAbort, install before the first Gather; do not call concurrently
-// with gathers.
-func (s *Store) SetGatherTimeout(d time.Duration) { s.comm.SetTimeout(d) }
 
 // GatherLocal is the degraded-mode Gather: it assembles the output from
 // the local shard and the cache only, runs no collectives, and zero-fills

@@ -77,7 +77,7 @@ func TestGatherTimeoutUnblocksStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetGatherTimeout(60 * time.Millisecond)
+	comms[0].SetTimeout(60 * time.Millisecond)
 
 	done := make(chan error, 1)
 	go func() {

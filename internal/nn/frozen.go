@@ -23,7 +23,6 @@ type Frozen struct {
 	layers  []*SAGEConv // gradient-free: only Param.W is populated
 	caches  []sageCache
 	arena   *tensor.Arena
-	backend tensor.Backend
 	timers  StageTimers
 	inDim   int
 	classes int
@@ -42,7 +41,6 @@ func (m *Model) Freeze() *Frozen {
 	f := &Frozen{
 		arena:   tensor.NewArena(tensor.NewPool()),
 		caches:  make([]sageCache, len(m.Layers)),
-		backend: m.Backend,
 		inDim:   m.Layers[0].InDim,
 		classes: m.Layers[len(m.Layers)-1].OutDim,
 	}
@@ -81,7 +79,7 @@ func (f *Frozen) Forward(mfg *sample.MFG, x *tensor.Matrix) (*tensor.Matrix, err
 		return nil, fmt.Errorf("nn: feature rows %d != MFG inputs %d", x.Rows, len(mfg.InputIDs()))
 	}
 	f.arena.Release() // recycle the previous batch's working set
-	env := layerEnv{be: f.backend, timers: &f.timers}
+	env := layerEnv{timers: &f.timers}
 	h := x
 	for li, layer := range f.layers {
 		out := layer.Forward(mfg.Blocks[li], h, f.arena, &f.caches[li], &env)

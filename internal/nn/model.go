@@ -22,11 +22,6 @@ type Model struct {
 	Layers  []*SAGEConv
 	Dropout float64
 
-	// Backend runs the dense kernels (GEMMs) of every layer. NewModel sets
-	// it to tensor.DefaultBackend(); swap it before the first Forward to
-	// route compute through a different implementation.
-	Backend tensor.Backend
-
 	pool  *tensor.Pool
 	arena *tensor.Arena
 
@@ -59,7 +54,7 @@ func NewModel(inDim, hidden, classes, layers int, dropout float64, seed uint64) 
 	}
 	r := rng.New(seed)
 	pool := tensor.NewPool()
-	m := &Model{Dropout: dropout, Backend: tensor.DefaultBackend(), dropRNG: r.Split(999), pool: pool, arena: tensor.NewArena(pool)}
+	m := &Model{Dropout: dropout, dropRNG: r.Split(999), pool: pool, arena: tensor.NewArena(pool)}
 	for l := 0; l < layers; l++ {
 		in := hidden
 		if l == 0 {
@@ -100,7 +95,7 @@ func (m *Model) Forward(mfg *sample.MFG, x *tensor.Matrix, training bool) (*tens
 	m.masks = m.masks[:0]
 	m.training = training
 
-	env := layerEnv{be: m.Backend, timers: &m.timers, training: training}
+	env := layerEnv{timers: &m.timers, training: training}
 	h := x
 	for li, layer := range m.Layers {
 		out := layer.Forward(mfg.Blocks[li], h, m.arena, &m.caches[li], &env)
@@ -142,7 +137,7 @@ func (m *Model) Backward(dLogits *tensor.Matrix) {
 		panic("nn: Backward requires a training-mode Forward")
 	}
 	t0 := time.Now()
-	env := layerEnv{be: m.Backend, timers: &m.timers, training: true}
+	env := layerEnv{timers: &m.timers, training: true}
 	grad := dLogits
 	for li := len(m.Layers) - 1; li >= 0; li-- {
 		grad = m.Layers[li].Backward(&m.caches[li], grad, m.arena, &env)

@@ -13,7 +13,7 @@ import (
 // handBlock builds a tiny block: 2 destinations, 4 inputs.
 // dst 0 samples inputs {2, 3}; dst 1 samples input {3}.
 func testEnv() *layerEnv {
-	return &layerEnv{be: tensor.DefaultBackend(), timers: &StageTimers{}, training: true}
+	return &layerEnv{timers: &StageTimers{}, training: true}
 }
 
 func handBlock() *sample.Block {

@@ -19,11 +19,9 @@ type StageTimers struct {
 }
 
 // layerEnv is the execution context a Model or Frozen threads through its
-// layers: which compute backend runs the GEMMs, where stage time is
-// attributed, and whether forward intermediates must be retained for a
-// backward pass.
+// layers: where stage time is attributed, and whether forward intermediates
+// must be retained for a backward pass.
 type layerEnv struct {
-	be       tensor.Backend
 	timers   *StageTimers
 	training bool
 }
@@ -78,10 +76,12 @@ type sageCache struct {
 	dhSelf tensor.Matrix
 
 	// aggStrip and outStrip are the fused pass's per-strip views. They live
-	// in the cache (heap-resident) rather than on the Forward stack because
-	// they are passed through the Backend interface, which escape analysis
-	// cannot see through — stack-local headers would be forced to the heap
-	// on every call.
+	// in the cache rather than on the Forward stack because escape analysis
+	// moves a stack header to the heap on every strip: aggStrip is captured
+	// by the closure the parallel aggregation hands to tensor.ParallelRows,
+	// and outStrip is the C operand of tensor.MatMulAdd, whose parallel
+	// dispatch hands it to worker goroutines (TestForwardBackwardAllocationFree
+	// fails with stack-local views).
 	aggStrip tensor.Matrix
 	outStrip tensor.Matrix
 
@@ -127,7 +127,7 @@ func (l *SAGEConv) Forward(b *sample.Block, h *tensor.Matrix, ar *tensor.Arena, 
 
 	out := ar.Get(nd, l.OutDim)
 	t0 := time.Now()
-	env.be.MatMul(out, &cache.hSelf, l.WSelf.W)
+	tensor.MatMul(out, &cache.hSelf, l.WSelf.W)
 	env.timers.TransformNS += int64(time.Since(t0))
 
 	for lo := 0; lo < nd; lo += fusedStripRows {
@@ -152,7 +152,7 @@ func (l *SAGEConv) Forward(b *sample.Block, h *tensor.Matrix, ar *tensor.Arena, 
 		env.timers.AggregateNS += int64(t1.Sub(t0))
 
 		cache.outStrip = tensor.Matrix{Rows: hi - lo, Cols: l.OutDim, Data: out.Data[lo*l.OutDim : hi*l.OutDim]}
-		env.be.MatMulAdd(&cache.outStrip, strip, l.WNeigh.W)
+		tensor.MatMulAdd(&cache.outStrip, strip, l.WNeigh.W)
 		env.timers.TransformNS += int64(time.Since(t1))
 	}
 
@@ -203,9 +203,9 @@ func (l *SAGEConv) Backward(c *sageCache, dOut *tensor.Matrix, ar *tensor.Arena,
 
 	// Parameter gradients (accumulate).
 	gw := ar.Get(l.InDim, l.OutDim)
-	env.be.MatMulATB(gw, &c.hSelf, dOut)
+	tensor.MatMulATB(gw, &c.hSelf, dOut)
 	l.WSelf.G.Add(gw)
-	env.be.MatMulATB(gw, c.agg, dOut)
+	tensor.MatMulATB(gw, c.agg, dOut)
 	l.WNeigh.G.Add(gw)
 	for i := 0; i < nd; i++ {
 		row := dOut.Row(i)
@@ -219,7 +219,7 @@ func (l *SAGEConv) Backward(c *sageCache, dOut *tensor.Matrix, ar *tensor.Arena,
 	// Self path: the destination prefix of dh gets dOut·WSelfᵀ, written in
 	// place through a header view (MatMulABT overwrites, no zeroing needed).
 	c.dhSelf = tensor.Matrix{Rows: nd, Cols: l.InDim, Data: dh.Data[:nd*l.InDim]}
-	env.be.MatMulABT(&c.dhSelf, dOut, l.WSelf.W)
+	tensor.MatMulABT(&c.dhSelf, dOut, l.WSelf.W)
 	// Neighbor path: dAgg = dOut·WNeighᵀ, split evenly among sampled
 	// neighbors (mean backward). The scatter runs input-major over a reverse
 	// CSR of the block so that workers own disjoint dh rows; contributions
@@ -227,7 +227,7 @@ func (l *SAGEConv) Backward(c *sageCache, dOut *tensor.Matrix, ar *tensor.Arena,
 	// independent of the worker count (and bitwise equal to the serial
 	// destination-major scatter).
 	dAgg := ar.Get(nd, l.InDim)
-	env.be.MatMulABT(dAgg, dOut, l.WNeigh.W)
+	tensor.MatMulABT(dAgg, dOut, l.WNeigh.W)
 	// Pre-scale each dAgg row by its mean reciprocal once (one division per
 	// destination instead of one per edge; the per-edge v·inv products are
 	// unchanged, so the scatter stays bitwise identical).

@@ -93,10 +93,10 @@ func testOnlineCacheSwapUnderLoad(t *testing.T, useTCP bool) {
 		t.Fatal(err)
 	}
 	for i, e := range srv.engines {
-		if e.installer == nil {
-			t.Fatalf("engine %d lost its installer", i)
+		if e.builder == nil {
+			t.Fatalf("engine %d lost its epoch builder", i)
 		}
-		if live := e.installer.Live(); live != 0 {
+		if live := e.builder.Live(); live != 0 {
 			t.Fatalf("engine %d leaked %d cache epochs at shutdown", i, live)
 		}
 		if live := e.store.Live(); live != 0 {
@@ -163,10 +163,10 @@ func testOnlineCacheShutdownReleasesEpochs(t *testing.T, useTCP bool) {
 	}
 
 	for i, e := range srv.engines {
-		if e.installer == nil {
+		if e.builder == nil {
 			continue
 		}
-		if live := e.installer.Live(); live != 0 {
+		if live := e.builder.Live(); live != 0 {
 			t.Fatalf("engine %d: %d cache epochs still live after Close mid-install", i, live)
 		}
 		if live := e.store.Live(); live != 0 {

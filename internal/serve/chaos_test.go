@@ -511,10 +511,10 @@ func TestServeAccountsEveryRequestUnderOverload(t *testing.T) {
 
 // TestAdaptiveBatchBounds unit-tests the driver's batch controller: halve
 // under SLO pressure with a floor of 1, double under backlog with ample
-// headroom up to MaxBatchCap, hold otherwise.
+// headroom up to 8×MaxBatch, hold otherwise.
 func TestAdaptiveBatchBounds(t *testing.T) {
 	s := &Server{cfg: Config{
-		MaxBatch: 4, MaxBatchCap: 16, Deadline: 10 * time.Millisecond,
+		MaxBatch: 4, Deadline: 10 * time.Millisecond,
 	}.withDefaults()}
 	s.maxBatch.Store(4)
 
@@ -527,9 +527,9 @@ func TestAdaptiveBatchBounds(t *testing.T) {
 		}
 	}
 
-	// Fast rounds + backlog: grow, capped at MaxBatchCap.
+	// Fast rounds + backlog: grow, capped at 8×MaxBatch.
 	s.roundNS.Store(int64(time.Millisecond))
-	for _, want := range []int64{2, 4, 8, 16, 16} {
+	for _, want := range []int64{2, 4, 8, 16, 32, 32} {
 		s.adaptBatch(1000)
 		if got := s.maxBatch.Load(); got != want {
 			t.Fatalf("grow: batch %d, want %d", got, want)
@@ -538,7 +538,7 @@ func TestAdaptiveBatchBounds(t *testing.T) {
 
 	// Fast rounds without backlog: hold.
 	s.adaptBatch(3)
-	if got := s.maxBatch.Load(); got != 16 {
+	if got := s.maxBatch.Load(); got != 32 {
 		t.Fatalf("hold: batch moved to %d", got)
 	}
 

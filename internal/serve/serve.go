@@ -99,13 +99,10 @@ type Config struct {
 	// queue is too deep at Predict time, or its budget expires before its
 	// round fires — fails with ErrShed instead of queueing unboundedly.
 	// Deadline also activates adaptive batching: the driver grows the
-	// effective per-rank batch (up to MaxBatchCap) under backlog while
+	// effective per-rank batch (up to 8×MaxBatch) under backlog while
 	// rounds run well inside the budget, and shrinks it back under SLO
 	// pressure. Zero disables both (the historical fixed-MaxBatch policy).
 	Deadline time.Duration
-	// MaxBatchCap bounds adaptive batch growth; 0 defaults to 8×MaxBatch.
-	// Ignored unless Deadline is set.
-	MaxBatchCap int
 	// GatherTimeout bounds each serving round's feature collectives and
 	// turns on degraded operation: when a gather times out (or otherwise
 	// fails while the server is up), the round falls back to cache + local
@@ -143,6 +140,10 @@ type Config struct {
 	CacheRefreshRounds int
 }
 
+// maxBatchGrowth bounds adaptive batch growth: under a Deadline the
+// effective per-rank batch never exceeds maxBatchGrowth×MaxBatch.
+const maxBatchGrowth = 8
+
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
@@ -155,12 +156,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Deadline > 0 && c.GatherTimeout == 0 {
 		c.GatherTimeout = c.Deadline / 2
-	}
-	if c.MaxBatchCap <= 0 {
-		c.MaxBatchCap = 8 * c.MaxBatch
-	}
-	if c.MaxBatchCap < c.MaxBatch {
-		c.MaxBatchCap = c.MaxBatch
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 250 * time.Millisecond
@@ -319,7 +314,7 @@ func New(cl *pipeline.Cluster, cfg Config) (*Server, error) {
 		full:     make(chan struct{}, 1),
 		shutdown: make(chan struct{}),
 		newGroup: make(chan *commGroup, 1),
-		met:      newMetrics(cfg.MaxBatchCap),
+		met:      newMetrics(maxBatchGrowth * cfg.MaxBatch),
 	}
 	s.maxBatch.Store(int64(cfg.MaxBatch))
 	s.healthy.Store(true)
@@ -364,10 +359,11 @@ func New(cl *pipeline.Cluster, cfg Config) (*Server, error) {
 			start:  make(chan roundMsg),
 			ended:  make(chan struct{}, 1),
 		}
-		// Online mode: an installer per engine at the parent epoch's
-		// capacity, seeded with its membership (the static VIP prefix) so a
-		// cold scorer proposes roughly the cache it inherited. A rank whose
-		// parent caches nothing has nothing to adapt — it stays static.
+		// Online mode: a scorer and an epoch builder per engine at the
+		// parent epoch's capacity, the scorer seeded with its membership (the
+		// static VIP prefix) so a cold scorer proposes roughly the cache it
+		// inherited. A rank whose parent caches nothing has nothing to adapt
+		// — it stays static.
 		if pep := s.parents[r].Epoch(); online && pep.Len() > 0 {
 			if degrees == nil {
 				degrees = cl.Data.Graph.Degrees()
@@ -376,15 +372,11 @@ func New(cl *pipeline.Cluster, cfg Config) (*Server, error) {
 			if err != nil {
 				return fail(err)
 			}
-			policy, err := cache.NewOnline(s.numVerts, pep.IDs(), degrees, cache.OnlineConfig{})
+			online, err := cache.NewOnline(s.numVerts, pep.IDs(), degrees, cache.OnlineConfig{})
 			if err != nil {
 				return fail(err)
 			}
-			installer, err := cache.NewInstaller(policy, builder, pep.Len())
-			if err != nil {
-				return fail(err)
-			}
-			e.installer = installer
+			e.online, e.builder, e.capacity = online, builder, pep.Len()
 			e.refreshEvery = cfg.CacheRefreshRounds
 			e.proposals = make(chan cacheProposal, 1)
 			e.built = make(chan cacheBuilt, 1)
@@ -405,7 +397,7 @@ func New(cl *pipeline.Cluster, cfg Config) (*Server, error) {
 	s.wg.Add(1 + k)
 	for _, e := range s.engines {
 		go e.loop()
-		if e.installer != nil {
+		if e.online != nil {
 			s.wg.Add(1)
 			go e.cacheLoop()
 		}
@@ -621,18 +613,18 @@ func (s *Server) Close() error {
 	}
 	// Release builder-owned cache epochs — the installed one and any build
 	// that finished without being delivered — so every pooled feature
-	// matrix returns and the installers' Live gauges drop to zero. Safe
+	// matrix returns and the builders' Live gauges drop to zero. Safe
 	// after wg.Wait: the executors and cacheLoops have exited.
 	for _, e := range s.engines {
-		if e.installer == nil {
+		if e.online == nil {
 			continue
 		}
 		select {
 		case b := <-e.built:
-			e.installer.Release(b.ep)
+			e.builder.Release(b.ep)
 		default:
 		}
-		e.installer.Release(e.store.Epoch())
+		e.builder.Release(e.store.Epoch())
 	}
 	s.closeComms()
 	return nil
@@ -779,7 +771,8 @@ func (s *Server) observeRoundTime(d time.Duration) {
 // Deadline): under SLO pressure — rounds consuming more than half the
 // budget — it halves the effective batch so rounds finish inside the
 // deadline again; under backlog with ample headroom it doubles the batch
-// up to MaxBatchCap, trading per-request latency for drain rate.
+// up to maxBatchGrowth×MaxBatch, trading per-request latency for drain
+// rate.
 func (s *Server) adaptBatch(totalQueued int) {
 	if s.cfg.Deadline <= 0 {
 		return
@@ -789,13 +782,14 @@ func (s *Server) adaptBatch(totalQueued int) {
 		return
 	}
 	cur := s.maxBatch.Load()
+	limit := int64(maxBatchGrowth * s.cfg.MaxBatch)
 	switch {
 	case est > int64(s.cfg.Deadline)/2 && cur > 1:
 		s.maxBatch.Store(cur / 2)
-	case est < int64(s.cfg.Deadline)/4 && totalQueued > int(cur) && cur < int64(s.cfg.MaxBatchCap):
+	case est < int64(s.cfg.Deadline)/4 && totalQueued > int(cur) && cur < limit:
 		next := cur * 2
-		if next > int64(s.cfg.MaxBatchCap) {
-			next = int64(s.cfg.MaxBatchCap)
+		if next > limit {
+			next = limit
 		}
 		s.maxBatch.Store(next)
 	}
@@ -816,10 +810,10 @@ func (s *Server) installGroup(g *commGroup) {
 	for r, e := range s.engines {
 		// A fresh sibling starts on its parent's epoch; carry the engine's
 		// installed epoch over so a regroup doesn't roll the cache back.
-		// The displaced parent epoch is foreign to the installer's builder,
-		// so there is nothing to release; the quant shadow already matches
-		// the serving precision, so InstallEpoch cannot fail here.
-		if e.installer != nil {
+		// The displaced parent epoch is foreign to the engine's builder, so
+		// there is nothing to release; the quant shadow already matches the
+		// serving precision, so InstallEpoch cannot fail here.
+		if e.online != nil {
 			if _, err := g.stores[r].InstallEpoch(e.store.Epoch()); err != nil {
 				panic(fmt.Sprintf("serve: regroup epoch carry-over: %v", err))
 			}
@@ -920,12 +914,15 @@ type engine struct {
 	rowOf    []int32  // (v-lo) -> seed row in the current round
 	roundRNG rng.RNG  // per-round sampling stream, derived in place
 
-	// Online cache state (nil installer in static mode). The executor
-	// goroutine observes every round and proposes memberships; the
-	// cacheLoop goroutine builds epochs off the round path; the executor
-	// installs delivered epochs between its gathers. At most one proposal
-	// is outstanding, so both channels (cap 1) never block.
-	installer    *cache.Installer
+	// Online cache state (nil online and builder in static mode). The
+	// executor goroutine observes every round and proposes memberships of
+	// at most capacity ids; the cacheLoop goroutine builds epochs off the
+	// round path; the executor installs delivered epochs between its
+	// gathers. At most one proposal is outstanding, so both channels (cap
+	// 1) never block.
+	online       *cache.Online
+	builder      *cache.EpochBuilder
+	capacity     int
 	refreshEvery int
 	sinceRefresh int
 	proposalOut  bool
@@ -962,7 +959,7 @@ func (e *engine) cacheLoop() {
 		case <-e.srv.shutdown:
 			return
 		case p := <-e.proposals:
-			ep, churn, err := e.installer.BuildFor(p.ids, p.cur)
+			ep, churn, err := e.builder.BuildFor(p.ids, p.cur)
 			if err != nil {
 				ep, churn = nil, 0
 			}
@@ -983,10 +980,10 @@ func (e *engine) maybeRefreshCache() {
 		if b.ep != nil {
 			prev, err := e.store.InstallEpoch(b.ep)
 			if err != nil {
-				e.installer.Release(b.ep)
+				e.builder.Release(b.ep)
 				break
 			}
-			e.installer.Release(prev)
+			e.builder.Release(prev)
 			s.met.cacheInstalls.Add(1)
 			s.met.cacheChurn.Add(int64(b.churn))
 		}
@@ -997,7 +994,7 @@ func (e *engine) maybeRefreshCache() {
 		return
 	}
 	e.sinceRefresh = 0
-	e.proposeBuf = append(e.proposeBuf[:0], e.installer.Propose()...)
+	e.proposeBuf = append(e.proposeBuf[:0], e.online.Propose(e.capacity)...)
 	e.proposals <- cacheProposal{ids: e.proposeBuf, cur: e.store.Epoch()}
 	e.proposalOut = true
 }
@@ -1156,8 +1153,8 @@ func (e *engine) run(m roundMsg) {
 	// Feed the online policy every successful round — hits and misses both,
 	// degraded rounds included (their zero-filled ids were still wanted, and
 	// the policy clock must advance with the rounds).
-	if e.installer != nil && err == nil {
-		e.installer.Observe(cache.RoundAccess{Hits: gstats.CacheHitIDs, Misses: gstats.RemoteIDs})
+	if e.online != nil && err == nil {
+		e.online.Observe(gstats.CacheHitIDs, gstats.RemoteIDs)
 	}
 	// RemoteByPeer/CacheHitIDs/RemoteIDs alias store scratch; only scalars
 	// may outlive the round.
@@ -1206,7 +1203,7 @@ func (e *engine) run(m roundMsg) {
 	}
 	mfg.Release()
 	e.model.ReleaseBatch()
-	if e.installer != nil {
+	if e.online != nil {
 		e.maybeRefreshCache()
 	}
 }

@@ -22,16 +22,16 @@ var backendShapes = [][3]int{
 	{64, 256, 16}, {64, 256, 17},
 }
 
-// TestTiledMatchesNaiveReference is the differential sweep for the tiled
-// SIMD backend: every product, every shape in backendShapes (odd shapes,
-// tail rows, tile- and panel-boundary sizes), checked against the committed
-// float64-accumulating naive reference within fp32 tolerance. The SIMD
+// TestTiledMatchesNaiveReference is the differential sweep for the package
+// kernels' tiled SIMD path: every product, every shape in backendShapes
+// (odd shapes, tail rows, tile- and panel-boundary sizes), checked against
+// the committed float64-accumulating naive reference within fp32
+// tolerance. The SIMD
 // kernel's strided-lane association differs from the scalar Blocked chain
-// by rounding noise, so the reference — not bitwise equality with Blocked —
-// is the correctness anchor.
+// by rounding noise, so the reference — not bitwise equality with Blocked
+// — is the correctness anchor.
 func TestTiledMatchesNaiveReference(t *testing.T) {
 	r := rng.New(55)
-	var tiled Tiled
 	for _, s := range backendShapes {
 		m, k, n := s[0], s[1], s[2]
 		a := randMat(m, k, r)
@@ -40,7 +40,7 @@ func TestTiledMatchesNaiveReference(t *testing.T) {
 		refMatMul(want, a, b)
 
 		got := New(m, n)
-		tiled.MatMul(got, a, b)
+		MatMul(got, a, b)
 		if d := MaxAbsDiff(want, got); d > 1e-3 {
 			t.Fatalf("tiled MatMul %v: max diff vs naive reference %v", s, d)
 		}
@@ -51,7 +51,7 @@ func TestTiledMatchesNaiveReference(t *testing.T) {
 				at.Set(j, i, a.At(i, j))
 			}
 		}
-		tiled.MatMulATB(got, at, b)
+		MatMulATB(got, at, b)
 		if d := MaxAbsDiff(want, got); d > 1e-3 {
 			t.Fatalf("tiled MatMulATB %v: max diff vs naive reference %v", s, d)
 		}
@@ -62,21 +62,21 @@ func TestTiledMatchesNaiveReference(t *testing.T) {
 				bt.Set(j, i, b.At(i, j))
 			}
 		}
-		tiled.MatMulABT(got, a, bt)
+		MatMulABT(got, a, bt)
 		if d := MaxAbsDiff(want, got); d > 1e-3 {
 			t.Fatalf("tiled MatMulABT %v: max diff vs naive reference %v", s, d)
 		}
 	}
 }
 
-// TestTiledMatchesBlockedTolerance cross-checks the two backends against
-// each other: the SIMD and scalar associations may differ only by fp32
-// rounding noise, never by a placement error (a wrong tile boundary or
-// remainder lane shows up as a large element-wise diff long before it
-// shows up against the float64 reference sweep above).
+// TestTiledMatchesBlockedTolerance cross-checks the package kernels
+// against the all-scalar Blocked reference: the SIMD and scalar
+// associations may differ only by fp32 rounding noise, never by a
+// placement error (a wrong tile boundary or remainder lane shows up as a
+// large element-wise diff long before it shows up against the float64
+// reference sweep above).
 func TestTiledMatchesBlockedTolerance(t *testing.T) {
 	r := rng.New(101)
-	var tiled Tiled
 	var blocked Blocked
 	for _, s := range backendShapes {
 		m, k, n := s[0], s[1], s[2]
@@ -87,19 +87,19 @@ func TestTiledMatchesBlockedTolerance(t *testing.T) {
 
 		want, got := New(m, n), New(m, n)
 		blocked.MatMul(want, a, b)
-		tiled.MatMul(got, a, b)
+		MatMul(got, a, b)
 		if d := MaxAbsDiff(want, got); d > 1e-3 {
 			t.Fatalf("MatMul %v: tiled vs blocked diff %v", s, d)
 		}
 
 		blocked.MatMulATB(want, at, b)
-		tiled.MatMulATB(got, at, b)
+		MatMulATB(got, at, b)
 		if d := MaxAbsDiff(want, got); d > 1e-3 {
 			t.Fatalf("MatMulATB %v: tiled vs blocked diff %v", s, d)
 		}
 
 		blocked.MatMulABT(want, a, bt)
-		tiled.MatMulABT(got, a, bt)
+		MatMulABT(got, a, bt)
 		if d := MaxAbsDiff(want, got); d > 1e-3 {
 			t.Fatalf("MatMulABT %v: tiled vs blocked diff %v", s, d)
 		}
@@ -107,12 +107,18 @@ func TestTiledMatchesBlockedTolerance(t *testing.T) {
 }
 
 // TestMatMulAddMatchesMatMulPlusAdd pins the fused-pass contract: C += A·B
-// must be bitwise identical to MatMul into scratch followed by Add, for both
-// backends, so streaming the neighbor transform into the output matrix
-// cannot change training numerics.
+// must be bitwise identical to MatMul into scratch followed by Add, for the
+// package kernels and the Blocked reference, so streaming the neighbor
+// transform into the output matrix cannot change training numerics.
 func TestMatMulAddMatchesMatMulPlusAdd(t *testing.T) {
 	r := rng.New(77)
-	for _, be := range []Backend{Tiled{}, Blocked{}} {
+	for _, be := range []struct {
+		name              string
+		matMul, matMulAdd func(c, a, b *Matrix)
+	}{
+		{"tiled", MatMul, MatMulAdd},
+		{"blocked", Blocked{}.MatMul, Blocked{}.MatMulAdd},
+	} {
 		for _, s := range backendShapes {
 			m, k, n := s[0], s[1], s[2]
 			a := randMat(m, k, r)
@@ -121,13 +127,13 @@ func TestMatMulAddMatchesMatMulPlusAdd(t *testing.T) {
 
 			want := base.Clone()
 			tmp := New(m, n)
-			be.MatMul(tmp, a, b)
+			be.matMul(tmp, a, b)
 			want.Add(tmp)
 
 			got := base.Clone()
-			be.MatMulAdd(got, a, b)
+			be.matMulAdd(got, a, b)
 			if MaxAbsDiff(want, got) != 0 {
-				t.Fatalf("%s MatMulAdd %v: differs from MatMul+Add", be.Name(), s)
+				t.Fatalf("%s MatMulAdd %v: differs from MatMul+Add", be.name, s)
 			}
 		}
 	}
@@ -261,11 +267,11 @@ func benchGEMM(b *testing.B, f func(c, a, bm *Matrix), m, k, n int) {
 // zero steady-state allocations and a clear bytes/s win at epoch-bench
 // shapes.
 func BenchmarkMatMulTiled(b *testing.B) {
-	benchGEMM(b, func(c, a, bm *Matrix) { Tiled{}.MatMul(c, a, bm) }, 4096, 128, 256)
+	benchGEMM(b, MatMul, 4096, 128, 256)
 }
 
 func BenchmarkMatMulBlocked(b *testing.B) {
-	benchGEMM(b, func(c, a, bm *Matrix) { Blocked{}.MatMul(c, a, bm) }, 4096, 128, 256)
+	benchGEMM(b, Blocked{}.MatMul, 4096, 128, 256)
 }
 
 func BenchmarkMatMulATBTiled(b *testing.B) {
@@ -273,11 +279,11 @@ func BenchmarkMatMulATBTiled(b *testing.B) {
 	a := randMat(4096, 128, r)
 	bm := randMat(4096, 256, r)
 	c := New(128, 256)
-	Tiled{}.MatMulATB(c, a, bm)
+	MatMulATB(c, a, bm)
 	b.SetBytes(int64(2 * 4096 * 128 * 256 * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Tiled{}.MatMulATB(c, a, bm)
+		MatMulATB(c, a, bm)
 	}
 }
 
@@ -294,19 +300,19 @@ func BenchmarkMatMulATBBlocked(b *testing.B) {
 	}
 }
 
-func benchABT(b *testing.B, be Backend) {
+func benchABT(b *testing.B, matMulABT func(c, a, b *Matrix)) {
 	b.Helper()
 	r := rng.New(14)
 	a := randMat(4096, 256, r)
 	bt := randMat(128, 256, r)
 	c := New(4096, 128)
-	be.MatMulABT(c, a, bt)
+	matMulABT(c, a, bt)
 	b.SetBytes(int64(2 * 4096 * 256 * 128 * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		be.MatMulABT(c, a, bt)
+		matMulABT(c, a, bt)
 	}
 }
 
-func BenchmarkMatMulABTTiled(b *testing.B)   { benchABT(b, Tiled{}) }
-func BenchmarkMatMulABTBlocked(b *testing.B) { benchABT(b, Blocked{}) }
+func BenchmarkMatMulABTTiled(b *testing.B)   { benchABT(b, MatMulABT) }
+func BenchmarkMatMulABTBlocked(b *testing.B) { benchABT(b, Blocked{}.MatMulABT) }

@@ -21,7 +21,7 @@ const MinParallelRows = 64
 // MatMul computes C = A·B. Shapes: A is m×k, B is k×n, C is m×n.
 // C must not alias A or B; C's prior contents are ignored.
 //
-// This is the tiled backend's dispatch (see Backend): operands below
+// Dispatch (see tiled.go for the shared kernel contract): operands below
 // MinParallelRows run the serial 4-row register-blocked kernel; larger
 // operands pack Bᵀ once into reused scratch and run the 2×4 SIMD dot
 // micro-kernel over L1-resident column panels and L2-resident row slabs.
@@ -56,7 +56,7 @@ func MatMulAdd(c, a, b *Matrix) {
 	bt := packTranspose(b)
 	switch {
 	case a.Rows < MinParallelRows:
-		matMulAddScalarSerial(c, a, bt)
+		matMulABTScalarBlock(c, a, &bt, 0, a.Rows, 0, bt.Rows, true)
 	case runtime.GOMAXPROCS(0) == 1:
 		matMulPackedSerial(c, a, bt, true)
 	default:

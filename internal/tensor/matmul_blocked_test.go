@@ -20,6 +20,36 @@ func refMatMul(c, a, b *Matrix) {
 	}
 }
 
+// Blocked is the all-scalar differential reference for the package
+// kernels: the 4-row MatMul, 4×4 MatMulATB and 2×4 MatMulABT register
+// micro-kernels — the sub-MinParallelRows path of the package kernels —
+// run at every size, row-parallel, with no cache tiling and no SIMD. Every
+// element accumulates in one scalar chain, so it differs from the tiled
+// SIMD path by fp32 rounding noise only.
+type Blocked struct{}
+
+func (Blocked) MatMul(c, a, b *Matrix) {
+	checkMatMul(c, a, b)
+	ParallelRows(a.Rows, func(lo, hi int) { matMulRange(c, a, b, lo, hi) })
+}
+
+func (Blocked) MatMulAdd(c, a, b *Matrix) {
+	checkMatMul(c, a, b)
+	bt := packTranspose(b)
+	ParallelRows(a.Rows, func(lo, hi int) { matMulABTScalarBlock(c, a, &bt, lo, hi, 0, bt.Rows, true) })
+	putPackBuf(bt.Data)
+}
+
+func (Blocked) MatMulATB(c, a, b *Matrix) {
+	checkMatMulATB(c, a, b)
+	ParallelRows(a.Cols, func(lo, hi int) { matMulATBRange(c, a, b, lo, hi) })
+}
+
+func (Blocked) MatMulABT(c, a, b *Matrix) {
+	checkMatMulABT(c, a, b)
+	ParallelRows(a.Rows, func(lo, hi int) { matMulABTRange(c, a, b, lo, hi) })
+}
+
 func randMat(rows, cols int, r *rng.RNG) *Matrix {
 	m := New(rows, cols)
 	for i := range m.Data {

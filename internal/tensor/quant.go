@@ -10,8 +10,8 @@ import (
 // full-precision gradients); serving snapshots may freeze weights and
 // gathered features into a reduced precision:
 //
-//   - PrecisionFP32: plain float32 matrices through the fp32 Backend. The
-//     default.
+//   - PrecisionFP32: plain float32 matrices through the fp32 GEMM kernels.
+//     The default.
 //   - PrecisionFP16: weights and gathered features held as IEEE-754
 //     binary16 (half the memory); GEMMs dequantize into pooled fp32 panels
 //     and run the fp32 kernels, so fp16 trades a small conversion cost for

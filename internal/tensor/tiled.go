@@ -2,13 +2,16 @@ package tensor
 
 import "sync"
 
-// Backend owns the dense matrix-multiplication kernels the GraphSAGE
-// forward/backward passes are built on. It is the seam for swapping compute
-// implementations: the cache-tiled fp32 backend (Tiled, the default), the
-// plain register-blocked backend it grew out of (Blocked), or an external
-// implementation (an accelerator binding would satisfy this interface).
+// The cache-tiled fp32 GEMM kernels behind MatMul, MatMulAdd, MatMulATB
+// and MatMulABT. All three products funnel through one 2×4 dot
+// micro-kernel (dotBlock2x4, 4-lane SSE2 on amd64) over operands in
+// k-contiguous layout: MatMul packs Bᵀ once per call (reused scratch, zero
+// steady-state allocations), MatMulATB packs both Aᵀ and Bᵀ, and
+// MatMulABT's B argument already is the transpose. The kernel sweeps
+// L1-resident column panels across an L2-resident slab of A rows. Operands
+// below MinParallelRows keep the register-blocked scalar kernels.
 //
-// Contract, shared by all methods and implementations:
+// Contract, shared by the four kernels:
 //
 //   - C must not alias A or B.
 //   - MatMul/MatMulATB/MatMulABT ignore C's prior contents (pooled matrices
@@ -18,107 +21,13 @@ import "sync"
 //     bitwise identical at every GOMAXPROCS.
 //   - Operands below MinParallelRows take a serial inline path: no
 //     goroutines, no escaping closures, zero heap allocations when the
-//     backend's pack scratch is warm.
+//     pack scratch is warm.
 //
-// Blocked accumulates every element in a single scalar chain (ascending k,
-// one rounding per multiply-add). Tiled routes large operands through the
-// 4-lane SIMD dot micro-kernel (dotBlock2x4), whose strided-lane association
-// differs from the scalar chain by ordinary fp32 rounding noise — so the two
-// backends agree within tolerance of the float64 naive reference, not
-// bitwise. Within each backend the association depends only on operand
-// shapes, never on worker count or tile position.
-type Backend interface {
-	// Name identifies the backend ("tiled", "blocked") in logs and benches.
-	Name() string
-	// MatMul computes C = A·B. Shapes: A is m×k, B is k×n, C is m×n.
-	MatMul(c, a, b *Matrix)
-	// MatMulAdd computes C += A·B. Each element's A·B dot product is
-	// accumulated to full length in a register and added to C once, so the
-	// result is bitwise identical to MatMul into scratch followed by Add.
-	MatMulAdd(c, a, b *Matrix)
-	// MatMulATB computes C = Aᵀ·B. Shapes: A is k×m, B is k×n, C is m×n.
-	MatMulATB(c, a, b *Matrix)
-	// MatMulABT computes C = A·Bᵀ. Shapes: A is m×k, B is n×k, C is m×n.
-	MatMulABT(c, a, b *Matrix)
-}
-
-// Blocked is the register-blocked backend: the 4-row MatMul, 4×4 MatMulATB
-// and 2×4 MatMulABT micro-kernels with row-parallel dispatch and no cache
-// tiling. It is kept as the reference implementation for differential tests
-// and remains the serial path of the tiled backend below MinParallelRows.
-type Blocked struct{}
-
-// Tiled is the cache-tiled SIMD backend and the package default. All three
-// products funnel through one 2×4 dot micro-kernel (4-lane SSE2 on amd64)
-// over operands in k-contiguous layout: MatMul packs Bᵀ once per call
-// (reused scratch, zero steady-state allocations), MatMulATB packs both Aᵀ
-// and Bᵀ, and MatMulABT's B argument already is the transpose. The kernel
-// sweeps L1-resident column panels across an L2-resident slab of A rows.
-// Operands below MinParallelRows keep the register-blocked scalar kernels.
-type Tiled struct{}
-
-// DefaultBackend returns the backend the package-level kernel functions use
-// (the tiled fp32 backend).
-func DefaultBackend() Backend { return Tiled{} }
-
-func (Blocked) Name() string { return "blocked" }
-
-func (Blocked) MatMul(c, a, b *Matrix) {
-	checkMatMul(c, a, b)
-	if a.Rows < MinParallelRows {
-		matMulRange(c, a, b, 0, a.Rows)
-		return
-	}
-	parallelRows(a.Rows, func(lo, hi int) { matMulRange(c, a, b, lo, hi) })
-}
-
-func (Blocked) MatMulAdd(c, a, b *Matrix) {
-	checkMatMul(c, a, b)
-	bt := packTranspose(b)
-	if a.Rows < MinParallelRows {
-		matMulAddScalarSerial(c, a, bt)
-	} else {
-		matMulAddScalarParallel(c, a, bt)
-	}
-	putPackBuf(bt.Data)
-}
-
-// matMulAddScalarSerial / matMulAddScalarParallel run the scalar-chain
-// accumulate kernel over a packed Bᵀ. The packed operand is passed by value
-// so the serial wrapper keeps it off the heap (the parallel wrapper's
-// closure forces an escape, but only when that branch runs).
-func matMulAddScalarSerial(c, a *Matrix, bt Matrix) {
-	matMulABTScalarBlock(c, a, &bt, 0, a.Rows, 0, bt.Rows, true)
-}
-
-func matMulAddScalarParallel(c, a *Matrix, bt Matrix) {
-	parallelRows(a.Rows, func(lo, hi int) { matMulABTScalarBlock(c, a, &bt, lo, hi, 0, bt.Rows, true) })
-}
-
-func (Blocked) MatMulATB(c, a, b *Matrix) {
-	checkMatMulATB(c, a, b)
-	if a.Cols < MinParallelRows {
-		matMulATBRange(c, a, b, 0, a.Cols)
-		return
-	}
-	parallelRows(a.Cols, func(lo, hi int) { matMulATBRange(c, a, b, lo, hi) })
-}
-
-func (Blocked) MatMulABT(c, a, b *Matrix) {
-	checkMatMulABT(c, a, b)
-	if a.Rows < MinParallelRows {
-		matMulABTRange(c, a, b, 0, a.Rows)
-		return
-	}
-	parallelRows(a.Rows, func(lo, hi int) { matMulABTRange(c, a, b, lo, hi) })
-}
-
-func (Tiled) Name() string { return "tiled" }
-
-func (Tiled) MatMul(c, a, b *Matrix)    { MatMul(c, a, b) }
-func (Tiled) MatMulAdd(c, a, b *Matrix) { MatMulAdd(c, a, b) }
-func (Tiled) MatMulATB(c, a, b *Matrix) { MatMulATB(c, a, b) }
-func (Tiled) MatMulABT(c, a, b *Matrix) { MatMulABT(c, a, b) }
+// The scalar kernels accumulate every element in a single chain (ascending
+// k, one rounding per multiply-add); the SIMD kernel's strided-lane
+// association differs from that chain by ordinary fp32 rounding noise, so
+// the tiled path agrees with the all-scalar reference within tolerance of
+// the float64 naive reference, not bitwise.
 
 func checkMatMul(c, a, b *Matrix) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
@@ -340,9 +249,8 @@ func matMulABTBlock(c, a, b *Matrix, lo, hi, jlo, jhi int, acc bool) {
 // product in a single register chain in ascending k order — the exact
 // per-element rounding sequence of the memory-accumulating 4-row MatMul
 // kernel — and touches C once (store, or one += when acc is set). It backs
-// the Blocked backend's MatMulAdd and the tiled MatMulAdd's
-// sub-MinParallelRows path, both of which must stay bitwise consistent with
-// the scalar MatMul.
+// MatMulAdd's sub-MinParallelRows path, which must stay bitwise consistent
+// with the scalar MatMul.
 func matMulABTScalarBlock(c, a, b *Matrix, lo, hi, jlo, jhi int, acc bool) {
 	depth := a.Cols
 	i := lo

@@ -58,9 +58,6 @@ type (
 	VIPConfig = vip.Config
 	// CachePolicy ranks remote vertices for the setup-time cache.
 	CachePolicy = cache.Ranker
-	// OnlineCachePolicy is the online admission/eviction interface the
-	// versioned cache layer consults between rounds.
-	OnlineCachePolicy = cache.Policy
 	// CacheEpoch is one immutable installed version of a rank's cache.
 	CacheEpoch = cache.Epoch
 	// Cluster is an in-process K-machine SALIENT++ deployment.
