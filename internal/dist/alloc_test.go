@@ -51,39 +51,95 @@ func TestGatherAllocationFree(t *testing.T) {
 	}
 }
 
+// echoComm is one end of a two-rank group that runs in the caller's
+// goroutine. Rank 1 is simulated inline by peer, its own Store: it asks
+// for nothing and answers each of rank 0's request lists through the
+// owner path, so a warm collective allocates nothing and an allocation
+// count sees rank 0's gather alone. Only Rank, Size and AllToAll are
+// implemented; the peer store's echoComm (peer nil) is never collective.
+type echoComm struct {
+	Comm
+	rank  int
+	peer  *Store
+	reply []byte
+	recv  [][]byte
+}
+
+func (c *echoComm) Rank() int { return c.rank }
+func (c *echoComm) Size() int { return 2 }
+
+func (c *echoComm) AllToAll(send [][]byte) ([][]byte, error) {
+	p := c.peer
+	// Ship the answer staged for rank 0's previous list, then stage the
+	// answer to the list arriving now.
+	if p.codec == CodecFP32 {
+		c.reply = append(c.reply[:0], f32AsBytes(p.frame32[0][:p.answered[0]])...)
+	} else {
+		c.reply = append(c.reply[:0], p.frameEnc[0][:p.answered[0]]...)
+	}
+	if err := p.answer(0, send[1]); err != nil {
+		return nil, err
+	}
+	c.recv = append(c.recv[:0], send[0], c.reply)
+	return c.recv, nil
+}
+
 // TestGatherNextAllocationFree extends the warm-gather guard to the
 // training stream, under every codec: a warm GatherNext — classify into
-// the idle round slot, ship the previous answer with the next ids, hand
-// back the completed matrix — allocates nothing, and neither does the
-// flush that closes a stream.
+// the idle round slot, match it against the pending round, ship the
+// previous answer with the next ids, copy the inherited rows, hand back
+// the completed matrix — allocates nothing, and neither does the flush
+// that closes a stream. Consecutive rounds share half their remote ids, so
+// every push but a stream's first inherits rows.
 func TestGatherNextAllocationFree(t *testing.T) {
 	for _, codec := range []Codec{CodecFP32, CodecFP16, CodecInt8} {
 		t.Run(codec.String(), func(t *testing.T) {
 			const n, dim = 256, 16
-			comms, err := NewLocalGroup(1)
+			layout, err := NewLayout([]int64{0, n / 2, n})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer comms[0].Close()
-			layout, err := NewLayout([]int64{0, n})
+			shard := func(rank int) *tensor.Matrix {
+				m := tensor.New(n/2, dim)
+				for i := range m.Data {
+					m.Data[i] = float32(rank*len(m.Data) + i)
+				}
+				return m
+			}
+			peer, err := NewStore(&echoComm{rank: 1}, layout, dim, shard(1), nil, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			local := tensor.New(n, dim)
-			st, err := NewStore(comms[0], layout, dim, local, nil, 0.5)
+			peer.SetCodec(codec)
+			st, err := NewStore(&echoComm{peer: peer}, layout, dim, shard(0), nil, 0.5)
 			if err != nil {
 				t.Fatal(err)
 			}
 			st.SetCodec(codec)
-			ids := make([]int32, 64)
-			for i := range ids {
-				ids[i] = int32((i * 37) % n)
+			// Round a's remote ids are 128+4j, round b's 128+2j: every
+			// other id of b, and half of a's, repeat the round before.
+			a, b := make([]int32, 64), make([]int32, 64)
+			for i := range a {
+				a[i] = int32((i * 37) % (n / 2))
+				b[i] = int32((i * 53) % (n / 2))
+				if i%2 == 0 {
+					a[i] = int32(n/2 + 2*i)
+					b[i] = int32(n/2 + i)
+				}
 			}
+			round := 0
+			var reused int
 			push := func() {
-				out, _, err := st.GatherNext(ids)
+				ids := a
+				if round%2 == 1 {
+					ids = b
+				}
+				round++
+				out, gs, err := st.GatherNext(ids)
 				if err != nil {
 					t.Fatal(err)
 				}
+				reused += gs.Reused
 				st.Release(out)
 			}
 			flush := func() {
@@ -105,6 +161,9 @@ func TestGatherNextAllocationFree(t *testing.T) {
 			flush()
 			if live := st.Live(); live != 0 {
 				t.Fatalf("%d pooled matrices live after the stream closed", live)
+			}
+			if reused == 0 {
+				t.Fatal("overlapping rounds inherited no rows: the test no longer exercises reuse")
 			}
 		})
 	}

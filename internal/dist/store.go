@@ -19,18 +19,26 @@ import (
 // a local read of a replicated row, and remote fetches cost network
 // communication.
 type GatherStats struct {
-	LocalGPU    int
-	LocalCPU    int
-	CacheHits   int
+	LocalGPU  int
+	LocalCPU  int
+	CacheHits int
+	// RemoteFetch counts remote accesses: ids neither local nor cached.
+	// Gather requests every one of them on the wire; the training stream
+	// serves Reused of them from the previous round instead, so its rows
+	// on the wire are RemoteFetch − Reused.
 	RemoteFetch int
+	// Reused counts the remote accesses a GatherNext round copied out of
+	// the round pending when it was pushed, which had requested or itself
+	// inherited the same ids (always 0 outside the training stream).
+	Reused int
 	// Missing counts rows GatherLocal could not satisfy from the local
 	// shard or cache and zero-filled instead (always 0 for Gather, which
 	// fetches them remotely). A degraded serving round reports its
 	// accuracy cost here.
 	Missing int
-	// RemoteByPeer[p] counts rows fetched from rank p this call. It aliases
-	// the store's reusable scratch and is valid only until the next Gather
-	// on the same store; copy it to retain it.
+	// RemoteByPeer[p] counts the remote accesses owned by rank p this call.
+	// It aliases the store's reusable scratch and is valid only until the
+	// next Gather on the same store; copy it to retain it.
 	RemoteByPeer []int
 	// CacheHitIDs lists the ids behind CacheHits in access order, and
 	// RemoteIDs the ids behind RemoteFetch (for GatherLocal: Missing),
@@ -58,7 +66,10 @@ type GatherStats struct {
 // ride with the previous round's rows, so an R-round epoch costs R+1
 // collectives. Between the collective that delivers a peer's ids and the
 // next one, the owner reads the requested rows out of its shard into that
-// peer's outgoing frame.
+// peer's outgoing frame. The stream also never asks for a row twice in a
+// row: a round's remote ids that the pending round already requested or
+// inherited are copied out of the pending round's matrix once it
+// completes, so owners see shorter request lists and nothing else changes.
 //
 // The cache is versioned: gathers read whichever cache.Epoch was current
 // when they started (one atomic pointer load per gather), and InstallEpoch
@@ -118,6 +129,14 @@ type gatherRound struct {
 	rowOf  [][]int32 // rowOf[p][j]: output row waiting on reqIDs[p][j]
 	byPeer []int     // RemoteByPeer scratch
 	hitIDs []int32   // CacheHitIDs scratch
+
+	// Remote ids inherited from the round pending when this one was pushed
+	// (GatherNext only), per peer and ascending: inhRow[p][j] is the output
+	// row inhIDs[p][j] fills here, inhSrc[p][j] the pending round's row it
+	// is copied from. With reqIDs they are this round's full remote list.
+	inhIDs [][]int32
+	inhRow [][]int32
+	inhSrc [][]int32
 }
 
 // idRowSorter sorts a peer's request ids ascending, carrying the matching
@@ -206,6 +225,9 @@ func newStore(comm Comm, layout *Layout, dim int, local *tensor.Matrix, gpuRows 
 			reqIDs: make([][]int32, k),
 			rowOf:  make([][]int32, k),
 			byPeer: make([]int, k),
+			inhIDs: make([][]int32, k),
+			inhRow: make([][]int32, k),
+			inhSrc: make([][]int32, k),
 		}
 	}
 	return s
@@ -398,7 +420,10 @@ func (s *Store) gatherOnce(ids []int32, out *tensor.Matrix, qout *tensor.QuantMa
 // the rows answering the previous GatherNext, then returns that previous
 // round's completed matrix (nil, with zero stats, on the first call of a
 // stream). GatherFlush completes the last pending round, so a stream of R
-// rounds costs R+1 collectives where R Gathers cost 2R. All ranks must
+// rounds costs R+1 collectives where R Gathers cost 2R. Remote ids the
+// previous round also needed are not requested again: they are copied out
+// of its matrix once it completes (stats.Reused counts them), so the
+// matrix equals Gather's bitwise at fewer rows on the wire. All ranks must
 // issue the same sequence of GatherNext and GatherFlush calls; between a
 // GatherNext and its completion the store holds the pending round's pooled
 // matrix (counted by Live). The returned stats carry counts only —
@@ -409,6 +434,9 @@ func (s *Store) GatherNext(ids []int32) (*tensor.Matrix, GatherStats, error) {
 	rd.out, rd.qout = s.pool.Get(len(ids), s.dim), nil
 	s.classify(rd, ids, false)
 	done := s.pending
+	if done != nil {
+		rd.reuseFrom(done)
+	}
 	if err := s.exchange(rd); err != nil {
 		s.drop(rd)
 		return nil, GatherStats{}, err
@@ -416,7 +444,50 @@ func (s *Store) GatherNext(ids []int32) (*tensor.Matrix, GatherStats, error) {
 	if done == nil {
 		return nil, GatherStats{}, nil
 	}
+	// done's rows have just scattered in, so its matrix is complete; take
+	// rd's inherited rows before the caller may release it.
+	for p, rows := range rd.inhRow {
+		for j, row := range rows {
+			copy(rd.out.Row(int(row)), done.out.Row(int(rd.inhSrc[p][j])))
+		}
+	}
 	return s.complete(done)
+}
+
+// reuseFrom moves rd's remote ids that prev — the pending round —
+// requested or inherited out of rd's request lists and into its inherited
+// lists. Both rounds keep each peer's ids ascending, so one merge walk per
+// peer finds every match, duplicates on either side included.
+func (rd *gatherRound) reuseFrom(prev *gatherRound) {
+	for p, ids := range rd.reqIDs {
+		rows := rd.rowOf[p]
+		preq, pinh := prev.reqIDs[p], prev.inhIDs[p]
+		inh, inhRow, inhSrc := rd.inhIDs[p][:0], rd.inhRow[p][:0], rd.inhSrc[p][:0]
+		kept, i, j := 0, 0, 0
+		for t, v := range ids {
+			for i < len(preq) && preq[i] < v {
+				i++
+			}
+			for j < len(pinh) && pinh[j] < v {
+				j++
+			}
+			switch {
+			case i < len(preq) && preq[i] == v:
+				inhSrc = append(inhSrc, prev.rowOf[p][i])
+			case j < len(pinh) && pinh[j] == v:
+				inhSrc = append(inhSrc, prev.inhRow[p][j])
+			default:
+				ids[kept], rows[kept] = v, rows[t]
+				kept++
+				continue
+			}
+			inh = append(inh, v)
+			inhRow = append(inhRow, rows[t])
+		}
+		rd.reqIDs[p], rd.rowOf[p] = ids[:kept], rows[:kept]
+		rd.inhIDs[p], rd.inhRow[p], rd.inhSrc[p] = inh, inhRow, inhSrc
+		rd.stats.Reused += len(inh)
+	}
 }
 
 // GatherFlush completes the pending stream round with one collective that
@@ -521,6 +592,9 @@ func (s *Store) classify(rd *gatherRound, ids []int32, local bool) {
 	for p := 0; p < k; p++ {
 		rd.reqIDs[p] = rd.reqIDs[p][:0]
 		rd.rowOf[p] = rd.rowOf[p][:0]
+		rd.inhIDs[p] = rd.inhIDs[p][:0]
+		rd.inhRow[p] = rd.inhRow[p][:0]
+		rd.inhSrc[p] = rd.inhSrc[p][:0]
 		rd.byPeer[p] = 0
 	}
 	var st GatherStats

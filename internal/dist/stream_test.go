@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,11 +41,7 @@ func streamStores(t *testing.T, mk func(k int) ([]Comm, error), codec Codec) ([]
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := tensor.New(streamN, streamDim)
-	r := rng.New(23)
-	for i := range full.Data {
-		full.Data[i] = float32((r.Float64()*2 - 1) * 8)
-	}
+	full := streamFeatures()
 	stores := make([]*Store, streamK)
 	counted := make([]*countComm, streamK)
 	for rank := 0; rank < streamK; rank++ {
@@ -72,6 +69,17 @@ func streamStores(t *testing.T, mk func(k int) ([]Comm, error), codec Codec) ([]
 		stores[rank] = st
 	}
 	return stores, counted
+}
+
+// streamFeatures is the fixture's full feature matrix, row v holding
+// vertex v's features.
+func streamFeatures() *tensor.Matrix {
+	full := tensor.New(streamN, streamDim)
+	r := rng.New(23)
+	for i := range full.Data {
+		full.Data[i] = float32((r.Float64()*2 - 1) * 8)
+	}
+	return full
 }
 
 // streamRounds scripts every rank's per-round id lists: random ids with
@@ -138,12 +146,13 @@ func onAllRanks(t *testing.T, f func(rank int) error) {
 // TestGatherNextMatchesGather pins the training stream against one-shot
 // gathers: N rounds pushed through GatherNext and completed by the next
 // push (the last by GatherFlush) return matrices bitwise equal to N
-// one-shot Gathers of the same id lists, with identical scalar stats and
-// per-peer counts, on both transports under every codec — including empty
-// rounds and a rank that needs no remote rows. The stream reports counts
-// only (no id lists), costs R+1 collectives for R rounds against 2 per
-// one-shot Gather, and holds exactly one pooled matrix while a round is
-// pending.
+// one-shot Gathers of the same id lists, with identical per-peer counts and
+// scalar stats apart from Reused, on both transports under every codec —
+// including empty rounds and a rank that needs no remote rows. The stream
+// reports counts only (no id lists), costs R+1 collectives for R rounds
+// against 2 per one-shot Gather, and holds exactly one pooled matrix while
+// a round is pending. Its reused rows leave the wire: under fp32 the
+// stream sends exactly one id and one row fewer per reused access.
 func TestGatherNextMatchesGather(t *testing.T) {
 	const rounds = 7
 	ids := streamRounds(rounds)
@@ -154,6 +163,7 @@ func TestGatherNextMatchesGather(t *testing.T) {
 		for _, codec := range []Codec{CodecFP32, CodecFP16, CodecInt8} {
 			t.Run(tr.name+"/"+codec.String(), func(t *testing.T) {
 				ref := make([][]gathered, streamK)
+				reused := make([]int, streamK)
 				once, onceCalls := streamStores(t, tr.mk, codec)
 				onAllRanks(t, func(rank int) error {
 					for round := 0; round < rounds; round++ {
@@ -201,6 +211,8 @@ func TestGatherNextMatchesGather(t *testing.T) {
 						if gs.CacheHitIDs != nil || gs.RemoteIDs != nil {
 							return fmt.Errorf("round %d: stream stats carry id lists", round-1)
 						}
+						reused[rank] += gs.Reused
+						gs.Reused = 0
 						got[rank] = append(got[rank], keep(m, gs))
 						st.Release(m)
 					}
@@ -223,16 +235,30 @@ func TestGatherNextMatchesGather(t *testing.T) {
 						t.Fatalf("rank %d: a %d-round stream ran %d collectives, want %d", rank, rounds, n, rounds+1)
 					}
 				}
-				// The fixture must exercise what it claims: remote rows and
-				// cache hits on rank 0, none remote on rank 2.
+				// The fixture must exercise what it claims: remote rows, cache
+				// hits and reuse on rank 0, none remote on rank 2.
 				var remote0, hits0, remote2 int
 				for round := 0; round < rounds; round++ {
 					remote0 += ref[0][round].stats.RemoteFetch
 					hits0 += ref[0][round].stats.CacheHits
 					remote2 += ref[2][round].stats.RemoteFetch
 				}
-				if remote0 == 0 || hits0 == 0 || remote2 != 0 {
-					t.Fatalf("fixture drifted: rank 0 remote %d hits %d, rank 2 remote %d", remote0, hits0, remote2)
+				if remote0 == 0 || hits0 == 0 || reused[0] == 0 || remote2 != 0 {
+					t.Fatalf("fixture drifted: rank 0 remote %d hits %d reused %d, rank 2 remote %d",
+						remote0, hits0, reused[0], remote2)
+				}
+				if codec == CodecFP32 {
+					var onceBytes, streamBytes int64
+					var saved int
+					for rank := 0; rank < streamK; rank++ {
+						onceBytes += onceCalls[rank].BytesSent()
+						streamBytes += streamCalls[rank].BytesSent()
+						saved += reused[rank]
+					}
+					if want := onceBytes - int64(saved*4*(streamDim+1)); streamBytes != want {
+						t.Fatalf("stream sent %d bytes, want %d: one-shot %d less %d reused rows and ids",
+							streamBytes, want, onceBytes, saved)
+					}
 				}
 			})
 		}
@@ -248,5 +274,145 @@ func TestGatherFlushNeedsPendingRound(t *testing.T) {
 	}
 	if n := calls[0].calls.Load(); n != 0 {
 		t.Fatalf("a rejected flush ran %d collectives", n)
+	}
+}
+
+// TestGatherNextReusesPendingRows walks rank 0 through a 3-round chain on
+// the fp32 fixture: round 1 repeats round 0's remote ids (one of them
+// twice in the round), round 2 repeats ids round 1 requested and ids it
+// had itself inherited. Every inherited row must be copied out of the
+// pending round's matrix — the pool is primed with NaN matrices and each
+// returned matrix is poisoned before release, so a skipped or misdirected
+// copy shows — and the owners must receive only the rows not inherited.
+func TestGatherNextReusesPendingRows(t *testing.T) {
+	full := streamFeatures()
+	// Ranks own [0,10), [10,20), [20,30); rank 0 caches vertex 12.
+	script := [][]int32{
+		{15, 21, 15, 3},      // remote 15 (twice) and 21; local 3
+		{21, 15, 16, 12, 15}, // 21 and both 15s inherited; 16 new; 12 cached
+		{15, 16, 25, 21},     // 15 and 21 inherited a second time, 16 once; 25 new
+	}
+	wantRemote := []int{3, 4, 4}
+	wantReused := []int{0, 3, 3}
+	stores, counted := streamStores(t, NewLocalGroup, CodecFP32)
+	nan := float32(math.NaN())
+	poison := func(m *tensor.Matrix) {
+		for i := range m.Data {
+			m.Data[i] = nan
+		}
+	}
+	// Every round's matrix falls in one pool size class; fill it with NaN.
+	primed := make([]*tensor.Matrix, 4)
+	for i := range primed {
+		primed[i] = stores[0].pool.Get(len(script[1]), streamDim)
+		poison(primed[i])
+	}
+	for _, m := range primed {
+		stores[0].Release(m)
+	}
+	type result struct {
+		feats []float32
+		stats GatherStats
+	}
+	var got []result
+	onAllRanks(t, func(rank int) error {
+		st := stores[rank]
+		for round := 0; round <= len(script); round++ {
+			var ids []int32
+			if rank == 0 && round < len(script) {
+				ids = script[round]
+			}
+			var m *tensor.Matrix
+			var gs GatherStats
+			var err error
+			if round < len(script) {
+				m, gs, err = st.GatherNext(ids)
+			} else {
+				m, gs, err = st.GatherFlush()
+			}
+			if err != nil {
+				return err
+			}
+			if m == nil {
+				continue
+			}
+			if rank == 0 {
+				gs.RemoteByPeer = nil
+				got = append(got, result{append([]float32(nil), m.Data...), gs})
+			}
+			poison(m)
+			st.Release(m)
+		}
+		if live := st.Live(); live != 0 {
+			return fmt.Errorf("%d pooled matrices live after the flush", live)
+		}
+		return nil
+	})
+	if len(got) != len(script) {
+		t.Fatalf("rank 0 completed %d rounds, want %d", len(got), len(script))
+	}
+	for round, ids := range script {
+		r := got[round]
+		if r.stats.RemoteFetch != wantRemote[round] || r.stats.Reused != wantReused[round] {
+			t.Fatalf("round %d: remote %d reused %d, want %d and %d",
+				round, r.stats.RemoteFetch, r.stats.Reused, wantRemote[round], wantReused[round])
+		}
+		for i, v := range ids {
+			for j := 0; j < streamDim; j++ {
+				if a, b := r.feats[i*streamDim+j], full.At(int(v), j); math.Float32bits(a) != math.Float32bits(b) {
+					t.Fatalf("round %d row %d (vertex %d) col %d: got %v, want %v", round, i, v, j, a, b)
+				}
+			}
+		}
+	}
+	// On the wire: rank 0 asked rank 1 for 15, 15, then 16, then nothing,
+	// and rank 2 for 21, then nothing, then 25 — five ids out, three rows
+	// back from rank 1 and two from rank 2.
+	const row, id = 4 * streamDim, 4
+	for rank, want := range []int64{5 * id, 3 * row, 2 * row} {
+		if got := counted[rank].BytesSent(); got != want {
+			t.Fatalf("rank %d sent %d bytes, want %d", rank, got, want)
+		}
+	}
+}
+
+// TestGatherNextOverlapReleasesOnFailure: while a round that inherits rows
+// from the one before it is being pushed or is pending, a failed push and
+// a GatherDiscard each leave the store idle with nothing checked out of
+// its pool (the scripted-peer harness of corrupt_test.go plays rank 1).
+func TestGatherNextOverlapReleasesOnFailure(t *testing.T) {
+	a, b := []int32{17, 20, 17}, []int32{20, 17, 25} // b inherits 20 and 17
+	rows := make([]byte, 3*4*corruptDim)             // rank 1's answer to a's three requests
+	for _, c := range []struct {
+		name   string
+		second []byte
+		want   string
+	}{
+		{"discard", rows, ""},
+		{"short-rows", rows[:len(rows)-4], "payload bytes"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st, err := scriptedPeer(t, CodecFP32, [][]byte{nil, c.second}, func(st *Store) error {
+				if _, _, err := st.GatherNext(a); err != nil {
+					return err
+				}
+				m, _, err := st.GatherNext(b)
+				if err != nil {
+					return err
+				}
+				st.Release(m)
+				if got := st.pending.stats.Reused; got != 2 {
+					return fmt.Errorf("pending round inherited %d rows, want 2", got)
+				}
+				st.GatherDiscard()
+				return nil
+			})
+			if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+				t.Fatalf("got %v, want an error containing %q", err, c.want)
+			}
+			if live := st.Live(); live != 0 {
+				t.Fatalf("%d pooled matrices leaked", live)
+			}
+		})
 	}
 }

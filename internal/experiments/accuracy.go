@@ -92,7 +92,8 @@ type AccuracyRow struct {
 	FinalLoss      float64
 	ValAcc         float64
 	TestAcc        float64
-	RemotePerEpoch int64
+	RemotePerEpoch int64 // remote accesses in the final epoch, summed over ranks
+	WirePerEpoch   int64 // of those, rows fetched on the wire (the rest reused the previous round's)
 	// Elastic-recovery counters; zero on healthy or non-elastic runs.
 	StallsDetected int
 	Regroups       int
@@ -242,17 +243,18 @@ func Accuracy(cfg AccuracyConfig) ([]AccuracyRow, error) {
 
 // foldEpoch folds one epoch's per-rank stats into the row: rank-averaged
 // loss (ranks with no batches sit out), first/final loss bookkeeping, and
-// the summed remote-fetch count.
+// the summed remote-access and wire-row counts.
 func foldEpoch(row *AccuracyRow, e int, stats []pipeline.EpochStats) {
 	var loss float64
 	var n int
-	var remote int64
+	var remote, wire int64
 	for _, s := range stats {
 		if s.Batches > 0 {
 			loss += s.Loss
 			n++
 		}
 		remote += int64(s.Gather.RemoteFetch)
+		wire += int64(s.Gather.RemoteFetch - s.Gather.Reused)
 	}
 	if n > 0 {
 		loss /= float64(n)
@@ -262,15 +264,16 @@ func foldEpoch(row *AccuracyRow, e int, stats []pipeline.EpochStats) {
 	}
 	row.FinalLoss = loss
 	row.RemotePerEpoch = remote
+	row.WirePerEpoch = wire
 }
 
 // RenderAccuracy formats the rows.
 func RenderAccuracy(rows []AccuracyRow) string {
 	t := metrics.NewTable("§5.3 accuracy: real distributed training on synthetic analogs",
-		"dataset", "loss (epoch 1)", "loss (final)", "val acc", "test acc", "remote/epoch")
+		"dataset", "loss (epoch 1)", "loss (final)", "val acc", "test acc", "remote/epoch", "wire rows/epoch")
 	for _, r := range rows {
 		t.AddRow(r.Dataset, fmt.Sprintf("%.3f", r.FirstLoss), fmt.Sprintf("%.3f", r.FinalLoss),
-			fmt.Sprintf("%.3f", r.ValAcc), fmt.Sprintf("%.3f", r.TestAcc), r.RemotePerEpoch)
+			fmt.Sprintf("%.3f", r.ValAcc), fmt.Sprintf("%.3f", r.TestAcc), r.RemotePerEpoch, r.WirePerEpoch)
 	}
 	return t.String()
 }

@@ -222,6 +222,9 @@ func TestAccuracySmallRun(t *testing.T) {
 	if r.ValAcc < 0.3 {
 		t.Fatalf("validation accuracy %.3f below sanity floor", r.ValAcc)
 	}
+	if r.WirePerEpoch <= 0 || r.WirePerEpoch >= r.RemotePerEpoch {
+		t.Fatalf("wire rows %d outside (0, %d remote accesses): the stream reused nothing", r.WirePerEpoch, r.RemotePerEpoch)
+	}
 	if !strings.Contains(RenderAccuracy(rows), "products-sim") {
 		t.Fatal("render broken")
 	}

@@ -112,11 +112,11 @@ type Rank struct {
 
 // EpochStats aggregates one training epoch on one rank.
 type EpochStats struct {
-	Loss        float64 // mean training loss over real batches
-	Accuracy    float64 // mean training accuracy over real batches
-	Batches     int     // real (non-padding) batches
-	Gather      dist.GatherStats
-	BytesSent   int64 // feature-communication bytes this epoch
+	Loss        float64          // mean training loss over real batches
+	Accuracy    float64          // mean training accuracy over real batches
+	Batches     int              // real (non-padding) batches
+	Gather      dist.GatherStats // summed over real batches; rows on the wire = RemoteFetch − Reused
+	BytesSent   int64            // feature-communication bytes this epoch
 	Duration    time.Duration
 	SampleTime  time.Duration // cumulative sampling stage time
 	GatherTime  time.Duration // cumulative feature-collection stage time
@@ -350,10 +350,13 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 	var stats EpochStats
 	stats.Batches = real
 	// doneReal counts real batches retired so far (across the restart);
-	// resumedBytes carries the byte counter over it. Times and bytes are
-	// reporting-only: the resumed run re-pays the communication of rounds
-	// between the checkpoint and the crash, so BytesSent is approximate
-	// after a restore, while the loss/accuracy/access counts are exact.
+	// resumedBytes carries the byte counter over it. Times, bytes and
+	// Gather.Reused are reporting-only: the resumed run re-pays the
+	// communication of rounds between the checkpoint and the crash, so
+	// BytesSent is approximate after a restore, and Reused counts only the
+	// rounds since it (the checkpoint does not carry it; the first resumed
+	// round has no pending round to reuse), while the loss/accuracy/access
+	// counts are exact.
 	doneReal := 0
 	var resumedBytes, resumedGradBytes int64
 	if partial != nil {
@@ -498,6 +501,7 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 			stats.Gather.LocalCPU += pb.stats.LocalCPU
 			stats.Gather.CacheHits += pb.stats.CacheHits
 			stats.Gather.RemoteFetch += pb.stats.RemoteFetch
+			stats.Gather.Reused += pb.stats.Reused
 			stats.GatherTime += pb.gtime
 			stats.SampleTime += pb.stime
 			doneReal++
@@ -590,9 +594,11 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 // ids also carries the rows answering batch i-1's — R+1 feature
 // collectives for an R-round epoch instead of two per Gather. Each batch
 // therefore completes one push late (the last by GatherFlush) and is
-// delivered to ready in order. PipelineDepth 1 flushes after every push:
-// the look-ahead needs a second in-flight slot, and at depth 1 the next
-// batch cannot be sampled until this one retires. Every rank derives the
+// delivered to ready in order, and a batch's remote rows that the batch
+// before it also fetched are copied from that batch instead of fetched
+// again. PipelineDepth 1 flushes after every push, so it never reuses: the
+// look-ahead needs a second in-flight slot, and at depth 1 the next batch
+// cannot be sampled until this one retires. Every rank derives the
 // same schedule from the shared round count and depth, so the collectives
 // stay matched.
 //

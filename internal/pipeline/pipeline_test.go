@@ -162,10 +162,15 @@ func TestCachingReducesCommunication(t *testing.T) {
 	}
 }
 
+// TestPipelineDepthDoesNotChangeResults pins pipelining as invisible to the
+// trajectory: depth 1 and depth 10 train bitwise-equal weights and losses
+// over the same remote accesses. Depth 1 flushes every push, so its stream
+// never reuses a row and is the control for depth 10's reuse, which must
+// put strictly fewer feature bytes on the wire.
 func TestPipelineDepthDoesNotChangeResults(t *testing.T) {
 	d := smallDataset(t)
 
-	weights := func(depth int) []float32 {
+	run := func(depth int) ([]float32, []EpochStats) {
 		cfg := smallConfig()
 		cfg.Train.PipelineDepth = depth
 		cl, err := NewCluster(d, cfg)
@@ -173,22 +178,40 @@ func TestPipelineDepthDoesNotChangeResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		if _, err := cl.TrainEpochAll(0); err != nil {
+		stats, err := cl.TrainEpochAll(0)
+		if err != nil {
 			t.Fatal(err)
 		}
 		var out []float32
 		for _, p := range cl.Ranks[0].Model().Params() {
 			out = append(out, p.W.Data...)
 		}
-		return out
+		return out, stats
 	}
 
-	seq := weights(1)
-	deep := weights(10)
+	seq, seqStats := run(1)
+	deep, deepStats := run(10)
 	for i := range seq {
 		if seq[i] != deep[i] {
 			t.Fatalf("pipelining changed training results at weight %d: %v vs %v", i, seq[i], deep[i])
 		}
+	}
+	var seqBytes, deepBytes int64
+	for r := range seqStats {
+		s, p := seqStats[r], deepStats[r]
+		if s.Loss != p.Loss || s.Gather.RemoteFetch != p.Gather.RemoteFetch {
+			t.Fatalf("rank %d: depth 1 loss %v remote %d, depth 10 loss %v remote %d",
+				r, s.Loss, s.Gather.RemoteFetch, p.Loss, p.Gather.RemoteFetch)
+		}
+		if s.Gather.Reused != 0 || p.Gather.Reused == 0 {
+			t.Fatalf("rank %d: depth 1 reused %d rows (want 0), depth 10 reused %d (want > 0)",
+				r, s.Gather.Reused, p.Gather.Reused)
+		}
+		seqBytes += s.BytesSent
+		deepBytes += p.BytesSent
+	}
+	if deepBytes >= seqBytes {
+		t.Fatalf("depth 10 sent %d feature bytes, depth 1 %d: reuse saved nothing", deepBytes, seqBytes)
 	}
 }
 

@@ -17,7 +17,7 @@ func TestServeAllocationFree(t *testing.T) {
 		t.Skip("race runtime allocates on the goroutine handoffs the serving loop crosses by design")
 	}
 	// The deadline variant keeps the same guarantee with admission control,
-	// the snapshot-time shed filter, the round-time EWMA, the adaptive
+	// the snapshot-time shed filter, the round-time median, the adaptive
 	// batch controller, and the per-collective gather deadline all active —
 	// resilience bookkeeping must cost zero allocations on the warm path.
 	cfgs := map[string]Config{

@@ -361,12 +361,13 @@ func TestServeShedsWhenBudgetExceeded(t *testing.T) {
 }
 
 // TestServeShedRecoversAfterStall pins the escape from admission latch-up:
-// one round stalled 150ms past a 25ms Deadline lifts the round-time
+// a sustained stall — five rounds in a row each stalled 60ms past a 25ms
+// Deadline, a majority of the median's window — lifts the round-time
 // estimate over the budget. Before the fix every later arrival was shed at
 // the door, so no round ran and the estimate never came down — a permanent
 // outage from one noisy-neighbour stall. Now an arrival at an empty queue
 // is the probe, so serving resumes within a bounded number of rounds, the
-// estimate decays back inside the budget, and every offered request is
+// estimate falls back inside the budget, and every offered request is
 // accounted for as served, shed, or failed.
 func TestServeShedRecoversAfterStall(t *testing.T) {
 	cl := serveCluster(t, 2, 0.1, false)
@@ -404,16 +405,18 @@ func TestServeShedRecoversAfterStall(t *testing.T) {
 	for i := 0; i < 5; i++ { // a healthy estimate, well inside the budget
 		predict(int32(i))
 	}
-	ch.Stall()
-	unstall := time.AfterFunc(150*time.Millisecond, ch.Clear)
-	defer unstall.Stop()
-	if err := predict(7); err != nil {
-		t.Fatalf("request riding the stalled round: %v", err)
+	for i := 0; i < 5; i++ {
+		ch.Stall()
+		unstall := time.AfterFunc(60*time.Millisecond, ch.Clear)
+		if err := predict(int32(7 + i)); err != nil {
+			unstall.Stop()
+			t.Fatalf("request riding stalled round %d: %v", i, err)
+		}
 	}
 	// The driver folds the stalled round in after replying; wait for it.
 	for limit := time.Now().Add(5 * time.Second); time.Duration(srv.roundNS.Load()) <= deadline; {
 		if time.Now().After(limit) {
-			t.Fatalf("a 150ms round left the estimate at %v, inside the %v budget: the test no longer reproduces the latch",
+			t.Fatalf("five 60ms rounds left the estimate at %v, inside the %v budget: the test no longer reproduces the latch",
 				time.Duration(srv.roundNS.Load()), deadline)
 		}
 		time.Sleep(time.Millisecond)
@@ -506,6 +509,39 @@ func TestServeAccountsEveryRequestUnderOverload(t *testing.T) {
 	}
 	if snap.Shed == 0 {
 		t.Fatalf("a %d-call burst against slowed rounds shed nothing: the test no longer overloads", callers*perCaller)
+	}
+}
+
+// TestRoundTimeEstimateIsWindowedMedian unit-tests the admission estimate:
+// one 150ms outlier among 25ms rounds never lifts it, at any fill of the
+// window, while a slowdown held for a majority of the window does; and
+// recording a round allocates nothing.
+func TestRoundTimeEstimateIsWindowedMedian(t *testing.T) {
+	const fast, slow = 25 * time.Millisecond, 150 * time.Millisecond
+	s := &Server{}
+	est := func() time.Duration { return time.Duration(s.roundNS.Load()) }
+	for i := 0; i < 3*roundWindow; i++ {
+		d := fast
+		if i == 1 || i == roundWindow+3 {
+			d = slow
+		}
+		s.observeRoundTime(d)
+		if est() != fast {
+			t.Fatalf("round %d (%v): estimate %v, want %v", i, d, est(), fast)
+		}
+	}
+	for i := 1; i <= roundWindow/2+1; i++ {
+		s.observeRoundTime(slow)
+		want := fast
+		if i > roundWindow/2 {
+			want = slow
+		}
+		if est() != want {
+			t.Fatalf("after %d slow rounds: estimate %v, want %v", i, est(), want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.observeRoundTime(fast) }); allocs != 0 {
+		t.Fatalf("recording a round allocated %.1f times, want 0", allocs)
 	}
 }
 

@@ -242,12 +242,16 @@ type Server struct {
 	codecSet bool
 
 	// Resilience state. maxBatch is the adaptive per-rank batch cap
-	// (equal to cfg.MaxBatch when Deadline is off); roundNS is an EWMA of
-	// round duration feeding admission estimates; healthy gates whether
-	// rounds run real gathers or the degraded local fallback; gen numbers
-	// comm groups for the health-probe frames.
+	// (equal to cfg.MaxBatch when Deadline is off); roundNS is the median
+	// of the last roundWindow round durations, feeding admission
+	// estimates, and roundTimes/roundsSeen the ring it is taken over
+	// (driver-only); healthy gates whether rounds run real gathers or the
+	// degraded local fallback; gen numbers comm groups for the health-probe
+	// frames.
 	maxBatch   atomic.Int64
 	roundNS    atomic.Int64
+	roundTimes [roundWindow]int64
+	roundsSeen int
 	healthy    atomic.Bool
 	regrouping atomic.Bool
 	gen        atomic.Uint32
@@ -576,8 +580,8 @@ func (s *Server) Predict(v int32, out []float32) (Stats, error) {
 	return st, err
 }
 
-// shedAtDoor is admission control (active only with a Deadline): with an
-// EWMA round-time estimate in hand, a request that would sit behind
+// shedAtDoor is admission control (active only with a Deadline): with a
+// round-time estimate in hand, a request that would sit behind
 // ⌈queued/batch⌉ rounds plus its own cannot meet the budget — reject it
 // now, while the caller can still retry elsewhere, rather than time it out
 // after queueing. A request arriving at an empty queue is never shed: it
@@ -756,15 +760,22 @@ func (s *Server) driver() {
 	}
 }
 
-// observeRoundTime folds one round's wall time into the EWMA the admission
-// shed and the adaptive batch policy read. Only the driver writes it.
+// roundWindow is how many recent rounds the round-time estimate is the
+// median of: one stalled round among them cannot move it, a sustained
+// slowdown moves it within five rounds.
+const roundWindow = 8
+
+// observeRoundTime records one round's wall time and publishes the median
+// of the last roundWindow rounds (the lower middle value when the window
+// holds an even count) as the estimate the admission shed and the
+// adaptive batch policy read. Only the driver calls it.
 func (s *Server) observeRoundTime(d time.Duration) {
-	est := s.roundNS.Load()
-	if est == 0 {
-		s.roundNS.Store(int64(d))
-		return
-	}
-	s.roundNS.Store(est - est/4 + int64(d)/4)
+	s.roundTimes[s.roundsSeen%roundWindow] = int64(d)
+	s.roundsSeen++
+	n := min(s.roundsSeen, roundWindow)
+	sorted := s.roundTimes
+	slices.Sort(sorted[:n])
+	s.roundNS.Store(sorted[(n-1)/2])
 }
 
 // adaptBatch is the driver's batch-size controller (active only with a
