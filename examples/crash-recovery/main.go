@@ -265,7 +265,7 @@ func demoLiveShrink(ds *salientpp.Dataset) {
 		}
 		return feat, grad
 	}
-	live, rep, err := salientpp.TrainElastic(ds, ecfg, epochs, salientpp.ElasticConfig{})
+	live, rep, err := salientpp.TrainElastic(ds, ecfg, epochs)
 	if err != nil {
 		log.Fatal(err)
 	}

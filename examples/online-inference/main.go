@@ -167,7 +167,6 @@ func degradedDemo(ds *salientpp.Dataset, useTCP bool) {
 		MaxBatch: 16, Seed: serveSeed, UseTCP: useTCP,
 		Deadline:      20 * time.Millisecond,
 		GatherTimeout: 5 * time.Millisecond,
-		ProbeInterval: 2 * time.Millisecond,
 		WrapComm: func(rank int, c dist.Comm) dist.Comm {
 			if rank == 1 {
 				return chaos.Wrap(c)

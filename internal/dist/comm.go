@@ -3,7 +3,6 @@ package dist
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"time"
 )
@@ -106,35 +105,13 @@ func watchAbort(abort <-chan struct{}, stop <-chan struct{}, closeGroup func()) 
 	}()
 }
 
-// HealthFrameLen is the wire size of a health-probe frame: a 4-byte magic
-// plus a little-endian uint32 group generation.
-const HealthFrameLen = 8
-
-// healthMagic distinguishes a health probe from a stray collective payload
-// ("SPHB": SALIENT++ health beat).
-var healthMagic = [4]byte{'S', 'P', 'H', 'B'}
-
-// AppendHealthFrame appends the health-probe frame for group generation
-// gen. Health probes are the first (and only) collective a candidate
-// serving comm group runs before being installed: every rank sends its
-// generation to every peer, and a group is healthy only when all frames
-// decode to the sender's generation within the probe deadline.
-func AppendHealthFrame(buf []byte, gen uint32) []byte {
-	buf = append(buf, healthMagic[:]...)
-	return binary.LittleEndian.AppendUint32(buf, gen)
-}
-
-// DecodeHealthFrame validates a health-probe frame and returns its group
-// generation. Like every wire decoder it must error, never panic, on
-// corrupt bytes (fuzzed by FuzzHealthFrame).
-func DecodeHealthFrame(b []byte) (uint32, error) {
-	if len(b) != HealthFrameLen {
-		return 0, fmt.Errorf("dist: health frame is %d bytes, want %d", len(b), HealthFrameLen)
+// NewGroup returns K connected communicators on the loopback TCP transport
+// when tcp is set, else on the in-process transport.
+func NewGroup(k int, tcp bool) ([]Comm, error) {
+	if tcp {
+		return NewTCPGroup(k)
 	}
-	if [4]byte(b[:4]) != healthMagic {
-		return 0, fmt.Errorf("dist: health frame magic %q, want %q", b[:4], healthMagic[:])
-	}
-	return binary.LittleEndian.Uint32(b[4:]), nil
+	return NewLocalGroup(k)
 }
 
 // f32ToBytes appends the little-endian IEEE-754 encoding of xs to buf.

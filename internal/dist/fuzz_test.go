@@ -43,27 +43,6 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
-// FuzzHealthFrame drives the serving health-probe decoder with arbitrary
-// bytes: DecodeHealthFrame must error — never panic — on anything but a
-// well-formed frame, and every frame AppendHealthFrame emits must round-trip
-// to its generation.
-func FuzzHealthFrame(f *testing.F) {
-	f.Add(AppendHealthFrame(nil, 0))
-	f.Add(AppendHealthFrame(nil, 0xdeadbeef))
-	f.Add([]byte("SPHB"))                 // truncated: magic without a generation
-	f.Add([]byte("XPHB\x01\x00\x00\x00")) // wrong magic
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		gen, err := DecodeHealthFrame(data)
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(AppendHealthFrame(nil, gen), data) {
-			t.Fatalf("accepted frame %x does not re-encode to itself", data)
-		}
-	})
-}
-
 // FuzzWireViews checks the zero-copy int32/float32 reinterpretations
 // tolerate every length (they truncate partial trailing elements rather
 // than reading out of bounds).
@@ -84,8 +63,9 @@ func FuzzWireViews(f *testing.F) {
 	})
 }
 
-// FuzzMembershipFrame drives the elastic-training consensus decoder with
-// arbitrary bytes: DecodeMemberFrame must error — never panic, never
+// FuzzMembershipFrame drives the membership decoder (serving probes and
+// the elastic-training agreement alike) with arbitrary bytes:
+// DecodeMemberFrame must error — never panic, never
 // allocate beyond what the bytes present allow (the step count is bounded
 // by MaxMemberSteps and cross-checked against the frame length before any
 // allocation) — and every accepted frame must re-encode to its exact wire

@@ -3,19 +3,20 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sync"
 )
 
-// Membership consensus frames.
+// Membership protocol.
 //
-// When a training collective fails with a recoverable error (ErrTimeout /
-// ErrClosed), the elastic driver probes each rank and then runs one
-// agreement round over the survivors: every survivor broadcasts a
-// MemberFrame carrying its identity and the checkpoint steps it holds, and
-// each computes — deterministically, from the same K′ frames — the new
-// member set and the latest step present in *every* survivor's list (the
-// barrier-consistent resume point). Like the health frames the serving
-// regroup uses, these are untrusted wire input: DecodeMemberFrame must
-// error, never panic, and never allocate more than the bytes present allow
+// Every regroup — the serving prober installing a fresh comm group, the
+// elastic training driver probing each rank and then agreeing on a resume
+// point over the survivors — is one Agree round: each member broadcasts a
+// MemberFrame carrying the regroup generation, its identity, and (for the
+// training agreement) the checkpoint steps it holds, and every member
+// decodes and checks the same K frames. A health probe is a frame with no
+// steps. Frames are untrusted wire input: DecodeMemberFrame must error,
+// never panic, and never allocate more than the bytes present allow
 // (fuzzed by FuzzMembershipFrame).
 
 // memberMagic distinguishes a membership frame from a stray collective
@@ -40,9 +41,10 @@ type MemberStep struct {
 	Round int32
 }
 
-// MemberFrame is one survivor's contribution to a membership agreement
-// round: which regroup generation it is answering for, which (pre-failure)
-// rank it is, and the checkpoint steps it holds locally, newest first.
+// MemberFrame is one member's contribution to an Agree round: which
+// regroup generation it is answering for, which rank it is, and the
+// checkpoint steps it holds locally, newest first (none for a health
+// probe).
 type MemberFrame struct {
 	Gen   uint32
 	Rank  int32
@@ -113,4 +115,80 @@ func DecodeMemberFrame(b []byte) (MemberFrame, error) {
 		f.Steps[i] = MemberStep{Epoch: int32(e), Round: int32(r)}
 	}
 	return f, nil
+}
+
+// Agree runs one membership exchange over a group: member i sends
+// frames[i] to every peer, one goroutine per member, and decodes all K
+// frames it receives, checking that each answers frames[i].Gen and that
+// the frame from member src claims rank frames[src].Rank. All members must
+// decode the same list. Agree returns that list, or the first error in
+// member order. The caller owns the comms: it arms their timeouts (a
+// stalled member then fails with ErrTimeout instead of wedging the round)
+// and closes them.
+func Agree(comms []Comm, frames []MemberFrame) ([]MemberFrame, error) {
+	k := len(comms)
+	if len(frames) != k {
+		return nil, fmt.Errorf("dist: agreement over %d members with %d frames", k, len(frames))
+	}
+	payloads := make([][]byte, k)
+	for i, f := range frames {
+		b, err := AppendMemberFrame(nil, f)
+		if err != nil {
+			return nil, err
+		}
+		payloads[i] = b
+	}
+	got := make([][]MemberFrame, k)
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for i, c := range comms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = agreeMember(c, frames, i, payloads[i])
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	for i := 1; i < k; i++ {
+		if !slices.EqualFunc(got[i], got[0], sameFrame) {
+			return nil, fmt.Errorf("dist: membership round diverged: member %d decoded %v, member 0 %v", i, got[i], got[0])
+		}
+	}
+	return got[0], nil
+}
+
+// agreeMember is member i's half of an Agree round.
+func agreeMember(c Comm, frames []MemberFrame, i int, payload []byte) ([]MemberFrame, error) {
+	send := make([][]byte, len(frames))
+	for dst := range send {
+		send[dst] = payload
+	}
+	recv, err := c.AllToAll(send)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]MemberFrame, len(recv))
+	for src, b := range recv {
+		f, err := DecodeMemberFrame(b)
+		if err != nil {
+			return nil, fmt.Errorf("dist: membership frame from member %d: %w", src, err)
+		}
+		if f.Gen != frames[i].Gen {
+			return nil, fmt.Errorf("dist: membership frame from member %d answers generation %d, round is %d", src, f.Gen, frames[i].Gen)
+		}
+		if f.Rank != frames[src].Rank {
+			return nil, fmt.Errorf("dist: membership frame from member %d claims rank %d, want %d", src, f.Rank, frames[src].Rank)
+		}
+		out[src] = f
+	}
+	return out, nil
+}
+
+func sameFrame(a, b MemberFrame) bool {
+	return a.Gen == b.Gen && a.Rank == b.Rank && slices.Equal(a.Steps, b.Steps)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -73,6 +75,134 @@ func TestMemberFrameDecodeRejects(t *testing.T) {
 		}
 	}
 }
+
+// rewriteComm is a lying or corrupt member: it rewrites the payload it
+// sends to each peer before the real collective.
+type rewriteComm struct {
+	Comm
+	rewrite func(dst int, b []byte) []byte
+}
+
+func (c *rewriteComm) AllToAll(send [][]byte) ([][]byte, error) {
+	out := make([][]byte, len(send))
+	for dst, b := range send {
+		out[dst] = c.rewrite(dst, append([]byte(nil), b...))
+	}
+	return c.Comm.AllToAll(out)
+}
+
+// TestAgree pins the one membership exchange on both transports at K=3
+// and K=1: a healthy round returns every member's frame; a stale
+// generation, a wrong rank claim, truncated bytes, or a member telling
+// peers different things fails the round without a panic; a stalled
+// member fails it with ErrTimeout; and no goroutine outlives the group.
+func TestAgree(t *testing.T) {
+	const gen, timeout = 7, 50 * time.Millisecond
+	steps := []MemberStep{{Epoch: 2, Round: 4}, {Epoch: 1, Round: 0}}
+	rewrite := func(f func(dst int, b []byte) []byte) func(Comm) Comm {
+		return func(c Comm) Comm { return &rewriteComm{Comm: c, rewrite: f} }
+	}
+	cases := []struct {
+		name    string
+		minK    int
+		stall   bool             // stall member 0 under dist.Chaos
+		liar    func(Comm) Comm  // wraps the last member
+		wantErr func(error) bool // nil: the round must succeed
+	}{
+		{name: "healthy"},
+		{name: "stale-generation", liar: rewrite(func(_ int, b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[4:], gen-1)
+			return b
+		}), wantErr: isErr},
+		{name: "wrong-rank", liar: rewrite(func(_ int, b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[8:], binary.LittleEndian.Uint32(b[8:])+1)
+			return b
+		}), wantErr: isErr},
+		{name: "truncated", liar: rewrite(func(_ int, b []byte) []byte { return b[:len(b)-1] }), wantErr: isErr},
+		{name: "diverged", minK: 2, liar: rewrite(func(dst int, b []byte) []byte {
+			if dst == 0 {
+				binary.LittleEndian.PutUint32(b[memberFrameFixed:], 9) // a step only member 0 sees
+			}
+			return b
+		}), wantErr: isErr},
+		{name: "stalled", stall: true, wantErr: func(err error) bool { return errors.Is(err, ErrTimeout) }},
+	}
+	for _, tr := range []struct {
+		name string
+		tcp  bool
+	}{{"local", false}, {"tcp", true}} {
+		for _, k := range []int{3, 1} {
+			for _, tc := range cases {
+				if k < tc.minK {
+					continue
+				}
+				t.Run(fmt.Sprintf("%s/K=%d/%s", tr.name, k, tc.name), func(t *testing.T) {
+					baseline := runtime.NumGoroutine()
+					comms, err := NewGroup(k, tr.tcp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					frames := make([]MemberFrame, k)
+					for i := range frames {
+						frames[i] = MemberFrame{Gen: gen, Rank: int32(10 + i), Steps: steps}
+					}
+					if tc.liar != nil {
+						comms[k-1] = tc.liar(comms[k-1])
+					}
+					if tc.stall {
+						ch := NewChaos(ChaosConfig{})
+						comms[0] = ch.Wrap(comms[0])
+						ch.Stall()
+					}
+					for _, c := range comms {
+						c.SetTimeout(timeout)
+					}
+					start := time.Now()
+					got, err := Agree(comms, frames)
+					elapsed := time.Since(start)
+					for _, c := range comms {
+						c.Close()
+					}
+					switch {
+					case tc.wantErr == nil && err != nil:
+						t.Fatalf("healthy round failed: %v", err)
+					case tc.wantErr == nil:
+						if len(got) != k {
+							t.Fatalf("got %d frames, want %d", len(got), k)
+						}
+						for i, f := range got {
+							if !sameFrame(f, frames[i]) {
+								t.Fatalf("frame %d: got %+v, want %+v", i, f, frames[i])
+							}
+						}
+					case !tc.wantErr(err):
+						t.Fatalf("Agree returned %v", err)
+					}
+					if elapsed > 20*timeout {
+						t.Fatalf("round took %v under a %v comm timeout", elapsed, timeout)
+					}
+					waitGoroutines(t, baseline, 0, tc.name)
+				})
+			}
+		}
+	}
+
+	// A frame that cannot be encoded fails before any member sends, so an
+	// unbounded group cannot wedge on it.
+	comms, err := NewLocalGroup(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer comms[0].Close()
+	if _, err := Agree(comms, []MemberFrame{{Rank: 0}, {Rank: -1}}); err == nil {
+		t.Fatal("negative rank agreed")
+	}
+	if _, err := Agree(comms, []MemberFrame{{Rank: 0}}); err == nil {
+		t.Fatal("frame count mismatch agreed")
+	}
+}
+
+func isErr(err error) bool { return err != nil }
 
 func TestRecoverableClassification(t *testing.T) {
 	if !Recoverable(ErrTimeout) || !Recoverable(ErrClosed) {

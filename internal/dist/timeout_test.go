@@ -144,52 +144,6 @@ func TestTCPHelloReadTimeout(t *testing.T) {
 	}
 }
 
-// TestHealthFrameRoundTrip pins the probe framing end to end over a real
-// group: every rank broadcasts its generation and validates the peers'.
-func TestHealthFrameRoundTrip(t *testing.T) {
-	const k, gen = 3, 42
-	comms, err := NewLocalGroup(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, c := range comms {
-			c.Close()
-		}
-	}()
-	errs := make(chan error, k)
-	for r := 0; r < k; r++ {
-		go func(c Comm) {
-			send := make([][]byte, k)
-			for dst := range send {
-				send[dst] = AppendHealthFrame(nil, gen)
-			}
-			recv, err := c.AllToAll(send)
-			if err != nil {
-				errs <- err
-				return
-			}
-			for src := range recv {
-				got, err := DecodeHealthFrame(recv[src])
-				if err != nil {
-					errs <- err
-					return
-				}
-				if got != gen {
-					errs <- errors.New("generation mismatch")
-					return
-				}
-			}
-			errs <- nil
-		}(comms[r])
-	}
-	for r := 0; r < k; r++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestGatherLocalZeroFillsMissing checks the degraded gather: local and
 // cached rows resolve normally, unreachable remote rows zero-fill even
 // when the pooled output matrix holds a previous batch's values, and

@@ -192,7 +192,7 @@ func Accuracy(cfg AccuracyConfig) ([]AccuracyRow, error) {
 		if cfg.Elastic {
 			ccfg.StallTimeout = cfg.StallTimeout
 			var rep *pipeline.ElasticReport
-			cl, rep, err = pipeline.TrainElastic(ds, ccfg, cfg.Epochs, pipeline.ElasticConfig{})
+			cl, rep, err = pipeline.TrainElastic(ds, ccfg, cfg.Epochs)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -330,6 +331,54 @@ func TestResumeValidation(t *testing.T) {
 	}
 	if _, err := cl2.TrainEpochAll(cl2.FirstEpoch()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewClusterErrorClosesGroups is the leak regression for cluster
+// construction: an error after the communicator groups exist — here
+// RestoreState rejecting a checkpoint taken at another hidden width, which
+// validateResume does not check — must close both groups. Otherwise every
+// failed call leaves them open (2·K·(K−1) sockets over TCP), and a peer
+// collective on them blocks instead of failing.
+func TestNewClusterErrorClosesGroups(t *testing.T) {
+	d := crashDataset(t)
+	dir := t.TempDir()
+	cfg := crashConfig(false)
+	cfg.Checkpoint = ckpt.Config{Dir: dir, EveryEpochs: 1}
+	cl, err := NewCluster(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.TrainEpochAll(0); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	state, _, err := ckpt.LoadLatest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bad := crashConfig(false)
+	bad.Hidden++
+	bad.Resume = state
+	var feat, grad dist.Comm
+	bad.WrapComm = func(rank int, f, g dist.Comm) (dist.Comm, dist.Comm) {
+		if rank == 0 {
+			feat, grad = f, g
+		}
+		return f, g
+	}
+	if _, err := NewCluster(d, bad); err == nil {
+		t.Fatal("resume at a different hidden width was accepted")
+	}
+	if feat == nil {
+		t.Fatal("NewCluster failed before building its groups: the test no longer reaches the leak")
+	}
+	for name, c := range map[string]dist.Comm{"feature": feat, "gradient": grad} {
+		c.SetTimeout(50 * time.Millisecond)
+		if _, err := c.AllToAll(make([][]byte, c.Size())); !errors.Is(err, dist.ErrClosed) {
+			t.Fatalf("%s group after a failed NewCluster: AllToAll returned %v, want dist.ErrClosed", name, err)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"salientpp/internal/ckpt"
 	"salientpp/internal/dataset"
 	"salientpp/internal/dist"
-	"salientpp/internal/metrics"
 )
 
 // Elastic training: the training-loop twin of the serving layer's
@@ -29,27 +28,13 @@ import (
 // identical to the cold restart (pinned by the chaos matrix tests).
 
 // ErrShrinkAborted reports a membership change that would leave fewer
-// live ranks than ElasticConfig.MinRanks: the run stops instead of
-// shrinking, with all resources released.
+// than minRanks live ranks: the run stops instead of shrinking, with all
+// resources released.
 var ErrShrinkAborted = errors.New("pipeline: too few survivors to continue")
 
-// ElasticConfig tunes the recovery driver around a training run.
-type ElasticConfig struct {
-	// MinRanks is the smallest cluster the driver will shrink to
-	// (default 2: shrinking to one rank leaves no distribution to train).
-	// A failure leaving fewer survivors returns ErrShrinkAborted.
-	MinRanks int
-	// ProbeTimeout bounds each liveness probe and the agreement round
-	// (default: the cluster's StallTimeout, else 2s).
-	ProbeTimeout time.Duration
-	// MaxRecoveries bounds how many membership changes one run will absorb
-	// (default K-1, the most a K-rank run can survive).
-	MaxRecoveries int
-	// Counters, when set, receives the recovery counters
-	// (metrics.CounterStallsDetected / CounterRegroups /
-	// CounterRoundsReplayed). Nil is a valid no-op sink.
-	Counters *metrics.Counters
-}
+// minRanks is the smallest cluster the driver will shrink to: shrinking
+// to one rank leaves no distribution to train.
+const minRanks = 2
 
 // ElasticReport summarizes what the recovery driver did around a run.
 type ElasticReport struct {
@@ -96,27 +81,21 @@ type RegroupEvent struct {
 // TrainElastic runs epochs [FirstEpoch, epochs) with live membership
 // changes: any epoch failing with a recoverable collective error triggers
 // probe → agreement → shrink → rebuild → continue (see the package comment
-// above). Requires checkpointing (cfg.Checkpoint) — the consensus resume
-// point is a checkpoint every survivor holds — and a positive
-// cfg.StallTimeout (defaulted to 5s) so a wedged peer is detected rather
-// than waited on forever. On success the (possibly rebuilt) cluster is
-// returned still open, for evaluation; the caller closes it.
-func TrainElastic(ds *dataset.Dataset, cfg ClusterConfig, epochs int, ecfg ElasticConfig) (*Cluster, *ElasticReport, error) {
+// above), at most K-1 times and never below two ranks. Requires
+// checkpointing (cfg.Checkpoint) — the consensus resume point is a
+// checkpoint every survivor holds — and a positive cfg.StallTimeout
+// (defaulted to 5s) so a wedged peer is detected rather than waited on
+// forever; the same timeout bounds each probe and the agreement round. On
+// success the (possibly rebuilt) cluster is returned still open, for
+// evaluation; the caller closes it.
+func TrainElastic(ds *dataset.Dataset, cfg ClusterConfig, epochs int) (*Cluster, *ElasticReport, error) {
 	if !cfg.Checkpoint.Enabled() {
 		return nil, nil, fmt.Errorf("pipeline: elastic training requires checkpointing (the survivors' consensus resume point is a checkpoint)")
 	}
 	if cfg.StallTimeout <= 0 {
 		cfg.StallTimeout = 5 * time.Second
 	}
-	if ecfg.MinRanks <= 0 {
-		ecfg.MinRanks = 2
-	}
-	if ecfg.ProbeTimeout <= 0 {
-		ecfg.ProbeTimeout = cfg.StallTimeout
-	}
-	if ecfg.MaxRecoveries <= 0 {
-		ecfg.MaxRecoveries = cfg.K - 1
-	}
+	maxRecoveries := cfg.K - 1
 	userWrap := cfg.WrapComm
 
 	// identity maps current ranks to original physical ranks; the fault
@@ -161,15 +140,14 @@ func TrainElastic(ds *dataset.Dataset, cfg ClusterConfig, epochs int, ecfg Elast
 		// down (TrainEpochAll already joined every rank goroutine) and find
 		// out who is still alive.
 		report.StallsDetected++
-		ecfg.Counters.Add(metrics.CounterStallsDetected, 1)
 		cl.Close()
-		if recoveries >= ecfg.MaxRecoveries {
+		if recoveries >= maxRecoveries {
 			return nil, nil, fmt.Errorf("pipeline: %w after %d membership changes: %v", errTooManyRecoveries, recoveries, err)
 		}
 		recoveries++
 		gen++
 
-		agreed, survivors, aerr := probeAndAgree(cfg, ecfg, identity, gen)
+		agreed, survivors, aerr := probeAndAgree(cfg, identity, gen)
 		if aerr != nil {
 			return nil, nil, aerr
 		}
@@ -192,7 +170,6 @@ func TrainElastic(ds *dataset.Dataset, cfg ClusterConfig, epochs int, ecfg Elast
 			return nil, nil, serr
 		}
 		report.RoundsReplayed += st.Step.Round
-		ecfg.Counters.Add(metrics.CounterRoundsReplayed, int64(st.Step.Round))
 
 		next := make([]int, len(survivors))
 		for i, s := range survivors {
@@ -211,7 +188,6 @@ func TrainElastic(ds *dataset.Dataset, cfg ClusterConfig, epochs int, ecfg Elast
 			return nil, nil, fmt.Errorf("pipeline: rebuilding on %d survivors: %w", len(survivors), err)
 		}
 		report.Regroups++
-		ecfg.Counters.Add(metrics.CounterRegroups, 1)
 		// The interrupted epoch (and any epoch after the consensus point)
 		// re-runs; map overwrite keeps the recorded stats equal to a cold
 		// restart's.
@@ -229,21 +205,21 @@ var errTooManyRecoveries = errors.New("recovery budget exhausted")
 // set (current-rank indices, strictly increasing). Retries the whole
 // sequence a bounded number of times, so a rank dying between the probe
 // and the agreement is re-probed rather than hanging the consensus.
-func probeAndAgree(cfg ClusterConfig, ecfg ElasticConfig, identity []int, gen uint32) (ckpt.Step, []int, error) {
+func probeAndAgree(cfg ClusterConfig, identity []int, gen uint32) (ckpt.Step, []int, error) {
 	var lastErr error
 	for attempt := 0; attempt <= cfg.K; attempt++ {
-		alive := probeRanks(cfg, identity, gen, ecfg.ProbeTimeout)
+		alive := probeRanks(cfg, identity, gen)
 		var survivors []int
 		for r, ok := range alive {
 			if ok {
 				survivors = append(survivors, r)
 			}
 		}
-		if len(survivors) < ecfg.MinRanks {
+		if len(survivors) < minRanks {
 			return ckpt.Step{}, nil, fmt.Errorf("%w: %d of %d ranks alive, need %d",
-				ErrShrinkAborted, len(survivors), cfg.K, ecfg.MinRanks)
+				ErrShrinkAborted, len(survivors), cfg.K, minRanks)
 		}
-		agreed, err := agreeMembers(cfg, identity, survivors, gen, ecfg.ProbeTimeout)
+		agreed, err := agreeMembers(cfg, identity, survivors, gen)
 		if err == nil {
 			return agreed, survivors, nil
 		}
@@ -255,188 +231,101 @@ func probeAndAgree(cfg ClusterConfig, ecfg ElasticConfig, identity []int, gen ui
 	return ckpt.Step{}, nil, fmt.Errorf("pipeline: membership agreement never converged: %w", lastErr)
 }
 
-// probeRanks health-checks every current rank in parallel: each probe
-// builds singleton feature and gradient groups, applies the rank's fault
-// wrapper (so a wedged or dead machine's probe inherits its faults), and
-// runs one bounded collective on each. A rank is alive only if both
-// collectives succeed — the training loop needs both its communicators.
-func probeRanks(cfg ClusterConfig, identity []int, gen uint32, timeout time.Duration) []bool {
+// probeRanks health-checks every current rank in parallel: each probe is a
+// dist.Agree round over the rank's own singleton feature group, wrapped by
+// its fault seam (so a wedged or dead machine's probe inherits its
+// faults), followed by one all-reduce on its singleton gradient group. A
+// rank is alive only if both succeed — the training loop needs both its
+// communicators.
+func probeRanks(cfg ClusterConfig, identity []int, gen uint32) []bool {
 	alive := make([]bool, cfg.K)
 	var wg sync.WaitGroup
-	for r := 0; r < cfg.K; r++ {
+	for r := range alive {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			f, g, err := singletonPair(cfg.UseTCP)
+			feat, grad, err := dialMembers(cfg, []int{r})
 			if err != nil {
 				return
 			}
-			if cfg.WrapComm != nil {
-				f, g = cfg.WrapComm(r, f, g)
-			}
-			defer f.Close()
-			defer g.Close()
-			f.SetTimeout(timeout)
-			g.SetTimeout(timeout)
-			echo, err := f.AllToAll([][]byte{dist.AppendHealthFrame(nil, gen)})
-			if err != nil {
+			defer closeComms(feat, grad)
+			if _, err := dist.Agree(feat, []dist.MemberFrame{{Gen: gen, Rank: int32(identity[r])}}); err != nil {
 				return
 			}
-			if got, err := dist.DecodeHealthFrame(echo[0]); err != nil || got != gen {
-				return
-			}
-			if err := g.AllReduceSum([]float32{1}); err != nil {
-				return
-			}
-			alive[r] = true
-		}(r)
+			alive[r] = grad[0].AllReduceSum([]float32{1}) == nil
+		}()
 	}
 	wg.Wait()
 	return alive
 }
 
-func singletonPair(useTCP bool) (dist.Comm, dist.Comm, error) {
-	build := dist.NewLocalGroup
-	if useTCP {
-		build = dist.NewTCPGroup
-	}
-	fs, err := build(1)
-	if err != nil {
-		return nil, nil, err
-	}
-	gs, err := build(1)
-	if err != nil {
-		fs[0].Close()
-		return nil, nil, err
-	}
-	return fs[0], gs[0], nil
-}
-
-// agreeMembers runs one membership agreement round: every survivor builds
-// into a fresh K′-wide group, broadcasts a MemberFrame carrying its
-// physical identity and the checkpoint steps it holds, and computes — from
-// the same K′ frames — the newest step present in every survivor's list.
-// All members must converge on the same step or the round fails.
-func agreeMembers(cfg ClusterConfig, identity []int, survivors []int, gen uint32, timeout time.Duration) (ckpt.Step, error) {
-	k := len(survivors)
-	build := dist.NewLocalGroup
-	if cfg.UseTCP {
-		build = dist.NewTCPGroup
-	}
-	feats, err := build(k)
-	if err != nil {
-		return ckpt.Step{}, err
-	}
-	grads, err := build(k)
-	if err != nil {
-		for _, c := range feats {
-			c.Close()
-		}
-		return ckpt.Step{}, err
-	}
-
-	type verdict struct {
-		step ckpt.Step
-		err  error
-	}
-	out := make(chan verdict, k)
-	for i := 0; i < k; i++ {
-		go func(i int) {
-			f, g := feats[i], grads[i]
-			if cfg.WrapComm != nil {
-				f, g = cfg.WrapComm(survivors[i], f, g)
-			}
-			defer f.Close()
-			defer g.Close()
-			f.SetTimeout(timeout)
-			g.SetTimeout(timeout)
-			step, err := agreeOne(f, cfg.Checkpoint.Dir, gen, int32(identity[survivors[i]]), survivors, identity)
-			out <- verdict{step, err}
-		}(i)
-	}
-	var steps []ckpt.Step
-	var firstErr error
-	for i := 0; i < k; i++ {
-		v := <-out
-		if v.err != nil {
-			if firstErr == nil {
-				firstErr = v.err
-			}
-			continue
-		}
-		steps = append(steps, v.step)
-	}
-	if firstErr != nil {
-		return ckpt.Step{}, firstErr
-	}
-	for _, s := range steps[1:] {
-		if s != steps[0] {
-			return ckpt.Step{}, fmt.Errorf("pipeline: membership round diverged: %v vs %v", s, steps[0])
-		}
-	}
-	return steps[0], nil
-}
-
-// agreeOne is one member's half of the agreement round: advertise the
-// locally held checkpoint steps, collect every peer's list, and return the
-// newest step present in all of them.
-func agreeOne(c dist.Comm, dir string, gen uint32, selfRank int32, survivors, identity []int) (ckpt.Step, error) {
-	held, err := ckpt.Steps(dir)
+// agreeMembers runs one membership agreement round over the survivors:
+// each advertises its physical identity and the checkpoint steps it holds
+// in one dist.Agree round, and the resume point is the newest step held
+// by all of them.
+func agreeMembers(cfg ClusterConfig, identity []int, survivors []int, gen uint32) (ckpt.Step, error) {
+	// In-process ranks share one checkpoint directory, so every survivor
+	// holds the same list.
+	held, err := ckpt.Steps(cfg.Checkpoint.Dir)
 	if err != nil {
 		return ckpt.Step{}, fmt.Errorf("pipeline: listing checkpoints: %w", err)
 	}
 	if len(held) > dist.MaxMemberSteps {
 		held = held[:dist.MaxMemberSteps]
 	}
-	frame := dist.MemberFrame{Gen: gen, Rank: selfRank}
-	for _, s := range held {
-		frame.Steps = append(frame.Steps, dist.MemberStep{Epoch: int32(s.Epoch), Round: int32(s.Round)})
+	steps := make([]dist.MemberStep, len(held))
+	for i, s := range held {
+		steps[i] = dist.MemberStep{Epoch: int32(s.Epoch), Round: int32(s.Round)}
 	}
-	payload, err := dist.AppendMemberFrame(nil, frame)
-	if err != nil {
-		return ckpt.Step{}, err
-	}
-	send := make([][]byte, c.Size())
-	for i := range send {
-		send[i] = payload
-	}
-	recv, err := c.AllToAll(send)
-	if err != nil {
-		return ckpt.Step{}, err
+	frames := make([]dist.MemberFrame, len(survivors))
+	for i, s := range survivors {
+		frames[i] = dist.MemberFrame{Gen: gen, Rank: int32(identity[s]), Steps: steps}
 	}
 
-	// Count how many members hold each advertised step; the resume point
-	// is the newest step held by all of them.
+	feat, grad, err := dialMembers(cfg, survivors)
+	if err != nil {
+		return ckpt.Step{}, err
+	}
+	agreed, err := dist.Agree(feat, frames)
+	closeComms(feat, grad)
+	if err != nil {
+		return ckpt.Step{}, err
+	}
 	holders := make(map[ckpt.Step]int)
-	for peer, b := range recv {
-		pf, err := dist.DecodeMemberFrame(b)
-		if err != nil {
-			return ckpt.Step{}, fmt.Errorf("pipeline: membership frame from peer %d: %w", peer, err)
-		}
-		if pf.Gen != gen {
-			return ckpt.Step{}, fmt.Errorf("pipeline: membership frame from peer %d answers generation %d, round is %d", peer, pf.Gen, gen)
-		}
-		if want := int32(identity[survivors[peer]]); pf.Rank != want {
-			return ckpt.Step{}, fmt.Errorf("pipeline: membership frame from peer %d claims rank %d, want %d", peer, pf.Rank, want)
-		}
-		for _, s := range pf.Steps {
+	for _, f := range agreed {
+		for _, s := range f.Steps {
 			holders[ckpt.Step{Epoch: int(s.Epoch), Round: int(s.Round)}]++
 		}
 	}
 	var best ckpt.Step
 	found := false
 	for s, n := range holders {
-		if n != c.Size() {
-			continue
-		}
-		if !found || best.Less(s) {
+		if n == len(agreed) && (!found || best.Less(s)) {
 			best, found = s, true
 		}
 	}
 	if !found {
-		return ckpt.Step{}, fmt.Errorf("pipeline: no checkpoint is held by all %d survivors", c.Size())
+		return ckpt.Step{}, fmt.Errorf("pipeline: no checkpoint is held by all %d survivors", len(agreed))
 	}
 	return best, nil
+}
+
+// dialMembers builds fresh feature and gradient groups over the given
+// members (current ranks), each member wrapped by its fault seam and
+// bounded by the stall timeout.
+func dialMembers(cfg ClusterConfig, members []int) (feat, grad []dist.Comm, err error) {
+	feat, grad, err = newGroups(len(members), cfg.UseTCP)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, m := range members {
+		if cfg.WrapComm != nil {
+			feat[i], grad[i] = cfg.WrapComm(m, feat[i], grad[i])
+		}
+		feat[i].SetTimeout(cfg.StallTimeout)
+		grad[i].SetTimeout(cfg.StallTimeout)
+	}
+	return feat, grad, nil
 }
 
 // roundsForLayout derives the rounds-per-epoch for a merged layout: every

@@ -122,12 +122,27 @@ func (c *Cluster) FirstEpoch() int {
 }
 
 // Close releases communicators.
-func (c *Cluster) Close() {
-	for _, cm := range c.commFeat {
-		cm.Close()
+func (c *Cluster) Close() { closeComms(c.commFeat, c.commGrad) }
+
+// newGroups builds a K-member cluster's two communicator groups: features
+// and gradients are separate, like NCCL streams.
+func newGroups(k int, tcp bool) (feat, grad []dist.Comm, err error) {
+	if feat, err = dist.NewGroup(k, tcp); err != nil {
+		return nil, nil, err
 	}
-	for _, cm := range c.commGrad {
-		cm.Close()
+	if grad, err = dist.NewGroup(k, tcp); err != nil {
+		closeComms(feat)
+		return nil, nil, err
+	}
+	return feat, grad, nil
+}
+
+// closeComms closes every communicator of the given groups.
+func closeComms(groups ...[]dist.Comm) {
+	for _, g := range groups {
+		for _, c := range g {
+			c.Close()
+		}
 	}
 }
 
@@ -238,25 +253,18 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 
-	// 4. Communicator groups (features and gradients are separate, like
-	// NCCL streams).
-	var commFeat, commGrad []dist.Comm
-	if cfg.UseTCP {
-		commFeat, err = dist.NewTCPGroup(cfg.K)
-		if err != nil {
-			return nil, err
-		}
-		commGrad, err = dist.NewTCPGroup(cfg.K)
-	} else {
-		commFeat, err = dist.NewLocalGroup(cfg.K)
-		if err != nil {
-			return nil, err
-		}
-		commGrad, err = dist.NewLocalGroup(cfg.K)
-	}
+	// 4. Communicator groups. From here on every error return closes them.
+	commFeat, commGrad, err := newGroups(cfg.K, cfg.UseTCP)
 	if err != nil {
 		return nil, err
 	}
+	cl := &Cluster{Data: rds, Layout: layout, Parts: parts, Perm: perm, Precision: precision, commFeat: commFeat, commGrad: commGrad, resume: cfg.Resume}
+	built := false
+	defer func() {
+		if !built {
+			cl.Close()
+		}
+	}()
 
 	// 5. Per-rank stores, models, ranks.
 	trainReordered := rds.TrainIDs()
@@ -286,7 +294,6 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 
-	cl := &Cluster{Data: rds, Layout: layout, Parts: parts, Perm: perm, Precision: precision, commFeat: commFeat, commGrad: commGrad, resume: cfg.Resume}
 	cacheIDs := make([][]int32, cfg.K)
 	for rank := 0; rank < cfg.K; rank++ {
 		// Local shard in layout order.
@@ -398,6 +405,7 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 			rk.SetCheckpointer(saver)
 		}
 	}
+	built = true
 	return cl, nil
 }
 

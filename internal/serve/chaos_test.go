@@ -46,7 +46,6 @@ func TestServeStalledRankDegradesAndRecovers(t *testing.T) {
 	srv, err := New(cl, Config{
 		MaxBatch: 4, MaxWait: 200 * time.Microsecond, Seed: seed,
 		GatherTimeout: 50 * time.Millisecond,
-		ProbeInterval: 20 * time.Millisecond,
 		WrapComm:      chaosWrap(ch, 1),
 	})
 	if err != nil {
@@ -212,7 +211,6 @@ func TestServeDeadRankStaysAvailable(t *testing.T) {
 	srv, err := New(cl, Config{
 		MaxBatch: 4, MaxWait: 200 * time.Microsecond, Seed: 9,
 		GatherTimeout: 50 * time.Millisecond,
-		ProbeInterval: 25 * time.Millisecond,
 		WrapComm:      chaosWrap(ch, 1),
 	})
 	if err != nil {

@@ -113,10 +113,6 @@ type Config struct {
 	// case it defaults to Deadline/2 (a request's budget must cover a
 	// timed-out gather plus the local fallback).
 	GatherTimeout time.Duration
-	// ProbeInterval paces health probes while the server is degraded
-	// (default 250ms): each probe builds a candidate comm group, runs one
-	// timed health collective over it, and installs it only on success.
-	ProbeInterval time.Duration
 	// WrapComm, when set, wraps each serving communicator at construction
 	// AND after every regroup — the serving twin of
 	// pipeline.ClusterConfig.WrapComm. Fault-injection harnesses
@@ -156,9 +152,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Deadline > 0 && c.GatherTimeout == 0 {
 		c.GatherTimeout = c.Deadline / 2
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 250 * time.Millisecond
 	}
 	if c.CacheRefreshRounds <= 0 {
 		c.CacheRefreshRounds = 32
@@ -413,17 +406,13 @@ func New(cl *pipeline.Cluster, cfg Config) (*Server, error) {
 // buildGroup assembles one generation of serving communicators — fresh
 // transport group, WrapComm fault seam, gather timeout, sibling stores
 // with the resolved codec/precision, abort channel — and, when probe is
-// set, validates it with one timed health collective before returning it.
-// Every comm of a failed build is closed; nothing leaks.
+// set, validates it with one dist.Agree health round (frames without
+// steps, stamped with a fresh generation) before returning it. The gather
+// timeout bounds the probe, so a still-stalled rank fails it within the
+// budget instead of wedging the regroup goroutine. Every comm of a failed
+// build is closed; nothing leaks.
 func (s *Server) buildGroup(probe bool) (*commGroup, error) {
-	k := len(s.parents)
-	var comms []dist.Comm
-	var err error
-	if s.cfg.UseTCP {
-		comms, err = dist.NewTCPGroup(k)
-	} else {
-		comms, err = dist.NewLocalGroup(k)
-	}
+	comms, err := dist.NewGroup(len(s.parents), s.cfg.UseTCP)
 	if err != nil {
 		return nil, err
 	}
@@ -431,16 +420,20 @@ func (s *Server) buildGroup(probe bool) (*commGroup, error) {
 	for r := range comms {
 		if s.cfg.WrapComm != nil {
 			comms[r] = s.cfg.WrapComm(r, comms[r])
-			g.comms[r] = comms[r]
 		}
 		if s.cfg.GatherTimeout > 0 {
 			comms[r].SetTimeout(s.cfg.GatherTimeout)
 		}
 	}
 	if probe {
-		if err := s.probeGroup(g); err != nil {
+		gen := s.gen.Add(1)
+		frames := make([]dist.MemberFrame, len(comms))
+		for r := range frames {
+			frames[r] = dist.MemberFrame{Gen: gen, Rank: int32(r)}
+		}
+		if _, err := dist.Agree(comms, frames); err != nil {
 			g.close()
-			return nil, err
+			return nil, fmt.Errorf("serve: probing comm group %d: %w", gen, err)
 		}
 	}
 	for r := range comms {
@@ -459,49 +452,6 @@ func (s *Server) buildGroup(probe bool) (*commGroup, error) {
 		g.stores = append(g.stores, st)
 	}
 	return g, nil
-}
-
-// probeGroup runs one matched health collective over a candidate group:
-// every rank broadcasts the generation stamped into the probe frame and
-// validates its peers'. The comms' gather timeout bounds the probe, so a
-// still-stalled rank fails the probe within the budget instead of wedging
-// the regroup goroutine.
-func (s *Server) probeGroup(g *commGroup) error {
-	k := len(g.comms)
-	gen := s.gen.Add(1)
-	errs := make(chan error, k)
-	for _, c := range g.comms {
-		go func(c dist.Comm) {
-			send := make([][]byte, k)
-			for dst := range send {
-				send[dst] = dist.AppendHealthFrame(nil, gen)
-			}
-			recv, err := c.AllToAll(send)
-			if err != nil {
-				errs <- err
-				return
-			}
-			for src := range recv {
-				got, err := dist.DecodeHealthFrame(recv[src])
-				if err != nil {
-					errs <- fmt.Errorf("serve: probe frame from rank %d: %w", src, err)
-					return
-				}
-				if got != gen {
-					errs <- fmt.Errorf("serve: probe from rank %d carries generation %d, want %d", src, got, gen)
-					return
-				}
-			}
-			errs <- nil
-		}(c)
-	}
-	var firstErr error
-	for i := 0; i < k; i++ {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
 
 // Classes returns the logit width Predict fills (len(out) must equal it).
@@ -837,9 +787,10 @@ func (s *Server) installGroup(g *commGroup) {
 }
 
 // regroup is the background prober launched while the server is degraded:
-// it repeatedly builds a candidate comm group and health-checks it (the
-// gather timeout bounds each attempt), delivering the first group whose
-// probe succeeds. The driver installs it between rounds.
+// it repeatedly builds a candidate comm group and health-checks it,
+// delivering the first group whose probe succeeds; the driver installs it
+// between rounds. The gather timeout bounds each attempt and also paces
+// the retries.
 func (s *Server) regroup() {
 	defer s.wg.Done()
 	for {
@@ -855,7 +806,7 @@ func (s *Server) regroup() {
 		select {
 		case <-s.shutdown:
 			return
-		case <-time.After(s.cfg.ProbeInterval):
+		case <-time.After(s.cfg.GatherTimeout):
 		}
 	}
 }

@@ -80,10 +80,6 @@ type (
 	// weights, Adam moments, RNG streams, the epoch/round cursor, and the
 	// partition/VIP/cache topology.
 	TrainState = ckpt.TrainState
-	// ElasticConfig tunes elastic training (TrainElastic): minimum
-	// surviving member count, probe timeout, recovery budget, and an
-	// optional counter registry.
-	ElasticConfig = pipeline.ElasticConfig
 	// ElasticReport summarizes an elastic run: stall/regroup/replay
 	// counters, the final member set, per-epoch stats, and one
 	// RegroupEvent per membership change.
@@ -102,10 +98,9 @@ type (
 var ErrShed = serve.ErrShed
 
 // ErrShrinkAborted is returned by TrainElastic when a recovery attempt
-// cannot produce a viable smaller cluster — fewer than
-// ElasticConfig.MinRanks survivors answered the probe, or the survivors
-// hold no common checkpoint. The run stops rather than continuing on a
-// membership it cannot trust.
+// would leave fewer than two survivors answering the probe: a single rank
+// has no distribution left to train. The run stops rather than continuing
+// on a membership it cannot use.
 var ErrShrinkAborted = pipeline.ErrShrinkAborted
 
 // NewPapersDataset generates the scaled ogbn-papers100M analog with n
@@ -171,15 +166,17 @@ func NewCluster(ds *Dataset, cfg ClusterConfig) (*Cluster, error) {
 
 // TrainElastic trains for the given number of epochs while surviving rank
 // failures: every training collective is bounded by
-// ClusterConfig.StallTimeout; on a stall the survivors probe each other,
-// agree on the newest checkpoint they all hold, absorb the dead rank's
-// feature shard and VIP cache slice, and continue on K-1 machines —
-// bitwise identical to a cold K-1 restart from that same checkpoint.
-// Requires ClusterConfig.Checkpoint to be enabled. The returned cluster
-// is still open (evaluate on it, then Close); the report carries the
-// recovery counters and per-epoch stats.
-func TrainElastic(ds *Dataset, cfg ClusterConfig, epochs int, ecfg ElasticConfig) (*Cluster, *ElasticReport, error) {
-	return pipeline.TrainElastic(ds, cfg, epochs, ecfg)
+// ClusterConfig.StallTimeout; on a stall each rank is probed, the
+// survivors agree on the newest checkpoint they all hold, absorb the dead
+// rank's feature shard and VIP cache slice, and continue on K-1 machines —
+// bitwise identical to a cold K-1 restart from that same checkpoint. The
+// same timeout bounds each probe and the agreement; a run absorbs at most
+// K-1 failures and never shrinks below two ranks. Requires
+// ClusterConfig.Checkpoint to be enabled. The returned cluster is still
+// open (evaluate on it, then Close); the report carries the recovery
+// counters and per-epoch stats.
+func TrainElastic(ds *Dataset, cfg ClusterConfig, epochs int) (*Cluster, *ElasticReport, error) {
+	return pipeline.TrainElastic(ds, cfg, epochs)
 }
 
 // NewServer builds an online-inference server over a cluster: per rank, a
