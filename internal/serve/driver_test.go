@@ -41,6 +41,34 @@ func TestServeCodecOverrideReducesBytes(t *testing.T) {
 	}
 }
 
+// TestServeMetricsRecordedBeforeReply pins that a round's metrics land
+// before its requests are answered: a Snapshot taken as soon as Predict
+// returns must already count that round's remote fetches.
+func TestServeMetricsRecordedBeforeReply(t *testing.T) {
+	cl := serveCluster(t, 2, 0, false) // α=0: every foreign row goes remote
+	defer cl.Close()
+	srv, err := New(cl, Config{MaxBatch: 16, MaxWait: time.Millisecond, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	out := make([]float32, srv.Classes())
+	var want int64
+	for v := int32(0); v < 64; v += 4 {
+		st, err := srv.Predict(v, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += int64(st.RemoteFetch)
+		if got := srv.Snapshot().RemoteFetches; got != want {
+			t.Fatalf("after vertex %d: snapshot counts %d remote fetches, replies %d", v, got, want)
+		}
+	}
+	if want == 0 {
+		t.Fatal("workload produced no remote fetches; nothing was checked")
+	}
+}
+
 // TestDriverScansO1 is the driver-efficiency regression test: queue scans
 // are the driver's per-wake cost, so their count is the busy-loop gauge.
 //

@@ -1136,6 +1136,11 @@ func (e *engine) run(m roundMsg) {
 		tCompute = time.Since(t0)
 	}
 
+	// Record the round before replying, so a Snapshot taken as soon as a
+	// Predict returns already counts the round that answered it.
+	if err == nil {
+		s.met.observeRound(n, gstats, tCompute, degraded)
+	}
 	now := time.Now()
 	for i, r := range e.batch {
 		if err != nil {
@@ -1157,9 +1162,6 @@ func (e *engine) run(m roundMsg) {
 		e.batch[i] = nil
 	}
 	e.batch = e.batch[:0]
-	if err == nil {
-		s.met.observeRound(n, gstats, tCompute, degraded)
-	}
 	if feats != nil {
 		e.store.Release(feats)
 	}

@@ -1,0 +1,101 @@
+//go:build amd64
+
+package tensor
+
+import (
+	"math"
+	"testing"
+
+	"salientpp/internal/rng"
+)
+
+// sameFloat is bitwise equality, except that any two NaNs match: the
+// payload and sign of a NaN depend on instruction operand order, which the
+// kernels' contract does not fix.
+func sameFloat(x, y float32) bool {
+	return math.Float32bits(x) == math.Float32bits(y) || (x != x && y != y)
+}
+
+// kernelInputs fills depth values per row: mostly normal draws, with NaN,
+// ±Inf, ±0, subnormals and magnitudes around 1e±30 (whose products
+// overflow and underflow) mixed in when special is set.
+func kernelInputs(r *rng.RNG, rows, depth int, special bool) [][]float32 {
+	odd := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		0, float32(math.Copysign(0, -1)), 1e-40, -3e-42, math.SmallestNonzeroFloat32,
+		1e30, -2.5e30, 1e-30, -4e-30,
+	}
+	out := make([][]float32, rows)
+	for i := range out {
+		out[i] = make([]float32, depth)
+		for k := range out[i] {
+			out[i][k] = float32(r.NormFloat64())
+			if special && r.Intn(16) == 0 {
+				out[i][k] = odd[r.Intn(len(odd))]
+			}
+		}
+	}
+	return out
+}
+
+// TestDotBlock4x4AVX2MatchesPortable pins the micro-kernel contract: the
+// AVX2 kernel gives every output bit-for-bit the portable kernel's value —
+// same lanes, same (l0+l2)+(l1+l3) reduction, same ascending tail, a
+// rounded product and a rounded sum per term — at depths around every
+// vector and tail boundary, on ordinary and special-value inputs.
+func TestDotBlock4x4AVX2MatchesPortable(t *testing.T) {
+	if !x86HasAVX2() {
+		t.Skip("CPU has no AVX2")
+	}
+	r := rng.New(41)
+	depths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 127, 128, 129, 4099}
+	for _, depth := range depths {
+		for trial := 0; trial < 40; trial++ {
+			in := kernelInputs(r, 8, depth, trial%2 == 1)
+			var simd, portable [16]float32
+			dotBlock4x4AVX2(&in[0][0], &in[1][0], &in[2][0], &in[3][0], &in[4][0], &in[5][0], &in[6][0], &in[7][0], depth, &simd)
+			dotBlock4x4Go(&in[0][0], &in[1][0], &in[2][0], &in[3][0], &in[4][0], &in[5][0], &in[6][0], &in[7][0], depth, &portable)
+			for o := range simd {
+				if !sameFloat(simd[o], portable[o]) {
+					t.Fatalf("depth %d trial %d output %d: avx2 %g (%#x), portable %g (%#x)",
+						depth, trial, o, simd[o], math.Float32bits(simd[o]), portable[o], math.Float32bits(portable[o]))
+				}
+			}
+		}
+	}
+}
+
+// TestProductsBitwiseAcrossDispatch runs all four products at every
+// backendShapes entry with the dispatch forced to AVX2 and to the portable
+// kernel: the outputs must be bitwise equal, so which kernel a CPU picks
+// never changes a trained weight or a served logit.
+func TestProductsBitwiseAcrossDispatch(t *testing.T) {
+	if !x86HasAVX2() {
+		t.Skip("CPU has no AVX2")
+	}
+	defer func(prev bool) { hasAVX2 = prev }(hasAVX2)
+	r := rng.New(43)
+	for _, s := range backendShapes {
+		m, k, n := s[0], s[1], s[2]
+		a, b := randMat(m, k, r), randMat(k, n, r)
+		at, bt := randMat(k, m, r), randMat(n, k, r)
+		base := randMat(m, n, r)
+		run := func(avx2 bool) [4]*Matrix {
+			hasAVX2 = avx2
+			outs := [4]*Matrix{New(m, n), New(m, n), New(m, n), base.Clone()}
+			MatMul(outs[0], a, b)
+			MatMulATB(outs[1], at, b)
+			MatMulABT(outs[2], a, bt)
+			MatMulAdd(outs[3], a, b)
+			return outs
+		}
+		simd, portable := run(true), run(false)
+		for p, name := range []string{"MatMul", "MatMulATB", "MatMulABT", "MatMulAdd"} {
+			for e, v := range simd[p].Data {
+				if !sameFloat(v, portable[p].Data[e]) {
+					t.Fatalf("%s %v element %d: avx2 %g, portable %g", name, s, e, v, portable[p].Data[e])
+				}
+			}
+		}
+	}
+}

@@ -2,58 +2,8 @@
 
 package tensor
 
-import "unsafe"
-
-// dotBlock2x4 is the portable fallback for the SSE2 micro-kernel in
-// dot_amd64.s. It reproduces the exact same association: four strided
-// accumulator lanes (lane L takes the k ≡ L (mod 4) terms in ascending
-// order) reduced as (l0+l2)+(l1+l3), with the k%4 tail accumulating scalar
-// onto the reduced sum — so outputs are bitwise identical across
-// architectures.
-func dotBlock2x4(a0p, a1p, b0p, b1p, b2p, b3p *float32, depth int, out *[8]float32) {
-	a0 := unsafe.Slice(a0p, depth)
-	a1 := unsafe.Slice(a1p, depth)
-	b0 := unsafe.Slice(b0p, depth)
-	b1 := unsafe.Slice(b1p, depth)
-	b2 := unsafe.Slice(b2p, depth)
-	b3 := unsafe.Slice(b3p, depth)
-
-	var l00, l01, l02, l03 [4]float32
-	var l10, l11, l12, l13 [4]float32
-	k := 0
-	for ; k+4 <= depth; k += 4 {
-		for l := 0; l < 4; l++ {
-			av0, av1 := a0[k+l], a1[k+l]
-			bv0, bv1, bv2, bv3 := b0[k+l], b1[k+l], b2[k+l], b3[k+l]
-			l00[l] += av0 * bv0
-			l01[l] += av0 * bv1
-			l02[l] += av0 * bv2
-			l03[l] += av0 * bv3
-			l10[l] += av1 * bv0
-			l11[l] += av1 * bv1
-			l12[l] += av1 * bv2
-			l13[l] += av1 * bv3
-		}
-	}
-	reduce := func(l [4]float32) float32 { return (l[0] + l[2]) + (l[1] + l[3]) }
-	s00, s01, s02, s03 := reduce(l00), reduce(l01), reduce(l02), reduce(l03)
-	s10, s11, s12, s13 := reduce(l10), reduce(l11), reduce(l12), reduce(l13)
-	for ; k < depth; k++ {
-		av0, av1 := a0[k], a1[k]
-		bv0, bv1, bv2, bv3 := b0[k], b1[k], b2[k], b3[k]
-		s00 += av0 * bv0
-		s01 += av0 * bv1
-		s02 += av0 * bv2
-		s03 += av0 * bv3
-		s10 += av1 * bv0
-		s11 += av1 * bv1
-		s12 += av1 * bv2
-		s13 += av1 * bv3
-	}
-	out[0], out[1], out[2], out[3] = s00, s01, s02, s03
-	out[4], out[5], out[6], out[7] = s10, s11, s12, s13
+// dotBlock4x4 runs the fp32 dot micro-kernel; without amd64 assembly that
+// is the portable kernel.
+func dotBlock4x4(a0, a1, a2, a3, b0, b1, b2, b3 *float32, depth int, out *[16]float32) {
+	dotBlock4x4Go(a0, a1, a2, a3, b0, b1, b2, b3, depth, out)
 }
-
-// dotKernelName identifies the micro-kernel implementation in benchmarks
-// and the README.
-const dotKernelName = "go"

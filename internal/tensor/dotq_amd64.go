@@ -26,10 +26,11 @@ func accumInt8KernelAVX2(dst *float32, src *int8, scale float32, n8 int)
 // x86HasAVX2 probes CPUID/XGETBV for usable AVX2 (see cpu_amd64.s).
 func x86HasAVX2() bool
 
-// hasAVX2 selects the integer kernel once at startup. The fp32 kernels stay
-// SSE2-only (reassociating them would shift the pinned training losses);
-// the integer kernels are exact at any width, so dispatching costs nothing
-// in reproducibility.
+// hasAVX2 selects the integer kernels and the fp32 dot kernel once at
+// startup. Neither dispatch costs anything in reproducibility: integer
+// accumulation is exact at any width, and the AVX2 fp32 kernel keeps the
+// portable kernel's per-output rounding sequence (see dot.go). Tests flip
+// it to force the portable kernels.
 var hasAVX2 = x86HasAVX2()
 
 // dotInt8Block2x4 fills out with the eight full-depth integer dot products
@@ -83,7 +84,3 @@ func accumInt8Row(dst []float32, src []int8, scale float32) {
 		dst[v] += float32(src[v]) * scale
 	}
 }
-
-// dotQKernelName identifies the integer micro-kernel in benchmarks and the
-// README.
-var dotQKernelName = map[bool]string{true: "avx2", false: "sse2"}[hasAVX2]

@@ -27,7 +27,3 @@ func accumInt8Row(dst []float32, src []int8, scale float32) {
 		dst[j] += float32(v) * scale
 	}
 }
-
-// dotQKernelName identifies the integer micro-kernel in benchmarks and the
-// README.
-const dotQKernelName = "go"

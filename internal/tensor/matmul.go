@@ -23,7 +23,7 @@ const MinParallelRows = 64
 //
 // Dispatch (see tiled.go for the shared kernel contract): operands below
 // MinParallelRows run the serial 4-row register-blocked kernel; larger
-// operands pack Bᵀ once into reused scratch and run the 2×4 SIMD dot
+// operands pack Bᵀ once into reused scratch and run the 4×4 dot
 // micro-kernel over L1-resident column panels and L2-resident row slabs.
 // Row ranges are distributed across GOMAXPROCS goroutines (with a direct
 // closure-free call when GOMAXPROCS is 1); each output element is computed
@@ -207,8 +207,8 @@ func matMulATBRange(c, a, b *Matrix, lo, hi int) {
 // Used for input gradients (X.grad = dY·Wᵀ). B already is the transposed
 // layout the SIMD micro-kernel wants, so no packing is needed. Below
 // MinParallelRows it runs the serial scalar kernel; above, B is walked in
-// L1-resident panels swept across an L2-resident slab of A rows, each 2×4
-// block of dot products going through dotBlock2x4. Workers own disjoint C
+// L1-resident panels swept across an L2-resident slab of A rows, each 4×4
+// block of dot products going through dotBlock4x4. Workers own disjoint C
 // rows; per-element association is shape-determined.
 func MatMulABT(c, a, b *Matrix) {
 	checkMatMulABT(c, a, b)

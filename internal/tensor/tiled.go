@@ -3,8 +3,9 @@ package tensor
 import "sync"
 
 // The cache-tiled fp32 GEMM kernels behind MatMul, MatMulAdd, MatMulATB
-// and MatMulABT. All three products funnel through one 2×4 dot
-// micro-kernel (dotBlock2x4, 4-lane SSE2 on amd64) over operands in
+// and MatMulABT. All four products funnel through one 4×4 dot
+// micro-kernel (dotBlock4x4: AVX2 where the CPU has it, the portable Go
+// kernel otherwise, bitwise identical either way) over operands in
 // k-contiguous layout: MatMul packs Bᵀ once per call (reused scratch, zero
 // steady-state allocations), MatMulATB packs both Aᵀ and Bᵀ, and
 // MatMulABT's B argument already is the transpose. The kernel sweeps
@@ -18,16 +19,17 @@ import "sync"
 //     arrive dirty); MatMulAdd accumulates into C.
 //   - Every output element is produced by exactly one worker with a fixed,
 //     input-shape-determined floating-point association, so results are
-//     bitwise identical at every GOMAXPROCS.
+//     bitwise identical at every GOMAXPROCS and whichever dot kernel the
+//     CPU dispatches to (see dot.go).
 //   - Operands below MinParallelRows take a serial inline path: no
 //     goroutines, no escaping closures, zero heap allocations when the
 //     pack scratch is warm.
 //
 // The scalar kernels accumulate every element in a single chain (ascending
-// k, one rounding per multiply-add); the SIMD kernel's strided-lane
-// association differs from that chain by ordinary fp32 rounding noise, so
-// the tiled path agrees with the all-scalar reference within tolerance of
-// the float64 naive reference, not bitwise.
+// k); the dot kernel's strided-lane association differs from that chain by
+// ordinary fp32 rounding noise, so the tiled path agrees with the
+// all-scalar reference within tolerance of the float64 naive reference,
+// not bitwise.
 
 func checkMatMul(c, a, b *Matrix) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
@@ -144,7 +146,7 @@ func packTranspose(b *Matrix) Matrix {
 // matMulABTBlock is the shared SIMD micro-kernel driver over the output
 // block rows [lo,hi) × columns [jlo,jhi), where b holds the right operand in
 // transposed (n×k) layout. Every element — including row and column
-// remainders — goes through dotBlock2x4 with the identical 4-lane strided
+// remainders — goes through dotBlock4x4 with the identical 4-lane strided
 // association (remainders duplicate a row/column pointer and discard the
 // extra outputs), so an element's value depends only on the operand shapes,
 // never on which tile or worker range computed it. Each element touches C
@@ -163,81 +165,30 @@ func matMulABTBlock(c, a, b *Matrix, lo, hi, jlo, jhi int, acc bool) {
 		}
 		return
 	}
-	var out [8]float32
-	i := lo
-	for ; i+2 <= hi; i += 2 {
-		a0 := &a.Row(i)[0]
-		a1 := &a.Row(i + 1)[0]
-		c0 := c.Row(i)
-		c1 := c.Row(i + 1)
-		j := jlo
-		for ; j+4 <= jhi; j += 4 {
-			dotBlock2x4(a0, a1, &b.Row(j)[0], &b.Row(j + 1)[0], &b.Row(j + 2)[0], &b.Row(j + 3)[0], depth, &out)
-			if acc {
-				c0[j] += out[0]
-				c0[j+1] += out[1]
-				c0[j+2] += out[2]
-				c0[j+3] += out[3]
-				c1[j] += out[4]
-				c1[j+1] += out[5]
-				c1[j+2] += out[6]
-				c1[j+3] += out[7]
-			} else {
-				c0[j], c0[j+1], c0[j+2], c0[j+3] = out[0], out[1], out[2], out[3]
-				c1[j], c1[j+1], c1[j+2], c1[j+3] = out[4], out[5], out[6], out[7]
-			}
+	var out [16]float32
+	var ap, bp [4]*float32
+	for i := lo; i < hi; i += 4 {
+		ni := min(4, hi-i)
+		for r := range ap {
+			ap[r] = &a.Row(i + min(r, ni-1))[0]
 		}
-		if j < jhi {
-			b0 := &b.Row(j)[0]
-			b1, b2, b3 := b0, b0, b0
-			if j+1 < jhi {
-				b1 = &b.Row(j + 1)[0]
+		for j := jlo; j < jhi; j += 4 {
+			nj := min(4, jhi-j)
+			for s := range bp {
+				bp[s] = &b.Row(j + min(s, nj-1))[0]
 			}
-			if j+2 < jhi {
-				b2 = &b.Row(j + 2)[0]
-			}
-			dotBlock2x4(a0, a1, b0, b1, b2, b3, depth, &out)
-			for t := 0; j+t < jhi; t++ {
+			dotBlock4x4(ap[0], ap[1], ap[2], ap[3], bp[0], bp[1], bp[2], bp[3], depth, &out)
+			for r := 0; r < ni; r++ {
+				cr := c.Row(i + r)[j : j+nj]
+				o := out[4*r : 4*r+nj]
 				if acc {
-					c0[j+t] += out[t]
-					c1[j+t] += out[4+t]
+					for s, v := range o {
+						cr[s] += v
+					}
 				} else {
-					c0[j+t] = out[t]
-					c1[j+t] = out[4+t]
-				}
-			}
-		}
-	}
-	if i < hi {
-		a0 := &a.Row(i)[0]
-		ci := c.Row(i)
-		j := jlo
-		for ; j+4 <= jhi; j += 4 {
-			dotBlock2x4(a0, a0, &b.Row(j)[0], &b.Row(j + 1)[0], &b.Row(j + 2)[0], &b.Row(j + 3)[0], depth, &out)
-			if acc {
-				ci[j] += out[0]
-				ci[j+1] += out[1]
-				ci[j+2] += out[2]
-				ci[j+3] += out[3]
-			} else {
-				ci[j], ci[j+1], ci[j+2], ci[j+3] = out[0], out[1], out[2], out[3]
-			}
-		}
-		if j < jhi {
-			b0 := &b.Row(j)[0]
-			b1, b2, b3 := b0, b0, b0
-			if j+1 < jhi {
-				b1 = &b.Row(j + 1)[0]
-			}
-			if j+2 < jhi {
-				b2 = &b.Row(j + 2)[0]
-			}
-			dotBlock2x4(a0, a0, b0, b1, b2, b3, depth, &out)
-			for t := 0; j+t < jhi; t++ {
-				if acc {
-					ci[j+t] += out[t]
-				} else {
-					ci[j+t] = out[t]
+					for s, v := range o {
+						cr[s] = v
+					}
 				}
 			}
 		}
