@@ -153,7 +153,8 @@ func driftDemo() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	online, err := cache.NewOnline(n, ranking[:capacity], nil, cache.OnlineConfig{HalfLife: 16})
+	// The scorer's rank owns no vertex here: every access is remote.
+	online, err := cache.NewOnline(n, 0, 0, ranking[:capacity], nil, cache.OnlineConfig{HalfLife: 16})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -164,22 +165,21 @@ func driftDemo() {
 	for w := 0; w < windows; w++ {
 		var staticHits, onlineHits, total int64
 		for round := 0; round < rounds; round++ {
-			var hits, misses []int32
+			var drawn []int32
 			for i := 0; i < perRound; i++ {
 				v := draw(hotFor(w))
 				total++
+				drawn = append(drawn, v)
 				if static.Has(v) {
 					staticHits++
 				}
 				if onlineSet.Has(v) {
 					onlineHits++
-					hits = append(hits, v)
-				} else {
-					misses = append(misses, v)
 				}
 			}
-			// Exactly what dist.Store feeds the serving scorer each round.
-			online.Observe(hits, [][]int32{misses})
+			// Exactly what a serving engine feeds its scorer each round:
+			// the ids the round gathered.
+			online.Observe(drawn)
 			if (round+1)%refresh == 0 {
 				next, err := cache.Build(online.Propose(capacity), n)
 				if err != nil {

@@ -45,8 +45,9 @@ func (c OnlineConfig) withDefaults() OnlineConfig {
 // sweep per round), so Observe costs O(accesses) and Propose
 // O(candidates·log candidates) over the vertices ever observed or seeded.
 //
-// One Online serves one install stream (one rank's store); calls are made
-// from a single goroutine in round order.
+// One Online serves one install stream (one rank's store), whose own
+// partition interval it skips: the rank's own rows are never cached. Calls
+// are made from a single goroutine in round order.
 //
 // Determinism contract: Propose is a pure function of the observation
 // history and the construction parameters — the candidate ordering is fully
@@ -57,6 +58,8 @@ type Online struct {
 	cfg   OnlineConfig
 	decay float64 // per-round multiplicative decay, 0.5^(1/HalfLife)
 	round uint64
+	lo    int32 // the rank's own ids [lo, hi), which Observe skips
+	hi    int32
 
 	freq  []float64 // decayed access frequency, valid as of last[v]
 	last  []uint64  // round of v's most recent access
@@ -65,19 +68,25 @@ type Online struct {
 	cand  []int32   // every vertex ever seeded or observed (append order)
 }
 
-// NewOnline builds the scorer for a graph with n vertices. seedRanking is
-// the setup-time ranking (descending priority; typically the full static
-// ranking, at least the cached prefix) — it seeds the candidate set and
-// the rank prior, so a cold scorer proposes roughly the static prefix.
-// degrees, when non-nil, supplies per-vertex degrees for the hybrid prior.
-func NewOnline(n int, seedRanking []int32, degrees []int32, cfg OnlineConfig) (*Online, error) {
+// NewOnline builds the scorer for a graph with n vertices, for the rank
+// that owns the ids [lo, hi). seedRanking is the setup-time ranking
+// (descending priority; typically the full static ranking, at least the
+// cached prefix) — it seeds the candidate set and the rank prior, so a cold
+// scorer proposes roughly the static prefix. degrees, when non-nil,
+// supplies per-vertex degrees for the hybrid prior.
+func NewOnline(n int, lo, hi int32, seedRanking []int32, degrees []int32, cfg OnlineConfig) (*Online, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cache: online policy needs positive n, got %d", n)
+	}
+	if lo < 0 || lo > hi || int(hi) > n {
+		return nil, fmt.Errorf("cache: owned interval [%d,%d) outside [0,%d)", lo, hi, n)
 	}
 	cfg = cfg.withDefaults()
 	o := &Online{
 		cfg:   cfg,
 		decay: math.Pow(0.5, 1/float64(cfg.HalfLife)),
+		lo:    lo,
+		hi:    hi,
 		freq:  make([]float64, n),
 		last:  make([]uint64, n),
 		seen:  make([]bool, n),
@@ -108,19 +117,17 @@ func NewOnline(n int, seedRanking []int32, degrees []int32, cfg OnlineConfig) (*
 	return o, nil
 }
 
-// Observe folds one retired round's gather outcome into the scorer: hits
-// are the cache-hit ids in access order and misses the remote-fetch ids,
-// one list per owning rank (dist.GatherStats.CacheHitIDs and RemoteIDs).
-// Every access refreshes its vertex's decayed frequency by one. Called once
-// per round, including empty rounds (it advances the scorer's clock). Both
-// slices are read, never retained.
-func (o *Online) Observe(hits []int32, misses [][]int32) {
+// Observe folds one round into the scorer: ids are the ids the round
+// gathered (its MFG input ids). Every id outside the rank's own interval —
+// a cache hit or a remote fetch — refreshes its vertex's decayed frequency
+// by one; the order of ids does not matter, because each access only
+// bumps its own vertex and Propose breaks every tie. Called once per round,
+// including empty rounds (it advances the scorer's clock). ids is read,
+// never retained.
+func (o *Online) Observe(ids []int32) {
 	o.round++
-	for _, v := range hits {
-		o.bump(v)
-	}
-	for _, peer := range misses {
-		for _, v := range peer {
+	for _, v := range ids {
+		if v < o.lo || v >= o.hi {
 			o.bump(v)
 		}
 	}

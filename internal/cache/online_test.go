@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 
 	"salientpp/internal/tensor"
@@ -30,7 +31,7 @@ func TestOnlinePolicyDeterminism(t *testing.T) {
 		degrees[v] = int32(v%7 + 1)
 	}
 	mk := func() *Online {
-		o, err := NewOnline(n, seed, degrees, OnlineConfig{HalfLife: 8})
+		o, err := NewOnline(n, 0, 0, seed, degrees, OnlineConfig{HalfLife: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,10 +39,9 @@ func TestOnlinePolicyDeterminism(t *testing.T) {
 	}
 	a, b := mk(), mk()
 	for round := 0; round < 200; round++ {
-		hits := []int32{int32(round % n), int32((round * 7) % n)}
-		misses := [][]int32{{int32((round * 3) % n)}, {int32((round*5 + 1) % n)}}
-		a.Observe(hits, misses)
-		b.Observe(hits, misses)
+		ids := []int32{int32(round % n), int32((round * 7) % n), int32((round * 3) % n), int32((round*5 + 1) % n)}
+		a.Observe(ids)
+		b.Observe(ids)
 		pa := a.Propose(10)
 		pb := b.Propose(10)
 		if len(pa) != len(pb) {
@@ -61,7 +61,7 @@ func TestOnlinePolicyDeterminism(t *testing.T) {
 // moves on.
 func TestOnlineAdmissionAndEviction(t *testing.T) {
 	const n = 32
-	o, err := NewOnline(n, []int32{0, 1, 2, 3}, nil, OnlineConfig{HalfLife: 4})
+	o, err := NewOnline(n, 0, 0, []int32{0, 1, 2, 3}, nil, OnlineConfig{HalfLife: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestOnlineAdmissionAndEviction(t *testing.T) {
 	// Vertex 20 gets hot: after a handful of rounds its frequency (~1 per
 	// round) beats every prior (<= priorWeight*(1+degreeWeight)).
 	for round := 0; round < 12; round++ {
-		o.Observe([]int32{20}, nil)
+		o.Observe([]int32{20})
 	}
 	if got := o.Propose(2); !has(got, 20) {
 		t.Fatalf("hot vertex not admitted: proposal %v", got)
@@ -84,7 +84,7 @@ func TestOnlineAdmissionAndEviction(t *testing.T) {
 	// Traffic moves to vertex 21; vertex 20's heat halves every 4 rounds
 	// and the prior-backed seeds plus the new hot vertex crowd it out.
 	for round := 0; round < 64; round++ {
-		o.Observe(nil, [][]int32{{21}})
+		o.Observe([]int32{21})
 	}
 	got := o.Propose(2)
 	if has(got, 20) {
@@ -98,18 +98,59 @@ func TestOnlineAdmissionAndEviction(t *testing.T) {
 // TestOnlineTieBreakAscendingID pins the full ordering: equal scores must
 // order by ascending vertex id, never map/iteration order.
 func TestOnlineTieBreakAscendingID(t *testing.T) {
-	o, err := NewOnline(16, nil, nil, OnlineConfig{})
+	o, err := NewOnline(16, 0, 0, nil, nil, OnlineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One access each, same round: identical decayed frequency, zero prior.
-	o.Observe([]int32{9, 3, 12, 5}, nil)
+	o.Observe([]int32{9, 3, 12, 5})
 	got := o.Propose(4)
 	want := []int32{3, 5, 9, 12}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("tied proposal order %v, want %v", got, want)
 		}
+	}
+}
+
+// TestOnlineObserveIgnoresLocalIDsAndOrder pins what Observe reads from a
+// round: only the ids outside the rank's own interval, as a set of
+// accesses. A scorer fed every input id in gather order and one fed only the
+// non-local ids, reversed, propose the same membership after every round,
+// and no owned id is ever proposed however hot it runs.
+func TestOnlineObserveIgnoresLocalIDsAndOrder(t *testing.T) {
+	const n, lo, hi = 32, 8, 16
+	seed := []int32{0, 20, 3, 31}
+	mk := func() *Online {
+		o, err := NewOnline(n, lo, hi, seed, nil, OnlineConfig{HalfLife: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	all, remote := mk(), mk()
+	for round := 0; round < 64; round++ {
+		ids := []int32{int32(lo + round%(hi-lo)), int32((round * 5) % n), int32((round*11 + 3) % n), lo, int32((round * 5) % n)}
+		all.Observe(ids)
+		var rest []int32
+		for i := len(ids) - 1; i >= 0; i-- {
+			if ids[i] < lo || ids[i] >= hi {
+				rest = append(rest, ids[i])
+			}
+		}
+		remote.Observe(rest)
+		pa, pb := all.Propose(n), remote.Propose(n)
+		if !slices.Equal(pa, pb) {
+			t.Fatalf("round %d: proposals differ: %v vs %v", round, pa, pb)
+		}
+		for _, v := range pa {
+			if v >= lo && v < hi {
+				t.Fatalf("round %d: owned id %d proposed: %v", round, v, pa)
+			}
+		}
+	}
+	if _, err := NewOnline(n, 4, 40, nil, nil, OnlineConfig{}); err == nil {
+		t.Fatal("interval past n accepted")
 	}
 }
 
@@ -172,7 +213,7 @@ func TestInstallerChurnAndRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, err := NewOnline(n, []int32{1, 2}, nil, OnlineConfig{HalfLife: 2})
+	pol, err := NewOnline(n, 0, 0, []int32{1, 2}, nil, OnlineConfig{HalfLife: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +239,7 @@ func TestInstallerChurnAndRelease(t *testing.T) {
 
 	// Heat vertex 9 until it displaces a seed: churn 1 (only 9 is new).
 	for round := 0; round < 16; round++ {
-		pol.Observe([]int32{9, 1}, nil)
+		pol.Observe([]int32{9, 1})
 	}
 	next, churn, err := builder.BuildFor(pol.Propose(2), cur)
 	if err != nil {

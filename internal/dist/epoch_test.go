@@ -81,7 +81,7 @@ func runOnlineCacheScript(t *testing.T, mk func(k int) ([]Comm, error)) []epochT
 		if err != nil {
 			t.Fatal(err)
 		}
-		online, err := cache.NewOnline(n, seedRanking, nil, cache.OnlineConfig{HalfLife: 4})
+		online, err := cache.NewOnline(n, int32(r*4), int32(r*4+4), seedRanking, nil, cache.OnlineConfig{HalfLife: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func runOnlineCacheScript(t *testing.T, mk func(k int) ([]Comm, error)) []epochT
 				return err
 			}
 			rs.store.Release(feats)
-			rs.online.Observe(stats.CacheHitIDs, stats.RemoteIDs)
+			rs.online.Observe(ids)
 			tr.Rounds = append(tr.Rounds, [2]int64{int64(stats.CacheHits), int64(stats.RemoteFetch)})
 			if (round+1)%2 == 0 {
 				next, _, err := rs.builder.BuildFor(rs.online.Propose(2), rs.store.Epoch())

@@ -40,16 +40,6 @@ type GatherStats struct {
 	// It aliases the store's reusable scratch and is valid only until the
 	// next Gather on the same store; copy it to retain it.
 	RemoteByPeer []int
-	// CacheHitIDs lists the ids behind CacheHits in access order, and
-	// RemoteIDs the ids behind RemoteFetch (for GatherLocal: Missing),
-	// grouped per owning rank with each list ascending. Both alias the
-	// store's reusable scratch, valid only until the next gather — the
-	// online cache scorer folds them into its own state via
-	// cache.Online.Observe before the next round. The training stream
-	// (GatherNext/GatherFlush) reports counts only: both lists are nil
-	// there.
-	CacheHitIDs []int32
-	RemoteIDs   [][]int32
 }
 
 // Store is one rank's partitioned feature store: the local shard (split
@@ -128,7 +118,6 @@ type gatherRound struct {
 	reqIDs [][]int32 // per-peer request ids, sorted ascending
 	rowOf  [][]int32 // rowOf[p][j]: output row waiting on reqIDs[p][j]
 	byPeer []int     // RemoteByPeer scratch
-	hitIDs []int32   // CacheHitIDs scratch
 
 	// Remote ids inherited from the round pending when this one was pushed
 	// (GatherNext only), per peer and ascending: inhRow[p][j] is the output
@@ -426,9 +415,8 @@ func (s *Store) gatherOnce(ids []int32, out *tensor.Matrix, qout *tensor.QuantMa
 // matrix equals Gather's bitwise at fewer rows on the wire. All ranks must
 // issue the same sequence of GatherNext and GatherFlush calls; between a
 // GatherNext and its completion the store holds the pending round's pooled
-// matrix (counted by Live). The returned stats carry counts only —
-// CacheHitIDs and RemoteIDs are nil — and the matrix is the caller's to
-// Release. On error the pending round is dropped and the store is idle.
+// matrix (counted by Live). The matrix is the caller's to Release. On
+// error the pending round is dropped and the store is idle.
 func (s *Store) GatherNext(ids []int32) (*tensor.Matrix, GatherStats, error) {
 	rd := s.idleRound()
 	rd.out, rd.qout = s.pool.Get(len(ids), s.dim), nil
@@ -517,7 +505,6 @@ func (s *Store) GatherDiscard() { s.drop(nil) }
 func (s *Store) complete(rd *gatherRound) (*tensor.Matrix, GatherStats, error) {
 	out, st := rd.out, rd.stats
 	rd.out = nil
-	st.CacheHitIDs, st.RemoteIDs = nil, nil
 	return out, st, nil
 }
 
@@ -588,7 +575,6 @@ func (s *Store) classify(rd *gatherRound, ids []int32, local bool) {
 	// install racing this call flips either all of its lookups or none.
 	ep := s.epoch.Load()
 	out, qout := rd.out, rd.qout
-	rd.hitIDs = rd.hitIDs[:0]
 	for p := 0; p < k; p++ {
 		rd.reqIDs[p] = rd.reqIDs[p][:0]
 		rd.rowOf[p] = rd.rowOf[p][:0]
@@ -617,7 +603,6 @@ func (s *Store) classify(rd *gatherRound, ids []int32, local bool) {
 		if ep != nil && ep.Index != nil {
 			if slot, ok := ep.Index.Slot(v); ok {
 				st.CacheHits++
-				rd.hitIDs = append(rd.hitIDs, v)
 				if qout != nil {
 					qout.CopyRow(i, ep.Quant, int(slot))
 				} else {
@@ -648,8 +633,6 @@ func (s *Store) classify(rd *gatherRound, ids []int32, local bool) {
 		}
 	}
 	st.RemoteByPeer = rd.byPeer
-	st.CacheHitIDs = rd.hitIDs
-	st.RemoteIDs = rd.reqIDs
 	rd.stats = st
 }
 

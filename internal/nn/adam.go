@@ -31,11 +31,13 @@ func (a *Adam) Step(params []*Param) {
 		w, g, m, v := p.W.Data, p.G.Data, p.M.Data, p.V.Data
 		for i := range w {
 			grad := float64(g[i])
+			// The float64 conversions round each product before its sum,
+			// so arm64 computes the same update as amd64 (no FMA).
 			if a.WeightDecay != 0 {
-				grad += a.WeightDecay * float64(w[i])
+				grad += float64(a.WeightDecay * float64(w[i]))
 			}
-			mi := a.Beta1*float64(m[i]) + (1-a.Beta1)*grad
-			vi := a.Beta2*float64(v[i]) + (1-a.Beta2)*grad*grad
+			mi := float64(a.Beta1*float64(m[i])) + float64((1-a.Beta1)*grad)
+			vi := float64(a.Beta2*float64(v[i])) + float64((1-a.Beta2)*grad*grad)
 			m[i] = float32(mi)
 			v[i] = float32(vi)
 			mhat := mi / c1

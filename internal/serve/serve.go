@@ -369,7 +369,7 @@ func New(cl *pipeline.Cluster, cfg Config) (*Server, error) {
 			if err != nil {
 				return fail(err)
 			}
-			online, err := cache.NewOnline(s.numVerts, pep.IDs(), degrees, cache.OnlineConfig{})
+			online, err := cache.NewOnline(s.numVerts, e.lo, int32(cl.Layout.Starts[r+1]), pep.IDs(), degrees, cache.OnlineConfig{})
 			if err != nil {
 				return fail(err)
 			}
@@ -1116,13 +1116,11 @@ func (e *engine) run(m roundMsg) {
 	// degraded rounds included (their zero-filled ids were still wanted, and
 	// the policy clock must advance with the rounds).
 	if e.online != nil && err == nil {
-		e.online.Observe(gstats.CacheHitIDs, gstats.RemoteIDs)
+		e.online.Observe(mfg.InputIDs())
 	}
-	// RemoteByPeer/CacheHitIDs/RemoteIDs alias store scratch; only scalars
-	// may outlive the round.
+	// RemoteByPeer aliases store scratch; only scalars may outlive the
+	// round.
 	gstats.RemoteByPeer = nil
-	gstats.CacheHitIDs = nil
-	gstats.RemoteIDs = nil
 
 	var tCompute time.Duration
 	var logits *tensor.Matrix

@@ -14,22 +14,21 @@ import (
 // MinParallelRows boundary, panel-boundary column counts (panelRows(k)
 // multiples ±1), and i-chunk boundaries (tileIChunk=128 multiples ±1).
 var backendShapes = [][3]int{
-	{1, 1, 1}, {2, 3, 4}, {5, 9, 6}, {7, 13, 11},
+	{1, 1, 1}, {2, 3, 4}, {3, 5, 7}, {4, 4, 4}, {5, 9, 6}, {7, 13, 11},
 	{63, 17, 10}, {64, 16, 9}, {65, 19, 33},
 	{96, 128, 31}, {96, 128, 32}, {96, 128, 33},
 	{127, 64, 65}, {128, 64, 64}, {129, 96, 40},
 	{130, 21, 12}, {160, 100, 129}, {257, 128, 256},
-	{64, 256, 16}, {64, 256, 17},
+	{64, 256, 16}, {64, 256, 17}, {67, 64, 65},
 }
 
 // TestTiledMatchesNaiveReference is the differential sweep for the package
-// kernels' tiled SIMD path: every product, every shape in backendShapes
-// (odd shapes, tail rows, tile- and panel-boundary sizes), checked against
-// the committed float64-accumulating naive reference within fp32
-// tolerance. The SIMD
-// kernel's strided-lane association differs from the scalar Blocked chain
-// by rounding noise, so the reference — not bitwise equality with Blocked
-// — is the correctness anchor.
+// kernels: every product, every shape in backendShapes (odd shapes, tail
+// rows, tile- and panel-boundary sizes), checked against the
+// float64-accumulating naive reference within fp32 tolerance. The dot
+// kernel's strided-lane association differs from any single-chain sum by
+// rounding noise, so this reference, not bitwise equality with another fp32
+// kernel, is the correctness oracle.
 func TestTiledMatchesNaiveReference(t *testing.T) {
 	r := rng.New(55)
 	for _, s := range backendShapes {
@@ -69,72 +68,27 @@ func TestTiledMatchesNaiveReference(t *testing.T) {
 	}
 }
 
-// TestTiledMatchesBlockedTolerance cross-checks the package kernels
-// against the all-scalar Blocked reference: the SIMD and scalar
-// associations may differ only by fp32 rounding noise, never by a
-// placement error (a wrong tile boundary or remainder lane shows up as a
-// large element-wise diff long before it shows up against the float64
-// reference sweep above).
-func TestTiledMatchesBlockedTolerance(t *testing.T) {
-	r := rng.New(101)
-	var blocked Blocked
+// TestMatMulAddMatchesMatMulPlusAdd pins the fused-pass contract: C += A·B
+// must be bitwise identical to MatMul into scratch followed by Add, so
+// streaming the neighbor transform into the output matrix cannot change
+// training numerics.
+func TestMatMulAddMatchesMatMulPlusAdd(t *testing.T) {
+	r := rng.New(77)
 	for _, s := range backendShapes {
 		m, k, n := s[0], s[1], s[2]
 		a := randMat(m, k, r)
 		b := randMat(k, n, r)
-		at := randMat(k, m, r)
-		bt := randMat(n, k, r)
+		base := randMat(m, n, r)
 
-		want, got := New(m, n), New(m, n)
-		blocked.MatMul(want, a, b)
-		MatMul(got, a, b)
-		if d := MaxAbsDiff(want, got); d > 1e-3 {
-			t.Fatalf("MatMul %v: tiled vs blocked diff %v", s, d)
-		}
+		want := base.Clone()
+		tmp := New(m, n)
+		MatMul(tmp, a, b)
+		want.Add(tmp)
 
-		blocked.MatMulATB(want, at, b)
-		MatMulATB(got, at, b)
-		if d := MaxAbsDiff(want, got); d > 1e-3 {
-			t.Fatalf("MatMulATB %v: tiled vs blocked diff %v", s, d)
-		}
-
-		blocked.MatMulABT(want, a, bt)
-		MatMulABT(got, a, bt)
-		if d := MaxAbsDiff(want, got); d > 1e-3 {
-			t.Fatalf("MatMulABT %v: tiled vs blocked diff %v", s, d)
-		}
-	}
-}
-
-// TestMatMulAddMatchesMatMulPlusAdd pins the fused-pass contract: C += A·B
-// must be bitwise identical to MatMul into scratch followed by Add, for the
-// package kernels and the Blocked reference, so streaming the neighbor
-// transform into the output matrix cannot change training numerics.
-func TestMatMulAddMatchesMatMulPlusAdd(t *testing.T) {
-	r := rng.New(77)
-	for _, be := range []struct {
-		name              string
-		matMul, matMulAdd func(c, a, b *Matrix)
-	}{
-		{"tiled", MatMul, MatMulAdd},
-		{"blocked", Blocked{}.MatMul, Blocked{}.MatMulAdd},
-	} {
-		for _, s := range backendShapes {
-			m, k, n := s[0], s[1], s[2]
-			a := randMat(m, k, r)
-			b := randMat(k, n, r)
-			base := randMat(m, n, r)
-
-			want := base.Clone()
-			tmp := New(m, n)
-			be.matMul(tmp, a, b)
-			want.Add(tmp)
-
-			got := base.Clone()
-			be.matMulAdd(got, a, b)
-			if MaxAbsDiff(want, got) != 0 {
-				t.Fatalf("%s MatMulAdd %v: differs from MatMul+Add", be.name, s)
-			}
+		got := base.Clone()
+		MatMulAdd(got, a, b)
+		if MaxAbsDiff(want, got) != 0 {
+			t.Fatalf("MatMulAdd %v: differs from MatMul+Add", s)
 		}
 	}
 }
@@ -262,16 +216,11 @@ func benchGEMM(b *testing.B, f func(c, a, bm *Matrix), m, k, n int) {
 	}
 }
 
-// BenchmarkMatMulTiled vs BenchmarkMatMulBlocked is the kernel
-// microbenchmark sweep CI runs with -benchmem: the tiled path must show
-// zero steady-state allocations and a clear bytes/s win at epoch-bench
-// shapes.
+// BenchmarkMatMulTiled, BenchmarkMatMulATBTiled and BenchmarkMatMulABTTiled
+// are the kernel microbenchmarks CI runs with -benchmem: the tiled path
+// must show zero steady-state allocations at epoch-bench shapes.
 func BenchmarkMatMulTiled(b *testing.B) {
 	benchGEMM(b, MatMul, 4096, 128, 256)
-}
-
-func BenchmarkMatMulBlocked(b *testing.B) {
-	benchGEMM(b, Blocked{}.MatMul, 4096, 128, 256)
 }
 
 func BenchmarkMatMulATBTiled(b *testing.B) {
@@ -287,32 +236,15 @@ func BenchmarkMatMulATBTiled(b *testing.B) {
 	}
 }
 
-func BenchmarkMatMulATBBlocked(b *testing.B) {
-	r := rng.New(13)
-	a := randMat(4096, 128, r)
-	bm := randMat(4096, 256, r)
-	c := New(128, 256)
-	Blocked{}.MatMulATB(c, a, bm)
-	b.SetBytes(int64(2 * 4096 * 128 * 256 * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Blocked{}.MatMulATB(c, a, bm)
-	}
-}
-
-func benchABT(b *testing.B, matMulABT func(c, a, b *Matrix)) {
-	b.Helper()
+func BenchmarkMatMulABTTiled(b *testing.B) {
 	r := rng.New(14)
 	a := randMat(4096, 256, r)
 	bt := randMat(128, 256, r)
 	c := New(4096, 128)
-	matMulABT(c, a, bt)
+	MatMulABT(c, a, bt)
 	b.SetBytes(int64(2 * 4096 * 256 * 128 * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matMulABT(c, a, bt)
+		MatMulABT(c, a, bt)
 	}
 }
-
-func BenchmarkMatMulABTTiled(b *testing.B)   { benchABT(b, MatMulABT) }
-func BenchmarkMatMulABTBlocked(b *testing.B) { benchABT(b, Blocked{}.MatMulABT) }

@@ -21,9 +21,10 @@ func dotInt8Block2x4(a0, a1, b0, b1, b2, b3 []int8, out *[8]int32) {
 }
 
 // accumInt8Row adds float32(src[j])*scale into dst[j] — bitwise identical
-// to the elementwise amd64 kernel.
+// to the elementwise amd64 kernel. The outer conversion rounds the product
+// before the add, which stops arm64 from fusing the two into one FMA.
 func accumInt8Row(dst []float32, src []int8, scale float32) {
 	for j, v := range src {
-		dst[j] += float32(v) * scale
+		dst[j] += float32(float32(v) * scale)
 	}
 }

@@ -57,7 +57,7 @@ func SoftmaxCrossEntropy(logits *Matrix, labels []int32, grad *Matrix) float64 {
 			sum += math.Exp(float64(v - maxv))
 		}
 		logSum := math.Log(sum)
-		loss += inv * (logSum - float64(row[label]-maxv))
+		loss += float64(inv * (logSum - float64(row[label]-maxv))) // rounded: no FMA on arm64
 		if grow != nil {
 			for j, v := range row {
 				p := math.Exp(float64(v-maxv)) / sum

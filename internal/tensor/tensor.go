@@ -209,12 +209,3 @@ func MaxAbsDiff(m, o *Matrix) float64 {
 	}
 	return worst
 }
-
-// Norm returns the Frobenius norm.
-func (m *Matrix) Norm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}

@@ -1,6 +1,9 @@
 package tensor
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+)
 
 // The cache-tiled fp32 GEMM kernels behind MatMul, MatMulAdd, MatMulATB
 // and MatMulABT. All four products funnel through one 4×4 dot
@@ -9,27 +12,22 @@ import "sync"
 // k-contiguous layout: MatMul packs Bᵀ once per call (reused scratch, zero
 // steady-state allocations), MatMulATB packs both Aᵀ and Bᵀ, and
 // MatMulABT's B argument already is the transpose. The kernel sweeps
-// L1-resident column panels across an L2-resident slab of A rows. Operands
-// below MinParallelRows keep the register-blocked scalar kernels.
+// L1-resident column panels across an L2-resident slab of A rows. That is
+// the one fp32 product path, at every operand size.
 //
 // Contract, shared by the four kernels:
 //
 //   - C must not alias A or B.
 //   - MatMul/MatMulATB/MatMulABT ignore C's prior contents (pooled matrices
 //     arrive dirty); MatMulAdd accumulates into C.
-//   - Every output element is produced by exactly one worker with a fixed,
-//     input-shape-determined floating-point association, so results are
-//     bitwise identical at every GOMAXPROCS and whichever dot kernel the
-//     CPU dispatches to (see dot.go).
-//   - Operands below MinParallelRows take a serial inline path: no
+//   - Every output element is produced by exactly one worker with a fixed
+//     association determined by the depth alone, so results are bitwise
+//     identical at every GOMAXPROCS, at every row count (an output row
+//     does not depend on which rows share its product), and whichever dot
+//     kernel the CPU dispatches to (see dot.go).
+//   - Products below MinParallelRows output rows run serially inline: no
 //     goroutines, no escaping closures, zero heap allocations when the
 //     pack scratch is warm.
-//
-// The scalar kernels accumulate every element in a single chain (ascending
-// k); the dot kernel's strided-lane association differs from that chain by
-// ordinary fp32 rounding noise, so the tiled path agrees with the
-// all-scalar reference within tolerance of the float64 naive reference,
-// not bitwise.
 
 func checkMatMul(c, a, b *Matrix) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
@@ -195,114 +193,10 @@ func matMulABTBlock(c, a, b *Matrix, lo, hi, jlo, jhi int, acc bool) {
 	}
 }
 
-// matMulABTScalarBlock is the scalar-chain 2×4 register-dot kernel over the
-// same block layout (b transposed, n×k). Each element accumulates its dot
-// product in a single register chain in ascending k order — the exact
-// per-element rounding sequence of the memory-accumulating 4-row MatMul
-// kernel — and touches C once (store, or one += when acc is set). It backs
-// MatMulAdd's sub-MinParallelRows path, which must stay bitwise consistent
-// with the scalar MatMul.
-func matMulABTScalarBlock(c, a, b *Matrix, lo, hi, jlo, jhi int, acc bool) {
-	depth := a.Cols
-	i := lo
-	for ; i+2 <= hi; i += 2 {
-		a0 := a.Row(i)[:depth]
-		a1 := a.Row(i + 1)[:depth]
-		c0 := c.Row(i)
-		c1 := c.Row(i + 1)
-		j := jlo
-		for ; j+4 <= jhi; j += 4 {
-			b0 := b.Row(j)[:depth]
-			b1 := b.Row(j + 1)[:depth]
-			b2 := b.Row(j + 2)[:depth]
-			b3 := b.Row(j + 3)[:depth]
-			var s00, s01, s02, s03, s10, s11, s12, s13 float32
-			for k, av := range a0 {
-				bv0, bv1, bv2, bv3 := b0[k], b1[k], b2[k], b3[k]
-				s00 += av * bv0
-				s01 += av * bv1
-				s02 += av * bv2
-				s03 += av * bv3
-				aw := a1[k]
-				s10 += aw * bv0
-				s11 += aw * bv1
-				s12 += aw * bv2
-				s13 += aw * bv3
-			}
-			if acc {
-				c0[j] += s00
-				c0[j+1] += s01
-				c0[j+2] += s02
-				c0[j+3] += s03
-				c1[j] += s10
-				c1[j+1] += s11
-				c1[j+2] += s12
-				c1[j+3] += s13
-			} else {
-				c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
-				c1[j], c1[j+1], c1[j+2], c1[j+3] = s10, s11, s12, s13
-			}
-		}
-		for ; j < jhi; j++ {
-			bj := b.Row(j)[:depth]
-			var s0, s1 float32
-			for k, av := range a0 {
-				s0 += av * bj[k]
-				s1 += a1[k] * bj[k]
-			}
-			if acc {
-				c0[j] += s0
-				c1[j] += s1
-			} else {
-				c0[j], c1[j] = s0, s1
-			}
-		}
-	}
-	for ; i < hi; i++ {
-		ai := a.Row(i)[:depth]
-		ci := c.Row(i)
-		j := jlo
-		for ; j+4 <= jhi; j += 4 {
-			b0 := b.Row(j)[:depth]
-			b1 := b.Row(j + 1)[:depth]
-			b2 := b.Row(j + 2)[:depth]
-			b3 := b.Row(j + 3)[:depth]
-			var s0, s1, s2, s3 float32
-			for k, av := range ai {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
-			}
-			if acc {
-				ci[j] += s0
-				ci[j+1] += s1
-				ci[j+2] += s2
-				ci[j+3] += s3
-			} else {
-				ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
-			}
-		}
-		for ; j < jhi; j++ {
-			bj := b.Row(j)[:depth]
-			var s float32
-			for k, av := range ai {
-				s += av * bj[k]
-			}
-			if acc {
-				ci[j] += s
-			} else {
-				ci[j] = s
-			}
-		}
-	}
-}
-
 // matMulTransposedTiledRange computes C rows [lo,hi) against a right operand
 // already in transposed (n×k) layout, with two-level tiling: an L2-resident
-// slab of tileIChunk A rows swept by L1-resident panels of b rows. Used both
-// by the tiled MatMul (after packing Bᵀ) and by the tiled MatMulABT (whose B
-// argument is already n×k).
+// slab of tileIChunk A rows swept by L1-resident panels of b rows: the one
+// worker body of all four products.
 func matMulTransposedTiledRange(c, a, b *Matrix, lo, hi int, acc bool) {
 	nb := b.Rows
 	pr := panelRows(a.Cols)
@@ -321,26 +215,20 @@ func matMulTransposedTiledRange(c, a, b *Matrix, lo, hi int, acc bool) {
 	}
 }
 
-// matMulPackedSerial / matMulPackedParallel run the tiled SIMD kernel over a
-// packed Bᵀ for the full output. The packed operand is passed by value: the
-// serial wrapper's &bt stays on its own stack (zero allocations on the warm
-// GOMAXPROCS=1 path), while the parallel wrapper's closure escapes its copy
-// only when workers actually spawn.
-func matMulPackedSerial(c, a *Matrix, bt Matrix, acc bool) {
-	matMulTransposedTiledRange(c, a, &bt, 0, a.Rows, acc)
+// matMulTiled computes C = A·Bᵀ, or C += A·Bᵀ when acc is set, with bt in
+// transposed (n×k) layout: inline below MinParallelRows output rows or at
+// GOMAXPROCS 1, row-parallel otherwise. The operands are passed by value so
+// the inline path keeps them on this stack (zero allocations when the pack
+// scratch is warm); only the spawning path's closure moves its copies to
+// the heap.
+func matMulTiled(c *Matrix, a, bt Matrix, acc bool) {
+	if a.Rows < MinParallelRows || runtime.GOMAXPROCS(0) == 1 {
+		matMulTransposedTiledRange(c, &a, &bt, 0, a.Rows, acc)
+		return
+	}
+	matMulTiledParallel(c, a, bt, acc)
 }
 
-func matMulPackedParallel(c, a *Matrix, bt Matrix, acc bool) {
-	parallelRows(a.Rows, func(lo, hi int) { matMulTransposedTiledRange(c, a, &bt, lo, hi, acc) })
-}
-
-// matMulATBPackedSerial / matMulATBPackedParallel run the tiled SIMD kernel
-// for C = Aᵀ·B over both operands pre-packed into k-contiguous layout
-// (at is m×k, bt is n×k), so C[i][j] = at.Row(i)·bt.Row(j).
-func matMulATBPackedSerial(c *Matrix, at, bt Matrix) {
-	matMulTransposedTiledRange(c, &at, &bt, 0, at.Rows, false)
-}
-
-func matMulATBPackedParallel(c *Matrix, at, bt Matrix) {
-	parallelRows(at.Rows, func(lo, hi int) { matMulTransposedTiledRange(c, &at, &bt, lo, hi, false) })
+func matMulTiledParallel(c *Matrix, a, bt Matrix, acc bool) {
+	parallelRows(a.Rows, func(lo, hi int) { matMulTransposedTiledRange(c, &a, &bt, lo, hi, acc) })
 }
