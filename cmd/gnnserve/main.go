@@ -40,12 +40,12 @@ func main() {
 		maxBatch = flag.Int("maxbatch", 32, "coalescing: max requests per rank per round")
 		maxWait  = flag.Int64("maxwait", 1000, "coalescing: max microseconds the oldest request waits for company")
 		useTCP   = flag.Bool("tcp", false, "serve the feature collectives over loopback TCP")
-		ckptPath = flag.String("checkpoint", "", "serve a frozen snapshot restored from this checkpoint file (gnntrain -checkpoint-dir format); dataset, seed, batch, fanouts, K, and the training codec/precision are reconstructed from the file, overriding the corresponding flags (-codec/-precision still select the serving group's settings)")
+		ckptPath = flag.String("checkpoint", "", "serve a frozen snapshot restored from this checkpoint file (gnntrain -checkpoint-dir format); dataset, seed, batch, fanouts, K, and the training codec are reconstructed from the file, overriding the corresponding flags (-codec still selects the serving group's codec)")
 		seed     = flag.Uint64("seed", 7, "random seed")
 	)
-	// Shared run surface (-codec, -precision, -parallelism): for gnnserve,
-	// empty codec/precision inherit the cluster's settings (the
-	// checkpoint's recorded values with -checkpoint, else fp32).
+	// Shared run surface (-codec, -parallelism): for gnnserve, an empty
+	// codec inherits the cluster's codec (the checkpoint's recorded codec
+	// with -checkpoint, else fp32).
 	run := salientpp.RunConfig{Parallelism: 2}
 	run.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -70,7 +70,7 @@ func main() {
 	res, err := experiments.ServeBench(scale, experiments.ServeConfig{
 		Alphas: alphaList, Clients: *clients, RequestsPerClient: *requests,
 		MaxBatch: *maxBatch, MaxWaitMicros: *maxWait, UseTCP: *useTCP,
-		Codec: run.Codec, Precision: run.Precision, Checkpoint: *ckptPath,
+		Codec: run.Codec, Checkpoint: *ckptPath,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -45,7 +45,7 @@ func main() {
 		lr       = flag.Float64("lr", 0.005, "Adam learning rate")
 		seed     = flag.Uint64("seed", 3, "random seed")
 	)
-	// The codec/precision/parallelism/checkpoint surface is the unified
+	// The codec/parallelism/checkpoint surface is the unified
 	// salientpp.RunConfig, so gnntrain and gnnserve spell it identically.
 	run := salientpp.RunConfig{Codec: "fp32", Checkpoint: salientpp.CheckpointConfig{Retain: 3}}
 	run.RegisterFlags(flag.CommandLine)
@@ -70,7 +70,6 @@ func main() {
 	cfg.LR = *lr
 	cfg.Seed = *seed
 	cfg.Codec = run.Codec
-	cfg.Precision = run.Precision
 	cfg.GradCodec = run.GradCodec
 	cfg.NoGradOverlap = run.NoGradOverlap
 	cfg.Parallelism = run.Parallelism

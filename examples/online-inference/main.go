@@ -1,10 +1,8 @@
 // Online inference: trains a 2-machine cluster for a few epochs, freezes
 // the model into the coalescing inference server, and serves concurrent
-// per-vertex prediction requests — once without a remote-feature cache,
-// once with the VIP cache, and once with the VIP cache plus the int8
-// serving backend — demonstrating that the static cache absorbs most
-// remote feature traffic at serving time, that the reduced-precision
-// backend cuts serve-side compute on top of it, and that predictions stay
+// per-vertex prediction requests — once without a remote-feature cache and
+// once with the VIP cache — demonstrating that the static cache absorbs
+// most remote feature traffic at serving time and that predictions stay
 // deterministic for a given seed and request set.
 //
 // The final act demonstrates degraded mode: one rank's transport is
@@ -59,7 +57,7 @@ func main() {
 	}
 	fmt.Printf("serving dataset %s from 2 machines over %s\n\n", ds.Name, transport)
 
-	run := func(alpha float64, precision string) serve.Snapshot {
+	run := func(alpha float64) serve.Snapshot {
 		cluster, err := salientpp.NewCluster(ds, salientpp.ClusterConfig{
 			K: 2, Alpha: alpha, GPUFraction: 1, VIPReorder: true,
 			Hidden: 32, Layers: 2, UseTCP: *useTCP,
@@ -82,11 +80,8 @@ func main() {
 		// Freeze the trained model into the serving deployment. Requests
 		// for the same vertex arriving together coalesce into one sampled
 		// micro-batch; a rank fires a round at 16 requests or after 500µs.
-		// Precision "int8" freezes quantized weights and runs the integer
-		// SIMD forward over quantized gathers; "" serves plain fp32.
 		srv, err := serve.New(cluster, serve.Config{
 			MaxBatch: 16, MaxWait: 0 /* default 500µs */, Seed: serveSeed, UseTCP: *useTCP,
-			Precision: precision,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -113,9 +108,8 @@ func main() {
 		return srv.Snapshot()
 	}
 
-	noCache := run(0, "")
-	vip := run(0.32, "")
-	vipInt8 := run(0.32, "int8")
+	noCache := run(0)
+	vip := run(0.32)
 
 	fmt.Printf("%-26s %-10s %-12s %-12s %-12s %-14s %-16s %s\n",
 		"configuration", "requests", "p50 (ms)", "p95 (ms)", "mean batch", "remote rows", "cache hit rate", "compute (ms)")
@@ -125,11 +119,8 @@ func main() {
 	}
 	row("no cache (α=0)", noCache)
 	row("VIP cache (α=0.32)", vip)
-	row("VIP cache + int8 serve", vipInt8)
 	fmt.Printf("\nremote-feature reduction at serving time: %.1fx on the same-seed workload\n",
 		float64(noCache.RemoteFetches)/float64(vip.RemoteFetches))
-	fmt.Printf("int8 serving compute: %.2fms vs %.2fms fp32 (same rows fetched: %d vs %d)\n",
-		vipInt8.ComputeSeconds*1e3, vip.ComputeSeconds*1e3, vipInt8.RemoteFetches, vip.RemoteFetches)
 
 	fmt.Println()
 	degradedDemo(ds, *useTCP)

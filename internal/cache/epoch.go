@@ -7,12 +7,10 @@ import (
 )
 
 // Epoch is one immutable version of a rank's remote-feature cache: the
-// membership index, the fp32 feature rows (Rows.Row(i) holds the features
-// of Index.IDs()[i]), and — when a reduced compute precision is active — a
-// quantized shadow of those rows. Epochs are hydrated off the gather path
-// (EpochBuilder), finished with EnsureQuant, and installed into a store by
-// swapping a single atomic pointer; once installed an epoch is never
-// written again, so any number of concurrent gathers may read it while the
+// membership index and the fp32 feature rows (Rows.Row(i) holds the
+// features of Index.IDs()[i]). Epochs are hydrated off the gather path
+// (EpochBuilder) and installed into a store by swapping a single atomic
+// pointer; once installed an epoch is never written again, so any number of concurrent gathers may read it while the
 // next version is being built in the background.
 type Epoch struct {
 	// Gen is the install generation: 0 for the setup-time epoch (the
@@ -23,9 +21,6 @@ type Epoch struct {
 	Index *Cache
 	// Rows holds the fp32 feature rows in slot order.
 	Rows *tensor.Matrix
-	// Quant is the reduced-precision shadow of Rows, built by EnsureQuant
-	// before installation and nil in fp32 deployments.
-	Quant *tensor.QuantMatrix
 
 	owner *EpochBuilder // pool owner; nil for setup epochs (never released)
 }
@@ -60,34 +55,9 @@ func (e *Epoch) IDs() []int32 {
 	return e.Index.IDs()
 }
 
-// EnsureQuant builds the epoch's reduced-precision shadow for p, so that
-// quantized gathers read cache rows as byte copies coherent with this
-// epoch's fp32 rows. Idempotent for a matching precision; PrecisionFP32
-// clears the shadow. Call before the epoch is installed — an installed
-// epoch is shared read-only with concurrent gathers.
-func (e *Epoch) EnsureQuant(p tensor.Precision) {
-	if e == nil {
-		return
-	}
-	if p == tensor.PrecisionFP32 {
-		e.Quant = nil
-		return
-	}
-	if e.Quant != nil && e.Quant.Prec == p {
-		return
-	}
-	if e.Rows == nil {
-		e.Quant = nil
-		return
-	}
-	q := new(tensor.QuantMatrix)
-	q.Quantize(p, e.Rows)
-	e.Quant = q
-}
-
 // EpochBuilder hydrates successive cache epochs for one rank: membership
-// ids in, a fully materialized Epoch out (index, feature rows pulled from
-// the row source, quantized shadow on demand). Row matrices come from a
+// ids in, a fully materialized Epoch out (index and feature rows pulled
+// from the row source). Row matrices come from a
 // builder-internal tensor.Pool so retired epochs can be handed back with
 // Release and the pool's Live gauge proves that shutdown — even mid-install
 // — leaks nothing.
@@ -164,7 +134,7 @@ func (b *EpochBuilder) Release(e *Epoch) {
 	}
 	e.owner = nil
 	b.pool.Put(e.Rows)
-	e.Index, e.Rows, e.Quant = nil, nil, nil
+	e.Index, e.Rows = nil, nil
 }
 
 // Live returns the number of built-and-unreleased epochs — the leak gauge

@@ -112,7 +112,7 @@ func NewOnline(n int, lo, hi int32, seedRanking []int32, degrees []int32, cfg On
 		if degrees != nil {
 			degPrior = float64(degrees[v]) / float64(maxDeg)
 		}
-		o.prior[v] = priorWeight * (rankPrior + degreeWeight*degPrior)
+		o.prior[v] = priorWeight * (rankPrior + float64(degreeWeight*degPrior)) // conversion: no arm64 FMA
 	}
 	return o, nil
 }

@@ -3,8 +3,6 @@ package cache
 import (
 	"slices"
 	"testing"
-
-	"salientpp/internal/tensor"
 )
 
 // testRowSource returns a row function over n synthetic dim-wide rows
@@ -267,39 +265,4 @@ func TestInstallerChurnAndRelease(t *testing.T) {
 	if live := builder.Live(); live != 0 {
 		t.Fatalf("release no-ops disturbed the gauge: %d", live)
 	}
-}
-
-// TestEpochEnsureQuant covers the quantized-shadow lifecycle: built on
-// demand, idempotent for a matching precision, rebuilt on change, cleared
-// by fp32.
-func TestEpochEnsureQuant(t *testing.T) {
-	builder, err := NewEpochBuilder(8, 4, testRowSource(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep, err := builder.Build([]int32{3, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer builder.Release(ep)
-
-	ep.EnsureQuant(tensor.PrecisionInt8)
-	if ep.Quant == nil || ep.Quant.Prec != tensor.PrecisionInt8 {
-		t.Fatalf("int8 shadow not built: %+v", ep.Quant)
-	}
-	first := ep.Quant
-	ep.EnsureQuant(tensor.PrecisionInt8)
-	if ep.Quant != first {
-		t.Fatal("matching-precision EnsureQuant rebuilt the shadow")
-	}
-	ep.EnsureQuant(tensor.PrecisionFP16)
-	if ep.Quant == nil || ep.Quant.Prec != tensor.PrecisionFP16 {
-		t.Fatalf("fp16 shadow not rebuilt: %+v", ep.Quant)
-	}
-	ep.EnsureQuant(tensor.PrecisionFP32)
-	if ep.Quant != nil {
-		t.Fatal("fp32 did not clear the shadow")
-	}
-	var nilEp *Epoch
-	nilEp.EnsureQuant(tensor.PrecisionInt8) // must not panic
 }

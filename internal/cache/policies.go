@@ -118,7 +118,7 @@ func (p WeightedPageRank) Rank(ctx *Context) ([]int32, error) {
 					acc += rank[v] / float64(d)
 				}
 			}
-			next[u] = (1-damp)*seedMass[u] + damp*acc
+			next[u] = float64((1-damp)*seedMass[u]) + float64(damp*acc) // conversions: no arm64 FMA
 		}
 		rank, next = next, rank
 	}

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -41,7 +42,6 @@ func testState() *TrainState {
 		BatchSize: 2,
 		Fanouts:   []int32{3, 2},
 		Codec:     "fp16",
-		Precision: "int8",
 		GradCodec: "int8",
 		Topo: &Topology{
 			NumVertices: 6, FeatureDim: 4, K: 2,
@@ -135,6 +135,48 @@ func TestDecodeAcceptsVersion4(t *testing.T) {
 	}
 }
 
+// TestDecodeIgnoresPrecisionSlot pins the header's compute-precision slot
+// as ignored: a v5 file whose slot holds "int8" decodes to the same state
+// as one holding the "fp32" Encode writes, so files written with a
+// reduced serving precision still resume.
+func TestDecodeIgnoresPrecisionSlot(t *testing.T) {
+	st := testState()
+	var buf bytes.Buffer
+	if err := Encode(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+	// The header is the first section after the 8-byte preamble:
+	// tag u32 | payloadLen u64 | payload | crc32c u32.
+	const hdrAt = 8
+	n := int(binary.LittleEndian.Uint64(file[hdrAt+4:]))
+	payload := file[hdrAt+12 : hdrAt+12+n]
+	var old, slot enc
+	old.str(st.Codec)
+	old.str("fp32")
+	slot.str(st.Codec)
+	slot.str("int8")
+	if bytes.Count(payload, old.b) != 1 {
+		t.Fatalf("header payload holds the codec + precision slot %d times, want once", bytes.Count(payload, old.b))
+	}
+	var patched enc
+	patched.b = bytes.Replace(payload, old.b, slot.b, 1)
+	int8File := patched.section(append([]byte(nil), file[:hdrAt]...), tagHeader)
+	int8File = append(int8File, file[hdrAt+12+n+4:]...)
+
+	want, err := Decode(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(bytes.NewReader(int8File))
+	if err != nil {
+		t.Fatalf("int8-slot checkpoint no longer decodes: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("int8-slot decode mismatch:\nwant %+v\ngot  %+v", want, got)
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	st := testState()
 	var buf bytes.Buffer
@@ -198,7 +240,6 @@ func TestValidateCatchesInconsistency(t *testing.T) {
 		"bad batch":       func(s *TrainState) { s.BatchSize = 0 },
 		"no dataset":      func(s *TrainState) { s.Dataset = "" },
 		"no codec":        func(s *TrainState) { s.Codec = "" },
-		"no precision":    func(s *TrainState) { s.Precision = "" },
 		"no grad codec":   func(s *TrainState) { s.GradCodec = "" },
 		"short residual":  func(s *TrainState) { s.Ranks[0].Params[0].EF = s.Ranks[0].Params[0].EF[:3] },
 		"no fanouts":      func(s *TrainState) { s.Fanouts = nil },
@@ -227,7 +268,7 @@ func TestSaverBarrierWriteAndRotation(t *testing.T) {
 	}
 	base := testState()
 	s.SetTopology(base.Topo)
-	s.SetRunConfig(base.Dataset, base.Seed, int(base.BatchSize), []int{3, 2}, base.Codec, base.Precision, base.GradCodec)
+	s.SetRunConfig(base.Dataset, base.Seed, int(base.BatchSize), []int{3, 2}, base.Codec, base.GradCodec)
 	fill := func(src *RankState) func(*RankState) {
 		return func(dst *RankState) { *dst = *src }
 	}
@@ -327,7 +368,7 @@ func TestSaverRejectsBarrierViolations(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetTopology(testState().Topo)
-	s.SetRunConfig("toy-sim", 77, 2, []int{3, 2}, "", "", "")
+	s.SetRunConfig("toy-sim", 77, 2, []int{3, 2}, "", "")
 	fill := func(dst *RankState) { *dst = *testState().Ranks[0] }
 	if err := s.Offer(0, Step{0, 1}, fill); err != nil {
 		t.Fatal(err)
@@ -340,7 +381,7 @@ func TestSaverRejectsBarrierViolations(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.SetTopology(testState().Topo)
-	s2.SetRunConfig("toy-sim", 77, 2, []int{3, 2}, "", "", "")
+	s2.SetRunConfig("toy-sim", 77, 2, []int{3, 2}, "", "")
 	if err := s2.Offer(0, Step{0, 1}, fill); err != nil {
 		t.Fatal(err)
 	}

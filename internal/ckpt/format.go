@@ -163,12 +163,6 @@ type TrainState struct {
 	// row, so resuming under a different codec would silently diverge from
 	// the checkpointed trajectory; restore validates it like the seed.
 	Codec string
-	// Precision names the serving compute precision ("fp32", "fp16",
-	// "int8") the run was configured with. Training always computes fp32,
-	// so it never changes the trajectory; it is recorded as run identity
-	// so a resumed run serves at the same precision, and restore validates
-	// it like Codec.
-	Precision string
 	// GradCodec names the gradient all-reduce wire codec ("fp32", "fp16",
 	// "int8") the run trained under. A lossy gradient codec perturbs
 	// every optimizer step and carries error-feedback residual state, so
@@ -200,9 +194,6 @@ func (t *TrainState) Validate() error {
 	}
 	if t.Codec == "" || len(t.Codec) > 32 {
 		return fmt.Errorf("ckpt: missing or oversized wire codec name")
-	}
-	if t.Precision == "" || len(t.Precision) > 32 {
-		return fmt.Errorf("ckpt: missing or oversized compute precision name")
 	}
 	if t.GradCodec == "" || len(t.GradCodec) > 32 {
 		return fmt.Errorf("ckpt: missing or oversized gradient codec name")
@@ -354,7 +345,10 @@ func AppendEncode(dst []byte, t *TrainState) ([]byte, error) {
 	p.i32s(t.Fanouts)
 	p.str(t.Dataset)
 	p.str(t.Codec)
-	p.str(t.Precision)
+	// The v5 header keeps a string slot that names a compute precision.
+	// Compute is always fp32, so the slot is written as "fp32" and
+	// skipped on decode: files naming another precision decode the same.
+	p.str("fp32")
 	p.str(t.GradCodec)
 	out = p.section(out, tagHeader)
 
@@ -661,8 +655,7 @@ func Decode(r io.Reader) (*TrainState, error) {
 			if err != nil {
 				return nil, err
 			}
-			precision, err := c.str()
-			if err != nil {
+			if _, err := c.str(); err != nil { // precision slot, ignored
 				return nil, err
 			}
 			gradCodec, err := c.str()
@@ -679,7 +672,6 @@ func Decode(r io.Reader) (*TrainState, error) {
 			t.Fanouts = fanouts
 			t.Dataset = dsName
 			t.Codec = codec
-			t.Precision = precision
 			t.GradCodec = gradCodec
 			t.Topo = &Topology{NumVertices: int64(n), FeatureDim: int32(dim), K: int32(k)}
 		case tagTopology:

@@ -61,7 +61,6 @@ type Saver struct {
 	batchSize int32
 	fanouts   []int32
 	codec     string
-	precision string
 	gradCodec string
 	slots     []*RankState
 	filled    []bool
@@ -99,14 +98,13 @@ func NewSaver(cfg Config, k, rounds int) (*Saver, error) {
 func (s *Saver) SetTopology(t *Topology) { s.topo = t }
 
 // SetRunConfig pins the run identity (dataset name, sampling seed, batch
-// size, fanouts, the feature-gather wire codec, the serving precision,
-// and the gradient all-reduce codec) in every checkpoint so restore can
-// reject drift that would silently train the wrong data, replay different
-// batches, dequantize different feature bytes, serve at a different
-// precision, or quantize gradients against a stale residual. Must
-// be called before the first Offer. An empty codec, precision, or
+// size, fanouts, the feature-gather wire codec, and the gradient
+// all-reduce codec) in every checkpoint so restore can reject drift that
+// would silently train the wrong data, replay different batches,
+// dequantize different feature bytes, or quantize gradients against a
+// stale residual. Must be called before the first Offer. An empty codec or
 // gradCodec records the "fp32" default.
-func (s *Saver) SetRunConfig(dataset string, seed uint64, batchSize int, fanouts []int, codec, precision, gradCodec string) {
+func (s *Saver) SetRunConfig(dataset string, seed uint64, batchSize int, fanouts []int, codec, gradCodec string) {
 	s.dataset = dataset
 	s.seed = seed
 	s.batchSize = int32(batchSize)
@@ -118,10 +116,6 @@ func (s *Saver) SetRunConfig(dataset string, seed uint64, batchSize int, fanouts
 		codec = "fp32"
 	}
 	s.codec = codec
-	if precision == "" {
-		precision = "fp32"
-	}
-	s.precision = precision
 	if gradCodec == "" {
 		gradCodec = "fp32"
 	}
@@ -181,7 +175,7 @@ func (s *Saver) Offer(rank int, step Step, fill func(*RankState)) error {
 	state := &TrainState{
 		Step: step, Rounds: s.rounds,
 		Dataset: s.dataset, Seed: s.seed, BatchSize: s.batchSize, Fanouts: s.fanouts,
-		Codec: s.codec, Precision: s.precision, GradCodec: s.gradCodec, Topo: s.topo, Ranks: s.slots,
+		Codec: s.codec, GradCodec: s.gradCodec, Topo: s.topo, Ranks: s.slots,
 	}
 	if err := s.write(state); err != nil {
 		s.err = err

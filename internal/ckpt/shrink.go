@@ -113,7 +113,6 @@ func ShrinkState(st *TrainState, survivors []int, rounds int) (*TrainState, erro
 		BatchSize: st.BatchSize,
 		Fanouts:   append([]int32(nil), st.Fanouts...),
 		Codec:     st.Codec,
-		Precision: st.Precision,
 		GradCodec: st.GradCodec,
 		Topo: &Topology{
 			NumVertices: st.Topo.NumVertices,

@@ -33,7 +33,7 @@ func tinyState() *TrainState {
 	return &TrainState{
 		Step: Step{Epoch: 2, Round: 5}, Rounds: 10,
 		Dataset: "products-sim", Seed: 3, BatchSize: 4, Fanouts: []int32{4, 4},
-		Codec: "fp32", Precision: "fp32", GradCodec: "fp32",
+		Codec: "fp32", GradCodec: "fp32",
 		Topo: &Topology{
 			NumVertices: n, FeatureDim: 8, K: 3,
 			Perm: perm, Starts: []int64{0, 4, 8, 12}, Parts: parts,
@@ -127,7 +127,7 @@ func TestShrinkState(t *testing.T) {
 	}
 	// Identity fields survive.
 	if out.Dataset != st.Dataset || out.Seed != st.Seed || out.Codec != st.Codec ||
-		out.Precision != st.Precision || out.GradCodec != st.GradCodec {
+		out.GradCodec != st.GradCodec {
 		t.Fatal("run identity not preserved across shrink")
 	}
 }

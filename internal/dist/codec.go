@@ -99,10 +99,7 @@ func (c Codec) appendFeatRow(dst []byte, row []float32) []byte {
 		}
 	case CodecInt8:
 		// Per-row symmetric scale over the finite magnitudes, delegated to
-		// the tensor quantizers so the wire format and the int8 compute path
-		// (tensor.QuantMatrix) are the same quantization by construction —
-		// an int8 wire payload can feed an int8 GEMM without a
-		// dequantize/requantize round trip. Non-finite values quantize
+		// the tensor quantizers. Non-finite values quantize
 		// deterministically: ±Inf saturates to ±127 (decoding to ±maxAbs),
 		// NaN to 0.
 		scale := tensor.Int8RowScale(row)

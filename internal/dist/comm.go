@@ -3,6 +3,7 @@ package dist
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"time"
 )
@@ -114,8 +115,43 @@ func NewGroup(k int, tcp bool) ([]Comm, error) {
 	return NewLocalGroup(k)
 }
 
+// reduceScratch is one comm's reusable allReduceSum buffers, so a warm
+// all-reduce allocates nothing.
+type reduceScratch struct {
+	payload []byte
+	peer    []float32
+	send    [][]byte
+}
+
+// allReduceSum is every transport's AllReduceSum: an all-gather over c's
+// AllToAll followed by a local reduction in rank order, so every rank's
+// float32 result is bitwise identical.
+func allReduceSum(c Comm, s *reduceScratch, x []float32) error {
+	s.payload = f32ToBytes(s.payload[:0], x)
+	if s.send == nil {
+		s.send = make([][]byte, c.Size())
+	}
+	for i := range s.send {
+		s.send[i] = s.payload
+	}
+	recv, err := c.AllToAll(s.send)
+	if err != nil {
+		return err
+	}
+	clear(x)
+	for src, b := range recv {
+		s.peer = bytesToF32(s.peer, b)
+		if len(s.peer) != len(x) {
+			return fmt.Errorf("dist: AllReduceSum length mismatch: rank %d sent %d values, want %d", src, len(s.peer), len(x))
+		}
+		for i, v := range s.peer {
+			x[i] += v
+		}
+	}
+	return nil
+}
+
 // f32ToBytes appends the little-endian IEEE-754 encoding of xs to buf.
-// Both transports' all-reduce paths share it and bytesToF32.
 func f32ToBytes(buf []byte, xs []float32) []byte {
 	for _, v := range xs {
 		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))

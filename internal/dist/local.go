@@ -47,13 +47,11 @@ func NewLocalGroup(k int) ([]Comm, error) {
 type localComm struct {
 	g    *localGroup
 	rank int
-	// scratch, peerBuf, recvBuf, and sendBuf are reused across collectives
-	// to avoid per-call allocation; a Comm serves one goroutine at a time,
-	// and results are documented valid only until the next collective.
-	scratch   []byte
-	peerBuf   []float32
+	// recvBuf and reduce are reused across collectives to avoid per-call
+	// allocation; a Comm serves one goroutine at a time, and results are
+	// documented valid only until the next collective.
 	recvBuf   [][]byte
-	sendBuf   [][]byte
+	reduce    reduceScratch
 	stopWatch chan struct{} // cancels the SetAbort watcher
 
 	// timeout bounds each collective (SetTimeout); timer is reused across
@@ -162,33 +160,4 @@ func (c *localComm) AllToAll(send [][]byte) ([][]byte, error) {
 	return recv, nil
 }
 
-func (c *localComm) AllReduceSum(x []float32) error {
-	// Implemented as an all-gather over the same mailboxes followed by an
-	// ordered local reduction: summing contributions in rank order makes
-	// every rank's float32 result bitwise identical.
-	c.scratch = f32ToBytes(c.scratch[:0], x)
-	if c.sendBuf == nil {
-		c.sendBuf = make([][]byte, c.g.k)
-	}
-	send := c.sendBuf
-	for i := range send {
-		send[i] = c.scratch
-	}
-	recv, err := c.AllToAll(send)
-	if err != nil {
-		return err
-	}
-	for i := range x {
-		x[i] = 0
-	}
-	for src := 0; src < c.g.k; src++ {
-		c.peerBuf = bytesToF32(c.peerBuf, recv[src])
-		if len(c.peerBuf) != len(x) {
-			return fmt.Errorf("dist: AllReduceSum length mismatch: rank %d sent %d values, want %d", src, len(c.peerBuf), len(x))
-		}
-		for i, v := range c.peerBuf {
-			x[i] += v
-		}
-	}
-	return nil
-}
+func (c *localComm) AllReduceSum(x []float32) error { return allReduceSum(c, &c.reduce, x) }

@@ -1,10 +1,8 @@
 package dist
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -82,15 +80,6 @@ type Store struct {
 	pool    *tensor.Pool
 	codec   Codec
 
-	// Reduced-precision gather state (SetPrecision): a quantized shadow of
-	// the local shard, shared read-only with siblings (the cache shadow
-	// lives inside each epoch), plus the store-owned output scratch
-	// GatherQuant hands out.
-	prec       tensor.Precision
-	qlocal     *tensor.QuantMatrix
-	qscratch   tensor.QuantMatrix
-	rowScratch []float32
-
 	// Gather protocol state; a Store is used by one goroutine at a time
 	// (the pipeline's feature-collection stage). rounds double-buffers the
 	// per-round bookkeeping so one round can be pending — its ids sent, its
@@ -112,8 +101,7 @@ type Store struct {
 
 // gatherRound is the receiver-side bookkeeping of one gather round.
 type gatherRound struct {
-	out    *tensor.Matrix      // pooled fp32 sink; nil when qout is the sink
-	qout   *tensor.QuantMatrix // reduced-precision sink (store scratch)
+	out    *tensor.Matrix // pooled output matrix
 	stats  GatherStats
 	reqIDs [][]int32 // per-peer request ids, sorted ascending
 	rowOf  [][]int32 // rowOf[p][j]: output row waiting on reqIDs[p][j]
@@ -206,8 +194,6 @@ func newStore(comm Comm, layout *Layout, dim int, local *tensor.Matrix, gpuRows 
 		frameEnc: make([][]byte, k),
 		answered: make([]int, k),
 		sendPtr:  make([][]byte, k),
-
-		rowScratch: make([]float32, dim),
 	}
 	for i := range s.rounds {
 		s.rounds[i] = gatherRound{
@@ -227,15 +213,12 @@ func newStore(comm Comm, layout *Layout, dim int, local *tensor.Matrix, gpuRows 
 // gathers started after the swap read the new one — so the caller must
 // only release the returned epoch's storage once it can no longer be read,
 // which installs at round barriers (between a store's gathers) guarantee
-// for free. When the store runs a reduced precision the epoch's quantized
-// shadow is built here, before the swap, so quantized gathers are coherent
-// with the install. The zero-alloc warm gather path is untouched: a swap
-// costs readers exactly one pointer load.
+// for free. The zero-alloc warm gather path is untouched: a swap costs
+// readers exactly one pointer load.
 func (s *Store) InstallEpoch(ep *cache.Epoch) (*cache.Epoch, error) {
 	if err := validateEpoch(ep, s.dim); err != nil {
 		return nil, err
 	}
-	ep.EnsureQuant(s.prec)
 	return s.epoch.Swap(ep), nil
 }
 
@@ -264,28 +247,6 @@ func (s *Store) SetCodec(c Codec) { s.codec = c }
 // Codec returns the store's wire codec.
 func (s *Store) Codec() Codec { return s.codec }
 
-// SetPrecision selects the compute precision GatherQuant assembles feature
-// matrices in and eagerly quantizes read-only shadows of the local shard
-// and the current cache epoch (one-time cost; per-gather local and cache
-// rows then move as byte copies). Later epochs are shadowed by
-// InstallEpoch at install time, so the quantized cache always matches the
-// fp32 cache it was built from. PrecisionFP32 clears the shadows and
-// disables GatherQuant. Install before the first GatherQuant; do not call
-// concurrently with gathers or installs. Siblings taken afterwards share
-// the shadows (they are never written again).
-func (s *Store) SetPrecision(p tensor.Precision) {
-	s.prec, s.qlocal = p, nil
-	if p == tensor.PrecisionFP32 {
-		return
-	}
-	s.qlocal = new(tensor.QuantMatrix)
-	s.qlocal.Quantize(p, s.local)
-	s.epoch.Load().EnsureQuant(p)
-}
-
-// Precision returns the store's compute precision.
-func (s *Store) Precision() tensor.Precision { return s.prec }
-
 // Sibling returns a second store over the same read-only feature data —
 // local shard, current cache epoch, layout, and GPU split — but a fresh
 // communicator and private per-Gather scratch. This is the concurrent read
@@ -312,9 +273,6 @@ func (s *Store) Sibling(comm Comm) (*Store, error) {
 	sib := newStore(comm, s.layout, s.dim, s.local, s.gpuRows)
 	sib.codec = s.codec
 	sib.epoch.Store(s.epoch.Load())
-	// The quantized shadow is read-only after SetPrecision, so siblings
-	// share it rather than re-quantizing the shard.
-	sib.prec, sib.qlocal = s.prec, s.qlocal
 	return sib, nil
 }
 
@@ -352,56 +310,24 @@ func (s *Store) Release(m *tensor.Matrix) { s.pool.Put(m) }
 // retires. Every error leaves the store idle with nothing of its own
 // checked out of the pool.
 func (s *Store) Gather(ids []int32) (*tensor.Matrix, GatherStats, error) {
-	rd, err := s.gatherOnce(ids, s.pool.Get(len(ids), s.dim), nil)
-	if err != nil {
+	rd := s.idleRound()
+	rd.out = s.pool.Get(len(ids), s.dim)
+	if s.pending != nil {
+		s.drop(rd)
+		return nil, GatherStats{}, errors.New("dist: one-shot gather while a stream round is pending (GatherFlush completes it)")
+	}
+	s.classify(rd, ids, false)
+	if err := s.exchange(rd); err != nil {
+		s.drop(rd)
+		return nil, GatherStats{}, err
+	}
+	if err := s.exchange(nil); err != nil {
+		s.drop(nil)
 		return nil, GatherStats{}, err
 	}
 	out := rd.out
 	rd.out = nil
 	return out, rd.stats, nil
-}
-
-// GatherQuant is Gather with the output assembled directly in the store's
-// reduced precision (SetPrecision): local and cache rows are byte copies of
-// the pre-quantized shadows, and when the wire codec matches the precision,
-// remote payloads scatter into the output without a dequantize/requantize
-// round trip — the wire format is the compute format. The wire protocol is
-// identical to Gather's, so quantized and full-precision gathers stay
-// collective-matched across a group.
-//
-// The returned matrix is store-owned scratch, valid until the next
-// GatherQuant on this store; there is nothing to Release.
-func (s *Store) GatherQuant(ids []int32) (*tensor.QuantMatrix, GatherStats, error) {
-	if s.prec == tensor.PrecisionFP32 {
-		return nil, GatherStats{}, fmt.Errorf("dist: GatherQuant needs a reduced precision (SetPrecision); store is fp32")
-	}
-	s.qscratch.Resize(s.prec, len(ids), s.dim)
-	rd, err := s.gatherOnce(ids, nil, &s.qscratch)
-	if err != nil {
-		return nil, GatherStats{}, err
-	}
-	return &s.qscratch, rd.stats, nil
-}
-
-// gatherOnce runs a one-shot gather into exactly one of out (pooled fp32)
-// or qout: classify, an ids-only exchange, then a rows-only exchange.
-func (s *Store) gatherOnce(ids []int32, out *tensor.Matrix, qout *tensor.QuantMatrix) (*gatherRound, error) {
-	rd := s.idleRound()
-	rd.out, rd.qout = out, qout
-	if s.pending != nil {
-		s.drop(rd)
-		return nil, errors.New("dist: one-shot gather while a stream round is pending (GatherFlush completes it)")
-	}
-	s.classify(rd, ids, false)
-	if err := s.exchange(rd); err != nil {
-		s.drop(rd)
-		return nil, err
-	}
-	if err := s.exchange(nil); err != nil {
-		s.drop(nil)
-		return nil, err
-	}
-	return rd, nil
 }
 
 // GatherNext is the training stream's gather: it classifies ids as Gather
@@ -419,7 +345,7 @@ func (s *Store) gatherOnce(ids []int32, out *tensor.Matrix, qout *tensor.QuantMa
 // error the pending round is dropped and the store is idle.
 func (s *Store) GatherNext(ids []int32) (*tensor.Matrix, GatherStats, error) {
 	rd := s.idleRound()
-	rd.out, rd.qout = s.pool.Get(len(ids), s.dim), nil
+	rd.out = s.pool.Get(len(ids), s.dim)
 	s.classify(rd, ids, false)
 	done := s.pending
 	if done != nil {
@@ -540,29 +466,14 @@ func (s *Store) drop(rd *gatherRound) {
 // belongs to the store's pool; hand it back with Release.
 func (s *Store) GatherLocal(ids []int32) (*tensor.Matrix, GatherStats) {
 	rd := s.idleRound()
-	rd.out, rd.qout = s.pool.Get(len(ids), s.dim), nil
+	rd.out = s.pool.Get(len(ids), s.dim)
 	s.classify(rd, ids, true)
 	out := rd.out
 	rd.out = nil
 	return out, rd.stats
 }
 
-// GatherLocalQuant is GatherLocal with the output assembled in the store's
-// reduced precision (SetPrecision), mirroring GatherQuant: the result is
-// store-owned scratch, valid until the next quantized gather, with nothing
-// to Release.
-func (s *Store) GatherLocalQuant(ids []int32) (*tensor.QuantMatrix, GatherStats, error) {
-	if s.prec == tensor.PrecisionFP32 {
-		return nil, GatherStats{}, fmt.Errorf("dist: GatherLocalQuant needs a reduced precision (SetPrecision); store is fp32")
-	}
-	s.qscratch.Resize(s.prec, len(ids), s.dim)
-	rd := s.idleRound()
-	rd.out, rd.qout = nil, &s.qscratch
-	s.classify(rd, ids, true)
-	return &s.qscratch, rd.stats, nil
-}
-
-// classify resolves ids into rd's sink: local-shard rows and cache hits
+// classify resolves ids into rd's output: local-shard rows and cache hits
 // are copied now, and every other id joins its owner's request list,
 // sorted ascending per peer so the owner reads its shard sequentially. In
 // local (degraded) mode those rows are zero-filled and counted Missing
@@ -574,7 +485,7 @@ func (s *Store) classify(rd *gatherRound, ids []int32, local bool) {
 	// One pointer load pins the cache version for the whole gather; an
 	// install racing this call flips either all of its lookups or none.
 	ep := s.epoch.Load()
-	out, qout := rd.out, rd.qout
+	out := rd.out
 	for p := 0; p < k; p++ {
 		rd.reqIDs[p] = rd.reqIDs[p][:0]
 		rd.rowOf[p] = rd.rowOf[p][:0]
@@ -593,21 +504,13 @@ func (s *Store) classify(rd *gatherRound, ids []int32, local bool) {
 			} else {
 				st.LocalCPU++
 			}
-			if qout != nil {
-				qout.CopyRow(i, s.qlocal, row)
-			} else {
-				copy(out.Row(i), s.local.Row(row))
-			}
+			copy(out.Row(i), s.local.Row(row))
 			continue
 		}
 		if ep != nil && ep.Index != nil {
 			if slot, ok := ep.Index.Slot(v); ok {
 				st.CacheHits++
-				if qout != nil {
-					qout.CopyRow(i, ep.Quant, int(slot))
-				} else {
-					copy(out.Row(i), ep.Rows.Row(int(slot)))
-				}
+				copy(out.Row(i), ep.Rows.Row(int(slot)))
 				continue
 			}
 		}
@@ -619,12 +522,7 @@ func (s *Store) classify(rd *gatherRound, ids []int32, local bool) {
 			continue
 		}
 		st.Missing++
-		if qout != nil {
-			clear(s.rowScratch)
-			qout.SetRow(i, s.rowScratch)
-		} else {
-			clear(out.Row(i))
-		}
+		clear(out.Row(i))
 	}
 	for p := 0; p < k; p++ {
 		if len(rd.reqIDs[p]) > 1 {
@@ -750,46 +648,18 @@ func (s *Store) answer(p int, ids []byte) error {
 
 // scatter writes the rows peer p returned for rd's request list (exactly
 // len(rd.rowOf[p]) encoded rows, length-checked by the caller) into rd's
-// sink: fp32 through a zero-copy float32 view, fp16/int8 by dequantizing
-// each encoded row straight into its output row. Quantized outputs whose
-// precision matches the wire codec take the passthrough: the payload's
-// scale bits and quantized values are copied verbatim — the wire format is
-// the compute format, no numeric op at all.
+// output: fp32 through a zero-copy float32 view, fp16/int8 by decoding
+// each encoded row straight into its output row.
 func (s *Store) scatter(rd *gatherRound, p int, rows []byte) {
-	out, qout := rd.out, rd.qout
 	if s.codec == CodecFP32 {
 		vals := bytesAsF32(rows)
 		for j, row := range rd.rowOf[p] {
-			if qout != nil {
-				qout.SetRow(int(row), vals[j*s.dim:(j+1)*s.dim])
-			} else {
-				copy(out.Row(int(row)), vals[j*s.dim:(j+1)*s.dim])
-			}
+			copy(rd.out.Row(int(row)), vals[j*s.dim:(j+1)*s.dim])
 		}
 		return
 	}
 	rowWire := s.codec.featRowWire(s.dim)
 	for j, row := range rd.rowOf[p] {
-		src := rows[j*rowWire : (j+1)*rowWire]
-		switch {
-		case qout == nil:
-			s.codec.decodeFeatRow(out.Row(int(row)), src)
-		case s.codec == CodecInt8 && qout.Prec == tensor.PrecisionInt8:
-			qout.Scale[row] = math.Float32frombits(binary.LittleEndian.Uint32(src))
-			qrow := qout.I8[int(row)*s.dim : (int(row)+1)*s.dim]
-			for t := range qrow {
-				qrow[t] = int8(src[4+t])
-			}
-		case s.codec == CodecFP16 && qout.Prec == tensor.PrecisionFP16:
-			hrow := qout.H[int(row)*s.dim : (int(row)+1)*s.dim]
-			for t := range hrow {
-				hrow[t] = binary.LittleEndian.Uint16(src[2*t:])
-			}
-		default:
-			// Codec and precision disagree (e.g. fp16 wire feeding an
-			// int8 forward): decode, then requantize.
-			s.codec.decodeFeatRow(s.rowScratch, src)
-			qout.SetRow(int(row), s.rowScratch)
-		}
+		s.codec.decodeFeatRow(rd.out.Row(int(row)), rows[j*rowWire:(j+1)*rowWire])
 	}
 }

@@ -34,10 +34,8 @@ type tcpComm struct {
 	// Reusable collective buffers; a Comm serves one goroutine at a
 	// time and AllToAll's writers drain before it returns, so reuse
 	// across calls is safe.
-	scratch   []byte
-	peerBuf   []float32
 	recvBuf   [][]byte
-	sendBuf   [][]byte
+	reduce    reduceScratch
 	stopWatch chan struct{} // cancels the SetAbort watcher
 
 	// timeout bounds each collective (SetTimeout); hadDeadline tracks
@@ -338,30 +336,4 @@ func (c *tcpComm) AllToAll(send [][]byte) ([][]byte, error) {
 	return recv, nil
 }
 
-func (c *tcpComm) AllReduceSum(x []float32) error {
-	c.scratch = f32ToBytes(c.scratch[:0], x)
-	if c.sendBuf == nil {
-		c.sendBuf = make([][]byte, c.k)
-	}
-	send := c.sendBuf
-	for i := range send {
-		send[i] = c.scratch
-	}
-	recv, err := c.AllToAll(send)
-	if err != nil {
-		return err
-	}
-	for i := range x {
-		x[i] = 0
-	}
-	for src := 0; src < c.k; src++ {
-		c.peerBuf = bytesToF32(c.peerBuf, recv[src])
-		if len(c.peerBuf) != len(x) {
-			return fmt.Errorf("dist: AllReduceSum length mismatch from rank %d", src)
-		}
-		for i, v := range c.peerBuf {
-			x[i] += v
-		}
-	}
-	return nil
-}
+func (c *tcpComm) AllReduceSum(x []float32) error { return allReduceSum(c, &c.reduce, x) }

@@ -32,10 +32,6 @@ type AccuracyConfig struct {
 	// the codec is part of the checkpoint identity, so resuming requires
 	// the same setting.
 	Codec string
-	// Precision is the cluster's configured serving/freeze compute
-	// precision ("", "fp32", "fp16", "int8"). Training compute is always
-	// fp32; like Codec it is part of the checkpoint identity.
-	Precision string
 	// GradCodec is the gradient all-reduce wire codec ("", "fp32", "fp16",
 	// "int8"). Lossy codecs quantize per row with error-feedback residuals;
 	// the residuals (and the codec name) are part of the checkpoint
@@ -165,7 +161,7 @@ func Accuracy(cfg AccuracyConfig) ([]AccuracyRow, error) {
 		ccfg := pipeline.ClusterConfig{
 			K: cfg.K, Alpha: cfg.Alpha, GPUFraction: 1, VIPReorder: true,
 			Hidden: cfg.Hidden, Layers: len(cfg.Fanouts), Dropout: 0,
-			Codec: cfg.Codec, Precision: cfg.Precision,
+			Codec: cfg.Codec,
 			Train: pipeline.Config{
 				Fanouts: cfg.Fanouts, BatchSize: cfg.Batch,
 				PipelineDepth: 10, SamplerWorkers: workers, Parallelism: workers,

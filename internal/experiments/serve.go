@@ -13,7 +13,6 @@ import (
 	"salientpp/internal/pipeline"
 	"salientpp/internal/rng"
 	"salientpp/internal/serve"
-	"salientpp/internal/tensor"
 )
 
 // ServeAlphaRow is one measured serving run at a fixed replication factor
@@ -34,8 +33,7 @@ type ServeAlphaRow struct {
 	RemoteFetches int64
 	CacheHitRate  float64
 	BytesSent     int64
-	// ComputeSeconds is cumulative forward-pass time across rounds — the
-	// column the reduced-precision serving backend is meant to shrink.
+	// ComputeSeconds is cumulative forward-pass time across rounds.
 	ComputeSeconds float64
 }
 
@@ -59,14 +57,10 @@ type ServeBenchResult struct {
 	// Codec is the serving comm group's wire codec; each row's BytesSent
 	// counts encoded wire bytes, so fp16/int8 shrink it at identical
 	// remote-fetch counts.
-	Codec string
-	// Precision is the serving compute precision; reduced values cut the
-	// rows' ComputeSeconds while argmax accuracy holds (gated by
-	// TestInt8ForwardAccuracyDelta).
-	Precision string
-	MaxProcs  int
-	NumCPU    int
-	Alphas    []ServeAlphaRow
+	Codec    string
+	MaxProcs int
+	NumCPU   int
+	Alphas   []ServeAlphaRow
 }
 
 // ServeConfig sizes the serving run.
@@ -91,12 +85,6 @@ type ServeConfig struct {
 	// the serving group is independent, so e.g. an fp32 checkpoint can
 	// serve int8.
 	Codec string
-	// Precision selects the serving compute precision ("fp32", "fp16",
-	// "int8"); empty inherits the cluster's configured precision
-	// (Scale.Precision, or the checkpoint's recorded precision when serving
-	// from one). Like Codec, it is a serving-side choice: an fp32-trained
-	// cluster may serve int8.
-	Precision string
 	// Checkpoint, when set, serves a frozen snapshot restored from this
 	// checkpoint file (the format cmd/gnntrain -checkpoint-dir writes):
 	// the cluster — dataset, partition layout, cache contents, trained
@@ -171,7 +159,6 @@ func ServeBench(scale Scale, cfg ServeConfig) (*ServeBenchResult, error) {
 		scale.Batch = int(state.BatchSize)
 		scale.Seed = state.Seed
 		scale.Codec = state.Codec
-		scale.Precision = state.Precision
 		fanouts := make([]int, len(state.Fanouts))
 		for i, f := range state.Fanouts {
 			fanouts[i] = int(f)
@@ -197,20 +184,12 @@ func ServeBench(scale Scale, cfg ServeConfig) (*ServeBenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	servingPrecision := cfg.Precision
-	if servingPrecision == "" {
-		servingPrecision = scale.Precision
-	}
-	prec, err := tensor.ParsePrecision(servingPrecision)
-	if err != nil {
-		return nil, err
-	}
 	res := &ServeBenchResult{
 		Dataset: ds.Name, Vertices: ds.NumVertices(),
 		K: k, Fanouts: dims.Fanouts, Hidden: dims.Hidden,
 		MaxBatch: cfg.MaxBatch, MaxWaitMicros: cfg.MaxWaitMicros,
 		Clients: cfg.Clients, RequestsPerClient: cfg.RequestsPerClient,
-		Seed: seed, Codec: codec.String(), Precision: prec.String(),
+		Seed: seed, Codec: codec.String(),
 		MaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 	}
 	if state != nil {
@@ -240,7 +219,7 @@ func serveClusterConfig(scale Scale, useTCP bool, dims ModelDims, k int, alpha f
 	return pipeline.ClusterConfig{
 		K: k, Alpha: alpha, GPUFraction: 1, VIPReorder: true,
 		Hidden: dims.Hidden, Layers: len(dims.Fanouts), UseTCP: useTCP,
-		Codec: scale.Codec, Precision: scale.Precision,
+		Codec: scale.Codec,
 		Train: pipeline.Config{
 			Fanouts: dims.Fanouts, BatchSize: scale.Batch, PipelineDepth: 10,
 			SamplerWorkers: scale.Workers, Parallelism: scale.Workers,
@@ -262,12 +241,11 @@ func serveOneAlpha(ds *dataset.Dataset, scale Scale, cfg ServeConfig, dims Model
 	defer cl.Close()
 
 	srv, err := serve.New(cl, serve.Config{
-		MaxBatch:  cfg.MaxBatch,
-		MaxWait:   time.Duration(cfg.MaxWaitMicros) * time.Microsecond,
-		Seed:      scale.Seed,
-		UseTCP:    cfg.UseTCP,
-		Codec:     cfg.Codec,     // "" inherits the cluster's codec via Sibling
-		Precision: cfg.Precision, // "" inherits the cluster's precision
+		MaxBatch: cfg.MaxBatch,
+		MaxWait:  time.Duration(cfg.MaxWaitMicros) * time.Microsecond,
+		Seed:     scale.Seed,
+		UseTCP:   cfg.UseTCP,
+		Codec:    cfg.Codec, // "" inherits the cluster's codec via Sibling
 	})
 	if err != nil {
 		return nil, err
@@ -315,8 +293,8 @@ func serveOneAlpha(ds *dataset.Dataset, scale Scale, cfg ServeConfig, dims Model
 // RenderServeBench formats the α-sweep table.
 func RenderServeBench(r *ServeBenchResult) string {
 	t := metrics.NewTable(
-		fmt.Sprintf("Online inference serving (%s, N=%d, K=%d, fanouts=%v, %d clients × %d reqs, maxbatch=%d, maxwait=%dµs, codec=%s, precision=%s, GOMAXPROCS=%d/%d CPUs)",
-			r.Dataset, r.Vertices, r.K, r.Fanouts, r.Clients, r.RequestsPerClient, r.MaxBatch, r.MaxWaitMicros, r.Codec, r.Precision, r.MaxProcs, r.NumCPU),
+		fmt.Sprintf("Online inference serving (%s, N=%d, K=%d, fanouts=%v, %d clients × %d reqs, maxbatch=%d, maxwait=%dµs, codec=%s, GOMAXPROCS=%d/%d CPUs)",
+			r.Dataset, r.Vertices, r.K, r.Fanouts, r.Clients, r.RequestsPerClient, r.MaxBatch, r.MaxWaitMicros, r.Codec, r.MaxProcs, r.NumCPU),
 		"α", "req/s", "p50 (ms)", "p95 (ms)", "p99 (ms)", "mean batch", "hit rate", "remote rows", "MB sent", "compute (s)")
 	for _, row := range r.Alphas {
 		t.AddRow(

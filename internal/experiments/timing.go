@@ -32,10 +32,6 @@ type Scale struct {
 	// "int8") of the real distributed cluster ServeBench runs. The empty
 	// string is the raw fp32 default.
 	Codec string
-	// Precision is the cluster's configured serving/freeze precision ("",
-	// "fp32", "fp16", "int8") — part of checkpoint run identity. Training
-	// compute is always fp32 regardless. Empty means fp32.
-	Precision string
 }
 
 // DefaultScale is used by the CLI harness (a few minutes end to end).

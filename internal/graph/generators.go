@@ -67,11 +67,13 @@ func rmatEdge(r *rng.RNG, levels int, cfg RMATConfig) (int64, int64) {
 	for l := 0; l < levels; l++ {
 		aa, bb, cc := a, b, c
 		if cfg.Noise > 0 {
-			// Multiplicative noise per level, renormalized.
-			na := aa * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
-			nb := bb * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
-			nc := cc * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
-			nd := (1 - aa - bb - cc) * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
+			// Multiplicative noise per level, renormalized. Each product
+			// rounds through an explicit conversion so arm64 cannot fuse it
+			// into the following add and build a different graph.
+			na := float64(aa * (1 - cfg.Noise + float64(2*cfg.Noise*r.Float64())))
+			nb := float64(bb * (1 - cfg.Noise + float64(2*cfg.Noise*r.Float64())))
+			nc := float64(cc * (1 - cfg.Noise + float64(2*cfg.Noise*r.Float64())))
+			nd := float64((1 - aa - bb - cc) * (1 - cfg.Noise + float64(2*cfg.Noise*r.Float64())))
 			tot := na + nb + nc + nd
 			aa, bb, cc = na/tot, nb/tot, nc/tot
 		}

@@ -26,13 +26,6 @@ type Frozen struct {
 	timers  StageTimers
 	inDim   int
 	classes int
-
-	// Reduced-precision state (FreezePrecision): quantized transposed
-	// weights per layer and the persistent requantization scratch for
-	// hidden activations. Empty on an fp32 snapshot.
-	prec      tensor.Precision
-	qlayers   []frozenQuantLayer
-	hqScratch []tensor.QuantMatrix
 }
 
 // Freeze snapshots the model's current weights into a Frozen. The copy is

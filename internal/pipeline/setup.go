@@ -50,13 +50,6 @@ type ClusterConfig struct {
 	// codecs change gathered remote feature values (never which rows move),
 	// so the codec is part of the run identity checkpoints pin.
 	Codec string
-	// Precision selects the compute precision serving snapshots of this
-	// cluster default to: "" or "fp32" (full precision), "fp16", or "int8"
-	// (see tensor.Precision). Training compute always runs fp32 — backward
-	// passes need full-precision gradients — so Precision never changes the
-	// training trajectory; it is recorded as run identity in checkpoints
-	// (like Codec) and inherited by serve snapshots that do not override it.
-	Precision string
 	// Checkpoint enables coordinated fault-tolerance checkpoints (see
 	// internal/ckpt): barrier-consistent saves every EveryRounds retired
 	// rounds and/or every EveryEpochs epoch boundaries, written atomically
@@ -103,9 +96,6 @@ type Cluster struct {
 	Parts []int32
 	// Perm maps original ids to reordered ids.
 	Perm graph.Permutation
-	// Precision is the parsed ClusterConfig.Precision — the default compute
-	// precision for serving snapshots of this cluster.
-	Precision tensor.Precision
 
 	commFeat []dist.Comm
 	commGrad []dist.Comm
@@ -167,10 +157,6 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 		cfg.CachePolicy = cache.VIP{}
 	}
 	codec, err := dist.ParseCodec(cfg.Codec)
-	if err != nil {
-		return nil, err
-	}
-	precision, err := tensor.ParsePrecision(cfg.Precision)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +244,7 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := &Cluster{Data: rds, Layout: layout, Parts: parts, Perm: perm, Precision: precision, commFeat: commFeat, commGrad: commGrad, resume: cfg.Resume}
+	cl := &Cluster{Data: rds, Layout: layout, Parts: parts, Perm: perm, commFeat: commFeat, commGrad: commGrad, resume: cfg.Resume}
 	built := false
 	defer func() {
 		if !built {
@@ -391,7 +377,7 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		saver.SetRunConfig(ds.Name, cfg.Train.Seed, cfg.Train.BatchSize, cfg.Train.Fanouts, codec.String(), precision.String(), gradCodec.String())
+		saver.SetRunConfig(ds.Name, cfg.Train.Seed, cfg.Train.BatchSize, cfg.Train.Fanouts, codec.String(), gradCodec.String())
 		saver.SetTopology(&ckpt.Topology{
 			NumVertices: int64(ds.NumVertices()),
 			FeatureDim:  int32(rds.FeatureDim),
@@ -438,15 +424,6 @@ func validateResume(ds *dataset.Dataset, cfg ClusterConfig, st *ckpt.TrainState)
 		return err
 	} else if st.Codec != codec.String() {
 		return fmt.Errorf("pipeline: checkpoint was taken with wire codec %q, configuration says %q", st.Codec, codec.String())
-	}
-	// The serving precision never perturbs training, but it is still pinned:
-	// a resumed run should produce the same serving artifacts as the
-	// uninterrupted one, and silently flipping int8 ↔ fp32 across a resume
-	// is exactly the kind of drift the identity header exists to catch.
-	if precision, err := tensor.ParsePrecision(cfg.Precision); err != nil {
-		return err
-	} else if st.Precision != precision.String() {
-		return fmt.Errorf("pipeline: checkpoint was taken with precision %q, configuration says %q", st.Precision, precision.String())
 	}
 	// The gradient codec is run identity exactly like the gather codec: a
 	// lossy gradient reduce perturbs every optimizer step and carries

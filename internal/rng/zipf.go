@@ -57,7 +57,7 @@ func (z *Zipf) hInv(y float64) float64 {
 // Uint64 returns the next Zipf-distributed value in [0, n).
 func (z *Zipf) Uint64() uint64 {
 	for {
-		u := z.hImaxHalf + z.r.Float64()*(z.hHalfMinusMass-z.hImaxHalf)
+		u := z.hImaxHalf + float64(z.r.Float64()*(z.hHalfMinusMass-z.hImaxHalf)) // conversion: no arm64 FMA
 		x := z.hInv(u)
 		k := math.Floor(x + 0.5)
 		if k-x <= z.guard {

@@ -117,8 +117,7 @@ type Snapshot struct {
 	// BytesSent is the cumulative feature-collective payload volume.
 	BytesSent int64 `json:"bytes_sent"`
 	// ComputeSeconds is the cumulative forward-pass time across non-empty
-	// rounds — the serve-side compute cost a reduced precision is meant to
-	// cut.
+	// rounds.
 	ComputeSeconds float64 `json:"compute_seconds"`
 
 	// Resilience accounting. Shed counts requests rejected with ErrShed;

@@ -84,15 +84,6 @@ type Config struct {
 	// over fp32 training). Metrics().BytesSent counts the encoded wire
 	// bytes, not rows×dim×4.
 	Codec string
-	// Precision selects the serving compute precision ("fp32", "fp16",
-	// "int8"); the empty string inherits the training cluster's configured
-	// precision. A reduced precision keeps the frozen weights and the
-	// gathered features quantized end to end: the store serves quantized
-	// rows (remote rows pass through from a matching wire codec without a
-	// dequantize/requantize round trip) and the forward runs the integer
-	// SIMD kernels. Training always computes in fp32, so int8 serving over
-	// an fp32-trained cluster is the expected deployment shape.
-	Precision string
 
 	// Deadline is each request's end-to-end latency budget and turns on
 	// admission control: a request that cannot complete within it — the
@@ -227,10 +218,9 @@ type Server struct {
 	scans atomic.Int64
 
 	// parents are the training ranks' stores, retained so a regroup can
-	// mint fresh siblings over a new comm group; prec/codec are the
-	// resolved serving settings every group (initial and regrown) gets.
+	// mint fresh siblings over a new comm group; codec is the resolved
+	// serving setting every group (initial and regrown) gets.
 	parents  []*dist.Store
-	prec     tensor.Precision
 	codec    dist.Codec
 	codecSet bool
 
@@ -295,18 +285,10 @@ func New(cl *pipeline.Cluster, cfg Config) (*Server, error) {
 	if len(fanouts) == 0 {
 		fanouts = cl.Ranks[0].Sampler().Fanouts()
 	}
-	prec := cl.Precision
-	if cfg.Precision != "" {
-		var err error
-		if prec, err = tensor.ParsePrecision(cfg.Precision); err != nil {
-			return nil, err
-		}
-	}
 	s := &Server{
 		cfg:      cfg,
 		layout:   cl.Layout,
 		numVerts: cl.Data.NumVertices(),
-		prec:     prec,
 		arrivals: make(chan struct{}, 1),
 		full:     make(chan struct{}, 1),
 		shutdown: make(chan struct{}),
@@ -332,7 +314,7 @@ func New(cl *pipeline.Cluster, cfg Config) (*Server, error) {
 	var degrees []int32 // hybrid-prior input, computed once across engines
 	for r := 0; r < k; r++ {
 		s.parents = append(s.parents, cl.Ranks[r].Store())
-		frozen := cl.Ranks[r].Model().FreezePrecision(prec)
+		frozen := cl.Ranks[r].Model().Freeze()
 		if frozen.NumLayers() != len(fanouts) {
 			return fail(fmt.Errorf("serve: %d fanouts for a %d-layer model", len(fanouts), frozen.NumLayers()))
 		}
@@ -405,7 +387,7 @@ func New(cl *pipeline.Cluster, cfg Config) (*Server, error) {
 
 // buildGroup assembles one generation of serving communicators — fresh
 // transport group, WrapComm fault seam, gather timeout, sibling stores
-// with the resolved codec/precision, abort channel — and, when probe is
+// with the resolved codec, abort channel — and, when probe is
 // set, validates it with one dist.Agree health round (frames without
 // steps, stamped with a fresh generation) before returning it. The gather
 // timeout bounds the probe, so a still-stalled rank fails it within the
@@ -444,9 +426,6 @@ func (s *Server) buildGroup(probe bool) (*commGroup, error) {
 		}
 		if s.codecSet {
 			st.SetCodec(s.codec)
-		}
-		if s.prec != tensor.PrecisionFP32 {
-			st.SetPrecision(s.prec)
 		}
 		st.SetAbort(s.shutdown)
 		g.stores = append(g.stores, st)
@@ -772,8 +751,8 @@ func (s *Server) installGroup(g *commGroup) {
 		// A fresh sibling starts on its parent's epoch; carry the engine's
 		// installed epoch over so a regroup doesn't roll the cache back.
 		// The displaced parent epoch is foreign to the engine's builder, so
-		// there is nothing to release; the quant shadow already matches the
-		// serving precision, so InstallEpoch cannot fail here.
+		// there is nothing to release, and the epoch already passed
+		// validation at its first install, so InstallEpoch cannot fail here.
 		if e.online != nil {
 			if _, err := g.stores[r].InstallEpoch(e.store.Epoch()); err != nil {
 				panic(fmt.Sprintf("serve: regroup epoch carry-over: %v", err))
@@ -912,8 +891,7 @@ type cacheBuilt struct {
 }
 
 // cacheLoop is the engine's background epoch builder: it turns proposed
-// memberships into materialized epochs (index + feature rows + quant
-// shadow) so the feature copies never extend a serving round.
+// memberships into materialized epochs (index + feature rows) so the feature copies never extend a serving round.
 func (e *engine) cacheLoop() {
 	defer e.srv.wg.Done()
 	for {
@@ -1069,31 +1047,18 @@ func (e *engine) run(m roundMsg) {
 	mfg := e.worker.Sample(e.seeds)
 	tSample := time.Since(t0)
 
-	// A reduced-precision store gathers straight into quantized form (the
-	// scratch is store-owned — nothing to release); fp32 takes the pooled
-	// path. Both run the same collectives, so mixed deployments stay
-	// matched. A degraded round (driver-ordered, or a gather failure while
-	// the server is up) serves from cache + local shard only: unreachable
+	// A degraded round (driver-ordered, or a gather failure while the
+	// server is up) serves from cache + local shard only: unreachable
 	// remote rows are zero-filled and the reply is flagged.
 	t0 = time.Now()
 	var feats *tensor.Matrix
-	var qfeats *tensor.QuantMatrix
 	var gstats dist.GatherStats
 	var err error
-	quant := e.store.Precision() != tensor.PrecisionFP32
 	degraded := !m.gather
 	if degraded {
-		if quant {
-			qfeats, gstats, err = e.store.GatherLocalQuant(mfg.InputIDs())
-		} else {
-			feats, gstats = e.store.GatherLocal(mfg.InputIDs())
-		}
+		feats, gstats = e.store.GatherLocal(mfg.InputIDs())
 	} else {
-		if quant {
-			qfeats, gstats, err = e.store.GatherQuant(mfg.InputIDs())
-		} else {
-			feats, gstats, err = e.store.Gather(mfg.InputIDs())
-		}
+		feats, gstats, err = e.store.Gather(mfg.InputIDs())
 		if err != nil && s.cfg.GatherTimeout > 0 {
 			// Degrade in place — unless the failure is the shutdown abort
 			// unwinding, in which case requests must fail, not silently get
@@ -1103,11 +1068,7 @@ func (e *engine) run(m roundMsg) {
 			default:
 				e.noteUnhealthy(err)
 				degraded, err = true, nil
-				if quant {
-					qfeats, gstats, err = e.store.GatherLocalQuant(mfg.InputIDs())
-				} else {
-					feats, gstats = e.store.GatherLocal(mfg.InputIDs())
-				}
+				feats, gstats = e.store.GatherLocal(mfg.InputIDs())
 			}
 		}
 	}
@@ -1126,11 +1087,7 @@ func (e *engine) run(m roundMsg) {
 	var logits *tensor.Matrix
 	if err == nil && len(e.seeds) > 0 {
 		t0 = time.Now()
-		if qfeats != nil {
-			logits, err = e.model.ForwardQuant(mfg, qfeats)
-		} else {
-			logits, err = e.model.Forward(mfg, feats)
-		}
+		logits, err = e.model.Forward(mfg, feats)
 		tCompute = time.Since(t0)
 	}
 

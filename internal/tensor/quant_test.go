@@ -3,111 +3,10 @@ package tensor
 import (
 	"math"
 	"testing"
-
-	"salientpp/internal/rng"
 )
 
-// TestDotInt8KernelMatchesScalar differential-tests the SIMD integer dot
-// block against the plain scalar loop across depths straddling the 8-wide
-// SIMD boundary. Integer accumulation is exact, so the comparison is for
-// equality, not tolerance.
-func TestDotInt8KernelMatchesScalar(t *testing.T) {
-	r := rng.New(11)
-	fill := func(n int) []int8 {
-		s := make([]int8, n)
-		for i := range s {
-			s[i] = int8(int(r.Uint64()%255) - 127)
-		}
-		return s
-	}
-	for _, depth := range []int{1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 64, 100, 127, 128, 129} {
-		a0, a1 := fill(depth), fill(depth)
-		bs := [4][]int8{fill(depth), fill(depth), fill(depth), fill(depth)}
-		var out [8]int32
-		dotInt8Block2x4(a0, a1, bs[0], bs[1], bs[2], bs[3], &out)
-		for t2 := 0; t2 < 4; t2++ {
-			if want := dotInt8(a0, bs[t2]); out[t2] != want {
-				t.Fatalf("depth %d: out[%d] = %d, scalar = %d", depth, t2, out[t2], want)
-			}
-			if want := dotInt8(a1, bs[t2]); out[4+t2] != want {
-				t.Fatalf("depth %d: out[%d] = %d, scalar = %d", depth, 4+t2, out[4+t2], want)
-			}
-		}
-	}
-}
-
-// refQuantMatMul computes C = A·Bᵀ in float64 over the dequantized images
-// of the two operands — the exact value MatMulQuant approximates with one
-// float32 rounding per output element.
-func refQuantMatMul(a, bt *QuantMatrix) *Matrix {
-	c := New(a.Rows, bt.Rows)
-	ar := make([]float32, a.Cols)
-	br := make([]float32, bt.Cols)
-	for i := 0; i < a.Rows; i++ {
-		a.DequantizeRow(ar, i)
-		for j := 0; j < bt.Rows; j++ {
-			bt.DequantizeRow(br, j)
-			var s float64
-			for k := range ar {
-				s += float64(ar[k]) * float64(br[k])
-			}
-			c.Set(i, j, float32(s))
-		}
-	}
-	return c
-}
-
-func randMatrix(rows, cols int, seed uint64) *Matrix {
-	m := New(rows, cols)
-	r := rng.New(seed)
-	for i := range m.Data {
-		m.Data[i] = float32(r.NormFloat64())
-	}
-	return m
-}
-
-// TestMatMulQuantMatchesReference sweeps odd shapes (tail rows, remainder
-// columns, sub-8 depths) for both reduced precisions against the float64
-// reference over dequantized operands.
-func TestMatMulQuantMatchesReference(t *testing.T) {
-	shapes := []struct{ m, k, n int }{
-		{1, 1, 1}, {1, 8, 4}, {2, 16, 4}, {3, 7, 5}, {5, 9, 3},
-		{8, 64, 16}, {17, 33, 13}, {64, 100, 48}, {33, 128, 7},
-	}
-	for _, prec := range []Precision{PrecisionInt8, PrecisionFP16} {
-		for _, sh := range shapes {
-			a, b := randMatrix(sh.m, sh.k, 5), randMatrix(sh.n, sh.k, 7)
-			var qa, qb QuantMatrix
-			qa.Quantize(prec, a)
-			qb.Quantize(prec, b)
-			want := refQuantMatMul(&qa, &qb)
-
-			got := New(sh.m, sh.n)
-			MatMulQuant(got, &qa, &qb, false)
-			for i := range got.Data {
-				if d := math.Abs(float64(got.Data[i] - want.Data[i])); d > 1e-4 {
-					t.Fatalf("%v %dx%dx%d: element %d differs by %g (%g vs %g)",
-						prec, sh.m, sh.k, sh.n, i, d, got.Data[i], want.Data[i])
-				}
-			}
-
-			// Accumulate mode adds exactly one product of the same values.
-			acc := New(sh.m, sh.n)
-			for i := range acc.Data {
-				acc.Data[i] = 1
-			}
-			MatMulQuant(acc, &qa, &qb, true)
-			for i := range acc.Data {
-				if d := math.Abs(float64(acc.Data[i] - (1 + got.Data[i]))); d > 1e-5 {
-					t.Fatalf("%v %dx%dx%d: acc element %d differs by %g", prec, sh.m, sh.k, sh.n, i, d)
-				}
-			}
-		}
-	}
-}
-
-// TestQuantizeRoundTripMatchesWire pins the compute-path quantizers to the
-// wire codec's semantics: scale = maxAbs/127 with round-half-away-from-zero
+// TestQuantizeRoundTripMatchesWire pins the scalar quantizers to the wire
+// codec's semantics: scale = maxAbs/127 with round-half-away-from-zero
 // clamped to ±127, and fp16 round-to-nearest-even — including the
 // non-finite handling the codec documents (±Inf saturates, NaN → 0).
 func TestQuantizeRoundTripMatchesWire(t *testing.T) {
@@ -117,7 +16,9 @@ func TestQuantizeRoundTripMatchesWire(t *testing.T) {
 		t.Fatalf("scale = %g, want %g", scale, want)
 	}
 	q := make([]int8, len(row))
-	QuantizeRowInt8(q, row)
+	for i, v := range row {
+		q[i] = QuantizeInt8(v, scale)
+	}
 	wantQ := []int8{0, 1, -1, 0, -64, 127, 127, 0, 0}
 	for i := range q {
 		if q[i] != wantQ[i] {
@@ -141,75 +42,5 @@ func TestQuantizeRoundTripMatchesWire(t *testing.T) {
 	}
 	if !math.IsInf(float64(F32FromF16(F16FromF32(1e9))), 1) {
 		t.Fatal("fp16 overflow must saturate to +Inf")
-	}
-}
-
-// TestQuantMatrixRowOps covers SetRow/DequantizeRow/AccumulateRow/RowSlice
-// in both precisions.
-func TestQuantMatrixRowOps(t *testing.T) {
-	src := randMatrix(6, 10, 3)
-	for _, prec := range []Precision{PrecisionInt8, PrecisionFP16} {
-		var q QuantMatrix
-		q.Quantize(prec, src)
-		deq := make([]float32, 10)
-		acc := make([]float32, 10)
-		for i := 0; i < src.Rows; i++ {
-			q.DequantizeRow(deq, i)
-			for j, v := range deq {
-				if d := math.Abs(float64(v - src.At(i, j))); d > 0.05 {
-					t.Fatalf("%v: row %d col %d off by %g", prec, i, j, d)
-				}
-				acc[j] = 1
-			}
-			q.AccumulateRow(acc, i)
-			for j := range acc {
-				if d := math.Abs(float64(acc[j] - (1 + deq[j]))); d > 1e-6 {
-					t.Fatalf("%v: accumulate row %d col %d off by %g", prec, i, j, d)
-				}
-			}
-		}
-		view := q.RowSlice(3)
-		if view.Rows != 3 || view.Cols != 10 || view.Prec != prec {
-			t.Fatalf("%v: bad row slice %+v", prec, view)
-		}
-		view.DequantizeRow(deq, 2)
-		q.DequantizeRow(acc, 2)
-		for j := range deq {
-			if deq[j] != acc[j] {
-				t.Fatalf("%v: row slice does not alias storage", prec)
-			}
-		}
-	}
-}
-
-// TestParsePrecision covers the config surface.
-func TestParsePrecision(t *testing.T) {
-	for name, want := range map[string]Precision{"": PrecisionFP32, "fp32": PrecisionFP32, "fp16": PrecisionFP16, "int8": PrecisionInt8} {
-		got, err := ParsePrecision(name)
-		if err != nil || got != want {
-			t.Fatalf("ParsePrecision(%q) = %v, %v", name, got, err)
-		}
-		if name != "" && got.String() != name {
-			t.Fatalf("String() = %q, want %q", got.String(), name)
-		}
-	}
-	if _, err := ParsePrecision("bf16"); err == nil {
-		t.Fatal("expected error for unknown precision")
-	}
-}
-
-// BenchmarkMatMulQuantInt8 measures the integer GEMM at the serve-forward
-// shape class; compare against BenchmarkMatMulTiled at the same shape for
-// the int8 speedup the serving backend banks on.
-func BenchmarkMatMulQuantInt8(b *testing.B) {
-	a, w := randMatrix(4096, 128, 1), randMatrix(256, 128, 2)
-	var qa, qw QuantMatrix
-	qa.Quantize(PrecisionInt8, a)
-	qw.Quantize(PrecisionInt8, w)
-	c := New(4096, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulQuant(c, &qa, &qw, false)
 	}
 }

@@ -6,29 +6,21 @@ import (
 	"time"
 
 	"salientpp/internal/dist"
-	"salientpp/internal/tensor"
 )
 
 // RunConfig is the unified run-configuration surface shared by the CLI
 // harnesses (cmd/gnntrain, cmd/gnnserve) and available to embedders. It
 // folds the knobs that used to be ad-hoc per-command flags — wire codec,
-// compute precision, worker parallelism, and coordinated checkpointing —
-// into one struct with a single flag-registration and validation path, so
-// every harness spells them identically and a setting means the same thing
-// everywhere.
+// worker parallelism, and coordinated checkpointing — into one struct with
+// a single flag-registration and validation path, so every harness spells
+// them identically and a setting means the same thing everywhere.
 //
-// The zero value is a valid fp32, fp32-serving, auto-parallelism,
-// no-checkpoint run.
+// The zero value is a valid fp32, auto-parallelism, no-checkpoint run.
 type RunConfig struct {
 	// Codec is the feature-gather wire codec ("fp32", "fp16", "int8"; ""
 	// means fp32). Lossy codecs shrink communication without changing
 	// which rows move. Part of checkpoint run identity.
 	Codec string
-	// Precision is the serving/freeze compute precision ("fp32", "fp16",
-	// "int8"; "" means fp32). Training compute is always fp32; a reduced
-	// precision makes frozen snapshots and serving run quantized end to
-	// end. Part of checkpoint run identity.
-	Precision string
 	// GradCodec is the gradient all-reduce wire codec ("fp32", "fp16",
 	// "int8"; "" means fp32). Lossy codecs quantize each gradient row with
 	// a per-row scale and fold the quantization error back into the next
@@ -64,14 +56,11 @@ type RunConfig struct {
 	StallTimeout time.Duration
 }
 
-// RegisterFlags installs the shared -codec/-precision/-parallelism flags on
-// fs, with the receiver's current values as defaults. Call before
-// fs.Parse.
+// RegisterFlags installs the shared -codec/-parallelism flags on fs, with
+// the receiver's current values as defaults. Call before fs.Parse.
 func (c *RunConfig) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Codec, "codec", c.Codec,
 		"feature-gather wire codec: fp32 (raw), fp16 (half-precision rows + varint ids), int8 (per-row-scaled rows + varint ids)")
-	fs.StringVar(&c.Precision, "precision", c.Precision,
-		"serving/freeze compute precision: fp32, fp16, int8 (training always computes fp32); int8 runs the integer SIMD forward over quantized gathers")
 	fs.IntVar(&c.Parallelism, "parallelism", c.Parallelism,
 		"sampler/analysis worker count (0 = harness default)")
 }
@@ -106,14 +95,11 @@ func (c *RunConfig) RegisterTrainFlags(fs *flag.FlagSet) {
 		"declare a training collective stalled after this long (0 = pipeline default of 5s; needs -elastic)")
 }
 
-// Validate rejects unknown codec or precision names and negative
+// Validate rejects unknown codec names and negative
 // parallelism early, before any cluster assembly.
 func (c RunConfig) Validate() error {
 	if _, err := dist.ParseCodec(c.Codec); err != nil {
 		return fmt.Errorf("-codec: %w", err)
-	}
-	if _, err := tensor.ParsePrecision(c.Precision); err != nil {
-		return fmt.Errorf("-precision: %w", err)
 	}
 	if _, err := dist.ParseCodec(c.GradCodec); err != nil {
 		return fmt.Errorf("-grad-codec: %w", err)
@@ -133,11 +119,10 @@ func (c RunConfig) Validate() error {
 	return nil
 }
 
-// ApplyCluster copies the run configuration onto a ClusterConfig: codec,
-// precision, checkpointing, and (when non-zero) the parallelism knobs.
+// ApplyCluster copies the run configuration onto a ClusterConfig: codecs,
+// checkpointing, and (when non-zero) the parallelism knobs.
 func (c RunConfig) ApplyCluster(cc *ClusterConfig) {
 	cc.Codec = c.Codec
-	cc.Precision = c.Precision
 	cc.Checkpoint = c.Checkpoint
 	cc.Train.GradCodec = c.GradCodec
 	cc.Train.NoGradOverlap = c.NoGradOverlap
@@ -149,19 +134,9 @@ func (c RunConfig) ApplyCluster(cc *ClusterConfig) {
 }
 
 // ApplyServe copies the serving-side run configuration onto a ServeConfig.
-// Empty Codec/Precision inherit the cluster's settings (the same
-// negotiation ClusterConfig uses), so a RunConfig shared between cluster
-// and server keeps both consistent by construction.
+// An empty Codec inherits the cluster's codec (the same negotiation
+// ClusterConfig uses), so a RunConfig shared between cluster and server
+// keeps both consistent by construction.
 func (c RunConfig) ApplyServe(sc *ServeConfig) {
 	sc.Codec = c.Codec
-	sc.Precision = c.Precision
 }
-
-// Precisions lists the supported compute precisions in order of decreasing
-// width: "fp32" (the default; training always uses it), "fp16"
-// (half-precision storage, fp32 arithmetic), and "int8" (per-row-scaled
-// 8-bit storage, integer SIMD GEMMs). Set RunConfig.Precision,
-// ClusterConfig.Precision, or ServeConfig.Precision to one of these; see
-// the README's "Compute architecture" section for when int8 serving is
-// safe.
-func Precisions() []string { return []string{"fp32", "fp16", "int8"} }

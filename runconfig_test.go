@@ -19,14 +19,14 @@ func TestRunConfigFlagRoundTrip(t *testing.T) {
 	run.RegisterCheckpointFlags(fs)
 	run.RegisterTrainFlags(fs)
 	if err := fs.Parse([]string{
-		"-codec", "int8", "-precision", "fp16", "-parallelism", "4",
+		"-codec", "int8", "-parallelism", "4",
 		"-grad-codec", "fp16", "-no-grad-overlap", "-elastic", "-stall-timeout", "2s",
 		"-checkpoint-dir", "ckpts", "-checkpoint-every-rounds", "50",
 		"-checkpoint-retain", "5", "-resume",
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if run.Codec != "int8" || run.Precision != "fp16" || run.Parallelism != 4 {
+	if run.Codec != "int8" || run.Parallelism != 4 {
 		t.Fatalf("parsed %+v", run)
 	}
 	if run.GradCodec != "fp16" || !run.NoGradOverlap {
@@ -56,7 +56,7 @@ func TestRunConfigFlagRoundTrip(t *testing.T) {
 	// and elastic knobs belong to the training harness alone.
 	var names []string
 	fs2.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	if want := []string{"codec", "parallelism", "precision"}; !slices.Equal(names, want) {
+	if want := []string{"codec", "parallelism"}; !slices.Equal(names, want) {
 		t.Fatalf("RegisterFlags installed %v, want %v", names, want)
 	}
 }
@@ -65,7 +65,6 @@ func TestRunConfigFlagRoundTrip(t *testing.T) {
 func TestRunConfigValidate(t *testing.T) {
 	for name, rc := range map[string]RunConfig{
 		"bad codec":          {Codec: "fp8"},
-		"bad precision":      {Precision: "bf16"},
 		"bad grad codec":     {GradCodec: "fp8"},
 		"negative workers":   {Parallelism: -1},
 		"resume without dir": {Resume: true},
@@ -79,13 +78,13 @@ func TestRunConfigValidate(t *testing.T) {
 // TestRunConfigApply pins the fan-out onto cluster and serve configs,
 // including the "0 keeps the harness default" parallelism rule.
 func TestRunConfigApply(t *testing.T) {
-	run := RunConfig{Codec: "int8", Precision: "int8", Parallelism: 3,
+	run := RunConfig{Codec: "int8", Parallelism: 3,
 		GradCodec: "fp16", NoGradOverlap: true,
 		Checkpoint: CheckpointConfig{Dir: "d", EveryEpochs: 1}}
 	var cc ClusterConfig
 	cc.Train.SamplerWorkers = 2
 	run.ApplyCluster(&cc)
-	if cc.Codec != "int8" || cc.Precision != "int8" || cc.Checkpoint.Dir != "d" {
+	if cc.Codec != "int8" || cc.Checkpoint.Dir != "d" {
 		t.Fatalf("ApplyCluster: %+v", cc)
 	}
 	if cc.Train.GradCodec != "fp16" || !cc.Train.NoGradOverlap {
@@ -104,21 +103,7 @@ func TestRunConfigApply(t *testing.T) {
 
 	var sc ServeConfig
 	run.ApplyServe(&sc)
-	if sc.Codec != "int8" || sc.Precision != "int8" {
+	if sc.Codec != "int8" {
 		t.Fatalf("ApplyServe: %+v", sc)
-	}
-}
-
-// TestPrecisionsListsSupportedNames mirrors TestWireCodecsListsSupportedNames.
-func TestPrecisionsListsSupportedNames(t *testing.T) {
-	got := Precisions()
-	want := []string{"fp32", "fp16", "int8"}
-	if len(got) != len(want) {
-		t.Fatalf("Precisions() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Precisions()[%d] = %q, want %q", i, got[i], want[i])
-		}
 	}
 }
