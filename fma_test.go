@@ -1,58 +1,28 @@
 package salientpp
 
 import (
-	"os"
-	"os/exec"
-	"regexp"
-	"strings"
 	"testing"
+
+	"salientpp/internal/fmacheck"
 )
 
 // fmaFreePackages are the packages whose float arithmetic decides what the
 // program computes: the generated graph and features, the partition, the
-// VIP analysis and cache ranking, the samples, the gathered rows, the
-// trained weights and the served logits. metrics, perfmodel, simnet and
-// experiments stay out: they only report on a run, so a fused product
-// there changes a printed figure, never a result.
+// VIP analysis and cache ranking, the samples, the gathered rows and the
+// served logits. tensor and nn (the kernels, layers and optimizers) run the
+// same check in their own tests. metrics, perfmodel, simnet and experiments
+// stay out: they only report on a run, so a fused product there changes a
+// printed figure, never a result.
 var fmaFreePackages = []string{
-	"./internal/tensor", "./internal/nn", "./internal/graph", "./internal/rng",
-	"./internal/dataset", "./internal/partition", "./internal/vip", "./internal/cache",
-	"./internal/sample", "./internal/dist", "./internal/pipeline", "./internal/serve",
+	"./internal/graph", "./internal/rng", "./internal/dataset", "./internal/partition",
+	"./internal/vip", "./internal/cache", "./internal/sample", "./internal/dist",
+	"./internal/pipeline", "./internal/serve",
 }
 
-// TestArm64HasNoFusedMultiplyAdd cross-compiles fmaFreePackages for arm64,
-// where the compiler fuses a float multiply feeding an add into one FMA
-// unless an explicit conversion rounds the product, and fails if any
-// function's text contains a fused multiply-add. A fused product is
-// rounded once instead of twice, so the same seed would build a different
-// graph, draw different features or requests, or train different weights
-// on arm64 than on amd64, where Go never fuses.
+// TestArm64HasNoFusedMultiplyAdd checks that no function in the arm64
+// build of fmaFreePackages has a fused multiply-add, so the same seed
+// builds the same graph, draws the same features and requests and serves
+// the same logits on arm64 as on amd64.
 func TestArm64HasNoFusedMultiplyAdd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cross-compiles the program packages for arm64")
-	}
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go command not found")
-	}
-	cmd := exec.Command(goBin, append([]string{"build", "-gcflags=-S"}, fmaFreePackages...)...)
-	cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64", "CGO_ENABLED=0")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("arm64 build: %v\n%s", err, out)
-	}
-	for _, op := range []string{"FMULS", "FMULD"} {
-		if !regexp.MustCompile(`\s` + op + `\s`).Match(out) {
-			t.Fatalf("no %s in the arm64 listing; the listing format changed?\n%s", op, out)
-		}
-	}
-	fused := regexp.MustCompile(`\s(FMADD|FMSUB|FNMADD|FNMSUB)[SD]\s`)
-	fn := ""
-	for _, line := range strings.Split(string(out), "\n") {
-		if name, _, ok := strings.Cut(line, " STEXT"); ok {
-			fn = name
-		} else if op := fused.FindString(line); op != "" {
-			t.Errorf("arm64 %s contains %s: a product is fused into its sum", fn, strings.TrimSpace(op))
-		}
-	}
+	fmacheck.Check(t, []string{"FMULS", "FMULD"}, fmaFreePackages...)
 }
