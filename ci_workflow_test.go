@@ -14,33 +14,44 @@ import (
 // TestCIWorkflowTargetsExist keeps the CI workflow's hand-written test
 // selectors honest. `go test -run` passes silently when a pattern matches
 // nothing, and `-fuzz` on a missing target fails only in the fuzz job, so a
-// renamed test would quietly drop out of the chaos-smoke re-runs. Every
-// alternative of a chaos-smoke `-run '…'` pattern must match a Test or Fuzz
-// function of the package that command tests, and every fuzz-smoke
-// `pkg:FuzzName` target must name a Fuzz function of pkg.
+// renamed test would quietly drop out of the kernel-contract or chaos-smoke
+// re-runs. Every alternative of every `-run '…'` pattern in the workflow
+// must match a Test or Fuzz function of one of the packages that command
+// tests, and every fuzz-smoke `pkg:FuzzName` target must name a Fuzz
+// function of pkg.
 func TestCIWorkflowTargetsExist(t *testing.T) {
 	raw, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	workflow := string(raw)
-
 	// Shell continuation lines join into one command line.
-	chaos := strings.ReplaceAll(ciJob(t, workflow, "chaos-smoke"), "\\\n", " ")
-	runs := regexp.MustCompile(`-run '([^']+)'\s+(\./\S+)`).FindAllStringSubmatch(chaos, -1)
-	if len(runs) == 0 {
-		t.Fatal("chaos-smoke: no `-run '…' ./pkg` command found; update this test with the workflow")
+	workflow := strings.ReplaceAll(string(raw), "\\\n", " ")
+
+	for _, job := range []string{"test", "chaos-smoke"} {
+		if !strings.Contains(ciJob(t, workflow, job), "-run '") {
+			t.Fatalf("%s: no `go test … -run '…' ./pkg` command found; update this test with the workflow", job)
+		}
 	}
-	for _, m := range runs {
-		names := testFuncs(t, m[2])
-		for _, alt := range strings.Split(m[1], "|") {
+	for _, m := range regexp.MustCompile(`go test([^\n']*)-run '([^']+)'([^\n]*)`).FindAllStringSubmatch(workflow, -1) {
+		var pkgs, names []string
+		for _, f := range strings.Fields(m[1] + " " + m[3]) {
+			if f == "." || strings.HasPrefix(f, "./") {
+				pkgs = append(pkgs, f)
+				names = append(names, testFuncs(t, f)...)
+			}
+		}
+		if len(pkgs) == 0 {
+			t.Errorf("-run '%s': the command names no package path", m[2])
+			continue
+		}
+		for _, alt := range strings.Split(m[2], "|") {
 			re, err := regexp.Compile(alt)
 			if err != nil {
-				t.Errorf("chaos-smoke %s: bad -run alternative %q: %v", m[2], alt, err)
+				t.Errorf("%v: bad -run alternative %q: %v", pkgs, alt, err)
 				continue
 			}
 			if !anyMatch(re, names) {
-				t.Errorf("chaos-smoke %s: -run alternative %q matches no test", m[2], alt)
+				t.Errorf("%v: -run alternative %q matches no test", pkgs, alt)
 			}
 		}
 	}

@@ -29,7 +29,7 @@ type Model struct {
 
 	// forward caches (valid between Forward and Backward)
 	caches   []sageCache      // one persistent slot per layer
-	acts     []*tensor.Matrix // post-ReLU activations per hidden layer (training)
+	acts     []*tensor.Matrix // pre-dropout activations per hidden layer (training, Dropout > 0)
 	masks    []*tensor.Matrix // dropout masks per hidden layer (training, Dropout > 0)
 	params   []*Param         // cached stable parameter order
 	dropRNG  *rng.RNG
@@ -102,15 +102,16 @@ func (m *Model) Forward(mfg *sample.MFG, x *tensor.Matrix, training bool) (*tens
 		if li < len(m.Layers)-1 {
 			t0 := time.Now()
 			out.ReLU()
-			if training {
+			// Without dropout the next layer's cached input is the
+			// activation ReLU backward masks against; dropout rewrites it,
+			// so then a pre-dropout copy is kept.
+			if training && m.Dropout > 0 {
 				act := m.arena.Get(out.Rows, out.Cols)
-				copy(act.Data, out.Data) // pre-dropout activation for ReLU backward
+				copy(act.Data, out.Data)
 				m.acts = append(m.acts, act)
-				if m.Dropout > 0 {
-					mask := m.arena.Get(out.Rows, out.Cols)
-					out.Dropout(m.Dropout, mask, m.dropRNG)
-					m.masks = append(m.masks, mask)
-				}
+				mask := m.arena.Get(out.Rows, out.Cols)
+				out.Dropout(m.Dropout, mask, m.dropRNG)
+				m.masks = append(m.masks, mask)
 			}
 			m.timers.TransformNS += int64(time.Since(t0))
 		}
@@ -148,11 +149,14 @@ func (m *Model) Backward(dLogits *tensor.Matrix) {
 			m.layerDone(li)
 		}
 		if li > 0 {
-			// Undo dropout and ReLU of the previous hidden activation.
+			// Undo dropout and ReLU of the previous hidden activation: layer
+			// li's input, or its pre-dropout copy.
+			act := m.caches[li].h
 			if m.Dropout > 0 {
 				grad.Mul(m.masks[li-1])
+				act = m.acts[li-1]
 			}
-			tensor.ReLUBackward(grad, m.acts[li-1])
+			tensor.ReLUBackward(grad, act)
 		}
 	}
 	m.timers.BackwardNS += int64(time.Since(t0))

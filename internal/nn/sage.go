@@ -165,29 +165,21 @@ func (l *SAGEConv) Forward(b *sample.Block, h *tensor.Matrix, ar *tensor.Arena, 
 // aggForwardRange mean-aggregates sampled neighbors for destination rows
 // [lo, hi), writing destination row i to agg row i-base (the fused pass
 // hands it strip views). Each worker owns disjoint destination rows and
-// sums neighbors in column order, so results are identical at every worker
-// count.
+// sums neighbors in column order through the elementwise row kernels, so
+// results are identical at every worker count.
 func aggForwardRange(agg *tensor.Matrix, b *sample.Block, h *tensor.Matrix, base, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		out := agg.Row(i - base)
 		eLo, eHi := b.RowPtr[i], b.RowPtr[i+1]
 		if eLo == eHi {
-			for j := range out {
-				out[j] = 0
-			}
+			clear(out)
 			continue
 		}
 		copy(out, h.Row(int(b.Col[eLo])))
 		for _, c := range b.Col[eLo+1 : eHi] {
-			src := h.Row(int(c))
-			for j, v := range src {
-				out[j] += v
-			}
+			tensor.AddRow(out, h.Row(int(c)))
 		}
-		inv := float32(1) / float32(eHi-eLo)
-		for j := range out {
-			out[j] *= inv
-		}
+		tensor.ScaleRow(out, float32(1)/float32(eHi-eLo))
 	}
 }
 
@@ -201,17 +193,11 @@ func (l *SAGEConv) Backward(c *sageCache, dOut *tensor.Matrix, ar *tensor.Arena,
 		panic("nn: SAGEConv dOut shape mismatch")
 	}
 
-	// Parameter gradients (accumulate).
-	gw := ar.Get(l.InDim, l.OutDim)
-	tensor.MatMulATB(gw, &c.hSelf, dOut)
-	l.WSelf.G.Add(gw)
-	tensor.MatMulATB(gw, c.agg, dOut)
-	l.WNeigh.G.Add(gw)
+	// Parameter gradients, accumulated in place: both weights' products
+	// share one packed dOutᵀ.
+	tensor.MatMulATBAddPair(l.WSelf.G, &c.hSelf, l.WNeigh.G, c.agg, dOut)
 	for i := 0; i < nd; i++ {
-		row := dOut.Row(i)
-		for j, v := range row {
-			l.Bias.G.Data[j] += v
-		}
+		tensor.AddRow(l.Bias.G.Data, dOut.Row(i))
 	}
 
 	nin := b.NumInputs()
@@ -256,11 +242,7 @@ func scaleMeanRange(dAgg *tensor.Matrix, b *sample.Block, lo, hi int) {
 		if deg == 0 {
 			continue
 		}
-		inv := float32(1) / float32(deg)
-		row := dAgg.Row(i)
-		for j := range row {
-			row[j] *= inv
-		}
+		tensor.ScaleRow(dAgg.Row(i), float32(1)/float32(deg))
 	}
 }
 
@@ -306,15 +288,10 @@ func scatterBackwardRange(dh, dAgg *tensor.Matrix, revPtr, revIdx []int32, nd, l
 	for u := lo; u < hi; u++ {
 		dst := dh.Row(u)
 		if u >= nd {
-			for j := range dst {
-				dst[j] = 0
-			}
+			clear(dst)
 		}
 		for _, t := range revIdx[revPtr[u]:revPtr[u+1]] {
-			src := dAgg.Row(int(t))
-			for j, v := range src {
-				dst[j] += v
-			}
+			tensor.AddRow(dst, dAgg.Row(int(t)))
 		}
 	}
 }

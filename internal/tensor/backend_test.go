@@ -68,10 +68,12 @@ func TestTiledMatchesNaiveReference(t *testing.T) {
 	}
 }
 
-// TestMatMulAddMatchesMatMulPlusAdd pins the fused-pass contract: C += A·B
+// TestMatMulAddMatchesMatMulPlusAdd pins the accumulate contract: C += A·B
 // must be bitwise identical to MatMul into scratch followed by Add, so
 // streaming the neighbor transform into the output matrix cannot change
-// training numerics.
+// training numerics; likewise each half of MatMulATBAddPair against
+// MatMulATB followed by Add, so the weight gradients can accumulate in
+// place.
 func TestMatMulAddMatchesMatMulPlusAdd(t *testing.T) {
 	r := rng.New(77)
 	for _, s := range backendShapes {
@@ -89,6 +91,21 @@ func TestMatMulAddMatchesMatMulPlusAdd(t *testing.T) {
 		MatMulAdd(got, a, b)
 		if MaxAbsDiff(want, got) != 0 {
 			t.Fatalf("MatMulAdd %v: differs from MatMul+Add", s)
+		}
+
+		// The shared-B weight-gradient pair: each of its two accumulations
+		// must equal MatMulATB into scratch followed by Add.
+		at1, at2, g := randMat(k, m, r), randMat(k, m, r), randMat(k, n, r)
+		base2 := randMat(m, n, r)
+		want1, want2 := base.Clone(), base2.Clone()
+		MatMulATB(tmp, at1, g)
+		want1.Add(tmp)
+		MatMulATB(tmp, at2, g)
+		want2.Add(tmp)
+		got1, got2 := base.Clone(), base2.Clone()
+		MatMulATBAddPair(got1, at1, got2, at2, g)
+		if MaxAbsDiff(want1, got1) != 0 || MaxAbsDiff(want2, got2) != 0 {
+			t.Fatalf("MatMulATBAddPair %v: differs from MatMulATB+Add", s)
 		}
 	}
 }

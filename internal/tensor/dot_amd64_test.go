@@ -65,7 +65,8 @@ func TestDotBlock4x4AVX2MatchesPortable(t *testing.T) {
 	}
 }
 
-// TestProductsBitwiseAcrossDispatch runs all four products at every
+// TestProductsBitwiseAcrossDispatch runs every product — the shared-B
+// weight-gradient pair in its accumulating form included — at every
 // backendShapes entry with the dispatch forced to AVX2 and to the portable
 // kernel: the outputs must be bitwise equal, so which kernel a CPU picks
 // never changes a trained weight or a served logit.
@@ -80,20 +81,63 @@ func TestProductsBitwiseAcrossDispatch(t *testing.T) {
 		a, b := randMat(m, k, r), randMat(k, n, r)
 		at, bt := randMat(k, m, r), randMat(n, k, r)
 		base := randMat(m, n, r)
-		run := func(avx2 bool) [4]*Matrix {
+		at2 := randMat(k, m, r)
+		run := func(avx2 bool) [6]*Matrix {
 			hasAVX2 = avx2
-			outs := [4]*Matrix{New(m, n), New(m, n), New(m, n), base.Clone()}
+			outs := [6]*Matrix{New(m, n), New(m, n), New(m, n), base.Clone(), base.Clone(), base.Clone()}
 			MatMul(outs[0], a, b)
 			MatMulATB(outs[1], at, b)
 			MatMulABT(outs[2], a, bt)
 			MatMulAdd(outs[3], a, b)
+			MatMulATBAddPair(outs[4], at, outs[5], at2, b)
 			return outs
 		}
 		simd, portable := run(true), run(false)
-		for p, name := range []string{"MatMul", "MatMulATB", "MatMulABT", "MatMulAdd"} {
+		for p, name := range []string{"MatMul", "MatMulATB", "MatMulABT", "MatMulAdd", "MatMulATBAddPair first", "MatMulATBAddPair second"} {
 			for e, v := range simd[p].Data {
 				if !sameFloat(v, portable[p].Data[e]) {
 					t.Fatalf("%s %v element %d: avx2 %g, portable %g", name, s, e, v, portable[p].Data[e])
+				}
+			}
+		}
+	}
+}
+
+// TestRowKernelsAVX2MatchPortable pins the row kernels' contract: the AVX2
+// row add and row scale give every element bit-for-bit the portable
+// kernel's value, at every length from 0 to 67 (each 8-lane tail, below,
+// at and past the 32-element unrolled pass) and every start alignment, on
+// ordinary and special-value inputs. Elements past the row stay untouched.
+func TestRowKernelsAVX2MatchPortable(t *testing.T) {
+	if !x86HasAVX2() {
+		t.Skip("CPU has no AVX2")
+	}
+	r := rng.New(47)
+	const pad = 8
+	for n := 0; n <= 67; n++ {
+		for trial := 0; trial < 16; trial++ {
+			off := trial % 8
+			in := kernelInputs(r, 2, off+n+pad, trial%2 == 1)
+			scales := kernelInputs(r, 1, 1, trial%4 == 3)[0]
+			simd := append([]float32(nil), in[0]...)
+			portable := append([]float32(nil), in[0]...)
+			addRowAVX2(simd[off:off+n], in[1][off:off+n])
+			addRowGo(portable[off:off+n], in[1][off:off+n])
+			for e := range simd {
+				if !sameFloat(simd[e], portable[e]) {
+					t.Fatalf("add n=%d off=%d element %d: avx2 %g, portable %g", n, off, e, simd[e], portable[e])
+				}
+			}
+			scaleRowAVX2(simd[off:off+n], scales[0])
+			scaleRowGo(portable[off:off+n], scales[0])
+			for e := range simd {
+				if !sameFloat(simd[e], portable[e]) {
+					t.Fatalf("scale n=%d off=%d by %g element %d: avx2 %g, portable %g", n, off, scales[0], e, simd[e], portable[e])
+				}
+			}
+			for e := off + n; e < len(simd); e++ {
+				if math.Float32bits(simd[e]) != math.Float32bits(in[0][e]) {
+					t.Fatalf("n=%d off=%d: element %d past the row changed", n, off, e)
 				}
 			}
 		}

@@ -46,19 +46,39 @@ func matMulPacked(c, a, b *Matrix, acc bool) {
 }
 
 // MatMulATB computes C = Aᵀ·B. Shapes: A is k×m, B is k×n, C is m×n.
-// Used for weight gradients (W.grad = Xᵀ·dY). C's prior contents are
-// ignored. Both operands are packed transposed (two streaming passes,
-// reused scratch) so every dot product runs k-contiguous through the SIMD
-// micro-kernel — the layout change more than pays for itself because the
-// shared depth (the MFG destination count) is the large dimension. Workers
-// own disjoint C rows; per-element association is depth-determined, so
-// results are identical at every worker count.
+// C's prior contents are ignored. Both operands are packed transposed (two
+// streaming passes, reused scratch) so every dot product runs k-contiguous
+// through the SIMD micro-kernel — the layout change more than pays for
+// itself because the shared depth (the MFG destination count) is the large
+// dimension. Workers own disjoint C rows; per-element association is
+// depth-determined, so results are identical at every worker count.
 func MatMulATB(c, a, b *Matrix) {
 	checkMatMulATB(c, a, b)
-	at := packTranspose(a)
 	bt := packTranspose(b)
-	matMulTiled(c, at, bt, false)
+	matMulATBPacked(c, a, bt, false)
 	putPackBuf(bt.Data)
+}
+
+// MatMulATBAddPair computes C1 += A1ᵀ·B and C2 += A2ᵀ·B, packing the shared
+// B once: the weight gradients of a layer whose two weights see the same
+// output gradient (W.grad += Xᵀ·dY for both halves of a SAGE layer). Each
+// product runs MatMulATB's kernel and adds each element to C exactly once,
+// so the result is bitwise identical to MatMulATB into scratch followed by
+// Add.
+func MatMulATBAddPair(c1, a1, c2, a2, b *Matrix) {
+	checkMatMulATB(c1, a1, b)
+	checkMatMulATB(c2, a2, b)
+	bt := packTranspose(b)
+	matMulATBPacked(c1, a1, bt, true)
+	matMulATBPacked(c2, a2, bt, true)
+	putPackBuf(bt.Data)
+}
+
+// matMulATBPacked is the one Aᵀ·B path: it packs Aᵀ and runs the tiled
+// kernel against bt, B already packed transposed.
+func matMulATBPacked(c, a *Matrix, bt Matrix, acc bool) {
+	at := packTranspose(a)
+	matMulTiled(c, at, bt, acc)
 	putPackBuf(at.Data)
 }
 

@@ -96,7 +96,7 @@ func TestMatMulSerialAllocationFree(t *testing.T) {
 	b := New(16, 24)
 	bt := New(24, 16)
 	c := New(32, 24)
-	g := New(16, 24)
+	g, g2 := New(16, 24), New(16, 24)
 	for i := range a.Data {
 		a.Data[i] = float32(i%7) - 3
 	}
@@ -107,6 +107,7 @@ func TestMatMulSerialAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		MatMul(c, a, b)
 		MatMulATB(g, a, c)
+		MatMulATBAddPair(g, a, g2, a, c)
 		MatMulABT(c, a, bt)
 	})
 	if allocs != 0 {

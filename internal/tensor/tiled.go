@@ -5,21 +5,24 @@ import (
 	"sync"
 )
 
-// The cache-tiled fp32 GEMM kernels behind MatMul, MatMulAdd, MatMulATB
-// and MatMulABT. All four products funnel through one 4×4 dot
+// The cache-tiled fp32 GEMM kernels behind MatMul, MatMulAdd, MatMulATB,
+// MatMulATBAddPair and MatMulABT. All of them funnel through one 4×4 dot
 // micro-kernel (dotBlock4x4: AVX2 where the CPU has it, the portable Go
 // kernel otherwise, bitwise identical either way) over operands in
 // k-contiguous layout: MatMul packs Bᵀ once per call (reused scratch, zero
-// steady-state allocations), MatMulATB packs both Aᵀ and Bᵀ, and
-// MatMulABT's B argument already is the transpose. The kernel sweeps
-// L1-resident column panels across an L2-resident slab of A rows. That is
-// the one fp32 product path, at every operand size.
+// steady-state allocations), the Aᵀ·B products pack Aᵀ and Bᵀ (one Bᵀ for
+// both products of MatMulATBAddPair), and MatMulABT's B argument already
+// is the transpose. The kernel sweeps L1-resident column panels across an
+// L2-resident slab of A rows. That is the one fp32 product path, at every
+// operand size.
 //
-// Contract, shared by the four kernels:
+// Contract, shared by the kernels:
 //
 //   - C must not alias A or B.
 //   - MatMul/MatMulATB/MatMulABT ignore C's prior contents (pooled matrices
-//     arrive dirty); MatMulAdd accumulates into C.
+//     arrive dirty); MatMulAdd and MatMulATBAddPair accumulate into C,
+//     adding each full-depth dot product to C exactly once, so the result
+//     is bitwise identical to the product into scratch followed by Add.
 //   - Every output element is produced by exactly one worker with a fixed
 //     association determined by the depth alone, so results are bitwise
 //     identical at every GOMAXPROCS, at every row count (an output row
@@ -114,28 +117,35 @@ func putPackBuf(b []float32) {
 
 // packTranspose writes Bᵀ (n×k for a k×n B) into a scratch matrix. The
 // scratch is returned to the shared free list by the caller via putPackBuf.
+//
+// It moves eight source rows per pass: for each source column j the pass
+// writes eight contiguous values of destination row j (half a cache line)
+// while the eight source rows stream sequentially, so both sides touch
+// each cache line a handful of times instead of once per element. The
+// k%8 remaining rows go one at a time.
 func packTranspose(b *Matrix) Matrix {
 	k, n := b.Rows, b.Cols
 	buf := getPackBuf(n * k)
-	// Blocked transpose: walk 32×32 tiles so both the read and the write
-	// side touch each cache line a handful of times instead of n times.
-	const tb = 32
-	for i0 := 0; i0 < k; i0 += tb {
-		i1 := i0 + tb
-		if i1 > k {
-			i1 = k
+	src := b.Data
+	i := 0
+	for ; i+8 <= k; i += 8 {
+		r0 := src[i*n : i*n+n]
+		r1 := src[(i+1)*n:][:len(r0)]
+		r2 := src[(i+2)*n:][:len(r0)]
+		r3 := src[(i+3)*n:][:len(r0)]
+		r4 := src[(i+4)*n:][:len(r0)]
+		r5 := src[(i+5)*n:][:len(r0)]
+		r6 := src[(i+6)*n:][:len(r0)]
+		r7 := src[(i+7)*n:][:len(r0)]
+		for j := range r0 {
+			d := buf[j*k+i : j*k+i+8 : j*k+i+8]
+			d[0], d[1], d[2], d[3] = r0[j], r1[j], r2[j], r3[j]
+			d[4], d[5], d[6], d[7] = r4[j], r5[j], r6[j], r7[j]
 		}
-		for j0 := 0; j0 < n; j0 += tb {
-			j1 := j0 + tb
-			if j1 > n {
-				j1 = n
-			}
-			for i := i0; i < i1; i++ {
-				row := b.Row(i)
-				for j := j0; j < j1; j++ {
-					buf[j*k+i] = row[j]
-				}
-			}
+	}
+	for ; i < k; i++ {
+		for j, v := range src[i*n : i*n+n] {
+			buf[j*k+i] = v
 		}
 	}
 	return Matrix{Rows: n, Cols: k, Data: buf}
