@@ -79,13 +79,14 @@ func main() {
 			log.Fatal(err)
 		}
 		var loss float64
-		var remote, hits int
+		var remote, wire, hits int
 		for _, s := range stats {
 			loss += s.Loss / float64(len(stats))
 			remote += s.Gather.RemoteFetch
+			wire += s.Gather.RemoteFetch - s.Gather.Reused
 			hits += s.Gather.CacheHits
 		}
-		fmt.Printf("epoch %d: loss %.3f, remote fetches %d, cache hits %d\n", epoch, loss, remote, hits)
+		fmt.Printf("epoch %d: loss %.3f, remote fetches %d (%d on the wire), cache hits %d\n", epoch, loss, remote, wire, hits)
 	}
 
 	// 6. Sampled inference on the validation split.

@@ -30,20 +30,42 @@ func Build(ids []int32, n int) (*Cache, error) {
 	c := &Cache{
 		bits:  make([]uint64, (n+63)/64),
 		slots: make(map[int32]int32, len(ids)),
-		ids:   append([]int32(nil), ids...),
 	}
-	for i, v := range ids {
-		if v < 0 || int(v) >= n {
-			return nil, fmt.Errorf("cache: vertex %d out of range [0,%d)", v, n)
-		}
-		w, b := v/64, uint(v%64)
-		if c.bits[w]&(1<<b) != 0 {
-			return nil, fmt.Errorf("cache: duplicate vertex %d", v)
-		}
-		c.bits[w] |= 1 << b
-		c.slots[v] = int32(i)
+	if err := c.fill(ids, n); err != nil {
+		return nil, err
 	}
 	return c, nil
+}
+
+// fill makes c, which must hold nothing, hold exactly ids, reusing its
+// bitset, slot map and ids slice. On error c is left holding nothing.
+func (c *Cache) fill(ids []int32, n int) error {
+	c.ids = append(c.ids[:0], ids...)
+	for i, v := range ids {
+		var err error
+		if v < 0 || int(v) >= n {
+			err = fmt.Errorf("cache: vertex %d out of range [0,%d)", v, n)
+		} else if c.Has(v) {
+			err = fmt.Errorf("cache: duplicate vertex %d", v)
+		}
+		if err != nil {
+			c.ids = c.ids[:i]
+			c.reset()
+			return err
+		}
+		c.bits[v/64] |= 1 << uint(v%64)
+		c.slots[v] = int32(i)
+	}
+	return nil
+}
+
+// reset empties c, keeping its storage for the next fill.
+func (c *Cache) reset() {
+	for _, v := range c.ids {
+		c.bits[v/64] = 0
+	}
+	clear(c.slots)
+	c.ids = c.ids[:0]
 }
 
 // Empty returns a cache holding nothing.

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"salientpp/internal/tensor"
 )
@@ -10,8 +11,9 @@ import (
 // membership index and the fp32 feature rows (Rows.Row(i) holds the
 // features of Index.IDs()[i]). Epochs are hydrated off the gather path
 // (EpochBuilder) and installed into a store by swapping a single atomic
-// pointer; once installed an epoch is never written again, so any number of concurrent gathers may read it while the
-// next version is being built in the background.
+// pointer; once installed an epoch is not written again until it is
+// released back to its builder, so any number of concurrent gathers may
+// read it while the next version is being built in the background.
 type Epoch struct {
 	// Gen is the install generation: 0 for the setup-time epoch (the
 	// truncated static ranking), incremented by the builder for every
@@ -22,7 +24,8 @@ type Epoch struct {
 	// Rows holds the fp32 feature rows in slot order.
 	Rows *tensor.Matrix
 
-	owner *EpochBuilder // pool owner; nil for setup epochs (never released)
+	owner    *EpochBuilder // pool owner; nil for setup epochs (never released)
+	released bool          // on owner's free list, awaiting a rebuild
 }
 
 // NewEpoch assembles the setup-time epoch (generation 0) from a built
@@ -57,25 +60,28 @@ func (e *Epoch) IDs() []int32 {
 
 // EpochBuilder hydrates successive cache epochs for one rank: membership
 // ids in, a fully materialized Epoch out (index and feature rows pulled
-// from the row source). Row matrices come from a
-// builder-internal tensor.Pool so retired epochs can be handed back with
-// Release and the pool's Live gauge proves that shutdown — even mid-install
-// — leaks nothing.
+// from the row source). A released epoch is rebuilt in place by a later
+// Build — its index bitset, slot map and ids slice are cleared and
+// refilled, and its rows come back from a builder-internal tensor.Pool —
+// so a warm install cycle allocates nothing, and the pool's Live gauge
+// proves that shutdown — even mid-install — leaks nothing.
 //
 // A builder serves one install stream (one store). Build/BuildFor and
-// Release may run on different goroutines (the pool is thread-safe); only
-// one goroutine may build.
+// Release may run on different goroutines; only one goroutine may build.
 type EpochBuilder struct {
 	n    int
 	dim  int
 	row  func(v int32) []float32
 	pool *tensor.Pool
 	gen  uint64
+
+	mu   sync.Mutex
+	free []*Epoch // released epochs, rebuilt by the next Build
 }
 
 // NewEpochBuilder returns a builder over a graph with n vertices and
 // dim-wide features; row must return the fp32 feature row of any vertex
-// (it is read, never retained).
+// it is asked for (it is read, never retained).
 func NewEpochBuilder(n, dim int, row func(v int32) []float32) (*EpochBuilder, error) {
 	if n <= 0 || dim <= 0 {
 		return nil, fmt.Errorf("cache: epoch builder needs positive n (%d) and dim (%d)", n, dim)
@@ -87,19 +93,33 @@ func NewEpochBuilder(n, dim int, row func(v int32) []float32) (*EpochBuilder, er
 }
 
 // Build materializes the next epoch holding exactly ids (slot order
-// preserved). The rows matrix is pooled; hand retired epochs back with
-// Release.
+// preserved), rebuilding a released epoch when one is free. The rows
+// matrix is pooled; hand retired epochs back with Release.
 func (b *EpochBuilder) Build(ids []int32) (*Epoch, error) {
-	index, err := Build(ids, b.n)
-	if err != nil {
+	b.mu.Lock()
+	var e *Epoch
+	if k := len(b.free); k > 0 {
+		e = b.free[k-1]
+		b.free[k-1] = nil
+		b.free = b.free[:k-1]
+	}
+	b.mu.Unlock()
+	if e == nil {
+		e = &Epoch{Index: &Cache{bits: make([]uint64, (b.n+63)/64), slots: make(map[int32]int32, len(ids))}, owner: b}
+	}
+	if err := e.Index.fill(ids, b.n); err != nil {
+		b.mu.Lock()
+		b.free = append(b.free, e)
+		b.mu.Unlock()
 		return nil, err
 	}
-	rows := b.pool.Get(index.Len(), b.dim)
-	for i, v := range index.IDs() {
+	rows := b.pool.Get(len(ids), b.dim)
+	for i, v := range ids {
 		copy(rows.Row(i), b.row(v))
 	}
 	b.gen++
-	return &Epoch{Gen: b.gen, Index: index, Rows: rows, owner: b}, nil
+	e.Gen, e.Rows, e.released = b.gen, rows, false
+	return e, nil
 }
 
 // BuildFor materializes an epoch holding exactly ids, counting churn (the
@@ -123,18 +143,28 @@ func (b *EpochBuilder) BuildFor(ids []int32, cur *Epoch) (next *Epoch, churn int
 	return next, churn, nil
 }
 
-// Release returns a retired epoch's row storage to the builder's pool.
-// Only epochs this builder built are released (the setup epoch and foreign
-// epochs are ignored), so callers can unconditionally release whatever an
-// install displaced. The caller must guarantee no gather still reads the
-// epoch — installs at round barriers do.
+// Release returns a retired epoch to the builder: its rows go back to the
+// pool and the epoch itself is rebuilt by a later Build, so the caller
+// must drop every reference to it. Only epochs this builder built are
+// released (the setup epoch and foreign epochs are ignored), and releasing
+// an epoch twice before it is rebuilt is a no-op, so callers can
+// unconditionally release whatever an install displaced. The caller must
+// guarantee no gather still reads the epoch — installs at round barriers
+// do.
 func (b *EpochBuilder) Release(e *Epoch) {
 	if e == nil || e.owner != b {
 		return
 	}
-	e.owner = nil
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if e.released {
+		return
+	}
+	e.released = true
 	b.pool.Put(e.Rows)
-	e.Index, e.Rows = nil, nil
+	e.Rows = nil
+	e.Index.reset()
+	b.free = append(b.free, e)
 }
 
 // Live returns the number of built-and-unreleased epochs — the leak gauge

@@ -266,3 +266,74 @@ func TestInstallerChurnAndRelease(t *testing.T) {
 		t.Fatalf("release no-ops disturbed the gauge: %d", live)
 	}
 }
+
+// TestEpochBuilderRebuildAllocationFree: once a builder has released an
+// epoch, the next Build rebuilds it in place — index bitset, slot map, ids
+// and pooled rows — so a warm build/release cycle allocates nothing.
+func TestEpochBuilderRebuildAllocationFree(t *testing.T) {
+	const n, dim = 4096, 16
+	b, err := NewEpochBuilder(n, dim, testRowSource(dim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, c := make([]int32, 300), make([]int32, 280)
+	for i := range a {
+		a[i] = int32(i * 13 % n)
+	}
+	for i := range c {
+		c[i] = int32((i*29 + 7) % n)
+	}
+	round := 0
+	cycle := func() {
+		ids := a
+		if round%2 == 1 {
+			ids = c
+		}
+		round++
+		ep, err := b.Build(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Release(ep)
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("warm build/release allocated %.1f times per cycle, want 0", allocs)
+	}
+	// A rebuilt epoch is the membership asked for, not a mix with the
+	// one it was rebuilt from.
+	ep, err := b.Build(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ep.IDs(), c) {
+		t.Fatal("rebuilt epoch ids differ from the build request")
+	}
+	for v := int32(0); v < n; v++ {
+		slot, ok := ep.Index.Slot(v)
+		if ok != slices.Contains(c, v) || ok != ep.Index.Has(v) {
+			t.Fatalf("vertex %d: membership %v, bitset %v, requested %v", v, ok, ep.Index.Has(v), slices.Contains(c, v))
+		}
+		if ok && ep.Rows.At(int(slot), 0) != float32(v*10) {
+			t.Fatalf("vertex %d: row not hydrated", v)
+		}
+	}
+	// A failed rebuild leaves nothing half-built behind.
+	b.Release(ep)
+	if _, err := b.Build([]int32{1, 2, 1}); err == nil {
+		t.Fatal("duplicate ids accepted")
+	}
+	ep, err = b.Build([]int32{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ep.Len() != 1 || ep.Index.Has(1) || !ep.Index.Has(2) {
+		t.Fatalf("rebuild after a failed build holds %v", ep.IDs())
+	}
+	b.Release(ep)
+	if live := b.Live(); live != 0 {
+		t.Fatalf("%d epochs live after releasing everything", live)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"salientpp/internal/cache"
 	"salientpp/internal/tensor"
 )
 
@@ -183,5 +184,56 @@ func TestSiblingSharesDataNotScratch(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSiblingStartsOnSetupEpoch: a sibling classifies against the store's
+// setup epoch, not against whatever epoch the store has installed since —
+// a training store's scheduled epochs are transient and recycled.
+func TestSiblingStartsOnSetupEpoch(t *testing.T) {
+	const n, dim = 8, 3
+	layout, err := NewLayout([]int64{0, n / 2, n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epochOf := func(v int32) *cache.Epoch {
+		idx, err := cache.Build([]int32{v}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := tensor.New(1, dim)
+		for j := range rows.Data {
+			rows.Data[j] = float32(int(v)*10 + j)
+		}
+		ep, err := cache.NewEpoch(idx, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep
+	}
+	setup, other := epochOf(5), epochOf(6)
+	st, err := NewStore(&echoComm{}, layout, dim, tensor.New(n/2, dim), setup, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.InstallEpoch(other); err != nil {
+		t.Fatal(err)
+	}
+	sib, err := st.Sibling(&echoComm{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sib.Epoch() != setup || sib.SetupEpoch() != setup || st.Epoch() != other {
+		t.Fatalf("sibling on gen %d, parent on gen %d: want the setup epoch and the installed one", sib.CacheGen(), st.CacheGen())
+	}
+	out, stats := sib.GatherLocal([]int32{5, 6})
+	defer sib.Release(out)
+	if stats.CacheHits != 1 || stats.Missing != 1 {
+		t.Fatalf("sibling classified %+v, want vertex 5 a hit and 6 missing", stats)
+	}
+	for j := 0; j < dim; j++ {
+		if out.At(0, j) != float32(50+j) {
+			t.Fatalf("sibling row for vertex 5 col %d = %v, want the setup row", j, out.At(0, j))
+		}
 	}
 }

@@ -135,11 +135,13 @@ func (c Codec) decodeFeatRow(dst []float32, src []byte) {
 	}
 }
 
-// roundTripRow writes the quantize→dequantize image of src into dst: the
+// RoundTripRow writes the quantize→dequantize image of src into dst: the
 // exact values a remote peer receives for a row shipped under this codec.
-// This is the local reference the gather-equivalence tests (and the
-// accuracy analysis in the README) compare against.
-func (c Codec) roundTripRow(dst, src []float32) {
+// Cache rows are hydrated through it, so a cached remote row holds what
+// the wire would deliver and the path a row takes never shows in its
+// value. It is also the local reference the gather-equivalence tests (and
+// the accuracy analysis in the README) compare against.
+func (c Codec) RoundTripRow(dst, src []float32) {
 	if c == CodecFP32 {
 		copy(dst, src)
 		return

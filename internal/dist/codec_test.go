@@ -76,7 +76,7 @@ func TestInt8RoundTripErrorBound(t *testing.T) {
 				maxAbs = a
 			}
 		}
-		CodecInt8.roundTripRow(dst, src)
+		CodecInt8.RoundTripRow(dst, src)
 		bound := maxAbs/254 + maxAbs*1e-6
 		for i := range src {
 			if err := math.Abs(float64(dst[i] - src[i])); err > bound {
@@ -86,7 +86,7 @@ func TestInt8RoundTripErrorBound(t *testing.T) {
 		}
 	}
 	zero := make([]float32, dim)
-	CodecInt8.roundTripRow(dst, zero)
+	CodecInt8.RoundTripRow(dst, zero)
 	for i, v := range dst {
 		if v != 0 {
 			t.Fatalf("all-zero row decoded %v at %d", v, i)
@@ -105,7 +105,7 @@ func TestInt8NonFiniteRows(t *testing.T) {
 	inf := float32(math.Inf(1))
 	src := []float32{100, nan, 0.5, -inf, -100}
 	dst := make([]float32, len(src))
-	CodecInt8.roundTripRow(dst, src)
+	CodecInt8.RoundTripRow(dst, src)
 	// Scale derives from maxAbs=100, so 100 must survive (it was silently
 	// crushed to ~0.5 when a trailing finite value could reset a
 	// NaN-poisoned maxAbs).
@@ -120,7 +120,7 @@ func TestInt8NonFiniteRows(t *testing.T) {
 	}
 	allBad := []float32{nan, inf, float32(math.Inf(-1)), nan}
 	out := make([]float32, len(allBad))
-	CodecInt8.roundTripRow(out, allBad)
+	CodecInt8.RoundTripRow(out, allBad)
 	for i, v := range out {
 		if v != 0 {
 			t.Fatalf("all-non-finite row decoded %v at %d, want 0", v, i)
@@ -271,7 +271,7 @@ func TestGatherWithCodecMatchesReference(t *testing.T) {
 			for i, v := range ids {
 				want := full.Row(int(v))
 				if v >= 8 { // remote: compare against the quantization reference
-					codec.roundTripRow(ref, want)
+					codec.RoundTripRow(ref, want)
 					want = ref
 				}
 				got := out.Row(i)

@@ -195,7 +195,7 @@ func TestGradReduceErrorFeedback(t *testing.T) {
 		for i, v := range m.Data {
 			accEF[i] += float64(v)
 		}
-		CodecInt8.roundTripRow(naiveRow, g)
+		CodecInt8.RoundTripRow(naiveRow, g)
 		for i, v := range naiveRow {
 			accNaive[i] += float64(v)
 		}

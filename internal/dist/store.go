@@ -26,8 +26,9 @@ type GatherStats struct {
 	// on the wire are RemoteFetch − Reused.
 	RemoteFetch int
 	// Reused counts the remote accesses a GatherNext round copied out of
-	// the round pending when it was pushed, which had requested or itself
-	// inherited the same ids (always 0 outside the training stream).
+	// the round pending when it was pushed, which held the same ids — as
+	// requests, inheritances or cache hits (always 0 outside the training
+	// stream).
 	Reused int
 	// Missing counts rows GatherLocal could not satisfy from the local
 	// shard or cache and zero-filled instead (always 0 for Gather, which
@@ -55,15 +56,18 @@ type GatherStats struct {
 // collectives. Between the collective that delivers a peer's ids and the
 // next one, the owner reads the requested rows out of its shard into that
 // peer's outgoing frame. The stream also never asks for a row twice in a
-// row: a round's remote ids that the pending round already requested or
-// inherited are copied out of the pending round's matrix once it
-// completes, so owners see shorter request lists and nothing else changes.
+// row: a round's remote ids that the pending round held — requested,
+// inherited or served from the cache — are copied out of the pending
+// round's matrix once it completes, so owners see shorter request lists
+// and nothing else changes.
 //
 // The cache is versioned: gathers read whichever cache.Epoch was current
 // when they started (one atomic pointer load per gather), and InstallEpoch
 // swaps in a new immutable epoch between rounds without touching in-flight
-// readers. The default deployment installs the setup-time epoch once and
-// never again, which is bitwise the historical frozen cache.
+// readers. The store keeps the epoch it was built with as its setup
+// epoch: training installs its scheduled epochs round by round and
+// re-installs the setup epoch when the epoch ends, and siblings start on
+// it.
 //
 // The gather path is allocation-free at steady state: output matrices come
 // from a pooled tensor arena (return them with Release), request ids and
@@ -76,6 +80,7 @@ type Store struct {
 	dim     int
 	local   *tensor.Matrix
 	epoch   atomic.Pointer[cache.Epoch] // current cache version; nil only when caching is disabled
+	setup   *cache.Epoch                // the epoch NewStore was given
 	gpuRows int
 	pool    *tensor.Pool
 	codec   Codec
@@ -86,6 +91,12 @@ type Store struct {
 	// rows not yet received — while the next is classified.
 	rounds  [2]gatherRound
 	pending *gatherRound // round awaiting its rows; nil when no round is in flight
+
+	// held[v] stamps the last stream round that held remote id v and the
+	// output row it sits in; a round inherits v when the stamp is the
+	// pending round's. Sized to the vertex count at the first GatherNext.
+	held []heldRow
+	seq  uint32 // stamp of the last GatherNext round; 0 is never a round's
 
 	// Outgoing frames, per peer: the staged answer to that peer's last
 	// request list (answered[p] float32 values or encoded bytes), with this
@@ -108,12 +119,17 @@ type gatherRound struct {
 	byPeer []int     // RemoteByPeer scratch
 
 	// Remote ids inherited from the round pending when this one was pushed
-	// (GatherNext only), per peer and ascending: inhRow[p][j] is the output
-	// row inhIDs[p][j] fills here, inhSrc[p][j] the pending round's row it
-	// is copied from. With reqIDs they are this round's full remote list.
-	inhIDs [][]int32
-	inhRow [][]int32
-	inhSrc [][]int32
+	// (GatherNext only): output row inhRow[j] is copied from the pending
+	// round's row inhSrc[j].
+	seq    uint32
+	inhRow []int32
+	inhSrc []int32
+}
+
+// heldRow is one entry of the store's id→(round, row) stamp.
+type heldRow struct {
+	seq uint32
+	row int32
 }
 
 // idRowSorter sorts a peer's request ids ascending, carrying the matching
@@ -158,6 +174,7 @@ func NewStore(comm Comm, layout *Layout, dim int, local *tensor.Matrix, ep *cach
 		return nil, fmt.Errorf("dist: gpuFraction %v outside [0,1]", gpuFraction)
 	}
 	s := newStore(comm, layout, dim, local, int(gpuFraction*float64(local.Rows)))
+	s.setup = ep
 	s.epoch.Store(ep)
 	return s, nil
 }
@@ -200,9 +217,6 @@ func newStore(comm Comm, layout *Layout, dim int, local *tensor.Matrix, gpuRows 
 			reqIDs: make([][]int32, k),
 			rowOf:  make([][]int32, k),
 			byPeer: make([]int, k),
-			inhIDs: make([][]int32, k),
-			inhRow: make([][]int32, k),
-			inhSrc: make([][]int32, k),
 		}
 	}
 	return s
@@ -223,9 +237,15 @@ func (s *Store) InstallEpoch(ep *cache.Epoch) (*cache.Epoch, error) {
 }
 
 // Epoch returns the store's current cache epoch (nil when caching is
-// disabled). The epoch is immutable; its IDs and Gen are safe to read from
-// any goroutine.
+// disabled). The epoch is immutable while installed; its IDs and Gen are
+// safe to read from any goroutine that knows it stays installed (a
+// training epoch's scheduled epochs are recycled as the next round's).
 func (s *Store) Epoch() *cache.Epoch { return s.epoch.Load() }
+
+// SetupEpoch returns the epoch the store was built with (nil when caching
+// is disabled). It is never released or rewritten, so it is safe to read
+// from any goroutine at any time.
+func (s *Store) SetupEpoch() *cache.Epoch { return s.setup }
 
 // CacheGen returns the current cache epoch's install generation (0 for the
 // setup epoch or when caching is disabled).
@@ -248,7 +268,7 @@ func (s *Store) SetCodec(c Codec) { s.codec = c }
 func (s *Store) Codec() Codec { return s.codec }
 
 // Sibling returns a second store over the same read-only feature data —
-// local shard, current cache epoch, layout, and GPU split — but a fresh
+// local shard, setup cache epoch, layout, and GPU split — but a fresh
 // communicator and private per-Gather scratch. This is the concurrent read
 // path: the underlying matrices are never written after construction, so
 // any number of sibling stores (an online-serving loop next to the
@@ -256,10 +276,11 @@ func (s *Store) Codec() Codec { return s.codec }
 // each from its own goroutine, as long as each sibling's comm belongs to a
 // distinct matched group.
 //
-// The sibling starts on the parent's current epoch but versions
-// independently afterwards: an InstallEpoch on either store is invisible
-// to the other, so a serving sibling can track drift while the training
-// store's trajectory stays untouched.
+// The sibling starts on the parent's setup epoch, not its current one (a
+// training epoch's scheduled epoch is transient and about to be recycled),
+// and versions independently afterwards: an InstallEpoch on either store
+// is invisible to the other, so a serving sibling can track drift while
+// the training store's trajectory stays untouched.
 func (s *Store) Sibling(comm Comm) (*Store, error) {
 	if comm == nil {
 		return nil, fmt.Errorf("dist: sibling needs a comm")
@@ -272,7 +293,8 @@ func (s *Store) Sibling(comm Comm) (*Store, error) {
 	// classification matches the original store exactly.
 	sib := newStore(comm, s.layout, s.dim, s.local, s.gpuRows)
 	sib.codec = s.codec
-	sib.epoch.Store(s.epoch.Load())
+	sib.setup = s.setup
+	sib.epoch.Store(s.setup)
 	return sib, nil
 }
 
@@ -316,7 +338,7 @@ func (s *Store) Gather(ids []int32) (*tensor.Matrix, GatherStats, error) {
 		s.drop(rd)
 		return nil, GatherStats{}, errors.New("dist: one-shot gather while a stream round is pending (GatherFlush completes it)")
 	}
-	s.classify(rd, ids, false)
+	s.classify(rd, ids, false, nil)
 	if err := s.exchange(rd); err != nil {
 		s.drop(rd)
 		return nil, GatherStats{}, err
@@ -336,21 +358,20 @@ func (s *Store) Gather(ids []int32) (*tensor.Matrix, GatherStats, error) {
 // round's completed matrix (nil, with zero stats, on the first call of a
 // stream). GatherFlush completes the last pending round, so a stream of R
 // rounds costs R+1 collectives where R Gathers cost 2R. Remote ids the
-// previous round also needed are not requested again: they are copied out
-// of its matrix once it completes (stats.Reused counts them), so the
-// matrix equals Gather's bitwise at fewer rows on the wire. All ranks must
-// issue the same sequence of GatherNext and GatherFlush calls; between a
-// GatherNext and its completion the store holds the pending round's pooled
-// matrix (counted by Live). The matrix is the caller's to Release. On
+// previous round also held — fetched, inherited or cache hits — are not
+// requested again: they are copied out of its matrix once it completes
+// (stats.Reused counts them), so the matrix equals Gather's bitwise at
+// fewer rows on the wire. All ranks must issue the same sequence of
+// GatherNext and GatherFlush calls; between a GatherNext and its
+// completion the store holds the pending round's pooled matrix (counted
+// by Live). The matrix is the caller's to Release. On
 // error the pending round is dropped and the store is idle.
 func (s *Store) GatherNext(ids []int32) (*tensor.Matrix, GatherStats, error) {
 	rd := s.idleRound()
 	rd.out = s.pool.Get(len(ids), s.dim)
-	s.classify(rd, ids, false)
 	done := s.pending
-	if done != nil {
-		rd.reuseFrom(done)
-	}
+	s.classify(rd, ids, false, done)
+	s.stamp(rd, ids)
 	if err := s.exchange(rd); err != nil {
 		s.drop(rd)
 		return nil, GatherStats{}, err
@@ -360,47 +381,32 @@ func (s *Store) GatherNext(ids []int32) (*tensor.Matrix, GatherStats, error) {
 	}
 	// done's rows have just scattered in, so its matrix is complete; take
 	// rd's inherited rows before the caller may release it.
-	for p, rows := range rd.inhRow {
-		for j, row := range rows {
-			copy(rd.out.Row(int(row)), done.out.Row(int(rd.inhSrc[p][j])))
-		}
+	for j, row := range rd.inhRow {
+		copy(rd.out.Row(int(row)), done.out.Row(int(rd.inhSrc[j])))
 	}
 	return s.complete(done)
 }
 
-// reuseFrom moves rd's remote ids that prev — the pending round —
-// requested or inherited out of rd's request lists and into its inherited
-// lists. Both rounds keep each peer's ids ascending, so one merge walk per
-// peer finds every match, duplicates on either side included.
-func (rd *gatherRound) reuseFrom(prev *gatherRound) {
-	for p, ids := range rd.reqIDs {
-		rows := rd.rowOf[p]
-		preq, pinh := prev.reqIDs[p], prev.inhIDs[p]
-		inh, inhRow, inhSrc := rd.inhIDs[p][:0], rd.inhRow[p][:0], rd.inhSrc[p][:0]
-		kept, i, j := 0, 0, 0
-		for t, v := range ids {
-			for i < len(preq) && preq[i] < v {
-				i++
-			}
-			for j < len(pinh) && pinh[j] < v {
-				j++
-			}
-			switch {
-			case i < len(preq) && preq[i] == v:
-				inhSrc = append(inhSrc, prev.rowOf[p][i])
-			case j < len(pinh) && pinh[j] == v:
-				inhSrc = append(inhSrc, prev.inhRow[p][j])
-			default:
-				ids[kept], rows[kept] = v, rows[t]
-				kept++
-				continue
-			}
-			inh = append(inh, v)
-			inhRow = append(inhRow, rows[t])
+// stamp records rd as the holder of its remote ids — requested, inherited
+// and cache hits alike — for the round pushed after it. It runs after
+// classify, which read the pending round's stamps: a round repeating an
+// id inherits every copy from the pending round, never from itself.
+func (s *Store) stamp(rd *gatherRound, ids []int32) {
+	if s.held == nil {
+		s.held = make([]heldRow, s.layout.NumVertices())
+	}
+	s.seq++
+	if s.seq == 0 { // wrapped: no stale stamp may match a new round
+		clear(s.held)
+		s.seq = 1
+	}
+	rd.seq = s.seq
+	rank := s.comm.Rank()
+	lo, hi := s.layout.Starts[rank], s.layout.Starts[rank+1]
+	for i, v := range ids {
+		if int64(v) < lo || int64(v) >= hi {
+			s.held[v] = heldRow{seq: rd.seq, row: int32(i)}
 		}
-		rd.reqIDs[p], rd.rowOf[p] = ids[:kept], rows[:kept]
-		rd.inhIDs[p], rd.inhRow[p], rd.inhSrc[p] = inh, inhRow, inhSrc
-		rd.stats.Reused += len(inh)
 	}
 }
 
@@ -467,19 +473,21 @@ func (s *Store) drop(rd *gatherRound) {
 func (s *Store) GatherLocal(ids []int32) (*tensor.Matrix, GatherStats) {
 	rd := s.idleRound()
 	rd.out = s.pool.Get(len(ids), s.dim)
-	s.classify(rd, ids, true)
+	s.classify(rd, ids, true, nil)
 	out := rd.out
 	rd.out = nil
 	return out, rd.stats
 }
 
 // classify resolves ids into rd's output: local-shard rows and cache hits
-// are copied now, and every other id joins its owner's request list,
-// sorted ascending per peer so the owner reads its shard sequentially. In
-// local (degraded) mode those rows are zero-filled and counted Missing
-// instead — explicitly, because pool memory is reused and a skipped write
-// would leak a previous batch's features into the prediction.
-func (s *Store) classify(rd *gatherRound, ids []int32, local bool) {
+// are copied now, remote ids prev (the pending stream round, or nil)
+// held are listed for copying out of prev's matrix once it completes, and
+// every other id joins its owner's request list, sorted ascending per peer
+// so the owner reads its shard sequentially. In local (degraded) mode
+// those rows are zero-filled and counted Missing instead — explicitly,
+// because pool memory is reused and a skipped write would leak a previous
+// batch's features into the prediction.
+func (s *Store) classify(rd *gatherRound, ids []int32, local bool, prev *gatherRound) {
 	k := s.layout.K()
 	rank := s.comm.Rank()
 	// One pointer load pins the cache version for the whole gather; an
@@ -489,11 +497,9 @@ func (s *Store) classify(rd *gatherRound, ids []int32, local bool) {
 	for p := 0; p < k; p++ {
 		rd.reqIDs[p] = rd.reqIDs[p][:0]
 		rd.rowOf[p] = rd.rowOf[p][:0]
-		rd.inhIDs[p] = rd.inhIDs[p][:0]
-		rd.inhRow[p] = rd.inhRow[p][:0]
-		rd.inhSrc[p] = rd.inhSrc[p][:0]
 		rd.byPeer[p] = 0
 	}
+	rd.inhRow, rd.inhSrc = rd.inhRow[:0], rd.inhSrc[:0]
 	var st GatherStats
 	for i, v := range ids {
 		owner := s.layout.Owner(v)
@@ -511,6 +517,16 @@ func (s *Store) classify(rd *gatherRound, ids []int32, local bool) {
 			if slot, ok := ep.Index.Slot(v); ok {
 				st.CacheHits++
 				copy(out.Row(i), ep.Rows.Row(int(slot)))
+				continue
+			}
+		}
+		if prev != nil {
+			if h := s.held[v]; h.seq == prev.seq {
+				st.RemoteFetch++
+				st.Reused++
+				rd.byPeer[owner]++
+				rd.inhRow = append(rd.inhRow, int32(i))
+				rd.inhSrc = append(rd.inhSrc, h.row)
 				continue
 			}
 		}

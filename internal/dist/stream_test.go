@@ -413,3 +413,79 @@ func TestGatherNextOverlapReleasesOnFailure(t *testing.T) {
 		})
 	}
 }
+
+// TestGatherNextReusesPendingCacheHits: a round inherits the ids the
+// pending round served from its cache, not only those it fetched or
+// inherited, so a row evicted between two rounds that both read it never
+// reaches the wire. Rank 0 caches vertex 12 for round 0, then installs an
+// empty epoch before round 1 reads 12 again.
+func TestGatherNextReusesPendingCacheHits(t *testing.T) {
+	full := streamFeatures()
+	script := [][]int32{{12, 15, 3}, {15, 12, 16}}
+	stores, counted := streamStores(t, NewLocalGroup, CodecFP32)
+	empty, err := cache.NewEpoch(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []GatherStats
+	var feats [][]float32
+	onAllRanks(t, func(rank int) error {
+		st := stores[rank]
+		for round := 0; round <= len(script); round++ {
+			var ids []int32
+			if rank == 0 && round < len(script) {
+				ids = script[round]
+			}
+			var m *tensor.Matrix
+			var gs GatherStats
+			var err error
+			if round < len(script) {
+				m, gs, err = st.GatherNext(ids)
+			} else {
+				m, gs, err = st.GatherFlush()
+			}
+			if err != nil {
+				return err
+			}
+			if rank == 0 && round == 0 {
+				if _, err := st.InstallEpoch(empty); err != nil {
+					return err
+				}
+			}
+			if m == nil {
+				continue
+			}
+			if rank == 0 {
+				gs.RemoteByPeer = nil
+				got = append(got, gs)
+				feats = append(feats, append([]float32(nil), m.Data...))
+			}
+			st.Release(m)
+		}
+		return nil
+	})
+	want := []GatherStats{
+		{LocalGPU: 1, CacheHits: 1, RemoteFetch: 1},
+		{RemoteFetch: 3, Reused: 2},
+	}
+	for round, ids := range script {
+		if !reflect.DeepEqual(got[round], want[round]) {
+			t.Fatalf("round %d: stats %+v, want %+v", round, got[round], want[round])
+		}
+		for i, v := range ids {
+			for j := 0; j < streamDim; j++ {
+				if a, b := feats[round][i*streamDim+j], full.At(int(v), j); math.Float32bits(a) != math.Float32bits(b) {
+					t.Fatalf("round %d row %d (vertex %d) col %d: got %v, want %v", round, i, v, j, a, b)
+				}
+			}
+		}
+	}
+	// Rank 0 asked rank 1 for 15, then 16 — never for 12 — and rank 1
+	// answered two rows.
+	const row, id = 4 * streamDim, 4
+	for rank, want := range []int64{2 * id, 2 * row, 0} {
+		if got := counted[rank].BytesSent(); got != want {
+			t.Fatalf("rank %d sent %d bytes, want %d", rank, got, want)
+		}
+	}
+}

@@ -15,15 +15,20 @@ import (
 // sorted gather changes only wire layout. The loose tolerances absorb
 // benign float reassociation on other architectures; a real numerical
 // regression (stale pooled data, mis-scattered features, kernel bug)
-// blows well past them, and the remote-fetch count must match exactly —
-// the gather protocol rewrite may not change which rows go over the wire.
+// blows well past them, and the remote-access and wire-row counts must
+// match exactly — a gather protocol rewrite may not change which rows are
+// fetched. The remote count is the final epoch's accesses the cache did
+// not serve; since training's cache follows each epoch's planned schedule
+// it is 300 (264 under the static setup cache), at the same 251 rows on
+// the wire.
 func TestNumericalEquivalenceWithPreArenaBaseline(t *testing.T) {
 	const (
 		wantFirstLoss = 2.802373
 		wantFinalLoss = 1.120540
 		wantValAcc    = 0.854167
 		wantTestAcc   = 0.891722
-		wantRemote    = 264
+		wantRemote    = 300
+		wantWire      = 251
 	)
 	cfg := DefaultAccuracyConfig()
 	cfg.Datasets = []string{"products-sim"}
@@ -49,5 +54,8 @@ func TestNumericalEquivalenceWithPreArenaBaseline(t *testing.T) {
 	if r.RemotePerEpoch != wantRemote {
 		t.Errorf("remote fetches per epoch %d, baseline %d (gather protocol must not change which rows are fetched)",
 			r.RemotePerEpoch, wantRemote)
+	}
+	if r.WirePerEpoch != wantWire {
+		t.Errorf("rows on the wire per epoch %d, baseline %d", r.WirePerEpoch, wantWire)
 	}
 }

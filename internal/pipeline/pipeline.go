@@ -108,6 +108,10 @@ type Rank struct {
 	// round boundaries. Rounds that do not checkpoint cost one integer
 	// check (guarded by TestCheckpointIdleAddsNoAllocations).
 	saver *ckpt.Saver
+
+	// sched moves the store's cache along each epoch's planned schedule;
+	// nil when the store caches nothing.
+	sched *cacheSchedule
 }
 
 // EpochStats aggregates one training epoch on one rank.
@@ -170,7 +174,12 @@ func NewRank(cfg Config, commFeat, commGrad dist.Comm, store *dist.Store, s *sam
 			layerRes[li] = append(layerRes[li], p.EF)
 		}
 	}
+	sched, err := newCacheSchedule(commFeat.Rank(), store, s)
+	if err != nil {
+		return nil, err
+	}
 	return &Rank{
+		sched:     sched,
 		cfg:       cfg,
 		commFeat:  commFeat,
 		commGrad:  commGrad,
@@ -193,7 +202,8 @@ func (r *Rank) Model() *nn.Model { return r.model }
 
 // Store exposes the rank's partitioned feature store. Serving attaches
 // here: Store().Sibling gives an independently-communicating store over
-// the same read-only shard and cache.
+// the same read-only shard and setup cache epoch (training moves the
+// store's own epoch along its schedule while an epoch runs).
 func (r *Rank) Store() *dist.Store { return r.store }
 
 // Sampler exposes the rank's training sampler (immutable; safe to share).
@@ -332,6 +342,7 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 	start := time.Now()
 	base := rng.New(r.cfg.Seed ^ (uint64(epoch+1) * 0x9e3779b97f4a7c15)).Split(uint64(r.commFeat.Rank()))
 	batches := sample.EpochBatches(r.trainIDs, r.cfg.BatchSize, base.Split(0))
+	sampleBase := base.Split(1)
 	// Pad to the global round count with empty batches.
 	real := len(batches)
 	for len(batches) < r.rounds {
@@ -343,6 +354,7 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 	if startRound < 0 || startRound >= r.rounds {
 		return EpochStats{}, fmt.Errorf("pipeline: resume round %d outside [0,%d)", startRound, r.rounds)
 	}
+	allBatches := batches
 	batches = batches[startRound:]
 
 	bytesBefore := r.commFeat.BytesSent()
@@ -397,14 +409,15 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 	// workers acquire before sampling, the training loop releases after
 	// the batch finishes its model update.
 	inflight := make(chan struct{}, r.cfg.PipelineDepth)
-	sampled := r.streamSampled(batches, base.Split(1), startRound, inflight, abort)
+	sampled := r.streamSampled(batches, sampleBase, startRound, inflight, abort)
 
-	// Stage B: feature collection, one collective per round plus a flush.
+	// Stage B: feature collection, one collective per round plus a flush,
+	// moving the cache along the epoch's schedule.
 	ready := make(chan preparedBatch, r.cfg.PipelineDepth)
 	errCh := make(chan error, 1)
 	go func() {
 		defer close(ready)
-		if err := r.gatherStage(sampled, ready, abort); err != nil {
+		if err := r.gatherStage(sampled, ready, abort, r.sched, allBatches, sampleBase, startRound); err != nil {
 			errCh <- err
 			closeAbort()
 		}
@@ -602,18 +615,41 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 // same schedule from the shared round count and depth, so the collectives
 // stay matched.
 //
+// With a cache schedule sc (nil runs the epoch on the setup epoch), the
+// stage also moves the store's cache along it: a completed round's matrix
+// stages the rows the schedule admits from it before the round is
+// delivered, and the epoch round g+1 reads is installed right after round
+// g's push (see cacheSchedule). all, base and start are the epoch's
+// rounds, sampling base and first round, from which sc plans.
+//
 // A gather error is returned with every held batch's pooled buffers back in
 // their pools. On abort the stage stops without issuing another collective
 // and releases what it holds — including the store's pending round — and
 // returns nil; the caller's abort path owns the epoch's error.
-func (r *Rank) gatherStage(sampled <-chan sampledBatch, ready chan<- preparedBatch, abort <-chan struct{}) error {
+func (r *Rank) gatherStage(sampled <-chan sampledBatch, ready chan<- preparedBatch, abort <-chan struct{},
+	sc *cacheSchedule, all [][]int32, base *rng.RNG, start int) error {
+	if sc != nil {
+		defer sc.end()
+		if err := sc.begin(all, base, start); err != nil {
+			return r.failSchedule(err)
+		}
+	}
 	var (
 		held  sampledBatch  // pushed batch whose rows are on the wire; nil mfg when none
 		carry time.Duration // gather time of a push that completed nothing
 	)
 	// deliver hands held, completed with feats after d of gather time, to
-	// the compute stage; false means the epoch aborted first.
-	deliver := func(feats *tensor.Matrix, gstats dist.GatherStats, d time.Duration) bool {
+	// the compute stage, once the schedule has staged what it admits from
+	// it; false means the epoch aborted first or staging failed.
+	deliver := func(feats *tensor.Matrix, gstats dist.GatherStats, d time.Duration) (bool, error) {
+		if sc != nil {
+			if err := sc.completed(held.round, feats); err != nil {
+				r.store.Release(feats)
+				held.mfg.Release()
+				held = sampledBatch{}
+				return false, r.failSchedule(err)
+			}
+		}
 		// RemoteByPeer aliases store scratch the next gather reuses; only
 		// the scalar counts cross into the compute stage.
 		gstats.RemoteByPeer = nil
@@ -621,13 +657,13 @@ func (r *Rank) gatherStage(sampled <-chan sampledBatch, ready chan<- preparedBat
 		held, carry = sampledBatch{}, 0
 		select {
 		case ready <- pb:
-			return true
+			return true, nil
 		case <-abort:
 			// The undeliverable batch's pooled buffers go back now; the
 			// abort drain in stage C can only see batches that reached ready.
 			r.store.Release(feats)
 			pb.mfg.Release()
-			return false
+			return false, nil
 		}
 	}
 	// flush completes held; false with a nil error means aborted.
@@ -638,7 +674,7 @@ func (r *Rank) gatherStage(sampled <-chan sampledBatch, ready chan<- preparedBat
 			held.mfg.Release()
 			return false, err
 		}
-		return deliver(feats, gstats, time.Since(t0)), nil
+		return deliver(feats, gstats, time.Since(t0))
 	}
 	for sb := range sampled {
 		t0 := time.Now()
@@ -653,12 +689,19 @@ func (r *Rank) gatherStage(sampled <-chan sampledBatch, ready chan<- preparedBat
 		}
 		if held.mfg == nil {
 			carry = d
-		} else if !deliver(feats, gstats, d) {
+		} else if ok, err := deliver(feats, gstats, d); !ok {
 			sb.mfg.Release()
 			r.store.GatherDiscard()
-			return nil
+			return err
 		}
 		held = sb
+		if sc != nil {
+			if err := sc.pushed(sb.round); err != nil {
+				held.mfg.Release()
+				r.store.GatherDiscard()
+				return r.failSchedule(err)
+			}
+		}
 		if r.cfg.PipelineDepth == 1 {
 			if ok, err := flush(); !ok {
 				return err
@@ -679,6 +722,15 @@ func (r *Rank) gatherStage(sampled <-chan sampledBatch, ready chan<- preparedBat
 	}
 	_, err := flush()
 	return err
+}
+
+// failSchedule turns a cache-schedule failure into a group-wide abort, as
+// failCheckpoint does: the schedule is local to this rank, so its peers
+// would otherwise block in their next collective waiting for it.
+func (r *Rank) failSchedule(err error) error {
+	r.commFeat.Close()
+	r.commGrad.Close()
+	return fmt.Errorf("pipeline: cache schedule failed, aborting the run: %w", err)
 }
 
 // streamSampled runs the sampling stage: SamplerWorkers goroutines sample
@@ -726,7 +778,7 @@ func (r *Rank) streamSampled(batches [][]int32, base *rng.RNG, offset int, infli
 				m := worker.Sample(batches[i])
 				// Capacity-1 channel with this goroutine as sole producer:
 				// the send never blocks.
-				slots[i] <- sampledBatch{mfg: m, empty: len(batches[i]) == 0, stime: time.Since(t0)}
+				slots[i] <- sampledBatch{mfg: m, empty: len(batches[i]) == 0, stime: time.Since(t0), round: offset + i}
 			}
 		}()
 	}
@@ -755,6 +807,7 @@ type sampledBatch struct {
 	mfg   *sample.MFG
 	empty bool
 	stime time.Duration
+	round int // absolute round index in the epoch
 }
 
 // Evaluate runs sampled inference over ids (this rank's local evaluation

@@ -292,7 +292,9 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 		// Remote cache: restored verbatim from the checkpoint topology, or
 		// built by the configured ranker (reordered id space) on a fresh
 		// cluster. Feature rows are always rehydrated from the dataset —
-		// checkpoints store cache membership, not feature bytes.
+		// checkpoints store cache membership, not feature bytes — through
+		// the wire codec, so a cached row holds exactly what a fetch of it
+		// would deliver (a no-op copy under fp32).
 		var cc *cache.Cache
 		var cdata *tensor.Matrix
 		if cfg.Resume != nil {
@@ -324,7 +326,7 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 			cacheIDs[rank] = cc.IDs()
 			cdata = tensor.New(cc.Len(), rds.FeatureDim)
 			for i, v := range cc.IDs() {
-				copy(cdata.Row(i), rds.FeatureRow(v))
+				codec.RoundTripRow(cdata.Row(i), rds.FeatureRow(v))
 			}
 		}
 		ep, err := cache.NewEpoch(cc, cdata)
@@ -365,6 +367,15 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 		if cfg.Resume != nil {
 			if err := rk.RestoreState(cfg.Resume.Ranks[rank]); err != nil {
 				return nil, err
+			}
+		}
+		if rk.sched != nil {
+			// A resumed epoch rebuilds the scheduled members it never
+			// gathered from the dataset, as the setup cache above is.
+			row := make([]float32, rds.FeatureDim)
+			rk.sched.rehydrate = func(v int32) []float32 {
+				codec.RoundTripRow(row, rds.FeatureRow(v))
+				return row
 			}
 		}
 		cl.Ranks = append(cl.Ranks, rk)

@@ -343,7 +343,7 @@ func New(cl *pipeline.Cluster, cfg Config) (*Server, error) {
 		// static VIP prefix) so a cold scorer proposes roughly the cache it
 		// inherited. A rank whose parent caches nothing has nothing to adapt
 		// — it stays static.
-		if pep := s.parents[r].Epoch(); online && pep.Len() > 0 {
+		if pep := s.parents[r].SetupEpoch(); online && pep.Len() > 0 {
 			if degrees == nil {
 				degrees = cl.Data.Graph.Degrees()
 			}
