@@ -10,9 +10,9 @@ import (
 // program computes: the generated graph and features, the partition, the
 // VIP analysis and cache ranking, the samples, the gathered rows and the
 // served logits. tensor and nn (the kernels, layers and optimizers) run the
-// same check in their own tests. metrics, perfmodel, simnet and experiments
-// stay out: they only report on a run, so a fused product there changes a
-// printed figure, never a result.
+// same check in their own tests. metrics, simnet and experiments stay out:
+// they only report on a run, so a fused product there changes a printed
+// figure, never a result.
 var fmaFreePackages = []string{
 	"./internal/graph", "./internal/rng", "./internal/dataset", "./internal/partition",
 	"./internal/vip", "./internal/cache", "./internal/sample", "./internal/dist",

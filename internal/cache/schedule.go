@@ -18,7 +18,9 @@ import (
 // whose next use in Q is soonest (ties by ascending id) and drops rows
 // never used again. C_0 = C_1 = the starting (setup) membership: the first
 // completed round, 0, can only feed C_2, because round 1 is classified
-// before round 0's rows arrive.
+// before round 0's rows arrive. A sequential epoch (pipeline depth 1)
+// inherits nothing, so there Q_g = I_g: every remote access the cache
+// misses costs wire.
 type Schedule struct {
 	// Members[g] is C_g, the membership round g is classified against.
 	// Members[0] and Members[1] are the starting membership as given;
@@ -31,9 +33,10 @@ type Schedule struct {
 	// RemoteFetch[g] is round g's predicted remote accesses: the entries
 	// of rounds[g] outside C_g.
 	RemoteFetch []int
-	// Wire[g] is round g's predicted rows on the wire when the stream
-	// inherits the previous round's ids: the remote accesses of round g
-	// whose id round g−1 did not read (all of them for g = 0).
+	// Wire[g] is round g's predicted rows on the wire: when the stream
+	// inherits the previous round's ids, the remote accesses of round g
+	// whose id round g−1 did not read (all of them for g = 0); otherwise
+	// RemoteFetch[g].
 	Wire []int
 }
 
@@ -41,8 +44,9 @@ type Schedule struct {
 // (ids in [0, n) that neither the rank's shard nor anything else but the
 // cache can serve; order and duplicates are kept for the predicted
 // counts), start is the starting membership and capacity bounds every
-// later membership. Plan is pure: equal inputs give equal schedules.
-func Plan(n int, rounds [][]int32, start []int32, capacity int) (*Schedule, error) {
+// later membership. inherit says whether each round inherits the ids the
+// round before it read. Plan is pure: equal inputs give equal schedules.
+func Plan(n int, rounds [][]int32, start []int32, capacity int, inherit bool) (*Schedule, error) {
 	for _, ids := range append([][]int32{start}, rounds...) {
 		for _, v := range ids {
 			if v < 0 || int(v) >= n {
@@ -64,14 +68,15 @@ func Plan(n int, rounds [][]int32, start []int32, capacity int) (*Schedule, erro
 	last := make([]int32, n)
 
 	// Q's occurrence lists, one ascending run of rounds per vertex in CSR
-	// form: v ∈ Q_h when round h reads v and round h−1 did not.
+	// form: v ∈ Q_h when round h reads v and, if rounds inherit, round h−1
+	// did not.
 	occStart := make([]int32, n+1)
 	for h, ids := range rounds {
 		for _, v := range ids {
 			if last[v] == int32(h)+1 {
 				continue // a duplicate within round h
 			}
-			if last[v] != int32(h) {
+			if !inherit || last[v] != int32(h) {
 				occStart[v+1]++
 			}
 			last[v] = int32(h) + 1
@@ -88,7 +93,7 @@ func Plan(n int, rounds [][]int32, start []int32, capacity int) (*Schedule, erro
 			if last[v] == int32(h)+1 {
 				continue
 			}
-			if last[v] != int32(h) {
+			if !inherit || last[v] != int32(h) {
 				occ[next[v]] = int32(h)
 				next[v]++
 			}
@@ -131,7 +136,7 @@ func Plan(n int, rounds [][]int32, start []int32, capacity int) (*Schedule, erro
 				continue
 			}
 			sc.RemoteFetch[g]++
-			if g == 0 || last[v] != int32(g) {
+			if !inherit || g == 0 || last[v] != int32(g) {
 				sc.Wire[g]++
 			}
 		}

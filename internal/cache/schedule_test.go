@@ -25,7 +25,7 @@ var handRounds = [][]int32{
 //   - C3 from C2 ∪ I1 = {1,3,4,5}: 1→3, 5→3, 3 and 4 never → {1,5}
 //   - C4 from C3 ∪ I2 = {1,4,5,6}: only 6 is used again → {6}
 func TestPlanMatchesHandCount(t *testing.T) {
-	sc, err := Plan(10, handRounds, []int32{1, 2}, 2)
+	sc, err := Plan(10, handRounds, []int32{1, 2}, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +40,34 @@ func TestPlanMatchesHandCount(t *testing.T) {
 	}
 }
 
+// TestPlanWithoutInheritance checks a sequential epoch, which inherits
+// nothing, against the hand count: Q = I, with capacity 2 and start {1,2}:
+//   - C2 from C1 ∪ I0 = {1,2,3,4}: next uses 4→2, 1→3, 2→4, 3 never → {1,4}
+//   - C3 from C2 ∪ I1 = {1,3,4,5}: 1, 4 and 5 →3 tie, 3 never → {1,4}
+//   - C4 from C3 ∪ I2 = {1,4,6}: only 6 is read again → {6}
+//
+// Every remote access costs wire.
+func TestPlanWithoutInheritance(t *testing.T) {
+	sc, err := Plan(10, handRounds, []int32{1, 2}, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Schedule{
+		Members:     [][]int32{{1, 2}, {1, 2}, {1, 4}, {1, 4}, {6}},
+		Admit:       [][]int32{nil, nil, {2}, nil, {1}},
+		RemoteFetch: []int{2, 2, 1, 1, 1},
+		Wire:        []int{2, 2, 1, 1, 1},
+	}
+	if !reflect.DeepEqual(sc, want) {
+		t.Fatalf("plan\n got %+v\nwant %+v", sc, want)
+	}
+}
+
 // TestPlanStaticSpecialCase: an epoch of two rounds never installs, so the
 // plan is the static cache, and its counts are the static hand count.
 func TestPlanStaticSpecialCase(t *testing.T) {
 	rounds := [][]int32{{7, 1, 3, 9}, {3, 2, 7, 8}}
-	sc, err := Plan(10, rounds, []int32{3, 8}, 2)
+	sc, err := Plan(10, rounds, []int32{3, 8}, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +91,7 @@ func TestPlanTieBreakAscendingID(t *testing.T) {
 	// 9, 4 and 6 are all next used (in Q) at round 3.
 	rounds := [][]int32{{9, 6, 4}, {1}, {2}, {6, 9, 4}}
 	for _, start := range [][]int32{nil, {9}, {6, 9}} {
-		sc, err := Plan(10, rounds, start, 2)
+		sc, err := Plan(10, rounds, start, 2, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +108,7 @@ func TestPlanDropsRowsNeverUsedAgain(t *testing.T) {
 	// 5 is never read again; 7 is read in rounds 2 and 3, but round 3
 	// inherits it from round 2, so only its round-2 use counts.
 	rounds := [][]int32{{1}, {2}, {7}, {7}, {3}}
-	sc, err := Plan(10, rounds, []int32{5, 7}, 4)
+	sc, err := Plan(10, rounds, []int32{5, 7}, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +124,7 @@ func TestPlanDropsRowsNeverUsedAgain(t *testing.T) {
 // planned membership is empty.
 func TestPlanEmptyFutureKeepsNothing(t *testing.T) {
 	rounds := [][]int32{{1, 2, 3}, {2, 3}, nil, nil, nil}
-	sc, err := Plan(10, rounds, []int32{1, 2, 3}, 3)
+	sc, err := Plan(10, rounds, []int32{1, 2, 3}, 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +137,10 @@ func TestPlanEmptyFutureKeepsNothing(t *testing.T) {
 
 // TestPlanRejectsOutOfRange: ids outside [0, n) are an error, not a panic.
 func TestPlanRejectsOutOfRange(t *testing.T) {
-	if _, err := Plan(4, [][]int32{{1, 4}}, nil, 1); err == nil {
+	if _, err := Plan(4, [][]int32{{1, 4}}, nil, 1, true); err == nil {
 		t.Fatal("round id 4 accepted on a 4-vertex graph")
 	}
-	if _, err := Plan(4, nil, []int32{-1}, 1); err == nil {
+	if _, err := Plan(4, nil, []int32{-1}, 1, true); err == nil {
 		t.Fatal("start id -1 accepted")
 	}
 }
@@ -145,9 +168,10 @@ func randomRounds(r *rng.RNG, n, rounds int) [][]int32 {
 // naiveStep is the definition of one planning step, written for clarity:
 // the capacity candidates of cur ∪ prev with the soonest next use in Q at
 // rounds ≥ from, ties by ascending id, rows never used again dropped.
-func naiveStep(rounds [][]int32, cur, prev []int32, from, capacity int) []int32 {
+// Without inheritance Q is every read.
+func naiveStep(rounds [][]int32, cur, prev []int32, from, capacity int, inherit bool) []int32 {
 	inQ := func(v int32, h int) bool {
-		return slices.Contains(rounds[h], v) && (h == 0 || !slices.Contains(rounds[h-1], v))
+		return slices.Contains(rounds[h], v) && (!inherit || h == 0 || !slices.Contains(rounds[h-1], v))
 	}
 	type cand struct {
 		v    int32
@@ -183,19 +207,20 @@ func naiveStep(rounds [][]int32, cur, prev []int32, from, capacity int) []int32 
 // every step equals the naive step, membership never exceeds capacity,
 // admissions come only from C_g ∪ I_{g−1} and Admit names exactly the new
 // members, and the predicted counts equal a direct count over the
-// memberships.
+// memberships. Trials alternate between inheriting and sequential epochs.
 func TestPlanInvariantsRandom(t *testing.T) {
 	r := rng.New(5)
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 80; trial++ {
 		n := 20 + r.Intn(60)
 		rounds := randomRounds(r, n, 1+r.Intn(12))
 		capacity := r.Intn(n / 2)
 		start := randomRounds(r, n, 1)[0]
-		sc, err := Plan(n, rounds, start, capacity)
+		inherit := trial%2 == 0
+		sc, err := Plan(n, rounds, start, capacity, inherit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, _ := Plan(n, rounds, start, capacity)
+		again, _ := Plan(n, rounds, start, capacity, inherit)
 		if !reflect.DeepEqual(sc, again) {
 			t.Fatalf("trial %d: Plan is not deterministic", trial)
 		}
@@ -210,7 +235,7 @@ func TestPlanInvariantsRandom(t *testing.T) {
 					t.Fatalf("trial %d: C%d holds %d rows, capacity %d", trial, g, len(c), capacity)
 				}
 				prev, src := sc.Members[g-1], rounds[g-2]
-				if want := naiveStep(rounds, prev, src, g, capacity); !slices.Equal(c, want) {
+				if want := naiveStep(rounds, prev, src, g, capacity, inherit); !slices.Equal(c, want) {
 					t.Fatalf("trial %d: C%d = %v, definition gives %v", trial, g, c, want)
 				}
 				var admitted []int32
@@ -236,7 +261,7 @@ func TestPlanInvariantsRandom(t *testing.T) {
 					continue
 				}
 				remote++
-				if g == 0 || !slices.Contains(rounds[g-1], v) {
+				if !inherit || g == 0 || !slices.Contains(rounds[g-1], v) {
 					wire++
 				}
 			}

@@ -78,9 +78,6 @@ func (d *Dataset) FeatureRow(v int32) []float32 {
 // HasFeatures reports whether feature rows were materialized.
 func (d *Dataset) HasFeatures() bool { return d.Features != nil }
 
-// FeatureBytes returns the wire size of one feature vector (float32 rows).
-func (d *Dataset) FeatureBytes() int64 { return int64(d.FeatureDim) * 4 }
-
 // IDsInSplit returns the vertex ids with the given split membership, in
 // ascending order.
 func (d *Dataset) IDsInSplit(s Split) []int32 {

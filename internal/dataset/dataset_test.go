@@ -36,9 +36,6 @@ func TestGenerateBasic(t *testing.T) {
 	if len(d.Features) != 2000*16 {
 		t.Fatalf("feature buffer %d", len(d.Features))
 	}
-	if d.FeatureBytes() != 64 {
-		t.Fatalf("FeatureBytes=%d", d.FeatureBytes())
-	}
 }
 
 func TestGenerateSplitFractions(t *testing.T) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"salientpp/internal/cache"
 	"salientpp/internal/dataset"
 	"salientpp/internal/partition"
 	"salientpp/internal/vip"
@@ -27,11 +28,7 @@ func AblationVIPPartition(ds *dataset.Dataset, k int, scale Scale) (*AblationRes
 	if err != nil {
 		return nil, err
 	}
-	baseScen, err := base.Scenario(nil, 0, 1)
-	if err != nil {
-		return nil, err
-	}
-	baseWork, err := base.Workload(baseScen)
+	baseRemote, err := base.remotePerEpoch()
 	if err != nil {
 		return nil, err
 	}
@@ -55,17 +52,23 @@ func AblationVIPPartition(ds *dataset.Dataset, k int, scale Scale) (*AblationRes
 	if err != nil {
 		return nil, err
 	}
-	wScen, err := weighted.Scenario(nil, 0, 1)
+	wRemote, err := weighted.remotePerEpoch()
 	if err != nil {
 		return nil, err
 	}
-	wWork, err := weighted.Workload(wScen)
-	if err != nil {
-		return nil, err
-	}
+	return &AblationResult{BaselineRemote: baseRemote, VIPWeightedRemote: wRemote}, nil
+}
 
-	return &AblationResult{
-		BaselineRemote:    float64(baseWork.RemoteVertices()),
-		VIPWeightedRemote: float64(wWork.RemoteVertices()),
-	}, nil
+// remotePerEpoch samples one training epoch per partition and counts its
+// uncached remote accesses, summed over partitions.
+func (d *Deployment) remotePerEpoch() (float64, error) {
+	var total float64
+	for p := 0; p < d.K; p++ {
+		w, err := cache.NewWorkload(d.cacheContext(int32(p)), 1, d.Seed^0xbeef)
+		if err != nil {
+			return 0, err
+		}
+		total += w.PerEpoch(w.RemoteTotal())
+	}
+	return total, nil
 }

@@ -1,25 +1,23 @@
-// Package experiments contains the harnesses that regenerate every table
-// and figure in the paper's evaluation (Table 1, Figure 2, Figures 4–9,
-// Tables 2 and 4, and the §5.3 accuracy runs), at configurable scale.
-// The cmd/ tools and the repository-root benchmarks are thin wrappers over
-// these functions; EXPERIMENTS.md records paper-vs-measured outcomes.
+// Package experiments holds the harnesses behind the paper results this
+// repository still reproduces in-process: Figure 2's caching-policy
+// comparison (cmd/vipsim), the §5.3 accuracy runs (cmd/gnntrain), the
+// partitioning ablation, and the serving benchmark ServeBench
+// (cmd/gnnserve). Table 1's timing ladder is measured on the real stack by
+// examples/optimization-ladder; speed claims use the bench/ module.
 package experiments
 
 import (
-	"fmt"
-
 	"salientpp/internal/cache"
 	"salientpp/internal/dataset"
 	"salientpp/internal/dist"
 	"salientpp/internal/graph"
 	"salientpp/internal/partition"
-	"salientpp/internal/perfmodel"
 	"salientpp/internal/vip"
 )
 
-// Deployment is a partitioned, reordered dataset ready for workload
-// measurement: the common preprocessing shared by all timing experiments
-// (paper §4.1).
+// Deployment is a partitioned, reordered dataset ready for volume
+// measurement: the preprocessing (paper §4.1) that Figure 2 and the
+// partitioning ablation share.
 type Deployment struct {
 	Name     string
 	Data     *dataset.Dataset // reordered; features need not be materialized
@@ -32,8 +30,6 @@ type Deployment struct {
 	Batch    int
 	Seed     uint64
 	Workers  int
-	// Model dimensions used for flop/byte accounting.
-	InDim, Hidden, Classes int
 }
 
 // ModelDims carries the GNN hyperparameters of Table 3.
@@ -135,23 +131,7 @@ func DeployWithParts(ds *dataset.Dataset, assignment []int32, k int, dims ModelD
 		Name: ds.Name, Data: rds, Layout: layout, Parts: parts,
 		TrainIDs: train, TrainPer: trainPer, K: k,
 		Fanouts: dims.Fanouts, Batch: batch, Seed: seed, Workers: workers,
-		InDim: ds.FeatureDim, Hidden: dims.Hidden, Classes: ds.NumClasses,
 	}, nil
-}
-
-// Rankings computes the per-partition remote-vertex rankings of a policy
-// once; they are independent of cache capacity, so α sweeps reuse them.
-func (d *Deployment) Rankings(policy cache.Ranker) ([][]int32, error) {
-	out := make([][]int32, d.K)
-	for p := 0; p < d.K; p++ {
-		ctx := d.cacheContext(int32(p))
-		r, err := policy.Rank(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s ranking partition %d: %w", policy.Name(), p, err)
-		}
-		out[p] = r
-	}
-	return out, nil
 }
 
 func (d *Deployment) cacheContext(part int32) *cache.Context {
@@ -160,38 +140,4 @@ func (d *Deployment) cacheContext(part int32) *cache.Context {
 		TrainIDs: d.TrainIDs, Fanouts: d.Fanouts, BatchSize: d.Batch,
 		Seed: d.Seed + uint64(part)*101, Workers: d.Workers,
 	}
-}
-
-// Scenario assembles a perfmodel scenario: caches cut from rankings at
-// replication factor alpha (nil rankings or alpha<=0 disables caching) and
-// a gpuFraction share of each partition resident on device.
-func (d *Deployment) Scenario(rankings [][]int32, alpha, gpuFraction float64) (*perfmodel.Scenario, error) {
-	n := d.Data.NumVertices()
-	s := &perfmodel.Scenario{
-		Graph: d.Data.Graph, Layout: d.Layout, TrainPer: d.TrainPer,
-		GPURows: make([]int, d.K),
-		Fanouts: d.Fanouts, Batch: d.Batch,
-		FeatureBytes: d.Data.FeatureBytes(),
-		InDim:        d.InDim, Hidden: d.Hidden, Classes: d.Classes,
-	}
-	for p := 0; p < d.K; p++ {
-		s.GPURows[p] = int(gpuFraction * float64(d.Layout.PartSize(p)))
-	}
-	if alpha > 0 && rankings != nil {
-		capacity := cache.CapacityForAlpha(alpha, n, d.K)
-		s.Caches = make([]*cache.Cache, d.K)
-		for p := 0; p < d.K; p++ {
-			c, err := cache.FromRanking(rankings[p], capacity, n)
-			if err != nil {
-				return nil, err
-			}
-			s.Caches[p] = c
-		}
-	}
-	return s, nil
-}
-
-// Workload builds the measured epoch workload for a scenario.
-func (d *Deployment) Workload(s *perfmodel.Scenario) (*perfmodel.Workload, error) {
-	return perfmodel.BuildWorkload(s, d.Seed^0xbeef, d.Workers)
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"salientpp/internal/cache"
 	"salientpp/internal/dataset"
 )
 
@@ -54,33 +53,6 @@ func TestDeployInvariants(t *testing.T) {
 	}
 }
 
-func TestScenarioAndWorkload(t *testing.T) {
-	dep := smallDeployment(t, 4)
-	rankings, err := dep.Rankings(cache.VIP{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := dep.Scenario(nil, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := dep.Scenario(rankings, 0.3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wp, err := dep.Workload(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc, err := dep.Workload(cached)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wc.RemoteVertices() >= wp.RemoteVertices() {
-		t.Fatalf("cache did not reduce remote volume: %d vs %d", wc.RemoteVertices(), wp.RemoteVertices())
-	}
-}
-
 func TestFig2SmallRun(t *testing.T) {
 	dep := smallDeployment(t, 4)
 	cfg := Fig2Config{
@@ -121,82 +93,6 @@ func TestFig2SmallRun(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "Figure 2(d)") {
 		t.Fatal("render missing panel d")
-	}
-}
-
-func TestTable1SmallRun(t *testing.T) {
-	scale := SmallScale()
-	res, err := Table1(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Normalization pins the K=1 full-replication cell to 20.7.
-	if math.Abs(res.Normalized["SALIENT (full replication)"][0]-20.7) > 1e-6 {
-		t.Fatalf("normalization broken: %v", res.Normalized["SALIENT (full replication)"][0])
-	}
-	// Orderings at every K>1: sequential slowest, caching fastest of the
-	// partitioned rows.
-	for ki := 1; ki < len(res.Ks); ki++ {
-		seq := res.Raw["+ Partitioned features"][ki]
-		pipe := res.Raw["+ Pipeline communication"][ki]
-		cached := res.Raw["+ Feature caching"][ki]
-		if !(seq > pipe && pipe > cached) {
-			t.Fatalf("K=%d ordering violated: seq=%.4f pipe=%.4f cached=%.4f", res.Ks[ki], seq, pipe, cached)
-		}
-	}
-	if !strings.Contains(res.Render(), "Table 1") {
-		t.Fatal("render broken")
-	}
-}
-
-func TestFig8Categories(t *testing.T) {
-	rows, err := Fig8(SmallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows=%d", len(rows))
-	}
-	// Caching with pipelining must beat no-cache without pipelining.
-	var seqNoCache, pipeCached float64
-	for _, r := range rows {
-		if !r.Pipelining && r.Alpha == 0 {
-			seqNoCache = r.Result.EpochSeconds
-		}
-		if r.Pipelining && r.Alpha > 0 {
-			pipeCached = r.Result.EpochSeconds
-		}
-	}
-	if pipeCached >= seqNoCache {
-		t.Fatalf("pipelining+caching (%.4f) not faster than neither (%.4f)", pipeCached, seqNoCache)
-	}
-	if !strings.Contains(RenderFig8(rows), "Train(sync)") {
-		t.Fatal("render broken")
-	}
-}
-
-func TestTable4Speedup(t *testing.T) {
-	res, err := Table4(SmallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Speedup <= 1.5 {
-		t.Fatalf("DistDGL-like baseline implausibly fast: speedup %.2f", res.Speedup)
-	}
-	if !strings.Contains(res.Render(), "DistDGL") {
-		t.Fatal("render broken")
-	}
-}
-
-func TestTable2Renders(t *testing.T) {
-	out, err := Table2(SmallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"products-sim", "papers-sim", "mag240-sim"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %s in:\n%s", want, out)
-		}
 	}
 }
 

@@ -15,6 +15,29 @@ import (
 	"salientpp/internal/serve"
 )
 
+// Scale sizes the papers-sim analog and the real cluster that ServeBench
+// and the ablations run on.
+type Scale struct {
+	PapersN int
+	Batch   int
+	Workers int
+	Seed    uint64
+	// Codec selects the feature-gather wire codec ("", "fp32", "fp16",
+	// "int8") of the real distributed cluster ServeBench runs. The empty
+	// string is the raw fp32 default.
+	Codec string
+}
+
+// DefaultScale is the gnnserve default.
+func DefaultScale() Scale {
+	return Scale{PapersN: 200000, Batch: 128, Workers: 2, Seed: 7}
+}
+
+// SmallScale is used by unit tests and testing.B benchmarks.
+func SmallScale() Scale {
+	return Scale{PapersN: 20000, Batch: 32, Workers: 2, Seed: 7}
+}
+
 // ServeAlphaRow is one measured serving run at a fixed replication factor
 // α: a closed-loop load generator drives the coalescing server with a
 // same-seed workload, so rows differ only in the cache.

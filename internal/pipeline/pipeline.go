@@ -174,7 +174,7 @@ func NewRank(cfg Config, commFeat, commGrad dist.Comm, store *dist.Store, s *sam
 			layerRes[li] = append(layerRes[li], p.EF)
 		}
 	}
-	sched, err := newCacheSchedule(commFeat.Rank(), store, s)
+	sched, err := newCacheSchedule(commFeat.Rank(), store, s, cfg.PipelineDepth >= 2)
 	if err != nil {
 		return nil, err
 	}

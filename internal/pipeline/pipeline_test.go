@@ -164,7 +164,9 @@ func TestCachingReducesCommunication(t *testing.T) {
 
 // TestPipelineDepthDoesNotChangeResults pins pipelining as invisible to the
 // trajectory: depth 1 and depth 10 train bitwise-equal weights and losses
-// over the same remote accesses. Depth 1 flushes every push, so its stream
+// over the same remote accesses (cache hits plus remote fetches; how the
+// cache splits them depends on the depth, whose schedule is planned for
+// whether its stream inherits). Depth 1 flushes every push, so its stream
 // never reuses a row and is the control for depth 10's reuse, which must
 // put strictly fewer feature bytes on the wire.
 func TestPipelineDepthDoesNotChangeResults(t *testing.T) {
@@ -199,9 +201,10 @@ func TestPipelineDepthDoesNotChangeResults(t *testing.T) {
 	var seqBytes, deepBytes int64
 	for r := range seqStats {
 		s, p := seqStats[r], deepStats[r]
-		if s.Loss != p.Loss || s.Gather.RemoteFetch != p.Gather.RemoteFetch {
-			t.Fatalf("rank %d: depth 1 loss %v remote %d, depth 10 loss %v remote %d",
-				r, s.Loss, s.Gather.RemoteFetch, p.Loss, p.Gather.RemoteFetch)
+		sRemote, pRemote := s.Gather.CacheHits+s.Gather.RemoteFetch, p.Gather.CacheHits+p.Gather.RemoteFetch
+		if s.Loss != p.Loss || sRemote != pRemote {
+			t.Fatalf("rank %d: depth 1 loss %v remote accesses %d, depth 10 loss %v remote accesses %d",
+				r, s.Loss, sRemote, p.Loss, pRemote)
 		}
 		if s.Gather.Reused != 0 || p.Gather.Reused == 0 {
 			t.Fatalf("rank %d: depth 1 reused %d rows (want 0), depth 10 reused %d (want > 0)",

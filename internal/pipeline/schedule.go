@@ -26,12 +26,14 @@ import (
 // on every path, so evaluation, serving siblings and checkpoints only ever
 // see the setup epoch.
 //
-// The plan depends on (seed, rank, epoch, layout, setup epoch) alone — not
-// on depth, transport or GOMAXPROCS — so a resumed epoch recomputes it
-// and rebuilds the membership its first rounds need, rehydrating from the
+// The plan depends on (seed, rank, epoch, layout, setup epoch) and on
+// whether the stream inherits (depth ≥ 2; depth 1 never does) alone — not
+// on transport or GOMAXPROCS — so a resumed epoch recomputes it and
+// rebuilds the membership its first rounds need, rehydrating from the
 // dataset the rows this process never gathered.
 type cacheSchedule struct {
 	rank      int
+	inherit   bool // each round inherits the previous round's ids (depth ≥ 2)
 	store     *dist.Store
 	sampler   *sample.Sampler
 	setup     *cache.Epoch
@@ -55,12 +57,12 @@ type cacheSchedule struct {
 
 // newCacheSchedule returns the schedule of a rank whose store caches
 // something, and nil otherwise.
-func newCacheSchedule(rank int, store *dist.Store, s *sample.Sampler) (*cacheSchedule, error) {
+func newCacheSchedule(rank int, store *dist.Store, s *sample.Sampler, inherit bool) (*cacheSchedule, error) {
 	setup := store.SetupEpoch()
 	if setup.Len() == 0 {
 		return nil, nil
 	}
-	sc := &cacheSchedule{rank: rank, store: store, sampler: s, setup: setup, staged: map[int32]int32{}}
+	sc := &cacheSchedule{rank: rank, inherit: inherit, store: store, sampler: s, setup: setup, staged: map[int32]int32{}}
 	b, err := cache.NewEpochBuilder(store.Layout().NumVertices(), store.Dim(), sc.row)
 	if err != nil {
 		return nil, err
@@ -120,7 +122,7 @@ func (sc *cacheSchedule) derive(batches [][]int32, base *rng.RNG) error {
 		sc.remote[i], sc.rowIn[i] = ids, rows
 		m.Release()
 	}
-	plan, err := cache.Plan(layout.NumVertices(), sc.remote, sc.setup.IDs(), sc.setup.Len())
+	plan, err := cache.Plan(layout.NumVertices(), sc.remote, sc.setup.IDs(), sc.setup.Len(), sc.inherit)
 	sc.plan = plan
 	return err
 }

@@ -22,16 +22,16 @@
 //   - internal/ckpt       — versioned coordinated checkpoints and restore
 //   - internal/serve      — online inference with request coalescing
 //   - internal/simnet     — bandwidth/latency/token-bucket link models
-//   - internal/perfmodel  — discrete-event performance simulator
 //   - internal/metrics    — text tables and histograms for the harnesses
-//   - internal/experiments— the paper's tables, figures, and accuracy runs
+//   - internal/experiments— Figure 2, the accuracy runs, ablations, and
+//     the serving benchmark
 //
 // docs/ARCHITECTURE.md maps these packages onto the train and serve data
 // flows and lists where each guarantee is pinned by a test. The quickest
-// tour is examples/quickstart; cmd/salientbench regenerates the paper's
-// evaluation tables. Speed is measured by the repository benchmark, the
-// separate bench/ module (run it with bash bench/run.sh; see
-// bench/README.md).
+// tour is examples/quickstart; examples/optimization-ladder measures the
+// paper's Table 1 on the real stack. Speed is measured by the repository
+// benchmark, the separate bench/ module (run it with bash bench/run.sh;
+// see bench/README.md).
 package salientpp
 
 import (
