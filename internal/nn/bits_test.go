@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"salientpp/internal/rng"
@@ -137,5 +138,90 @@ func TestTrainStepMatchesParentBits(t *testing.T) {
 		if c.got != c.want {
 			t.Errorf("%s: bits hash %#x, want %#x", c.name, c.got, c.want)
 		}
+	}
+}
+
+// TestFirstLayerSkipsInputGradient pins the backward pass's layer-0 skip.
+// A layer's Backward without the input gradient leaves every parameter
+// gradient bitwise equal to one that computes it, returns nil and takes
+// nothing from the arena, on each bitsMFG block (their sizes cross
+// tensor.MinParallelRows and fusedStripRows). Model.Backward takes the
+// skipping path for layer 0 only, and still fires the layer hook for
+// every layer, last to first.
+func TestFirstLayerSkipsInputGradient(t *testing.T) {
+	const inDim, outDim = 20, 24
+	mfg := bitsMFG()
+	r := rng.New(79)
+	for bi, b := range mfg.Blocks {
+		l := NewSAGEConv(inDim, outDim)
+		l.WSelf.W.HeInit(inDim, r.Split(uint64(3*bi)))
+		l.WNeigh.W.HeInit(inDim, r.Split(uint64(3*bi+1)))
+		h := tensor.New(b.NumInputs(), inDim)
+		dOut := tensor.New(b.NumDst, outDim)
+		for _, m := range []*tensor.Matrix{h, dOut} {
+			for i := range m.Data {
+				m.Data[i] = float32(r.NormFloat64())
+			}
+		}
+		ar := tensor.NewArena(tensor.NewPool())
+		var c sageCache
+		env := testEnv()
+		l.Forward(b, h, ar, &c, env)
+
+		grads := func(inputGrad bool) (*tensor.Matrix, uint64) {
+			for _, p := range l.Params() {
+				p.ZeroGrad()
+			}
+			held := ar.Held()
+			dh := l.Backward(&c, dOut, ar, env, inputGrad)
+			want := 0
+			if inputGrad {
+				want = 2 // dh and dAgg
+			}
+			if got := ar.Held() - held; got != want {
+				t.Errorf("block %d, inputGrad %v: Backward took %d arena matrices, want %d", bi, inputGrad, got, want)
+			}
+			return dh, hashMatrices(l.WSelf.G, l.WNeigh.G, l.Bias.G)
+		}
+		dh, full := grads(true)
+		if dh == nil || dh.Rows != b.NumInputs() || dh.Cols != inDim {
+			t.Fatalf("block %d: Backward with inputGrad returned no %d×%d input gradient", bi, b.NumInputs(), inDim)
+		}
+		dh, skip := grads(false)
+		if dh != nil {
+			t.Errorf("block %d: Backward without inputGrad returned an input gradient", bi)
+		}
+		if skip != full {
+			t.Errorf("block %d (%d inputs, %d dsts): skipping the input gradient changed the parameter gradients", bi, b.NumInputs(), b.NumDst)
+		}
+	}
+
+	const hidden, classes, layers = 24, 5, 3
+	x, labels := bitsInputs(mfg, inDim, classes)
+	m, err := NewModel(inDim, hidden, classes, layers, 0.3, 19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []int
+	m.SetBackwardLayerHook(func(li int) { order = append(order, li) })
+	out, err := m.Forward(mfg, x, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dL := tensor.New(len(labels), classes)
+	tensor.SoftmaxCrossEntropy(out, labels, dL)
+	held := m.arena.Held()
+	m.Backward(dL)
+	// Every layer above the first takes dh and dAgg; layer 0 takes neither.
+	if got, want := m.arena.Held()-held, 2*(layers-1); got != want {
+		t.Errorf("Model.Backward took %d arena matrices, want %d", got, want)
+	}
+	for li := range m.caches {
+		if built := m.caches[li].revPtr != nil; built != (li > 0) {
+			t.Errorf("layer %d: reverse CSR built = %v, want %v", li, built, li > 0)
+		}
+	}
+	if want := []int{2, 1, 0}; !slices.Equal(order, want) {
+		t.Errorf("layer hook order %v, want %v", order, want)
 	}
 }

@@ -132,7 +132,10 @@ func (m *Model) TakeStageTimers() StageTimers {
 // Backward propagates dLogits through the cached forward pass,
 // accumulating parameter gradients. The preceding Forward must have run
 // with training == true (inference-mode Forward skips the caches that
-// Backward consumes).
+// Backward consumes). Only layers above the first propagate a gradient to
+// their input: layer 0's input is the raw features, so its backward stops
+// at its parameter gradients and its layerDone hook fires as soon as they
+// are final.
 func (m *Model) Backward(dLogits *tensor.Matrix) {
 	if !m.training {
 		panic("nn: Backward requires a training-mode Forward")
@@ -141,7 +144,7 @@ func (m *Model) Backward(dLogits *tensor.Matrix) {
 	env := layerEnv{timers: &m.timers, training: true}
 	grad := dLogits
 	for li := len(m.Layers) - 1; li >= 0; li-- {
-		grad = m.Layers[li].Backward(&m.caches[li], grad, m.arena, &env)
+		grad = m.Layers[li].Backward(&m.caches[li], grad, m.arena, &env, li > 0)
 		if m.layerDone != nil {
 			// Layer li's gradients are final: the remaining iterations only
 			// touch layers < li, so a concurrent reader of layer li's params
@@ -212,11 +215,6 @@ func (m *Model) NumParameters() int {
 	}
 	return t
 }
-
-// GradientBytes returns the wire size of one gradient synchronization
-// (float32 per parameter), used by the performance model for the
-// all-reduce volume.
-func (m *Model) GradientBytes() int64 { return int64(m.NumParameters()) * 4 }
 
 // CopyWeightsFrom copies parameter values (not optimizer state) from o.
 // Used to give every distributed rank identical initial weights.

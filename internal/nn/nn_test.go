@@ -280,12 +280,3 @@ func TestTrainingConverges(t *testing.T) {
 		t.Fatalf("train accuracy %.3f below 0.5 after training", acc1)
 	}
 }
-
-func TestGradientBytes(t *testing.T) {
-	m, _ := NewModel(10, 8, 4, 2, 0, 1)
-	// Layer 0: 2·(10×8) + 8; layer 1: 2·(8×4) + 4 = 168 + 68 = 236 params.
-	want := int64((10*8*2 + 8 + 8*4*2 + 4) * 4)
-	if m.GradientBytes() != want {
-		t.Fatalf("GradientBytes=%d want %d", m.GradientBytes(), want)
-	}
-}

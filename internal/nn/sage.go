@@ -183,10 +183,15 @@ func aggForwardRange(agg *tensor.Matrix, b *sample.Block, h *tensor.Matrix, base
 	}
 }
 
-// Backward accumulates parameter gradients from dOut (numDst × OutDim) and
-// returns the gradient with respect to the layer input h
-// (numInputs × InDim), owned by ar.
-func (l *SAGEConv) Backward(c *sageCache, dOut *tensor.Matrix, ar *tensor.Arena, env *layerEnv) *tensor.Matrix {
+// Backward accumulates parameter gradients from dOut (numDst × OutDim).
+// With inputGrad it then returns the gradient with respect to the layer
+// input h (numInputs × InDim), owned by ar. Without it, Backward stops at
+// the parameter gradients and returns nil: no dh or dAgg is taken from ar,
+// and neither product, the mean scaling, the reverse CSR nor the scatter
+// runs. The model's first layer takes that path, because its input is the
+// raw features, which nothing learns. The parameter gradients are bitwise
+// the same either way.
+func (l *SAGEConv) Backward(c *sageCache, dOut *tensor.Matrix, ar *tensor.Arena, env *layerEnv, inputGrad bool) *tensor.Matrix {
 	b := c.block
 	nd := b.NumDst
 	if dOut.Rows != nd || dOut.Cols != l.OutDim {
@@ -198,6 +203,9 @@ func (l *SAGEConv) Backward(c *sageCache, dOut *tensor.Matrix, ar *tensor.Arena,
 	tensor.MatMulATBAddPair(l.WSelf.G, &c.hSelf, l.WNeigh.G, c.agg, dOut)
 	for i := 0; i < nd; i++ {
 		tensor.AddRow(l.Bias.G.Data, dOut.Row(i))
+	}
+	if !inputGrad {
+		return nil
 	}
 
 	nin := b.NumInputs()

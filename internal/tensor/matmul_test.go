@@ -69,6 +69,56 @@ func TestProductRowsIndependentOfRowCount(t *testing.T) {
 	}
 }
 
+// leftCols returns a copy of m's first cols columns.
+func leftCols(m *Matrix, cols int) *Matrix {
+	out := New(m.Rows, cols)
+	for i := 0; i < m.Rows; i++ {
+		copy(out.Row(i), m.Row(i)[:cols])
+	}
+	return out
+}
+
+// TestProductColsIndependentOfColCount is the column twin of
+// TestProductRowsIndependentOfRowCount: the first c output columns of each
+// product, computed alone, are bitwise the same columns of the 130-column
+// product. A column that a narrow product computes in an edge block (fewer
+// than four columns left) lands in a full 4×4 block of the wide one, so
+// this pins that the block driver's two paths give an element the same
+// bits. The row count crosses MinParallelRows and is not a multiple of
+// four, so row edges and the spawning path run too. The accumulating
+// products start both runs from the same base columns.
+func TestProductColsIndependentOfColCount(t *testing.T) {
+	r := rng.New(62)
+	const m, k, n = 70, 37, 130
+	a := randMat(m, k, r)
+	b := randMat(k, n, r)
+	at := randMat(k, m, r)
+	at2 := randMat(k, m, r)
+	bt := randMat(n, k, r)
+	base := randMat(m, n, r)
+	base2 := randMat(m, n, r)
+
+	products := func(cols int) [6]*Matrix {
+		bc, btc := leftCols(b, cols), FromSlice(cols, k, bt.Data[:cols*k])
+		out := [6]*Matrix{New(m, cols), leftCols(base, cols), New(m, cols), leftCols(base, cols), leftCols(base2, cols), New(m, cols)}
+		MatMul(out[0], a, bc)
+		MatMulAdd(out[1], a, bc)
+		MatMulATB(out[2], at, bc)
+		MatMulATBAddPair(out[3], at, out[4], at2, bc)
+		MatMulABT(out[5], a, btc)
+		return out
+	}
+	full := products(n)
+	for _, cols := range []int{1, 2, 3, 5, 63, 64, 65} {
+		part := products(cols)
+		for p, name := range []string{"MatMul", "MatMulAdd", "MatMulATB", "MatMulATBAddPair (first)", "MatMulATBAddPair (second)", "MatMulABT"} {
+			if got, want := part[p].Data, leftCols(full[p], cols).Data; !slices.Equal(got, want) {
+				t.Errorf("%s: the first %d columns alone differ from the same columns of the %d-column product", name, cols, n)
+			}
+		}
+	}
+}
+
 // TestKernelsDeterministicAcrossWorkers pins the bitwise-reproducibility
 // contract: every output element is computed by one worker in a fixed
 // k-order, so GOMAXPROCS must not change a single bit.

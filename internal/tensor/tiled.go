@@ -160,6 +160,12 @@ func packTranspose(b *Matrix) Matrix {
 // never on which tile or worker range computed it. Each element touches C
 // exactly once: a store, or a single += when acc is set, which keeps
 // MatMulAdd bitwise identical to MatMul into scratch followed by Add.
+//
+// The four A-row pointers are taken from a.Data once per row quad. A full
+// 4×4 block takes its B-row pointers straight from b.Data and writes its
+// sixteen outputs through four capped C sub-slices; only edge blocks (fewer
+// than four rows or columns left) take the general path that clips the
+// outputs to C.
 func matMulABTBlock(c, a, b *Matrix, lo, hi, jlo, jhi int, acc bool) {
 	depth := a.Cols
 	if depth == 0 {
@@ -174,18 +180,38 @@ func matMulABTBlock(c, a, b *Matrix, lo, hi, jlo, jhi int, acc bool) {
 		return
 	}
 	var out [16]float32
-	var ap, bp [4]*float32
+	ad, bd, cd, n := a.Data, b.Data, c.Data, c.Cols
 	for i := lo; i < hi; i += 4 {
 		ni := min(4, hi-i)
-		for r := range ap {
-			ap[r] = &a.Row(i + min(r, ni-1))[0]
-		}
-		for j := jlo; j < jhi; j += 4 {
-			nj := min(4, jhi-j)
-			for s := range bp {
-				bp[s] = &b.Row(j + min(s, nj-1))[0]
+		a0 := &ad[i*depth]
+		a1 := &ad[(i+min(1, ni-1))*depth]
+		a2 := &ad[(i+min(2, ni-1))*depth]
+		a3 := &ad[(i+min(3, ni-1))*depth]
+		j := jlo
+		if ni == 4 {
+			for ; j+4 <= jhi; j += 4 {
+				dotBlock4x4(a0, a1, a2, a3, &bd[j*depth], &bd[(j+1)*depth], &bd[(j+2)*depth], &bd[(j+3)*depth], depth, &out)
+				o := i*n + j
+				c0 := cd[o : o+4 : o+4]
+				c1 := cd[o+n : o+n+4 : o+n+4]
+				c2 := cd[o+2*n : o+2*n+4 : o+2*n+4]
+				c3 := cd[o+3*n : o+3*n+4 : o+3*n+4]
+				if acc {
+					c0[0], c0[1], c0[2], c0[3] = c0[0]+out[0], c0[1]+out[1], c0[2]+out[2], c0[3]+out[3]
+					c1[0], c1[1], c1[2], c1[3] = c1[0]+out[4], c1[1]+out[5], c1[2]+out[6], c1[3]+out[7]
+					c2[0], c2[1], c2[2], c2[3] = c2[0]+out[8], c2[1]+out[9], c2[2]+out[10], c2[3]+out[11]
+					c3[0], c3[1], c3[2], c3[3] = c3[0]+out[12], c3[1]+out[13], c3[2]+out[14], c3[3]+out[15]
+				} else {
+					c0[0], c0[1], c0[2], c0[3] = out[0], out[1], out[2], out[3]
+					c1[0], c1[1], c1[2], c1[3] = out[4], out[5], out[6], out[7]
+					c2[0], c2[1], c2[2], c2[3] = out[8], out[9], out[10], out[11]
+					c3[0], c3[1], c3[2], c3[3] = out[12], out[13], out[14], out[15]
+				}
 			}
-			dotBlock4x4(ap[0], ap[1], ap[2], ap[3], bp[0], bp[1], bp[2], bp[3], depth, &out)
+		}
+		for ; j < jhi; j += 4 {
+			nj := min(4, jhi-j)
+			dotBlock4x4(a0, a1, a2, a3, &bd[j*depth], &bd[(j+min(1, nj-1))*depth], &bd[(j+min(2, nj-1))*depth], &bd[(j+min(3, nj-1))*depth], depth, &out)
 			for r := 0; r < ni; r++ {
 				cr := c.Row(i + r)[j : j+nj]
 				o := out[4*r : 4*r+nj]
