@@ -18,6 +18,7 @@ import (
 	"salientpp/internal/cache"
 	"salientpp/internal/dataset"
 	"salientpp/internal/experiments"
+	"salientpp/internal/pipeline"
 	"salientpp/internal/rng"
 	"salientpp/internal/vip"
 )
@@ -45,7 +46,7 @@ func BenchmarkFig2_CachingPolicies(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dep, err := experiments.Deploy(ds, 4, experiments.PaperDims(ds.Name), scale.Batch, false, scale.Seed, scale.Workers)
+	pl, err := pipeline.Place(ds, nil, 4, nil, scale.Batch, false, scale.Seed, scale.Workers)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func BenchmarkFig2_CachingPolicies(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig2(dep, cfg)
+		res, err := experiments.Fig2(pl, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

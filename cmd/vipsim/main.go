@@ -17,6 +17,7 @@ import (
 
 	"salientpp/internal/dataset"
 	"salientpp/internal/experiments"
+	"salientpp/internal/pipeline"
 )
 
 func main() {
@@ -50,11 +51,11 @@ func main() {
 	fmt.Printf("dataset %s: N=%d M=%d, %d-way partition, batch %d\n",
 		ds.Name, ds.NumVertices(), ds.Graph.NumEdges(), *k, *batch)
 
-	dep, err := experiments.Deploy(ds, *k, experiments.PaperDims(ds.Name), *batch, false, *seed, *workers)
+	pl, err := pipeline.Place(ds, nil, *k, nil, *batch, false, *seed, *workers)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := experiments.Fig2(dep, experiments.Fig2Config{
+	res, err := experiments.Fig2(pl, experiments.Fig2Config{
 		K: *k, Batch: *batch, FanoutSets: fanoutSets, Alphas: alphaVals,
 		EvalEpochs: *epochs, SimEpochs: 2, Seed: *seed, Workers: *workers,
 	})

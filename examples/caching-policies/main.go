@@ -1,5 +1,6 @@
-// Caching policies: a miniature of the paper's Figure 2. Partition a
-// power-law graph, then compare every static caching policy — degree,
+// Caching policies: a miniature of the paper's Figure 2. Place a
+// power-law graph on four machines (pipeline.Place), then run one Figure 2
+// panel (experiments.Fig2) comparing every static caching policy — degree,
 // 1-hop halo, weighted reverse PageRank, path counting, simulated access
 // frequencies, analytic VIP, and the retroactive oracle — by the remote
 // communication volume each leaves at several replication factors.
@@ -26,6 +27,7 @@ import (
 	"salientpp/internal/dataset"
 	"salientpp/internal/experiments"
 	"salientpp/internal/metrics"
+	"salientpp/internal/pipeline"
 	"salientpp/internal/rng"
 )
 
@@ -41,69 +43,24 @@ func main() {
 		log.Fatal(err)
 	}
 	const k = 4
-	dep, err := experiments.Deploy(ds, k, experiments.ModelDims{Hidden: 256, Fanouts: []int{15, 10, 5}}, 64, false, seed, 2)
+	pl, err := pipeline.Place(ds, nil, k, nil, 64, false, seed, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s, %d-way partition, fanouts (15,10,5), batch 64\n\n", ds.Name, k)
+	fmt.Printf("%s, %d-way partition, batch 64\n\n", ds.Name, k)
 
-	alphas := []float64{0.05, 0.20, 0.50}
-	const evalEpochs = 4
-	const evalSeed = 777
-
-	// Measure each partition's access counts once; every policy and α is
-	// then evaluated exactly on the same epochs.
-	table := metrics.NewTable("per-epoch remote fetch volume (vertices); lower is better",
-		"policy", "α=0.05", "α=0.20", "α=0.50")
-	totals := map[string][]float64{}
-	n := ds.NumVertices()
-	var upper float64
-	lower := make([]float64, len(alphas))
-
-	policies := cache.Registry(2, evalEpochs, evalSeed)
-	for part := 0; part < k; part++ {
-		ctx := &cache.Context{
-			G: dep.Data.Graph, Parts: dep.Parts, K: k, Part: int32(part),
-			TrainIDs: dep.TrainIDs, Fanouts: []int{15, 10, 5}, BatchSize: 64,
-			Seed: 5, Workers: 2,
-		}
-		w, err := cache.NewWorkload(ctx, evalEpochs, evalSeed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		upper += w.PerEpoch(w.RemoteTotal())
-		for ai, alpha := range alphas {
-			lower[ai] += w.PerEpoch(w.OracleVolume(cache.CapacityForAlpha(alpha, n, k)))
-		}
-		for _, p := range policies {
-			ranking, err := p.Rank(ctx)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if totals[p.Name()] == nil {
-				totals[p.Name()] = make([]float64, len(alphas))
-			}
-			for ai, alpha := range alphas {
-				c, err := cache.FromRanking(ranking, cache.CapacityForAlpha(alpha, n, k), n)
-				if err != nil {
-					log.Fatal(err)
-				}
-				totals[p.Name()][ai] += w.PerEpoch(w.RemoteVolume(c))
-			}
-		}
+	// One Figure 2 panel: each partition's access counts are measured once
+	// over the evaluation epochs, and every policy and α is evaluated
+	// exactly on the same epochs.
+	res, err := experiments.Fig2(pl, experiments.Fig2Config{
+		K: k, Batch: 64, FanoutSets: [][]int{{15, 10, 5}},
+		Alphas:     []float64{0.05, 0.20, 0.50},
+		EvalEpochs: 4, SimEpochs: 2, Seed: seed, Workers: 2,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	table.AddRow("none (upper bound)", upper, upper, upper)
-	for _, p := range policies {
-		vols := totals[p.Name()]
-		table.AddRow(p.Name(), vols[0], vols[1], vols[2])
-	}
-	table.AddRow("oracle (lower bound)", lower[0], lower[1], lower[2])
-	fmt.Println(table.String())
-
-	vip := totals["VIP"]
-	fmt.Printf("\nVIP reduction vs no caching: %.1fx (α=0.05), %.1fx (α=0.20), %.1fx (α=0.50)\n",
-		upper/vip[0], upper/vip[1], upper/vip[2])
+	fmt.Println(res.Render())
 
 	driftDemo()
 }
@@ -196,9 +153,10 @@ func driftDemo() {
 	}
 	fmt.Println(table.String())
 	fmt.Printf("\n%d epoch installs; serving is the online deployment, serve.Config{Cache: \"online\"}\n"+
-		"(the bench/ workload serve.drift measures it). Training keeps the setup cache:\n"+
-		"its seeds are uniform over the training set every epoch, so the VIP ranking\n"+
-		"already is the access ranking an online scorer would converge to.\n", installs)
+		"(the bench/ workload serve.drift measures it). Training needs no scorer: an\n"+
+		"epoch's samples are known before it runs, so each rank moves its cache along\n"+
+		"the epoch's planned schedule from the VIP setup cache and re-installs the\n"+
+		"setup cache when the epoch ends.\n", installs)
 }
 
 // sameMembers reports whether two cache indexes hold the same vertex set.

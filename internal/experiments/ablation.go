@@ -4,6 +4,7 @@ import (
 	"salientpp/internal/cache"
 	"salientpp/internal/dataset"
 	"salientpp/internal/partition"
+	"salientpp/internal/pipeline"
 	"salientpp/internal/vip"
 )
 
@@ -24,11 +25,7 @@ func AblationVIPPartition(ds *dataset.Dataset, k int, scale Scale) (*AblationRes
 	dims := PaperDims(ds.Name)
 
 	// Baseline.
-	base, err := Deploy(ds, k, dims, scale.Batch, false, scale.Seed, scale.Workers)
-	if err != nil {
-		return nil, err
-	}
-	baseRemote, err := base.remotePerEpoch()
+	baseRemote, err := remotePerEpoch(ds, nil, k, dims.Fanouts, scale)
 	if err != nil {
 		return nil, err
 	}
@@ -43,28 +40,35 @@ func AblationVIPPartition(ds *dataset.Dataset, k int, scale Scale) (*AblationRes
 	for v, p := range res.P {
 		vipWeight[v] = float32(p)
 	}
-	weights := append(SplitWeights(ds), vipWeight)
+	weights := append(pipeline.SplitWeights(ds), vipWeight)
 	pres, err := partition.Partition(ds.Graph, partition.Config{K: k, Weights: weights, Seed: scale.Seed})
 	if err != nil {
 		return nil, err
 	}
-	weighted, err := DeployWithParts(ds, pres.Parts, k, dims, scale.Batch, false, scale.Seed, scale.Workers)
-	if err != nil {
-		return nil, err
-	}
-	wRemote, err := weighted.remotePerEpoch()
+	wRemote, err := remotePerEpoch(ds, pres.Parts, k, dims.Fanouts, scale)
 	if err != nil {
 		return nil, err
 	}
 	return &AblationResult{BaselineRemote: baseRemote, VIPWeightedRemote: wRemote}, nil
 }
 
-// remotePerEpoch samples one training epoch per partition and counts its
-// uncached remote accesses, summed over partitions.
-func (d *Deployment) remotePerEpoch() (float64, error) {
+// remotePerEpoch places ds on k machines (partitioning under the split
+// weights when parts is nil), samples one training epoch per partition and
+// counts its uncached remote accesses, summed over partitions.
+func remotePerEpoch(ds *dataset.Dataset, parts []int32, k int, fanouts []int, scale Scale) (float64, error) {
+	pl, err := pipeline.Place(ds, parts, k, fanouts, scale.Batch, false, scale.Seed, scale.Workers)
+	if err != nil {
+		return 0, err
+	}
+	train := pl.Data.TrainIDs()
 	var total float64
-	for p := 0; p < d.K; p++ {
-		w, err := cache.NewWorkload(d.cacheContext(int32(p)), 1, d.Seed^0xbeef)
+	for p := 0; p < k; p++ {
+		ctx := &cache.Context{
+			G: pl.Data.Graph, Parts: pl.Parts, K: k, Part: int32(p),
+			TrainIDs: train, Fanouts: fanouts, BatchSize: scale.Batch,
+			Seed: scale.Seed + uint64(p)*101, Workers: scale.Workers,
+		}
+		w, err := cache.NewWorkload(ctx, 1, scale.Seed^0xbeef)
 		if err != nil {
 			return 0, err
 		}

@@ -6,62 +6,31 @@ import (
 	"testing"
 
 	"salientpp/internal/dataset"
+	"salientpp/internal/pipeline"
 )
 
-func smallDeployment(t *testing.T, k int) *Deployment {
+func smallPlacement(t *testing.T) *pipeline.Placement {
 	t.Helper()
 	ds, err := dataset.PapersSim(12000, false, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := Deploy(ds, k, ModelDims{Hidden: 64, Fanouts: []int{5, 3}}, 32, true, 3, 2)
+	pl, err := pipeline.Place(ds, nil, 4, []int{5, 3}, 32, true, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dep
-}
-
-func TestDeployInvariants(t *testing.T) {
-	dep := smallDeployment(t, 4)
-	if dep.K != 4 || dep.Layout.K() != 4 {
-		t.Fatal("wrong K")
-	}
-	// Parts agree with layout ownership and training sets are local.
-	for v, p := range dep.Parts {
-		if int(p) != dep.Layout.Owner(int32(v)) {
-			t.Fatalf("vertex %d partition mismatch", v)
-		}
-	}
-	total := 0
-	for p, ids := range dep.TrainPer {
-		total += len(ids)
-		for _, v := range ids {
-			if dep.Layout.Owner(v) != p {
-				t.Fatalf("training vertex %d assigned to wrong machine", v)
-			}
-		}
-	}
-	if total != len(dep.TrainIDs) {
-		t.Fatal("per-machine training sets do not partition the train set")
-	}
-	// Balance: no machine should hold a wildly disproportionate share.
-	ideal := float64(total) / 4
-	for p, ids := range dep.TrainPer {
-		if float64(len(ids)) > 1.6*ideal || float64(len(ids)) < 0.4*ideal {
-			t.Fatalf("machine %d holds %d training vertices (ideal %.0f)", p, len(ids), ideal)
-		}
-	}
+	return pl
 }
 
 func TestFig2SmallRun(t *testing.T) {
-	dep := smallDeployment(t, 4)
+	pl := smallPlacement(t)
 	cfg := Fig2Config{
 		K: 4, Batch: 32,
 		FanoutSets: [][]int{{5, 3}, {3, 3}},
 		Alphas:     []float64{0.1, 0.5},
 		EvalEpochs: 2, SimEpochs: 2, Seed: 5, Workers: 2,
 	}
-	res, err := Fig2(dep, cfg)
+	res, err := Fig2(pl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"salientpp/internal/cache"
 	"salientpp/internal/metrics"
+	"salientpp/internal/pipeline"
 )
 
 // Fig2Config parametrizes the caching-policy comparison (paper Figure 2:
@@ -66,14 +67,19 @@ type Fig2Result struct {
 	Order       []string
 }
 
-// Fig2 runs the caching-policy comparison on a deployed dataset. The
-// deployment's fanouts are ignored; each panel re-ranks policies for its
-// own fanout set, exactly as the paper varies f with a fixed partition.
-func Fig2(d *Deployment, cfg Fig2Config) (*Fig2Result, error) {
+// Fig2 runs the caching-policy comparison on a cfg.K-way placement. Each
+// panel re-ranks policies for its own fanout set, exactly as the paper
+// varies f with a fixed partition; partition p's policies and sampled
+// epochs are seeded by cfg.Seed + 101·p.
+func Fig2(pl *pipeline.Placement, cfg Fig2Config) (*Fig2Result, error) {
 	if len(cfg.FanoutSets) == 0 || len(cfg.Alphas) == 0 {
 		return nil, fmt.Errorf("experiments: empty Fig2 grid")
 	}
-	n := d.Data.NumVertices()
+	if cfg.K != pl.Layout.K() {
+		return nil, fmt.Errorf("experiments: Fig2 K = %d on a %d-way placement", cfg.K, pl.Layout.K())
+	}
+	n := pl.Data.NumVertices()
+	train := pl.Data.TrainIDs()
 	res := &Fig2Result{Alphas: cfg.Alphas}
 
 	for _, fanouts := range cfg.FanoutSets {
@@ -89,17 +95,19 @@ func Fig2(d *Deployment, cfg Fig2Config) (*Fig2Result, error) {
 			panel.Volumes[p.Name()] = make([]float64, len(cfg.Alphas))
 		}
 
-		for part := 0; part < d.K; part++ {
-			ctx := d.cacheContext(int32(part))
-			ctx.Fanouts = fanouts
-			ctx.BatchSize = cfg.Batch
+		for part := 0; part < cfg.K; part++ {
+			ctx := &cache.Context{
+				G: pl.Data.Graph, Parts: pl.Parts, K: cfg.K, Part: int32(part),
+				TrainIDs: train, Fanouts: fanouts, BatchSize: cfg.Batch,
+				Seed: cfg.Seed + uint64(part)*101, Workers: cfg.Workers,
+			}
 			w, err := cache.NewWorkload(ctx, cfg.EvalEpochs, cfg.Seed^0x0eac)
 			if err != nil {
 				return nil, err
 			}
 			panel.Upper += w.PerEpoch(w.RemoteTotal())
 			for ai, alpha := range cfg.Alphas {
-				capacity := cache.CapacityForAlpha(alpha, n, d.K)
+				capacity := cache.CapacityForAlpha(alpha, n, cfg.K)
 				panel.Lower[ai] += w.PerEpoch(w.OracleVolume(capacity))
 			}
 			for _, p := range policies {
@@ -108,7 +116,7 @@ func Fig2(d *Deployment, cfg Fig2Config) (*Fig2Result, error) {
 					return nil, err
 				}
 				for ai, alpha := range cfg.Alphas {
-					capacity := cache.CapacityForAlpha(alpha, n, d.K)
+					capacity := cache.CapacityForAlpha(alpha, n, cfg.K)
 					c, err := cache.FromRanking(ranking, capacity, n)
 					if err != nil {
 						return nil, err

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -328,31 +327,22 @@ func dialMembers(cfg ClusterConfig, members []int) (feat, grad []dist.Comm, err 
 	return feat, grad, nil
 }
 
-// roundsForLayout derives the rounds-per-epoch for a merged layout: every
-// training vertex is assigned to its new owner and the global round count
-// is the largest per-owner batch count — the same derivation NewCluster
-// performs, run ahead of it so the shrunk state validates.
+// roundsForLayout derives the rounds-per-epoch for a merged layout: the
+// checkpoint's relabelled training vertices split over newStarts by the
+// same helper NewCluster's placement uses, run ahead of it so the shrunk
+// state validates.
 func roundsForLayout(ds *dataset.Dataset, st *ckpt.TrainState, newStarts []int64, batchSize int) (int, error) {
-	if batchSize <= 0 {
-		return 0, fmt.Errorf("pipeline: batch size %d", batchSize)
+	layout, err := dist.NewLayout(newStarts)
+	if err != nil {
+		return 0, err
 	}
-	counts := make([]int, len(newStarts)-1)
-	for _, v := range ds.TrainIDs() {
-		rv := int64(st.Topo.Perm[v])
-		owner := sort.Search(len(newStarts)-1, func(i int) bool { return newStarts[i+1] > rv })
-		if owner >= len(counts) {
-			return 0, fmt.Errorf("pipeline: train vertex %d outside the merged layout", v)
-		}
-		counts[owner]++
+	train := ds.TrainIDs()
+	for i, v := range train {
+		train[i] = st.Topo.Perm[v]
 	}
-	rounds := 0
-	for _, n := range counts {
-		if nb := (n + batchSize - 1) / batchSize; nb > rounds {
-			rounds = nb
-		}
+	_, rounds, err := splitByOwner(train, layout, batchSize)
+	if err == nil && rounds == 0 {
+		err = fmt.Errorf("pipeline: merged layout holds no training vertices")
 	}
-	if rounds == 0 {
-		return 0, fmt.Errorf("pipeline: merged layout holds no training vertices")
-	}
-	return rounds, nil
+	return rounds, err
 }

@@ -10,10 +10,8 @@ import (
 	"salientpp/internal/dist"
 	"salientpp/internal/graph"
 	"salientpp/internal/nn"
-	"salientpp/internal/partition"
 	"salientpp/internal/sample"
 	"salientpp/internal/tensor"
-	"salientpp/internal/vip"
 )
 
 // ClusterConfig assembles a full SALIENT++ deployment inside one process:
@@ -88,14 +86,10 @@ type ClusterConfig struct {
 // Cluster is a ready-to-train in-process deployment.
 type Cluster struct {
 	Ranks []*Rank
-	// Data is the reordered dataset shared by all ranks (read-only).
-	Data *dataset.Dataset
-	// Layout is the contiguous partition layout.
-	Layout *dist.Layout
-	// Parts is the partition assignment in reordered vertex ids.
-	Parts []int32
-	// Perm maps original ids to reordered ids.
-	Perm graph.Permutation
+	// Placement is what the ranks were built on: the relabelled dataset
+	// they share (read-only), its layout, partition and permutation, and
+	// each rank's training vertices.
+	*Placement
 
 	commFeat []dist.Comm
 	commGrad []dist.Comm
@@ -165,86 +159,37 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("pipeline: gradient codec: %w", err)
 	}
 
-	// Steps 1–3 (partitioning, VIP analysis, reordering) run only for
-	// fresh clusters; a Resume restores their results from the checkpoint
+	// The §4.1 placement (partitioning, VIP analysis, reordering) runs
+	// only for fresh clusters; a Resume restores it from the checkpoint
 	// topology instead, skipping the re-analysis entirely.
-	var (
-		perm   graph.Permutation
-		starts []int64
-		parts  []int32
-	)
+	var pl *Placement
 	if cfg.Resume != nil {
 		topo := cfg.Resume.Topo
 		if err := validateResume(ds, cfg, cfg.Resume); err != nil {
 			return nil, err
 		}
-		perm = graph.Permutation(append([]int32(nil), topo.Perm...))
-		starts = append([]int64(nil), topo.Starts...)
-		parts = append([]int32(nil), topo.Parts...)
+		perm := graph.Permutation(append([]int32(nil), topo.Perm...))
+		starts := append([]int64(nil), topo.Starts...)
+		parts := append([]int32(nil), topo.Parts...)
+		pl, err = place(ds, perm, starts, parts, cfg.Train.BatchSize)
 	} else {
-		// 1. Partition with the paper's balance constraints.
-		isTrain := make([]bool, ds.NumVertices())
-		isVal := make([]bool, ds.NumVertices())
-		isTest := make([]bool, ds.NumVertices())
-		for v, s := range ds.Splits {
-			switch s {
-			case dataset.SplitTrain:
-				isTrain[v] = true
-			case dataset.SplitVal:
-				isVal[v] = true
-			case dataset.SplitTest:
-				isTest[v] = true
-			}
-		}
-		pres, err := partition.Partition(ds.Graph, partition.Config{
-			K:       cfg.K,
-			Weights: partition.SalientWeights(ds.Graph, isTrain, isVal, isTest),
-			Seed:    cfg.Train.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		// 2. Partition-wise VIP analysis on the original ids.
-		vcfg := vip.Config{Fanouts: cfg.Train.Fanouts, BatchSize: cfg.Train.BatchSize, IncludeSeeds: true, Workers: cfg.Train.Parallelism}
-		vips, err := vip.ForPartitions(ds.Graph, pres.Parts, cfg.K, ds.TrainIDs(), vcfg)
-		if err != nil {
-			return nil, err
-		}
-
-		// 3. Reorder: partitions contiguous; within each partition by VIP
-		// rank (or original order for the "no reorder" ablation).
-		var score []float64
-		if cfg.VIPReorder {
-			score = make([]float64, ds.NumVertices())
-			for v := range score {
-				score[v] = vips[pres.Parts[v]][v]
-			}
-		}
-		perm, starts, err = graph.PartitionOrder(pres.Parts, cfg.K, score)
-		if err != nil {
-			return nil, err
-		}
-		parts = make([]int32, ds.NumVertices())
-		for old, p := range pres.Parts {
-			parts[perm[old]] = p
-		}
+		pl, err = Place(ds, nil, cfg.K, cfg.Train.Fanouts, cfg.Train.BatchSize, cfg.VIPReorder, cfg.Train.Seed, cfg.Train.Parallelism)
 	}
-	rds, err := ds.Relabel(perm)
 	if err != nil {
 		return nil, err
 	}
-	layout, err := dist.NewLayout(starts)
-	if err != nil {
-		return nil, err
+	if cfg.Resume != nil && cfg.Resume.Rounds != pl.Rounds {
+		return nil, fmt.Errorf("pipeline: checkpoint has %d rounds per epoch, this configuration derives %d (batch size or dataset drifted)",
+			cfg.Resume.Rounds, pl.Rounds)
 	}
+	rds := pl.Data
 
-	// 4. Communicator groups. From here on every error return closes them.
+	// Communicator groups. From here on every error return closes them.
 	commFeat, commGrad, err := newGroups(cfg.K, cfg.UseTCP)
 	if err != nil {
 		return nil, err
 	}
-	cl := &Cluster{Data: rds, Layout: layout, Parts: parts, Perm: perm, commFeat: commFeat, commGrad: commGrad, resume: cfg.Resume}
+	cl := &Cluster{Placement: pl, commFeat: commFeat, commGrad: commGrad, resume: cfg.Resume}
 	built := false
 	defer func() {
 		if !built {
@@ -252,42 +197,21 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 		}
 	}()
 
-	// 5. Per-rank stores, models, ranks.
-	trainReordered := rds.TrainIDs()
-	trainPer := make([][]int32, cfg.K)
-	for _, v := range trainReordered {
-		p := layout.Owner(v)
-		trainPer[p] = append(trainPer[p], v)
-	}
-	maxBatches := 0
-	for p := 0; p < cfg.K; p++ {
-		nb := (len(trainPer[p]) + cfg.Train.BatchSize - 1) / cfg.Train.BatchSize
-		if nb > maxBatches {
-			maxBatches = nb
-		}
-	}
-	if maxBatches == 0 {
-		return nil, fmt.Errorf("pipeline: no training vertices")
-	}
-	if cfg.Resume != nil && cfg.Resume.Rounds != maxBatches {
-		return nil, fmt.Errorf("pipeline: checkpoint has %d rounds per epoch, this configuration derives %d (batch size or dataset drifted)",
-			cfg.Resume.Rounds, maxBatches)
-	}
-
+	// Per-rank stores, models, ranks.
 	capacity := cache.CapacityForAlpha(cfg.Alpha, ds.NumVertices(), cfg.K)
 	refModel, err := nn.NewModel(rds.FeatureDim, cfg.Hidden, rds.NumClasses, cfg.Layers, cfg.Dropout, cfg.ModelSeed)
 	if err != nil {
 		return nil, err
 	}
 
+	dim, trainIDs := rds.FeatureDim, rds.TrainIDs()
 	cacheIDs := make([][]int32, cfg.K)
 	for rank := 0; rank < cfg.K; rank++ {
-		// Local shard in layout order.
-		lo, hi := starts[rank], starts[rank+1]
-		local := tensor.New(int(hi-lo), rds.FeatureDim)
-		for v := lo; v < hi; v++ {
-			copy(local.Row(int(v-lo)), rds.FeatureRow(int32(v)))
-		}
+		// Local shard: a row view of the relabelled features, since a
+		// partition is a contiguous id interval and no store writes its
+		// shard.
+		lo, hi := int(pl.Layout.Starts[rank]), int(pl.Layout.Starts[rank+1])
+		local := &tensor.Matrix{Rows: hi - lo, Cols: dim, Data: rds.Features[lo*dim : hi*dim : hi*dim]}
 
 		// Remote cache: restored verbatim from the checkpoint topology, or
 		// built by the configured ranker (reordered id space) on a fresh
@@ -308,8 +232,8 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 			// cache.Context shares the vip.Config convention: Workers 0
 			// means GOMAXPROCS, so Parallelism passes through untouched.
 			ctx := &cache.Context{
-				G: rds.Graph, Parts: parts, K: cfg.K, Part: int32(rank),
-				TrainIDs: trainReordered, Fanouts: cfg.Train.Fanouts,
+				G: rds.Graph, Parts: pl.Parts, K: cfg.K, Part: int32(rank),
+				TrainIDs: trainIDs, Fanouts: cfg.Train.Fanouts,
 				BatchSize: cfg.Train.BatchSize, Seed: cfg.Train.Seed + uint64(rank),
 				Workers: cfg.Train.Parallelism,
 			}
@@ -342,7 +266,7 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 			fc.SetTimeout(cfg.StallTimeout)
 			gc.SetTimeout(cfg.StallTimeout)
 		}
-		store, err := dist.NewStore(fc, layout, rds.FeatureDim, local, ep, cfg.GPUFraction)
+		store, err := dist.NewStore(fc, pl.Layout, rds.FeatureDim, local, ep, cfg.GPUFraction)
 		if err != nil {
 			return nil, err
 		}
@@ -358,9 +282,7 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 		if err := model.CopyWeightsFrom(refModel); err != nil {
 			return nil, err
 		}
-		labels := make([]int32, len(rds.Labels))
-		copy(labels, rds.Labels)
-		rk, err := NewRank(cfg.Train, fc, gc, store, smp, model, trainPer[rank], labels, maxBatches)
+		rk, err := NewRank(cfg.Train, fc, gc, store, smp, model, pl.TrainPer[rank], rds.Labels, pl.Rounds)
 		if err != nil {
 			return nil, err
 		}
@@ -384,7 +306,7 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 	// Coordinated checkpointing: one saver shared by all ranks, primed with
 	// the run's topology so every checkpoint file is self-contained.
 	if cfg.Checkpoint.Enabled() {
-		saver, err := ckpt.NewSaver(cfg.Checkpoint, cfg.K, maxBatches)
+		saver, err := ckpt.NewSaver(cfg.Checkpoint, cfg.K, pl.Rounds)
 		if err != nil {
 			return nil, err
 		}
@@ -393,9 +315,9 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 			NumVertices: int64(ds.NumVertices()),
 			FeatureDim:  int32(rds.FeatureDim),
 			K:           int32(cfg.K),
-			Perm:        perm,
-			Starts:      starts,
-			Parts:       parts,
+			Perm:        pl.Perm,
+			Starts:      pl.Layout.Starts,
+			Parts:       pl.Parts,
 			CacheIDs:    cacheIDs,
 		})
 		for _, rk := range cl.Ranks {
@@ -521,18 +443,9 @@ func (c *Cluster) TrainEpochAll(epoch int) ([]EpochStats, error) {
 // EvaluateAll runs sampled inference over the given split on every rank
 // (each rank evaluates its local vertices) and returns global accuracy.
 func (c *Cluster) EvaluateAll(split dataset.Split, fanouts []int, batch, epoch int) (float64, error) {
-	ids := c.Data.IDsInSplit(split)
-	per := make([][]int32, len(c.Ranks))
-	for _, v := range ids {
-		p := c.Layout.Owner(v)
-		per[p] = append(per[p], v)
-	}
-	rounds := 0
-	for _, l := range per {
-		nb := (len(l) + batch - 1) / batch
-		if nb > rounds {
-			rounds = nb
-		}
+	per, rounds, err := splitByOwner(c.Data.IDsInSplit(split), c.Layout, batch)
+	if err != nil {
+		return 0, err
 	}
 	if rounds == 0 {
 		return 0, fmt.Errorf("pipeline: split %v empty", split)

@@ -118,25 +118,3 @@ func (c RunConfig) Validate() error {
 	}
 	return nil
 }
-
-// ApplyCluster copies the run configuration onto a ClusterConfig: codecs,
-// checkpointing, and (when non-zero) the parallelism knobs.
-func (c RunConfig) ApplyCluster(cc *ClusterConfig) {
-	cc.Codec = c.Codec
-	cc.Checkpoint = c.Checkpoint
-	cc.Train.GradCodec = c.GradCodec
-	cc.Train.NoGradOverlap = c.NoGradOverlap
-	cc.StallTimeout = c.StallTimeout
-	if c.Parallelism > 0 {
-		cc.Train.SamplerWorkers = c.Parallelism
-		cc.Train.Parallelism = c.Parallelism
-	}
-}
-
-// ApplyServe copies the serving-side run configuration onto a ServeConfig.
-// An empty Codec inherits the cluster's codec (the same negotiation
-// ClusterConfig uses), so a RunConfig shared between cluster and server
-// keeps both consistent by construction.
-func (c RunConfig) ApplyServe(sc *ServeConfig) {
-	sc.Codec = c.Codec
-}

@@ -74,36 +74,3 @@ func TestRunConfigValidate(t *testing.T) {
 		}
 	}
 }
-
-// TestRunConfigApply pins the fan-out onto cluster and serve configs,
-// including the "0 keeps the harness default" parallelism rule.
-func TestRunConfigApply(t *testing.T) {
-	run := RunConfig{Codec: "int8", Parallelism: 3,
-		GradCodec: "fp16", NoGradOverlap: true,
-		Checkpoint: CheckpointConfig{Dir: "d", EveryEpochs: 1}}
-	var cc ClusterConfig
-	cc.Train.SamplerWorkers = 2
-	run.ApplyCluster(&cc)
-	if cc.Codec != "int8" || cc.Checkpoint.Dir != "d" {
-		t.Fatalf("ApplyCluster: %+v", cc)
-	}
-	if cc.Train.GradCodec != "fp16" || !cc.Train.NoGradOverlap {
-		t.Fatalf("ApplyCluster gradient knobs: %+v", cc.Train)
-	}
-	if cc.Train.SamplerWorkers != 3 || cc.Train.Parallelism != 3 {
-		t.Fatalf("ApplyCluster parallelism: %+v", cc.Train)
-	}
-
-	run.Parallelism = 0
-	cc.Train.SamplerWorkers, cc.Train.Parallelism = 2, 2
-	run.ApplyCluster(&cc)
-	if cc.Train.SamplerWorkers != 2 || cc.Train.Parallelism != 2 {
-		t.Fatalf("Parallelism=0 must keep existing workers: %+v", cc.Train)
-	}
-
-	var sc ServeConfig
-	run.ApplyServe(&sc)
-	if sc.Codec != "int8" {
-		t.Fatalf("ApplyServe: %+v", sc)
-	}
-}

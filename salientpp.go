@@ -18,7 +18,8 @@
 //   - internal/tensor,nn  — dense float32 tensors and GraphSAGE fwd/bwd
 //   - internal/dist       — transports, collectives, partitioned feature
 //     store, wire codecs, compressed gradient all-reduce, chaos injection
-//   - internal/pipeline   — the real 10-stage training pipeline (§4.3)
+//   - internal/pipeline   — the §4.1 placement and the real 10-stage
+//     training pipeline (§4.3)
 //   - internal/ckpt       — versioned coordinated checkpoints and restore
 //   - internal/serve      — online inference with request coalescing
 //   - internal/simnet     — bandwidth/latency/token-bucket link models
@@ -120,26 +121,10 @@ func NewMag240Dataset(n int, materialize bool, seed uint64) (*Dataset, error) {
 }
 
 // PartitionGraph computes a K-way edge-cut partition with the paper's
-// balance constraints derived from the dataset splits.
+// balance constraints derived from the dataset splits — the partition
+// NewCluster places its ranks on.
 func PartitionGraph(ds *Dataset, k int, seed uint64) (*PartitionResult, error) {
-	isTrain := make([]bool, ds.NumVertices())
-	isVal := make([]bool, ds.NumVertices())
-	isTest := make([]bool, ds.NumVertices())
-	for v, s := range ds.Splits {
-		switch s {
-		case dataset.SplitTrain:
-			isTrain[v] = true
-		case dataset.SplitVal:
-			isVal[v] = true
-		case dataset.SplitTest:
-			isTest[v] = true
-		}
-	}
-	return partition.Partition(ds.Graph, partition.Config{
-		K:       k,
-		Weights: partition.SalientWeights(ds.Graph, isTrain, isVal, isTest),
-		Seed:    seed,
-	})
+	return partition.Partition(ds.Graph, partition.Config{K: k, Weights: pipeline.SplitWeights(ds), Seed: seed})
 }
 
 // VIPProbabilities runs Proposition 1 for one partition's minibatch
@@ -158,8 +143,9 @@ func VIPProbabilities(g *Graph, trainIDs []int32, cfg VIPConfig) ([]float64, err
 }
 
 // NewCluster assembles a ready-to-train in-process SALIENT++ deployment:
-// partitioning, VIP analysis, vertex reordering, cache construction,
-// feature sharding, communicators, and per-rank models.
+// the §4.1 placement (partitioning, VIP analysis, vertex reordering, each
+// rank's training vertices), cache construction, feature sharding,
+// communicators, and per-rank models.
 func NewCluster(ds *Dataset, cfg ClusterConfig) (*Cluster, error) {
 	return pipeline.NewCluster(ds, cfg)
 }
