@@ -15,36 +15,35 @@ import (
 	"sort"
 )
 
-// Cache is a static set of remote vertices whose features a machine
-// replicates locally. Membership tests are O(1) via a bitset; Slot returns
-// the storage row of a cached vertex for feature lookup.
+// Cache is a set of remote vertices whose features a machine replicates
+// locally, each in a storage slot. Has and Slot read one dense id→slot
+// index, so a lookup is a single array load. A cache from Build fills
+// slots 0…Len()−1 in rank order; the training working epoch empties and
+// refills single slots in place (Evict, Put), so its slots may have holes.
 type Cache struct {
-	bits  []uint64
-	slots map[int32]int32
-	ids   []int32
+	slot []int32 // slot[v] is v's slot+1; 0 when v is not cached
+	ids  []int32 // ids[s] is the vertex in slot s; −1 for an empty slot
+	size int     // non-empty slots
 }
 
 // Build creates a cache over a graph with n vertices holding exactly the
 // given ids (rank order preserved; the slot of ids[i] is i).
 func Build(ids []int32, n int) (*Cache, error) {
-	c := &Cache{
-		bits:  make([]uint64, (n+63)/64),
-		slots: make(map[int32]int32, len(ids)),
-	}
-	if err := c.fill(ids, n); err != nil {
+	c := &Cache{slot: make([]int32, n)}
+	if err := c.fill(ids); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
 // fill makes c, which must hold nothing, hold exactly ids, reusing its
-// bitset, slot map and ids slice. On error c is left holding nothing.
-func (c *Cache) fill(ids []int32, n int) error {
+// index and ids slice. On error c is left holding nothing.
+func (c *Cache) fill(ids []int32) error {
 	c.ids = append(c.ids[:0], ids...)
 	for i, v := range ids {
 		var err error
-		if v < 0 || int(v) >= n {
-			err = fmt.Errorf("cache: vertex %d out of range [0,%d)", v, n)
+		if v < 0 || int(v) >= len(c.slot) {
+			err = fmt.Errorf("cache: vertex %d out of range [0,%d)", v, len(c.slot))
 		} else if c.Has(v) {
 			err = fmt.Errorf("cache: duplicate vertex %d", v)
 		}
@@ -53,42 +52,66 @@ func (c *Cache) fill(ids []int32, n int) error {
 			c.reset()
 			return err
 		}
-		c.bits[v/64] |= 1 << uint(v%64)
-		c.slots[v] = int32(i)
+		c.slot[v] = int32(i) + 1
 	}
+	c.size = len(ids)
 	return nil
 }
 
 // reset empties c, keeping its storage for the next fill.
 func (c *Cache) reset() {
 	for _, v := range c.ids {
-		c.bits[v/64] = 0
+		if v >= 0 {
+			c.slot[v] = 0
+		}
 	}
-	clear(c.slots)
-	c.ids = c.ids[:0]
+	c.ids, c.size = c.ids[:0], 0
 }
 
-// Empty returns a cache holding nothing.
-func Empty(n int) *Cache {
-	c, _ := Build(nil, n)
-	return c
+// copyFrom makes c, indexed over the same vertex count, hold src's ids in
+// src's slots.
+func (c *Cache) copyFrom(src *Cache) {
+	c.reset()
+	c.ids = append(c.ids, src.ids...)
+	for s, v := range c.ids {
+		if v >= 0 {
+			c.slot[v] = int32(s) + 1
+		}
+	}
+	c.size = src.size
 }
 
 // Has reports whether v is cached.
-func (c *Cache) Has(v int32) bool {
-	return c.bits[v/64]&(1<<uint(v%64)) != 0
-}
+func (c *Cache) Has(v int32) bool { return c.slot[v] != 0 }
 
 // Slot returns the storage row of v and whether it is cached.
 func (c *Cache) Slot(v int32) (int32, bool) {
-	s, ok := c.slots[v]
-	return s, ok
+	s := c.slot[v]
+	return s - 1, s != 0
+}
+
+// Evict empties slot s, which must hold a vertex.
+func (c *Cache) Evict(s int32) {
+	c.slot[c.ids[s]] = 0
+	c.ids[s] = -1
+	c.size--
+}
+
+// Put caches v, which must not be cached, in the empty slot s.
+func (c *Cache) Put(v, s int32) {
+	if c.ids[s] >= 0 || c.slot[v] != 0 {
+		panic(fmt.Sprintf("cache: put of vertex %d into slot %d holding %d", v, s, c.ids[s]))
+	}
+	c.ids[s] = v
+	c.slot[v] = s + 1
+	c.size++
 }
 
 // Len returns the number of cached vertices.
-func (c *Cache) Len() int { return len(c.ids) }
+func (c *Cache) Len() int { return c.size }
 
-// IDs returns the cached ids in rank order (do not modify).
+// IDs returns the vertex in each slot, −1 for an empty slot (do not
+// modify). For a cache from Build it is the cached ids in rank order.
 func (c *Cache) IDs() []int32 { return c.ids }
 
 // CapacityForAlpha returns the cache size implied by replication factor α:

@@ -156,7 +156,11 @@ func TestWorkloadBoundsAndOrdering(t *testing.T) {
 	if upper <= 0 {
 		t.Fatal("no remote traffic — test workload degenerate")
 	}
-	if got := w.RemoteVolume(Empty(ctx.G.NumVertices())); got != upper {
+	empty, err := Build(nil, ctx.G.NumVertices())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.RemoteVolume(empty); got != upper {
 		t.Fatalf("empty cache volume %d != upper bound %d", got, upper)
 	}
 

@@ -7,17 +7,19 @@ import (
 	"salientpp/internal/tensor"
 )
 
-// Epoch is one immutable version of a rank's remote-feature cache: the
-// membership index and the fp32 feature rows (Rows.Row(i) holds the
-// features of Index.IDs()[i]). Epochs are hydrated off the gather path
+// Epoch is one version of a rank's remote-feature cache: the membership
+// index and the fp32 feature rows (Rows.Row(s) holds the features of
+// Index.IDs()[s]). Serving epochs are hydrated off the gather path
 // (EpochBuilder) and installed into a store by swapping a single atomic
-// pointer; once installed an epoch is not written again until it is
+// pointer; once installed such an epoch is not written again until it is
 // released back to its builder, so any number of concurrent gathers may
-// read it while the next version is being built in the background.
+// read it while the next version is being built in the background. The
+// one epoch written while installed is training's private working epoch
+// (CopyFrom, then Index.Evict/Put and row copies between its gathers).
 type Epoch struct {
 	// Gen is the install generation: 0 for the setup-time epoch (the
 	// truncated static ranking), incremented by the builder for every
-	// epoch built after it.
+	// epoch built after it. A working epoch copies its source's.
 	Gen uint64
 	// Index is the membership index; Slot(v) gives the row of a cached id.
 	Index *Cache
@@ -35,8 +37,8 @@ func NewEpoch(index *Cache, rows *tensor.Matrix) (*Epoch, error) {
 	if (index == nil) != (rows == nil) {
 		return nil, fmt.Errorf("cache: epoch index and rows must be supplied together")
 	}
-	if index != nil && rows.Rows != index.Len() {
-		return nil, fmt.Errorf("cache: epoch has %d rows for %d cached ids", rows.Rows, index.Len())
+	if index != nil && rows.Rows != len(index.ids) {
+		return nil, fmt.Errorf("cache: epoch has %d rows for %d cache slots", rows.Rows, len(index.ids))
 	}
 	return &Epoch{Index: index, Rows: rows}, nil
 }
@@ -49,8 +51,8 @@ func (e *Epoch) Len() int {
 	return e.Index.Len()
 }
 
-// IDs returns the cached ids in slot order (nil for a cacheless epoch; do
-// not modify).
+// IDs returns the cached ids in slot order, −1 for an empty slot (nil for
+// a cacheless epoch; do not modify).
 func (e *Epoch) IDs() []int32 {
 	if e == nil || e.Index == nil {
 		return nil
@@ -58,13 +60,29 @@ func (e *Epoch) IDs() []int32 {
 	return e.Index.IDs()
 }
 
+// CopyFrom makes e a private, writable copy of src, which must cache
+// something: the same ids in the same slots and the same rows. e may be
+// the zero Epoch; once it has src's shape, its storage is reused.
+func (e *Epoch) CopyFrom(src *Epoch) {
+	if e.Index == nil || len(e.Index.slot) != len(src.Index.slot) {
+		e.Index = &Cache{slot: make([]int32, len(src.Index.slot))}
+	}
+	e.Index.copyFrom(src.Index)
+	if e.Rows == nil || e.Rows.Rows != src.Rows.Rows || e.Rows.Cols != src.Rows.Cols {
+		e.Rows = tensor.New(src.Rows.Rows, src.Rows.Cols)
+	}
+	copy(e.Rows.Data, src.Rows.Data)
+	e.Gen = src.Gen
+}
+
 // EpochBuilder hydrates successive cache epochs for one rank: membership
 // ids in, a fully materialized Epoch out (index and feature rows pulled
-// from the row source). A released epoch is rebuilt in place by a later
-// Build — its index bitset, slot map and ids slice are cleared and
-// refilled, and its rows come back from a builder-internal tensor.Pool —
-// so a warm install cycle allocates nothing, and the pool's Live gauge
-// proves that shutdown — even mid-install — leaks nothing.
+// from the row source). Serving's online cache builds its epochs here. A
+// released epoch is rebuilt in place by a later Build — its id→slot index
+// and ids slice are cleared and refilled, and its rows come back from a
+// builder-internal tensor.Pool — so a warm install cycle allocates nothing,
+// and the pool's Live gauge proves that shutdown — even mid-install —
+// leaks nothing.
 //
 // A builder serves one install stream (one store). Build/BuildFor and
 // Release may run on different goroutines; only one goroutine may build.
@@ -105,9 +123,9 @@ func (b *EpochBuilder) Build(ids []int32) (*Epoch, error) {
 	}
 	b.mu.Unlock()
 	if e == nil {
-		e = &Epoch{Index: &Cache{bits: make([]uint64, (b.n+63)/64), slots: make(map[int32]int32, len(ids))}, owner: b}
+		e = &Epoch{Index: &Cache{slot: make([]int32, b.n)}, owner: b}
 	}
-	if err := e.Index.fill(ids, b.n); err != nil {
+	if err := e.Index.fill(ids); err != nil {
 		b.mu.Lock()
 		b.free = append(b.free, e)
 		b.mu.Unlock()

@@ -21,15 +21,20 @@ import (
 // before round 0's rows arrive. A sequential epoch (pipeline depth 1)
 // inherits nothing, so there Q_g = I_g: every remote access the cache
 // misses costs wire.
+//
+// The plan also places rows in slots, so that an install rewrites only
+// what it admits: C_0's rows hold slots 0…len(start)−1 in the order given,
+// a row C_g drops frees its slot, and C_g's admissions, in ascending id
+// order, fill the empty slots in ascending slot order. A slot no
+// admission needs stays empty. No slot reaches max(capacity, len(start)).
 type Schedule struct {
-	// Members[g] is C_g, the membership round g is classified against.
-	// Members[0] and Members[1] are the starting membership as given;
-	// later rounds list ascending ids.
-	Members [][]int32
-	// Admit[g] (g ≥ 2) holds the positions in rounds[g−2] of the ids C_g
-	// admits (C_g ∖ C_{g−1}), in ascending id order. Those rows are the
-	// ones to copy out of round g−2's gathered matrix.
-	Admit [][]int32
+	// Free[g] (g ≥ 2) lists, ascending, the slots C_g frees: those of the
+	// rows of C_{g−1} it drops.
+	Free [][]int32
+	// Admit[g] (g ≥ 2) lists C_g's admissions (C_g ∖ C_{g−1}) in ascending
+	// id order: where in rounds[g−2] each row sits — round g−2's gathered
+	// matrix is where it is copied from — and the slot it is written to.
+	Admit [][]Admission
 	// RemoteFetch[g] is round g's predicted remote accesses: the entries
 	// of rounds[g] outside C_g.
 	RemoteFetch []int
@@ -40,11 +45,17 @@ type Schedule struct {
 	Wire []int
 }
 
+// Admission is one row a planned membership admits.
+type Admission struct {
+	Pos  int32 // position of the row's id in the round it is copied from
+	Slot int32 // the slot it is written to
+}
+
 // Plan computes the epoch's schedule. rounds[g] lists round g's remote ids
 // (ids in [0, n) that neither the rank's shard nor anything else but the
 // cache can serve; order and duplicates are kept for the predicted
-// counts), start is the starting membership and capacity bounds every
-// later membership. inherit says whether each round inherits the ids the
+// counts), start is the starting membership (distinct ids) and capacity
+// bounds every later membership. inherit says whether each round inherits the ids the
 // round before it read. Plan is pure: equal inputs give equal schedules.
 func Plan(n int, rounds [][]int32, start []int32, capacity int, inherit bool) (*Schedule, error) {
 	for _, ids := range append([][]int32{start}, rounds...) {
@@ -57,8 +68,8 @@ func Plan(n int, rounds [][]int32, start []int32, capacity int, inherit bool) (*
 	capacity = max(capacity, 0)
 	r := len(rounds)
 	sc := &Schedule{
-		Members:     make([][]int32, r),
-		Admit:       make([][]int32, r),
+		Free:        make([][]int32, r),
+		Admit:       make([][]Admission, r),
 		RemoteFetch: make([]int, r),
 		Wire:        make([]int, r),
 	}
@@ -119,14 +130,21 @@ func Plan(n int, rounds [][]int32, start []int32, capacity int, inherit bool) (*
 	member := make([]int32, n) // g+1 when v ∈ C_g
 	cand := make([]int32, n)   // g+1 when v is a candidate for C_{g+1}
 	pos := make([]int32, n)    // v's position in rounds[g−1]
+	slot := make([]int32, n)   // v's slot while v ∈ C_g
 	clear(last)                // g when v ∈ I_{g−1}, while round g is counted
 	perRound := make([]int, r) // candidates by next-use round
 	type candidate struct{ v, next int32 }
 	var cands []candidate
-	var tie []int32
-	cur := start
+	var tie, nextC, freed []int32
+	cur := slices.Clone(start)
+	used := make([]bool, max(capacity, len(start))) // slot occupancy
+	for i, v := range cur {
+		if member[v] != 0 {
+			return nil, fmt.Errorf("cache: duplicate start vertex %d", v)
+		}
+		member[v], slot[v], used[i] = 1, int32(i), true
+	}
 	for g, ids := range rounds {
-		sc.Members[g] = cur
 		stamp := int32(g) + 1
 		for _, v := range cur {
 			member[v] = stamp
@@ -173,8 +191,7 @@ func Plan(n int, rounds [][]int32, start []int32, capacity int, inherit bool) (*
 				room -= perRound[h]
 			}
 			clear(perRound[g+1:])
-			nextC := make([]int32, 0, min(capacity, len(cands)))
-			tie = tie[:0]
+			nextC, tie = nextC[:0], tie[:0]
 			for _, c := range cands {
 				switch {
 				case c.next < cut:
@@ -188,14 +205,34 @@ func Plan(n int, rounds [][]int32, start []int32, capacity int, inherit bool) (*
 				nextC = append(nextC, tie[:room]...)
 			}
 			slices.Sort(nextC)
-			var admit []int32
+			// Kept rows move on to C_{g+1}'s stamp; the rows of C_g still
+			// on C_g's are dropped and free their slots.
 			for _, v := range nextC {
-				if member[v] != stamp {
-					admit = append(admit, pos[v])
+				if member[v] == stamp {
+					member[v] = stamp + 1
 				}
 			}
-			sc.Members[g+1], sc.Admit[g+1] = nextC, admit
-			cur = nextC
+			freed = freed[:0]
+			for _, v := range cur {
+				if member[v] == stamp {
+					freed = append(freed, slot[v])
+					used[slot[v]] = false
+				}
+			}
+			slices.Sort(freed)
+			var admit []Admission
+			s := int32(0)
+			for _, v := range nextC {
+				if member[v] != stamp+1 {
+					for used[s] {
+						s++
+					}
+					slot[v], used[s] = s, true
+					admit = append(admit, Admission{Pos: pos[v], Slot: s})
+				}
+			}
+			sc.Free[g+1], sc.Admit[g+1] = append([]int32(nil), freed...), admit
+			cur, nextC = nextC, cur
 		}
 		for _, v := range ids {
 			last[v] = int32(g) + 1

@@ -24,19 +24,28 @@ var handRounds = [][]int32{
 //   - C2 from C1 ∪ I0 = {1,2,3,4}: next uses 4→2, 1→3, 2→4, 3 never → {1,4}
 //   - C3 from C2 ∪ I1 = {1,3,4,5}: 1→3, 5→3, 3 and 4 never → {1,5}
 //   - C4 from C3 ∪ I2 = {1,4,5,6}: only 6 is used again → {6}
+//
+// Slots: 1 and 2 start in slots 0 and 1. C2 drops 2 and admits 4 into its
+// slot 1; C3 drops 4 and admits 5 into slot 1; C4 drops 1 and 5 and admits
+// 6 into the lower freed slot, 0.
 func TestPlanMatchesHandCount(t *testing.T) {
-	sc, err := Plan(10, handRounds, []int32{1, 2}, 2, true)
+	start := []int32{1, 2}
+	sc, err := Plan(10, handRounds, start, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := &Schedule{
-		Members:     [][]int32{{1, 2}, {1, 2}, {1, 4}, {1, 5}, {6}},
-		Admit:       [][]int32{nil, nil, {2}, {1}, {1}},
+		Free:        [][]int32{nil, nil, {1}, {1}, {0, 1}},
+		Admit:       [][]Admission{nil, nil, {{Pos: 2, Slot: 1}}, {{Pos: 1, Slot: 1}}, {{Pos: 1, Slot: 0}}},
 		RemoteFetch: []int{2, 2, 1, 1, 1},
 		Wire:        []int{2, 1, 1, 0, 1},
 	}
 	if !reflect.DeepEqual(sc, want) {
 		t.Fatalf("plan\n got %+v\nwant %+v", sc, want)
+	}
+	wantMembers := [][]int32{{1, 2}, {1, 2}, {1, 4}, {1, 5}, {6}}
+	if got := members(t, sc, handRounds, start, 2); !reflect.DeepEqual(got, wantMembers) {
+		t.Fatalf("memberships %v, want %v", got, wantMembers)
 	}
 }
 
@@ -48,18 +57,23 @@ func TestPlanMatchesHandCount(t *testing.T) {
 //
 // Every remote access costs wire.
 func TestPlanWithoutInheritance(t *testing.T) {
-	sc, err := Plan(10, handRounds, []int32{1, 2}, 2, false)
+	start := []int32{1, 2}
+	sc, err := Plan(10, handRounds, start, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := &Schedule{
-		Members:     [][]int32{{1, 2}, {1, 2}, {1, 4}, {1, 4}, {6}},
-		Admit:       [][]int32{nil, nil, {2}, nil, {1}},
+		Free:        [][]int32{nil, nil, {1}, nil, {0, 1}},
+		Admit:       [][]Admission{nil, nil, {{Pos: 2, Slot: 1}}, nil, {{Pos: 1, Slot: 0}}},
 		RemoteFetch: []int{2, 2, 1, 1, 1},
 		Wire:        []int{2, 2, 1, 1, 1},
 	}
 	if !reflect.DeepEqual(sc, want) {
 		t.Fatalf("plan\n got %+v\nwant %+v", sc, want)
+	}
+	wantMembers := [][]int32{{1, 2}, {1, 2}, {1, 4}, {1, 4}, {6}}
+	if got := members(t, sc, handRounds, start, 2); !reflect.DeepEqual(got, wantMembers) {
+		t.Fatalf("memberships %v, want %v", got, wantMembers)
 	}
 }
 
@@ -78,7 +92,7 @@ func TestPlanStaticSpecialCase(t *testing.T) {
 	if got, want := sc.Wire, []int{3, 1}; !slices.Equal(got, want) {
 		t.Fatalf("wire %v, want %v", got, want)
 	}
-	for g, m := range sc.Members {
+	for g, m := range members(t, sc, rounds, []int32{3, 8}, 2) {
 		if !slices.Equal(m, []int32{3, 8}) {
 			t.Fatalf("round %d membership %v, want the start", g, m)
 		}
@@ -95,7 +109,7 @@ func TestPlanTieBreakAscendingID(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sc.Members[3]; !slices.Equal(got, []int32{4, 6}) {
+		if got := members(t, sc, rounds, start, 2)[3]; !slices.Equal(got, []int32{4, 6}) {
 			t.Fatalf("start %v: C3 = %v, want [4 6]", start, got)
 		}
 	}
@@ -112,10 +126,11 @@ func TestPlanDropsRowsNeverUsedAgain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sc.Members[2]; !slices.Equal(got, []int32{7}) {
+	m := members(t, sc, rounds, []int32{5, 7}, 4)
+	if got := m[2]; !slices.Equal(got, []int32{7}) {
 		t.Fatalf("C2 = %v, want [7]", got)
 	}
-	if got := sc.Members[3]; len(got) != 0 {
+	if got := m[3]; len(got) != 0 {
 		t.Fatalf("C3 = %v, want empty: 7's round-3 read is inherited", got)
 	}
 }
@@ -128,9 +143,10 @@ func TestPlanEmptyFutureKeepsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := members(t, sc, rounds, []int32{1, 2, 3}, 3)
 	for g := 2; g < len(rounds); g++ {
-		if len(sc.Members[g]) != 0 || len(sc.Admit[g]) != 0 {
-			t.Fatalf("round %d keeps %v (admits %v) with no future reads", g, sc.Members[g], sc.Admit[g])
+		if len(m[g]) != 0 || len(sc.Admit[g]) != 0 {
+			t.Fatalf("round %d keeps %v (admits %v) with no future reads", g, m[g], sc.Admit[g])
 		}
 	}
 }
@@ -143,6 +159,60 @@ func TestPlanRejectsOutOfRange(t *testing.T) {
 	if _, err := Plan(4, nil, []int32{-1}, 1, true); err == nil {
 		t.Fatal("start id -1 accepted")
 	}
+	if _, err := Plan(4, nil, []int32{2, 2}, 2, true); err == nil {
+		t.Fatal("duplicate start id accepted")
+	}
+}
+
+// members replays sc's slot changes from start, checking them as it goes,
+// and returns every round's membership: the start as given for rounds 0
+// and 1, ascending ids after. A round's freed slots must be occupied, and
+// its admissions, in ascending id order, must fill the then-empty slots
+// in ascending slot order without reaching max(capacity, len(start)).
+func members(t *testing.T, sc *Schedule, rounds [][]int32, start []int32, capacity int) [][]int32 {
+	t.Helper()
+	slots := make([]int32, max(capacity, len(start)))
+	for s := range slots {
+		slots[s] = -1
+	}
+	copy(slots, start)
+	out := make([][]int32, len(rounds))
+	for g := range rounds {
+		if g <= 1 {
+			if len(sc.Free[g]) != 0 || len(sc.Admit[g]) != 0 {
+				t.Fatalf("round %d changes slots: frees %v, admits %v", g, sc.Free[g], sc.Admit[g])
+			}
+			out[g] = start
+			continue
+		}
+		for i, s := range sc.Free[g] {
+			if slots[s] < 0 || i > 0 && s <= sc.Free[g][i-1] {
+				t.Fatalf("round %d frees %v over slots %v", g, sc.Free[g], slots)
+			}
+			slots[s] = -1
+		}
+		empty := 0
+		for _, a := range sc.Admit[g] {
+			for empty < len(slots) && slots[empty] >= 0 {
+				empty++
+			}
+			if empty == len(slots) || a.Slot != int32(empty) {
+				t.Fatalf("round %d admits %v over slots %v: want the lowest empty slot", g, sc.Admit[g], slots)
+			}
+			v := rounds[g-2][a.Pos]
+			if slices.Contains(slots, v) {
+				t.Fatalf("round %d admits %d, which is cached", g, v)
+			}
+			slots[empty] = v
+		}
+		for _, v := range slots {
+			if v >= 0 {
+				out[g] = append(out[g], v)
+			}
+		}
+		slices.Sort(out[g])
+	}
+	return out
 }
 
 // randomRounds draws an epoch of rounds over n vertices: each round reads
@@ -224,8 +294,9 @@ func TestPlanInvariantsRandom(t *testing.T) {
 		if !reflect.DeepEqual(sc, again) {
 			t.Fatalf("trial %d: Plan is not deterministic", trial)
 		}
+		m := members(t, sc, rounds, start, capacity)
 		for g := range rounds {
-			c := sc.Members[g]
+			c := m[g]
 			if g <= 1 {
 				if !slices.Equal(c, start) {
 					t.Fatalf("trial %d: C%d = %v, want the start %v", trial, g, c, start)
@@ -234,13 +305,13 @@ func TestPlanInvariantsRandom(t *testing.T) {
 				if len(c) > capacity {
 					t.Fatalf("trial %d: C%d holds %d rows, capacity %d", trial, g, len(c), capacity)
 				}
-				prev, src := sc.Members[g-1], rounds[g-2]
+				prev, src := m[g-1], rounds[g-2]
 				if want := naiveStep(rounds, prev, src, g, capacity, inherit); !slices.Equal(c, want) {
 					t.Fatalf("trial %d: C%d = %v, definition gives %v", trial, g, c, want)
 				}
 				var admitted []int32
-				for _, p := range sc.Admit[g] {
-					admitted = append(admitted, src[p])
+				for _, a := range sc.Admit[g] {
+					admitted = append(admitted, src[a.Pos])
 				}
 				var fresh []int32
 				for _, v := range c {

@@ -93,12 +93,6 @@ func (d *Dataset) IDsInSplit(s Split) []int32 {
 // TrainIDs returns the training vertices in ascending order.
 func (d *Dataset) TrainIDs() []int32 { return d.IDsInSplit(SplitTrain) }
 
-// ValIDs returns the validation vertices in ascending order.
-func (d *Dataset) ValIDs() []int32 { return d.IDsInSplit(SplitVal) }
-
-// TestIDs returns the test vertices in ascending order.
-func (d *Dataset) TestIDs() []int32 { return d.IDsInSplit(SplitTest) }
-
 // CountSplit returns the number of vertices in split s.
 func (d *Dataset) CountSplit(s Split) int {
 	c := 0

@@ -99,13 +99,6 @@ func (c *Chaos) Clear() {
 	}
 }
 
-// Stalled reports whether the stall gate is currently tripped.
-func (c *Chaos) Stalled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stalled
-}
-
 // Kill trips the death gate manually: from now on every wrapped collective
 // closes its group and fails permanently, exactly as DropAtCall would at a
 // collective count. Like the rest of the schedule the state lives in the
@@ -113,10 +106,6 @@ func (c *Chaos) Stalled() bool {
 // machine does not come back because the survivors built a new group.
 // Idempotent.
 func (c *Chaos) Kill() { c.killed.Store(true) }
-
-// Killed reports whether the death gate has been tripped (by Kill or by
-// the DropAtCall schedule reaching its collective).
-func (c *Chaos) Killed() bool { return c.killed.Load() }
 
 // Calls returns the shared collective counter (for tests asserting a
 // schedule actually fired).

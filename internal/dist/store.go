@@ -63,11 +63,14 @@ type GatherStats struct {
 //
 // The cache is versioned: gathers read whichever cache.Epoch was current
 // when they started (one atomic pointer load per gather), and InstallEpoch
-// swaps in a new immutable epoch between rounds without touching in-flight
-// readers. The store keeps the epoch it was built with as its setup
-// epoch: training installs its scheduled epochs round by round and
-// re-installs the setup epoch when the epoch ends, and siblings start on
-// it.
+// swaps in a new epoch between rounds without touching in-flight readers.
+// An installed epoch is immutable, with a single exception: training's
+// private working epoch, which only the goroutine that gathers rewrites,
+// in place and only between its own gathers. The store keeps the epoch it
+// was built with as its setup epoch: training installs its working epoch
+// when a training epoch begins and re-installs the setup epoch when it
+// ends, and siblings start on it, so siblings, evaluation and checkpoints
+// only ever see the setup epoch.
 //
 // The gather path is allocation-free at steady state: output matrices come
 // from a pooled tensor arena (return them with Release), request ids and
@@ -188,8 +191,8 @@ func validateEpoch(ep *cache.Epoch, dim int) error {
 	if ep.Rows == nil {
 		return fmt.Errorf("dist: cache epoch gen %d has no data rows for %d cached ids", ep.Gen, ep.Index.Len())
 	}
-	if ep.Rows.Rows != ep.Index.Len() {
-		return fmt.Errorf("dist: cache epoch gen %d has %d data rows for %d cached ids", ep.Gen, ep.Rows.Rows, ep.Index.Len())
+	if slots := len(ep.Index.IDs()); ep.Rows.Rows != slots {
+		return fmt.Errorf("dist: cache epoch gen %d has %d data rows for %d cache slots", ep.Gen, ep.Rows.Rows, slots)
 	}
 	if ep.Rows.Cols != dim {
 		return fmt.Errorf("dist: cache epoch gen %d width %d != feature dim %d", ep.Gen, ep.Rows.Cols, dim)
@@ -237,9 +240,10 @@ func (s *Store) InstallEpoch(ep *cache.Epoch) (*cache.Epoch, error) {
 }
 
 // Epoch returns the store's current cache epoch (nil when caching is
-// disabled). The epoch is immutable while installed; its IDs and Gen are
-// safe to read from any goroutine that knows it stays installed (a
-// training epoch's scheduled epochs are recycled as the next round's).
+// disabled). An epoch other than training's working epoch is immutable
+// while installed, so its IDs and Gen are safe to read from any goroutine
+// that knows it stays installed; the working epoch, installed only while a
+// training epoch runs, changes at every round barrier.
 func (s *Store) Epoch() *cache.Epoch { return s.epoch.Load() }
 
 // SetupEpoch returns the epoch the store was built with (nil when caching
@@ -277,7 +281,7 @@ func (s *Store) Codec() Codec { return s.codec }
 // distinct matched group.
 //
 // The sibling starts on the parent's setup epoch, not its current one (a
-// training epoch's scheduled epoch is transient and about to be recycled),
+// training epoch's working epoch is rewritten in place every round),
 // and versions independently afterwards: an InstallEpoch on either store
 // is invisible to the other, so a serving sibling can track drift while
 // the training store's trajectory stays untouched.

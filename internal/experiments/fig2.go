@@ -25,24 +25,6 @@ type Fig2Config struct {
 	Workers    int
 }
 
-// DefaultFig2Config mirrors the paper's setup.
-func DefaultFig2Config() Fig2Config {
-	return Fig2Config{
-		K:     8,
-		Batch: 1024,
-		FanoutSets: [][]int{
-			{15, 10, 5},
-			{10, 10, 10},
-			{5, 5, 5},
-		},
-		Alphas:     []float64{0.05, 0.10, 0.20, 0.50, 1.00},
-		EvalEpochs: 5,
-		SimEpochs:  2,
-		Seed:       1,
-		Workers:    2,
-	}
-}
-
 // Fig2Panel is one fanout setting's results: per-epoch remote
 // communication volume in vertices, per policy and replication factor,
 // bracketed by the no-cache upper bound and oracle lower bound.

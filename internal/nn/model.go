@@ -207,15 +207,6 @@ func (m *Model) ZeroGrad() {
 	}
 }
 
-// NumParameters returns the total scalar parameter count.
-func (m *Model) NumParameters() int {
-	t := 0
-	for _, p := range m.params {
-		t += p.NumValues()
-	}
-	return t
-}
-
 // CopyWeightsFrom copies parameter values (not optimizer state) from o.
 // Used to give every distributed rank identical initial weights.
 func (m *Model) CopyWeightsFrom(o *Model) error {

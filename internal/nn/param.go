@@ -36,9 +36,6 @@ func NewParam(rows, cols int) *Param {
 // ZeroGrad clears the gradient accumulator.
 func (p *Param) ZeroGrad() { p.G.Zero() }
 
-// NumValues returns the number of scalar parameters.
-func (p *Param) NumValues() int { return len(p.W.Data) }
-
 // EnsureResidual allocates the error-feedback buffer if it is missing.
 // Idempotent; called once at setup when a lossy gradient codec is
 // configured.

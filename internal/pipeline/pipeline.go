@@ -174,12 +174,8 @@ func NewRank(cfg Config, commFeat, commGrad dist.Comm, store *dist.Store, s *sam
 			layerRes[li] = append(layerRes[li], p.EF)
 		}
 	}
-	sched, err := newCacheSchedule(commFeat.Rank(), store, s, cfg.PipelineDepth >= 2)
-	if err != nil {
-		return nil, err
-	}
 	return &Rank{
-		sched:     sched,
+		sched:     newCacheSchedule(commFeat.Rank(), store, s, cfg.PipelineDepth >= 2),
 		cfg:       cfg,
 		commFeat:  commFeat,
 		commGrad:  commGrad,
@@ -618,8 +614,8 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 // With a cache schedule sc (nil runs the epoch on the setup epoch), the
 // stage also moves the store's cache along it: a completed round's matrix
 // stages the rows the schedule admits from it before the round is
-// delivered, and the epoch round g+1 reads is installed right after round
-// g's push (see cacheSchedule). all, base and start are the epoch's
+// delivered, and the working epoch is rewritten to the membership round
+// g+1 reads right after round g's push (see cacheSchedule). all, base and start are the epoch's
 // rounds, sampling base and first round, from which sc plans.
 //
 // A gather error is returned with every held batch's pooled buffers back in

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"salientpp/internal/cache"
 	"salientpp/internal/dataset"
 	"salientpp/internal/dist"
 	"salientpp/internal/tensor"
@@ -346,20 +345,6 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 	if _, err := NewCluster(unmat, smallConfig()); err == nil {
 		t.Fatal("expected materialization error")
-	}
-}
-
-func TestAlternativeCachePolicy(t *testing.T) {
-	d := smallDataset(t)
-	cfg := smallConfig()
-	cfg.CachePolicy = cache.Degree{}
-	cl, err := NewCluster(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.TrainEpochAll(0); err != nil {
-		t.Fatal(err)
 	}
 }
 

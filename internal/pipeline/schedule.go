@@ -16,20 +16,23 @@ import (
 // (seed, rank, epoch, round), so at epoch start the rank re-derives the
 // whole epoch's remote input ids with the pipeline's own RNG streams
 // (keeping ids only) and cache.Plan turns them into a Belady schedule
-// C_0 … C_{R−1} that starts from the setup epoch. The gather stage then
-// installs C_{g+1} after pushing round g: its kept rows are copied from
-// C_g, its admissions from round g−1's completed feature matrix, staged
-// when that round completed. Feature values are the same whichever path a
-// row takes (cached rows are hydrated through the wire codec), so training
-// is bitwise that of the static setup cache; only which rows cross the
-// wire changes. The store returns to the setup epoch when the epoch ends,
-// on every path, so evaluation, serving siblings and checkpoints only ever
-// see the setup epoch.
+// C_0 … C_{R−1} that starts from the setup epoch and places every row in a
+// slot. The rank trains on a private working epoch, copied from the setup
+// epoch when the epoch begins and installed once: after round g's push
+// the gather stage rewrites it from C_g to C_{g+1} in place, emptying the
+// slots C_{g+1} frees and copying its admissions — staged from round
+// g−1's completed feature matrix when that round completed — into their
+// slots. Kept rows are not touched. Feature values are the same whichever
+// path a row takes (cached rows are hydrated through the wire codec), so
+// training is bitwise that of the static setup cache; only which rows
+// cross the wire changes. The store returns to the setup epoch when the
+// epoch ends, on every path, so evaluation, serving siblings and
+// checkpoints only ever see the setup epoch.
 //
 // The plan depends on (seed, rank, epoch, layout, setup epoch) and on
 // whether the stream inherits (depth ≥ 2; depth 1 never does) alone — not
 // on transport or GOMAXPROCS — so a resumed epoch recomputes it and
-// rebuilds the membership its first rounds need, rehydrating from the
+// replays rounds 2…start onto the working epoch, rehydrating from the
 // dataset the rows this process never gathered.
 type cacheSchedule struct {
 	rank      int
@@ -37,7 +40,7 @@ type cacheSchedule struct {
 	store     *dist.Store
 	sampler   *sample.Sampler
 	setup     *cache.Epoch
-	builder   *cache.EpochBuilder
+	work      cache.Epoch             // the working epoch, installed while an epoch runs
 	rehydrate func(v int32) []float32 // dataset rows for a resumed epoch; nil when unknown
 
 	// One epoch's state. remote[g] lists round g's remote input ids (the
@@ -49,52 +52,44 @@ type cacheSchedule struct {
 	remote  [][]int32
 	rowIn   [][]int32
 
-	cur      *cache.Epoch    // installed epoch: setup or builder-owned
-	stage    []float32       // rows the next install admits, staged dim-wide
-	staged   map[int32]int32 // staged id → its row in stage
-	fromData bool            // the next build may rehydrate rows from the dataset
+	stage []float32 // rows the next install admits, dim-wide in admission order
 }
 
 // newCacheSchedule returns the schedule of a rank whose store caches
 // something, and nil otherwise.
-func newCacheSchedule(rank int, store *dist.Store, s *sample.Sampler, inherit bool) (*cacheSchedule, error) {
+func newCacheSchedule(rank int, store *dist.Store, s *sample.Sampler, inherit bool) *cacheSchedule {
 	setup := store.SetupEpoch()
 	if setup.Len() == 0 {
-		return nil, nil
+		return nil
 	}
-	sc := &cacheSchedule{rank: rank, inherit: inherit, store: store, sampler: s, setup: setup, staged: map[int32]int32{}}
-	b, err := cache.NewEpochBuilder(store.Layout().NumVertices(), store.Dim(), sc.row)
-	if err != nil {
-		return nil, err
-	}
-	sc.builder = b
-	return sc, nil
+	return &cacheSchedule{rank: rank, inherit: inherit, store: store, sampler: s, setup: setup}
 }
 
-// begin starts deriving the epoch's plan in the background and prepares
-// round start: a resumed epoch installs C_start and stages C_{start+1}'s
-// admissions, both rehydrated from the dataset where this process never
-// gathered the rows. batches are all of the epoch's rounds and base the
-// sampling streams' parent, as the sampling stage uses them.
+// begin starts deriving the epoch's plan in the background, installs the
+// working epoch as a copy of the setup epoch and prepares round start: a
+// resumed epoch replays C_2 … C_start onto it and stages C_{start+1}'s
+// admissions, all rehydrated from the dataset. batches are all of the
+// epoch's rounds and base the sampling streams' parent, as the sampling
+// stage uses them.
 func (sc *cacheSchedule) begin(batches [][]int32, base *rng.RNG, start int) error {
-	sc.cur, sc.planErr = sc.setup, nil
+	sc.planErr = nil
 	sc.planned = make(chan error, 1)
 	go func() { sc.planned <- sc.derive(batches, base) }()
+	sc.work.CopyFrom(sc.setup)
+	if _, err := sc.store.InstallEpoch(&sc.work); err != nil {
+		return err
+	}
 	if start == 0 {
 		return nil
 	}
 	if sc.rehydrate == nil {
 		return fmt.Errorf("pipeline: resuming the scheduled cache at round %d needs the dataset's feature rows", start)
 	}
-	if err := sc.await(); err != nil {
-		return err
-	}
-	sc.fromData = true
-	defer func() { sc.fromData = false }()
-	if start >= 2 {
-		if err := sc.install(start); err != nil {
+	for g := 2; g <= start; g++ {
+		if err := sc.completed(g-2, nil); err != nil {
 			return err
 		}
+		sc.install(g)
 	}
 	return sc.completed(start-1, nil)
 }
@@ -138,7 +133,9 @@ func (sc *cacheSchedule) await() error {
 	return sc.planErr
 }
 
-// pushed installs C_{g+1} once round g has been classified against C_g.
+// pushed installs C_{g+1} once round g has been classified against C_g:
+// classify copies every cache hit into the round's matrix before
+// GatherNext returns, so no read of C_g's slots outlives the push.
 func (sc *cacheSchedule) pushed(g int) error {
 	if g+1 < 2 {
 		return nil
@@ -146,10 +143,10 @@ func (sc *cacheSchedule) pushed(g int) error {
 	if err := sc.await(); err != nil {
 		return err
 	}
-	if g+1 >= len(sc.plan.Members) {
-		return nil
+	if g+1 < len(sc.plan.Admit) {
+		sc.install(g + 1)
 	}
-	return sc.install(g + 1)
+	return nil
 }
 
 // completed stages, from round h's finished feature matrix, the rows
@@ -164,63 +161,40 @@ func (sc *cacheSchedule) completed(h int, feats *tensor.Matrix) error {
 	admit := sc.plan.Admit[h+2]
 	dim := sc.store.Dim()
 	sc.stage = slices.Grow(sc.stage[:0], len(admit)*dim)[:len(admit)*dim]
-	for k, p := range admit {
-		v := sc.remote[h][p]
+	for k, a := range admit {
 		row := sc.stage[k*dim : (k+1)*dim]
 		if feats != nil {
-			copy(row, feats.Row(int(sc.rowIn[h][p])))
+			copy(row, feats.Row(int(sc.rowIn[h][a.Pos])))
 		} else {
-			copy(row, sc.rehydrate(v))
+			copy(row, sc.rehydrate(sc.remote[h][a.Pos]))
 		}
-		sc.staged[v] = int32(k)
 	}
 	return nil
 }
 
-// install builds C_g — kept rows from the installed epoch, admitted ones
-// from the stage — installs it and recycles the epoch it displaced.
-func (sc *cacheSchedule) install(g int) error {
-	ep, err := sc.builder.Build(sc.plan.Members[g])
-	if err != nil {
-		return err
+// install rewrites the working epoch from C_{g−1} to C_g: the slots C_g
+// frees are emptied and its admissions, staged from round g−2, written
+// into theirs. It runs on the goroutine that gathers, between its
+// gathers, so no gather reads the epoch while it changes.
+func (sc *cacheSchedule) install(g int) {
+	idx, dim := sc.work.Index, sc.store.Dim()
+	for _, s := range sc.plan.Free[g] {
+		idx.Evict(s)
 	}
-	prev, err := sc.store.InstallEpoch(ep)
-	if err != nil {
-		sc.builder.Release(ep)
-		return err
+	for k, a := range sc.plan.Admit[g] {
+		idx.Put(sc.remote[g-2][a.Pos], a.Slot)
+		copy(sc.work.Rows.Row(int(a.Slot)), sc.stage[k*dim:(k+1)*dim])
 	}
-	sc.builder.Release(prev)
-	sc.cur = ep
-	clear(sc.staged)
-	return nil
 }
 
-// row is the builder's row source for C_g: a staged admission, else the
-// installed epoch's row, else (resume only) the dataset's.
-func (sc *cacheSchedule) row(v int32) []float32 {
-	dim := sc.store.Dim()
-	if k, ok := sc.staged[v]; ok {
-		return sc.stage[int(k)*dim : int(k+1)*dim]
-	}
-	if slot, ok := sc.cur.Index.Slot(v); ok {
-		return sc.cur.Rows.Row(int(slot))
-	}
-	if sc.fromData {
-		return sc.rehydrate(v)
-	}
-	panic(fmt.Sprintf("pipeline: scheduled cache row %d was neither staged nor cached", v))
-}
-
-// end returns the store to the setup epoch and recycles the last
-// scheduled one, on every exit path of the gather stage. It also waits
-// for the ahead sampler, so nothing of the epoch outlives it.
+// end returns the store to the setup epoch on every exit path of the
+// gather stage. It also waits for the ahead sampler, so nothing of the
+// epoch outlives it.
 func (sc *cacheSchedule) end() {
 	// Only joins the ahead sampler: a hook that needed the plan has
 	// already awaited it and reported its error.
 	_ = sc.await()
-	if prev, err := sc.store.InstallEpoch(sc.setup); err == nil {
-		sc.builder.Release(prev)
-	}
-	sc.cur = sc.setup
-	clear(sc.staged)
+	// The setup epoch was valid when the store was built, so this cannot
+	// fail.
+	_, _ = sc.store.InstallEpoch(sc.setup)
 }

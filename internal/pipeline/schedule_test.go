@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+
+	"salientpp/internal/dataset"
+	"salientpp/internal/tensor"
 )
 
 // TestScheduledCacheMatchesPlan pins the scheduled training cache to its
@@ -34,10 +37,10 @@ func TestScheduledCacheMatchesPlan(t *testing.T) {
 					for r, rk := range cl.Ranks {
 						sc, setup := rk.sched, rk.Store().SetupEpoch()
 						var remote, wire int
-						for g := range sc.plan.Members {
+						for g := range sc.plan.Wire {
 							remote += sc.plan.RemoteFetch[g]
 							wire += sc.plan.Wire[g]
-							if !slices.Equal(sc.plan.Members[g], setup.IDs()) {
+							if len(sc.plan.Admit[g]) > 0 {
 								moved++
 							}
 							for _, v := range sc.remote[g] {
@@ -65,7 +68,7 @@ func TestScheduledCacheMatchesPlan(t *testing.T) {
 				// The fixture must exercise what it claims: installs happen,
 				// and the schedule moves fewer rows than the static cache.
 				if moved == 0 || planned >= static {
-					t.Fatalf("fixture drifted: %d rounds off the setup membership, planned wire %d vs static %d", moved, planned, static)
+					t.Fatalf("fixture drifted: %d rounds admit rows, planned wire %d vs static %d", moved, planned, static)
 				}
 			})
 		}
@@ -112,5 +115,105 @@ func TestFullReplicationPutsNothingOnTheWire(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// trainedSchedule returns rank 0's cache schedule after one training epoch
+// at BatchSize 16 on the small fixture, with that epoch's plan still in
+// it, and feature matrices standing in for the epoch's gathered ones:
+// round g's holds the dataset row of each remote input where the gathered
+// matrix has it. The fixture trains over fp32, so those are the rows a
+// gather delivers.
+func trainedSchedule(t *testing.T) (*Cluster, *cacheSchedule, []*tensor.Matrix) {
+	t.Helper()
+	cfg := smallConfig()
+	cfg.Train.BatchSize = 16
+	cl, err := NewCluster(smallDataset(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.TrainEpochAll(0); err != nil {
+		cl.Close()
+		t.Fatal(err)
+	}
+	sc := cl.Ranks[0].sched
+	return cl, sc, roundFeatures(sc, cl.Data)
+}
+
+// roundFeatures builds one matrix per round of sc's plan holding each
+// remote input's dataset row at the row the round's gather puts it.
+func roundFeatures(sc *cacheSchedule, d *dataset.Dataset) []*tensor.Matrix {
+	feats := make([]*tensor.Matrix, len(sc.remote))
+	for g, ids := range sc.remote {
+		rows := 0
+		if k := len(sc.rowIn[g]); k > 0 {
+			rows = int(sc.rowIn[g][k-1]) + 1
+		}
+		feats[g] = tensor.New(rows, d.FeatureDim)
+		for i, v := range ids {
+			copy(feats[g].Row(int(sc.rowIn[g][i])), d.FeatureRow(v))
+		}
+	}
+	return feats
+}
+
+// replaySchedule runs the stage/install cycle of sc's planned epoch on its
+// working epoch, in the order the gather stage does — round h completes,
+// then round h+1's push installs C_{h+2} — calling installed(g) after C_g
+// is written.
+func replaySchedule(t testing.TB, sc *cacheSchedule, feats []*tensor.Matrix, installed func(g int)) {
+	for h := 0; h+2 < len(feats); h++ {
+		if err := sc.completed(h, feats[h]); err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.pushed(h + 1); err != nil {
+			t.Fatal(err)
+		}
+		if installed != nil {
+			installed(h + 2)
+		}
+	}
+}
+
+// TestInstallRewritesOnlyAdmittedSlots: an install of C_g writes the rows
+// it admits into their planned slots and leaves every other row alone,
+// and after it every slot holds the row of the id its index names.
+func TestInstallRewritesOnlyAdmittedSlots(t *testing.T) {
+	cl, sc, feats := trainedSchedule(t)
+	defer cl.Close()
+	w := &sc.work
+	w.CopyFrom(sc.setup)
+	before := slices.Clone(w.Rows.Data)
+	dim, admitted := w.Rows.Cols, 0
+	replaySchedule(t, sc, feats, func(g int) {
+		written := map[int32]bool{}
+		for _, a := range sc.plan.Admit[g] {
+			written[a.Slot] = true
+		}
+		admitted += len(written)
+		members := 0
+		for s, v := range w.IDs() {
+			row := w.Rows.Data[s*dim : (s+1)*dim]
+			if !written[int32(s)] && !slices.Equal(row, before[s*dim:(s+1)*dim]) {
+				t.Fatalf("C%d rewrote slot %d, which it does not admit into", g, s)
+			}
+			if v < 0 {
+				continue
+			}
+			members++
+			if slot, ok := w.Index.Slot(v); !ok || slot != int32(s) {
+				t.Fatalf("C%d: slot %d holds %d, whose index entry is %d,%v", g, s, v, slot, ok)
+			}
+			if !slices.Equal(row, cl.Data.FeatureRow(v)) {
+				t.Fatalf("C%d: slot %d does not hold the row of %d", g, s, v)
+			}
+		}
+		if members != w.Len() {
+			t.Fatalf("C%d: %d occupied slots, Len %d", g, members, w.Len())
+		}
+		copy(before, w.Rows.Data)
+	})
+	if admitted == 0 {
+		t.Fatal("fixture drifted: the plan admits nothing")
 	}
 }

@@ -27,9 +27,6 @@ type ClusterConfig struct {
 	// VIPReorder ranks local vertices by VIP value before the CPU/GPU
 	// split; false keeps the arbitrary post-partition order ("no reorder").
 	VIPReorder bool
-	// CachePolicy ranks each rank's remote vertices for the setup-time
-	// cache; nil means cache.VIP{}.
-	CachePolicy cache.Ranker
 	// Hidden, Layers, Dropout, and Train configure the model and loop.
 	Hidden  int
 	Layers  int
@@ -62,8 +59,8 @@ type ClusterConfig struct {
 	// loaded so training continues bitwise identically from the saved
 	// epoch/round cursor. The dataset and the training configuration
 	// (fanouts, batch size, seeds, K) must match the checkpointed run;
-	// VIPReorder and CachePolicy are ignored because the topology is
-	// pinned. Drive epochs starting at FirstEpoch().
+	// VIPReorder is ignored because the topology is pinned. Drive epochs
+	// starting at FirstEpoch().
 	Resume *ckpt.TrainState
 	// WrapComm, when non-nil, wraps each rank's communicators before the
 	// store and training loop are built. This is the crash-recovery
@@ -147,9 +144,6 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Layers == 0 {
 		cfg.Layers = len(cfg.Train.Fanouts)
 	}
-	if cfg.CachePolicy == nil {
-		cfg.CachePolicy = cache.VIP{}
-	}
 	codec, err := dist.ParseCodec(cfg.Codec)
 	if err != nil {
 		return nil, err
@@ -214,7 +208,7 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 		local := &tensor.Matrix{Rows: hi - lo, Cols: dim, Data: rds.Features[lo*dim : hi*dim : hi*dim]}
 
 		// Remote cache: restored verbatim from the checkpoint topology, or
-		// built by the configured ranker (reordered id space) on a fresh
+		// the top of the VIP ranking (reordered id space) on a fresh
 		// cluster. Feature rows are always rehydrated from the dataset —
 		// checkpoints store cache membership, not feature bytes — through
 		// the wire codec, so a cached row holds exactly what a fetch of it
@@ -237,7 +231,7 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 				BatchSize: cfg.Train.BatchSize, Seed: cfg.Train.Seed + uint64(rank),
 				Workers: cfg.Train.Parallelism,
 			}
-			ranking, err := cfg.CachePolicy.Rank(ctx)
+			ranking, err := cache.VIP{}.Rank(ctx)
 			if err != nil {
 				return nil, err
 			}

@@ -137,9 +137,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// Int31n returns a uniform int32 in [0, n).
-func (r *RNG) Int31n(n int32) int32 { return int32(r.Intn(int(n))) }
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
