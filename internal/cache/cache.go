@@ -1,25 +1,32 @@
-// Package cache implements the static remote-feature caches of SALIENT++
-// and the seven ranking policies compared in the paper's Figure 2:
-// "deg." (degree with reachability filter), "1-hop" (halo replication),
-// "wPR" (weighted reverse PageRank), "#paths" (bounded path counting),
-// "sim." (empirical access frequencies over simulated epochs), "VIP"
-// (the analytic model of Proposition 1), and "oracle" (retroactive actual
-// frequencies — the communication lower bound).
+// Package cache implements the remote-feature caches of SALIENT++ and the
+// seven ranking policies compared in the paper's Figure 2: "deg." (degree
+// with reachability filter), "1-hop" (halo replication), "wPR" (weighted
+// reverse PageRank), "#paths" (bounded path counting), "sim." (empirical
+// access frequencies over simulated epochs), "VIP" (the analytic model of
+// Proposition 1), and "oracle" (retroactive actual frequencies — the
+// communication lower bound).
 //
 // All policies produce a per-partition ranking of remote vertices; the
-// cache stores the top α·N/K of them (replication factor α, §3.2).
+// setup cache stores the top α·N/K of them (replication factor α, §3.2),
+// built once as a generation-0 Epoch. The cache then moves one way: its
+// owner rewrites a private working copy of that epoch in place, evicting
+// rows and writing only the rows it admits into the freed slots by one
+// slot rule (Cache.Admit). Training follows a per-epoch Belady plan
+// (Plan); serving's online cache follows a drift-tracking scorer
+// (Online, Epoch.Retarget).
 package cache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Cache is a set of remote vertices whose features a machine replicates
 // locally, each in a storage slot. Has and Slot read one dense id→slot
 // index, so a lookup is a single array load. A cache from Build fills
-// slots 0…Len()−1 in rank order; the training working epoch empties and
-// refills single slots in place (Evict, Put), so its slots may have holes.
+// slots 0…Len()−1 in rank order; a working epoch empties and refills
+// single slots in place (Evict, Put, Admit), so its slots may have holes.
 type Cache struct {
 	slot []int32 // slot[v] is v's slot+1; 0 when v is not cached
 	ids  []int32 // ids[s] is the vertex in slot s; −1 for an empty slot
@@ -107,6 +114,24 @@ func (c *Cache) Put(v, s int32) {
 	c.size++
 }
 
+// Admit caches ids — distinct, uncached, in any order; Admit sorts them
+// ascending in place — and appends each one's slot to slots. This is the
+// slot rule every cache move follows, training's plan and serving's
+// retarget alike: admissions, taken in ascending id order, fill the empty
+// slots in ascending slot order. c must have an empty slot for every id.
+func (c *Cache) Admit(ids, slots []int32) []int32 {
+	slices.Sort(ids)
+	s := int32(0)
+	for _, v := range ids {
+		for c.ids[s] >= 0 {
+			s++
+		}
+		c.Put(v, s)
+		slots = append(slots, s)
+	}
+	return slots
+}
+
 // Len returns the number of cached vertices.
 func (c *Cache) Len() int { return c.size }
 
@@ -143,13 +168,11 @@ func FromRanking(ranking []int32, capacity, n int) (*Cache, error) {
 // rankByScore sorts candidate ids by descending score with ascending-id
 // tie-breaks, giving deterministic rankings.
 func rankByScore(ids []int32, score func(int32) float64) []int32 {
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ids[i], ids[j]
-		sa, sb := score(a), score(b)
-		if sa != sb {
-			return sa > sb
+	slices.SortFunc(ids, func(a, b int32) int {
+		if sa, sb := score(a), score(b); sa != sb {
+			return cmp.Compare(sb, sa)
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	return ids
 }

@@ -2,45 +2,33 @@ package cache
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 
 	"salientpp/internal/tensor"
 )
 
 // Epoch is one version of a rank's remote-feature cache: the membership
 // index and the fp32 feature rows (Rows.Row(s) holds the features of
-// Index.IDs()[s]). Serving epochs are hydrated off the gather path
-// (EpochBuilder) and installed into a store by swapping a single atomic
-// pointer; once installed such an epoch is not written again until it is
-// released back to its builder, so any number of concurrent gathers may
-// read it while the next version is being built in the background. The
-// one epoch written while installed is training's private working epoch
-// (CopyFrom, then Index.Evict/Put and row copies between its gathers).
+// Index.IDs()[s]). A store reads its installed epoch through one atomic
+// pointer. An installed epoch is immutable, except a working epoch: a
+// private copy of the setup epoch (CopyFrom) that its one owner rewrites
+// in place, on the goroutine that gathers and only between its gathers —
+// training along its Belady plan (Index.Evict/Put), serving's online
+// cache along the scorer's proposals (Retarget). Either way an install
+// writes only the rows it admits.
 type Epoch struct {
 	// Gen is the install generation: 0 for the setup-time epoch (the
-	// truncated static ranking), incremented by the builder for every
-	// epoch built after it. A working epoch copies its source's.
+	// truncated static ranking), incremented by every Retarget that
+	// changes the membership. A working epoch starts at its source's.
 	Gen uint64
 	// Index is the membership index; Slot(v) gives the row of a cached id.
 	Index *Cache
 	// Rows holds the fp32 feature rows in slot order.
 	Rows *tensor.Matrix
 
-	owner    *EpochBuilder // pool owner; nil for setup epochs (never released)
-	released bool          // on owner's free list, awaiting a rebuild
-}
-
-// NewEpoch assembles the setup-time epoch (generation 0) from a built
-// index and its hydrated rows. index and rows may both be nil to disable
-// caching; otherwise rows must be parallel to index.IDs().
-func NewEpoch(index *Cache, rows *tensor.Matrix) (*Epoch, error) {
-	if (index == nil) != (rows == nil) {
-		return nil, fmt.Errorf("cache: epoch index and rows must be supplied together")
-	}
-	if index != nil && rows.Rows != len(index.ids) {
-		return nil, fmt.Errorf("cache: epoch has %d rows for %d cache slots", rows.Rows, len(index.ids))
-	}
-	return &Epoch{Index: index, Rows: rows}, nil
+	// Retarget scratch, reused across calls.
+	keep         []bool
+	fresh, slots []int32
 }
 
 // Len returns the number of cached ids (0 for a nil epoch or empty index).
@@ -75,26 +63,51 @@ func (e *Epoch) CopyFrom(src *Epoch) {
 	e.Gen = src.Gen
 }
 
-// EpochBuilder hydrates successive cache epochs for one rank: membership
-// ids in, a fully materialized Epoch out (index and feature rows pulled
-// from the row source). Serving's online cache builds its epochs here. A
-// released epoch is rebuilt in place by a later Build — its id→slot index
-// and ids slice are cleared and refilled, and its rows come back from a
-// builder-internal tensor.Pool — so a warm install cycle allocates nothing,
-// and the pool's Live gauge proves that shutdown — even mid-install —
-// leaks nothing.
-//
-// A builder serves one install stream (one store). Build/BuildFor and
-// Release may run on different goroutines; only one goroutine may build.
-type EpochBuilder struct {
-	n    int
-	dim  int
-	row  func(v int32) []float32
-	pool *tensor.Pool
-	gen  uint64
+// Retarget rewrites the working epoch e in place to hold exactly ids
+// (distinct, in [0, n), any order, no more than e has slots): the cached
+// ids missing from ids are evicted, the newcomers take the freed slots by
+// the slot rule (Cache.Admit), and only their rows are written, from row.
+// Kept ids keep their slots and rows. Gen advances when the membership
+// changed. It returns the newcomers' count (the install's churn) and
+// whether the membership changed. A warm Retarget allocates nothing
+// beyond what row does.
+func (e *Epoch) Retarget(ids []int32, row func(v int32) []float32) (churn int, changed bool) {
+	c := e.Index
+	e.keep = slices.Grow(e.keep[:0], len(c.ids))[:len(c.ids)]
+	clear(e.keep)
+	e.fresh = e.fresh[:0]
+	for _, v := range ids {
+		if s, ok := c.Slot(v); ok {
+			e.keep[s] = true
+		} else {
+			e.fresh = append(e.fresh, v)
+		}
+	}
+	evicted := 0
+	for s, v := range c.ids {
+		if v >= 0 && !e.keep[s] {
+			c.Evict(int32(s))
+			evicted++
+		}
+	}
+	if evicted == 0 && len(e.fresh) == 0 {
+		return 0, false
+	}
+	e.slots = c.Admit(e.fresh, e.slots[:0])
+	for i, v := range e.fresh {
+		copy(e.Rows.Row(int(e.slots[i])), row(v))
+	}
+	e.Gen++
+	return len(e.fresh), true
+}
 
-	mu   sync.Mutex
-	free []*Epoch // released epochs, rebuilt by the next Build
+// EpochBuilder hydrates setup-time cache epochs for one rank: membership
+// ids in, a fully materialized generation-0 Epoch out, its rows pulled
+// from the row source.
+type EpochBuilder struct {
+	n   int
+	dim int
+	row func(v int32) []float32
 }
 
 // NewEpochBuilder returns a builder over a graph with n vertices and
@@ -107,84 +120,19 @@ func NewEpochBuilder(n, dim int, row func(v int32) []float32) (*EpochBuilder, er
 	if row == nil {
 		return nil, fmt.Errorf("cache: epoch builder needs a feature row source")
 	}
-	return &EpochBuilder{n: n, dim: dim, row: row, pool: tensor.NewPool()}, nil
+	return &EpochBuilder{n: n, dim: dim, row: row}, nil
 }
 
-// Build materializes the next epoch holding exactly ids (slot order
-// preserved), rebuilding a released epoch when one is free. The rows
-// matrix is pooled; hand retired epochs back with Release.
+// Build materializes a generation-0 epoch holding exactly ids, the slot
+// of ids[i] being i, in freshly allocated storage.
 func (b *EpochBuilder) Build(ids []int32) (*Epoch, error) {
-	b.mu.Lock()
-	var e *Epoch
-	if k := len(b.free); k > 0 {
-		e = b.free[k-1]
-		b.free[k-1] = nil
-		b.free = b.free[:k-1]
-	}
-	b.mu.Unlock()
-	if e == nil {
-		e = &Epoch{Index: &Cache{slot: make([]int32, b.n)}, owner: b}
-	}
-	if err := e.Index.fill(ids); err != nil {
-		b.mu.Lock()
-		b.free = append(b.free, e)
-		b.mu.Unlock()
+	index, err := Build(ids, b.n)
+	if err != nil {
 		return nil, err
 	}
-	rows := b.pool.Get(len(ids), b.dim)
+	rows := tensor.New(len(ids), b.dim)
 	for i, v := range ids {
 		copy(rows.Row(i), b.row(v))
 	}
-	b.gen++
-	e.Gen, e.Rows, e.released = b.gen, rows, false
-	return e, nil
+	return &Epoch{Index: index, Rows: rows}, nil
 }
-
-// BuildFor materializes an epoch holding exactly ids, counting churn (the
-// newly admitted ids) against cur. Returns (nil, 0, nil) when the
-// membership is unchanged from cur's. Serving calls it from a background
-// builder goroutine; cur must stay the store's current epoch until the
-// result is installed (one outstanding build per builder guarantees this).
-func (b *EpochBuilder) BuildFor(ids []int32, cur *Epoch) (next *Epoch, churn int, err error) {
-	for _, v := range ids {
-		if cur == nil || cur.Index == nil || !cur.Index.Has(v) {
-			churn++
-		}
-	}
-	if churn == 0 && len(ids) == cur.Len() {
-		return nil, 0, nil
-	}
-	next, err = b.Build(ids)
-	if err != nil {
-		return nil, 0, err
-	}
-	return next, churn, nil
-}
-
-// Release returns a retired epoch to the builder: its rows go back to the
-// pool and the epoch itself is rebuilt by a later Build, so the caller
-// must drop every reference to it. Only epochs this builder built are
-// released (the setup epoch and foreign epochs are ignored), and releasing
-// an epoch twice before it is rebuilt is a no-op, so callers can
-// unconditionally release whatever an install displaced. The caller must
-// guarantee no gather still reads the epoch — installs at round barriers
-// do.
-func (b *EpochBuilder) Release(e *Epoch) {
-	if e == nil || e.owner != b {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if e.released {
-		return
-	}
-	e.released = true
-	b.pool.Put(e.Rows)
-	e.Rows = nil
-	e.Index.reset()
-	b.free = append(b.free, e)
-}
-
-// Live returns the number of built-and-unreleased epochs — the leak gauge
-// the shutdown regression tests assert returns to zero.
-func (b *EpochBuilder) Live() int64 { return b.pool.Live() }

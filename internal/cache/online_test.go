@@ -153,10 +153,11 @@ func TestOnlineObserveIgnoresLocalIDsAndOrder(t *testing.T) {
 }
 
 // TestStaticPolicyBitwiseUnchanged pins the static cache to the frozen
-// setup-time behavior: re-proposing the pinned setup prefix round after
-// round builds no epoch and counts no churn, so the store-side swap never
-// happens and the cache stays bitwise the setup-time truncated ranking —
-// rows hydrated from the row source in slot order — for the life of the run.
+// setup-time behavior: retargeting a working epoch to the pinned setup
+// prefix round after round changes nothing — no churn, no new generation,
+// not one row rewritten — so the cache stays bitwise the setup-time
+// truncated ranking, rows hydrated from the row source in slot order, for
+// the life of the run.
 func TestStaticPolicyBitwiseUnchanged(t *testing.T) {
 	const dim = 3
 	prefix := []int32{7, 2, 9, 4}
@@ -167,6 +168,9 @@ func TestStaticPolicyBitwiseUnchanged(t *testing.T) {
 	setup, err := builder.Build(prefix)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if setup.Gen != 0 {
+		t.Fatalf("setup epoch gen %d, want 0", setup.Gen)
 	}
 	ids := setup.IDs()
 	if len(ids) != len(prefix) {
@@ -183,29 +187,32 @@ func TestStaticPolicyBitwiseUnchanged(t *testing.T) {
 		}
 	}
 
+	var work Epoch
+	work.CopyFrom(setup)
+	reversed := slices.Clone(prefix)
+	slices.Reverse(reversed)
 	for round := 0; round < 100; round++ {
-		next, churn, err := builder.BuildFor(prefix, setup)
-		if err != nil {
-			t.Fatal(err)
+		p := prefix
+		if round%2 == 1 {
+			p = reversed // membership, not order, is what a retarget reads
 		}
-		if next != nil || churn != 0 {
-			t.Fatalf("round %d: static prefix produced an epoch (churn %d)", round, churn)
+		churn, changed := work.Retarget(p, func(v int32) []float32 {
+			t.Fatalf("round %d: static prefix hydrated vertex %d", round, v)
+			return nil
+		})
+		if changed || churn != 0 {
+			t.Fatalf("round %d: static prefix changed the epoch (churn %d)", round, churn)
 		}
 	}
-	if live := builder.Live(); live != 1 {
-		t.Fatalf("static proposals left %d epochs live, want the 1 built", live)
-	}
-	builder.Release(setup)
-	if live := builder.Live(); live != 0 {
-		t.Fatalf("%d epochs live after release", live)
+	if work.Gen != 0 || !slices.Equal(work.IDs(), prefix) || !slices.Equal(work.Rows.Data, setup.Rows.Data) {
+		t.Fatalf("static retargets moved the epoch: gen %d ids %v", work.Gen, work.IDs())
 	}
 }
 
-// TestInstallerChurnAndRelease exercises the build/install/release cycle of
-// EpochBuilder.BuildFor: churn counts only newly admitted ids, an unchanged
-// membership builds nothing, and releasing every retired epoch drains the
-// builder's pool.
-func TestInstallerChurnAndRelease(t *testing.T) {
+// TestRetargetChurnAndGeneration exercises the online install cycle on a
+// working epoch: churn counts only newly admitted ids, an unchanged
+// membership is no install, and an install advances the generation.
+func TestRetargetChurnAndGeneration(t *testing.T) {
 	const n, dim = 16, 3
 	builder, err := NewEpochBuilder(n, dim, testRowSource(dim))
 	if err != nil {
@@ -215,62 +222,85 @@ func TestInstallerChurnAndRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cur, err := builder.Build([]int32{1, 2})
+	setup, err := builder.Build([]int32{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cur.Gen != 1 {
-		t.Fatalf("first build gen %d", cur.Gen)
-	}
-	// Rows must be hydrated from the row source in slot order.
-	for i, v := range cur.IDs() {
-		if cur.Rows.At(i, 0) != float32(v*10) {
-			t.Fatalf("row %d not hydrated for vertex %d", i, v)
-		}
-	}
+	var cur Epoch
+	cur.CopyFrom(setup)
+	row := testRowSource(dim)
 
-	// Same membership proposed -> no build, no churn.
-	if next, churn, err := builder.BuildFor([]int32{1, 2}, cur); err != nil || next != nil || churn != 0 {
-		t.Fatalf("unchanged membership built an epoch: %v %d %v", next, churn, err)
+	// Same membership proposed -> no install, no churn.
+	if churn, changed := cur.Retarget([]int32{2, 1}, row); changed || churn != 0 || cur.Gen != 0 {
+		t.Fatalf("unchanged membership installed: churn %d changed %v gen %d", churn, changed, cur.Gen)
 	}
 
 	// Heat vertex 9 until it displaces a seed: churn 1 (only 9 is new).
 	for round := 0; round < 16; round++ {
 		pol.Observe([]int32{9, 1})
 	}
-	next, churn, err := builder.BuildFor(pol.Propose(2), cur)
-	if err != nil {
-		t.Fatal(err)
+	churn, changed := cur.Retarget(pol.Propose(2), row)
+	if !changed || churn != 1 {
+		t.Fatalf("expected a 1-churn install, got changed %v churn %d", changed, churn)
 	}
-	if next == nil || churn != 1 {
-		t.Fatalf("expected a 1-churn install, got %v churn %d", next, churn)
+	if cur.Gen != 1 {
+		t.Fatalf("generation did not advance: %d", cur.Gen)
 	}
-	if next.Gen != cur.Gen+1 {
-		t.Fatalf("generation did not advance: %d after %d", next.Gen, cur.Gen)
+	if cur.Len() != 2 || !cur.Index.Has(9) || !cur.Index.Has(1) || cur.Index.Has(2) {
+		t.Fatalf("installed membership %v, want {1, 9}", cur.IDs())
 	}
-	builder.Release(cur)
-	builder.Release(next)
-	if live := builder.Live(); live != 0 {
-		t.Fatalf("%d epochs live after releasing everything", live)
+	// 9 took the slot 2 freed; 1 kept its own.
+	if s, _ := cur.Index.Slot(9); s != 1 || cur.Rows.At(1, 0) != 90 {
+		t.Fatalf("vertex 9 in slot %d with row %v", s, cur.Rows.Row(1))
 	}
-	// Double release and foreign/nil release are no-ops.
-	builder.Release(next)
-	builder.Release(nil)
-	setup, err := NewEpoch(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	builder.Release(setup)
-	if live := builder.Live(); live != 0 {
-		t.Fatalf("release no-ops disturbed the gauge: %d", live)
+	if setup.Gen != 0 || !slices.Equal(setup.IDs(), []int32{1, 2}) {
+		t.Fatalf("retargeting the working copy moved the setup epoch: %v", setup.IDs())
 	}
 }
 
-// TestEpochBuilderRebuildAllocationFree: once a builder has released an
-// epoch, the next Build rebuilds it in place — index bitset, slot map, ids
-// and pooled rows — so a warm build/release cycle allocates nothing.
-func TestEpochBuilderRebuildAllocationFree(t *testing.T) {
+// TestRetargetSlotRule pins where a retarget puts what it admits and what
+// it writes: the evicted ids free their slots, the newcomers, in ascending
+// id order, take the lowest free slots, and only those slots' rows are
+// written — a kept slot's row is not touched.
+func TestRetargetSlotRule(t *testing.T) {
+	const n, dim = 16, 2
+	builder, err := NewEpochBuilder(n, dim, testRowSource(dim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup, err := builder.Build([]int32{7, 2, 9, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var work Epoch
+	work.CopyFrom(setup)
+	// Mark the kept slots' rows: a retarget that rewrote them would
+	// restore the row source's values.
+	work.Rows.Set(1, 0, -1)
+	work.Rows.Set(2, 0, -2)
+	churn, changed := work.Retarget([]int32{11, 9, 5, 2}, testRowSource(dim))
+	if !changed || churn != 2 || work.Gen != 1 {
+		t.Fatalf("churn %d changed %v gen %d", churn, changed, work.Gen)
+	}
+	if want := []int32{5, 2, 9, 11}; !slices.Equal(work.IDs(), want) {
+		t.Fatalf("slots hold %v, want %v", work.IDs(), want)
+	}
+	if want := []float32{50, 51, -1, 21, -2, 91, 110, 111}; !slices.Equal(work.Rows.Data, want) {
+		t.Fatalf("rows %v, want %v", work.Rows.Data, want)
+	}
+	// A shrinking proposal leaves the freed slots empty.
+	if churn, changed := work.Retarget([]int32{9}, testRowSource(dim)); !changed || churn != 0 {
+		t.Fatalf("shrink: churn %d changed %v", churn, changed)
+	}
+	if want := []int32{-1, -1, 9, -1}; !slices.Equal(work.IDs(), want) || work.Len() != 1 {
+		t.Fatalf("after shrink slots hold %v (len %d), want %v", work.IDs(), work.Len(), want)
+	}
+}
+
+// TestEpochBuilderBuild: a build holds exactly the ids asked for, slot i
+// holding ids[i] with its hydrated row, at generation 0, in storage of its
+// own; a failed build returns no epoch.
+func TestEpochBuilderBuild(t *testing.T) {
 	const n, dim = 4096, 16
 	b, err := NewEpochBuilder(n, dim, testRowSource(dim))
 	if err != nil {
@@ -283,57 +313,30 @@ func TestEpochBuilderRebuildAllocationFree(t *testing.T) {
 	for i := range c {
 		c[i] = int32((i*29 + 7) % n)
 	}
-	round := 0
-	cycle := func() {
-		ids := a
-		if round%2 == 1 {
-			ids = c
-		}
-		round++
-		ep, err := b.Build(ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Release(ep)
+	first, err := b.Build(a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		cycle()
-	}
-	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-		t.Fatalf("warm build/release allocated %.1f times per cycle, want 0", allocs)
-	}
-	// A rebuilt epoch is the membership asked for, not a mix with the
-	// one it was rebuilt from.
 	ep, err := b.Build(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(ep.IDs(), c) {
-		t.Fatal("rebuilt epoch ids differ from the build request")
+	if ep.Gen != 0 || !slices.Equal(ep.IDs(), c) || !slices.Equal(first.IDs(), a) {
+		t.Fatal("a build's ids differ from the build request")
 	}
 	for v := int32(0); v < n; v++ {
 		slot, ok := ep.Index.Slot(v)
 		if ok != slices.Contains(c, v) || ok != ep.Index.Has(v) {
-			t.Fatalf("vertex %d: membership %v, bitset %v, requested %v", v, ok, ep.Index.Has(v), slices.Contains(c, v))
+			t.Fatalf("vertex %d: membership %v, index %v, requested %v", v, ok, ep.Index.Has(v), slices.Contains(c, v))
 		}
 		if ok && ep.Rows.At(int(slot), 0) != float32(v*10) {
 			t.Fatalf("vertex %d: row not hydrated", v)
 		}
 	}
-	// A failed rebuild leaves nothing half-built behind.
-	b.Release(ep)
-	if _, err := b.Build([]int32{1, 2, 1}); err == nil {
+	if ep, err := b.Build([]int32{1, 2, 1}); err == nil || ep != nil {
 		t.Fatal("duplicate ids accepted")
 	}
-	ep, err = b.Build([]int32{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ep.Len() != 1 || ep.Index.Has(1) || !ep.Index.Has(2) {
-		t.Fatalf("rebuild after a failed build holds %v", ep.IDs())
-	}
-	b.Release(ep)
-	if live := b.Live(); live != 0 {
-		t.Fatalf("%d epochs live after releasing everything", live)
+	if _, err := NewEpochBuilder(n, dim, nil); err == nil {
+		t.Fatal("builder without a row source accepted")
 	}
 }

@@ -24,9 +24,10 @@ import (
 //
 // The plan also places rows in slots, so that an install rewrites only
 // what it admits: C_0's rows hold slots 0…len(start)−1 in the order given,
-// a row C_g drops frees its slot, and C_g's admissions, in ascending id
-// order, fill the empty slots in ascending slot order. A slot no
-// admission needs stays empty. No slot reaches max(capacity, len(start)).
+// a row C_g drops frees its slot, and C_g's admissions take the empty
+// slots by the slot rule (Cache.Admit: ascending ids into ascending
+// slots). A slot no admission needs stays empty. No slot reaches
+// max(capacity, len(start)).
 type Schedule struct {
 	// Free[g] (g ≥ 2) lists, ascending, the slots C_g frees: those of the
 	// rows of C_{g−1} it drops.
@@ -130,19 +131,20 @@ func Plan(n int, rounds [][]int32, start []int32, capacity int, inherit bool) (*
 	member := make([]int32, n) // g+1 when v ∈ C_g
 	cand := make([]int32, n)   // g+1 when v is a candidate for C_{g+1}
 	pos := make([]int32, n)    // v's position in rounds[g−1]
-	slot := make([]int32, n)   // v's slot while v ∈ C_g
 	clear(last)                // g when v ∈ I_{g−1}, while round g is counted
 	perRound := make([]int, r) // candidates by next-use round
 	type candidate struct{ v, next int32 }
 	var cands []candidate
-	var tie, nextC, freed []int32
+	var tie, nextC, freed, fresh, slots []int32
 	cur := slices.Clone(start)
-	used := make([]bool, max(capacity, len(start))) // slot occupancy
+	// placed tracks C_g's slots; slots past len(start) start empty.
+	placed := &Cache{slot: make([]int32, n), ids: slices.Repeat([]int32{-1}, max(capacity, len(start)))}
 	for i, v := range cur {
 		if member[v] != 0 {
 			return nil, fmt.Errorf("cache: duplicate start vertex %d", v)
 		}
-		member[v], slot[v], used[i] = 1, int32(i), true
+		member[v] = 1
+		placed.Put(v, int32(i))
 	}
 	for g, ids := range rounds {
 		stamp := int32(g) + 1
@@ -212,24 +214,24 @@ func Plan(n int, rounds [][]int32, start []int32, capacity int, inherit bool) (*
 					member[v] = stamp + 1
 				}
 			}
-			freed = freed[:0]
+			freed, fresh = freed[:0], fresh[:0]
 			for _, v := range cur {
 				if member[v] == stamp {
-					freed = append(freed, slot[v])
-					used[slot[v]] = false
+					s, _ := placed.Slot(v)
+					freed = append(freed, s)
+					placed.Evict(s)
 				}
 			}
 			slices.Sort(freed)
-			var admit []Admission
-			s := int32(0)
 			for _, v := range nextC {
 				if member[v] != stamp+1 {
-					for used[s] {
-						s++
-					}
-					slot[v], used[s] = s, true
-					admit = append(admit, Admission{Pos: pos[v], Slot: s})
+					fresh = append(fresh, v)
 				}
+			}
+			slots = placed.Admit(fresh, slots[:0])
+			var admit []Admission
+			for i, v := range fresh {
+				admit = append(admit, Admission{Pos: pos[v], Slot: slots[i]})
 			}
 			sc.Free[g+1], sc.Admit[g+1] = append([]int32(nil), freed...), admit
 			cur, nextC = nextC, cur

@@ -205,11 +205,7 @@ func TestSiblingStartsOnSetupEpoch(t *testing.T) {
 		for j := range rows.Data {
 			rows.Data[j] = float32(int(v)*10 + j)
 		}
-		ep, err := cache.NewEpoch(idx, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ep
+		return &cache.Epoch{Index: idx, Rows: rows}
 	}
 	setup, other := epochOf(5), epochOf(6)
 	st, err := NewStore(&echoComm{}, layout, dim, tensor.New(n/2, dim), setup, 1)

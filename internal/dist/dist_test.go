@@ -160,10 +160,7 @@ func TestStoreGather(t *testing.T) {
 		}
 		cdata := tensor.New(1, dim)
 		copy(cdata.Row(0), full.Row(int(cachedID)))
-		ep, err := cache.NewEpoch(cc, cdata)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ep := &cache.Epoch{Index: cc, Rows: cdata}
 		st, err := NewStore(comms[r], layout, dim, local, ep, 0.5)
 		if err != nil {
 			t.Fatal(err)

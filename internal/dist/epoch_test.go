@@ -21,8 +21,9 @@ type epochTrace struct {
 // runOnlineCacheScript drives a scripted online-cache serving loop over a
 // 2-rank store pair on the given transport: seeded static epochs, a
 // deterministic per-rank gather stream, an Online scorer observing every
-// round, and a synchronous propose→build→install→release cycle every two
-// rounds. Returns one trace per rank.
+// round, and every two rounds an in-place retarget of the rank's working
+// epoch — installed once, before the first gather — to the scorer's
+// proposal. Returns one trace per rank.
 func runOnlineCacheScript(t *testing.T, mk func(k int) ([]Comm, error)) []epochTrace {
 	t.Helper()
 	const (
@@ -48,10 +49,11 @@ func runOnlineCacheScript(t *testing.T, mk func(k int) ([]Comm, error)) []epochT
 	defer comms[0].Close()
 
 	type rankState struct {
-		store   *Store
-		online  *cache.Online
-		builder *cache.EpochBuilder
+		store  *Store
+		online *cache.Online
+		work   *cache.Epoch
 	}
+	row := func(v int32) []float32 { return full.Row(int(v)) }
 	ranks := make([]rankState, k)
 	for r := 0; r < k; r++ {
 		local := tensor.New(4, dim)
@@ -69,23 +71,21 @@ func runOnlineCacheScript(t *testing.T, mk func(k int) ([]Comm, error)) []epochT
 		for i := 0; i < 2; i++ {
 			copy(cdata.Row(i), full.Row(int(seedRanking[i])))
 		}
-		ep, err := cache.NewEpoch(cc, cdata)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ep := &cache.Epoch{Index: cc, Rows: cdata}
 		st, err := NewStore(comms[r], layout, dim, local, ep, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		builder, err := cache.NewEpochBuilder(n, dim, func(v int32) []float32 { return full.Row(int(v)) })
-		if err != nil {
+		work := &cache.Epoch{}
+		work.CopyFrom(ep)
+		if _, err := st.InstallEpoch(work); err != nil {
 			t.Fatal(err)
 		}
 		online, err := cache.NewOnline(n, int32(r*4), int32(r*4+4), seedRanking, nil, cache.OnlineConfig{HalfLife: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranks[r] = rankState{store: st, online: online, builder: builder}
+		ranks[r] = rankState{store: st, online: online, work: work}
 	}
 
 	traces := make([]epochTrace, k)
@@ -110,17 +110,8 @@ func runOnlineCacheScript(t *testing.T, mk func(k int) ([]Comm, error)) []epochT
 			rs.online.Observe(ids)
 			tr.Rounds = append(tr.Rounds, [2]int64{int64(stats.CacheHits), int64(stats.RemoteFetch)})
 			if (round+1)%2 == 0 {
-				next, _, err := rs.builder.BuildFor(rs.online.Propose(2), rs.store.Epoch())
-				if err != nil {
-					return err
-				}
-				if next != nil {
-					tr.Installs = append(tr.Installs, append([]int32(nil), next.IDs()...))
-					displaced, err := rs.store.InstallEpoch(next)
-					if err != nil {
-						return err
-					}
-					rs.builder.Release(displaced)
+				if _, changed := rs.work.Retarget(rs.online.Propose(2), row); changed {
+					tr.Installs = append(tr.Installs, append([]int32(nil), rs.work.IDs()...))
 				}
 			}
 		}
@@ -139,10 +130,13 @@ func runOnlineCacheScript(t *testing.T, mk func(k int) ([]Comm, error)) []epochT
 		if ranks[r].store.Epoch() != cur {
 			t.Fatalf("rank %d: a refused install displaced the current epoch", r)
 		}
-		// Leak check: release the installed epoch; the builder must drain.
-		ranks[r].builder.Release(cur)
-		if live := ranks[r].builder.Live(); live != 0 {
-			t.Fatalf("rank %d: %d epochs live after release", r, live)
+		if cur != ranks[r].work {
+			t.Fatalf("rank %d: the working epoch is no longer installed", r)
+		}
+		for s, v := range cur.IDs() {
+			if v >= 0 && !reflect.DeepEqual(cur.Rows.Row(s), full.Row(int(v))) {
+				t.Fatalf("rank %d: slot %d does not hold the row of %d", r, s, v)
+			}
 		}
 		if live := ranks[r].store.Live(); live != 0 {
 			t.Fatalf("rank %d: %d gather matrices live", r, live)

@@ -64,13 +64,14 @@ type GatherStats struct {
 // The cache is versioned: gathers read whichever cache.Epoch was current
 // when they started (one atomic pointer load per gather), and InstallEpoch
 // swaps in a new epoch between rounds without touching in-flight readers.
-// An installed epoch is immutable, with a single exception: training's
-// private working epoch, which only the goroutine that gathers rewrites,
-// in place and only between its own gathers. The store keeps the epoch it
-// was built with as its setup epoch: training installs its working epoch
-// when a training epoch begins and re-installs the setup epoch when it
-// ends, and siblings start on it, so siblings, evaluation and checkpoints
-// only ever see the setup epoch.
+// An installed epoch is immutable, except a working epoch: a store's
+// private copy of its setup epoch, which only the goroutine that gathers
+// rewrites, in place and only between its own gathers. The store keeps
+// the epoch it was built with as its setup epoch: training installs its
+// working epoch when a training epoch begins and re-installs the setup
+// epoch when it ends, and siblings start on it, so siblings, evaluation
+// and checkpoints only ever see the setup epoch. A serving sibling with an
+// online cache installs its own working epoch once and keeps it.
 //
 // The gather path is allocation-free at steady state: output matrices come
 // from a pooled tensor arena (return them with Release), request ids and
@@ -228,7 +229,7 @@ func newStore(comm Comm, layout *Layout, dim int, local *tensor.Matrix, gpuRows 
 // InstallEpoch atomically swaps in a new cache epoch and returns the one
 // it displaced. Gathers already in flight keep reading the old epoch;
 // gathers started after the swap read the new one — so the caller must
-// only release the returned epoch's storage once it can no longer be read,
+// only reuse the returned epoch's storage once it can no longer be read,
 // which installs at round barriers (between a store's gathers) guarantee
 // for free. The zero-alloc warm gather path is untouched: a swap costs
 // readers exactly one pointer load.
@@ -240,10 +241,10 @@ func (s *Store) InstallEpoch(ep *cache.Epoch) (*cache.Epoch, error) {
 }
 
 // Epoch returns the store's current cache epoch (nil when caching is
-// disabled). An epoch other than training's working epoch is immutable
-// while installed, so its IDs and Gen are safe to read from any goroutine
-// that knows it stays installed; the working epoch, installed only while a
-// training epoch runs, changes at every round barrier.
+// disabled). An epoch other than a working epoch is immutable while
+// installed, so its IDs and Gen are safe to read from any goroutine that
+// knows it stays installed; a working epoch changes between its owner's
+// gathers, so only that goroutine may read it while it is installed.
 func (s *Store) Epoch() *cache.Epoch { return s.epoch.Load() }
 
 // SetupEpoch returns the epoch the store was built with (nil when caching
@@ -281,7 +282,7 @@ func (s *Store) Codec() Codec { return s.codec }
 // distinct matched group.
 //
 // The sibling starts on the parent's setup epoch, not its current one (a
-// training epoch's working epoch is rewritten in place every round),
+// working epoch is rewritten in place between the parent's gathers),
 // and versions independently afterwards: an InstallEpoch on either store
 // is invisible to the other, so a serving sibling can track drift while
 // the training store's trajectory stays untouched.

@@ -56,10 +56,7 @@ func streamStores(t *testing.T, mk func(k int) ([]Comm, error), codec Codec) ([]
 		}
 		rows := tensor.New(1, streamDim)
 		copy(rows.Row(0), full.Row(int(cached)))
-		ep, err := cache.NewEpoch(cc, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ep := &cache.Epoch{Index: cc, Rows: rows}
 		counted[rank] = &countComm{Comm: comms[rank]}
 		st, err := NewStore(counted[rank], layout, streamDim, local, ep, 0.5)
 		if err != nil {
@@ -423,10 +420,7 @@ func TestGatherNextReusesPendingCacheHits(t *testing.T) {
 	full := streamFeatures()
 	script := [][]int32{{12, 15, 3}, {15, 12, 16}}
 	stores, counted := streamStores(t, NewLocalGroup, CodecFP32)
-	empty, err := cache.NewEpoch(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	empty := &cache.Epoch{}
 	var got []GatherStats
 	var feats [][]float32
 	onAllRanks(t, func(rank int) error {

@@ -212,16 +212,17 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 		// cluster. Feature rows are always rehydrated from the dataset —
 		// checkpoints store cache membership, not feature bytes — through
 		// the wire codec, so a cached row holds exactly what a fetch of it
-		// would deliver (a no-op copy under fp32).
-		var cc *cache.Cache
-		var cdata *tensor.Matrix
+		// would deliver (a no-op copy under fp32). A resumed epoch's
+		// scheduled cache rehydrates the members it never gathered the same
+		// way.
+		rowBuf := make([]float32, dim)
+		row := func(v int32) []float32 {
+			codec.RoundTripRow(rowBuf, rds.FeatureRow(v))
+			return rowBuf
+		}
+		var ids []int32
 		if cfg.Resume != nil {
-			if ids := cfg.Resume.Topo.CacheIDs[rank]; len(ids) > 0 {
-				cc, err = cache.Build(ids, ds.NumVertices())
-				if err != nil {
-					return nil, err
-				}
-			}
+			ids = cfg.Resume.Topo.CacheIDs[rank]
 		} else if capacity > 0 {
 			// cache.Context shares the vip.Config convention: Workers 0
 			// means GOMAXPROCS, so Parallelism passes through untouched.
@@ -235,22 +236,19 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			cc, err = cache.FromRanking(ranking, capacity, ds.NumVertices())
+			ids = ranking[:min(capacity, len(ranking))]
+		}
+		ep := &cache.Epoch{}
+		if len(ids) > 0 {
+			builder, err := cache.NewEpochBuilder(ds.NumVertices(), dim, row)
 			if err != nil {
 				return nil, err
 			}
-		}
-		if cc != nil {
-			cacheIDs[rank] = cc.IDs()
-			cdata = tensor.New(cc.Len(), rds.FeatureDim)
-			for i, v := range cc.IDs() {
-				codec.RoundTripRow(cdata.Row(i), rds.FeatureRow(v))
+			if ep, err = builder.Build(ids); err != nil {
+				return nil, err
 			}
 		}
-		ep, err := cache.NewEpoch(cc, cdata)
-		if err != nil {
-			return nil, err
-		}
+		cacheIDs[rank] = ep.IDs()
 
 		fc, gc := commFeat[rank], commGrad[rank]
 		if cfg.WrapComm != nil {
@@ -286,13 +284,7 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 			}
 		}
 		if rk.sched != nil {
-			// A resumed epoch rebuilds the scheduled members it never
-			// gathered from the dataset, as the setup cache above is.
-			row := make([]float32, rds.FeatureDim)
-			rk.sched.rehydrate = func(v int32) []float32 {
-				codec.RoundTripRow(row, rds.FeatureRow(v))
-				return row
-			}
+			rk.sched.rehydrate = row
 		}
 		cl.Ranks = append(cl.Ranks, rk)
 	}

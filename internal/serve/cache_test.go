@@ -3,7 +3,9 @@ package serve
 import (
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,11 +15,12 @@ import (
 )
 
 // testOnlineCacheSwapUnderLoad hammers an online-cache server from many
-// goroutines with a drifting hot set, so cache epochs are proposed, built
-// in the background, and swapped while sibling gathers are in flight —
-// the exact interleaving the -race CI job is pointed at. Afterwards it
-// checks that swaps actually happened, that every answer stayed finite,
-// and that shutdown releases every epoch and pooled matrix.
+// goroutines with a drifting hot set, so every engine retargets its
+// working epoch while its peers' gathers are in flight — the exact
+// interleaving the -race CI job is pointed at. Afterwards it checks that
+// installs actually happened, that every answer stayed finite, that every
+// engine still serves from its working epoch, and that shutdown returns
+// every pooled matrix.
 func testOnlineCacheSwapUnderLoad(t *testing.T, useTCP bool) {
 	cl := serveCluster(t, 2, 0.2, useTCP)
 	defer cl.Close()
@@ -93,11 +96,8 @@ func testOnlineCacheSwapUnderLoad(t *testing.T, useTCP bool) {
 		t.Fatal(err)
 	}
 	for i, e := range srv.engines {
-		if e.builder == nil {
-			t.Fatalf("engine %d lost its epoch builder", i)
-		}
-		if live := e.builder.Live(); live != 0 {
-			t.Fatalf("engine %d leaked %d cache epochs at shutdown", i, live)
+		if e.online == nil || e.store.Epoch() != &e.work {
+			t.Fatalf("engine %d does not serve from its working epoch", i)
 		}
 		if live := e.store.Live(); live != 0 {
 			t.Fatalf("engine %d leaked %d pooled matrices at shutdown", i, live)
@@ -108,18 +108,17 @@ func testOnlineCacheSwapUnderLoad(t *testing.T, useTCP bool) {
 func TestOnlineCacheSwapUnderLoad(t *testing.T)    { testOnlineCacheSwapUnderLoad(t, false) }
 func TestOnlineCacheSwapUnderLoadTCP(t *testing.T) { testOnlineCacheSwapUnderLoad(t, true) }
 
-// testOnlineCacheShutdownReleasesEpochs pulls the plug mid-install: Close
-// races the background epoch builders, which may deliver one last epoch
-// after shutdown begins. Every built epoch — installed, in the channel, or
-// displaced — must land back in its builder's pool, and no serving
-// goroutine may linger.
+// testOnlineCacheShutdownReleasesEpochs pulls the plug under refresh-every-
+// round load: Close races rounds that retarget their engines' working
+// epochs. Every client must unwind, every pooled matrix must come back,
+// and no serving goroutine may linger.
 func testOnlineCacheShutdownReleasesEpochs(t *testing.T, useTCP bool) {
 	cl := serveCluster(t, 2, 0.2, useTCP)
 	defer cl.Close()
 	baseline := runtime.NumGoroutine()
 	srv, err := New(cl, Config{
 		MaxBatch: 4, MaxWait: 100 * time.Microsecond, Seed: 9, UseTCP: useTCP,
-		Cache: "online", CacheRefreshRounds: 1, // propose every round: maximal in-flight builds
+		Cache: "online", CacheRefreshRounds: 1, // retarget every round
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,12 +162,6 @@ func testOnlineCacheShutdownReleasesEpochs(t *testing.T, useTCP bool) {
 	}
 
 	for i, e := range srv.engines {
-		if e.builder == nil {
-			continue
-		}
-		if live := e.builder.Live(); live != 0 {
-			t.Fatalf("engine %d: %d cache epochs still live after Close mid-install", i, live)
-		}
 		if live := e.store.Live(); live != 0 {
 			t.Fatalf("engine %d: %d pooled matrices still live after Close", i, live)
 		}
@@ -328,5 +321,163 @@ func TestOnlineCacheBeatsStaticUnderDrift(t *testing.T) {
 	}
 	if onlineRate <= staticRate {
 		t.Fatalf("online cache did not beat static under drift: online %.4f <= static %.4f", onlineRate, staticRate)
+	}
+}
+
+// driftStream returns a sequential request stream of n vertices whose hot
+// set moves every 8 requests, so an online cache keeps re-admitting.
+func driftStream(numVerts, n int) []int32 {
+	r := rng.New(0x5eed)
+	verts := make([]int32, n)
+	for i := range verts {
+		verts[i] = int32((i/8*211 + r.Intn(6)) % numVerts)
+	}
+	return verts
+}
+
+// TestOnlineAdmissionsHydrateThroughCodec: an online cache admits rows as
+// a fetch of them decodes them, so under fp16 a vertex reads the same
+// features whether an admitted slot or the wire serves it. After installs
+// on an fp16 cluster, every occupied slot of every engine's epoch holds
+// the serving codec's round trip of the dataset row.
+func TestOnlineAdmissionsHydrateThroughCodec(t *testing.T) {
+	cl := serveClusterCodec(t, 2, 0.2, false, "fp16")
+	defer cl.Close()
+	srv, err := New(cl, Config{MaxBatch: 4, MaxWait: -1, Seed: 4, Cache: "online", CacheRefreshRounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float32, srv.Classes())
+	for _, v := range driftStream(cl.Data.NumVertices(), 96) {
+		if _, err := srv.Predict(v, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if srv.Snapshot().CacheInstalls == 0 {
+		t.Fatal("no installs: the stream does not exercise admissions")
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float32, cl.Data.FeatureDim)
+	admitted := 0
+	for i, e := range srv.engines {
+		ep := e.store.Epoch()
+		for s, v := range ep.IDs() {
+			if v < 0 {
+				continue
+			}
+			if !srv.parents[i].SetupEpoch().Index.Has(v) {
+				admitted++
+			}
+			e.store.Codec().RoundTripRow(want, cl.Data.FeatureRow(v))
+			if !slices.Equal(ep.Rows.Row(s), want) {
+				t.Fatalf("engine %d slot %d: row of %d is not its fp16 round trip", i, s, v)
+			}
+		}
+	}
+	if admitted == 0 {
+		t.Fatal("no engine's epoch holds an online admission after Close")
+	}
+}
+
+// TestOnlineServeCrossTransportDeterminism: the round on which an online
+// install is first read is a function of the round count alone, so an
+// in-process and a loopback-TCP server fed the same sequential request
+// stream answer every request alike — logits, cache generation, cache
+// hits and remote fetches.
+func TestOnlineServeCrossTransportDeterminism(t *testing.T) {
+	cl := serveCluster(t, 2, 0.2, false)
+	defer cl.Close()
+	verts := driftStream(cl.Data.NumVertices(), 96)
+	type answer struct {
+		logits            []float32
+		gen               uint64
+		hits, remoteFetch int
+	}
+	run := func(useTCP bool) []answer {
+		srv, err := New(cl, Config{MaxBatch: 4, MaxWait: -1, Seed: 8, UseTCP: useTCP, Cache: "online", CacheRefreshRounds: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		var got []answer
+		for _, v := range verts {
+			out := make([]float32, srv.Classes())
+			st, err := srv.Predict(v, out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, answer{out, st.CacheGen, st.CacheHits, st.RemoteFetch})
+		}
+		return got
+	}
+	local, tcp := run(false), run(true)
+	if local[len(local)-1].gen == 0 {
+		t.Fatal("no request saw an install: the stream does not exercise the online cache")
+	}
+	for i := range local {
+		if !reflect.DeepEqual(local[i], tcp[i]) {
+			t.Fatalf("request %d (vertex %d): in-process %+v != TCP %+v", i, verts[i], local[i], tcp[i])
+		}
+	}
+}
+
+// TestRetargetRewritesOnlyAdmittedSlots is the serving twin of the
+// training cache's slot-stability test: a refresh writes only the slots
+// it admits into, and every occupied slot holds its id's row, at the
+// index's slot for that id.
+func TestRetargetRewritesOnlyAdmittedSlots(t *testing.T) {
+	cl := serveCluster(t, 2, 0.2, false)
+	defer cl.Close()
+	srv, err := New(cl, Config{MaxBatch: 4, MaxWait: -1, Seed: 5, Cache: "online"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float32, srv.Classes())
+	for _, v := range driftStream(cl.Data.NumVertices(), 16) {
+		if _, err := srv.Predict(v, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// With the executors stopped, this goroutine drives the refreshes.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := int32(cl.Data.NumVertices())
+	admitted := 0
+	for i, e := range srv.engines {
+		w, dim := &e.work, cl.Data.FeatureDim
+		for refresh := 0; refresh < 6; refresh++ {
+			beforeIDs, beforeRows := slices.Clone(w.IDs()), slices.Clone(w.Rows.Data)
+			hot := make([]int32, 40)
+			for j := range hot {
+				hot[j] = (int32(refresh*307+j*13) + n/3) % n
+			}
+			e.online.Observe(hot)
+			e.sinceRefresh = e.refreshEvery - 1
+			e.refreshCache()
+			for s, v := range w.IDs() {
+				row := w.Rows.Data[s*dim : (s+1)*dim]
+				if v == beforeIDs[s] && !slices.Equal(row, beforeRows[s*dim:(s+1)*dim]) {
+					t.Fatalf("engine %d refresh %d rewrote slot %d, which it does not admit into", i, refresh, s)
+				}
+				if v < 0 {
+					continue
+				}
+				if v != beforeIDs[s] {
+					admitted++
+				}
+				if slot, ok := w.Index.Slot(v); !ok || slot != int32(s) {
+					t.Fatalf("engine %d: slot %d holds %d, whose index entry is %d,%v", i, s, v, slot, ok)
+				}
+				if !slices.Equal(row, cl.Data.FeatureRow(v)) {
+					t.Fatalf("engine %d: slot %d does not hold the row of %d", i, s, v)
+				}
+			}
+		}
+	}
+	if admitted == 0 {
+		t.Fatal("fixture drifted: no refresh admitted anything")
 	}
 }

@@ -118,9 +118,9 @@ type Config struct {
 	// the historical behavior. "online" runs a drift-tracking
 	// cache.Online policy per engine at the same capacity: every round's
 	// hits and misses feed the scorer, and every CacheRefreshRounds rounds
-	// the engine proposes a new membership, builds the epoch on a
-	// background goroutine (feature copies never block a round), and swaps
-	// it in between rounds.
+	// the engine retargets its private working epoch to the scorer's
+	// proposal in place, between its rounds, writing only the rows it
+	// admits (hydrated through the serving codec).
 	Cache string
 	// CacheRefreshRounds is the online proposal cadence in rounds; 0 means
 	// 32. Ignored unless Cache is "online".
@@ -177,9 +177,8 @@ type Stats struct {
 	Degraded bool
 	Missing  int
 	// CacheGen is the install generation of the cache epoch that served
-	// the round: 0 until the online policy's first install (and always 0
-	// in static mode, unless the cluster itself trained with an online
-	// cache).
+	// the round: 0 until the online policy's first install, and always 0
+	// in static mode (serving starts on the cluster's setup epoch).
 	CacheGen uint64
 }
 
@@ -338,27 +337,29 @@ func New(cl *pipeline.Cluster, cfg Config) (*Server, error) {
 			start:  make(chan roundMsg),
 			ended:  make(chan struct{}, 1),
 		}
-		// Online mode: a scorer and an epoch builder per engine at the
-		// parent epoch's capacity, the scorer seeded with its membership (the
-		// static VIP prefix) so a cold scorer proposes roughly the cache it
-		// inherited. A rank whose parent caches nothing has nothing to adapt
-		// — it stays static.
+		// Online mode: a scorer and a working copy of the parent's setup
+		// epoch per engine, at its capacity, the scorer seeded with its
+		// membership (the static VIP prefix) so a cold scorer proposes
+		// roughly the cache it inherited. Admissions are hydrated through
+		// the serving store's codec, as a fetch of them is decoded. A rank
+		// whose parent caches nothing has nothing to adapt — it stays
+		// static.
 		if pep := s.parents[r].SetupEpoch(); online && pep.Len() > 0 {
 			if degrees == nil {
 				degrees = cl.Data.Graph.Degrees()
-			}
-			builder, err := cache.NewEpochBuilder(s.numVerts, cl.Data.FeatureDim, cl.Data.FeatureRow)
-			if err != nil {
-				return fail(err)
 			}
 			online, err := cache.NewOnline(s.numVerts, e.lo, int32(cl.Layout.Starts[r+1]), pep.IDs(), degrees, cache.OnlineConfig{})
 			if err != nil {
 				return fail(err)
 			}
-			e.online, e.builder, e.capacity = online, builder, pep.Len()
+			e.online, e.capacity = online, pep.Len()
 			e.refreshEvery = cfg.CacheRefreshRounds
-			e.proposals = make(chan cacheProposal, 1)
-			e.built = make(chan cacheBuilt, 1)
+			e.work.CopyFrom(pep)
+			row := make([]float32, cl.Data.FeatureDim)
+			e.row = func(v int32) []float32 {
+				e.store.Codec().RoundTripRow(row, cl.Data.FeatureRow(v))
+				return row
+			}
 		}
 		s.engines = append(s.engines, e)
 		s.classes = frozen.Classes()
@@ -372,14 +373,15 @@ func New(cl *pipeline.Cluster, cfg Config) (*Server, error) {
 	s.comms = g.comms
 	for r, e := range s.engines {
 		e.store = g.stores[r]
+		if e.online != nil {
+			if _, err := e.store.InstallEpoch(&e.work); err != nil {
+				return fail(err)
+			}
+		}
 	}
 	s.wg.Add(1 + k)
 	for _, e := range s.engines {
 		go e.loop()
-		if e.online != nil {
-			s.wg.Add(1)
-			go e.cacheLoop()
-		}
 	}
 	go s.driver()
 	return s, nil
@@ -543,21 +545,6 @@ func (s *Server) Close() error {
 	case g := <-s.newGroup:
 		g.close()
 	default:
-	}
-	// Release builder-owned cache epochs — the installed one and any build
-	// that finished without being delivered — so every pooled feature
-	// matrix returns and the builders' Live gauges drop to zero. Safe
-	// after wg.Wait: the executors and cacheLoops have exited.
-	for _, e := range s.engines {
-		if e.online == nil {
-			continue
-		}
-		select {
-		case b := <-e.built:
-			e.builder.Release(b.ep)
-		default:
-		}
-		e.builder.Release(e.store.Epoch())
 	}
 	s.closeComms()
 	return nil
@@ -748,13 +735,12 @@ func (s *Server) installGroup(g *commGroup) {
 	s.comms = g.comms
 	s.cmu.Unlock()
 	for r, e := range s.engines {
-		// A fresh sibling starts on its parent's epoch; carry the engine's
-		// installed epoch over so a regroup doesn't roll the cache back.
-		// The displaced parent epoch is foreign to the engine's builder, so
-		// there is nothing to release, and the epoch already passed
-		// validation at its first install, so InstallEpoch cannot fail here.
+		// A fresh sibling starts on its parent's setup epoch; carry the
+		// engine's working epoch over so a regroup doesn't roll the cache
+		// back. It already passed validation at its first install, so
+		// InstallEpoch cannot fail here.
 		if e.online != nil {
-			if _, err := g.stores[r].InstallEpoch(e.store.Epoch()); err != nil {
+			if _, err := g.stores[r].InstallEpoch(&e.work); err != nil {
 				panic(fmt.Sprintf("serve: regroup epoch carry-over: %v", err))
 			}
 		}
@@ -855,88 +841,36 @@ type engine struct {
 	rowOf    []int32  // (v-lo) -> seed row in the current round
 	roundRNG rng.RNG  // per-round sampling stream, derived in place
 
-	// Online cache state (nil online and builder in static mode). The
-	// executor goroutine observes every round and proposes memberships of
-	// at most capacity ids; the cacheLoop goroutine builds epochs off the
-	// round path; the executor installs delivered epochs between its
-	// gathers. At most one proposal is outstanding, so both channels (cap
-	// 1) never block.
+	// Online cache state (nil online in static mode). The executor
+	// observes every round and, every refreshEvery rounds, retargets the
+	// working epoch — installed in the store since New — to a proposal of
+	// at most capacity ids.
 	online       *cache.Online
-	builder      *cache.EpochBuilder
+	work         cache.Epoch
+	row          func(v int32) []float32 // a dataset row through the store's codec
 	capacity     int
 	refreshEvery int
 	sinceRefresh int
-	proposalOut  bool
-	proposeBuf   []int32 // reused proposal copy handed to cacheLoop
-	proposals    chan cacheProposal
-	built        chan cacheBuilt
 
 	start chan roundMsg
 	ended chan struct{}
 }
 
-// cacheProposal is one membership the executor hands to its cacheLoop;
-// cur is the epoch the churn is counted against (stable until the built
-// epoch is installed, because only the executor installs).
-type cacheProposal struct {
-	ids []int32
-	cur *cache.Epoch
-}
-
-// cacheBuilt is the cacheLoop's reply: the built epoch (nil when the
-// membership was unchanged or the build failed) and its admission churn.
-type cacheBuilt struct {
-	ep    *cache.Epoch
-	churn int
-}
-
-// cacheLoop is the engine's background epoch builder: it turns proposed
-// memberships into materialized epochs (index + feature rows) so the feature copies never extend a serving round.
-func (e *engine) cacheLoop() {
-	defer e.srv.wg.Done()
-	for {
-		select {
-		case <-e.srv.shutdown:
-			return
-		case p := <-e.proposals:
-			ep, churn, err := e.builder.BuildFor(p.ids, p.cur)
-			if err != nil {
-				ep, churn = nil, 0
-			}
-			e.built <- cacheBuilt{ep: ep, churn: churn}
-		}
-	}
-}
-
-// maybeRefreshCache runs the executor's half of the online cache cycle,
-// once per round after the gather: install a delivered epoch (pointer
-// swap, between this engine's gathers by construction), then, on the
-// refresh cadence, propose the next membership and hand it to cacheLoop.
-func (e *engine) maybeRefreshCache() {
-	s := e.srv
-	select {
-	case b := <-e.built:
-		e.proposalOut = false
-		if b.ep != nil {
-			prev, err := e.store.InstallEpoch(b.ep)
-			if err != nil {
-				e.builder.Release(b.ep)
-				break
-			}
-			e.builder.Release(prev)
-			s.met.cacheInstalls.Add(1)
-			s.met.cacheChurn.Add(int64(b.churn))
-		}
-	default:
-	}
-	e.sinceRefresh++
-	if e.proposalOut || e.sinceRefresh < e.refreshEvery {
+// refreshCache runs the online cache cycle once per round, after the
+// gather: on the refresh cadence it retargets the working epoch to the
+// scorer's proposal, writing only the admitted rows. It runs on the
+// executor goroutine between this engine's gathers, so no gather reads
+// the epoch while it changes, and a new membership is first read by the
+// round after the refresh.
+func (e *engine) refreshCache() {
+	if e.sinceRefresh++; e.sinceRefresh < e.refreshEvery {
 		return
 	}
 	e.sinceRefresh = 0
-	e.proposeBuf = append(e.proposeBuf[:0], e.online.Propose(e.capacity)...)
-	e.proposals <- cacheProposal{ids: e.proposeBuf, cur: e.store.Epoch()}
-	e.proposalOut = true
+	if churn, changed := e.work.Retarget(e.online.Propose(e.capacity), e.row); changed {
+		e.srv.met.cacheInstalls.Add(1)
+		e.srv.met.cacheChurn.Add(int64(churn))
+	}
 }
 
 // roundMsg is the driver's round order. gather tells every engine of the
@@ -1123,6 +1057,6 @@ func (e *engine) run(m roundMsg) {
 	mfg.Release()
 	e.model.ReleaseBatch()
 	if e.online != nil {
-		e.maybeRefreshCache()
+		e.refreshCache()
 	}
 }

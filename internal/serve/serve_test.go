@@ -29,9 +29,16 @@ func serveDataset(t testing.TB) *dataset.Dataset {
 
 func serveCluster(t testing.TB, k int, alpha float64, useTCP bool) *pipeline.Cluster {
 	t.Helper()
+	return serveClusterCodec(t, k, alpha, useTCP, "")
+}
+
+// serveClusterCodec is serveCluster with the cluster's feature wire codec
+// ("" for fp32).
+func serveClusterCodec(t testing.TB, k int, alpha float64, useTCP bool, codec string) *pipeline.Cluster {
+	t.Helper()
 	d := serveDataset(t)
 	cl, err := pipeline.NewCluster(d, pipeline.ClusterConfig{
-		K: k, Alpha: alpha, GPUFraction: 1, VIPReorder: true,
+		K: k, Alpha: alpha, GPUFraction: 1, VIPReorder: true, Codec: codec,
 		Hidden: 16, Layers: 2, Dropout: 0, UseTCP: useTCP,
 		Train: pipeline.Config{
 			Fanouts: []int{5, 5}, BatchSize: 64,
