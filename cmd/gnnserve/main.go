@@ -40,12 +40,12 @@ func main() {
 		maxBatch = flag.Int("maxbatch", 32, "coalescing: max requests per rank per round")
 		maxWait  = flag.Int64("maxwait", 1000, "coalescing: max microseconds the oldest request waits for company")
 		useTCP   = flag.Bool("tcp", false, "serve the feature collectives over loopback TCP")
-		ckptPath = flag.String("checkpoint", "", "serve a frozen snapshot restored from this checkpoint file (gnntrain -checkpoint-dir format); dataset, seed, batch, fanouts, K, and the training codec are reconstructed from the file, overriding the corresponding flags (-codec still selects the serving group's codec)")
+		ckptPath = flag.String("checkpoint", "", "serve a frozen snapshot restored from this checkpoint file (gnntrain -checkpoint-dir format); dataset, seed, batch, fanouts, K, and the wire codec are reconstructed from the file, overriding the corresponding flags (a non-empty -codec must name the checkpoint's codec)")
 		seed     = flag.Uint64("seed", 7, "random seed")
 	)
-	// Shared run surface (-codec, -parallelism): for gnnserve, an empty
-	// codec inherits the cluster's codec (the checkpoint's recorded codec
-	// with -checkpoint, else fp32).
+	// Shared run surface (-codec, -parallelism): -codec sets the cluster's
+	// wire codec, which serving shares; with -checkpoint an empty codec
+	// takes the checkpoint's recorded one.
 	run := salientpp.RunConfig{Parallelism: 2}
 	run.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -70,7 +70,7 @@ func main() {
 	res, err := experiments.ServeBench(scale, experiments.ServeConfig{
 		Alphas: alphaList, Clients: *clients, RequestsPerClient: *requests,
 		MaxBatch: *maxBatch, MaxWaitMicros: *maxWait, UseTCP: *useTCP,
-		Codec: run.Codec, Checkpoint: *ckptPath,
+		Checkpoint: *ckptPath,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -71,7 +71,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Codec = run.Codec
 	cfg.GradCodec = run.GradCodec
-	cfg.NoGradOverlap = run.NoGradOverlap
 	cfg.Parallelism = run.Parallelism
 	cfg.Checkpoint = run.Checkpoint
 	cfg.Resume = run.Resume

@@ -28,9 +28,7 @@ func testState() *TrainState {
 			Partial: PartialEpoch{
 				Loss: 1.25, Accuracy: 0.5, Batches: 3,
 				LocalGPU: 10, LocalCPU: 4, CacheHit: 7, Remote: 2,
-				BytesSent: 4096, SampleNS: 11, GatherNS: 22, ComputeNS: 33,
-				AggregateNS: 5, TransformNS: 9, BackwardNS: 13,
-				GradBytesSent: 512, GradReduceNS: 21, GradWaitNS: 8,
+				BytesSent: 4096, GradBytesSent: 512,
 			},
 		}
 	}
@@ -54,10 +52,32 @@ func testState() *TrainState {
 	}
 }
 
+// v5Golden returns testdata/v5.ckpt: testState() as the v5 writer encoded
+// it, with "fp32" in the header's precision slot and each rank's stage
+// timings (sample 11, gather 22, compute 33, aggregate 5, transform 9,
+// backward 13, grad reduce 21, grad wait 8 ns) in their eight slots.
+func v5Golden(t testing.TB) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "v5.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// stamp returns a copy of file with its version u32 (little-endian, after
+// the 4-byte magic) set to ver.
+func stamp(file []byte, ver byte) []byte {
+	b := append([]byte(nil), file...)
+	b[4] = ver
+	return b
+}
+
 // TestDecodeVersionWindow pins the versions Decode reads: the current
-// format (v5) and the previous one (v4), whose bytes are identical, decode
-// to the same state; every other version is rejected, and a tag-4 section
-// is an unknown section like any other.
+// format (v6), and v5 and v4, whose layout adds a precision slot and eight
+// stage timings that decode drops, all decode to the same state; every
+// other version is rejected, and a tag-4 section is an unknown section
+// like any other.
 func TestDecodeVersionWindow(t *testing.T) {
 	st := testState()
 	var buf bytes.Buffer
@@ -65,12 +85,7 @@ func TestDecodeVersionWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
-	// stamp patches the version u32 (little-endian, after the 4-byte magic).
-	stamp := func(ver byte) []byte {
-		b := append([]byte(nil), valid...)
-		b[4] = ver
-		return b
-	}
+	golden := v5Golden(t)
 	var extra enc
 	extra.str("online")
 	tagged := extra.section(append([]byte(nil), valid...), 4)
@@ -80,11 +95,12 @@ func TestDecodeVersionWindow(t *testing.T) {
 		data    []byte
 		wantErr string // empty: must decode to testState()
 	}{
-		{"v4", stamp(4), ""},
-		{"v5", stamp(5), ""},
-		{"v0", stamp(0), "unsupported version 0"},
-		{"v3", stamp(3), "unsupported version 3"},
-		{"v6", stamp(6), "unsupported version 6"},
+		{"v4", stamp(golden, 4), ""},
+		{"v5", golden, ""},
+		{"v6", valid, ""},
+		{"v0", stamp(valid, 0), "unsupported version 0"},
+		{"v3", stamp(golden, 3), "unsupported version 3"},
+		{"v7", stamp(valid, 7), "unsupported version 7"},
 		{"tag4", tagged, "unknown section tag 4"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -106,46 +122,37 @@ func TestDecodeVersionWindow(t *testing.T) {
 }
 
 // TestDecodeAcceptsVersion4 pins the seam the version window rests on: a
-// v4 file is byte-for-byte the current encoding with only the version
-// field changed, so it decodes to the source state, and re-encoding that
-// state writes the same bytes stamped with the current version.
+// v4 file is the v5 golden with only the version field changed, so it
+// decodes to the source state, and re-encoding that state writes exactly
+// the current format's bytes for it.
 func TestDecodeAcceptsVersion4(t *testing.T) {
 	st := testState()
-	var buf bytes.Buffer
-	if err := Encode(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	v4 := append([]byte(nil), buf.Bytes()...)
-	v4[4] = 4 // version u32, little-endian, after the 4-byte magic
-	got, err := Decode(bytes.NewReader(v4))
+	got, err := Decode(bytes.NewReader(stamp(v5Golden(t), 4)))
 	if err != nil {
 		t.Fatalf("v4 checkpoint no longer decodes: %v", err)
 	}
 	if !reflect.DeepEqual(st, got) {
 		t.Fatalf("v4 decode mismatch:\nwant %+v\ngot  %+v", st, got)
 	}
-	var re bytes.Buffer
+	var re, want bytes.Buffer
 	if err := Encode(&re, got); err != nil {
 		t.Fatal(err)
 	}
-	want := append([]byte(nil), v4...)
-	want[4] = byte(version)
-	if !bytes.Equal(re.Bytes(), want) {
-		t.Fatal("re-encoded v4 state differs from the v4 bytes beyond the version field")
+	if err := Encode(&want, st); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(re.Bytes(), want.Bytes()) {
+		t.Fatal("re-encoded v4 state differs from the state's own encoding")
 	}
 }
 
-// TestDecodeIgnoresPrecisionSlot pins the header's compute-precision slot
-// as ignored: a v5 file whose slot holds "int8" decodes to the same state
-// as one holding the "fp32" Encode writes, so files written with a
-// reduced serving precision still resume.
+// TestDecodeIgnoresPrecisionSlot pins the v5 header's compute-precision
+// slot as ignored: the golden with "int8" in the slot decodes to the same
+// state as the golden holding the "fp32" the v5 writer wrote, so files
+// written with a reduced serving precision still resume.
 func TestDecodeIgnoresPrecisionSlot(t *testing.T) {
 	st := testState()
-	var buf bytes.Buffer
-	if err := Encode(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	file := buf.Bytes()
+	file := v5Golden(t)
 	// The header is the first section after the 8-byte preamble:
 	// tag u32 | payloadLen u64 | payload | crc32c u32.
 	const hdrAt = 8
@@ -164,24 +171,25 @@ func TestDecodeIgnoresPrecisionSlot(t *testing.T) {
 	int8File := patched.section(append([]byte(nil), file[:hdrAt]...), tagHeader)
 	int8File = append(int8File, file[hdrAt+12+n+4:]...)
 
-	want, err := Decode(bytes.NewReader(file))
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := Decode(bytes.NewReader(int8File))
 	if err != nil {
 		t.Fatalf("int8-slot checkpoint no longer decodes: %v", err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("int8-slot decode mismatch:\nwant %+v\ngot  %+v", want, got)
+	if !reflect.DeepEqual(st, got) {
+		t.Fatalf("int8-slot decode mismatch:\nwant %+v\ngot  %+v", st, got)
 	}
 }
 
+// TestEncodeDecodeRoundTrip: Encode writes the current version, and
+// Decode reads it back to the source state.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	st := testState()
 	var buf bytes.Buffer
 	if err := Encode(&buf, st); err != nil {
 		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(buf.Bytes()[4:]); v != 6 {
+		t.Fatalf("Encode wrote version %d, want 6", v)
 	}
 	got, err := Decode(bytes.NewReader(buf.Bytes()))
 	if err != nil {

@@ -23,10 +23,24 @@
 //	tag u32 | payloadLen u64 | payload | crc32c(payload) u32
 //
 // so corruption anywhere is detected before any of the payload is
-// interpreted. Decode never panics on corrupt input: every array length is
-// bounded by the bytes actually present (allocation grows incrementally
-// while reading, so a lying length field cannot force a huge allocation),
-// and every read is bounds-checked.
+// interpreted. The v6 payloads are
+//
+//	header   K, epoch, round, rounds u32 | vertices u64 | featureDim u32 |
+//	         seed u64 | batch u32 | fanouts | dataset | codec | gradCodec
+//	topology perm | starts | parts | one cache id list per rank
+//	rank     params (rows, cols, W, M, V, EF each) | adamStep i64 |
+//	         modelRNG 4×u64 | loss, accuracy f64 | batches, localGPU,
+//	         localCPU, cacheHit, remote, bytesSent, gradBytesSent i64
+//
+// Decode reads v4 through v6. A v4 file has exactly the v5 layout, which
+// adds a compute-precision string after the codec and eight stage-timing
+// i64s to each rank section (six after bytesSent, two after
+// gradBytesSent); Decode skips both.
+//
+// Decode never panics on corrupt input: every array length is bounded by
+// the bytes actually present (allocation grows incrementally while
+// reading, so a lying length field cannot force a huge allocation), and
+// every read is bounds-checked.
 package ckpt
 
 import (
@@ -39,10 +53,10 @@ import (
 const (
 	magic uint32 = 0x4b435053 // "SPCK" little-endian
 	// version is the format written.
-	version uint32 = 5
-	// minVersion is the oldest format Decode reads. A v4 file has exactly
-	// the v5 layout, so the two decode identically; anything older or newer
-	// is rejected.
+	version uint32 = 6
+	// minVersion is the oldest format Decode reads; see the package doc
+	// for what v4 and v5 add to the v6 layout. Anything older or newer is
+	// rejected.
 	minVersion uint32 = 4
 
 	tagHeader   uint32 = 1
@@ -89,23 +103,9 @@ type PartialEpoch struct {
 	// beyond the cursor, so resumed byte totals are approximate (see the
 	// pipeline docs); it is restored for reporting, not for equivalence.
 	BytesSent int64
-	SampleNS  int64
-	GatherNS  int64
-	ComputeNS int64
-	// Stage attribution of ComputeNS: neighbor aggregation, dense
-	// transform (GEMMs + activations), and the backward pass. Their sum is
-	// slightly below ComputeNS — loss and the optimizer step are only in
-	// the total.
-	AggregateNS int64
-	TransformNS int64
-	BackwardNS  int64
-	// Gradient-synchronization accounting: the gradient all-reduce byte
-	// counter at the cursor (approximate after a resume, like BytesSent),
-	// the cumulative wall time inside gradient reduces, and the part of it
-	// the training loop actually blocked on.
+	// GradBytesSent is the gradient all-reduce byte counter at the cursor,
+	// approximate after a resume like BytesSent.
 	GradBytesSent int64
-	GradReduceNS  int64
-	GradWaitNS    int64
 }
 
 // ParamState is one parameter tensor's full optimizer state: value, Adam
@@ -345,10 +345,6 @@ func AppendEncode(dst []byte, t *TrainState) ([]byte, error) {
 	p.i32s(t.Fanouts)
 	p.str(t.Dataset)
 	p.str(t.Codec)
-	// The v5 header keeps a string slot that names a compute precision.
-	// Compute is always fp32, so the slot is written as "fp32" and
-	// skipped on decode: files naming another precision decode the same.
-	p.str("fp32")
 	p.str(t.GradCodec)
 	out = p.section(out, tagHeader)
 
@@ -387,15 +383,7 @@ func AppendEncode(dst []byte, t *TrainState) ([]byte, error) {
 		p.i64(pe.CacheHit)
 		p.i64(pe.Remote)
 		p.i64(pe.BytesSent)
-		p.i64(pe.SampleNS)
-		p.i64(pe.GatherNS)
-		p.i64(pe.ComputeNS)
-		p.i64(pe.AggregateNS)
-		p.i64(pe.TransformNS)
-		p.i64(pe.BackwardNS)
 		p.i64(pe.GradBytesSent)
-		p.i64(pe.GradReduceNS)
-		p.i64(pe.GradWaitNS)
 		out = p.section(out, tagRank)
 	}
 	return out, nil
@@ -591,6 +579,9 @@ func Decode(r io.Reader) (*TrainState, error) {
 	if ver < minVersion || ver > version {
 		return nil, fmt.Errorf("ckpt: unsupported version %d", ver)
 	}
+	// v4 and v5 carry a compute-precision string and eight stage timings
+	// per rank that nothing reads; they are skipped.
+	legacy := ver < 6
 
 	t := &TrainState{}
 	var scratch []byte
@@ -655,8 +646,10 @@ func Decode(r io.Reader) (*TrainState, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := c.str(); err != nil { // precision slot, ignored
-				return nil, err
+			if legacy {
+				if _, err := c.str(); err != nil {
+					return nil, err
+				}
 			}
 			gradCodec, err := c.str()
 			if err != nil {
@@ -758,10 +751,14 @@ func Decode(r io.Reader) (*TrainState, error) {
 					return nil, err
 				}
 			}
-			for _, dst := range []*int64{&pe.Batches, &pe.LocalGPU, &pe.LocalCPU, &pe.CacheHit,
-				&pe.Remote, &pe.BytesSent, &pe.SampleNS, &pe.GatherNS, &pe.ComputeNS,
-				&pe.AggregateNS, &pe.TransformNS, &pe.BackwardNS,
-				&pe.GradBytesSent, &pe.GradReduceNS, &pe.GradWaitNS} {
+			counters := []*int64{&pe.Batches, &pe.LocalGPU, &pe.LocalCPU, &pe.CacheHit,
+				&pe.Remote, &pe.BytesSent, &pe.GradBytesSent}
+			if legacy {
+				var x int64
+				counters = []*int64{&pe.Batches, &pe.LocalGPU, &pe.LocalCPU, &pe.CacheHit,
+					&pe.Remote, &pe.BytesSent, &x, &x, &x, &x, &x, &x, &pe.GradBytesSent, &x, &x}
+			}
+			for _, dst := range counters {
 				if *dst, err = c.i64(); err != nil {
 					return nil, err
 				}

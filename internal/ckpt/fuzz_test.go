@@ -11,7 +11,8 @@ import (
 // does accept must survive validation and re-encode cleanly.
 func FuzzCheckpointDecode(f *testing.F) {
 	// Seed corpus: a valid checkpoint, a truncation, a CRC flip, the bare
-	// preamble, an empty input, and the valid checkpoint stamped version 4.
+	// preamble, an empty input, the v5 golden and the golden stamped
+	// version 4.
 	st := testState()
 	var buf bytes.Buffer
 	if err := Encode(&buf, st); err != nil {
@@ -25,9 +26,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add(valid[:8])
 	f.Add([]byte{})
-	v4 := append([]byte(nil), valid...)
-	v4[4] = 4
-	f.Add(v4)
+	golden := v5Golden(f)
+	f.Add(golden)
+	f.Add(stamp(golden, 4))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Decode(bytes.NewReader(data))

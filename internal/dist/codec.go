@@ -140,14 +140,23 @@ func (c Codec) decodeFeatRow(dst []float32, src []byte) {
 // Cache rows are hydrated through it, so a cached remote row holds what
 // the wire would deliver and the path a row takes never shows in its
 // value. It is also the local reference the gather-equivalence tests (and
-// the accuracy analysis in the README) compare against.
+// the accuracy analysis in the README) compare against. The image is
+// computed directly, bitwise equal to appendFeatRow then decodeFeatRow,
+// and allocates nothing.
 func (c Codec) RoundTripRow(dst, src []float32) {
-	if c == CodecFP32 {
+	switch c {
+	case CodecFP16:
+		for i, v := range src {
+			dst[i] = f32FromF16(f16FromF32(v))
+		}
+	case CodecInt8:
+		scale := tensor.Int8RowScale(src)
+		for i, v := range src {
+			dst[i] = float32(tensor.QuantizeInt8(v, scale)) * scale
+		}
+	default:
 		copy(dst, src)
-		return
 	}
-	buf := c.appendFeatRow(make([]byte, 0, c.featRowWire(len(src))), src)
-	c.decodeFeatRow(dst, buf)
 }
 
 // ---------------------------------------------------------------------------

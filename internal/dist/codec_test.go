@@ -373,8 +373,9 @@ func TestGatherCodecAllocationFree(t *testing.T) {
 
 // TestCodecPrimitivesAllocationFree guards the encode/decode primitives
 // themselves: with warm (capacity-established) buffers, encoding and
-// decoding a row and an id list allocate nothing — the property that lets
-// Gather's cross-rank path reuse its per-peer wire buffers.
+// decoding a row and an id list, and a row's round-trip image, allocate
+// nothing — the property that lets Gather's cross-rank path reuse its
+// per-peer wire buffers and a cache refresh hydrate rows for free.
 func TestCodecPrimitivesAllocationFree(t *testing.T) {
 	const dim = 128
 	row := make([]float32, dim)
@@ -389,6 +390,7 @@ func TestCodecPrimitivesAllocationFree(t *testing.T) {
 		step := func() {
 			encBuf = codec.appendFeatRow(encBuf[:0], row)
 			codec.decodeFeatRow(dst, encBuf)
+			codec.RoundTripRow(dst, row)
 			idBuf = appendIDsDelta(idBuf[:0], ids)
 			rd := idDeltaReader{b: idBuf}
 			for rd.remaining() > 0 {
@@ -400,6 +402,40 @@ func TestCodecPrimitivesAllocationFree(t *testing.T) {
 		step()
 		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
 			t.Fatalf("%s warm encode/decode allocated %.1f times per run, want 0", codec, allocs)
+		}
+	}
+}
+
+// TestRoundTripRowMatchesWire pins RoundTripRow's direct image to the
+// encoder/decoder pair, bitwise, on rows holding ±0, subnormals, ±Inf and
+// NaN as well as ordinary values.
+func TestRoundTripRowMatchesWire(t *testing.T) {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	sub := math.Float32frombits(1)        // smallest float32 subnormal
+	f16sub := float32(math.Ldexp(1, -24)) // smallest fp16 subnormal
+	negZero := math.Float32frombits(1 << 31)
+	rows := map[string][]float32{
+		"ordinary":   {1.5, -2.25, 0.1, 3e-3, -7, 65504, 1e5},
+		"zeros":      {0, negZero, 0, negZero},
+		"subnormals": {sub, -sub, f16sub, -f16sub, 3 * f16sub, 1e-40, 0.5},
+		"infinities": {inf, -inf, 2, -3, 0},
+		"nan":        {nan, 1, -nan, 0.25, negZero},
+		"all-inf":    {inf, -inf},
+		"all-nan":    {nan, nan},
+	}
+	for _, codec := range []Codec{CodecFP16, CodecInt8} {
+		for name, row := range rows {
+			want := make([]float32, len(row))
+			codec.decodeFeatRow(want, codec.appendFeatRow(nil, row))
+			got := make([]float32, len(row))
+			codec.RoundTripRow(got, row)
+			for i := range row {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Errorf("%s %s[%d] = %v: RoundTripRow bits %#x, wire image %#x",
+						codec, name, i, row[i], math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+			}
 		}
 	}
 }

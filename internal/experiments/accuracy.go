@@ -37,9 +37,6 @@ type AccuracyConfig struct {
 	// the residuals (and the codec name) are part of the checkpoint
 	// identity, so resuming requires the same setting.
 	GradCodec string
-	// NoGradOverlap disables the overlapped per-layer gradient reduce
-	// (bitwise-neutral; exists for A/B measurement).
-	NoGradOverlap bool
 	// Parallelism bounds sampler workers and setup-time analysis threads
 	// (0 keeps the default of 2).
 	Parallelism int
@@ -166,7 +163,7 @@ func Accuracy(cfg AccuracyConfig) ([]AccuracyRow, error) {
 				Fanouts: cfg.Fanouts, BatchSize: cfg.Batch,
 				PipelineDepth: 10, SamplerWorkers: workers, Parallelism: workers,
 				LR: cfg.LR, Seed: cfg.Seed,
-				GradCodec: cfg.GradCodec, NoGradOverlap: cfg.NoGradOverlap,
+				GradCodec: cfg.GradCodec,
 			},
 			ModelSeed:  cfg.Seed + 1,
 			Checkpoint: cfg.Checkpoint,

@@ -77,9 +77,9 @@ type ServeBenchResult struct {
 	Clients           int
 	RequestsPerClient int
 	Seed              uint64
-	// Codec is the serving comm group's wire codec; each row's BytesSent
-	// counts encoded wire bytes, so fp16/int8 shrink it at identical
-	// remote-fetch counts.
+	// Codec is the cluster's wire codec, which serving shares; each row's
+	// BytesSent counts encoded wire bytes, so fp16/int8 shrink it at
+	// identical remote-fetch counts.
 	Codec    string
 	MaxProcs int
 	NumCPU   int
@@ -101,19 +101,13 @@ type ServeConfig struct {
 	MaxWaitMicros int64
 	// UseTCP serves over loopback TCP instead of in-process channels.
 	UseTCP bool
-	// Codec selects the *serving* comm group's wire codec ("fp32", "fp16",
-	// "int8"); empty inherits the cluster's codec (Scale.Codec, or the
-	// checkpoint's recorded codec when serving from one). The training
-	// cluster's codec is fixed — a checkpoint restore validates it — but
-	// the serving group is independent, so e.g. an fp32 checkpoint can
-	// serve int8.
-	Codec string
 	// Checkpoint, when set, serves a frozen snapshot restored from this
 	// checkpoint file (the format cmd/gnntrain -checkpoint-dir writes):
-	// the cluster — dataset, partition layout, cache contents, trained
-	// weights, model dimensions — is rebuilt entirely from the file
-	// instead of being trained fresh, and the α sweep collapses to the
-	// checkpoint's own cache configuration.
+	// the cluster — dataset, partition layout, cache contents, wire codec,
+	// trained weights, model dimensions — is rebuilt entirely from the
+	// file instead of being trained fresh, and the α sweep collapses to
+	// the checkpoint's own cache configuration. A non-empty Scale.Codec
+	// must name the checkpoint's codec.
 	Checkpoint string
 }
 
@@ -173,6 +167,11 @@ func ServeBench(scale Scale, cfg ServeConfig) (*ServeBenchResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Checkpoints record the codec's canonical name, which is the only
+		// non-empty spelling ParseCodec accepts.
+		if scale.Codec != "" && scale.Codec != state.Codec {
+			return nil, fmt.Errorf("codec %q differs from the checkpoint's wire codec %q", scale.Codec, state.Codec)
+		}
 		ds, err = DatasetByName(state.Dataset, int(state.Topo.NumVertices), state.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("regenerating the checkpointed dataset: %w", err)
@@ -196,14 +195,7 @@ func ServeBench(scale Scale, cfg ServeConfig) (*ServeBenchResult, error) {
 		}
 		dims = PaperDims(ds.Name)
 	}
-	// The rows' bytes columns describe the serving comm group, so the
-	// report records the *serving* codec: the explicit override, or the
-	// cluster's codec (the checkpoint's recorded codec when restoring).
-	servingCodec := cfg.Codec
-	if servingCodec == "" {
-		servingCodec = scale.Codec
-	}
-	codec, err := dist.ParseCodec(servingCodec)
+	codec, err := dist.ParseCodec(scale.Codec)
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +260,6 @@ func serveOneAlpha(ds *dataset.Dataset, scale Scale, cfg ServeConfig, dims Model
 		MaxWait:  time.Duration(cfg.MaxWaitMicros) * time.Microsecond,
 		Seed:     scale.Seed,
 		UseTCP:   cfg.UseTCP,
-		Codec:    cfg.Codec, // "" inherits the cluster's codec via Sibling
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"salientpp/internal/ckpt"
@@ -172,5 +173,12 @@ func TestServeBenchServesForeignCheckpoint(t *testing.T) {
 	}
 	if len(res.Alphas) != 1 || res.Alphas[0].Requests != 2*10 {
 		t.Fatalf("implausible serving result: %+v", res.Alphas)
+	}
+	// A codec other than the checkpoint's fails before set-up, naming both.
+	drift := SmallScale()
+	drift.Codec = "int8"
+	_, err = ServeBench(drift, ServeConfig{Checkpoint: path})
+	if err == nil || !strings.Contains(err.Error(), `"int8"`) || !strings.Contains(err.Error(), `"fp32"`) {
+		t.Fatalf("codec drift error %v, want one naming int8 and fp32", err)
 	}
 }

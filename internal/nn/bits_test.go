@@ -165,15 +165,14 @@ func TestFirstLayerSkipsInputGradient(t *testing.T) {
 		}
 		ar := tensor.NewArena(tensor.NewPool())
 		var c sageCache
-		env := testEnv()
-		l.Forward(b, h, ar, &c, env)
+		l.Forward(b, h, ar, &c, true)
 
 		grads := func(inputGrad bool) (*tensor.Matrix, uint64) {
 			for _, p := range l.Params() {
 				p.ZeroGrad()
 			}
 			held := ar.Held()
-			dh := l.Backward(&c, dOut, ar, env, inputGrad)
+			dh := l.Backward(&c, dOut, ar, inputGrad)
 			want := 0
 			if inputGrad {
 				want = 2 // dh and dAgg

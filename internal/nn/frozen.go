@@ -23,7 +23,6 @@ type Frozen struct {
 	layers  []*SAGEConv // gradient-free: only Param.W is populated
 	caches  []sageCache
 	arena   *tensor.Arena
-	timers  StageTimers
 	inDim   int
 	classes int
 }
@@ -72,25 +71,15 @@ func (f *Frozen) Forward(mfg *sample.MFG, x *tensor.Matrix) (*tensor.Matrix, err
 		return nil, fmt.Errorf("nn: feature rows %d != MFG inputs %d", x.Rows, len(mfg.InputIDs()))
 	}
 	f.arena.Release() // recycle the previous batch's working set
-	env := layerEnv{timers: &f.timers}
 	h := x
 	for li, layer := range f.layers {
-		out := layer.Forward(mfg.Blocks[li], h, f.arena, &f.caches[li], &env)
+		out := layer.Forward(mfg.Blocks[li], h, f.arena, &f.caches[li], false)
 		if li < len(f.layers)-1 {
 			out.ReLU()
 		}
 		h = out
 	}
 	return h, nil
-}
-
-// TakeStageTimers returns the aggregate/transform time accumulated by
-// Forward calls since the last call, and resets the counters (BackwardNS is
-// always zero for a Frozen).
-func (f *Frozen) TakeStageTimers() StageTimers {
-	t := f.timers
-	f.timers = StageTimers{}
-	return t
 }
 
 // ReleaseBatch returns the current batch's intermediates (including the

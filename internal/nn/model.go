@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"time"
 
 	"salientpp/internal/rng"
 	"salientpp/internal/sample"
@@ -24,8 +23,6 @@ type Model struct {
 
 	pool  *tensor.Pool
 	arena *tensor.Arena
-
-	timers StageTimers
 
 	// forward caches (valid between Forward and Backward)
 	caches   []sageCache      // one persistent slot per layer
@@ -95,12 +92,10 @@ func (m *Model) Forward(mfg *sample.MFG, x *tensor.Matrix, training bool) (*tens
 	m.masks = m.masks[:0]
 	m.training = training
 
-	env := layerEnv{timers: &m.timers, training: training}
 	h := x
 	for li, layer := range m.Layers {
-		out := layer.Forward(mfg.Blocks[li], h, m.arena, &m.caches[li], &env)
+		out := layer.Forward(mfg.Blocks[li], h, m.arena, &m.caches[li], training)
 		if li < len(m.Layers)-1 {
-			t0 := time.Now()
 			out.ReLU()
 			// Without dropout the next layer's cached input is the
 			// activation ReLU backward masks against; dropout rewrites it,
@@ -113,20 +108,10 @@ func (m *Model) Forward(mfg *sample.MFG, x *tensor.Matrix, training bool) (*tens
 				out.Dropout(m.Dropout, mask, m.dropRNG)
 				m.masks = append(m.masks, mask)
 			}
-			m.timers.TransformNS += int64(time.Since(t0))
 		}
 		h = out
 	}
 	return h, nil
-}
-
-// TakeStageTimers returns the aggregate/transform/backward wall time
-// accumulated since the last call, and resets the counters. The pipeline
-// drains it once per round to attribute the compute stage.
-func (m *Model) TakeStageTimers() StageTimers {
-	t := m.timers
-	m.timers = StageTimers{}
-	return t
 }
 
 // Backward propagates dLogits through the cached forward pass,
@@ -140,11 +125,9 @@ func (m *Model) Backward(dLogits *tensor.Matrix) {
 	if !m.training {
 		panic("nn: Backward requires a training-mode Forward")
 	}
-	t0 := time.Now()
-	env := layerEnv{timers: &m.timers, training: true}
 	grad := dLogits
 	for li := len(m.Layers) - 1; li >= 0; li-- {
-		grad = m.Layers[li].Backward(&m.caches[li], grad, m.arena, &env, li > 0)
+		grad = m.Layers[li].Backward(&m.caches[li], grad, m.arena, li > 0)
 		if m.layerDone != nil {
 			// Layer li's gradients are final: the remaining iterations only
 			// touch layers < li, so a concurrent reader of layer li's params
@@ -162,7 +145,6 @@ func (m *Model) Backward(dLogits *tensor.Matrix) {
 			tensor.ReLUBackward(grad, act)
 		}
 	}
-	m.timers.BackwardNS += int64(time.Since(t0))
 }
 
 // ReleaseBatch returns the current batch's intermediates (including the

@@ -12,10 +12,6 @@ import (
 
 // handBlock builds a tiny block: 2 destinations, 4 inputs.
 // dst 0 samples inputs {2, 3}; dst 1 samples input {3}.
-func testEnv() *layerEnv {
-	return &layerEnv{timers: &StageTimers{}, training: true}
-}
-
 func handBlock() *sample.Block {
 	return &sample.Block{
 		NumDst:   2,
@@ -33,7 +29,7 @@ func TestSAGEConvForwardKnown(t *testing.T) {
 	h := tensor.FromSlice(4, 1, []float32{1, 2, 4, 8})
 	ar := tensor.NewArena(tensor.NewPool())
 	var c sageCache
-	out := l.Forward(handBlock(), h, ar, &c, testEnv())
+	out := l.Forward(handBlock(), h, ar, &c, true)
 	// dst0: 2·1 + 3·mean(4,8) + 0.5 = 2 + 18 + 0.5 = 20.5
 	// dst1: 2·2 + 3·8 + 0.5 = 28.5
 	if math.Abs(float64(out.At(0, 0))-20.5) > 1e-6 {
@@ -53,7 +49,7 @@ func TestSAGEConvIsolatedDst(t *testing.T) {
 	h := tensor.FromSlice(1, 2, []float32{3, 4})
 	ar := tensor.NewArena(tensor.NewPool())
 	var c sageCache
-	out := l.Forward(b, h, ar, &c, testEnv())
+	out := l.Forward(b, h, ar, &c, true)
 	if out.At(0, 0) != 3 || out.At(0, 1) != 4 {
 		t.Fatalf("isolated dst: %v", out.Data)
 	}

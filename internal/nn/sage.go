@@ -2,29 +2,10 @@ package nn
 
 import (
 	"runtime"
-	"time"
 
 	"salientpp/internal/sample"
 	"salientpp/internal/tensor"
 )
-
-// StageTimers accumulates compute-stage wall time in nanoseconds, split into
-// neighbor aggregation, dense transforms (weight GEMMs, bias, activations),
-// and the backward pass. Model and Frozen
-// each own one; TakeStageTimers drains it.
-type StageTimers struct {
-	AggregateNS int64
-	TransformNS int64
-	BackwardNS  int64
-}
-
-// layerEnv is the execution context a Model or Frozen threads through its
-// layers: where stage time is attributed, and whether forward intermediates
-// must be retained for a backward pass.
-type layerEnv struct {
-	timers   *StageTimers
-	training bool
-}
 
 // fusedStripRows is the destination-row granularity of the fused
 // aggregate+transform pass: neighbor means for one strip are streamed into
@@ -103,14 +84,15 @@ type sageCache struct {
 //
 // h holds representations of all block inputs (block.NumInputs() rows).
 // Intermediates live in ar (released by the model before the next batch);
-// cache is the layer's persistent scratch slot.
-func (l *SAGEConv) Forward(b *sample.Block, h *tensor.Matrix, ar *tensor.Arena, cache *sageCache, env *layerEnv) *tensor.Matrix {
+// cache is the layer's persistent scratch slot. training retains the full
+// aggregation for a backward pass.
+func (l *SAGEConv) Forward(b *sample.Block, h *tensor.Matrix, ar *tensor.Arena, cache *sageCache, training bool) *tensor.Matrix {
 	if h.Rows != b.NumInputs() || h.Cols != l.InDim {
 		panic("nn: SAGEConv input shape mismatch")
 	}
 	nd := b.NumDst
 	var agg *tensor.Matrix
-	if env.training {
+	if training {
 		agg = ar.Get(nd, l.InDim)
 	} else {
 		rows := fusedStripRows
@@ -126,9 +108,7 @@ func (l *SAGEConv) Forward(b *sample.Block, h *tensor.Matrix, ar *tensor.Arena, 
 	cache.hSelf = tensor.Matrix{Rows: nd, Cols: l.InDim, Data: h.Data[:nd*l.InDim]}
 
 	out := ar.Get(nd, l.OutDim)
-	t0 := time.Now()
 	tensor.MatMul(out, &cache.hSelf, l.WSelf.W)
-	env.timers.TransformNS += int64(time.Since(t0))
 
 	for lo := 0; lo < nd; lo += fusedStripRows {
 		hi := lo + fusedStripRows
@@ -136,29 +116,23 @@ func (l *SAGEConv) Forward(b *sample.Block, h *tensor.Matrix, ar *tensor.Arena, 
 			hi = nd
 		}
 		viewLo := lo
-		if !env.training {
+		if !training {
 			viewLo = 0 // inference strips reuse the scratch from row 0
 		}
 		cache.aggStrip = tensor.Matrix{Rows: hi - lo, Cols: l.InDim, Data: agg.Data[viewLo*l.InDim : (viewLo+hi-lo)*l.InDim]}
 		strip := &cache.aggStrip
 
-		t0 = time.Now()
 		if hi-lo < tensor.MinParallelRows || runtime.GOMAXPROCS(0) == 1 {
 			aggForwardRange(strip, b, h, lo, lo, hi)
 		} else {
 			tensor.ParallelRows(hi-lo, func(flo, fhi int) { aggForwardRange(strip, b, h, lo, lo+flo, lo+fhi) })
 		}
-		t1 := time.Now()
-		env.timers.AggregateNS += int64(t1.Sub(t0))
 
 		cache.outStrip = tensor.Matrix{Rows: hi - lo, Cols: l.OutDim, Data: out.Data[lo*l.OutDim : hi*l.OutDim]}
 		tensor.MatMulAdd(&cache.outStrip, strip, l.WNeigh.W)
-		env.timers.TransformNS += int64(time.Since(t1))
 	}
 
-	t0 = time.Now()
 	out.AddBias(l.Bias.W.Data)
-	env.timers.TransformNS += int64(time.Since(t0))
 	return out
 }
 
@@ -191,7 +165,7 @@ func aggForwardRange(agg *tensor.Matrix, b *sample.Block, h *tensor.Matrix, base
 // runs. The model's first layer takes that path, because its input is the
 // raw features, which nothing learns. The parameter gradients are bitwise
 // the same either way.
-func (l *SAGEConv) Backward(c *sageCache, dOut *tensor.Matrix, ar *tensor.Arena, env *layerEnv, inputGrad bool) *tensor.Matrix {
+func (l *SAGEConv) Backward(c *sageCache, dOut *tensor.Matrix, ar *tensor.Arena, inputGrad bool) *tensor.Matrix {
 	b := c.block
 	nd := b.NumDst
 	if dOut.Rows != nd || dOut.Cols != l.OutDim {

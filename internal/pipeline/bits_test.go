@@ -42,16 +42,23 @@ func trainEpochsBits(t *testing.T) (weights, losses uint64) {
 			hl.Write(buf[:])
 		}
 	}
+	return weightBits(cl), hl.Sum64()
+}
+
+// weightBits hashes (FNV-64) every rank's weight bits in rank and
+// parameter order.
+func weightBits(cl *Cluster) uint64 {
 	hw := fnv.New64a()
+	var buf [4]byte
 	for _, r := range cl.Ranks {
 		for _, p := range r.Model().Params() {
 			for _, v := range p.W.Data {
-				binary.LittleEndian.PutUint32(buf[:4], math.Float32bits(v))
-				hw.Write(buf[:4])
+				binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
+				hw.Write(buf[:])
 			}
 		}
 	}
-	return hw.Sum64(), hl.Sum64()
+	return hw.Sum64()
 }
 
 // TestTrainEpochsMatchParentBits pins a two-epoch pipelined training run's

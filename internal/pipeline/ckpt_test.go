@@ -239,35 +239,51 @@ func TestMidEpochResumeBitwise(t *testing.T) {
 	if state.Ranks[0].Partial.Batches == 0 {
 		t.Fatal("mid-epoch checkpoint carries no partial statistics")
 	}
-
-	rcfg := crashConfig(false)
-	rcfg.Resume = state
-	resCl, err := NewCluster(d, rcfg)
+	// The v5 writer's checkpoint of the same step of the same run resumes
+	// the same way: decode drops its precision slot and stage timings.
+	v5, err := ckpt.Load(filepath.Join("testdata", "v5-mid-epoch.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resCl.Close()
-	got := map[int]epochResult{}
-	if err := runEpochs(t, resCl, resCl.FirstEpoch(), epochs, got); err != nil {
-		t.Fatal(err)
+	if v5.Step != target {
+		t.Fatalf("v5 checkpoint step %+v, want %+v", v5.Step, target)
 	}
-	for e := 1; e < epochs; e++ {
-		want, have := ref[e], got[e]
-		for r := range want.loss {
-			if want.loss[r] != have.loss[r] || want.acc[r] != have.acc[r] {
-				t.Errorf("epoch %d rank %d: loss/acc %.17g/%.17g != reference %.17g/%.17g",
-					e, r, have.loss[r], have.acc[r], want.loss[r], want.acc[r])
+
+	for _, tc := range []struct {
+		name  string
+		state *ckpt.TrainState
+	}{{"current", state}, {"v5", v5}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rcfg := crashConfig(false)
+			rcfg.Resume = tc.state
+			resCl, err := NewCluster(d, rcfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if want.remote != have.remote {
-			t.Errorf("epoch %d remote fetches %d != reference %d", e, have.remote, want.remote)
-		}
-	}
-	gotW := flatWeights(resCl)
-	for i := range refW {
-		if refW[i] != gotW[i] {
-			t.Fatalf("weights diverge at %d after mid-epoch resume", i)
-		}
+			defer resCl.Close()
+			got := map[int]epochResult{}
+			if err := runEpochs(t, resCl, resCl.FirstEpoch(), epochs, got); err != nil {
+				t.Fatal(err)
+			}
+			for e := 1; e < epochs; e++ {
+				want, have := ref[e], got[e]
+				for r := range want.loss {
+					if want.loss[r] != have.loss[r] || want.acc[r] != have.acc[r] {
+						t.Errorf("epoch %d rank %d: loss/acc %.17g/%.17g != reference %.17g/%.17g",
+							e, r, have.loss[r], have.acc[r], want.loss[r], want.acc[r])
+					}
+				}
+				if want.remote != have.remote {
+					t.Errorf("epoch %d remote fetches %d != reference %d", e, have.remote, want.remote)
+				}
+			}
+			gotW := flatWeights(resCl)
+			for i := range refW {
+				if refW[i] != gotW[i] {
+					t.Fatalf("weights diverge at %d after mid-epoch resume", i)
+				}
+			}
+		})
 	}
 }
 

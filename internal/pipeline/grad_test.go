@@ -1,6 +1,9 @@
 package pipeline
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -9,27 +12,32 @@ import (
 	"salientpp/internal/ckpt"
 )
 
-// gradOutcome fingerprints one training run under a gradient codec.
+// gradOutcome fingerprints one training run under a gradient codec:
+// weightBits and lossBits are FNV-64 hashes of every rank's final weight
+// bits and of every rank's per-epoch loss bits.
 type gradOutcome struct {
-	weights   []float32
-	loss      float64
-	gradBytes int64
-	batches   int
+	weights    []float32
+	loss       float64
+	gradBytes  int64
+	batches    int
+	weightBits uint64
+	lossBits   uint64
 }
 
-func runGradEpochs(t *testing.T, gradCodec string, useTCP bool, overlap bool, epochs int) gradOutcome {
+func runGradEpochs(t *testing.T, gradCodec string, useTCP bool, epochs int) gradOutcome {
 	t.Helper()
 	ds := smallDataset(t)
 	cfg := smallConfig()
 	cfg.UseTCP = useTCP
 	cfg.Train.GradCodec = gradCodec
-	cfg.Train.NoGradOverlap = !overlap
 	cl, err := NewCluster(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	var o gradOutcome
+	hl := fnv.New64a()
+	var buf [8]byte
 	for e := 0; e < epochs; e++ {
 		stats, err := cl.TrainEpochAll(e)
 		if err != nil {
@@ -39,9 +47,12 @@ func runGradEpochs(t *testing.T, gradCodec string, useTCP bool, overlap bool, ep
 			o.loss += s.Loss
 			o.gradBytes += s.GradBytesSent
 			o.batches += s.Batches
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(s.Loss))
+			hl.Write(buf[:])
 		}
 	}
 	o.weights = flatWeights(cl)
+	o.weightBits, o.lossBits = weightBits(cl), hl.Sum64()
 	return o
 }
 
@@ -54,8 +65,8 @@ func runGradEpochs(t *testing.T, gradCodec string, useTCP bool, overlap bool, ep
 func TestGradCodecCrossTransportDeterminism(t *testing.T) {
 	for _, codec := range []string{"fp16", "int8"} {
 		t.Run(codec, func(t *testing.T) {
-			inproc := runGradEpochs(t, codec, false, true, 2)
-			tcp := runGradEpochs(t, codec, true, true, 2)
+			inproc := runGradEpochs(t, codec, false, 2)
+			tcp := runGradEpochs(t, codec, true, 2)
 			if inproc.batches == 0 {
 				t.Fatal("no batches trained")
 			}
@@ -79,9 +90,9 @@ func TestGradCodecCrossTransportDeterminism(t *testing.T) {
 // compute, so any hidden ordering dependence would surface as weight drift
 // between a single-threaded and a parallel schedule.
 func TestGradCodecGOMAXPROCSDeterminism(t *testing.T) {
-	wide := runGradEpochs(t, "int8", false, true, 2)
+	wide := runGradEpochs(t, "int8", false, 2)
 	prev := runtime.GOMAXPROCS(1)
-	narrow := runGradEpochs(t, "int8", false, true, 2)
+	narrow := runGradEpochs(t, "int8", false, 2)
 	runtime.GOMAXPROCS(prev)
 	if narrow.loss != wide.loss {
 		t.Errorf("loss differs across GOMAXPROCS: 1 proc %.17g, %d procs %.17g", narrow.loss, prev, wide.loss)
@@ -95,23 +106,29 @@ func TestGradCodecGOMAXPROCSDeterminism(t *testing.T) {
 
 // TestGradOverlapDoesNotChangeResults: the overlapped schedule is a pure
 // latency optimization. Layer reduces retire in a fixed order on the
-// reducer goroutine, so enabling overlap must leave the entire training
-// trajectory bitwise intact.
+// reducer goroutine, so the overlapped run must reproduce the trajectory
+// of reducing every layer synchronously after the full backward pass. The
+// constants were recorded when the loop still had that synchronous path,
+// and both schedules produced them.
 func TestGradOverlapDoesNotChangeResults(t *testing.T) {
-	for _, codec := range []string{"fp32", "int8"} {
-		t.Run(codec, func(t *testing.T) {
-			on := runGradEpochs(t, codec, false, true, 2)
-			off := runGradEpochs(t, codec, false, false, 2)
-			if on.loss != off.loss {
-				t.Errorf("loss differs with overlap toggled: on %.17g, off %.17g", on.loss, off.loss)
+	for _, tc := range []struct {
+		codec                string
+		weightBits, lossBits uint64
+		gradBytes            int64
+	}{
+		{"fp32", 0x4ed5917952c9dd61, 0xeaeb36d76d59b14a, 34048},
+		{"int8", 0x68b44b104b6c0365, 0xc9cdb169a3dc1aa0, 12224},
+	} {
+		t.Run(tc.codec, func(t *testing.T) {
+			o := runGradEpochs(t, tc.codec, false, 2)
+			if o.weightBits != tc.weightBits {
+				t.Errorf("weights: bits hash %#x, want %#x", o.weightBits, tc.weightBits)
 			}
-			if on.gradBytes != off.gradBytes {
-				t.Errorf("gradient bytes differ with overlap toggled: on %d, off %d", on.gradBytes, off.gradBytes)
+			if o.lossBits != tc.lossBits {
+				t.Errorf("losses: bits hash %#x, want %#x", o.lossBits, tc.lossBits)
 			}
-			for i := range on.weights {
-				if on.weights[i] != off.weights[i] {
-					t.Fatalf("%s weights diverge with overlap toggled at %d (first difference)", codec, i)
-				}
+			if o.gradBytes != tc.gradBytes {
+				t.Errorf("gradient bytes %d, want %d", o.gradBytes, tc.gradBytes)
 			}
 		})
 	}
@@ -122,9 +139,9 @@ func TestGradOverlapDoesNotChangeResults(t *testing.T) {
 // framing), int8 cuts further (1 byte per element + 4 bytes per-row scale),
 // and the lossy runs still train.
 func TestGradCodecShrinksBytes(t *testing.T) {
-	fp32 := runGradEpochs(t, "fp32", false, true, 1)
-	fp16 := runGradEpochs(t, "fp16", false, true, 1)
-	i8 := runGradEpochs(t, "int8", false, true, 1)
+	fp32 := runGradEpochs(t, "fp32", false, 1)
+	fp16 := runGradEpochs(t, "fp16", false, 1)
+	i8 := runGradEpochs(t, "int8", false, 1)
 	if fp32.gradBytes == 0 {
 		t.Fatal("run reported no gradient traffic; accounting is broken")
 	}

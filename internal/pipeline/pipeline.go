@@ -55,13 +55,6 @@ type Config struct {
 	// codec; all ranks must agree. The empty string means fp32, so
 	// zero-valued configs keep the historical behavior.
 	GradCodec string
-	// NoGradOverlap disables the overlapped per-layer gradient reduce and
-	// falls back to synchronously reducing each layer after the full
-	// backward pass, in the same layer order — identical arithmetic,
-	// strictly more idle time. The zero value (overlap on) is the
-	// production configuration; the flag exists for A/B measurement of
-	// the overlap win.
-	NoGradOverlap bool
 }
 
 func (c Config) withDefaults() Config {
@@ -116,32 +109,13 @@ type Rank struct {
 
 // EpochStats aggregates one training epoch on one rank.
 type EpochStats struct {
-	Loss        float64          // mean training loss over real batches
-	Accuracy    float64          // mean training accuracy over real batches
-	Batches     int              // real (non-padding) batches
-	Gather      dist.GatherStats // summed over real batches; rows on the wire = RemoteFetch − Reused
-	BytesSent   int64            // feature-communication bytes this epoch
-	Duration    time.Duration
-	SampleTime  time.Duration // cumulative sampling stage time
-	GatherTime  time.Duration // cumulative feature-collection stage time
-	ComputeTime time.Duration // cumulative model fwd/bwd/optimizer time
-
-	// Compute attribution, as reported by the model's stage timers:
-	// neighbor aggregation, dense transforms (GEMMs/bias/activations), and
-	// the backward pass. Their sum is slightly below ComputeTime (loss and
-	// the optimizer step are counted only in the total).
-	AggregateTime time.Duration
-	TransformTime time.Duration
-	BackwardTime  time.Duration
-
-	// Gradient-synchronization attribution. GradReduceTime is the total
-	// wall time spent inside gradient all-reduces; GradWaitTime is the
-	// part the training loop actually blocked on (the rest ran hidden
-	// under backward compute). Their difference is the overlap win; with
-	// Config.NoGradOverlap the two are equal by construction.
-	GradBytesSent  int64 // gradient all-reduce bytes this epoch
-	GradReduceTime time.Duration
-	GradWaitTime   time.Duration
+	Loss          float64          // mean training loss over real batches
+	Accuracy      float64          // mean training accuracy over real batches
+	Batches       int              // real (non-padding) batches
+	Gather        dist.GatherStats // summed over real batches; rows on the wire = RemoteFetch − Reused
+	BytesSent     int64            // feature-communication bytes this epoch
+	GradBytesSent int64            // gradient all-reduce bytes this epoch
+	Duration      time.Duration
 }
 
 // NewRank wires one machine. labels must cover all global vertices
@@ -296,18 +270,8 @@ func partialFrom(stats *EpochStats, doneReal int, liveBytes, liveGradBytes int64
 		CacheHit: int64(stats.Gather.CacheHits),
 		Remote:   int64(stats.Gather.RemoteFetch),
 
-		BytesSent: liveBytes,
-		SampleNS:  stats.SampleTime.Nanoseconds(),
-		GatherNS:  stats.GatherTime.Nanoseconds(),
-		ComputeNS: stats.ComputeTime.Nanoseconds(),
-
-		AggregateNS: stats.AggregateTime.Nanoseconds(),
-		TransformNS: stats.TransformTime.Nanoseconds(),
-		BackwardNS:  stats.BackwardTime.Nanoseconds(),
-
+		BytesSent:     liveBytes,
 		GradBytesSent: liveGradBytes,
-		GradReduceNS:  stats.GradReduceTime.Nanoseconds(),
-		GradWaitNS:    stats.GradWaitTime.Nanoseconds(),
 	}
 }
 
@@ -316,8 +280,6 @@ type preparedBatch struct {
 	mfg   *sample.MFG
 	feats *tensor.Matrix
 	stats dist.GatherStats
-	gtime time.Duration
-	stime time.Duration
 	empty bool
 }
 
@@ -358,7 +320,7 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 	var stats EpochStats
 	stats.Batches = real
 	// doneReal counts real batches retired so far (across the restart);
-	// resumedBytes carries the byte counter over it. Times, bytes and
+	// resumedBytes carries the byte counter over it. Bytes and
 	// Gather.Reused are reporting-only: the resumed run re-pays the
 	// communication of rounds between the checkpoint and the crash, so
 	// BytesSent is approximate after a restore, and Reused counts only the
@@ -374,22 +336,10 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 		stats.Gather.LocalCPU = int(partial.LocalCPU)
 		stats.Gather.CacheHits = int(partial.CacheHit)
 		stats.Gather.RemoteFetch = int(partial.Remote)
-		stats.SampleTime = time.Duration(partial.SampleNS)
-		stats.GatherTime = time.Duration(partial.GatherNS)
-		stats.ComputeTime = time.Duration(partial.ComputeNS)
-		stats.AggregateTime = time.Duration(partial.AggregateNS)
-		stats.TransformTime = time.Duration(partial.TransformNS)
-		stats.BackwardTime = time.Duration(partial.BackwardNS)
-		stats.GradReduceTime = time.Duration(partial.GradReduceNS)
-		stats.GradWaitTime = time.Duration(partial.GradWaitNS)
 		doneReal = int(partial.Batches)
 		resumedBytes = partial.BytesSent
 		resumedGradBytes = partial.GradBytesSent
 	}
-	// Discard stage time accrued outside training (e.g. an evaluation pass
-	// between epochs) so the per-round harvest below attributes only this
-	// epoch's compute.
-	r.model.TakeStageTimers()
 
 	// abort wakes every pipeline stage when the epoch exits early (gather
 	// or compute failure): sampling workers blocked on a pipeline slot, the
@@ -440,56 +390,47 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 	// Stage D: overlapped gradient synchronization. A dedicated reducer
 	// goroutine consumes per-layer jobs that the model's backward hook
 	// emits the moment a layer's gradients are final, so layer L's
-	// all-reduce runs concurrently with layer L-1's backward kernels. One
-	// result per round reports the error and the wall time spent inside
-	// reduces; the training loop measures separately how long it actually
-	// blocked, and the difference is the overlap win. Job capacity is one
-	// round's layer count and the loop always harvests a round's result
-	// before the next Backward, so the hook never blocks. The cleanup
-	// below drains deterministically: Reduce always returns once every
-	// rank has matched the collective or the group is closed.
+	// all-reduce runs concurrently with layer L-1's backward kernels.
+	// Layers retire in the fixed order Backward finishes them, so the
+	// reduce arithmetic is that of reducing each layer after the full
+	// backward pass. One result per round reports the round's first reduce
+	// error. Job capacity is one round's layer count and the loop always
+	// harvests a round's result before the next Backward, so the hook
+	// never blocks. The cleanup below drains deterministically: Reduce
+	// always returns once every rank has matched the collective or the
+	// group is closed.
 	numLayers := len(r.model.Layers)
-	type roundReduce struct {
-		err  error
-		work time.Duration
-	}
-	var reduced chan roundReduce
-	if !r.cfg.NoGradOverlap {
-		jobs := make(chan int, numLayers)
-		reduced = make(chan roundReduce, 1)
-		go func() {
-			var rr roundReduce
-			count := 0
-			for li := range jobs {
-				if rr.err == nil {
-					t0 := time.Now()
-					rr.err = r.reducer.Reduce(r.layerMats[li], r.layerRes[li])
-					rr.work += time.Since(t0)
-				}
-				count++
-				if count == numLayers {
-					reduced <- rr
-					rr, count = roundReduce{}, 0
-				}
+	jobs := make(chan int, numLayers)
+	reduced := make(chan error, 1)
+	go func() {
+		var err error
+		count := 0
+		for li := range jobs {
+			if err == nil {
+				err = r.reducer.Reduce(r.layerMats[li], r.layerRes[li])
 			}
-			close(reduced)
-		}()
-		r.model.SetBackwardLayerHook(func(li int) { jobs <- li })
-		defer func() {
-			r.model.SetBackwardLayerHook(nil)
-			close(jobs)
-			for range reduced {
-				// Drain any round completed between the last harvest and the
-				// close so the reducer goroutine never leaks.
+			count++
+			if count == numLayers {
+				reduced <- err
+				err, count = nil, 0
 			}
-		}()
-	}
+		}
+		close(reduced)
+	}()
+	r.model.SetBackwardLayerHook(func(li int) { jobs <- li })
+	defer func() {
+		r.model.SetBackwardLayerHook(nil)
+		close(jobs)
+		for range reduced {
+			// Drain any round completed between the last harvest and the
+			// close so the reducer goroutine never leaks.
+		}
+	}()
 
 	// Stage C: model computation and gradient synchronization.
 	grads := r.model.Params()
 	roundsDone := startRound
 	for pb := range ready {
-		t0 := time.Now()
 		logits, err := r.model.Forward(pb.mfg, pb.feats, true)
 		if err != nil {
 			return failBatch(pb, err)
@@ -511,8 +452,6 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 			stats.Gather.CacheHits += pb.stats.CacheHits
 			stats.Gather.RemoteFetch += pb.stats.RemoteFetch
 			stats.Gather.Reused += pb.stats.Reused
-			stats.GatherTime += pb.gtime
-			stats.SampleTime += pb.stime
 			doneReal++
 		}
 		r.model.ZeroGrad()
@@ -520,27 +459,9 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 		r.pool.Put(dL)
 
 		// Harvest the round's gradient all-reduce (sum across ranks) from
-		// the overlapped reducer — or run it synchronously per layer in
-		// the same descending order when overlap is disabled (identical
-		// arithmetic, so the two modes train bitwise identically).
-		if reduced != nil {
-			t0 := time.Now()
-			rr := <-reduced
-			stats.GradWaitTime += time.Since(t0)
-			stats.GradReduceTime += rr.work
-			if rr.err != nil {
-				return failBatch(pb, rr.err)
-			}
-		} else {
-			for li := numLayers - 1; li >= 0; li-- {
-				t0 := time.Now()
-				if err := r.reducer.Reduce(r.layerMats[li], r.layerRes[li]); err != nil {
-					return failBatch(pb, err)
-				}
-				d := time.Since(t0)
-				stats.GradReduceTime += d
-				stats.GradWaitTime += d
-			}
+		// the overlapped reducer.
+		if err := <-reduced; err != nil {
+			return failBatch(pb, err)
 		}
 		inv := float32(1) / float32(r.commGrad.Size())
 		for _, p := range grads {
@@ -549,11 +470,6 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 			}
 		}
 		r.opt.Step(grads)
-		stats.ComputeTime += time.Since(t0)
-		st := r.model.TakeStageTimers()
-		stats.AggregateTime += time.Duration(st.AggregateNS)
-		stats.TransformTime += time.Duration(st.TransformNS)
-		stats.BackwardTime += time.Duration(st.BackwardNS)
 		r.store.Release(pb.feats) // recycle the batch's feature matrix
 		pb.mfg.Release()          // recycle the batch's sampling buffers
 		<-inflight                // retire the batch: frees one pipeline slot
@@ -630,14 +546,11 @@ func (r *Rank) gatherStage(sampled <-chan sampledBatch, ready chan<- preparedBat
 			return r.failSchedule(err)
 		}
 	}
-	var (
-		held  sampledBatch  // pushed batch whose rows are on the wire; nil mfg when none
-		carry time.Duration // gather time of a push that completed nothing
-	)
-	// deliver hands held, completed with feats after d of gather time, to
-	// the compute stage, once the schedule has staged what it admits from
-	// it; false means the epoch aborted first or staging failed.
-	deliver := func(feats *tensor.Matrix, gstats dist.GatherStats, d time.Duration) (bool, error) {
+	var held sampledBatch // pushed batch whose rows are on the wire; nil mfg when none
+	// deliver hands held, completed with feats, to the compute stage, once
+	// the schedule has staged what it admits from it; false means the epoch
+	// aborted first or staging failed.
+	deliver := func(feats *tensor.Matrix, gstats dist.GatherStats) (bool, error) {
 		if sc != nil {
 			if err := sc.completed(held.round, feats); err != nil {
 				r.store.Release(feats)
@@ -649,8 +562,8 @@ func (r *Rank) gatherStage(sampled <-chan sampledBatch, ready chan<- preparedBat
 		// RemoteByPeer aliases store scratch the next gather reuses; only
 		// the scalar counts cross into the compute stage.
 		gstats.RemoteByPeer = nil
-		pb := preparedBatch{mfg: held.mfg, feats: feats, stats: gstats, gtime: carry + d, stime: held.stime, empty: held.empty}
-		held, carry = sampledBatch{}, 0
+		pb := preparedBatch{mfg: held.mfg, feats: feats, stats: gstats, empty: held.empty}
+		held = sampledBatch{}
 		select {
 		case ready <- pb:
 			return true, nil
@@ -664,18 +577,15 @@ func (r *Rank) gatherStage(sampled <-chan sampledBatch, ready chan<- preparedBat
 	}
 	// flush completes held; false with a nil error means aborted.
 	flush := func() (bool, error) {
-		t0 := time.Now()
 		feats, gstats, err := r.store.GatherFlush()
 		if err != nil {
 			held.mfg.Release()
 			return false, err
 		}
-		return deliver(feats, gstats, time.Since(t0))
+		return deliver(feats, gstats)
 	}
 	for sb := range sampled {
-		t0 := time.Now()
 		feats, gstats, err := r.store.GatherNext(sb.mfg.InputIDs())
-		d := time.Since(t0)
 		if err != nil {
 			sb.mfg.Release()
 			if held.mfg != nil {
@@ -683,12 +593,12 @@ func (r *Rank) gatherStage(sampled <-chan sampledBatch, ready chan<- preparedBat
 			}
 			return err
 		}
-		if held.mfg == nil {
-			carry = d
-		} else if ok, err := deliver(feats, gstats, d); !ok {
-			sb.mfg.Release()
-			r.store.GatherDiscard()
-			return err
+		if held.mfg != nil {
+			if ok, err := deliver(feats, gstats); !ok {
+				sb.mfg.Release()
+				r.store.GatherDiscard()
+				return err
+			}
 		}
 		held = sb
 		if sc != nil {
@@ -770,11 +680,10 @@ func (r *Rank) streamSampled(batches [][]int32, base *rng.RNG, offset int, infli
 					return
 				}
 				worker.SetRNG(base.Split(uint64(offset + i)))
-				t0 := time.Now()
 				m := worker.Sample(batches[i])
 				// Capacity-1 channel with this goroutine as sole producer:
 				// the send never blocks.
-				slots[i] <- sampledBatch{mfg: m, empty: len(batches[i]) == 0, stime: time.Since(t0), round: offset + i}
+				slots[i] <- sampledBatch{mfg: m, empty: len(batches[i]) == 0, round: offset + i}
 			}
 		}()
 	}
@@ -802,7 +711,6 @@ func (r *Rank) streamSampled(batches [][]int32, base *rng.RNG, offset int, infli
 type sampledBatch struct {
 	mfg   *sample.MFG
 	empty bool
-	stime time.Duration
 	round int // absolute round index in the epoch
 }
 

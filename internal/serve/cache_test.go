@@ -339,7 +339,7 @@ func driftStream(numVerts, n int) []int32 {
 // a fetch of them decodes them, so under fp16 a vertex reads the same
 // features whether an admitted slot or the wire serves it. After installs
 // on an fp16 cluster, every occupied slot of every engine's epoch holds
-// the serving codec's round trip of the dataset row.
+// the cluster codec's round trip of the dataset row.
 func TestOnlineAdmissionsHydrateThroughCodec(t *testing.T) {
 	cl := serveClusterCodec(t, 2, 0.2, false, "fp16")
 	defer cl.Close()

@@ -6,15 +6,15 @@ import (
 	"time"
 )
 
-// TestServeCodecOverrideReducesBytes exercises Config.Codec: the serving
-// comm group may run a smaller wire codec than the training cluster it
-// serves from. The same request set must fetch the same remote rows under
-// both codecs while the int8 serving group ships materially fewer bytes.
-func TestServeCodecOverrideReducesBytes(t *testing.T) {
-	cl := serveCluster(t, 2, 0, false) // α=0: every foreign row goes remote
-	defer cl.Close()
+// TestServeCodecReducesBytes: serving shares its cluster's wire codec.
+// The same request set fetches the same remote rows from an fp32 and an
+// int8 cluster, while the int8 cluster's serving group ships materially
+// fewer bytes.
+func TestServeCodecReducesBytes(t *testing.T) {
 	run := func(codec string) (remote, bytes int64) {
-		srv, err := New(cl, Config{MaxBatch: 16, MaxWait: 50 * time.Millisecond, Seed: 9, Codec: codec})
+		cl := serveClusterCodec(t, 2, 0, false, codec) // α=0: every foreign row goes remote
+		defer cl.Close()
+		srv, err := New(cl, Config{MaxBatch: 16, MaxWait: 50 * time.Millisecond, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,13 +28,13 @@ func TestServeCodecOverrideReducesBytes(t *testing.T) {
 		snap := srv.Snapshot()
 		return snap.RemoteFetches, snap.BytesSent
 	}
-	fpRemote, fpBytes := run("") // inherits the cluster's fp32
+	fpRemote, fpBytes := run("fp32")
 	i8Remote, i8Bytes := run("int8")
 	if fpRemote == 0 {
 		t.Fatal("workload produced no remote fetches; codec not exercised")
 	}
 	if i8Remote != fpRemote {
-		t.Fatalf("serving codec changed remote fetches: %d vs %d", i8Remote, fpRemote)
+		t.Fatalf("codec changed remote fetches: %d vs %d", i8Remote, fpRemote)
 	}
 	if float64(i8Bytes) > 0.6*float64(fpBytes) {
 		t.Fatalf("int8 serving shipped %d bytes vs fp32's %d, want a material reduction", i8Bytes, fpBytes)

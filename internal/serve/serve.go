@@ -77,13 +77,6 @@ type Config struct {
 	// UseTCP routes the serving gathers over loopback TCP instead of
 	// in-process channels.
 	UseTCP bool
-	// Codec selects the wire codec of the serving comm group ("fp32",
-	// "fp16", "int8"); the empty string inherits the training cluster's
-	// codec. The serving group is a separate comm group, so it may
-	// legitimately run a smaller codec than training (e.g. int8 serving
-	// over fp32 training). Metrics().BytesSent counts the encoded wire
-	// bytes, not rows×dim×4.
-	Codec string
 
 	// Deadline is each request's end-to-end latency budget and turns on
 	// admission control: a request that cannot complete within it — the
@@ -120,7 +113,7 @@ type Config struct {
 	// hits and misses feed the scorer, and every CacheRefreshRounds rounds
 	// the engine retargets its private working epoch to the scorer's
 	// proposal in place, between its rounds, writing only the rows it
-	// admits (hydrated through the serving codec).
+	// admits (hydrated through the cluster's codec).
 	Cache string
 	// CacheRefreshRounds is the online proposal cadence in rounds; 0 means
 	// 32. Ignored unless Cache is "online".
@@ -217,11 +210,10 @@ type Server struct {
 	scans atomic.Int64
 
 	// parents are the training ranks' stores, retained so a regroup can
-	// mint fresh siblings over a new comm group; codec is the resolved
-	// serving setting every group (initial and regrown) gets.
-	parents  []*dist.Store
-	codec    dist.Codec
-	codecSet bool
+	// mint fresh siblings over a new comm group. Siblings inherit the
+	// parent's wire codec, so cache hits and fetched rows share one
+	// precision.
+	parents []*dist.Store
 
 	// Resilience state. maxBatch is the adaptive per-rank batch cap
 	// (equal to cfg.MaxBatch when Deadline is off); roundNS is the median
@@ -296,13 +288,6 @@ func New(cl *pipeline.Cluster, cfg Config) (*Server, error) {
 	}
 	s.maxBatch.Store(int64(cfg.MaxBatch))
 	s.healthy.Store(true)
-	if cfg.Codec != "" {
-		codec, err := dist.ParseCodec(cfg.Codec)
-		if err != nil {
-			return nil, err
-		}
-		s.codec, s.codecSet = codec, true
-	}
 	// fail closes the shutdown channel too, so abort watchers already
 	// installed on sibling stores exit instead of leaking.
 	fail := func(err error) (*Server, error) {
@@ -425,9 +410,6 @@ func (s *Server) buildGroup(probe bool) (*commGroup, error) {
 		if err != nil {
 			g.close()
 			return nil, err
-		}
-		if s.codecSet {
-			st.SetCodec(s.codec)
 		}
 		st.SetAbort(s.shutdown)
 		g.stores = append(g.stores, st)

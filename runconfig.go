@@ -28,11 +28,6 @@ type RunConfig struct {
 	// of fp32. Part of checkpoint run identity: the accumulated residuals
 	// are saved and restored with the model.
 	GradCodec string
-	// NoGradOverlap disables overlapping the per-layer gradient all-reduce
-	// with the remaining backward compute. The overlap is on by default
-	// and bitwise-neutral (layer reduces retire in a fixed order); the
-	// switch exists for A/B measurement and debugging.
-	NoGradOverlap bool
 	// Parallelism bounds sampler workers and setup-time analysis threads;
 	// 0 keeps each harness's own default.
 	Parallelism int
@@ -81,14 +76,12 @@ func (c *RunConfig) RegisterCheckpointFlags(fs *flag.FlagSet) {
 }
 
 // RegisterTrainFlags installs the training-only flags on fs: the gradient
-// all-reduce knobs (-grad-codec, -no-grad-overlap) and elastic training
+// all-reduce codec (-grad-codec) and elastic training
 // (-elastic, -stall-timeout). Only the training harness registers these —
 // serving never reduces gradients and has its own timeout/regroup surface.
 func (c *RunConfig) RegisterTrainFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.GradCodec, "grad-codec", c.GradCodec,
 		"gradient all-reduce wire codec: fp32 (raw), fp16 (half-precision rows), int8 (per-row-scaled rows with error-feedback residuals)")
-	fs.BoolVar(&c.NoGradOverlap, "no-grad-overlap", c.NoGradOverlap,
-		"disable overlapping the per-layer gradient all-reduce with backward compute (A/B measurement; results are bitwise identical either way)")
 	fs.BoolVar(&c.Elastic, "elastic", c.Elastic,
 		"survive a mid-run rank failure by shrinking onto the live ranks (needs -checkpoint-dir)")
 	fs.DurationVar(&c.StallTimeout, "stall-timeout", c.StallTimeout,

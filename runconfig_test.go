@@ -20,7 +20,7 @@ func TestRunConfigFlagRoundTrip(t *testing.T) {
 	run.RegisterTrainFlags(fs)
 	if err := fs.Parse([]string{
 		"-codec", "int8", "-parallelism", "4",
-		"-grad-codec", "fp16", "-no-grad-overlap", "-elastic", "-stall-timeout", "2s",
+		"-grad-codec", "fp16", "-elastic", "-stall-timeout", "2s",
 		"-checkpoint-dir", "ckpts", "-checkpoint-every-rounds", "50",
 		"-checkpoint-retain", "5", "-resume",
 	}); err != nil {
@@ -29,7 +29,7 @@ func TestRunConfigFlagRoundTrip(t *testing.T) {
 	if run.Codec != "int8" || run.Parallelism != 4 {
 		t.Fatalf("parsed %+v", run)
 	}
-	if run.GradCodec != "fp16" || !run.NoGradOverlap {
+	if run.GradCodec != "fp16" {
 		t.Fatalf("gradient flags parsed %+v", run)
 	}
 	if !run.Elastic || run.StallTimeout != 2*time.Second {
