@@ -60,9 +60,9 @@ type sageCache struct {
 	// in the cache rather than on the Forward stack because escape analysis
 	// moves a stack header to the heap on every strip: aggStrip is captured
 	// by the closure the parallel aggregation hands to tensor.ParallelRows,
-	// and outStrip is the C operand of tensor.MatMulAdd, whose parallel
-	// dispatch hands it to worker goroutines (TestForwardBackwardAllocationFree
-	// fails with stack-local views).
+	// and outStrip is the C operand of tensor.MatMulAddPacked, whose
+	// parallel dispatch hands it to worker goroutines
+	// (TestForwardBackwardAllocationFree fails with stack-local views).
 	aggStrip tensor.Matrix
 	outStrip tensor.Matrix
 
@@ -76,11 +76,12 @@ type sageCache struct {
 // Forward computes layer outputs for the block's destination vertices with
 // the fused aggregate+transform pass: after the self GEMM fills the output,
 // neighbor means are computed one strip of destination rows at a time and
-// streamed straight into the WNeigh GEMM via MatMulAdd while the strip is
-// cache-hot. In training mode the strips are views of a full arena-owned
-// aggregation matrix (Backward consumes it); in inference mode one reused
-// strip of scratch is the only aggregation storage — the full intermediate
-// is never materialized.
+// streamed straight into the WNeigh GEMM via MatMulAddPacked while the
+// strip is cache-hot; WNeigh is packed once per call, not once per strip.
+// In training mode the strips are views of a full arena-owned aggregation
+// matrix (Backward consumes it); in inference mode one reused strip of
+// scratch is the only aggregation storage — the full intermediate is never
+// materialized.
 //
 // h holds representations of all block inputs (block.NumInputs() rows).
 // Intermediates live in ar (released by the model before the next batch);
@@ -110,6 +111,7 @@ func (l *SAGEConv) Forward(b *sample.Block, h *tensor.Matrix, ar *tensor.Arena, 
 	out := ar.Get(nd, l.OutDim)
 	tensor.MatMul(out, &cache.hSelf, l.WSelf.W)
 
+	wNeigh := tensor.PackB(l.WNeigh.W)
 	for lo := 0; lo < nd; lo += fusedStripRows {
 		hi := lo + fusedStripRows
 		if hi > nd {
@@ -129,8 +131,9 @@ func (l *SAGEConv) Forward(b *sample.Block, h *tensor.Matrix, ar *tensor.Arena, 
 		}
 
 		cache.outStrip = tensor.Matrix{Rows: hi - lo, Cols: l.OutDim, Data: out.Data[lo*l.OutDim : hi*l.OutDim]}
-		tensor.MatMulAdd(&cache.outStrip, strip, l.WNeigh.W)
+		tensor.MatMulAddPacked(&cache.outStrip, strip, &wNeigh)
 	}
+	wNeigh.Release()
 
 	out.AddBias(l.Bias.W.Data)
 	return out

@@ -311,25 +311,27 @@ func TestServeShutdownWhileStalled(t *testing.T) {
 }
 
 // TestServeShedsWhenBudgetExceeded pins admission control: before any
-// estimate exists the first request is admitted; with a round-time
-// estimate that makes the budget hopeless, a request arriving behind a
-// queue is shed at the door, but one arriving at an empty queue is
-// admitted — it is the probe whose round refreshes the estimate; when the
-// estimate falls back inside the budget, queued arrivals are admitted
-// again.
+// estimate exists no arrival is shed at the door, however deep the queue;
+// with a round-time estimate that makes the budget hopeless, a request
+// arriving behind a queue is shed at the door, but one arriving at an
+// empty queue is admitted — it is the probe whose round refreshes the
+// estimate; when the estimate falls back inside the budget, queued
+// arrivals are admitted again. A live server's first request is served.
+// The snapshot-time shed of a probe whose own queue wait passed Deadline
+// is pinned by TestServeShedsProbeWhoseWaitPassedDeadline.
 func TestServeShedsWhenBudgetExceeded(t *testing.T) {
 	cl := serveCluster(t, 2, 0, false)
 	defer cl.Close()
+	// A budget no queue wait on a loaded test machine can spend: this
+	// checks only that the door admits the first request.
 	srv, err := New(cl, Config{
-		MaxBatch: 4, MaxWait: -1, Seed: 2, Deadline: 5 * time.Millisecond,
+		MaxBatch: 4, MaxWait: -1, Seed: 2, Deadline: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	out := make([]float32, srv.Classes())
-
-	// No estimate yet: the first request must be admitted.
 	if _, err := srv.Predict(0, out); err != nil {
 		t.Fatalf("first request shed before any estimate existed: %v", err)
 	}
@@ -338,6 +340,11 @@ func TestServeShedsWhenBudgetExceeded(t *testing.T) {
 	// can overwrite the scripted estimate.
 	s := &Server{cfg: Config{MaxBatch: 4, Deadline: 5 * time.Millisecond}.withDefaults()}
 	s.maxBatch.Store(4)
+	for q := 0; q <= 1000; q++ {
+		if s.shedAtDoor(q) {
+			t.Fatalf("an arrival behind %d queued requests was shed before any estimate existed", q)
+		}
+	}
 	s.roundNS.Store(int64(time.Second)) // hopeless: one round alone exceeds the budget
 	if !s.shedAtDoor(1) || !s.shedAtDoor(9) {
 		t.Fatal("a queued arrival under a hopeless estimate was admitted")
@@ -355,6 +362,61 @@ func TestServeShedsWhenBudgetExceeded(t *testing.T) {
 	s.cfg.Deadline = 0
 	if s.shedAtDoor(1000) {
 		t.Fatal("admission control shed without a Deadline")
+	}
+}
+
+// TestServeShedsProbeWhoseWaitPassedDeadline pins the snapshot-time shed
+// of a round's probe: a request admitted at the door (empty queue, no
+// estimate yet) that then waits behind a stalled round past Deadline is
+// shed when its own round snapshots the queue, because its caller's budget
+// is already spent; the stalled round's own request is still served.
+func TestServeShedsProbeWhoseWaitPassedDeadline(t *testing.T) {
+	cl := serveCluster(t, 2, 0.1, false)
+	defer cl.Close()
+	const deadline = 20 * time.Millisecond
+	ch := dist.NewChaos(dist.ChaosConfig{})
+	srv, err := New(cl, Config{
+		MaxBatch: 4, MaxWait: -1, Seed: 9, Deadline: deadline,
+		// The stalled round completes late instead of degrading.
+		GatherTimeout: 10 * time.Second,
+		WrapComm:      chaosWrap(ch, 1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer ch.Clear()
+
+	ch.Stall()
+	before := ch.Calls()
+	first := make(chan error, 1)
+	go func() {
+		_, err := srv.Predict(1, make([]float32, srv.Classes()))
+		first <- err
+	}()
+	// Once a collective has hit the stall gate, the first request's round
+	// has snapshotted the queue: the next arrival waits behind it.
+	for limit := time.Now().Add(5 * time.Second); ch.Calls() == before; {
+		if time.Now().After(limit) {
+			t.Fatal("the first request's round never reached a collective")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	second := make(chan error, 1)
+	go func() {
+		_, err := srv.Predict(2, make([]float32, srv.Classes()))
+		second <- err
+	}()
+	time.Sleep(3 * deadline)
+	ch.Clear()
+	if err := <-first; err != nil {
+		t.Fatalf("the stalled round's request: %v", err)
+	}
+	if err := <-second; !errors.Is(err, ErrShed) {
+		t.Fatalf("a probe that waited %v past a %v Deadline got %v, want ErrShed", 3*deadline, deadline, err)
+	}
+	if snap := srv.Snapshot(); snap.Shed != 1 {
+		t.Fatalf("snapshot counts %d shed, want 1", snap.Shed)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // backendShapes exercises every remainder lane of the tiled dispatch: odd
 // rows/cols/depth (incl. the micro-kernel's 2-row and 4-column remainders
 // and the k%4 SIMD tail), sub-threshold serial paths, the exact
-// MinParallelRows boundary, panel-boundary column counts (panelRows(k)
+// MinParallelRows boundary, run-boundary column counts (panelCols(k)
 // multiples ±1), and i-chunk boundaries (tileIChunk=128 multiples ±1).
 var backendShapes = [][3]int{
 	{1, 1, 1}, {2, 3, 4}, {3, 5, 7}, {4, 4, 4}, {5, 9, 6}, {7, 13, 11},
@@ -71,7 +71,8 @@ func TestTiledMatchesNaiveReference(t *testing.T) {
 // TestMatMulAddMatchesMatMulPlusAdd pins the accumulate contract: C += A·B
 // must be bitwise identical to MatMul into scratch followed by Add, so
 // streaming the neighbor transform into the output matrix cannot change
-// training numerics; likewise each half of MatMulATBAddPair against
+// training numerics, and MatMulAddPacked against a PackB operand must
+// equal MatMulAdd; likewise each half of MatMulATBAddPair against
 // MatMulATB followed by Add, so the weight gradients can accumulate in
 // place.
 func TestMatMulAddMatchesMatMulPlusAdd(t *testing.T) {
@@ -91,6 +92,13 @@ func TestMatMulAddMatchesMatMulPlusAdd(t *testing.T) {
 		MatMulAdd(got, a, b)
 		if MaxAbsDiff(want, got) != 0 {
 			t.Fatalf("MatMulAdd %v: differs from MatMul+Add", s)
+		}
+		got = base.Clone()
+		bp := PackB(b)
+		MatMulAddPacked(got, a, &bp)
+		bp.Release()
+		if MaxAbsDiff(want, got) != 0 {
+			t.Fatalf("MatMulAddPacked %v: differs from MatMul+Add", s)
 		}
 
 		// The shared-B weight-gradient pair: each of its two accumulations

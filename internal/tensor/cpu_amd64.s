@@ -30,3 +30,32 @@ TEXT ·x86HasAVX2(SB), NOSPLIT, $0-1
 no:
 	MOVB $0, ret+0(FP)
 	RET
+
+// func x86HasAVX512() bool
+//
+// AVX-512F availability probe: CPUID.1:ECX must report OSXSAVE, XGETBV(0)
+// must show the OS saves XMM, YMM, opmask and both halves of the upper ZMM
+// state (XCR0 bits 1, 2, 5, 6 and 7), and CPUID.(7,0):EBX bit 16 must
+// report AVX512F.
+TEXT ·x86HasAVX512(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x08000000, CX // OSXSAVE
+	JZ   no512
+	XORL CX, CX
+	XGETBV
+	ANDL $0xe6, AX       // XMM | YMM | opmask | ZMM_Hi256 | Hi16_ZMM
+	CMPL AX, $0xe6
+	JNE  no512
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	TESTL $0x10000, BX   // AVX512F
+	JZ   no512
+	MOVB $1, ret+0(FP)
+	RET
+
+no512:
+	MOVB $0, ret+0(FP)
+	RET

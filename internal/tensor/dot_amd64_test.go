@@ -38,6 +38,16 @@ func kernelInputs(r *rng.RNG, rows, depth int, special bool) [][]float32 {
 	return out
 }
 
+// packRows packs rows (each depth long, at most eight) into panels the way
+// the products pack their right operand, zero-padding the last panel.
+func packRows(rows [][]float32, depth int) PackedB {
+	m := New(len(rows), depth)
+	for j, row := range rows {
+		copy(m.Row(j), row)
+	}
+	return packPanelsT(m)
+}
+
 // TestDotBlock4x4AVX2MatchesPortable pins the micro-kernel contract: the
 // AVX2 kernel gives every output bit-for-bit the portable kernel's value —
 // same lanes, same (l0+l2)+(l1+l3) reduction, same ascending tail, a
@@ -52,9 +62,11 @@ func TestDotBlock4x4AVX2MatchesPortable(t *testing.T) {
 	for _, depth := range depths {
 		for trial := 0; trial < 40; trial++ {
 			in := kernelInputs(r, 8, depth, trial%2 == 1)
+			bp := packRows(in[4:], depth)
 			var simd, portable [16]float32
-			dotBlock4x4AVX2(&in[0][0], &in[1][0], &in[2][0], &in[3][0], &in[4][0], &in[5][0], &in[6][0], &in[7][0], depth, &simd)
-			dotBlock4x4Go(&in[0][0], &in[1][0], &in[2][0], &in[3][0], &in[4][0], &in[5][0], &in[6][0], &in[7][0], depth, &portable)
+			dotBlock4x4AVX2(&in[0][0], &in[1][0], &in[2][0], &in[3][0], &bp.data[0], depth, &simd)
+			dotBlock4x4Go(&in[0][0], &in[1][0], &in[2][0], &in[3][0], &bp.data[0], depth, &portable)
+			bp.Release()
 			for o := range simd {
 				if !sameFloat(simd[o], portable[o]) {
 					t.Fatalf("depth %d trial %d output %d: avx2 %g (%#x), portable %g (%#x)",
@@ -65,41 +77,120 @@ func TestDotBlock4x4AVX2MatchesPortable(t *testing.T) {
 	}
 }
 
+// TestDotBlockAVX512MatchesPortable pins the register block's contract:
+// the AVX-512 8×8 kernel gives every output bit-for-bit the value of four
+// portable 4×4 blocks, at depths around every vector and tail boundary, on
+// ordinary and special-value inputs, on partial row blocks (the last live
+// row pointer repeated) and partial column blocks (a zero-padded panel,
+// the first panel repeated for a missing second), stored and accumulated
+// into a strided C whose elements past the block stay untouched.
+func TestDotBlockAVX512MatchesPortable(t *testing.T) {
+	if !x86HasAVX512() {
+		t.Skip("CPU has no AVX-512F: the AVX-512 tier is not built into the dispatch")
+	}
+	r := rng.New(42)
+	const ldc = 11
+	depths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 127, 128, 129, 4099}
+	for _, depth := range depths {
+		for trial := 0; trial < 40; trial++ {
+			ni, nj := 8, 8
+			if trial%4 >= 2 {
+				ni, nj = 1+r.Intn(8), 1+r.Intn(8)
+			}
+			acc := trial%8 >= 4
+			in := kernelInputs(r, 16, depth, trial%2 == 1)
+			var rows [8]*float32
+			for i := range rows {
+				rows[i] = &in[min(i, ni-1)][0]
+			}
+			bp := packRows(in[8:8+nj], depth)
+			b0, b1 := &bp.data[0], &bp.data[0]
+			if nj > 4 {
+				b1 = &bp.data[4*depth]
+			}
+			base := kernelInputs(r, 1, 8*ldc, trial%2 == 1)[0]
+			simd := append([]float32(nil), base...)
+			want := append([]float32(nil), base...)
+			dotBlock8x8AVX512(&rows, b0, b1, depth, &simd[0], ldc, acc)
+			var out [16]float32
+			for h := 0; h < 8; h += 4 {
+				for q, b := range [2]*float32{b0, b1} {
+					dotBlock4x4Go(rows[h], rows[h+1], rows[h+2], rows[h+3], b, depth, &out)
+					for o, v := range out {
+						e := (h+o/4)*ldc + 4*q + o%4
+						if acc {
+							v += base[e]
+						}
+						want[e] = v
+					}
+				}
+			}
+			bp.Release()
+			for e := range simd {
+				if !sameFloat(simd[e], want[e]) {
+					t.Fatalf("depth %d trial %d (%d×%d live, acc %v) row %d col %d: avx512 %g (%#x), portable %g (%#x)",
+						depth, trial, ni, nj, acc, e/ldc, e%ldc, simd[e], math.Float32bits(simd[e]), want[e], math.Float32bits(want[e]))
+				}
+			}
+		}
+	}
+}
+
+// kernelTiers are the dispatch settings of the three fp32 kernel tiers.
+var kernelTiers = []struct {
+	name         string
+	avx512, avx2 bool
+}{{"avx512", true, true}, {"avx2", false, true}, {"portable", false, false}}
+
 // TestProductsBitwiseAcrossDispatch runs every product — the shared-B
-// weight-gradient pair in its accumulating form included — at every
-// backendShapes entry with the dispatch forced to AVX2 and to the portable
-// kernel: the outputs must be bitwise equal, so which kernel a CPU picks
-// never changes a trained weight or a served logit.
+// weight-gradient pair and the pre-packed accumulate included — at every
+// backendShapes entry with the dispatch forced to each kernel tier: the
+// outputs must be bitwise equal, so which tier a CPU picks never changes a
+// trained weight or a served logit.
 func TestProductsBitwiseAcrossDispatch(t *testing.T) {
 	if !x86HasAVX2() {
 		t.Skip("CPU has no AVX2")
 	}
-	defer func(prev bool) { hasAVX2 = prev }(hasAVX2)
+	defer func(avx512, avx2 bool) { hasAVX512, hasAVX2 = avx512, avx2 }(hasAVX512, hasAVX2)
+	tiers := kernelTiers
+	if !x86HasAVX512() {
+		tiers = tiers[1:]
+	}
 	r := rng.New(43)
+	names := []string{"MatMul", "MatMulATB", "MatMulABT", "MatMulAdd", "MatMulATBAddPair first", "MatMulATBAddPair second", "MatMulAddPacked"}
 	for _, s := range backendShapes {
 		m, k, n := s[0], s[1], s[2]
 		a, b := randMat(m, k, r), randMat(k, n, r)
 		at, bt := randMat(k, m, r), randMat(n, k, r)
 		base := randMat(m, n, r)
 		at2 := randMat(k, m, r)
-		run := func(avx2 bool) [6]*Matrix {
-			hasAVX2 = avx2
-			outs := [6]*Matrix{New(m, n), New(m, n), New(m, n), base.Clone(), base.Clone(), base.Clone()}
+		var first [7]*Matrix
+		for tier, tr := range tiers {
+			hasAVX512, hasAVX2 = tr.avx512, tr.avx2
+			outs := [7]*Matrix{New(m, n), New(m, n), New(m, n), base.Clone(), base.Clone(), base.Clone(), base.Clone()}
 			MatMul(outs[0], a, b)
 			MatMulATB(outs[1], at, b)
 			MatMulABT(outs[2], a, bt)
 			MatMulAdd(outs[3], a, b)
 			MatMulATBAddPair(outs[4], at, outs[5], at2, b)
-			return outs
-		}
-		simd, portable := run(true), run(false)
-		for p, name := range []string{"MatMul", "MatMulATB", "MatMulABT", "MatMulAdd", "MatMulATBAddPair first", "MatMulATBAddPair second"} {
-			for e, v := range simd[p].Data {
-				if !sameFloat(v, portable[p].Data[e]) {
-					t.Fatalf("%s %v element %d: avx2 %g, portable %g", name, s, e, v, portable[p].Data[e])
+			bp := PackB(b)
+			MatMulAddPacked(outs[6], a, &bp)
+			bp.Release()
+			if tier == 0 {
+				first = outs
+				continue
+			}
+			for p, name := range names {
+				for e, v := range outs[p].Data {
+					if !sameFloat(v, first[p].Data[e]) {
+						t.Fatalf("%s %v element %d: %s %g, %s %g", name, s, e, tr.name, v, tiers[0].name, first[p].Data[e])
+					}
 				}
 			}
 		}
+	}
+	if len(tiers) < len(kernelTiers) {
+		t.Skip("CPU has no AVX-512F: compared the AVX2 and portable tiers only")
 	}
 }
 

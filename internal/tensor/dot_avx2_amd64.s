@@ -2,28 +2,26 @@
 
 #include "textflag.h"
 
-// func dotBlock4x4AVX2(a0, a1, a2, a3, b0, b1, b2, b3 *float32, depth int, out *[16]float32)
+// func dotBlock4x4AVX2(a0, a1, a2, a3, bp *float32, depth int, out *[16]float32)
 //
-// Sixteen dot products (4 A rows × 4 B rows) over a shared depth. Each YMM
-// accumulator holds two outputs' 4-lane partial sums side by side:
-// Y0..Y3 = [a0 | a1]·{b0..b3}, Y4..Y7 = [a2 | a3]·{b0..b3}, so a row pair
-// is one [a_i | a_{i+1}] load against a VBROADCASTF128 B chunk. Per four k
-// that is 8 loads, 8 VMULPS and 8 VADDPS for 64 multiply-adds, with 8
-// independent add chains to cover VADDPS latency. Every operation keeps the
-// operand order of one lane of the portable kernel (dot.go): product then
-// sum, each rounded — no FMA, which would round once and change the
-// result. AX is the byte offset of the current k in every row.
-TEXT ·dotBlock4x4AVX2(SB), NOSPLIT, $0-80
+// Sixteen dot products (4 A rows × the 4 B rows of one packed panel, see
+// dot.go) over a shared depth. Each YMM accumulator holds two outputs'
+// 4-lane partial sums side by side: Y0..Y3 = [a0 | a1]·{b0..b3},
+// Y4..Y7 = [a2 | a3]·{b0..b3}, so a row pair is one [a_i | a_{i+1}] load
+// against a VBROADCASTF128 B chunk. Per four k that is 8 loads, 8 VMULPS
+// and 8 VADDPS for 64 multiply-adds, with 8 independent add chains to cover
+// VADDPS latency. Every operation keeps the operand order of one lane of
+// the portable kernel: product then sum, each rounded — no FMA, which would
+// round once and change the result. AX is the byte offset of the current k
+// in every A row; the panel's terms of that k start at byte 4·AX.
+TEXT ·dotBlock4x4AVX2(SB), NOSPLIT, $0-56
 	MOVQ a0+0(FP), SI
 	MOVQ a1+8(FP), DI
 	MOVQ a2+16(FP), R12
 	MOVQ a3+24(FP), R13
-	MOVQ b0+32(FP), R8
-	MOVQ b1+40(FP), R9
-	MOVQ b2+48(FP), R10
-	MOVQ b3+56(FP), R11
-	MOVQ depth+64(FP), CX
-	MOVQ out+72(FP), DX
+	MOVQ bp+32(FP), R8
+	MOVQ depth+40(FP), CX
+	MOVQ out+48(FP), DX
 
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
@@ -45,10 +43,10 @@ vecloop:
 	VINSERTF128    $1, (DI)(AX*1), Y8, Y8
 	VMOVUPS        (R12)(AX*1), X9
 	VINSERTF128    $1, (R13)(AX*1), Y9, Y9
-	VBROADCASTF128 (R8)(AX*1), Y10
-	VBROADCASTF128 (R9)(AX*1), Y11
-	VBROADCASTF128 (R10)(AX*1), Y12
-	VBROADCASTF128 (R11)(AX*1), Y13
+	VBROADCASTF128 (R8)(AX*4), Y10
+	VBROADCASTF128 16(R8)(AX*4), Y11
+	VBROADCASTF128 32(R8)(AX*4), Y12
+	VBROADCASTF128 48(R8)(AX*4), Y13
 
 	VMULPS Y8, Y10, Y14
 	VADDPS Y14, Y0, Y0
@@ -103,7 +101,7 @@ reduce:
 
 	// Tail: the depth%4 trailing terms accumulate onto the reduced sums in
 	// ascending k, one [a_i ×4 | a_{i+1} ×4] · [b0..b3 | b0..b3] product
-	// per row pair.
+	// per row pair; the panel holds each tail k's b0..b3 contiguously.
 	ANDQ $3, CX
 	JZ   store
 
@@ -114,11 +112,7 @@ tailloop:
 	VBROADCASTSS (R12)(AX*1), X9
 	VBROADCASTSS (R13)(AX*1), X10
 	VINSERTF128  $1, X10, Y9, Y9
-	VMOVSS       (R8)(AX*1), X10
-	VINSERTPS    $0x10, (R9)(AX*1), X10, X10
-	VINSERTPS    $0x20, (R10)(AX*1), X10, X10
-	VINSERTPS    $0x30, (R11)(AX*1), X10, X10
-	VINSERTF128  $1, X10, Y10, Y10
+	VBROADCASTF128 (R8)(AX*4), Y10
 
 	VMULPS Y8, Y10, Y11
 	VADDPS Y11, Y0, Y0

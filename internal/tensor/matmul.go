@@ -21,11 +21,11 @@ const MinParallelRows = 64
 // MatMul computes C = A·B. Shapes: A is m×k, B is k×n, C is m×n.
 // C must not alias A or B; C's prior contents are ignored.
 //
-// Bᵀ is packed once into reused scratch and the 4×4 dot micro-kernel runs
-// over L1-resident column panels and L2-resident row slabs (see tiled.go
-// for the shared kernel contract). Row ranges are distributed across
-// GOMAXPROCS goroutines from MinParallelRows output rows on; each output
-// element is computed by exactly one worker with a depth-determined
+// B is packed once into reused scratch and the 8×8 register block runs
+// over L1-resident runs of packed columns and L2-resident row slabs (see
+// tiled.go for the shared kernel contract). Row ranges are distributed
+// across GOMAXPROCS goroutines from MinParallelRows output rows on; each
+// output element is computed by exactly one worker with a depth-determined
 // association, so results are bitwise identical at every worker count and
 // every row count.
 func MatMul(c, a, b *Matrix) { matMulPacked(c, a, b, false) }
@@ -38,25 +38,36 @@ func MatMul(c, a, b *Matrix) { matMulPacked(c, a, b, false) }
 // into C without changing training numerics.
 func MatMulAdd(c, a, b *Matrix) { matMulPacked(c, a, b, true) }
 
+// MatMulAddPacked is MatMulAdd against a B packed by PackB: several
+// products against one B pay for one pack. The result is bitwise identical
+// to MatMulAdd.
+func MatMulAddPacked(c, a *Matrix, b *PackedB) {
+	if a.Cols != b.depth || c.Rows != a.Rows || c.Cols != b.cols {
+		panic("tensor: MatMulAddPacked shape mismatch")
+	}
+	matMulTiled(c, *a, *b, true)
+}
+
 func matMulPacked(c, a, b *Matrix, acc bool) {
 	checkMatMul(c, a, b)
-	bt := packTranspose(b)
-	matMulTiled(c, *a, bt, acc)
-	putPackBuf(bt.Data)
+	bp := PackB(b)
+	matMulTiled(c, *a, bp, acc)
+	bp.Release()
 }
 
 // MatMulATB computes C = Aᵀ·B. Shapes: A is k×m, B is k×n, C is m×n.
-// C's prior contents are ignored. Both operands are packed transposed (two
-// streaming passes, reused scratch) so every dot product runs k-contiguous
-// through the SIMD micro-kernel — the layout change more than pays for
-// itself because the shared depth (the MFG destination count) is the large
-// dimension. Workers own disjoint C rows; per-element association is
-// depth-determined, so results are identical at every worker count.
+// C's prior contents are ignored. Both operands are packed (two streaming
+// passes, reused scratch): Aᵀ transposed and B into panels, so every dot
+// product runs k-contiguous through the register block — the layout
+// change more than pays for itself because the shared depth (the MFG
+// destination count) is the large dimension. Workers own disjoint C rows;
+// per-element association is depth-determined, so results are identical
+// at every worker count.
 func MatMulATB(c, a, b *Matrix) {
 	checkMatMulATB(c, a, b)
-	bt := packTranspose(b)
-	matMulATBPacked(c, a, bt, false)
-	putPackBuf(bt.Data)
+	bp := PackB(b)
+	matMulATBPacked(c, a, bp, false)
+	bp.Release()
 }
 
 // MatMulATBAddPair computes C1 += A1ᵀ·B and C2 += A2ᵀ·B, packing the shared
@@ -68,29 +79,30 @@ func MatMulATB(c, a, b *Matrix) {
 func MatMulATBAddPair(c1, a1, c2, a2, b *Matrix) {
 	checkMatMulATB(c1, a1, b)
 	checkMatMulATB(c2, a2, b)
-	bt := packTranspose(b)
-	matMulATBPacked(c1, a1, bt, true)
-	matMulATBPacked(c2, a2, bt, true)
-	putPackBuf(bt.Data)
+	bp := PackB(b)
+	matMulATBPacked(c1, a1, bp, true)
+	matMulATBPacked(c2, a2, bp, true)
+	bp.Release()
 }
 
 // matMulATBPacked is the one Aᵀ·B path: it packs Aᵀ and runs the tiled
-// kernel against bt, B already packed transposed.
-func matMulATBPacked(c, a *Matrix, bt Matrix, acc bool) {
+// kernel against bp, B already packed.
+func matMulATBPacked(c, a *Matrix, bp PackedB, acc bool) {
 	at := packTranspose(a)
-	matMulTiled(c, at, bt, acc)
+	matMulTiled(c, at, bp, acc)
 	putPackBuf(at.Data)
 }
 
 // MatMulABT computes C = A·Bᵀ. Shapes: A is m×k, B is n×k, C is m×n.
-// Used for input gradients (X.grad = dY·Wᵀ). B already is the transposed
-// layout the SIMD micro-kernel wants, so no packing is needed: B is walked
-// in L1-resident panels swept across an L2-resident slab of A rows, each
-// 4×4 block of dot products going through dotBlock4x4. Workers own
-// disjoint C rows; per-element association is depth-determined.
+// Used for input gradients (X.grad = dY·Wᵀ). B's rows already are
+// k-contiguous, so its pack into panels only interleaves four rows at a
+// time (B here is a weight, small next to A). Workers own disjoint C rows;
+// per-element association is depth-determined.
 func MatMulABT(c, a, b *Matrix) {
 	checkMatMulABT(c, a, b)
-	matMulTiled(c, *a, *b, false)
+	bp := packPanelsT(b)
+	matMulTiled(c, *a, bp, false)
+	bp.Release()
 }
 
 // ParallelRows splits [0, n) into contiguous chunks across worker

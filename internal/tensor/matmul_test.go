@@ -82,10 +82,10 @@ func leftCols(m *Matrix, cols int) *Matrix {
 // TestProductRowsIndependentOfRowCount: the first c output columns of each
 // product, computed alone, are bitwise the same columns of the 130-column
 // product. A column that a narrow product computes in an edge block (fewer
-// than four columns left) lands in a full 4×4 block of the wide one, so
+// than eight columns left) lands in a full 8×8 block of the wide one, so
 // this pins that the block driver's two paths give an element the same
 // bits. The row count crosses MinParallelRows and is not a multiple of
-// four, so row edges and the spawning path run too. The accumulating
+// eight, so row edges and the spawning path run too. The accumulating
 // products start both runs from the same base columns.
 func TestProductColsIndependentOfColCount(t *testing.T) {
 	r := rng.New(62)
