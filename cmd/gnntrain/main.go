@@ -47,7 +47,7 @@ func main() {
 	)
 	// The codec/parallelism/checkpoint surface is the unified
 	// salientpp.RunConfig, so gnntrain and gnnserve spell it identically.
-	run := salientpp.RunConfig{Codec: "fp32", Checkpoint: salientpp.CheckpointConfig{Retain: 3}}
+	run := salientpp.RunConfig{Checkpoint: salientpp.CheckpointConfig{Retain: 3}}
 	run.RegisterFlags(flag.CommandLine)
 	run.RegisterCheckpointFlags(flag.CommandLine)
 	run.RegisterTrainFlags(flag.CommandLine)

@@ -102,8 +102,8 @@ func (s *Saver) SetTopology(t *Topology) { s.topo = t }
 // all-reduce codec) in every checkpoint so restore can reject drift that
 // would silently train the wrong data, replay different batches,
 // dequantize different feature bytes, or quantize gradients against a
-// stale residual. Must be called before the first Offer. An empty codec or
-// gradCodec records the "fp32" default.
+// stale residual. Must be called before the first Offer. The cluster passes
+// resolved codec names; an empty codec or gradCodec records "fp32".
 func (s *Saver) SetRunConfig(dataset string, seed uint64, batchSize int, fanouts []int, codec, gradCodec string) {
 	s.dataset = dataset
 	s.seed = seed

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"salientpp/internal/tensor"
 )
@@ -17,17 +18,18 @@ import (
 // caching saturates.
 //
 // All members of a comm group must configure the same codec (it is
-// negotiated out of band through ClusterConfig/ServeConfig, exactly like
-// the collective-matching discipline itself); the decode paths validate
-// payload sizes, so a mismatched group fails loudly instead of reading
-// garbage.
+// negotiated out of band through ClusterConfig, whose codec serving shares,
+// exactly like the collective-matching discipline itself); the decode paths
+// validate payload sizes, so a mismatched group fails loudly instead of
+// reading garbage.
 //
 //   - CodecFP32: raw float32 rows and raw int32 id lists, shipped through
-//     zero-copy slice views. The default.
+//     zero-copy slice views. The zero value.
 //   - CodecFP16: IEEE-754 binary16 rows (round-to-nearest-even), 2 bytes
-//     per value; id lists as sorted varint deltas. ~50% smaller feature
+//     per value, converted by tensor.EncodeF16/DecodeF16 (F16C where the
+//     CPU has it); id lists as sorted varint deltas. ~50% smaller feature
 //     payloads with ~2^-11 relative precision — safe for normalized GNN
-//     features.
+//     features. A cluster's default (pipeline.ClusterConfig.Codec).
 //   - CodecInt8: per-row symmetric int8 quantization (a float32 scale
 //     followed by dim int8 values, scale = maxAbs/127), ~75% smaller at
 //     dim≳16; id lists as sorted varint deltas. Safe when rows have
@@ -41,7 +43,7 @@ import (
 type Codec uint8
 
 const (
-	// CodecFP32 is the raw default: bitwise identical to the pre-codec
+	// CodecFP32 is the raw zero value: bitwise identical to the pre-codec
 	// wire format.
 	CodecFP32 Codec = iota
 	// CodecFP16 ships feature rows as IEEE-754 half precision.
@@ -51,7 +53,8 @@ const (
 )
 
 // ParseCodec maps a configuration string to a Codec. The empty string is
-// the fp32 default so zero-valued configs keep the historical behavior.
+// CodecFP32, the zero value; a cluster resolves an empty feature codec
+// itself before it gets here (pipeline.ClusterConfig.FeatureCodec).
 func ParseCodec(name string) (Codec, error) {
 	switch name {
 	case "", "fp32":
@@ -94,9 +97,9 @@ func (c Codec) featRowWire(dim int) int {
 func (c Codec) appendFeatRow(dst []byte, row []float32) []byte {
 	switch c {
 	case CodecFP16:
-		for _, v := range row {
-			dst = binary.LittleEndian.AppendUint16(dst, f16FromF32(v))
-		}
+		n := len(dst)
+		dst = slices.Grow(dst, 2*len(row))[:n+2*len(row)]
+		tensor.EncodeF16(dst[n:], row)
 	case CodecInt8:
 		// Per-row symmetric scale over the finite magnitudes, delegated to
 		// the tensor quantizers. Non-finite values quantize
@@ -120,9 +123,7 @@ func (c Codec) appendFeatRow(dst []byte, row []float32) []byte {
 func (c Codec) decodeFeatRow(dst []float32, src []byte) {
 	switch c {
 	case CodecFP16:
-		for i := range dst {
-			dst[i] = f32FromF16(binary.LittleEndian.Uint16(src[2*i:]))
-		}
+		tensor.DecodeF16(dst, src)
 	case CodecInt8:
 		scale := math.Float32frombits(binary.LittleEndian.Uint32(src))
 		for i := range dst {
@@ -146,9 +147,7 @@ func (c Codec) decodeFeatRow(dst []float32, src []byte) {
 func (c Codec) RoundTripRow(dst, src []float32) {
 	switch c {
 	case CodecFP16:
-		for i, v := range src {
-			dst[i] = f32FromF16(f16FromF32(v))
-		}
+		tensor.RoundTripF16(dst, src)
 	case CodecInt8:
 		scale := tensor.Int8RowScale(src)
 		for i, v := range src {
@@ -214,14 +213,3 @@ func (r *idDeltaReader) next() (int32, error) {
 // remaining reports undecoded bytes. A gather frame carries no id count:
 // the owner decodes until remaining reaches zero.
 func (r *idDeltaReader) remaining() int { return len(r.b) - r.off }
-
-// ---------------------------------------------------------------------------
-// IEEE-754 binary16 conversion: thin aliases over the tensor package's
-// converters, which are the single source of truth shared by the wire codec
-// and the fp16 compute path (pure bit manipulation, round-to-nearest-even,
-// deterministic on every platform). The golden wire-format tests pin that
-// this delegation never changes the bytes.
-
-func f16FromF32(f float32) uint16 { return tensor.F16FromF32(f) }
-
-func f32FromF16(h uint16) float32 { return tensor.F32FromF16(h) }

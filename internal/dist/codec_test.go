@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -13,8 +14,8 @@ import (
 // (float32 is a superset of binary16), with NaNs canonicalized.
 func TestF16ExhaustiveRoundTrip(t *testing.T) {
 	for h := 0; h < 1<<16; h++ {
-		f := f32FromF16(uint16(h))
-		got := f16FromF32(f)
+		f := tensor.F32FromF16(uint16(h))
+		got := tensor.F16FromF32(f)
 		exp := uint16(h) >> 10 & 0x1f
 		frac := uint16(h) & 0x3ff
 		if exp == 0x1f && frac != 0 {
@@ -42,20 +43,20 @@ func TestF16ConversionErrorBound(t *testing.T) {
 		if i%2 == 1 {
 			x = -x
 		}
-		y := f32FromF16(f16FromF32(x))
+		y := tensor.F32FromF16(tensor.F16FromF32(x))
 		if err := math.Abs(float64(y-x)) / math.Abs(float64(x)); err > 1.0/2048+1e-9 {
 			t.Fatalf("fp16 round trip of %g gave %g (relative error %g)", x, y, err)
 		}
 	}
 	// Specials: overflow saturates to Inf, tiny values flush toward zero,
 	// and zero is exact.
-	if y := f32FromF16(f16FromF32(1e9)); !math.IsInf(float64(y), 1) {
+	if y := tensor.F32FromF16(tensor.F16FromF32(1e9)); !math.IsInf(float64(y), 1) {
 		t.Fatalf("fp16(1e9) = %v, want +Inf", y)
 	}
-	if y := f32FromF16(f16FromF32(0)); y != 0 {
+	if y := tensor.F32FromF16(tensor.F16FromF32(0)); y != 0 {
 		t.Fatalf("fp16(0) = %v, want 0", y)
 	}
-	if y := f32FromF16(f16FromF32(1e-8)); y != 0 { // below half the smallest subnormal
+	if y := tensor.F32FromF16(tensor.F16FromF32(1e-8)); y != 0 { // below half the smallest subnormal
 		t.Fatalf("fp16 of sub-subnormal = %v, want 0", y)
 	}
 }
@@ -454,4 +455,102 @@ func TestParseCodec(t *testing.T) {
 	if CodecInt8.String() != "int8" || CodecFP16.String() != "fp16" || CodecFP32.String() != "fp32" {
 		t.Fatal("codec names drifted")
 	}
+}
+
+// TestCodecBitwiseAcrossF16Tiers pins the fp16 codec to one set of bits
+// whichever converter tier the CPU runs: appendFeatRow frames,
+// decodeFeatRow rows (of either tier's frame) and RoundTripRow images
+// from the F16C kernel equal the portable tier's, byte for byte and bit
+// for bit, on rows of every tail length holding ±0, subnormals, values
+// past the half range, ±Inf and NaNs with payloads.
+func TestCodecBitwiseAcrossF16Tiers(t *testing.T) {
+	if !tensor.HasF16C {
+		t.Skip("CPU has no F16C: the codec runs the portable tier only")
+	}
+	defer func(on bool) { tensor.HasF16C = on }(tensor.HasF16C)
+	r := rng.New(47)
+	odd := []float32{ // the NaNs first
+		float32(math.NaN()), math.Float32frombits(0xffa00001), float32(math.Inf(1)), float32(math.Inf(-1)),
+		0, math.Float32frombits(1 << 31), math.Float32frombits(1), 1e-40, 0x1p-25, 65520, -1e9,
+	}
+	type image struct {
+		frame   []byte
+		decoded []float32
+		trip    []float32
+	}
+	run := func(row []float32) image {
+		// A non-empty prefix: the codec appends after what the frame holds.
+		frame := CodecFP16.appendFeatRow([]byte{0xaa, 0x55, 0x01}, row)
+		im := image{frame: frame, decoded: make([]float32, len(row)), trip: make([]float32, len(row))}
+		CodecFP16.decodeFeatRow(im.decoded, frame[3:])
+		CodecFP16.RoundTripRow(im.trip, row)
+		return im
+	}
+	sameBits := func(a, b []float32) bool {
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, n := range []int{1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 128, 129, 300} {
+		for trial := 0; trial < 6; trial++ {
+			// Odd trials mix NaNs in (their rows take the scalar
+			// fallback); even ones keep every block on the kernel.
+			special := odd[2:]
+			if trial%2 == 1 {
+				special = odd
+			}
+			row := make([]float32, n)
+			for i := range row {
+				row[i] = float32(r.NormFloat64() * math.Ldexp(1, r.Intn(36)-20))
+				if r.Intn(6) == 0 {
+					row[i] = special[r.Intn(len(special))]
+				}
+			}
+			tensor.HasF16C = true
+			fast := run(row)
+			tensor.HasF16C = false
+			portable := run(row)
+			crossed := make([]float32, n)
+			CodecFP16.decodeFeatRow(crossed, fast.frame[3:])
+			switch {
+			case !bytes.Equal(fast.frame, portable.frame):
+				t.Fatalf("len %d trial %d: F16C frame % x, portable % x", n, trial, fast.frame, portable.frame)
+			case !sameBits(fast.decoded, portable.decoded) || !sameBits(crossed, portable.decoded):
+				t.Fatalf("len %d trial %d: decoded rows differ across tiers", n, trial)
+			case !sameBits(fast.trip, portable.trip) || !sameBits(fast.trip, fast.decoded):
+				t.Fatalf("len %d trial %d: RoundTripRow images differ across tiers or from the wire", n, trial)
+			}
+		}
+	}
+}
+
+// BenchmarkCodecRow encodes and decodes one 128-float row per op under each
+// codec, fp16 on the F16C tier (where the CPU has it) and the portable one.
+func BenchmarkCodecRow(b *testing.B) {
+	row, dst := make([]float32, 128), make([]float32, 128)
+	for i := range row {
+		row[i] = float32(i)*0.25 - 7
+	}
+	run := func(codec Codec) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			enc := codec.appendFeatRow(nil, row)
+			for i := 0; i < b.N; i++ {
+				enc = codec.appendFeatRow(enc[:0], row)
+				codec.decodeFeatRow(dst, enc)
+			}
+		}
+	}
+	defer func(on bool) { tensor.HasF16C = on }(tensor.HasF16C)
+	f16c := tensor.HasF16C
+	b.Run("fp32", run(CodecFP32))
+	if f16c {
+		b.Run("fp16-f16c", run(CodecFP16))
+	}
+	tensor.HasF16C = false
+	b.Run("fp16-portable", run(CodecFP16))
+	b.Run("int8", run(CodecInt8))
 }

@@ -26,7 +26,7 @@ func FuzzFrameDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		payload, err := decodeFrame(r)
+		payload, err := decodeFrame(r, nil)
 		if err != nil {
 			return
 		}

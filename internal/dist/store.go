@@ -263,8 +263,8 @@ func (s *Store) CacheGen() uint64 {
 
 // SetCodec selects the wire codec for this store's gathers. All members of
 // the comm group must agree (the decode paths reject mismatched payload
-// sizes). CodecFP32, the default, ships raw float32 rows and raw int32 id
-// lists. Install before the first Gather; do not call concurrently with
+// sizes). CodecFP32, the zero value, ships raw float32 rows and raw int32
+// id lists. Install before the first Gather; do not call concurrently with
 // Gather or while a stream round is pending. Siblings inherit the codec at
 // Sibling time.
 func (s *Store) SetCodec(c Codec) { s.codec = c }

@@ -35,6 +35,7 @@ type tcpComm struct {
 	// time and AllToAll's writers drain before it returns, so reuse
 	// across calls is safe.
 	recvBuf   [][]byte
+	frames    []frameBufs // frames[peer]
 	reduce    reduceScratch
 	stopWatch chan struct{} // cancels the SetAbort watcher
 
@@ -58,7 +59,7 @@ func NewTCPGroup(k int) ([]Comm, error) {
 	}
 	comms := make([]*tcpComm, k)
 	for r := 0; r < k; r++ {
-		comms[r] = &tcpComm{rank: r, k: k, conns: make([]net.Conn, k)}
+		comms[r] = &tcpComm{rank: r, k: k, conns: make([]net.Conn, k), frames: make([]frameBufs, k)}
 	}
 	// Rank i listens; ranks j > i dial in and identify themselves with a
 	// one-byte hello carrying their rank. teardown releases every listener
@@ -245,27 +246,27 @@ func wrapTimeout(err error) error {
 	return err
 }
 
-// writeFrame sends one length-prefixed payload.
-func writeFrame(conn net.Conn, payload []byte) error {
+// frameBufs is one peer's framing storage, reused across collectives: the
+// receive buffer, which keeps its capacity, and the header and vector a
+// send is written from.
+type frameBufs struct {
+	recv []byte
+	hdr  [4]byte
+	iov  [2][]byte
+	out  net.Buffers
+}
+
+// writeFrame sends one length-prefixed payload, header and payload in one
+// vectored write.
+func (f *frameBufs) writeFrame(conn net.Conn, payload []byte) error {
 	if len(payload) > maxFrame {
 		return fmt.Errorf("dist: %d-byte payload exceeds the %d-byte frame limit", len(payload), maxFrame)
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := conn.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) == 0 {
-		return nil
-	}
-	_, err := conn.Write(payload)
+	binary.LittleEndian.PutUint32(f.hdr[:], uint32(len(payload)))
+	f.iov = [2][]byte{f.hdr[:], payload}
+	f.out = f.iov[:]
+	_, err := f.out.WriteTo(conn)
 	return err
-}
-
-// readFrame receives one length-prefixed payload (see decodeFrame for the
-// bounded, corruption-tolerant framing contract).
-func readFrame(conn net.Conn) ([]byte, error) {
-	return decodeFrame(conn)
 }
 
 func (c *tcpComm) AllToAll(send [][]byte) ([][]byte, error) {
@@ -287,7 +288,7 @@ func (c *tcpComm) AllToAll(send [][]byte) ([][]byte, error) {
 		wg.Add(1)
 		go func(dst int) {
 			defer wg.Done()
-			if err := writeFrame(c.conns[dst], send[dst]); err != nil {
+			if err := c.frames[dst].writeFrame(c.conns[dst], send[dst]); err != nil {
 				errCh <- err
 				return
 			}
@@ -303,11 +304,12 @@ func (c *tcpComm) AllToAll(send [][]byte) ([][]byte, error) {
 		if src == c.rank {
 			continue
 		}
-		msg, err := readFrame(c.conns[src])
+		msg, err := decodeFrame(c.conns[src], c.frames[src].recv)
 		if err != nil {
 			errCh <- err
 			break
 		}
+		c.frames[src].recv = msg
 		recv[src] = msg
 	}
 	wg.Wait()

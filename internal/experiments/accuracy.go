@@ -27,10 +27,10 @@ type AccuracyConfig struct {
 	Epochs     int
 	LR         float64
 	Seed       uint64
-	// Codec is the feature-gather wire codec ("", "fp32", "fp16", "int8").
-	// Lossy codecs shrink communication without changing which rows move;
-	// the codec is part of the checkpoint identity, so resuming requires
-	// the same setting.
+	// Codec is the feature-gather wire codec ("", "fp32", "fp16", "int8";
+	// "" means fp16, on resume the checkpoint's). Lossy codecs shrink
+	// communication without changing which rows move; the codec is part of
+	// the checkpoint identity, so an explicit setting must match on resume.
 	Codec string
 	// GradCodec is the gradient all-reduce wire codec ("", "fp32", "fp16",
 	// "int8"). Lossy codecs quantize per row with error-feedback residuals;

@@ -8,7 +8,6 @@ import (
 
 	"salientpp/internal/ckpt"
 	"salientpp/internal/dataset"
-	"salientpp/internal/dist"
 	"salientpp/internal/metrics"
 	"salientpp/internal/pipeline"
 	"salientpp/internal/rng"
@@ -24,7 +23,7 @@ type Scale struct {
 	Seed    uint64
 	// Codec selects the feature-gather wire codec ("", "fp32", "fp16",
 	// "int8") of the real distributed cluster ServeBench runs. The empty
-	// string is the raw fp32 default.
+	// string is the cluster default, fp16, or a checkpoint's codec.
 	Codec string
 }
 
@@ -180,7 +179,6 @@ func ServeBench(scale Scale, cfg ServeConfig) (*ServeBenchResult, error) {
 		seed = state.Seed
 		scale.Batch = int(state.BatchSize)
 		scale.Seed = state.Seed
-		scale.Codec = state.Codec
 		fanouts := make([]int, len(state.Fanouts))
 		for i, f := range state.Fanouts {
 			fanouts[i] = int(f)
@@ -195,7 +193,7 @@ func ServeBench(scale Scale, cfg ServeConfig) (*ServeBenchResult, error) {
 		}
 		dims = PaperDims(ds.Name)
 	}
-	codec, err := dist.ParseCodec(scale.Codec)
+	codec, err := pipeline.ClusterConfig{Codec: scale.Codec, Resume: state}.FeatureCodec()
 	if err != nil {
 		return nil, err
 	}

@@ -174,11 +174,15 @@ func TestServeBenchServesForeignCheckpoint(t *testing.T) {
 	if len(res.Alphas) != 1 || res.Alphas[0].Requests != 2*10 {
 		t.Fatalf("implausible serving result: %+v", res.Alphas)
 	}
+	// The empty codec trained fp16, the default, and serving adopted it.
+	if res.Codec != "fp16" {
+		t.Fatalf("served codec %q, want the checkpoint's fp16", res.Codec)
+	}
 	// A codec other than the checkpoint's fails before set-up, naming both.
 	drift := SmallScale()
 	drift.Codec = "int8"
 	_, err = ServeBench(drift, ServeConfig{Checkpoint: path})
-	if err == nil || !strings.Contains(err.Error(), `"int8"`) || !strings.Contains(err.Error(), `"fp32"`) {
-		t.Fatalf("codec drift error %v, want one naming int8 and fp32", err)
+	if err == nil || !strings.Contains(err.Error(), `"int8"`) || !strings.Contains(err.Error(), `"fp16"`) {
+		t.Fatalf("codec drift error %v, want one naming int8 and fp16", err)
 	}
 }

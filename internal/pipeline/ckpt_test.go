@@ -214,6 +214,7 @@ func TestMidEpochResumeBitwise(t *testing.T) {
 	const epochs = 2
 	dir := t.TempDir()
 	cfg := crashConfig(false)
+	cfg.Codec = "fp32" // the codec of the committed v5 checkpoint, which the resumes adopt
 	cfg.Checkpoint = ckpt.Config{Dir: dir, EveryRounds: 2, EveryEpochs: 1, Retain: 100}
 	ref := map[int]epochResult{}
 	refCl, err := NewCluster(d, cfg)

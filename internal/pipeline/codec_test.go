@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"salientpp/internal/ckpt"
+	"salientpp/internal/dist"
 )
 
 // codecOutcome is one full-cluster training run's fingerprint.
@@ -105,8 +106,9 @@ func TestCodecShrinksBytesAtEqualRemoteCounts(t *testing.T) {
 }
 
 // TestResumeRejectsCodecDrift: the wire codec is run identity. A checkpoint
-// taken under fp16 must refuse to resume under fp32 (silent numerical
-// divergence) and resume cleanly under fp16.
+// taken under fp16 must refuse to resume under an explicit fp32 (silent
+// numerical divergence) and resume cleanly under fp16. An empty codec
+// adopts the checkpoint's: it resumes an fp32 checkpoint as fp32, bitwise.
 func TestResumeRejectsCodecDrift(t *testing.T) {
 	d := smallDataset(t)
 	dir := t.TempDir()
@@ -131,7 +133,7 @@ func TestResumeRejectsCodecDrift(t *testing.T) {
 	}
 
 	drifted := smallConfig()
-	drifted.Codec = "" // the fp32 default
+	drifted.Codec = "fp32"
 	drifted.Resume = state
 	if _, err := NewCluster(d, drifted); err == nil {
 		t.Fatal("resume with a drifted wire codec was accepted")
@@ -147,4 +149,43 @@ func TestResumeRejectsCodecDrift(t *testing.T) {
 		t.Fatalf("resume with the matching codec failed: %v", err)
 	}
 	cl2.Close()
+
+	// An fp32 run checkpointed after epoch 0 and its uninterrupted second
+	// epoch; the same checkpoint resumed with an empty codec must run fp32
+	// and land on the same weights.
+	dir32 := t.TempDir()
+	fp32 := smallConfig()
+	fp32.Codec = "fp32"
+	fp32.Checkpoint = ckpt.Config{Dir: dir32, EveryEpochs: 1, Retain: 10}
+	ref, err := NewCluster(d, fp32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if _, err := ref.TrainEpochAll(0); err != nil {
+		t.Fatal(err)
+	}
+	state32, _, err := ckpt.LoadLatest(dir32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.TrainEpochAll(1); err != nil {
+		t.Fatal(err)
+	}
+	adopt := smallConfig()
+	adopt.Resume = state32
+	res, err := NewCluster(d, adopt)
+	if err != nil {
+		t.Fatalf("resume of an fp32 checkpoint with an empty codec failed: %v", err)
+	}
+	defer res.Close()
+	if c := res.Ranks[0].Store().Codec(); c != dist.CodecFP32 {
+		t.Fatalf("empty codec resumed an fp32 checkpoint as %v", c)
+	}
+	if _, err := res.TrainEpochAll(res.FirstEpoch()); err != nil {
+		t.Fatal(err)
+	}
+	if weightBits(res) != weightBits(ref) {
+		t.Fatal("fp32 checkpoint resumed with an empty codec diverged from the uninterrupted run")
+	}
 }

@@ -28,6 +28,7 @@ func runGradEpochs(t *testing.T, gradCodec string, useTCP bool, epochs int) grad
 	t.Helper()
 	ds := smallDataset(t)
 	cfg := smallConfig()
+	cfg.Codec = "fp32" // the feature codec TestGradOverlapDoesNotChangeResults was recorded under
 	cfg.UseTCP = useTCP
 	cfg.Train.GradCodec = gradCodec
 	cl, err := NewCluster(ds, cfg)

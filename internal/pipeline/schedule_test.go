@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"salientpp/internal/dataset"
+	"salientpp/internal/dist"
 	"salientpp/internal/tensor"
 )
 
@@ -121,9 +122,8 @@ func TestFullReplicationPutsNothingOnTheWire(t *testing.T) {
 // trainedSchedule returns rank 0's cache schedule after one training epoch
 // at BatchSize 16 on the small fixture, with that epoch's plan still in
 // it, and feature matrices standing in for the epoch's gathered ones:
-// round g's holds the dataset row of each remote input where the gathered
-// matrix has it. The fixture trains over fp32, so those are the rows a
-// gather delivers.
+// round g's holds the codec image of each remote input's dataset row (the
+// row a gather delivers) where the gathered matrix has it.
 func trainedSchedule(t *testing.T) (*Cluster, *cacheSchedule, []*tensor.Matrix) {
 	t.Helper()
 	cfg := smallConfig()
@@ -137,12 +137,13 @@ func trainedSchedule(t *testing.T) (*Cluster, *cacheSchedule, []*tensor.Matrix) 
 		t.Fatal(err)
 	}
 	sc := cl.Ranks[0].sched
-	return cl, sc, roundFeatures(sc, cl.Data)
+	return cl, sc, roundFeatures(sc, cl.Data, cl.Ranks[0].Store().Codec())
 }
 
 // roundFeatures builds one matrix per round of sc's plan holding each
-// remote input's dataset row at the row the round's gather puts it.
-func roundFeatures(sc *cacheSchedule, d *dataset.Dataset) []*tensor.Matrix {
+// remote input's dataset row, as codec delivers it, at the row the round's
+// gather puts it.
+func roundFeatures(sc *cacheSchedule, d *dataset.Dataset, codec dist.Codec) []*tensor.Matrix {
 	feats := make([]*tensor.Matrix, len(sc.remote))
 	for g, ids := range sc.remote {
 		rows := 0
@@ -151,7 +152,7 @@ func roundFeatures(sc *cacheSchedule, d *dataset.Dataset) []*tensor.Matrix {
 		}
 		feats[g] = tensor.New(rows, d.FeatureDim)
 		for i, v := range ids {
-			copy(feats[g].Row(int(sc.rowIn[g][i])), d.FeatureRow(v))
+			codec.RoundTripRow(feats[g].Row(int(sc.rowIn[g][i])), d.FeatureRow(v))
 		}
 	}
 	return feats
@@ -177,7 +178,8 @@ func replaySchedule(t testing.TB, sc *cacheSchedule, feats []*tensor.Matrix, ins
 
 // TestInstallRewritesOnlyAdmittedSlots: an install of C_g writes the rows
 // it admits into their planned slots and leaves every other row alone,
-// and after it every slot holds the row of the id its index names.
+// and after it every slot holds the (codec image of the) row of the id its
+// index names.
 func TestInstallRewritesOnlyAdmittedSlots(t *testing.T) {
 	cl, sc, feats := trainedSchedule(t)
 	defer cl.Close()
@@ -185,6 +187,7 @@ func TestInstallRewritesOnlyAdmittedSlots(t *testing.T) {
 	w.CopyFrom(sc.setup)
 	before := slices.Clone(w.Rows.Data)
 	dim, admitted := w.Rows.Cols, 0
+	want := make([]float32, dim)
 	replaySchedule(t, sc, feats, func(g int) {
 		written := map[int32]bool{}
 		for _, a := range sc.plan.Admit[g] {
@@ -204,7 +207,8 @@ func TestInstallRewritesOnlyAdmittedSlots(t *testing.T) {
 			if slot, ok := w.Index.Slot(v); !ok || slot != int32(s) {
 				t.Fatalf("C%d: slot %d holds %d, whose index entry is %d,%v", g, s, v, slot, ok)
 			}
-			if !slices.Equal(row, cl.Data.FeatureRow(v)) {
+			cl.Ranks[0].Store().Codec().RoundTripRow(want, cl.Data.FeatureRow(v))
+			if !slices.Equal(row, want) {
 				t.Fatalf("C%d: slot %d does not hold the row of %d", g, s, v)
 			}
 		}

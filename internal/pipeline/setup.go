@@ -38,12 +38,13 @@ type ClusterConfig struct {
 	// channels.
 	UseTCP bool
 	// Codec selects the feature-gather wire codec for the cluster's comm
-	// group: "" or "fp32" (raw, byte-identical to the historical wire
-	// format), "fp16" (half-precision rows + varint delta id lists), or
-	// "int8" (per-row-scaled int8 rows + varint delta id lists). All ranks
-	// share the setting — it is the comm group's negotiated codec. Lossy
-	// codecs change gathered remote feature values (never which rows move),
-	// so the codec is part of the run identity checkpoints pin.
+	// group: "fp32" (raw, byte-identical to the historical wire format),
+	// "fp16" (half-precision rows + varint delta id lists), or "int8"
+	// (per-row-scaled int8 rows + varint delta id lists). "" means fp16;
+	// on resume the checkpoint's (see FeatureCodec). All ranks share the
+	// setting — it is the comm group's negotiated codec. Lossy codecs
+	// change gathered remote feature values (never which rows move), so
+	// the codec is part of the run identity checkpoints pin.
 	Codec string
 	// Checkpoint enables coordinated fault-tolerance checkpoints (see
 	// internal/ckpt): barrier-consistent saves every EveryRounds retired
@@ -78,6 +79,20 @@ type ClusterConfig struct {
 	// survivors, and regroups. Zero leaves collectives unbounded (the
 	// historical behavior; a dead peer hangs the loop).
 	StallTimeout time.Duration
+}
+
+// FeatureCodec resolves Codec. An empty Codec is the checkpoint's codec
+// when resuming and fp16 otherwise; an explicit one must parse (and, on
+// resume, match the checkpoint, which validateResume checks).
+func (cfg ClusterConfig) FeatureCodec() (dist.Codec, error) {
+	name := cfg.Codec
+	if name == "" {
+		name = dist.CodecFP16.String()
+		if cfg.Resume != nil {
+			name = cfg.Resume.Codec
+		}
+	}
+	return dist.ParseCodec(name)
 }
 
 // Cluster is a ready-to-train in-process deployment.
@@ -144,7 +159,7 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Layers == 0 {
 		cfg.Layers = len(cfg.Train.Fanouts)
 	}
-	codec, err := dist.ParseCodec(cfg.Codec)
+	codec, err := cfg.FeatureCodec()
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +354,8 @@ func validateResume(ds *dataset.Dataset, cfg ClusterConfig, st *ckpt.TrainState)
 	// The wire codec is run identity too: a lossy codec perturbs every
 	// gathered remote feature row, so resuming an fp16 run under fp32 (or
 	// vice versa) would silently diverge from the checkpointed trajectory.
-	if codec, err := dist.ParseCodec(cfg.Codec); err != nil {
+	// An empty Codec adopts the checkpoint's; an explicit one must match.
+	if codec, err := cfg.FeatureCodec(); err != nil {
 		return err
 	} else if st.Codec != codec.String() {
 		return fmt.Errorf("pipeline: checkpoint was taken with wire codec %q, configuration says %q", st.Codec, codec.String())

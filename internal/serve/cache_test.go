@@ -425,8 +425,8 @@ func TestOnlineServeCrossTransportDeterminism(t *testing.T) {
 
 // TestRetargetRewritesOnlyAdmittedSlots is the serving twin of the
 // training cache's slot-stability test: a refresh writes only the slots
-// it admits into, and every occupied slot holds its id's row, at the
-// index's slot for that id.
+// it admits into, and every occupied slot holds its id's row (as the
+// cluster's codec delivers it), at the index's slot for that id.
 func TestRetargetRewritesOnlyAdmittedSlots(t *testing.T) {
 	cl := serveCluster(t, 2, 0.2, false)
 	defer cl.Close()
@@ -448,6 +448,7 @@ func TestRetargetRewritesOnlyAdmittedSlots(t *testing.T) {
 	admitted := 0
 	for i, e := range srv.engines {
 		w, dim := &e.work, cl.Data.FeatureDim
+		want := make([]float32, dim)
 		for refresh := 0; refresh < 6; refresh++ {
 			beforeIDs, beforeRows := slices.Clone(w.IDs()), slices.Clone(w.Rows.Data)
 			hot := make([]int32, 40)
@@ -471,7 +472,8 @@ func TestRetargetRewritesOnlyAdmittedSlots(t *testing.T) {
 				if slot, ok := w.Index.Slot(v); !ok || slot != int32(s) {
 					t.Fatalf("engine %d: slot %d holds %d, whose index entry is %d,%v", i, s, v, slot, ok)
 				}
-				if !slices.Equal(row, cl.Data.FeatureRow(v)) {
+				e.store.Codec().RoundTripRow(want, cl.Data.FeatureRow(v))
+				if !slices.Equal(row, want) {
 					t.Fatalf("engine %d: slot %d does not hold the row of %d", i, s, v)
 				}
 			}

@@ -59,3 +59,27 @@ TEXT ·x86HasAVX512(SB), NOSPLIT, $0-1
 no512:
 	MOVB $0, ret+0(FP)
 	RET
+
+// func x86HasF16C() bool
+//
+// F16C availability probe: CPUID.1:ECX must report OSXSAVE, AVX (the
+// kernels' compares and blends are VEX-encoded) and F16C (bit 29), and
+// XGETBV(0) must show the OS saves XMM and YMM state.
+TEXT ·x86HasF16C(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x38000000, CX // OSXSAVE | AVX | F16C
+	CMPL CX, $0x38000000
+	JNE  nof16c
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX          // XMM | YMM state enabled
+	CMPL AX, $6
+	JNE  nof16c
+	MOVB $1, ret+0(FP)
+	RET
+
+nof16c:
+	MOVB $0, ret+0(FP)
+	RET

@@ -15,11 +15,12 @@ import (
 // a single flag-registration and validation path, so every harness spells
 // them identically and a setting means the same thing everywhere.
 //
-// The zero value is a valid fp32, auto-parallelism, no-checkpoint run.
+// The zero value is a valid fp16-wire, auto-parallelism, no-checkpoint run.
 type RunConfig struct {
 	// Codec is the feature-gather wire codec ("fp32", "fp16", "int8"; ""
-	// means fp32). Lossy codecs shrink communication without changing
-	// which rows move. Part of checkpoint run identity.
+	// means fp16; on resume the checkpoint's). Lossy codecs shrink
+	// communication without changing which rows move. Part of checkpoint
+	// run identity: an explicit codec must match the checkpoint's.
 	Codec string
 	// GradCodec is the gradient all-reduce wire codec ("fp32", "fp16",
 	// "int8"; "" means fp32). Lossy codecs quantize each gradient row with
@@ -55,7 +56,7 @@ type RunConfig struct {
 // the receiver's current values as defaults. Call before fs.Parse.
 func (c *RunConfig) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Codec, "codec", c.Codec,
-		"feature-gather wire codec: fp32 (raw), fp16 (half-precision rows + varint ids), int8 (per-row-scaled rows + varint ids)")
+		"feature-gather wire codec: fp32 (raw), fp16 (half-precision rows + varint ids), int8 (per-row-scaled rows + varint ids); empty means fp16, or the checkpoint's when resuming or serving one")
 	fs.IntVar(&c.Parallelism, "parallelism", c.Parallelism,
 		"sampler/analysis worker count (0 = harness default)")
 }

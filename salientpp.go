@@ -185,10 +185,11 @@ func LoadCheckpoint(path string) (*TrainState, error) { return ckpt.Load(path) }
 func LoadLatestCheckpoint(dir string) (*TrainState, string, error) { return ckpt.LoadLatest(dir) }
 
 // WireCodecs lists the supported feature-gather wire codecs in order of
-// increasing compression: "fp32" (raw, the default), "fp16" (half-precision
-// rows + varint delta id lists, ~50% smaller), and "int8" (per-row-scaled
-// 8-bit rows, ~75% smaller). Set ClusterConfig.Codec to one of these; a
-// server built on the cluster shares it. Lossy codecs never change which
+// increasing compression: "fp32" (raw), "fp16" (half-precision rows +
+// varint delta id lists, ~50% smaller; the default an empty
+// ClusterConfig.Codec selects), and "int8" (per-row-scaled 8-bit rows, ~75%
+// smaller). Set ClusterConfig.Codec to one of these; a server built on the
+// cluster shares it. Lossy codecs never change which
 // rows are fetched, only the bytes each row costs on the wire. See the README's
 // "Communication efficiency" section for when int8 is safe.
 func WireCodecs() []string { return []string{"fp32", "fp16", "int8"} }
