@@ -19,6 +19,7 @@ package cache
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -175,4 +176,72 @@ func rankByScore(ids []int32, score func(int32) float64) []int32 {
 		return cmp.Compare(a, b)
 	})
 	return ids
+}
+
+// scoredID is a candidate id with its score, computed once for a selection.
+type scoredID struct {
+	score float64
+	id    int32
+}
+
+// compareScored is rankByScore's order on scored pairs: descending score,
+// then ascending id. Over distinct ids it is total.
+func compareScored(a, b scoredID) int {
+	if a.score != b.score {
+		return cmp.Compare(b.score, a.score)
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// selectTop reorders s, whose ids are distinct, so that s[:k] holds its
+// first k entries under compareScored, in that order; the rest follow in
+// no particular order. The order is total, so s[:k] does not depend on the
+// input order. Quickselect around median-of-three pivots makes it
+// O(len(s) + k·log k) expected; a range that keeps resisting partitioning
+// is sorted outright, which bounds the worst case at O(len(s)·log len(s)).
+func selectTop(s []scoredID, k int) {
+	lo, hi := 0, len(s)
+	if k > 0 && k < hi {
+		// Invariant: s[:lo] precedes s[lo:hi], which precedes s[hi:], and
+		// lo <= k < hi.
+		for budget := 2 * bits.Len(uint(hi)); hi-lo > 12 && budget > 0; budget-- {
+			p := lo + partitionScored(s[lo:hi])
+			if p == k {
+				lo, hi = k, k
+				break
+			}
+			if k < p {
+				hi = p
+			} else {
+				lo = p + 1
+			}
+		}
+		slices.SortFunc(s[lo:hi], compareScored)
+	}
+	slices.SortFunc(s[:k], compareScored)
+}
+
+// partitionScored partitions s (len >= 3) around the median of its first,
+// middle and last entries and returns the pivot's final index: every entry
+// before it precedes the pivot, every entry after it follows.
+func partitionScored(s []scoredID) int {
+	m, last := len(s)/2, len(s)-1
+	if compareScored(s[m], s[0]) < 0 {
+		s[m], s[0] = s[0], s[m]
+	}
+	if compareScored(s[last], s[0]) < 0 {
+		s[last], s[0] = s[0], s[last]
+	}
+	if compareScored(s[m], s[last]) < 0 {
+		s[m], s[last] = s[last], s[m]
+	}
+	pivot, i := s[last], 0
+	for j := range last {
+		if compareScored(s[j], pivot) < 0 {
+			s[i], s[j] = s[j], s[i]
+			i++
+		}
+	}
+	s[i], s[last] = s[last], s[i]
+	return i
 }

@@ -42,8 +42,10 @@ func (c OnlineConfig) withDefaults() OnlineConfig {
 // (hits and misses both count — a cached vertex must keep earning its
 // slot) blended with a static prior built from the setup ranking and
 // vertex degree. Scores decay lazily (a per-vertex timestamp, not an O(N)
-// sweep per round), so Observe costs O(accesses) and Propose
-// O(candidates·log candidates) over the vertices ever observed or seeded.
+// sweep per round; the decay factor of every age is looked up in a table),
+// so Observe costs O(accesses) and Propose O(candidates + capacity·log
+// capacity) over the vertices ever observed or seeded: it scores each
+// candidate once and selects the top capacity rather than sorting them all.
 //
 // One Online serves one install stream (one rank's store), whose own
 // partition interval it skips: the rank's own rows are never cached. Calls
@@ -65,7 +67,31 @@ type Online struct {
 	last  []uint64  // round of v's most recent access
 	seen  []bool    // v appears in cand
 	prior []float64 // priorWeight·(rankPrior + degreeWeight·degPrior)
-	cand  []int32   // every vertex ever seeded or observed (append order)
+	cand  []int32   // every vertex ever seeded or observed (in no set order)
+
+	pow    []float64  // pow[a] = math.Pow(decay, a); see decayFactor
+	scored []scoredID // Propose's scratch: one scored pair per candidate
+}
+
+// maxDecayAges caps the decay table at 1 MiB. math.Pow(decay, a) is
+// exactly 0 from about 1 075·HalfLife rounds on (68 800 at the default
+// HalfLife of 64), so the table reaches that point for every HalfLife up
+// to 121.
+const maxDecayAges = 1 << 17
+
+// decayTable returns math.Pow(decay, a) for a = 0, 1, … up to and including
+// the first age at which it is exactly 0, or maxDecayAges entries if that
+// comes first.
+func decayTable(decay float64, halfLife int) []float64 {
+	pow := make([]float64, 0, min(1076*halfLife, maxDecayAges))
+	for a := 0; a < maxDecayAges; a++ {
+		p := math.Pow(decay, float64(a))
+		pow = append(pow, p)
+		if p == 0 {
+			break
+		}
+	}
+	return pow
 }
 
 // NewOnline builds the scorer for a graph with n vertices, for the rank
@@ -82,9 +108,11 @@ func NewOnline(n int, lo, hi int32, seedRanking []int32, degrees []int32, cfg On
 		return nil, fmt.Errorf("cache: owned interval [%d,%d) outside [0,%d)", lo, hi, n)
 	}
 	cfg = cfg.withDefaults()
+	decay := math.Pow(0.5, 1/float64(cfg.HalfLife))
 	o := &Online{
 		cfg:   cfg,
-		decay: math.Pow(0.5, 1/float64(cfg.HalfLife)),
+		decay: decay,
+		pow:   decayTable(decay, cfg.HalfLife),
 		lo:    lo,
 		hi:    hi,
 		freq:  make([]float64, n),
@@ -149,23 +177,39 @@ func (o *Online) score(v int32) float64 {
 	if f == 0 {
 		return 0
 	}
-	if age := o.round - o.last[v]; age > 0 {
-		f *= math.Pow(o.decay, float64(age))
+	return float64(f * o.decayFactor(o.round-o.last[v])) // conversion: no arm64 FMA
+}
+
+// decayFactor returns math.Pow(o.decay, age), bit for bit. Past the table
+// it is 0 when the table ran to Pow's zero point, since Pow stays 0 for
+// every older age (TestDecayFactorMatchesPow), and Pow itself when the
+// table was capped first.
+func (o *Online) decayFactor(age uint64) float64 {
+	if age < uint64(len(o.pow)) {
+		return o.pow[age]
 	}
-	return f
+	if o.pow[len(o.pow)-1] == 0 {
+		return 0
+	}
+	return math.Pow(o.decay, float64(age))
 }
 
 // Propose returns the membership of the next cache epoch: the
 // top-capacity candidates by decayed frequency plus prior, ties broken by
-// ascending id. The result aliases scorer storage, valid until the next
-// Observe or Propose.
+// ascending id, in that order. It scores every candidate once and selects
+// the top capacity (selectTop), so a refresh costs O(candidates) plus a
+// sort of the proposal, and a warm one allocates nothing. The result
+// aliases scorer storage, valid until the next Observe or Propose.
 func (o *Online) Propose(capacity int) []int32 {
-	rankByScore(o.cand, func(v int32) float64 { return o.score(v) + o.prior[v] })
-	if capacity > len(o.cand) {
-		capacity = len(o.cand)
+	capacity = max(0, min(capacity, len(o.cand)))
+	s := o.scored[:0]
+	for _, v := range o.cand {
+		s = append(s, scoredID{o.score(v) + o.prior[v], v})
 	}
-	if capacity < 0 {
-		capacity = 0
+	o.scored = s
+	selectTop(s, capacity)
+	for i, c := range s {
+		o.cand[i] = c.id
 	}
 	return o.cand[:capacity]
 }

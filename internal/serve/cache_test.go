@@ -381,6 +381,36 @@ func TestOnlineAdmissionsHydrateThroughCodec(t *testing.T) {
 	}
 }
 
+// TestCacheRefreshSecondsCounted: the wall time of the online refreshes
+// shows in Snapshot.CacheRefreshSeconds once a refresh interval has passed,
+// and a static server, which never refreshes, reports none.
+func TestCacheRefreshSecondsCounted(t *testing.T) {
+	cl := serveCluster(t, 2, 0.2, false)
+	defer cl.Close()
+	for _, mode := range []string{"online", "static"} {
+		srv, err := New(cl, Config{MaxBatch: 4, MaxWait: -1, Seed: 9, Cache: mode, CacheRefreshRounds: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Sequential requests take one round each, and a round starts only
+		// after every engine has ended the previous one, refresh included:
+		// the third request's round follows the second round's refresh.
+		out := make([]float32, srv.Classes())
+		for _, v := range driftStream(cl.Data.NumVertices(), 3) {
+			if _, err := srv.Predict(v, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := srv.Snapshot()
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if online := mode == "online"; online != (snap.CacheRefreshSeconds > 0) {
+			t.Fatalf("%s server after %d rounds: CacheRefreshSeconds = %v", mode, snap.Rounds, snap.CacheRefreshSeconds)
+		}
+	}
+}
+
 // TestOnlineServeCrossTransportDeterminism: the round on which an online
 // install is first read is a function of the round count alone, so an
 // in-process and a loopback-TCP server fed the same sequential request

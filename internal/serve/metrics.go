@@ -42,10 +42,12 @@ type Metrics struct {
 	gatherTimeouts atomic.Int64
 	regroups       atomic.Int64
 
-	// Online cache layer: epochs installed across engines and the rows
-	// newly admitted by those installs. Both stay zero in static mode.
-	cacheInstalls atomic.Int64
-	cacheChurn    atomic.Int64
+	// Online cache layer: epochs installed across engines, the rows newly
+	// admitted by those installs, and the wall time of the refreshes that
+	// proposed them. All stay zero in static mode.
+	cacheInstalls  atomic.Int64
+	cacheChurn     atomic.Int64
+	cacheRefreshNS atomic.Int64
 }
 
 func newMetrics(maxBatch int) *Metrics {
@@ -110,10 +112,14 @@ type Snapshot struct {
 	// accesses the cache absorbed.
 	CacheHitRate float64 `json:"cache_hit_rate"`
 	// CacheInstalls counts online cache-epoch swaps across all engines and
-	// CacheChurnRows the feature rows newly admitted by those swaps; both
-	// are zero under the default static policy.
-	CacheInstalls  int64 `json:"cache_installs"`
-	CacheChurnRows int64 `json:"cache_churn_rows"`
+	// CacheChurnRows the feature rows newly admitted by those swaps;
+	// CacheRefreshSeconds is the summed wall time of the online refreshes
+	// (propose and retarget, whether or not they installed), which each
+	// engine runs between its rounds. All are zero under the default
+	// static policy.
+	CacheInstalls       int64   `json:"cache_installs"`
+	CacheChurnRows      int64   `json:"cache_churn_rows"`
+	CacheRefreshSeconds float64 `json:"cache_refresh_s"`
 	// BytesSent is the cumulative feature-collective payload volume.
 	BytesSent int64 `json:"bytes_sent"`
 	// ComputeSeconds is the cumulative forward-pass time across non-empty
@@ -161,32 +167,33 @@ func (m *Metrics) snapshot(bytes int64) Snapshot {
 		degradedRate = float64(degraded) / float64(served)
 	}
 	return Snapshot{
-		Requests:       m.requests.Load(),
-		Rounds:         m.rounds.Load(),
-		EmptyRounds:    m.emptyRounds.Load(),
-		P50:            m.Latency.Quantile(0.50),
-		P95:            m.Latency.Quantile(0.95),
-		P99:            m.Latency.Quantile(0.99),
-		Mean:           m.Latency.HistMean(),
-		MeanBatch:      m.BatchOccupancy.HistMean(),
-		LocalGPU:       m.localGPU.Load(),
-		LocalCPU:       m.localCPU.Load(),
-		CacheHits:      hits,
-		RemoteFetches:  remote,
-		CacheHitRate:   hitRate,
-		CacheInstalls:  m.cacheInstalls.Load(),
-		CacheChurnRows: m.cacheChurn.Load(),
-		BytesSent:      bytes,
-		ComputeSeconds: float64(m.computeNS.Load()) / 1e9,
-		Shed:           shed,
-		ShedRate:       shedRate,
-		Degraded:       degraded,
-		DegradedRate:   degradedRate,
-		DegradedRounds: m.degradedRounds.Load(),
-		MissingRows:    m.missingRows.Load(),
-		GatherTimeouts: m.gatherTimeouts.Load(),
-		Regroups:       m.regroups.Load(),
-		DegradedP50:    m.DegradedLatency.Quantile(0.50),
-		DegradedP99:    m.DegradedLatency.Quantile(0.99),
+		Requests:            m.requests.Load(),
+		Rounds:              m.rounds.Load(),
+		EmptyRounds:         m.emptyRounds.Load(),
+		P50:                 m.Latency.Quantile(0.50),
+		P95:                 m.Latency.Quantile(0.95),
+		P99:                 m.Latency.Quantile(0.99),
+		Mean:                m.Latency.HistMean(),
+		MeanBatch:           m.BatchOccupancy.HistMean(),
+		LocalGPU:            m.localGPU.Load(),
+		LocalCPU:            m.localCPU.Load(),
+		CacheHits:           hits,
+		RemoteFetches:       remote,
+		CacheHitRate:        hitRate,
+		CacheInstalls:       m.cacheInstalls.Load(),
+		CacheChurnRows:      m.cacheChurn.Load(),
+		CacheRefreshSeconds: float64(m.cacheRefreshNS.Load()) / 1e9,
+		BytesSent:           bytes,
+		ComputeSeconds:      float64(m.computeNS.Load()) / 1e9,
+		Shed:                shed,
+		ShedRate:            shedRate,
+		Degraded:            degraded,
+		DegradedRate:        degradedRate,
+		DegradedRounds:      m.degradedRounds.Load(),
+		MissingRows:         m.missingRows.Load(),
+		GatherTimeouts:      m.gatherTimeouts.Load(),
+		Regroups:            m.regroups.Load(),
+		DegradedP50:         m.DegradedLatency.Quantile(0.50),
+		DegradedP99:         m.DegradedLatency.Quantile(0.99),
 	}
 }

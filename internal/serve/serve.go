@@ -849,10 +849,12 @@ func (e *engine) refreshCache() {
 		return
 	}
 	e.sinceRefresh = 0
+	start := time.Now()
 	if churn, changed := e.work.Retarget(e.online.Propose(e.capacity), e.row); changed {
 		e.srv.met.cacheInstalls.Add(1)
 		e.srv.met.cacheChurn.Add(int64(churn))
 	}
+	e.srv.met.cacheRefreshNS.Add(int64(time.Since(start)))
 }
 
 // roundMsg is the driver's round order. gather tells every engine of the
