@@ -112,3 +112,105 @@ func exportedReceiver(d *ast.FuncDecl) string {
 	}
 	return ""
 }
+
+// testOnlyExportFixtures are exported functions under internal/ that no
+// program file names on purpose: test fixtures, shared across packages or
+// pinned by their own package's contract tests. Keys are "dir.Func" or
+// "dir.Recv.Method".
+var testOnlyExportFixtures = map[string]bool{
+	// Graph builders and generators every package's tests draw from.
+	"internal/graph.FromAdjacency":       true,
+	"internal/graph.CSR.EdgeList":        true,
+	"internal/graph.CSR.IsUndirected":    true,
+	"internal/graph.Uniform":             true,
+	"internal/graph.Ring":                true,
+	"internal/graph.Star":                true,
+	"internal/graph.Grid2D":              true,
+	"internal/graph.Complete":            true,
+	"internal/graph.IdentityPermutation": true,
+	// Matrix construction, element access and comparison.
+	"internal/tensor.FromSlice":        true,
+	"internal/tensor.Matrix.At":        true,
+	"internal/tensor.Matrix.Set":       true,
+	"internal/tensor.MaxAbsDiff":       true,
+	"internal/tensor.Arena.Held":       true,
+	"internal/metrics.Histogram.Count": true,
+	// Unfused kernels the packed and fused paths are pinned against.
+	"internal/tensor.MatMulAdd": true,
+	"internal/tensor.MatMulATB": true,
+	// Checkpoint writing and lookup for the recovery tests.
+	"internal/ckpt.Encode": true,
+	"internal/ckpt.Latest": true,
+	// Fault injection, the FMA audit and the reduced-scale experiment
+	// harnesses the tests and testing.B benchmarks run.
+	"internal/dist.Chaos.Kill":                  true,
+	"internal/fmacheck.Check":                   true,
+	"internal/experiments.SmallScale":           true,
+	"internal/experiments.AblationVIPPartition": true,
+}
+
+// TestNoTestOnlyExports fails on exported API that only tests use: an
+// exported function or method declared under internal/ whose name appears
+// as an identifier in no non-test Go file of the module or of bench/
+// other than its own declaration. Such a function is dead code kept alive
+// by its own test. The match is by name, so it only catches functions
+// that nothing names at all; shared test fixtures are allowlisted in
+// testOnlyExportFixtures.
+func TestNoTestOnlyExports(t *testing.T) {
+	fset := token.NewFileSet()
+	uses := map[string]int{}  // identifier name -> occurrences
+	decls := map[string]int{} // function/method name -> declarations
+	type export struct{ key, name, pos string }
+	var exports []export
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				uses[id.Name]++
+			}
+			return true
+		})
+		dir := filepath.ToSlash(filepath.Dir(path))
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			decls[fd.Name.Name]++
+			if !fd.Name.IsExported() || !strings.HasPrefix(dir, "internal/") {
+				continue
+			}
+			key := dir + "." + fd.Name.Name
+			if r := exportedReceiver(fd); r != "" {
+				key = dir + "." + r + "." + fd.Name.Name
+			} else if fd.Recv != nil {
+				continue // a method of an unexported type
+			}
+			exports = append(exports, export{key, fd.Name.Name, fset.Position(fd.Pos()).String()})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range exports {
+		if uses[e.name] <= decls[e.name] && !testOnlyExportFixtures[e.key] {
+			t.Errorf("%s: %s is named by no program file; delete it with its tests, or allowlist it as a shared test fixture", e.pos, e.key)
+		}
+	}
+}

@@ -52,7 +52,7 @@ const (
 
 func config() salientpp.ClusterConfig {
 	return salientpp.ClusterConfig{
-		K: 2, Alpha: 0.25, GPUFraction: 1, VIPReorder: true,
+		K: 2, Alpha: 0.25, VIPReorder: true,
 		// Dropout > 0 on purpose: its RNG stream advances batch by batch,
 		// so recovery is only exact because the checkpoint restores it.
 		Hidden: 24, Layers: 2, Dropout: 0.3,

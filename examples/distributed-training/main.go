@@ -47,7 +47,7 @@ func main() {
 
 	run := func(alpha float64) (finalLoss, valAcc float64, remote, wire, hits int64) {
 		cluster, err := salientpp.NewCluster(ds, salientpp.ClusterConfig{
-			K: 4, Alpha: alpha, GPUFraction: 1, VIPReorder: true,
+			K: 4, Alpha: alpha, VIPReorder: true,
 			Hidden: 32, Layers: 2, UseTCP: *useTCP,
 			Train: salientpp.TrainConfig{
 				Fanouts: []int{10, 5}, BatchSize: 64,

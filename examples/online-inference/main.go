@@ -59,7 +59,7 @@ func main() {
 
 	run := func(alpha float64) serve.Snapshot {
 		cluster, err := salientpp.NewCluster(ds, salientpp.ClusterConfig{
-			K: 2, Alpha: alpha, GPUFraction: 1, VIPReorder: true,
+			K: 2, Alpha: alpha, VIPReorder: true,
 			Hidden: 32, Layers: 2, UseTCP: *useTCP,
 			Train: salientpp.TrainConfig{
 				Fanouts: []int{10, 5}, BatchSize: 64,
@@ -132,7 +132,7 @@ func main() {
 // clears a background regroup restores normal serving.
 func degradedDemo(ds *salientpp.Dataset, useTCP bool) {
 	cluster, err := salientpp.NewCluster(ds, salientpp.ClusterConfig{
-		K: 2, Alpha: 0.32, GPUFraction: 1, VIPReorder: true,
+		K: 2, Alpha: 0.32, VIPReorder: true,
 		Hidden: 32, Layers: 2, UseTCP: useTCP,
 		Train: salientpp.TrainConfig{
 			Fanouts: []int{10, 5}, BatchSize: 64,

@@ -130,7 +130,7 @@ func (r *rung) measure(ds *dataset.Dataset) error {
 	chaos := dist.NewChaos(dist.ChaosConfig{Link: simnet.NewLink(0.25, 100e-6).WithTBF(0.25)})
 	t0 := time.Now()
 	cl, err := pipeline.NewCluster(ds, pipeline.ClusterConfig{
-		K: ranks, Alpha: r.alpha, GPUFraction: 1, VIPReorder: true,
+		K: ranks, Alpha: r.alpha, VIPReorder: true,
 		Hidden: 64, Layers: 3, UseTCP: true,
 		Train: pipeline.Config{
 			Fanouts: []int{15, 10, 5}, BatchSize: 128, PipelineDepth: r.depth,

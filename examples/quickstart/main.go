@@ -60,7 +60,7 @@ func main() {
 	// 4. A 2-machine cluster: partitioned features, VIP reordering,
 	// VIP-ranked remote cache at replication factor 0.2, deep pipeline.
 	cluster, err := salientpp.NewCluster(ds, salientpp.ClusterConfig{
-		K: 2, Alpha: 0.2, GPUFraction: 0.5, VIPReorder: true,
+		K: 2, Alpha: 0.2, VIPReorder: true,
 		Hidden: 32, Layers: 2,
 		Train: salientpp.TrainConfig{
 			Fanouts: []int{10, 5}, BatchSize: 64,

@@ -62,7 +62,7 @@ func main() {
 	var rows []row
 	for _, codec := range []string{"fp32", "fp16", "int8"} {
 		cl, err := pipeline.NewCluster(ds, pipeline.ClusterConfig{
-			K: k, Alpha: alpha, GPUFraction: 1, VIPReorder: true,
+			K: k, Alpha: alpha, VIPReorder: true,
 			Hidden: 32, Layers: 2, Codec: codec,
 			Train: pipeline.Config{
 				Fanouts: []int{10, 5}, BatchSize: 64, PipelineDepth: 10,

@@ -243,17 +243,6 @@ func TestOracleVolumeFullCapacityIsZero(t *testing.T) {
 	}
 }
 
-func TestHaloSize(t *testing.T) {
-	ctx := policyContext(t)
-	hs, err := HaloSize(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hs <= 0 {
-		t.Fatal("halo empty on a connected partitioned graph")
-	}
-}
-
 func TestContextValidate(t *testing.T) {
 	ctx := policyContext(t)
 	bad := *ctx

@@ -63,16 +63,6 @@ func (Halo) Rank(ctx *Context) ([]int32, error) {
 	return rankByScore(ids, func(v int32) float64 { return float64(g.Degree(v)) }), nil
 }
 
-// HaloSize returns the natural (uncapped) halo size for a partition,
-// reported alongside Figure 2 since "1-hop" has an implied α.
-func HaloSize(ctx *Context) (int, error) {
-	ids, err := Halo{}.Rank(ctx)
-	if err != nil {
-		return 0, err
-	}
-	return len(ids), nil
-}
-
 // WeightedPageRank is the "wPR" policy (Min et al. 2021): a few iterations
 // of reverse PageRank seeded at the partition's training vertices, with
 // transition weights 1/d(v). It models multi-hop expansion but is agnostic

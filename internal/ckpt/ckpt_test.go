@@ -27,7 +27,7 @@ func testState() *TrainState {
 			ModelRNG: [4]uint64{1, 2, 3, ^uint64(0)},
 			Partial: PartialEpoch{
 				Loss: 1.25, Accuracy: 0.5, Batches: 3,
-				LocalGPU: 10, LocalCPU: 4, CacheHit: 7, Remote: 2,
+				Local: 14, CacheHit: 7, Remote: 2,
 				BytesSent: 4096, GradBytesSent: 512,
 			},
 		}

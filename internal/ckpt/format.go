@@ -29,8 +29,12 @@
 //	         seed u64 | batch u32 | fanouts | dataset | codec | gradCodec
 //	topology perm | starts | parts | one cache id list per rank
 //	rank     params (rows, cols, W, M, V, EF each) | adamStep i64 |
-//	         modelRNG 4×u64 | loss, accuracy f64 | batches, localGPU,
-//	         localCPU, cacheHit, remote, bytesSent, gradBytesSent i64
+//	         modelRNG 4×u64 | loss, accuracy f64 | batches, local, 0,
+//	         cacheHit, remote, bytesSent, gradBytesSent i64
+//
+// The zero after local is the slot that once split local accesses in two
+// (GPU- and CPU-resident rows); Decode adds it to local, so older files
+// still read, and the next format change drops it.
 //
 // Decode reads v4 through v6. A v4 file has exactly the v5 layout, which
 // adds a compute-precision string after the codec and eight stage-timing
@@ -94,8 +98,7 @@ type PartialEpoch struct {
 	Loss     float64
 	Accuracy float64
 	Batches  int64 // real (non-padding) batches retired so far
-	LocalGPU int64
-	LocalCPU int64
+	Local    int64
 	CacheHit int64
 	Remote   int64
 	// BytesSent is the feature-communication byte counter at the cursor.
@@ -378,8 +381,8 @@ func AppendEncode(dst []byte, t *TrainState) ([]byte, error) {
 		p.f64(pe.Loss)
 		p.f64(pe.Accuracy)
 		p.i64(pe.Batches)
-		p.i64(pe.LocalGPU)
-		p.i64(pe.LocalCPU)
+		p.i64(pe.Local)
+		p.i64(0)
 		p.i64(pe.CacheHit)
 		p.i64(pe.Remote)
 		p.i64(pe.BytesSent)
@@ -751,11 +754,12 @@ func Decode(r io.Reader) (*TrainState, error) {
 					return nil, err
 				}
 			}
-			counters := []*int64{&pe.Batches, &pe.LocalGPU, &pe.LocalCPU, &pe.CacheHit,
+			var local2 int64 // the retired second local-access slot
+			counters := []*int64{&pe.Batches, &pe.Local, &local2, &pe.CacheHit,
 				&pe.Remote, &pe.BytesSent, &pe.GradBytesSent}
 			if legacy {
 				var x int64
-				counters = []*int64{&pe.Batches, &pe.LocalGPU, &pe.LocalCPU, &pe.CacheHit,
+				counters = []*int64{&pe.Batches, &pe.Local, &local2, &pe.CacheHit,
 					&pe.Remote, &pe.BytesSent, &x, &x, &x, &x, &x, &x, &pe.GradBytesSent, &x, &x}
 			}
 			for _, dst := range counters {
@@ -763,6 +767,7 @@ func Decode(r io.Reader) (*TrainState, error) {
 					return nil, err
 				}
 			}
+			pe.Local += local2
 			t.Ranks = append(t.Ranks, rs)
 		default:
 			return nil, fmt.Errorf("ckpt: unknown section tag %d", tag)

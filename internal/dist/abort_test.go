@@ -49,7 +49,7 @@ func testAbortUnblocksGather(t *testing.T, mk func(k int) ([]Comm, error)) {
 		t.Fatal(err)
 	}
 	local := tensor.New(n/2, dim)
-	st, err := NewStore(comms[0], layout, dim, local, nil, 1)
+	st, err := NewStore(comms[0], layout, dim, local, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSiblingSharesDataNotScratch(t *testing.T) {
 		for i := range local.Data {
 			local.Data[i] = float32(i)
 		}
-		st, err := NewStore(comms[0], layout, dim, local, nil, 0.5)
+		st, err := NewStore(comms[0], layout, dim, local, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestSiblingSharesDataNotScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.LocalGPU+stats.LocalCPU != len(ids) {
+		if stats.Local != len(ids) {
 			t.Fatalf("sibling misclassified: %+v", stats)
 		}
 		for r, v := range ids {
@@ -208,7 +208,7 @@ func TestSiblingStartsOnSetupEpoch(t *testing.T) {
 		return &cache.Epoch{Index: idx, Rows: rows}
 	}
 	setup, other := epochOf(5), epochOf(6)
-	st, err := NewStore(&echoComm{}, layout, dim, tensor.New(n/2, dim), setup, 1)
+	st, err := NewStore(&echoComm{}, layout, dim, tensor.New(n/2, dim), setup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,6 +226,9 @@ func TestSiblingStartsOnSetupEpoch(t *testing.T) {
 	defer sib.Release(out)
 	if stats.CacheHits != 1 || stats.Missing != 1 {
 		t.Fatalf("sibling classified %+v, want vertex 5 a hit and 6 missing", stats)
+	}
+	if err := accountingErr(2, stats); err != nil {
+		t.Fatal(err)
 	}
 	for j := 0; j < dim; j++ {
 		if out.At(0, j) != float32(50+j) {

@@ -27,7 +27,7 @@ func TestGatherAllocationFree(t *testing.T) {
 	for i := range local.Data {
 		local.Data[i] = float32(i)
 	}
-	st, err := NewStore(comms[0], layout, dim, local, nil, 0.5)
+	st, err := NewStore(comms[0], layout, dim, local, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +106,12 @@ func TestGatherNextAllocationFree(t *testing.T) {
 				}
 				return m
 			}
-			peer, err := NewStore(&echoComm{rank: 1}, layout, dim, shard(1), nil, 1)
+			peer, err := NewStore(&echoComm{rank: 1}, layout, dim, shard(1), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			peer.SetCodec(codec)
-			st, err := NewStore(&echoComm{peer: peer}, layout, dim, shard(0), nil, 0.5)
+			st, err := NewStore(&echoComm{peer: peer}, layout, dim, shard(0), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +183,7 @@ func BenchmarkGatherWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	local := tensor.New(n, dim)
-	st, err := NewStore(comms[0], layout, dim, local, nil, 1)
+	st, err := NewStore(comms[0], layout, dim, local, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestGatherSortedRequestsCorrect(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			copy(local.Row(i), full.Row(r*8+i))
 		}
-		st, err := NewStore(comms[r], layout, dim, local, nil, 1)
+		st, err := NewStore(comms[r], layout, dim, local, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,8 +254,11 @@ func TestGatherSortedRequestsCorrect(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if stats.RemoteFetch != 6 || stats.RemoteByPeer[1] != 6 {
+	if stats.RemoteFetch != 6 {
 		t.Fatalf("stats: %+v", stats)
+	}
+	if err := accountingErr(len(ids), stats); err != nil {
+		t.Fatal(err)
 	}
 	for i, v := range ids {
 		for j := 0; j < dim; j++ {

@@ -232,7 +232,7 @@ func buildCodecStores(t *testing.T, codec Codec) ([]*Store, *tensor.Matrix, []Co
 		for i := 0; i < 8; i++ {
 			copy(local.Row(i), full.Row(rank*8+i))
 		}
-		st, err := NewStore(comms[rank], layout, dim, local, nil, 1)
+		st, err := NewStore(comms[rank], layout, dim, local, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +346,7 @@ func TestGatherCodecAllocationFree(t *testing.T) {
 			for i := range local.Data {
 				local.Data[i] = float32(i)
 			}
-			st, err := NewStore(comms[0], layout, dim, local, nil, 0.5)
+			st, err := NewStore(comms[0], layout, dim, local, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -33,7 +33,7 @@ func scriptedPeer(t testing.TB, codec Codec, frames [][]byte, op func(st *Store)
 	for i := range local.Data {
 		local.Data[i] = float32(i)
 	}
-	st, err := NewStore(comms[0], layout, corruptDim, local, nil, 1)
+	st, err := NewStore(comms[0], layout, corruptDim, local, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,6 @@ func TestLayoutOwnership(t *testing.T) {
 	if l.PartSize(1) != 0 || l.PartSize(2) != 7 {
 		t.Fatalf("part sizes: %d %d", l.PartSize(1), l.PartSize(2))
 	}
-	if l.LocalRow(5) != 2 {
-		t.Fatalf("LocalRow(5) = %d, want 2", l.LocalRow(5))
-	}
 	for _, bad := range [][]int64{{}, {0}, {1, 2}, {0, 5, 3}} {
 		if _, err := NewLayout(bad); err == nil {
 			t.Fatalf("NewLayout(%v) accepted invalid boundaries", bad)
@@ -126,8 +123,7 @@ func TestCloseUnblocksPeers(t *testing.T) {
 }
 
 // TestStoreGather verifies classification and feature correctness of the
-// three-collective gather on a 2-rank store with a cache and a partial GPU
-// prefix.
+// one-shot gather on a 2-rank store with a cache.
 func TestStoreGather(t *testing.T) {
 	const dim = 3
 	layout, err := NewLayout([]int64{0, 4, 8})
@@ -161,7 +157,7 @@ func TestStoreGather(t *testing.T) {
 		cdata := tensor.New(1, dim)
 		copy(cdata.Row(0), full.Row(int(cachedID)))
 		ep := &cache.Epoch{Index: cc, Rows: cdata}
-		st, err := NewStore(comms[r], layout, dim, local, ep, 0.5)
+		st, err := NewStore(comms[r], layout, dim, local, ep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,13 +177,12 @@ func TestStoreGather(t *testing.T) {
 		feats, stats, err = stores[0].Gather([]int32{0, 3, 4, 5, 6})
 		return err
 	})
-	// v0: local row 0 < gpuRows(2) -> GPU; v3: local row 3 -> CPU;
-	// v4: cached; v5, v6: remote from rank 1.
-	if stats.LocalGPU != 1 || stats.LocalCPU != 1 || stats.CacheHits != 1 || stats.RemoteFetch != 2 {
+	// v0, v3: local; v4: cached; v5, v6: remote from rank 1.
+	if stats.Local != 2 || stats.CacheHits != 1 || stats.RemoteFetch != 2 {
 		t.Fatalf("stats: %+v", stats)
 	}
-	if stats.RemoteByPeer[1] != 2 {
-		t.Fatalf("per-peer: %v", stats.RemoteByPeer)
+	if err := accountingErr(5, stats); err != nil {
+		t.Fatal(err)
 	}
 	for i, v := range []int32{0, 3, 4, 5, 6} {
 		for j := 0; j < dim; j++ {

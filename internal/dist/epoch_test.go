@@ -72,7 +72,7 @@ func runOnlineCacheScript(t *testing.T, mk func(k int) ([]Comm, error)) []epochT
 			copy(cdata.Row(i), full.Row(int(seedRanking[i])))
 		}
 		ep := &cache.Epoch{Index: cc, Rows: cdata}
-		st, err := NewStore(comms[r], layout, dim, local, ep, 0.5)
+		st, err := NewStore(comms[r], layout, dim, local, ep)
 		if err != nil {
 			t.Fatal(err)
 		}

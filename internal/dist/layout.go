@@ -60,11 +60,6 @@ func (l *Layout) Owner(v int32) int {
 	return sort.Search(len(l.Starts)-1, func(p int) bool { return l.Starts[p+1] > int64(v) })
 }
 
-// LocalRow returns v's row within its owner's shard.
-func (l *Layout) LocalRow(v int32) int {
-	return int(int64(v) - l.Starts[l.Owner(v)])
-}
-
 // PartSize returns the number of vertices partition p owns.
 func (l *Layout) PartSize(p int) int {
 	return int(l.Starts[p+1] - l.Starts[p])

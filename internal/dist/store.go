@@ -11,14 +11,13 @@ import (
 	"salientpp/internal/tensor"
 )
 
-// GatherStats classifies the feature accesses of one Gather call. The
-// categories mirror the paper's cost hierarchy: GPU-resident local rows are
-// free, CPU-resident local rows cost a host-to-device copy, cache hits cost
-// a local read of a replicated row, and remote fetches cost network
+// GatherStats classifies the feature accesses of one gather round. Every
+// id lands in exactly one category, so Local + CacheHits + RemoteFetch +
+// Missing equals the number of ids: local rows are read from this rank's
+// shard, cache hits read a replicated row, and remote fetches cost network
 // communication.
 type GatherStats struct {
-	LocalGPU  int
-	LocalCPU  int
+	Local     int
 	CacheHits int
 	// RemoteFetch counts remote accesses: ids neither local nor cached.
 	// Gather requests every one of them on the wire; the training stream
@@ -35,27 +34,22 @@ type GatherStats struct {
 	// fetches them remotely). A degraded serving round reports its
 	// accuracy cost here.
 	Missing int
-	// RemoteByPeer[p] counts the remote accesses owned by rank p this call.
-	// It aliases the store's reusable scratch and is valid only until the
-	// next Gather on the same store; copy it to retain it.
-	RemoteByPeer []int
 }
 
-// Store is one rank's partitioned feature store: the local shard (split
-// into a GPU-resident prefix and a CPU remainder), the current cache epoch
-// of remote rows, and the communicator over which remote rows are fetched
-// (§4.2).
+// Store is one rank's partitioned feature store: the local shard, the
+// current cache epoch of remote rows, and the communicator over which
+// remote rows are fetched (§4.2).
 //
 // Remote rows move in framed all-to-all exchanges. The frame a rank sends
 // peer p is [rows answering p's previous request list][this rank's next
 // request list for p]; the receiver splits it at the row count it asked p
-// for, so no separate count collective exists. A one-shot Gather is two
-// exchanges — an ids-only frame, then a rows-only frame. The training
-// stream (GatherNext/GatherFlush) overlaps them: each round's request ids
-// ride with the previous round's rows, so an R-round epoch costs R+1
-// collectives. Between the collective that delivers a peer's ids and the
-// next one, the owner reads the requested rows out of its shard into that
-// peer's outgoing frame. The stream also never asks for a row twice in a
+// for, so no separate count collective exists. The training stream
+// (GatherNext/GatherFlush) sends each round's request ids with the
+// previous round's rows, so an R-round epoch costs R+1 collectives; a
+// one-shot Gather is a one-round stream, an ids-only frame then a
+// rows-only frame. Between the collective that delivers a peer's ids and
+// the next one, the owner reads the requested rows out of its shard into
+// that peer's outgoing frame. The stream also never asks for a row twice in a
 // row: a round's remote ids that the pending round held — requested,
 // inherited or served from the cache — are copied out of the pending
 // round's matrix once it completes, so owners see shorter request lists
@@ -79,15 +73,14 @@ type GatherStats struct {
 // contiguous buffers, and per-peer request lists are sorted so the owning
 // rank reads its shard sequentially.
 type Store struct {
-	comm    Comm
-	layout  *Layout
-	dim     int
-	local   *tensor.Matrix
-	epoch   atomic.Pointer[cache.Epoch] // current cache version; nil only when caching is disabled
-	setup   *cache.Epoch                // the epoch NewStore was given
-	gpuRows int
-	pool    *tensor.Pool
-	codec   Codec
+	comm   Comm
+	layout *Layout
+	dim    int
+	local  *tensor.Matrix
+	epoch  atomic.Pointer[cache.Epoch] // current cache version; nil only when caching is disabled
+	setup  *cache.Epoch                // the epoch NewStore was given
+	pool   *tensor.Pool
+	codec  Codec
 
 	// Gather protocol state; a Store is used by one goroutine at a time
 	// (the pipeline's feature-collection stage). rounds double-buffers the
@@ -98,7 +91,8 @@ type Store struct {
 
 	// held[v] stamps the last stream round that held remote id v and the
 	// output row it sits in; a round inherits v when the stamp is the
-	// pending round's. Sized to the vertex count at the first GatherNext.
+	// pending round's. Sized to the vertex count at the first GatherNext
+	// (which every one-shot Gather runs).
 	held []heldRow
 	seq  uint32 // stamp of the last GatherNext round; 0 is never a round's
 
@@ -120,7 +114,6 @@ type gatherRound struct {
 	stats  GatherStats
 	reqIDs [][]int32 // per-peer request ids, sorted ascending
 	rowOf  [][]int32 // rowOf[p][j]: output row waiting on reqIDs[p][j]
-	byPeer []int     // RemoteByPeer scratch
 
 	// Remote ids inherited from the round pending when this one was pushed
 	// (GatherNext only): output row inhRow[j] is copied from the pending
@@ -153,8 +146,7 @@ func (s *idRowSorter) Swap(i, j int) {
 // NewStore validates shapes and returns the store. local holds the rows of
 // this rank's layout interval; ep is the initial cache epoch (generation 0,
 // the truncated setup ranking) and may be nil to disable caching.
-// gpuFraction in [0,1] sets the GPU-resident prefix of the local shard.
-func NewStore(comm Comm, layout *Layout, dim int, local *tensor.Matrix, ep *cache.Epoch, gpuFraction float64) (*Store, error) {
+func NewStore(comm Comm, layout *Layout, dim int, local *tensor.Matrix, ep *cache.Epoch) (*Store, error) {
 	if comm == nil || layout == nil {
 		return nil, fmt.Errorf("dist: store needs comm and layout")
 	}
@@ -174,10 +166,7 @@ func NewStore(comm Comm, layout *Layout, dim int, local *tensor.Matrix, ep *cach
 	if err := validateEpoch(ep, dim); err != nil {
 		return nil, err
 	}
-	if gpuFraction < 0 || gpuFraction > 1 {
-		return nil, fmt.Errorf("dist: gpuFraction %v outside [0,1]", gpuFraction)
-	}
-	s := newStore(comm, layout, dim, local, int(gpuFraction*float64(local.Rows)))
+	s := newStore(comm, layout, dim, local)
 	s.setup = ep
 	s.epoch.Store(ep)
 	return s, nil
@@ -204,12 +193,11 @@ func validateEpoch(ep *cache.Epoch, dim int) error {
 // newStore assembles a validated store with fresh per-Gather scratch. Both
 // construction sites (NewStore and Sibling) go through here so a new
 // scratch field cannot be initialized in one and forgotten in the other.
-func newStore(comm Comm, layout *Layout, dim int, local *tensor.Matrix, gpuRows int) *Store {
+func newStore(comm Comm, layout *Layout, dim int, local *tensor.Matrix) *Store {
 	k := layout.K()
 	s := &Store{
 		comm: comm, layout: layout, dim: dim,
 		local:    local,
-		gpuRows:  gpuRows,
 		pool:     tensor.NewPool(),
 		frame32:  make([][]float32, k),
 		frameEnc: make([][]byte, k),
@@ -220,7 +208,6 @@ func newStore(comm Comm, layout *Layout, dim int, local *tensor.Matrix, gpuRows 
 		s.rounds[i] = gatherRound{
 			reqIDs: make([][]int32, k),
 			rowOf:  make([][]int32, k),
-			byPeer: make([]int, k),
 		}
 	}
 	return s
@@ -273,10 +260,11 @@ func (s *Store) SetCodec(c Codec) { s.codec = c }
 func (s *Store) Codec() Codec { return s.codec }
 
 // Sibling returns a second store over the same read-only feature data —
-// local shard, setup cache epoch, layout, and GPU split — but a fresh
-// communicator and private per-Gather scratch. This is the concurrent read
-// path: the underlying matrices are never written after construction, so
-// any number of sibling stores (an online-serving loop next to the
+// local shard, setup cache epoch and layout — but a fresh communicator
+// and private per-Gather scratch (its id stamp, one entry per vertex, is
+// allocated at its first gather). This is the concurrent read path: the
+// underlying matrices are never written after construction, so any
+// number of sibling stores (an online-serving loop next to the
 // training pipeline, several serving replicas) may Gather concurrently,
 // each from its own goroutine, as long as each sibling's comm belongs to a
 // distinct matched group.
@@ -294,9 +282,7 @@ func (s *Store) Sibling(comm Comm) (*Store, error) {
 		return nil, fmt.Errorf("dist: sibling comm is rank %d/%d, store is rank %d/%d",
 			comm.Rank(), comm.Size(), s.comm.Rank(), s.comm.Size())
 	}
-	// gpuRows is copied outright (not re-derived from a fraction) so access
-	// classification matches the original store exactly.
-	sib := newStore(comm, s.layout, s.dim, s.local, s.gpuRows)
+	sib := newStore(comm, s.layout, s.dim, s.local)
 	sib.codec = s.codec
 	sib.setup = s.setup
 	sib.epoch.Store(s.setup)
@@ -329,38 +315,29 @@ func (s *Store) Live() int64 { return s.pool.Live() }
 func (s *Store) Release(m *tensor.Matrix) { s.pool.Put(m) }
 
 // Gather assembles the feature matrix for ids (row i holds the features of
-// ids[i]) and classifies every access. It runs two collectives — the
-// request ids out, then the rows back — and all ranks in the group must
-// call it the same number of times: rounds with no local batch pass an
-// empty id list so the collectives stay matched. The returned matrix
-// belongs to the store's pool; hand it back with Release when the batch
-// retires. Every error leaves the store idle with nothing of its own
+// ids[i]) and classifies every access. It is a one-round stream — a
+// GatherNext with nothing pending, then a GatherFlush — so it runs two
+// collectives: the request ids out, then the rows back. All ranks in the
+// group must call it the same number of times: rounds with no local batch
+// pass an empty id list so the collectives stay matched. The returned
+// matrix belongs to the store's pool; hand it back with Release when the
+// batch retires. Every error leaves the store idle with nothing of its own
 // checked out of the pool.
 func (s *Store) Gather(ids []int32) (*tensor.Matrix, GatherStats, error) {
-	rd := s.idleRound()
-	rd.out = s.pool.Get(len(ids), s.dim)
 	if s.pending != nil {
-		s.drop(rd)
+		s.drop(nil)
 		return nil, GatherStats{}, errors.New("dist: one-shot gather while a stream round is pending (GatherFlush completes it)")
 	}
-	s.classify(rd, ids, false, nil)
-	if err := s.exchange(rd); err != nil {
-		s.drop(rd)
+	if _, _, err := s.GatherNext(ids); err != nil {
 		return nil, GatherStats{}, err
 	}
-	if err := s.exchange(nil); err != nil {
-		s.drop(nil)
-		return nil, GatherStats{}, err
-	}
-	out := rd.out
-	rd.out = nil
-	return out, rd.stats, nil
+	return s.GatherFlush()
 }
 
-// GatherNext is the training stream's gather: it classifies ids as Gather
-// does and sends their request lists in the same collective that carries
-// the rows answering the previous GatherNext, then returns that previous
-// round's completed matrix (nil, with zero stats, on the first call of a
+// GatherNext is the training stream's gather: it classifies ids and sends
+// their request lists in the same collective that carries the rows
+// answering the previous GatherNext, then returns that previous round's
+// completed matrix (nil, with zero stats, on the first call of a
 // stream). GatherFlush completes the last pending round, so a stream of R
 // rounds costs R+1 collectives where R Gathers cost 2R. Remote ids the
 // previous round also held — fetched, inherited or cache hits — are not
@@ -502,20 +479,14 @@ func (s *Store) classify(rd *gatherRound, ids []int32, local bool, prev *gatherR
 	for p := 0; p < k; p++ {
 		rd.reqIDs[p] = rd.reqIDs[p][:0]
 		rd.rowOf[p] = rd.rowOf[p][:0]
-		rd.byPeer[p] = 0
 	}
 	rd.inhRow, rd.inhSrc = rd.inhRow[:0], rd.inhSrc[:0]
 	var st GatherStats
 	for i, v := range ids {
 		owner := s.layout.Owner(v)
 		if owner == rank {
-			row := int(int64(v) - s.layout.Starts[rank])
-			if row < s.gpuRows {
-				st.LocalGPU++
-			} else {
-				st.LocalCPU++
-			}
-			copy(out.Row(i), s.local.Row(row))
+			st.Local++
+			copy(out.Row(i), s.local.Row(int(int64(v)-s.layout.Starts[rank])))
 			continue
 		}
 		if ep != nil && ep.Index != nil {
@@ -529,7 +500,6 @@ func (s *Store) classify(rd *gatherRound, ids []int32, local bool, prev *gatherR
 			if h := s.held[v]; h.seq == prev.seq {
 				st.RemoteFetch++
 				st.Reused++
-				rd.byPeer[owner]++
 				rd.inhRow = append(rd.inhRow, int32(i))
 				rd.inhSrc = append(rd.inhSrc, h.row)
 				continue
@@ -539,7 +509,6 @@ func (s *Store) classify(rd *gatherRound, ids []int32, local bool, prev *gatherR
 		rd.rowOf[owner] = append(rd.rowOf[owner], int32(i))
 		if !local {
 			st.RemoteFetch++
-			rd.byPeer[owner]++
 			continue
 		}
 		st.Missing++
@@ -551,7 +520,6 @@ func (s *Store) classify(rd *gatherRound, ids []int32, local bool, prev *gatherR
 			sort.Sort(&s.sorter)
 		}
 	}
-	st.RemoteByPeer = rd.byPeer
 	rd.stats = st
 }
 

@@ -27,7 +27,7 @@ func (c *countComm) AllToAll(send [][]byte) ([][]byte, error) {
 
 // streamFixture is a 3-rank deployment over a 30-vertex feature matrix:
 // ranks own [0,10), [10,20), [20,30); each caches one vertex of the next
-// rank; half of each shard is GPU-resident.
+// rank.
 const streamK, streamN, streamDim = 3, 30, 5
 
 func streamStores(t *testing.T, mk func(k int) ([]Comm, error), codec Codec) ([]*Store, []*countComm) {
@@ -58,7 +58,7 @@ func streamStores(t *testing.T, mk func(k int) ([]Comm, error), codec Codec) ([]
 		copy(rows.Row(0), full.Row(int(cached)))
 		ep := &cache.Epoch{Index: cc, Rows: rows}
 		counted[rank] = &countComm{Comm: comms[rank]}
-		st, err := NewStore(counted[rank], layout, streamDim, local, ep, 0.5)
+		st, err := NewStore(counted[rank], layout, streamDim, local, ep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,18 +106,26 @@ func streamRounds(rounds int) [][][]int32 {
 
 // gathered is one round's result, copied out of the store's scratch.
 type gathered struct {
-	bits   []uint32
-	stats  GatherStats
-	byPeer []int
+	bits  []uint32
+	stats GatherStats
 }
 
 func keep(m *tensor.Matrix, st GatherStats) gathered {
-	g := gathered{stats: st, byPeer: append([]int(nil), st.RemoteByPeer...)}
+	g := gathered{stats: st}
 	for _, v := range m.Data {
 		g.bits = append(g.bits, math.Float32bits(v))
 	}
-	g.stats.RemoteByPeer = nil
 	return g
+}
+
+// accountingErr checks the gather accounting identity of a round of n ids:
+// every id lands in exactly one category, and only remote accesses are
+// reused.
+func accountingErr(n int, st GatherStats) error {
+	if st.Local+st.CacheHits+st.RemoteFetch+st.Missing != n || st.Reused > st.RemoteFetch {
+		return fmt.Errorf("stats %+v do not account for %d ids", st, n)
+	}
+	return nil
 }
 
 // onAllRanks runs f concurrently on every rank and fails on any error.
@@ -143,8 +151,8 @@ func onAllRanks(t *testing.T, f func(rank int) error) {
 // TestGatherNextMatchesGather pins the training stream against one-shot
 // gathers: N rounds pushed through GatherNext and completed by the next
 // push (the last by GatherFlush) return matrices bitwise equal to N
-// one-shot Gathers of the same id lists, with identical per-peer counts and
-// scalar stats apart from Reused, on both transports under every codec —
+// one-shot Gathers of the same id lists, with identical stats apart from
+// Reused, each accounting for every id, on both transports under every codec —
 // including empty rounds and a rank that needs no remote rows. The stream
 // reports counts only (no id lists), costs R+1 collectives for R rounds
 // against 2 per one-shot Gather, and holds exactly one pooled matrix while
@@ -166,6 +174,9 @@ func TestGatherNextMatchesGather(t *testing.T) {
 					for round := 0; round < rounds; round++ {
 						m, st, err := once[rank].Gather(ids[rank][round])
 						if err != nil {
+							return err
+						}
+						if err := accountingErr(len(ids[rank][round]), st); err != nil {
 							return err
 						}
 						ref[rank] = append(ref[rank], keep(m, st))
@@ -204,6 +215,9 @@ func TestGatherNextMatchesGather(t *testing.T) {
 								return fmt.Errorf("first push returned a matrix")
 							}
 							continue
+						}
+						if err := accountingErr(len(ids[rank][round-1]), gs); err != nil {
+							return fmt.Errorf("round %d: %w", round-1, err)
 						}
 						reused[rank] += gs.Reused
 						gs.Reused = 0
@@ -331,7 +345,6 @@ func TestGatherNextReusesPendingRows(t *testing.T) {
 				continue
 			}
 			if rank == 0 {
-				gs.RemoteByPeer = nil
 				got = append(got, result{append([]float32(nil), m.Data...), gs})
 			}
 			poison(m)
@@ -350,6 +363,9 @@ func TestGatherNextReusesPendingRows(t *testing.T) {
 		if r.stats.RemoteFetch != wantRemote[round] || r.stats.Reused != wantReused[round] {
 			t.Fatalf("round %d: remote %d reused %d, want %d and %d",
 				round, r.stats.RemoteFetch, r.stats.Reused, wantRemote[round], wantReused[round])
+		}
+		if err := accountingErr(len(ids), r.stats); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 		for i, v := range ids {
 			for j := 0; j < streamDim; j++ {
@@ -450,7 +466,6 @@ func TestGatherNextReusesPendingCacheHits(t *testing.T) {
 				continue
 			}
 			if rank == 0 {
-				gs.RemoteByPeer = nil
 				got = append(got, gs)
 				feats = append(feats, append([]float32(nil), m.Data...))
 			}
@@ -459,7 +474,7 @@ func TestGatherNextReusesPendingCacheHits(t *testing.T) {
 		return nil
 	})
 	want := []GatherStats{
-		{LocalGPU: 1, CacheHits: 1, RemoteFetch: 1},
+		{Local: 1, CacheHits: 1, RemoteFetch: 1},
 		{RemoteFetch: 3, Reused: 2},
 	}
 	for round, ids := range script {

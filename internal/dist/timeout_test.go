@@ -73,7 +73,7 @@ func TestGatherTimeoutUnblocksStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewStore(comms[0], layout, dim, tensor.New(n/2, dim), nil, 1)
+	st, err := NewStore(comms[0], layout, dim, tensor.New(n/2, dim), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestGatherLocalZeroFillsMissing(t *testing.T) {
 	for i := range local.Data {
 		local.Data[i] = float32(i + 1)
 	}
-	st, err := NewStore(comms[0], layout, dim, local, nil, 1)
+	st, err := NewStore(comms[0], layout, dim, local, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +177,11 @@ func TestGatherLocalZeroFillsMissing(t *testing.T) {
 	ids := []int32{1, int32(n/2) + 3, 3} // local, missing-remote, local
 	out, stats := st.GatherLocal(ids)
 	defer st.Release(out)
-	if stats.Missing != 1 || stats.LocalGPU+stats.LocalCPU != 2 {
+	if stats.Missing != 1 || stats.Local != 2 {
 		t.Fatalf("classification: %+v", stats)
+	}
+	if err := accountingErr(len(ids), stats); err != nil {
+		t.Fatal(err)
 	}
 	for c := 0; c < dim; c++ {
 		if got := out.At(1, c); got != 0 {

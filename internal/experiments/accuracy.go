@@ -156,7 +156,7 @@ func Accuracy(cfg AccuracyConfig) ([]AccuracyRow, error) {
 			workers = 2
 		}
 		ccfg := pipeline.ClusterConfig{
-			K: cfg.K, Alpha: cfg.Alpha, GPUFraction: 1, VIPReorder: true,
+			K: cfg.K, Alpha: cfg.Alpha, VIPReorder: true,
 			Hidden: cfg.Hidden, Layers: len(cfg.Fanouts), Dropout: 0,
 			Codec: cfg.Codec,
 			Train: pipeline.Config{

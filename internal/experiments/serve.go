@@ -230,7 +230,7 @@ func ServeBench(scale Scale, cfg ServeConfig) (*ServeBenchResult, error) {
 // exactly this configuration (resume validation requires a match).
 func serveClusterConfig(scale Scale, useTCP bool, dims ModelDims, k int, alpha float64) pipeline.ClusterConfig {
 	return pipeline.ClusterConfig{
-		K: k, Alpha: alpha, GPUFraction: 1, VIPReorder: true,
+		K: k, Alpha: alpha, VIPReorder: true,
 		Hidden: dims.Hidden, Layers: len(dims.Fanouts), UseTCP: useTCP,
 		Codec: scale.Codec,
 		Train: pipeline.Config{

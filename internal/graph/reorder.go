@@ -66,8 +66,9 @@ func Relabel(g *CSR, perm Permutation) (*CSR, error) {
 // PartitionOrder computes the SALIENT++ vertex ordering (§4.1): vertices of
 // the same partition become contiguous, and within each partition vertices
 // are sorted by descending score (ties broken by old id for determinism).
-// With VIP values as scores, each machine's GPU-resident prefix holds its
-// most frequently accessed local features.
+// With VIP values as scores, each machine's shard begins with its most
+// frequently accessed local features (the paper keeps that prefix in GPU
+// memory; this reproduction has no device tier).
 //
 // parts[v] is the partition of vertex v in [0, k); score[v] is its ranking
 // key. It returns the permutation (old → new) and the first new id of each

@@ -149,15 +149,3 @@ func (h *Histogram) Quantile(q float64) float64 {
 	// bound, the overflow bucket's (only) defined edge.
 	return h.bounds[len(h.bounds)-1]
 }
-
-// Buckets returns a copy of (upperBound, count) pairs with non-zero
-// counts, plus the overflow count — for rendering distributions.
-func (h *Histogram) Buckets() (bounds []float64, counts []int64, overflow int64) {
-	for i := range h.counts {
-		if c := h.counts[i].Load(); c > 0 {
-			bounds = append(bounds, h.bounds[i])
-			counts = append(counts, c)
-		}
-	}
-	return bounds, counts, h.over.Load()
-}

@@ -154,8 +154,7 @@ func TestHistogramOverflowAndEmpty(t *testing.T) {
 		t.Fatal("empty histogram quantile should be 0")
 	}
 	h.Observe(1e9) // beyond the last bound
-	_, _, over := h.Buckets()
-	if over != 1 {
+	if over := h.over.Load(); over != 1 {
 		t.Fatalf("overflow count %d", over)
 	}
 	if got := h.Quantile(0.99); got != h.bounds[len(h.bounds)-1] {

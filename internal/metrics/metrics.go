@@ -21,20 +21,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Std returns the population standard deviation.
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // GeoMean returns the geometric mean of positive values; non-positive
 // values are skipped (0 if none remain).
 func GeoMean(xs []float64) float64 {
@@ -50,23 +36,6 @@ func GeoMean(xs []float64) float64 {
 		return 0
 	}
 	return math.Exp(logSum / float64(n))
-}
-
-// MinMax returns the extrema (0,0 for empty input).
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
 }
 
 // Table renders aligned text tables.

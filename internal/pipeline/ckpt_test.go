@@ -34,7 +34,7 @@ func crashDataset(t *testing.T) *dataset.Dataset {
 // correct if the checkpoint captured and restored it.
 func crashConfig(useTCP bool) ClusterConfig {
 	return ClusterConfig{
-		K: 2, Alpha: 0.2, GPUFraction: 1, VIPReorder: true,
+		K: 2, Alpha: 0.2, VIPReorder: true,
 		Hidden: 12, Layers: 2, Dropout: 0.3, UseTCP: useTCP,
 		Train: Config{
 			Fanouts: []int{4, 4}, BatchSize: 32,

@@ -69,7 +69,7 @@ func TestTrainEpochSurfacesTransportFailure(t *testing.T) {
 		// ranks share the counter so the failure lands mid-collective.
 		var fc dist.Comm = feat[r]
 		fc = &flakyComm{Comm: fc, calls: &calls, failAt: 8}
-		store, err := dist.NewStore(fc, layout, d.FeatureDim, local, nil, 1)
+		store, err := dist.NewStore(fc, layout, d.FeatureDim, local, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestTrainEpochSurfacesTransportFailure(t *testing.T) {
 	errs := make(chan error, 2)
 	for r := 0; r < 2; r++ {
 		go func(r int) {
-			_, err := ranks[r].TrainEpoch(0)
+			_, err := ranks[r].trainEpochFrom(0, 0, nil)
 			errs <- err
 		}(r)
 	}
@@ -126,7 +126,7 @@ func TestTrainEpochSurfacesTransportFailure(t *testing.T) {
 	// Leak regression: before the abort channel, a mid-epoch Gather failure
 	// left sampling workers blocked on the inflight semaphore and the slot
 	// forwarder blocked on its per-batch channel, permanently. Every
-	// pipeline goroutine must unwind once TrainEpoch returns the error.
+	// pipeline goroutine must unwind once trainEpochFrom returns the error.
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		if runtime.NumGoroutine() <= baseline+2 {
@@ -154,7 +154,7 @@ func TestEvaluateDisjointFanouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl, err := NewCluster(d, ClusterConfig{
-		K: 2, Alpha: 0.1, GPUFraction: 1, VIPReorder: true,
+		K: 2, Alpha: 0.1, VIPReorder: true,
 		Hidden: 8, Layers: 2,
 		Train: Config{Fanouts: []int{4, 4}, BatchSize: 32, PipelineDepth: 2, SamplerWorkers: 1, LR: 0.01, Seed: 6},
 	})

@@ -1,9 +1,8 @@
 // Package pipeline implements SALIENT++'s distributed minibatch training
 // loop with the deep minibatch-preparation pipeline of §4.3 / Appendix D:
-// neighborhood sampling, the feature gather, host↔device bookkeeping,
-// model computation, and gradient synchronization — with up to
-// PipelineDepth minibatches in flight so communication overlaps
-// computation. The gather is a stream: because sampling runs ahead, each
+// neighborhood sampling, the feature gather, model computation, and
+// gradient synchronization — with up to PipelineDepth minibatches in
+// flight so communication overlaps computation. The gather is a stream: because sampling runs ahead, each
 // round's request ids travel in the same collective as the previous
 // round's feature rows, one feature collective per round plus a final
 // flush.
@@ -265,8 +264,7 @@ func partialFrom(stats *EpochStats, doneReal int, liveBytes, liveGradBytes int64
 		Loss:     stats.Loss,
 		Accuracy: stats.Accuracy,
 		Batches:  int64(doneReal),
-		LocalGPU: int64(stats.Gather.LocalGPU),
-		LocalCPU: int64(stats.Gather.LocalCPU),
+		Local:    int64(stats.Gather.Local),
 		CacheHit: int64(stats.Gather.CacheHits),
 		Remote:   int64(stats.Gather.RemoteFetch),
 
@@ -281,12 +279,6 @@ type preparedBatch struct {
 	feats *tensor.Matrix
 	stats dist.GatherStats
 	empty bool
-}
-
-// TrainEpoch runs one synchronized training epoch. All ranks must call it
-// with the same epoch number.
-func (r *Rank) TrainEpoch(epoch int) (EpochStats, error) {
-	return r.trainEpochFrom(epoch, 0, nil)
 }
 
 // trainEpochFrom runs epoch from the given round cursor: the first
@@ -332,8 +324,7 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 	if partial != nil {
 		stats.Loss = partial.Loss
 		stats.Accuracy = partial.Accuracy
-		stats.Gather.LocalGPU = int(partial.LocalGPU)
-		stats.Gather.LocalCPU = int(partial.LocalCPU)
+		stats.Gather.Local = int(partial.Local)
 		stats.Gather.CacheHits = int(partial.CacheHit)
 		stats.Gather.RemoteFetch = int(partial.Remote)
 		doneReal = int(partial.Batches)
@@ -447,8 +438,7 @@ func (r *Rank) trainEpochFrom(epoch, startRound int, partial *ckpt.PartialEpoch)
 		if !pb.empty {
 			stats.Loss += loss
 			stats.Accuracy += tensor.Accuracy(logits, labels)
-			stats.Gather.LocalGPU += pb.stats.LocalGPU
-			stats.Gather.LocalCPU += pb.stats.LocalCPU
+			stats.Gather.Local += pb.stats.Local
 			stats.Gather.CacheHits += pb.stats.CacheHits
 			stats.Gather.RemoteFetch += pb.stats.RemoteFetch
 			stats.Gather.Reused += pb.stats.Reused
@@ -559,9 +549,6 @@ func (r *Rank) gatherStage(sampled <-chan sampledBatch, ready chan<- preparedBat
 				return false, r.failSchedule(err)
 			}
 		}
-		// RemoteByPeer aliases store scratch the next gather reuses; only
-		// the scalar counts cross into the compute stage.
-		gstats.RemoteByPeer = nil
 		pb := preparedBatch{mfg: held.mfg, feats: feats, stats: gstats, empty: held.empty}
 		held = sampledBatch{}
 		select {

@@ -21,11 +21,15 @@ type ClusterConfig struct {
 	K int
 	// Alpha is the replication factor (0 disables remote caching).
 	Alpha float64
-	// GPUFraction is the share of each local partition kept "on device"
-	// (Figure 6's β). 1.0 matches the paper's main experiments.
+	// GPUFraction has no effect: this reproduction keeps no device tier.
+	// NewCluster rejects any value other than 0 or 1.
+	//
+	// Deprecated: removed together with the last caller that sets it, the
+	// benchmark's workload set-up.
 	GPUFraction float64
-	// VIPReorder ranks local vertices by VIP value before the CPU/GPU
-	// split; false keeps the arbitrary post-partition order ("no reorder").
+	// VIPReorder orders each partition's local vertices by descending VIP
+	// value; false keeps the arbitrary post-partition order ("no
+	// reorder").
 	VIPReorder bool
 	// Hidden, Layers, Dropout, and Train configure the model and loop.
 	Hidden  int
@@ -150,8 +154,8 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.K <= 0 {
 		return nil, fmt.Errorf("pipeline: K = %d", cfg.K)
 	}
-	if cfg.GPUFraction == 0 {
-		cfg.GPUFraction = 1
+	if cfg.GPUFraction != 0 && cfg.GPUFraction != 1 {
+		return nil, fmt.Errorf("pipeline: GPUFraction %v: the device split is gone, every local row is read alike", cfg.GPUFraction)
 	}
 	if cfg.Hidden == 0 {
 		cfg.Hidden = 64
@@ -273,7 +277,7 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 			fc.SetTimeout(cfg.StallTimeout)
 			gc.SetTimeout(cfg.StallTimeout)
 		}
-		store, err := dist.NewStore(fc, pl.Layout, rds.FeatureDim, local, ep, cfg.GPUFraction)
+		store, err := dist.NewStore(fc, pl.Layout, rds.FeatureDim, local, ep)
 		if err != nil {
 			return nil, err
 		}

@@ -78,13 +78,6 @@ func (r *RNG) SetState(s [4]uint64) {
 	r.s0, r.s1, r.s2, r.s3 = s[0], s[1], s[2], s[3]
 }
 
-// FromState reconstructs a generator from a State snapshot.
-func FromState(s [4]uint64) *RNG {
-	r := new(RNG)
-	r.SetState(s)
-	return r
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.

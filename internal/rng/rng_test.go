@@ -238,10 +238,11 @@ func TestStateRoundTrip(t *testing.T) {
 		want[i] = r.Uint64()
 	}
 
-	fresh := FromState(snap)
+	fresh := new(RNG)
+	fresh.SetState(snap)
 	for i, w := range want {
 		if got := fresh.Uint64(); got != w {
-			t.Fatalf("FromState diverged at draw %d: %d != %d", i, got, w)
+			t.Fatalf("fresh SetState diverged at draw %d: %d != %d", i, got, w)
 		}
 	}
 	r.SetState(snap)

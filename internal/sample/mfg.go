@@ -79,15 +79,6 @@ func (m *MFG) TotalEdges() int64 {
 	return t
 }
 
-// LayerInputSizes returns the input-set size per block, widest first.
-func (m *MFG) LayerInputSizes() []int {
-	out := make([]int, len(m.Blocks))
-	for i, b := range m.Blocks {
-		out[i] = b.NumInputs()
-	}
-	return out
-}
-
 // Validate checks the structural invariants connecting blocks: row pointers
 // are monotone and complete, column indices are in range, destination
 // prefixes chain correctly (block i's input set equals block i+1's

@@ -84,10 +84,6 @@ func TestMFGAccessors(t *testing.T) {
 	if len(in) != 3 || in[0] != 7 {
 		t.Fatalf("InputIDs=%v", in)
 	}
-	sizes := m.LayerInputSizes()
-	if sizes[0] != 3 || sizes[1] != 2 {
-		t.Fatalf("LayerInputSizes=%v", sizes)
-	}
 	empty := &MFG{Seeds: []int32{1, 2}}
 	if len(empty.InputIDs()) != 2 {
 		t.Fatal("blockless MFG should fall back to seeds")

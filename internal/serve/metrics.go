@@ -25,8 +25,7 @@ type Metrics struct {
 	requests    atomic.Int64
 	rounds      atomic.Int64
 	emptyRounds atomic.Int64
-	localGPU    atomic.Int64
-	localCPU    atomic.Int64
+	local       atomic.Int64
 	cacheHits   atomic.Int64
 	remote      atomic.Int64
 	computeNS   atomic.Int64
@@ -82,8 +81,7 @@ func (m *Metrics) observeRound(batch int, g dist.GatherStats, compute time.Durat
 	}
 	m.BatchOccupancy.Observe(float64(batch))
 	m.computeNS.Add(int64(compute))
-	m.localGPU.Add(int64(g.LocalGPU))
-	m.localCPU.Add(int64(g.LocalCPU))
+	m.local.Add(int64(g.Local))
 	m.cacheHits.Add(int64(g.CacheHits))
 	m.remote.Add(int64(g.RemoteFetch))
 }
@@ -104,8 +102,7 @@ type Snapshot struct {
 	MeanBatch float64 `json:"mean_batch"`
 
 	// Gather classification totals across all rounds.
-	LocalGPU      int64 `json:"local_gpu_rows"`
-	LocalCPU      int64 `json:"local_cpu_rows"`
+	Local         int64 `json:"local_rows"`
 	CacheHits     int64 `json:"cache_hits"`
 	RemoteFetches int64 `json:"remote_fetches"`
 	// CacheHitRate is hits/(hits+remote): the fraction of would-be remote
@@ -175,8 +172,7 @@ func (m *Metrics) snapshot(bytes int64) Snapshot {
 		P99:                 m.Latency.Quantile(0.99),
 		Mean:                m.Latency.HistMean(),
 		MeanBatch:           m.BatchOccupancy.HistMean(),
-		LocalGPU:            m.localGPU.Load(),
-		LocalCPU:            m.localCPU.Load(),
+		Local:               m.local.Load(),
 		CacheHits:           hits,
 		RemoteFetches:       remote,
 		CacheHitRate:        hitRate,

@@ -997,9 +997,6 @@ func (e *engine) run(m roundMsg) {
 	if e.online != nil && err == nil {
 		e.online.Observe(mfg.InputIDs())
 	}
-	// RemoteByPeer aliases store scratch; only scalars may outlive the
-	// round.
-	gstats.RemoteByPeer = nil
 
 	var tCompute time.Duration
 	var logits *tensor.Matrix

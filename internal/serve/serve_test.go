@@ -38,7 +38,7 @@ func serveClusterCodec(t testing.TB, k int, alpha float64, useTCP bool, codec st
 	t.Helper()
 	d := serveDataset(t)
 	cl, err := pipeline.NewCluster(d, pipeline.ClusterConfig{
-		K: k, Alpha: alpha, GPUFraction: 1, VIPReorder: true, Codec: codec,
+		K: k, Alpha: alpha, VIPReorder: true, Codec: codec,
 		Hidden: 16, Layers: 2, Dropout: 0, UseTCP: useTCP,
 		Train: pipeline.Config{
 			Fanouts: []int{5, 5}, BatchSize: 64,

@@ -94,9 +94,6 @@ func (l *Link) Transfer(now float64, bytes int64) float64 {
 	return txDone + l.Latency
 }
 
-// NextFree reports when the link's transmit queue drains.
-func (l *Link) NextFree() float64 { return l.nextFree }
-
 // Reset clears queuing state (token bucket refills).
 func (l *Link) Reset() {
 	l.nextFree = 0

@@ -56,8 +56,8 @@ func TestLinkSerialization(t *testing.T) {
 	if math.Abs(d2-2.1) > 1e-9 {
 		t.Fatalf("d2=%v want 2.1 (queued)", d2)
 	}
-	if math.Abs(l.NextFree()-2.0) > 1e-9 {
-		t.Fatalf("NextFree=%v want 2.0", l.NextFree())
+	if math.Abs(l.nextFree-2.0) > 1e-9 {
+		t.Fatalf("nextFree=%v want 2.0", l.nextFree)
 	}
 }
 
@@ -89,7 +89,7 @@ func TestLinkReset(t *testing.T) {
 	l := NewLink(1, 0).WithTBF(1)
 	l.Transfer(0, 1<<20)
 	l.Reset()
-	if l.NextFree() != 0 {
+	if l.nextFree != 0 {
 		t.Fatal("reset did not clear queue")
 	}
 	if l.Shaper.tokens != l.Shaper.Burst {

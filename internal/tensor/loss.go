@@ -84,15 +84,6 @@ func ArgmaxRow(row []float32) int {
 	return best
 }
 
-// Argmax returns the index of the largest value in each row.
-func Argmax(m *Matrix) []int32 {
-	out := make([]int32, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = int32(ArgmaxRow(m.Row(i)))
-	}
-	return out
-}
-
 // Accuracy returns the fraction of rows whose argmax matches the label,
 // ignoring rows with label < 0. Returns 0 when nothing is labeled. The
 // argmax is computed inline (no intermediate slice) because this runs once

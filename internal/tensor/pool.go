@@ -64,13 +64,6 @@ func (p *Pool) Get(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, need, 1<<b)}
 }
 
-// GetZeroed is Get followed by Zero.
-func (p *Pool) GetZeroed(rows, cols int) *Matrix {
-	m := p.Get(rows, cols)
-	m.Zero()
-	return m
-}
-
 // Live returns Gets minus Puts: the number of pooled matrices currently
 // checked out. Leak-regression tests assert it returns to zero after
 // shutdown/abort paths; the count is only meaningful when every matrix put
@@ -110,13 +103,6 @@ func NewArena(p *Pool) *Arena { return &Arena{pool: p} }
 func (a *Arena) Get(rows, cols int) *Matrix {
 	m := a.pool.Get(rows, cols)
 	a.held = append(a.held, m)
-	return m
-}
-
-// GetZeroed is Get followed by Zero.
-func (a *Arena) GetZeroed(rows, cols int) *Matrix {
-	m := a.Get(rows, cols)
-	m.Zero()
 	return m
 }
 

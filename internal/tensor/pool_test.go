@@ -30,12 +30,6 @@ func TestPoolZeroSized(t *testing.T) {
 		t.Fatalf("zero-row matrix: %+v", m)
 	}
 	p.Put(m)
-	z := p.GetZeroed(3, 2)
-	for _, v := range z.Data {
-		if v != 0 {
-			t.Fatal("GetZeroed returned dirty data")
-		}
-	}
 }
 
 func TestBucketFor(t *testing.T) {
@@ -51,7 +45,7 @@ func TestArenaReleasesEverything(t *testing.T) {
 	p := NewPool()
 	a := NewArena(p)
 	m1 := a.Get(4, 4)
-	m2 := a.GetZeroed(8, 8)
+	m2 := a.Get(8, 8)
 	if a.Held() != 2 {
 		t.Fatalf("held %d", a.Held())
 	}

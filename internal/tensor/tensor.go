@@ -77,14 +77,6 @@ func (m *Matrix) HeInit(fanIn int, r *rng.RNG) {
 	}
 }
 
-// XavierInit fills the matrix with Glorot-uniform initialization.
-func (m *Matrix) XavierInit(fanIn, fanOut int, r *rng.RNG) {
-	limit := float32(math.Sqrt(6.0 / float64(fanIn+fanOut)))
-	for i := range m.Data {
-		m.Data[i] = limit * (2*float32(r.Float64()) - 1)
-	}
-}
-
 // Add accumulates o into m elementwise.
 func (m *Matrix) Add(o *Matrix) {
 	if !m.SameShape(o) {
@@ -181,17 +173,6 @@ func Gather(dst, src *Matrix, idx []int32) {
 	}
 	for i, r := range idx {
 		copy(dst.Row(i), src.Row(int(r)))
-	}
-}
-
-// ScatterAdd accumulates rows of src into dst at positions idx
-// (dst row idx[i] += src row i).
-func ScatterAdd(dst, src *Matrix, idx []int32) {
-	if src.Rows != len(idx) || dst.Cols != src.Cols {
-		panic("tensor: ScatterAdd shape mismatch")
-	}
-	for i, r := range idx {
-		AddRow(dst.Row(int(r)), src.Row(i))
 	}
 }
 

@@ -50,8 +50,8 @@ type Config struct {
 	// IncludeSeeds folds the hop-0 probability into the final VIP value:
 	// p(u) = 1 − (1−p[0](u))·Π_h(1−p[h](u)). Proposition 1 as stated
 	// covers hops 1..L only; including seeds matters when ranking *local*
-	// vertices for GPU residency, because minibatch vertices need their own
-	// features too. It has no effect on remote-vertex rankings (remote
+	// vertices (the paper's GPU residency), because minibatch vertices
+	// need their own features too. It has no effect on remote-vertex rankings (remote
 	// vertices have p[0] = 0 for the partition in question).
 	IncludeSeeds bool
 	// Workers bounds the propagation parallelism: the vertex range is cut

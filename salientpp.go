@@ -3,8 +3,10 @@
 // Probabilistic Neighborhood Expansion Analysis and Caching", MLSys 2023):
 // distributed GNN minibatch training with partitioned vertex features,
 // vertex-inclusion-probability (VIP) analysis, VIP-driven static caching
-// of remote features, VIP-ordered GPU residency, and a deep
-// minibatch-preparation pipeline.
+// of remote features, VIP-ordered partitions, and a deep
+// minibatch-preparation pipeline. The paper keeps each partition's
+// high-VIP prefix in GPU memory; this CPU-only reproduction orders
+// partitions by VIP but keeps no device tier.
 //
 // This root package is the facade over the implementation packages:
 //

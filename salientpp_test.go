@@ -30,7 +30,7 @@ func TestPublicAPIWorkflow(t *testing.T) {
 	}
 
 	cl, err := NewCluster(ds, ClusterConfig{
-		K: 2, Alpha: 0.2, GPUFraction: 1, VIPReorder: true,
+		K: 2, Alpha: 0.2, VIPReorder: true,
 		Hidden: 16, Layers: 2,
 		Train: TrainConfig{Fanouts: []int{5, 3}, BatchSize: 64, LR: 0.01, Seed: 2, SamplerWorkers: 2, PipelineDepth: 4},
 	})
