@@ -135,9 +135,6 @@ var testOnlyExportFixtures = map[string]bool{
 	"internal/tensor.MaxAbsDiff":       true,
 	"internal/tensor.Arena.Held":       true,
 	"internal/metrics.Histogram.Count": true,
-	// Unfused kernels the packed and fused paths are pinned against.
-	"internal/tensor.MatMulAdd": true,
-	"internal/tensor.MatMulATB": true,
 	// Checkpoint writing and lookup for the recovery tests.
 	"internal/ckpt.Encode": true,
 	"internal/ckpt.Latest": true,

@@ -10,9 +10,11 @@ import (
 // Frozen is a read-only snapshot of a Model for online inference. It holds
 // only parameter values — no gradient accumulators and no Adam moments —
 // so a snapshot costs one weight copy and roughly a quarter of the training
-// model's parameter memory. Freezing decouples serving from training: the
-// source model may keep training (mutating its weights) without affecting
-// predictions served from the snapshot.
+// model's parameter memory. The copy of each weight is its PackB panel
+// pack, made once at Freeze, so a serving round packs no weight. Freezing
+// decouples serving from training: the source model may keep training
+// (mutating its weights) without affecting predictions served from the
+// snapshot.
 //
 // Like Model, a Frozen owns a pooled arena for its batch intermediates, so
 // the steady-state inference path allocates nothing per batch. A Frozen
@@ -20,11 +22,18 @@ import (
 // own snapshot (the per-layer weight copies are private, so snapshots
 // never share mutable state).
 type Frozen struct {
-	layers  []*SAGEConv // gradient-free: only Param.W is populated
+	layers  []frozenLayer
 	caches  []sageCache
 	arena   *tensor.Arena
 	inDim   int
 	classes int
+}
+
+// frozenLayer is one layer of a snapshot: the dimensions and the bias copy
+// (WSelf and WNeigh stay nil) and the two weights, packed.
+type frozenLayer struct {
+	conv          SAGEConv
+	wSelf, wNeigh tensor.PackedB
 }
 
 // Freeze snapshots the model's current weights into a Frozen. The copy is
@@ -37,16 +46,22 @@ func (m *Model) Freeze() *Frozen {
 		classes: m.Layers[len(m.Layers)-1].OutDim,
 	}
 	for _, l := range m.Layers {
-		fl := &SAGEConv{
-			InDim:  l.InDim,
-			OutDim: l.OutDim,
-			WSelf:  &Param{W: l.WSelf.W.Clone()},
-			WNeigh: &Param{W: l.WNeigh.W.Clone()},
-			Bias:   &Param{W: l.Bias.W.Clone()},
-		}
-		f.layers = append(f.layers, fl)
+		f.layers = append(f.layers, frozenLayer{
+			conv:   SAGEConv{InDim: l.InDim, OutDim: l.OutDim, Bias: &Param{W: l.Bias.W.Clone()}},
+			wSelf:  packOwned(l.WSelf.W),
+			wNeigh: packOwned(l.WNeigh.W),
+		})
 	}
 	return f
+}
+
+// packOwned packs w into a buffer of its own: a pack taken from the shared
+// scratch could be one of training's large buffers, which the snapshot
+// would then hold for its lifetime.
+func packOwned(w *tensor.Matrix) tensor.PackedB {
+	p := tensor.PackB(w)
+	defer p.Release()
+	return p.Clone()
 }
 
 // InDim returns the snapshot's input feature dimension.
@@ -72,8 +87,9 @@ func (f *Frozen) Forward(mfg *sample.MFG, x *tensor.Matrix) (*tensor.Matrix, err
 	}
 	f.arena.Release() // recycle the previous batch's working set
 	h := x
-	for li, layer := range f.layers {
-		out := layer.Forward(mfg.Blocks[li], h, f.arena, &f.caches[li], false)
+	for li := range f.layers {
+		fl := &f.layers[li]
+		out := fl.conv.forwardPacked(mfg.Blocks[li], h, f.arena, &f.caches[li], false, &fl.wSelf, &fl.wNeigh)
 		if li < len(f.layers)-1 {
 			out.ReLU()
 		}

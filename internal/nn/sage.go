@@ -74,20 +74,31 @@ type sageCache struct {
 }
 
 // Forward computes layer outputs for the block's destination vertices with
-// the fused aggregate+transform pass: after the self GEMM fills the output,
-// neighbor means are computed one strip of destination rows at a time and
-// streamed straight into the WNeigh GEMM via MatMulAddPacked while the
-// strip is cache-hot; WNeigh is packed once per call, not once per strip.
-// In training mode the strips are views of a full arena-owned aggregation
-// matrix (Backward consumes it); in inference mode one reused strip of
-// scratch is the only aggregation storage — the full intermediate is never
-// materialized.
+// the fused aggregate+transform pass: it packs WSelf and WNeigh once per
+// call and runs forwardPacked, which serving's snapshot calls directly
+// with weights it packed once at Freeze.
 //
 // h holds representations of all block inputs (block.NumInputs() rows).
 // Intermediates live in ar (released by the model before the next batch);
 // cache is the layer's persistent scratch slot. training retains the full
 // aggregation for a backward pass.
 func (l *SAGEConv) Forward(b *sample.Block, h *tensor.Matrix, ar *tensor.Arena, cache *sageCache, training bool) *tensor.Matrix {
+	wSelf, wNeigh := tensor.PackB(l.WSelf.W), tensor.PackB(l.WNeigh.W)
+	out := l.forwardPacked(b, h, ar, cache, training, &wSelf, &wNeigh)
+	wSelf.Release()
+	wNeigh.Release()
+	return out
+}
+
+// forwardPacked is Forward against packed weights (it reads only the
+// dimensions and the bias of l): after the self GEMM stores into the
+// output, neighbor means are computed one strip of destination rows at a
+// time and streamed straight into the WNeigh GEMM via MatMulAddPacked
+// while the strip is cache-hot. In training mode the
+// strips are views of a full arena-owned aggregation matrix (Backward
+// consumes it); in inference mode one reused strip of scratch is the only
+// aggregation storage — the full intermediate is never materialized.
+func (l *SAGEConv) forwardPacked(b *sample.Block, h *tensor.Matrix, ar *tensor.Arena, cache *sageCache, training bool, wSelf, wNeigh *tensor.PackedB) *tensor.Matrix {
 	if h.Rows != b.NumInputs() || h.Cols != l.InDim {
 		panic("nn: SAGEConv input shape mismatch")
 	}
@@ -109,9 +120,8 @@ func (l *SAGEConv) Forward(b *sample.Block, h *tensor.Matrix, ar *tensor.Arena, 
 	cache.hSelf = tensor.Matrix{Rows: nd, Cols: l.InDim, Data: h.Data[:nd*l.InDim]}
 
 	out := ar.Get(nd, l.OutDim)
-	tensor.MatMul(out, &cache.hSelf, l.WSelf.W)
+	tensor.MatMulPacked(out, &cache.hSelf, wSelf)
 
-	wNeigh := tensor.PackB(l.WNeigh.W)
 	for lo := 0; lo < nd; lo += fusedStripRows {
 		hi := lo + fusedStripRows
 		if hi > nd {
@@ -131,9 +141,8 @@ func (l *SAGEConv) Forward(b *sample.Block, h *tensor.Matrix, ar *tensor.Arena, 
 		}
 
 		cache.outStrip = tensor.Matrix{Rows: hi - lo, Cols: l.OutDim, Data: out.Data[lo*l.OutDim : hi*l.OutDim]}
-		tensor.MatMulAddPacked(&cache.outStrip, strip, &wNeigh)
+		tensor.MatMulAddPacked(&cache.outStrip, strip, wNeigh)
 	}
-	wNeigh.Release()
 
 	out.AddBias(l.Bias.W.Data)
 	return out

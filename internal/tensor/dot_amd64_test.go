@@ -142,6 +142,22 @@ var kernelTiers = []struct {
 	avx512, avx2 bool
 }{{"avx512", true, true}, {"avx2", false, true}, {"portable", false, false}}
 
+// withVectorTiers runs f as one subtest per tier of a kernel with an AVX2
+// and a portable body: "avx2" as the CPU dispatches, skipped with a
+// message without AVX2, then "portable" with hasAVX2 and hasAVX512
+// cleared.
+func withVectorTiers(t *testing.T, f func(t *testing.T)) {
+	defer func(avx512, avx2 bool) { hasAVX512, hasAVX2 = avx512, avx2 }(hasAVX512, hasAVX2)
+	t.Run("avx2", func(t *testing.T) {
+		if !hasAVX2 {
+			t.Skip("CPU has no AVX2")
+		}
+		f(t)
+	})
+	hasAVX512, hasAVX2 = false, false
+	t.Run("portable", f)
+}
+
 // TestProductsBitwiseAcrossDispatch runs every product — the shared-B
 // weight-gradient pair and the pre-packed accumulate included — at every
 // backendShapes entry with the dispatch forced to each kernel tier: the

@@ -18,78 +18,66 @@ import (
 // products run the same tiled kernel, and round the same, at every size.
 const MinParallelRows = 64
 
-// MatMul computes C = A·B. Shapes: A is m×k, B is k×n, C is m×n.
-// C must not alias A or B; C's prior contents are ignored.
+// MatMulPacked computes C = A·B against a B packed by PackB. Shapes: A is
+// m×k, B is k×n, C is m×n. C must not alias A or B; C's prior contents are
+// ignored: the product is stored, not added to a cleared C, which would
+// differ where the sum is −0, since 0 + (−0) is +0. Several products
+// against one B pay for one pack.
 //
-// B is packed once into reused scratch and the 8×8 register block runs
-// over L1-resident runs of packed columns and L2-resident row slabs (see
-// tiled.go for the shared kernel contract). Row ranges are distributed
-// across GOMAXPROCS goroutines from MinParallelRows output rows on; each
-// output element is computed by exactly one worker with a depth-determined
-// association, so results are bitwise identical at every worker count and
-// every row count.
-func MatMul(c, a, b *Matrix) { matMulPacked(c, a, b, false) }
+// The 8×8 register block runs over L1-resident runs of packed columns and
+// L2-resident row slabs (see tiled.go for the shared kernel contract). Row
+// ranges are distributed across GOMAXPROCS goroutines from MinParallelRows
+// output rows on; each output element is computed by exactly one worker
+// with a depth-determined association, so results are bitwise identical
+// at every worker count and every row count.
+func MatMulPacked(c, a *Matrix, b *PackedB) {
+	checkMatMulPacked(c, a, b)
+	matMulTiled(c, *a, *b, false)
+}
 
-// MatMulAdd computes C += A·B with the same shapes and dispatch as MatMul.
-// Each element's dot product accumulates to full depth in registers
-// through the kernel MatMul uses, and is added to C exactly once — so the
-// result is bitwise identical to MatMul into a scratch matrix followed by
-// Add, which lets the fused aggregate+transform pass stream partial results
-// into C without changing training numerics.
-func MatMulAdd(c, a, b *Matrix) { matMulPacked(c, a, b, true) }
-
-// MatMulAddPacked is MatMulAdd against a B packed by PackB: several
-// products against one B pay for one pack. The result is bitwise identical
-// to MatMulAdd.
+// MatMulAddPacked computes C += A·B against a B packed by PackB. Each
+// element's dot product accumulates to full depth in registers through
+// the kernel MatMulPacked uses, and is added to C exactly once — so the
+// result is bitwise identical to MatMulPacked into a scratch matrix
+// followed by Add, which lets the fused aggregate+transform pass stream
+// partial results into C without changing training numerics.
 func MatMulAddPacked(c, a *Matrix, b *PackedB) {
-	if a.Cols != b.depth || c.Rows != a.Rows || c.Cols != b.cols {
-		panic("tensor: MatMulAddPacked shape mismatch")
-	}
+	checkMatMulPacked(c, a, b)
 	matMulTiled(c, *a, *b, true)
 }
 
-func matMulPacked(c, a, b *Matrix, acc bool) {
-	checkMatMul(c, a, b)
-	bp := PackB(b)
-	matMulTiled(c, *a, bp, acc)
-	bp.Release()
-}
-
-// MatMulATB computes C = Aᵀ·B. Shapes: A is k×m, B is k×n, C is m×n.
-// C's prior contents are ignored. Both operands are packed (two streaming
-// passes, reused scratch): Aᵀ transposed and B into panels, so every dot
-// product runs k-contiguous through the register block — the layout
-// change more than pays for itself because the shared depth (the MFG
-// destination count) is the large dimension. Workers own disjoint C rows;
-// per-element association is depth-determined, so results are identical
-// at every worker count.
-func MatMulATB(c, a, b *Matrix) {
-	checkMatMulATB(c, a, b)
-	bp := PackB(b)
-	matMulATBPacked(c, a, bp, false)
-	bp.Release()
+func checkMatMulPacked(c, a *Matrix, b *PackedB) {
+	if a.Cols != b.depth || c.Rows != a.Rows || c.Cols != b.cols {
+		panic("tensor: packed MatMul shape mismatch")
+	}
 }
 
 // MatMulATBAddPair computes C1 += A1ᵀ·B and C2 += A2ᵀ·B, packing the shared
 // B once: the weight gradients of a layer whose two weights see the same
-// output gradient (W.grad += Xᵀ·dY for both halves of a SAGE layer). Each
-// product runs MatMulATB's kernel and adds each element to C exactly once,
-// so the result is bitwise identical to MatMulATB into scratch followed by
-// Add.
+// output gradient (W.grad += Xᵀ·dY for both halves of a SAGE layer).
+// Shapes: each A is k×m, B is k×n, each C is m×n. Both operands of a
+// product are packed (two streaming passes, reused scratch): Aᵀ transposed
+// and B into panels, so every dot product runs k-contiguous through the
+// register block — the layout change more than pays for itself because
+// the shared depth (the MFG destination count) is the large dimension.
+// Workers own disjoint C rows; per-element association is
+// depth-determined, so results are identical at every worker count. Each
+// element is added to C exactly once, so the result is bitwise identical
+// to the Aᵀ·B product into scratch followed by Add.
 func MatMulATBAddPair(c1, a1, c2, a2, b *Matrix) {
 	checkMatMulATB(c1, a1, b)
 	checkMatMulATB(c2, a2, b)
 	bp := PackB(b)
-	matMulATBPacked(c1, a1, bp, true)
-	matMulATBPacked(c2, a2, bp, true)
+	matMulATBAddPacked(c1, a1, bp)
+	matMulATBAddPacked(c2, a2, bp)
 	bp.Release()
 }
 
-// matMulATBPacked is the one Aᵀ·B path: it packs Aᵀ and runs the tiled
-// kernel against bp, B already packed.
-func matMulATBPacked(c, a *Matrix, bp PackedB, acc bool) {
+// matMulATBAddPacked is the one Aᵀ·B path: it packs Aᵀ and accumulates
+// the tiled kernel's products against bp, B already packed, into C.
+func matMulATBAddPacked(c, a *Matrix, bp PackedB) {
 	at := packTranspose(a)
-	matMulTiled(c, at, bp, acc)
+	matMulTiled(c, at, bp, true)
 	putPackBuf(at.Data)
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -51,40 +52,43 @@ func reluInputs(r *rng.RNG, n int) []float32 {
 }
 
 // TestReLUMatchesBranchDefinition pins ReLU and ReLUBackward to the branchy
-// definition bit for bit: forward zeroes only v < 0, so −0 and every NaN
-// pass through with their payloads; backward zeroes the gradient where
-// act <= 0 and leaves it where act is NaN. Lengths 0–33 cover empty and
-// odd-sized matrices.
+// definition bit for bit, on each kernel tier (withVectorTiers): forward
+// zeroes only v < 0, so −0 and every NaN pass through with their payloads;
+// backward zeroes the gradient where act <= 0 and leaves it where act is
+// NaN. Lengths 0–67 cover empty rows and every tail of the AVX2 kernels'
+// 32-, 8- and 1-element stages.
 func TestReLUMatchesBranchDefinition(t *testing.T) {
-	r := rng.New(29)
-	for n := 0; n <= 33; n++ {
-		for trial := 0; trial < 20; trial++ {
-			in := reluInputs(r, n)
-			want := append([]float32(nil), in...)
-			reluBranch(want)
-			got := FromSlice(1, n, append([]float32(nil), in...))
-			got.ReLU()
-			for i := range want {
-				if math.Float32bits(got.Data[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("ReLU n=%d: element %d (%#x) gave %#x, want %#x",
-						n, i, math.Float32bits(in[i]), math.Float32bits(got.Data[i]), math.Float32bits(want[i]))
+	withVectorTiers(t, func(t *testing.T) {
+		r := rng.New(29)
+		for n := 0; n <= 67; n++ {
+			for trial := 0; trial < 20; trial++ {
+				in := reluInputs(r, n)
+				want := append([]float32(nil), in...)
+				reluBranch(want)
+				got := FromSlice(1, n, append([]float32(nil), in...))
+				got.ReLU()
+				for i := range want {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("ReLU n=%d: element %d (%#x) gave %#x, want %#x",
+							n, i, math.Float32bits(in[i]), math.Float32bits(got.Data[i]), math.Float32bits(want[i]))
+					}
 				}
-			}
 
-			act := reluInputs(r, n)
-			grad := reluInputs(r, n)
-			wantG := append([]float32(nil), grad...)
-			reluBackwardBranch(wantG, act)
-			gotG := FromSlice(1, n, append([]float32(nil), grad...))
-			ReLUBackward(gotG, FromSlice(1, n, act))
-			for i := range wantG {
-				if math.Float32bits(gotG.Data[i]) != math.Float32bits(wantG[i]) {
-					t.Fatalf("ReLUBackward n=%d: act %#x grad %#x gave %#x, want %#x",
-						n, math.Float32bits(act[i]), math.Float32bits(grad[i]), math.Float32bits(gotG.Data[i]), math.Float32bits(wantG[i]))
+				act := reluInputs(r, n)
+				grad := reluInputs(r, n)
+				wantG := append([]float32(nil), grad...)
+				reluBackwardBranch(wantG, act)
+				gotG := FromSlice(1, n, append([]float32(nil), grad...))
+				ReLUBackward(gotG, FromSlice(1, n, act))
+				for i := range wantG {
+					if math.Float32bits(gotG.Data[i]) != math.Float32bits(wantG[i]) {
+						t.Fatalf("ReLUBackward n=%d: act %#x grad %#x gave %#x, want %#x",
+							n, math.Float32bits(act[i]), math.Float32bits(grad[i]), math.Float32bits(gotG.Data[i]), math.Float32bits(wantG[i]))
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // BenchmarkReLU measures the forward and backward activation passes over a
@@ -103,12 +107,36 @@ func BenchmarkReLU(b *testing.B) {
 	}
 }
 
+// packBenchShapes are the k×n operands the train.compute benchmark packs
+// every step: layer 0's dOut and inputs (6 890 destination rows, 128 → 256)
+// and layer 1's (1 446 rows, 256 → 256).
+var packBenchShapes = [][2]int{{6890, 128}, {6890, 256}, {1446, 256}}
+
 // BenchmarkPackTranspose measures the transpose pack that feeds the Aᵀ·B
-// products, at the shape of a hidden-layer dOut on train.compute.
+// products at packBenchShapes.
 func BenchmarkPackTranspose(b *testing.B) {
-	m := randMat(4000, 256, rng.New(5))
-	b.SetBytes(int64(4 * len(m.Data)))
-	for i := 0; i < b.N; i++ {
-		putPackBuf(packTranspose(m).Data)
+	for _, s := range packBenchShapes {
+		m := randMat(s[0], s[1], rng.New(5))
+		b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
+			b.SetBytes(int64(4 * len(m.Data)))
+			for i := 0; i < b.N; i++ {
+				putPackBuf(packTranspose(m).Data)
+			}
+		})
+	}
+}
+
+// BenchmarkPackB measures the panel pack of the Aᵀ·B products' shared dOut
+// (and of every weight) at packBenchShapes.
+func BenchmarkPackB(b *testing.B) {
+	for _, s := range packBenchShapes {
+		m := randMat(s[0], s[1], rng.New(5))
+		b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
+			b.SetBytes(int64(4 * len(m.Data)))
+			for i := 0; i < b.N; i++ {
+				p := PackB(m)
+				p.Release()
+			}
+		})
 	}
 }

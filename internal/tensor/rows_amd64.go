@@ -12,6 +12,17 @@ func addRowAVX2(dst, src []float32)
 //go:noescape
 func scaleRowAVX2(dst []float32, s float32)
 
+// reluAVX2 and reluBackwardAVX2 are reluGo and reluBackwardGo in AVX2
+// (rows_amd64.s): a compare against zero and an and-not per eight lanes,
+// so every element keeps the portable kernel's bits. reluBackwardAVX2
+// reads len(grad) elements of act.
+//
+//go:noescape
+func reluAVX2(d []float32)
+
+//go:noescape
+func reluBackwardAVX2(grad, act []float32)
+
 func addRow(dst, src []float32) {
 	if hasAVX2 {
 		addRowAVX2(dst, src)
@@ -26,4 +37,20 @@ func scaleRow(dst []float32, s float32) {
 		return
 	}
 	scaleRowGo(dst, s)
+}
+
+func relu(d []float32) {
+	if hasAVX2 {
+		reluAVX2(d)
+		return
+	}
+	reluGo(d)
+}
+
+func reluBackward(grad, act []float32) {
+	if hasAVX2 {
+		reluBackwardAVX2(grad, act)
+		return
+	}
+	reluBackwardGo(grad, act)
 }

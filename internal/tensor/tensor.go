@@ -99,38 +99,20 @@ func (m *Matrix) AddBias(bias []float32) {
 }
 
 // ReLU applies max(0, x) in place. It zeroes exactly the elements with
-// v < 0: −0 and NaNs of either sign pass through unchanged.
-//
-// The test runs on the float's bits, without a branch: a data-dependent
-// branch on the sign mispredicts about half the time on activations, which
-// costs more than the whole pass otherwise does. v < 0 holds exactly for
-// the bit patterns in (0x80000000, 0xFF800000] — the negative values from
-// the smallest subnormal to −Inf — so one unsigned range check, turned
-// into an all-ones mask by the sign of a 64-bit difference, selects them.
-func (m *Matrix) ReLU() {
-	d := m.Data
-	for i, v := range d {
-		b := math.Float32bits(v)
-		neg := uint32(int64(uint64(b-0x80000001)-0x7F800000) >> 63)
-		d[i] = math.Float32frombits(b &^ neg)
-	}
-}
+// v < 0: −0 and NaNs of either sign pass through unchanged. It runs the
+// AVX2 kernel where the CPU has it, the portable one otherwise (see
+// reluGo); both give the same bits.
+func (m *Matrix) ReLU() { relu(m.Data) }
 
 // ReLUBackward zeroes gradient entries where the forward activation was
 // non-positive, grad ⊙ 1[act > 0]: where act <= 0 (±0 included), and not
-// where act is NaN. Like ReLU it tests bits without a branch: act <= 0
-// holds for the pattern 0 and for [0x80000000, 0xFF800000], −0 through
-// −Inf.
+// where act is NaN. Like ReLU it dispatches to the AVX2 or the portable
+// kernel (see reluBackwardGo), with the same bits either way.
 func ReLUBackward(grad, act *Matrix) {
 	if !grad.SameShape(act) {
 		panic("tensor: ReLUBackward shape mismatch")
 	}
-	g := grad.Data[:len(act.Data)]
-	for i, a := range act.Data {
-		b := math.Float32bits(a)
-		zero := uint32(int64(uint64(b)-1)>>63) | uint32(int64(uint64(b-0x80000000)-0x7F800001)>>63)
-		g[i] = math.Float32frombits(math.Float32bits(g[i]) &^ zero)
-	}
+	reluBackward(grad.Data[:len(act.Data)], act.Data)
 }
 
 // Dropout zeroes each element with probability p and scales survivors by

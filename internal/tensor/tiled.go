@@ -5,29 +5,32 @@ import (
 	"sync"
 )
 
-// The cache-tiled fp32 GEMM kernels behind MatMul, MatMulAdd,
-// MatMulAddPacked, MatMulATB, MatMulATBAddPair and MatMulABT. All of them
-// funnel through one block loop (matMulBlock) over one packed right-operand
-// layout (PackedB: panels of four B columns, k-interleaved in 4-wide
-// chunks; see dot.go) and one 8×8 register block, dotBlock8x8, in three
-// tiers chosen once at startup: the AVX-512 kernel where the CPU has
-// AVX-512F, else four 4×4 blocks of the AVX2 kernel, else of the portable
-// Go kernel — bitwise identical whichever runs. MatMul and the Aᵀ·B
-// products pack B from its k×n layout (one pack for both products of
-// MatMulATBAddPair; PackB lets a caller pack once for several
-// MatMulAddPacked calls), MatMulABT packs its n×k Bᵀ, and the Aᵀ·B
+// The cache-tiled fp32 GEMM kernels behind MatMulPacked, MatMulAddPacked,
+// MatMulATBAddPair and MatMulABT. All of them funnel through one block
+// loop (matMulBlock) over one packed right-operand layout (PackedB: panels
+// of four B columns, k-interleaved in 4-wide chunks; see dot.go) and one
+// 8×8 register block, dotBlock8x8, in three tiers chosen once at startup:
+// the AVX-512 kernel where the CPU has AVX-512F, else four 4×4 blocks of
+// the AVX2 kernel, else of the portable Go kernel — bitwise identical
+// whichever runs. PackB packs B from its k×n layout (a caller packs once
+// for several MatMulPacked/MatMulAddPacked calls; MatMulATBAddPair packs
+// once for both its products), MatMulABT packs its n×k Bᵀ, and the Aᵀ·B
 // products also pack Aᵀ k-contiguous; all packs reuse scratch, so the
-// steady state allocates nothing. The block loop sweeps L1-resident runs
-// of packed columns across an L2-resident slab of A rows. That is the one
+// steady state allocates nothing. The two k×n packs, PackB and
+// packTranspose, run as AVX2 register transposes where the CPU has AVX2
+// (pack_amd64.s) and as portable Go otherwise; they only move bits, so the
+// tier never shows in a result. The block loop sweeps L1-resident runs of
+// packed columns across an L2-resident slab of A rows. That is the one
 // fp32 product path, at every operand size.
 //
 // Contract, shared by the kernels:
 //
 //   - C must not alias A or B.
-//   - MatMul/MatMulATB/MatMulABT ignore C's prior contents (pooled matrices
-//     arrive dirty); MatMulAdd and MatMulATBAddPair accumulate into C,
-//     adding each full-depth dot product to C exactly once, so the result
-//     is bitwise identical to the product into scratch followed by Add.
+//   - MatMulPacked and MatMulABT ignore C's prior contents (pooled matrices
+//     arrive dirty); MatMulAddPacked and MatMulATBAddPair accumulate into
+//     C, adding each full-depth dot product to C exactly once, so the
+//     result is bitwise identical to the product into scratch followed by
+//     Add.
 //   - Every output element is produced by exactly one worker with a fixed
 //     association determined by the depth alone, so results are bitwise
 //     identical at every GOMAXPROCS, at every row and column count (an
@@ -36,12 +39,6 @@ import (
 //   - Products below MinParallelRows output rows run serially inline: no
 //     goroutines, no escaping closures, zero heap allocations when the
 //     pack scratch is warm.
-
-func checkMatMul(c, a, b *Matrix) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic("tensor: MatMul shape mismatch")
-	}
-}
 
 func checkMatMulATB(c, a, b *Matrix) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
@@ -123,17 +120,26 @@ func putPackBuf(b []float32) {
 
 // packTranspose writes Bᵀ (n×k for a k×n B) into a scratch matrix: the
 // A-side operand of the Aᵀ·B products. The scratch is returned to the
-// shared free list by the caller via putPackBuf.
+// shared free list by the caller via putPackBuf. Where the CPU has AVX2 the
+// columns below n&^7 go through an 8×8 register transpose (transposeInto,
+// pack_amd64.go); packTransposeGo moves the rest.
+func packTranspose(b *Matrix) Matrix {
+	k, n := b.Rows, b.Cols
+	buf := getPackBuf(n * k)
+	transposeInto(buf, b.Data, k, n)
+	return Matrix{Rows: n, Cols: k, Data: buf}
+}
+
+// packTransposeGo is the portable transpose and the reference the AVX2
+// path is tested against: it writes columns [j0, n) of the k×n src,
+// transposed, into buf (n×k), and the k%8 last rows of every column.
 //
 // It moves eight source rows per pass: for each source column j the pass
 // writes eight contiguous values of destination row j (half a cache line)
 // while the eight source rows stream sequentially, so both sides touch
 // each cache line a handful of times instead of once per element. The
 // k%8 remaining rows go one at a time.
-func packTranspose(b *Matrix) Matrix {
-	k, n := b.Rows, b.Cols
-	buf := getPackBuf(n * k)
-	src := b.Data
+func packTransposeGo(buf, src []float32, k, n, j0 int) {
 	i := 0
 	for ; i+8 <= k; i += 8 {
 		r0 := src[i*n : i*n+n]
@@ -144,7 +150,7 @@ func packTranspose(b *Matrix) Matrix {
 		r5 := src[(i+5)*n:][:len(r0)]
 		r6 := src[(i+6)*n:][:len(r0)]
 		r7 := src[(i+7)*n:][:len(r0)]
-		for j := range r0 {
+		for j := j0; j < len(r0); j++ {
 			d := buf[j*k+i : j*k+i+8 : j*k+i+8]
 			d[0], d[1], d[2], d[3] = r0[j], r1[j], r2[j], r3[j]
 			d[4], d[5], d[6], d[7] = r4[j], r5[j], r6[j], r7[j]
@@ -155,7 +161,6 @@ func packTranspose(b *Matrix) Matrix {
 			buf[j*k+i] = v
 		}
 	}
-	return Matrix{Rows: n, Cols: k, Data: buf}
 }
 
 // PackedB is the right operand of a product in the micro-kernels' panel
@@ -176,6 +181,12 @@ func (p *PackedB) Release() {
 	p.data = nil
 }
 
+// Clone copies p into a buffer of its own, outside the pack scratch, for a
+// pack that outlives the call that made it. The copy needs no Release.
+func (p *PackedB) Clone() PackedB {
+	return PackedB{cols: p.cols, depth: p.depth, data: append([]float32(nil), p.data...)}
+}
+
 // panelIndex is the offset of depth k of a panel's column jj (0..3) inside
 // the panel.
 func panelIndex(k, jj, depth int) int {
@@ -185,18 +196,29 @@ func panelIndex(k, jj, depth int) int {
 	return 4*k + jj
 }
 
-// PackB packs a k×n B (MatMul's and the Aᵀ·B products' right operand)
+// PackB packs a k×n B (the right operand of the A·B and Aᵀ·B products)
 // into panels. A caller with several products against one B packs it once
-// and runs each through MatMulAddPacked, then calls Release.
+// and runs each through MatMulAddPacked or MatMulPacked, then calls
+// Release. Where the CPU has AVX2 the panels below column n&^7 go two at a
+// time through a register transpose (packBInto, pack_amd64.go); packBGo
+// packs the rest.
+func PackB(b *Matrix) PackedB {
+	depth, n := b.Rows, b.Cols
+	buf := getPackBuf((n + 3) / 4 * 4 * depth)
+	packBInto(buf, b.Data, depth, n)
+	return PackedB{cols: n, depth: depth, data: buf}
+}
+
+// packBGo is the portable panel pack and the reference the AVX2 path is
+// tested against: it packs the depth&^3 vector rows of the full panels from
+// column j0 on (j0 a multiple of 4), the depth%4 tail rows of every full
+// panel, and a partial last panel.
 //
 // Four source rows per pass: each full panel's 16-float chunk of those rows
 // is one 4×4 transpose written contiguously, while the four rows stream
 // sequentially. The depth%4 tail rows copy four contiguous values per
 // panel; a partial last panel goes element by element.
-func PackB(b *Matrix) PackedB {
-	depth, n := b.Rows, b.Cols
-	buf := getPackBuf((n + 3) / 4 * 4 * depth)
-	src := b.Data
+func packBGo(buf, src []float32, depth, n, j0 int) {
 	nf := n &^ 3
 	k := 0
 	for ; k+4 <= depth; k += 4 {
@@ -204,7 +226,7 @@ func PackB(b *Matrix) PackedB {
 		r1 := src[(k+1)*n:][:len(r0)]
 		r2 := src[(k+2)*n:][:len(r0)]
 		r3 := src[(k+3)*n:][:len(r0)]
-		for j := 0; j < nf; j += 4 {
+		for j := j0; j < nf; j += 4 {
 			o := j*depth + 4*k
 			d := buf[o : o+16 : o+16]
 			d[0], d[1], d[2], d[3] = r0[j], r1[j], r2[j], r3[j]
@@ -231,7 +253,6 @@ func PackB(b *Matrix) PackedB {
 			}
 		}
 	}
-	return PackedB{cols: n, depth: depth, data: buf}
 }
 
 // packPanelsT packs an n×k Bᵀ (MatMulABT's right operand, whose rows
@@ -286,8 +307,8 @@ func packPanelsT(bt *Matrix) PackedB {
 // and their extra outputs are discarded. So an element's value depends
 // only on the operand shapes, never on which tile or worker range computed
 // it. Each element touches C exactly once: a store, or a single += when
-// acc is set, which keeps MatMulAdd bitwise identical to MatMul into
-// scratch followed by Add.
+// acc is set, which keeps the accumulating products bitwise identical to
+// the product into scratch followed by Add.
 //
 // A full 8×8 block is stored (or added) by the kernel straight into C;
 // only edge blocks go through a 64-float scratch block clipped to C.
