@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -114,29 +115,23 @@ func exportedReceiver(d *ast.FuncDecl) string {
 }
 
 // testOnlyExportFixtures are exported functions under internal/ that no
-// program file names on purpose: test fixtures, shared across packages or
+// program file uses on purpose: test fixtures, shared across packages or
 // pinned by their own package's contract tests. Keys are "dir.Func" or
 // "dir.Recv.Method".
 var testOnlyExportFixtures = map[string]bool{
 	// Graph builders and generators every package's tests draw from.
-	"internal/graph.FromAdjacency":       true,
-	"internal/graph.CSR.EdgeList":        true,
-	"internal/graph.CSR.IsUndirected":    true,
-	"internal/graph.Uniform":             true,
-	"internal/graph.Ring":                true,
-	"internal/graph.Star":                true,
-	"internal/graph.Grid2D":              true,
-	"internal/graph.Complete":            true,
-	"internal/graph.IdentityPermutation": true,
+	"internal/graph.CSR.IsUndirected": true,
+	"internal/graph.Uniform":          true,
+	"internal/graph.Ring":             true,
+	"internal/graph.Star":             true,
+	"internal/graph.Grid2D":           true,
 	// Matrix construction, element access and comparison.
-	"internal/tensor.FromSlice":        true,
-	"internal/tensor.Matrix.At":        true,
-	"internal/tensor.Matrix.Set":       true,
-	"internal/tensor.MaxAbsDiff":       true,
-	"internal/tensor.Arena.Held":       true,
-	"internal/metrics.Histogram.Count": true,
-	// Checkpoint writing and lookup for the recovery tests.
-	"internal/ckpt.Encode": true,
+	"internal/tensor.FromSlice":  true,
+	"internal/tensor.Matrix.At":  true,
+	"internal/tensor.Matrix.Set": true,
+	"internal/tensor.MaxAbsDiff": true,
+	"internal/tensor.Arena.Held": true,
+	// Checkpoint lookup for the recovery tests.
 	"internal/ckpt.Latest": true,
 	// Fault injection, the FMA audit and the reduced-scale experiment
 	// harnesses the tests and testing.B benchmarks run.
@@ -147,17 +142,25 @@ var testOnlyExportFixtures = map[string]bool{
 }
 
 // TestNoTestOnlyExports fails on exported API that only tests use: an
-// exported function or method declared under internal/ whose name appears
-// as an identifier in no non-test Go file of the module or of bench/
-// other than its own declaration. Such a function is dead code kept alive
-// by its own test. The match is by name, so it only catches functions
-// that nothing names at all; shared test fixtures are allowlisted in
+// exported function or method declared under internal/ that no non-test
+// Go file of the module or of bench/ uses. Such a function is dead code
+// kept alive by its own test. A package-level function counts as used
+// only through a qualified pkg.Name selector in a file that imports its
+// package, or through an unqualified identifier in one of its own
+// package's program files other than its declaration, so a method or
+// another package's function of the same name (Store.Gather beside
+// tensor.Gather, slices.Sorted beside CSR.Sorted) cannot hide it. A
+// method counts as used when any identifier outside its declaration
+// names it. Shared test fixtures are allowlisted in
 // testOnlyExportFixtures.
 func TestNoTestOnlyExports(t *testing.T) {
+	const module = "salientpp/"
 	fset := token.NewFileSet()
-	uses := map[string]int{}  // identifier name -> occurrences
-	decls := map[string]int{} // function/method name -> declarations
-	type export struct{ key, name, pos string }
+	names := map[string]int{}                     // identifier name -> occurrences anywhere
+	decls := map[string]int{}                     // function/method name -> declarations anywhere
+	pkgUses := map[string]int{}                   // "dir.Name" -> qualified uses plus unqualified ones in dir
+	pkgDecls := map[string]int{}                  // "dir.Name" -> function/method declarations in dir
+	type export struct{ key, method, pos string } // method: the method name, "" for a package-level function
 	var exports []export
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -176,29 +179,54 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				uses[id.Name]++
+		dir := filepath.ToSlash(filepath.Dir(path))
+		imported := map[string]string{} // local package name -> module dir
+		for _, imp := range f.Imports {
+			ipath, err := strconv.Unquote(imp.Path.Value)
+			if err != nil || !strings.HasPrefix(ipath, module) {
+				continue
+			}
+			name := ipath[strings.LastIndex(ipath, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imported[name] = strings.TrimPrefix(ipath, module)
+		}
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				names[n.Sel.Name]++
+				if x, ok := n.X.(*ast.Ident); ok {
+					if pkg, ok := imported[x.Name]; ok {
+						pkgUses[pkg+"."+n.Sel.Name]++
+						return false
+					}
+				}
+				ast.Inspect(n.X, visit) // the selected name is no unqualified use
+				return false
+			case *ast.Ident:
+				names[n.Name]++
+				pkgUses[dir+"."+n.Name]++
 			}
 			return true
-		})
-		dir := filepath.ToSlash(filepath.Dir(path))
+		}
+		ast.Inspect(f, visit)
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
 			decls[fd.Name.Name]++
+			pkgDecls[dir+"."+fd.Name.Name]++
 			if !fd.Name.IsExported() || !strings.HasPrefix(dir, "internal/") {
 				continue
 			}
-			key := dir + "." + fd.Name.Name
 			if r := exportedReceiver(fd); r != "" {
-				key = dir + "." + r + "." + fd.Name.Name
-			} else if fd.Recv != nil {
-				continue // a method of an unexported type
+				exports = append(exports, export{dir + "." + r + "." + fd.Name.Name, fd.Name.Name, fset.Position(fd.Pos()).String()})
+			} else if fd.Recv == nil {
+				exports = append(exports, export{dir + "." + fd.Name.Name, "", fset.Position(fd.Pos()).String()})
 			}
-			exports = append(exports, export{key, fd.Name.Name, fset.Position(fd.Pos()).String()})
 		}
 		return nil
 	})
@@ -206,8 +234,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range exports {
-		if uses[e.name] <= decls[e.name] && !testOnlyExportFixtures[e.key] {
-			t.Errorf("%s: %s is named by no program file; delete it with its tests, or allowlist it as a shared test fixture", e.pos, e.key)
+		used := pkgUses[e.key] > pkgDecls[e.key]
+		if e.method != "" {
+			used = names[e.method] > decls[e.method]
+		}
+		if !used && !testOnlyExportFixtures[e.key] {
+			t.Errorf("%s: %s is used by no program file; delete it with its tests, or allowlist it as a shared test fixture", e.pos, e.key)
 		}
 	}
 }

@@ -80,11 +80,11 @@ func stamp(file []byte, ver byte) []byte {
 // like any other.
 func TestDecodeVersionWindow(t *testing.T) {
 	st := testState()
-	var buf bytes.Buffer
-	if err := Encode(&buf, st); err != nil {
+	buf, err := AppendEncode(nil, st)
+	if err != nil {
 		t.Fatal(err)
 	}
-	valid := buf.Bytes()
+	valid := buf
 	golden := v5Golden(t)
 	var extra enc
 	extra.str("online")
@@ -134,14 +134,15 @@ func TestDecodeAcceptsVersion4(t *testing.T) {
 	if !reflect.DeepEqual(st, got) {
 		t.Fatalf("v4 decode mismatch:\nwant %+v\ngot  %+v", st, got)
 	}
-	var re, want bytes.Buffer
-	if err := Encode(&re, got); err != nil {
+	re, err := AppendEncode(nil, got)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Encode(&want, st); err != nil {
+	want, err := AppendEncode(nil, st)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(re.Bytes(), want.Bytes()) {
+	if !bytes.Equal(re, want) {
 		t.Fatal("re-encoded v4 state differs from the state's own encoding")
 	}
 }
@@ -184,14 +185,14 @@ func TestDecodeIgnoresPrecisionSlot(t *testing.T) {
 // Decode reads it back to the source state.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	st := testState()
-	var buf bytes.Buffer
-	if err := Encode(&buf, st); err != nil {
+	buf, err := AppendEncode(nil, st)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(buf.Bytes()[4:]); v != 6 {
+	if v := binary.LittleEndian.Uint32(buf[4:]); v != 6 {
 		t.Fatalf("Encode wrote version %d, want 6", v)
 	}
-	got, err := Decode(bytes.NewReader(buf.Bytes()))
+	got, err := Decode(bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +207,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // per-section CRC; preamble flips by the magic/version checks.
 func TestDecodeRejectsCorruption(t *testing.T) {
 	st := testState()
-	var buf bytes.Buffer
-	if err := Encode(&buf, st); err != nil {
+	buf, err := AppendEncode(nil, st)
+	if err != nil {
 		t.Fatal(err)
 	}
-	orig := buf.Bytes()
+	orig := buf
 	corrupt := make([]byte, len(orig))
 	errors := 0
 	for i := range orig {
@@ -229,11 +230,11 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 
 func TestDecodeRejectsTruncation(t *testing.T) {
 	st := testState()
-	var buf bytes.Buffer
-	if err := Encode(&buf, st); err != nil {
+	buf, err := AppendEncode(nil, st)
+	if err != nil {
 		t.Fatal(err)
 	}
-	orig := buf.Bytes()
+	orig := buf
 	for cut := 0; cut < len(orig); cut += 7 {
 		if _, err := Decode(bytes.NewReader(orig[:cut])); err == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded successfully", cut, len(orig))
@@ -346,15 +347,15 @@ func TestLoadLatestSkipsTornFile(t *testing.T) {
 	dir := t.TempDir()
 	older := testState()
 	older.Step = Step{Epoch: 0, Round: 2}
-	var buf bytes.Buffer
-	if err := Encode(&buf, older); err != nil {
+	buf, err := AppendEncode(nil, older)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, FileName(older.Step)), buf.Bytes(), 0o666); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, FileName(older.Step)), buf, 0o666); err != nil {
 		t.Fatal(err)
 	}
 	// Newest file: valid prefix, torn tail.
-	if err := os.WriteFile(filepath.Join(dir, FileName(Step{1, 0})), buf.Bytes()[:buf.Len()/2], 0o666); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, FileName(Step{1, 0})), buf[:len(buf)/2], 0o666); err != nil {
 		t.Fatal(err)
 	}
 	got, path, err := LoadLatest(dir)

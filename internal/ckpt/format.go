@@ -392,16 +392,6 @@ func AppendEncode(dst []byte, t *TrainState) ([]byte, error) {
 	return out, nil
 }
 
-// Encode writes the state to w in the versioned checkpoint format.
-func Encode(w io.Writer, t *TrainState) error {
-	b, err := AppendEncode(nil, t)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
 // ---------------------------------------------------------------------------
 // Decoding
 

@@ -14,11 +14,11 @@ func FuzzCheckpointDecode(f *testing.F) {
 	// preamble, an empty input, the v5 golden and the golden stamped
 	// version 4.
 	st := testState()
-	var buf bytes.Buffer
-	if err := Encode(&buf, st); err != nil {
+	buf, err := AppendEncode(nil, st)
+	if err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
+	valid := buf
 	f.Add(valid)
 	f.Add(valid[:len(valid)/3])
 	flipped := append([]byte(nil), valid...)

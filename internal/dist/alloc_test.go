@@ -8,8 +8,8 @@ import (
 
 // TestGatherAllocationFree is the allocation-regression guard for the warm
 // feature-gather path: pooled output matrix, reused request lists and
-// payload buffers, zero-copy encode/decode, and recycled transport
-// receive slices. A single-rank group keeps the assertion deterministic —
+// frame buffers, and recycled transport receive slices. A single-rank
+// group keeps the assertion deterministic —
 // cross-rank payloads pay exactly one transport-owned copy, which is the
 // documented floor, not a regression.
 func TestGatherAllocationFree(t *testing.T) {
@@ -72,11 +72,7 @@ func (c *echoComm) AllToAll(send [][]byte) ([][]byte, error) {
 	p := c.peer
 	// Ship the answer staged for rank 0's previous list, then stage the
 	// answer to the list arriving now.
-	if p.codec == CodecFP32 {
-		c.reply = append(c.reply[:0], f32AsBytes(p.frame32[0][:p.answered[0]])...)
-	} else {
-		c.reply = append(c.reply[:0], p.frameEnc[0][:p.answered[0]]...)
-	}
+	c.reply = append(c.reply[:0], p.frame[0][:p.answered[0]]...)
 	if err := p.answer(0, send[1]); err != nil {
 		return nil, err
 	}

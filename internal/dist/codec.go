@@ -23,8 +23,8 @@ import (
 // validate payload sizes, so a mismatched group fails loudly instead of
 // reading garbage.
 //
-//   - CodecFP32: raw float32 rows and raw int32 id lists, shipped through
-//     zero-copy slice views. The zero value.
+//   - CodecFP32: raw little-endian float32 rows and raw little-endian
+//     int32 id lists, 4 bytes per value and per id. The zero value.
 //   - CodecFP16: IEEE-754 binary16 rows (round-to-nearest-even), 2 bytes
 //     per value, converted by tensor.EncodeF16/DecodeF16 (F16C where the
 //     CPU has it); id lists as sorted varint deltas. ~50% smaller feature
@@ -92,8 +92,6 @@ func (c Codec) featRowWire(dim int) int {
 }
 
 // appendFeatRow appends the wire encoding of one feature row to dst.
-// CodecFP32 never reaches here — the store ships raw rows through the
-// zero-copy float32 views instead.
 func (c Codec) appendFeatRow(dst []byte, row []float32) []byte {
 	switch c {
 	case CodecFP16:
@@ -111,9 +109,7 @@ func (c Codec) appendFeatRow(dst []byte, row []float32) []byte {
 			dst = append(dst, byte(tensor.QuantizeInt8(v, scale)))
 		}
 	default:
-		for _, v := range row {
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
-		}
+		dst = f32ToBytes(dst, row)
 	}
 	return dst
 }
@@ -131,7 +127,8 @@ func (c Codec) decodeFeatRow(dst []float32, src []byte) {
 		}
 	default:
 		for i := range dst {
-			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src))
+			src = src[4:]
 		}
 	}
 }
@@ -159,12 +156,54 @@ func (c Codec) RoundTripRow(dst, src []float32) {
 }
 
 // ---------------------------------------------------------------------------
-// Request-id lists: sorted varint delta encoding.
+// Request-id lists.
 //
 // Gather sorts each peer's request list ascending (for sequential owner-side
-// shard reads), so consecutive ids are close and deltas varint-encode in 1-2
-// bytes instead of 4. Duplicates (the same vertex requested for two output
-// rows) encode as zero deltas.
+// shard reads). CodecFP32 ships the list as raw little-endian int32, the
+// other codecs as varint deltas: consecutive ids are close, so a delta
+// takes 1-2 bytes instead of 4. Duplicates (the same vertex requested for
+// two output rows) encode as zero deltas.
+
+// appendIDs appends the wire encoding of the ascending request list ids to
+// dst.
+func (c Codec) appendIDs(dst []byte, ids []int32) []byte {
+	if c != CodecFP32 {
+		return appendIDsDelta(dst, ids)
+	}
+	for _, v := range ids {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+	}
+	return dst
+}
+
+// idReader streams ids back out of an appendIDs payload without
+// materializing the list. Raw ids are not range-checked here: the owner
+// checks every id against its interval.
+type idReader struct {
+	idDeltaReader
+	raw bool
+}
+
+// idReader returns a reader over the request-id section b. A raw fp32
+// section that is not a whole number of ids is rejected before any id is
+// read.
+func (c Codec) idReader(b []byte) (idReader, error) {
+	raw := c == CodecFP32
+	if raw && len(b)%4 != 0 {
+		return idReader{}, fmt.Errorf("dist: %d-byte fp32 request-id section is not a whole number of ids", len(b))
+	}
+	return idReader{idDeltaReader: idDeltaReader{b: b}, raw: raw}, nil
+}
+
+// next decodes the following id.
+func (r *idReader) next() (int32, error) {
+	if !r.raw {
+		return r.idDeltaReader.next()
+	}
+	v := int32(binary.LittleEndian.Uint32(r.b[r.off:]))
+	r.off += 4
+	return v, nil
+}
 
 // appendIDsDelta appends the varint delta encoding of the ascending list
 // ids to dst. The first id is encoded absolutely, each later one as the
@@ -178,8 +217,7 @@ func appendIDsDelta(dst []byte, ids []int32) []byte {
 	return dst
 }
 
-// idDeltaReader streams ids back out of an appendIDsDelta payload without
-// materializing the list.
+// idDeltaReader streams ids back out of an appendIDsDelta payload.
 type idDeltaReader struct {
 	b    []byte
 	off  int

@@ -167,10 +167,10 @@ func TestIDListDeltaRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzIDListCodec lives alongside FuzzWireViews: arbitrary bytes fed to the
-// varint id decoder must error or terminate cleanly — never panic, never
-// yield a negative or descending id — and any list it does accept must
-// survive an encode→decode round trip unchanged.
+// FuzzIDListCodec feeds arbitrary bytes to the varint id decoder, which
+// must error or terminate cleanly — never panic, never yield a negative or
+// descending id — and any list it does accept must survive an
+// encode→decode round trip unchanged.
 func FuzzIDListCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendIDsDelta(nil, []int32{3, 9, 9, 1000000}))

@@ -43,26 +43,6 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
-// FuzzWireViews checks the zero-copy int32/float32 reinterpretations
-// tolerate every length (they truncate partial trailing elements rather
-// than reading out of bounds).
-func FuzzWireViews(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3})
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Copy to a fresh allocation so the views get the alignment the
-		// production callers guarantee.
-		b := append([]byte(nil), data...)
-		if got := bytesAsI32(b); len(got) != len(b)/4 {
-			t.Fatalf("bytesAsI32 yielded %d elements from %d bytes", len(got), len(b))
-		}
-		if got := bytesAsF32(b); len(got) != len(b)/4 {
-			t.Fatalf("bytesAsF32 yielded %d elements from %d bytes", len(got), len(b))
-		}
-	})
-}
-
 // FuzzMembershipFrame drives the membership decoder (serving probes and
 // the elastic-training agreement alike) with arbitrary bytes:
 // DecodeMemberFrame must error — never panic, never

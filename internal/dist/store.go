@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -68,10 +67,10 @@ type GatherStats struct {
 // online cache installs its own working epoch once and keeps it.
 //
 // The gather path is allocation-free at steady state: output matrices come
-// from a pooled tensor arena (return them with Release), request ids and
-// feature payloads cross the transport as zero-copy views of reused
-// contiguous buffers, and per-peer request lists are sorted so the owning
-// rank reads its shard sequentially.
+// from a pooled tensor arena (return them with Release), each peer's frame
+// is encoded by the store's Codec into one reused byte buffer, and
+// per-peer request lists are sorted so the owning rank reads its shard
+// sequentially.
 type Store struct {
 	comm   Comm
 	layout *Layout
@@ -96,15 +95,12 @@ type Store struct {
 	held []heldRow
 	seq  uint32 // stamp of the last GatherNext round; 0 is never a round's
 
-	// Outgoing frames, per peer: the staged answer to that peer's last
-	// request list (answered[p] float32 values or encoded bytes), with this
-	// rank's next request list appended at send time. fp32 frames are
-	// float32 buffers shipped as zero-copy byte views; fp16/int8 frames are
-	// encoded rows followed by varint id deltas.
-	frame32  [][]float32
-	frameEnc [][]byte
+	// Outgoing frames, per peer: the codec's encoding of the staged answer
+	// to that peer's last request list (its first answered[p] bytes),
+	// with this rank's next request list appended at send time. This
+	// rank's own entry stays nil.
+	frame    [][]byte
 	answered []int
-	sendPtr  [][]byte // per-collective payload views (headers reused)
 	sorter   idRowSorter
 }
 
@@ -199,10 +195,8 @@ func newStore(comm Comm, layout *Layout, dim int, local *tensor.Matrix) *Store {
 		comm: comm, layout: layout, dim: dim,
 		local:    local,
 		pool:     tensor.NewPool(),
-		frame32:  make([][]float32, k),
-		frameEnc: make([][]byte, k),
+		frame:    make([][]byte, k),
 		answered: make([]int, k),
-		sendPtr:  make([][]byte, k),
 	}
 	for i := range s.rounds {
 		s.rounds[i] = gatherRound{
@@ -250,10 +244,9 @@ func (s *Store) CacheGen() uint64 {
 
 // SetCodec selects the wire codec for this store's gathers. All members of
 // the comm group must agree (the decode paths reject mismatched payload
-// sizes). CodecFP32, the zero value, ships raw float32 rows and raw int32
-// id lists. Install before the first Gather; do not call concurrently with
-// Gather or while a stream round is pending. Siblings inherit the codec at
-// Sibling time.
+// sizes); the zero value is fp32. Install before the first Gather; do not
+// call concurrently with Gather or while a stream round is pending.
+// Siblings inherit the codec at Sibling time.
 func (s *Store) SetCodec(c Codec) { s.codec = c }
 
 // Codec returns the store's wire codec.
@@ -536,7 +529,6 @@ func (s *Store) exchange(next *gatherRound) error {
 	k := s.layout.K()
 	rank := s.comm.Rank()
 	for p := 0; p < k; p++ {
-		s.sendPtr[p] = nil
 		if p == rank {
 			continue
 		}
@@ -544,19 +536,9 @@ func (s *Store) exchange(next *gatherRound) error {
 		if next != nil {
 			ids = next.reqIDs[p]
 		}
-		n := s.answered[p]
-		if s.codec == CodecFP32 {
-			// Request ids ride in the float32 frame as their raw bits.
-			buf := slices.Grow(s.frame32[p][:n], len(ids))[:n+len(ids)]
-			copy(f32AsBytes(buf[n:]), i32AsBytes(ids))
-			s.frame32[p] = buf
-			s.sendPtr[p] = f32AsBytes(buf)
-		} else {
-			s.frameEnc[p] = appendIDsDelta(s.frameEnc[p][:n], ids)
-			s.sendPtr[p] = s.frameEnc[p]
-		}
+		s.frame[p] = s.codec.appendIDs(s.frame[p][:s.answered[p]], ids)
 	}
-	recv, err := s.comm.AllToAll(s.sendPtr)
+	recv, err := s.comm.AllToAll(s.frame)
 	if err != nil {
 		return err
 	}
@@ -578,11 +560,6 @@ func (s *Store) exchange(next *gatherRound) error {
 		if next == nil && len(ids) > 0 {
 			return fmt.Errorf("dist: rank %d sent %d request-id bytes on a flush frame", p, len(ids))
 		}
-		// Checked before any view is taken: a whole-element frame is also
-		// what keeps the zero-copy float32/int32 views aligned.
-		if s.codec == CodecFP32 && len(ids)%4 != 0 {
-			return fmt.Errorf("dist: rank %d sent a %d-byte fp32 request-id section", p, len(ids))
-		}
 		if want > 0 {
 			s.scatter(prev, p, rows)
 		}
@@ -595,31 +572,20 @@ func (s *Store) exchange(next *gatherRound) error {
 }
 
 // answer stages this rank's reply to peer p's request list — the
-// owner-side shard read — into p's outgoing frame. fp32 copies each row
-// once into the reused float32 frame; fp16/int8 stream-decode the varint
-// ids to the end of the section and encode each row straight into the
-// reused wire buffer. Every id is interval-checked, not passed through
+// owner-side shard read — into p's outgoing frame: it decodes the ids to
+// the end of the section and encodes each requested row straight into the
+// reused frame buffer. Every id is interval-checked, not passed through
 // Owner(): a corrupt peer can send a negative or out-of-range id, and
 // Owner maps everything below Starts[1] — negatives included — to rank 0,
 // which would turn the row subtraction into an out-of-bounds panic.
 func (s *Store) answer(p int, ids []byte) error {
 	rank := s.comm.Rank()
 	lo, hi := s.layout.Starts[rank], s.layout.Starts[rank+1]
-	if s.codec == CodecFP32 {
-		want := bytesAsI32(ids)
-		buf := slices.Grow(s.frame32[p][:0], len(want)*s.dim)[:len(want)*s.dim]
-		for j, v := range want {
-			if int64(v) < lo || int64(v) >= hi {
-				return fmt.Errorf("dist: rank %d requested vertex %d not owned here", p, v)
-			}
-			copy(buf[j*s.dim:(j+1)*s.dim], s.local.Row(int(int64(v)-lo)))
-		}
-		s.frame32[p] = buf
-		s.answered[p] = len(buf)
-		return nil
+	rd, err := s.codec.idReader(ids)
+	if err != nil {
+		return fmt.Errorf("dist: rank %d request list: %w", p, err)
 	}
-	rd := idDeltaReader{b: ids}
-	enc := s.frameEnc[p][:0]
+	enc := s.frame[p][:0]
 	for rd.remaining() > 0 {
 		v, err := rd.next()
 		if err != nil {
@@ -630,23 +596,15 @@ func (s *Store) answer(p int, ids []byte) error {
 		}
 		enc = s.codec.appendFeatRow(enc, s.local.Row(int(int64(v)-lo)))
 	}
-	s.frameEnc[p] = enc
+	s.frame[p] = enc
 	s.answered[p] = len(enc)
 	return nil
 }
 
-// scatter writes the rows peer p returned for rd's request list (exactly
-// len(rd.rowOf[p]) encoded rows, length-checked by the caller) into rd's
-// output: fp32 through a zero-copy float32 view, fp16/int8 by decoding
-// each encoded row straight into its output row.
+// scatter decodes the rows peer p returned for rd's request list (exactly
+// len(rd.rowOf[p]) encoded rows, length-checked by the caller) straight
+// into their rows of rd's output.
 func (s *Store) scatter(rd *gatherRound, p int, rows []byte) {
-	if s.codec == CodecFP32 {
-		vals := bytesAsF32(rows)
-		for j, row := range rd.rowOf[p] {
-			copy(rd.out.Row(int(row)), vals[j*s.dim:(j+1)*s.dim])
-		}
-		return
-	}
 	rowWire := s.codec.featRowWire(s.dim)
 	for j, row := range rd.rowOf[p] {
 		s.codec.decodeFeatRow(rd.out.Row(int(row)), rows[j*rowWire:(j+1)*rowWire])

@@ -4,20 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"unsafe"
 )
-
-// Zero-copy wire conversions. The feature-gather hot path reinterprets
-// int32/float32 slices as their byte payloads (and back) instead of
-// encoding element by element, so a request list or a feature row crosses
-// the transport with exactly one copy (the transport's own send copy).
-//
-// The views use host byte order. Every supported deployment of this
-// reproduction runs all ranks inside one process (channel or loopback-TCP
-// transport), so encoder and decoder always agree; host order is
-// little-endian on the amd64/arm64 targets. The returned
-// slices alias their argument — they are views, not copies — and payloads
-// handed to AllToAll are only read until the collective returns.
 
 // maxFrame bounds a single transport frame (1 GiB). Feature payloads at
 // reproduction scale are a few MiB; anything beyond the bound is treated
@@ -68,39 +55,4 @@ func decodeFrame(r io.Reader, buf []byte) ([]byte, error) {
 		}
 	}
 	return buf, nil
-}
-
-// i32AsBytes returns the byte view of x.
-func i32AsBytes(x []int32) []byte {
-	if len(x) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&x[0])), 4*len(x))
-}
-
-// bytesAsI32 returns the int32 view of b (truncating any partial trailing
-// element). b must be 4-byte aligned, which heap-allocated payloads of
-// element size ≥ 4 always are.
-func bytesAsI32(b []byte) []int32 {
-	if len(b) < 4 {
-		return nil
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-// f32AsBytes returns the byte view of x.
-func f32AsBytes(x []float32) []byte {
-	if len(x) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&x[0])), 4*len(x))
-}
-
-// bytesAsF32 returns the float32 view of b (truncating any partial
-// trailing element). Alignment as for bytesAsI32.
-func bytesAsF32(b []byte) []float32 {
-	if len(b) < 4 {
-		return nil
-	}
-	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4)
 }

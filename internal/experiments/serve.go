@@ -129,17 +129,6 @@ func (c ServeConfig) withDefaults() ServeConfig {
 	return c
 }
 
-// serveBenchDataset is the analog ServeBench (and the checkpoint-serving
-// test, which must regenerate the identical dataset) runs on.
-func serveBenchDataset(scale Scale) (*dataset.Dataset, error) {
-	return dataset.Generate(dataset.SyntheticConfig{
-		Name: "papers-sim", NumVertices: scale.PapersN, AvgDegree: 28.8,
-		FeatureDim: 128, NumClasses: 32,
-		TrainFrac: 0.10, ValFrac: 0.02, TestFrac: 0.05,
-		FeatureNoise: 0.6, Materialize: true, Seed: scale.Seed,
-	})
-}
-
 // ServeBench builds a K=2 cluster on the papers-sim analog per α, freezes
 // the model into a serving deployment, and drives it with closed-loop
 // clients. Per-α clusters share the scale seed, so partitioning, VIP
@@ -187,7 +176,7 @@ func ServeBench(scale Scale, cfg ServeConfig) (*ServeBenchResult, error) {
 		// model, where the hidden width is unused anyway).
 		dims = ModelDims{Hidden: int(state.Ranks[0].Params[0].Cols), Fanouts: fanouts}
 	} else {
-		ds, err = serveBenchDataset(scale)
+		ds, err = DatasetByName("papers-sim", scale.PapersN, scale.Seed)
 		if err != nil {
 			return nil, err
 		}

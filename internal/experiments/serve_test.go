@@ -65,7 +65,7 @@ func TestServeBenchReport(t *testing.T) {
 func TestServeBenchFromCheckpoint(t *testing.T) {
 	scale := SmallScale()
 	scale.PapersN = 4000
-	ds, err := serveBenchDataset(scale)
+	ds, err := DatasetByName("papers-sim", scale.PapersN, scale.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,43 +98,3 @@ func dedupSorted(g *CSR) *CSR {
 	newOffsets[n] = write
 	return &CSR{Offsets: newOffsets, Adj: adj[:write], sorted: true}
 }
-
-// FromAdjacency builds a CSR directly from an adjacency-list representation.
-// Useful in tests for hand-written graphs. Lists are copied.
-func FromAdjacency(lists [][]int32) (*CSR, error) {
-	n := len(lists)
-	offsets := make([]int64, n+1)
-	var m int64
-	for v, l := range lists {
-		for _, w := range l {
-			if w < 0 || int(w) >= n {
-				return nil, fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", v, w)
-			}
-		}
-		m += int64(len(l))
-		offsets[v+1] = m
-	}
-	adj := make([]int32, 0, m)
-	sorted := true
-	for v, l := range lists {
-		for i, w := range l {
-			if i > 0 && l[i-1] > w {
-				sorted = false
-			}
-			adj = append(adj, w)
-		}
-		_ = v
-	}
-	return &CSR{Offsets: offsets, Adj: adj, sorted: sorted}, nil
-}
-
-// EdgeList returns the stored directed edges. Intended for tests and tools.
-func (g *CSR) EdgeList() []Edge {
-	out := make([]Edge, 0, g.NumEdges())
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, w := range g.Neighbors(int32(v)) {
-			out = append(out, Edge{int32(v), w})
-		}
-	}
-	return out
-}

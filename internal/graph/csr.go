@@ -46,9 +46,6 @@ func (g *CSR) Neighbors(v int32) []int32 {
 	return g.Adj[g.Offsets[v]:g.Offsets[v+1]]
 }
 
-// Sorted reports whether adjacency lists are in ascending order.
-func (g *CSR) Sorted() bool { return g.sorted }
-
 // HasEdge reports whether the directed edge (u, v) exists. It uses binary
 // search when the graph was built sorted and a linear scan otherwise.
 func (g *CSR) HasEdge(u, v int32) bool {

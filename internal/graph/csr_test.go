@@ -40,7 +40,7 @@ func TestFromEdgesUndirected(t *testing.T) {
 	if !g.IsUndirected() {
 		t.Fatal("expected undirected graph")
 	}
-	if !g.Sorted() {
+	if !g.sorted {
 		t.Fatal("dedup build should produce sorted adjacency")
 	}
 }
@@ -71,19 +71,6 @@ func TestFromEdgesEmpty(t *testing.T) {
 	}
 	if g.Degree(0) != 0 {
 		t.Fatal("expected degree 0")
-	}
-}
-
-func TestFromAdjacency(t *testing.T) {
-	g, err := FromAdjacency([][]int32{{1, 2}, {0}, {0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Degree(0) != 2 || g.Degree(1) != 1 {
-		t.Fatal("wrong degrees")
-	}
-	if _, err := FromAdjacency([][]int32{{5}}); err == nil {
-		t.Fatal("expected range error")
 	}
 }
 
@@ -132,13 +119,23 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// edgeList returns g's stored directed edges.
+func edgeList(g *CSR) []Edge {
+	out := make([]Edge, 0, g.NumEdges())
+	for v := 0; v < g.NumVertices(); v++ {
+		for _, w := range g.Neighbors(int32(v)) {
+			out = append(out, Edge{int32(v), w})
+		}
+	}
+	return out
+}
+
 func TestEdgeListRoundTrip(t *testing.T) {
 	g, err := Uniform(30, 100, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := g.EdgeList()
-	g2 := mustFromEdges(t, 30, edges, BuildOptions{Dedup: true})
+	g2 := mustFromEdges(t, 30, edgeList(g), BuildOptions{Dedup: true})
 	if g2.NumEdges() != g.NumEdges() {
 		t.Fatalf("edge list round trip changed M: %d != %d", g2.NumEdges(), g.NumEdges())
 	}

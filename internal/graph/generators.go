@@ -155,17 +155,3 @@ func Grid2D(rows, cols int) (*CSR, error) {
 	}
 	return FromEdges(rows*cols, edges, BuildOptions{Undirected: true, Dedup: true, DropSelfLoops: true})
 }
-
-// Complete generates the complete graph K_n. Quadratic size; tests only.
-func Complete(n int) (*CSR, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("graph: Complete needs n >= 1, got %d", n)
-	}
-	edges := make([]Edge, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			edges = append(edges, Edge{int32(i), int32(j)})
-		}
-	}
-	return FromEdges(n, edges, BuildOptions{Undirected: true, Dedup: true, DropSelfLoops: true})
-}

@@ -147,15 +147,3 @@ func TestGrid2D(t *testing.T) {
 		t.Fatalf("M=%d want 34", g.NumEdges())
 	}
 }
-
-func TestComplete(t *testing.T) {
-	g, err := Complete(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := int32(0); v < 6; v++ {
-		if g.Degree(v) != 5 {
-			t.Fatalf("K6 degree %d at %d", g.Degree(v), v)
-		}
-	}
-}

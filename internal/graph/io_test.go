@@ -31,7 +31,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 			t.Fatal("adjacency changed")
 		}
 	}
-	if h.Sorted() != g.Sorted() {
+	if h.sorted != g.sorted {
 		t.Fatal("sorted flag changed")
 	}
 }

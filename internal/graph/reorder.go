@@ -112,12 +112,3 @@ func PartitionOrder(parts []int32, k int, score []float64) (Permutation, []int64
 	}
 	return perm, starts, nil
 }
-
-// IdentityPermutation returns the identity on [0, n).
-func IdentityPermutation(n int) Permutation {
-	p := make(Permutation, n)
-	for i := range p {
-		p[i] = int32(i)
-	}
-	return p
-}

@@ -60,7 +60,11 @@ func TestRelabelIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := Relabel(g, IdentityPermutation(12))
+	identity := make(Permutation, 12)
+	for i := range identity {
+		identity[i] = int32(i)
+	}
+	h, err := Relabel(g, identity)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		h.Observe(0.001 + float64(i)*1e-7)
 	}
-	if got := h.Count(); got != 10000 {
+	if got := h.count.Load(); got != 10000 {
 		t.Fatalf("count %d", got)
 	}
 	if m := h.HistMean(); math.Abs(m-0.0015) > 1e-4 {
@@ -176,8 +176,8 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if h.Count() != workers*per {
-		t.Fatalf("count %d, want %d", h.Count(), workers*per)
+	if got := h.count.Load(); got != workers*per {
+		t.Fatalf("count %d, want %d", got, workers*per)
 	}
 	want := 0.0
 	for w := 1; w <= workers; w++ {

@@ -9,18 +9,6 @@ import (
 	"strings"
 )
 
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // GeoMean returns the geometric mean of positive values; non-positive
 // values are skipped (0 if none remain).
 func GeoMean(xs []float64) float64 {

@@ -6,16 +6,6 @@ import (
 	"testing"
 )
 
-func TestMeanStd(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if Mean(xs) != 5 {
-		t.Fatalf("mean=%v", Mean(xs))
-	}
-	if Mean(nil) != 0 {
-		t.Fatal("empty input should give 0")
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if g := GeoMean([]float64{1, 100}); math.Abs(g-10) > 1e-9 {
 		t.Fatalf("geomean=%v", g)

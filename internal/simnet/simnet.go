@@ -1,7 +1,7 @@
-// Package simnet models network links for the performance simulator: fixed
-// bandwidth with per-round latency, plus the token-bucket filter (TBF)
-// queuing discipline the paper uses (via Linux tc) to emulate 4 and 8 Gbps
-// networks in Figure 9.
+// Package simnet models network links for the chaos harness's link
+// shaping (dist.ChaosConfig.Link): fixed bandwidth with per-round latency,
+// plus the token-bucket filter (TBF) queuing discipline the paper uses
+// (via Linux tc) to emulate 4 and 8 Gbps networks in Figure 9.
 package simnet
 
 // TokenBucket is a classic token-bucket rate limiter over a simulated

@@ -53,7 +53,6 @@ func TestShapePanics(t *testing.T) {
 		"Add mismatch":       func() { New(1, 2).Add(New(2, 1)) },
 		"Mul mismatch":       func() { New(1, 2).Mul(New(2, 1)) },
 		"AddBias mismatch":   func() { New(1, 2).AddBias([]float32{1}) },
-		"Gather mismatch":    func() { Gather(New(2, 2), New(3, 3), []int32{0, 1}) },
 		"MaxAbsDiff shape":   func() { MaxAbsDiff(New(1, 1), New(2, 2)) },
 		"ReLUBack mismatch":  func() { ReLUBackward(New(1, 2), New(2, 1)) },
 		"MatMulATB mismatch": func() { MatMulATB(New(2, 2), New(3, 2), New(2, 2)) },

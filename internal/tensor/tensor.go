@@ -147,17 +147,6 @@ func (m *Matrix) Mul(o *Matrix) {
 	}
 }
 
-// Gather copies rows of src selected by idx into dst (dst row i = src row
-// idx[i]). dst must be len(idx)×src.Cols.
-func Gather(dst, src *Matrix, idx []int32) {
-	if dst.Rows != len(idx) || dst.Cols != src.Cols {
-		panic("tensor: Gather shape mismatch")
-	}
-	for i, r := range idx {
-		copy(dst.Row(i), src.Row(int(r)))
-	}
-}
-
 // MaxAbsDiff returns max |m−o| over elements; used in gradient-check tests.
 func MaxAbsDiff(m, o *Matrix) float64 {
 	if !m.SameShape(o) {

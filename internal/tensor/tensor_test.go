@@ -137,15 +137,6 @@ func TestMatMulShapePanics(t *testing.T) {
 	MatMul(New(2, 2), New(2, 3), New(2, 2))
 }
 
-func TestGatherScatter(t *testing.T) {
-	src := FromSlice(3, 2, []float32{1, 2, 3, 4, 5, 6})
-	dst := New(2, 2)
-	Gather(dst, src, []int32{2, 0})
-	if dst.At(0, 0) != 5 || dst.At(1, 1) != 2 {
-		t.Fatalf("Gather: %v", dst.Data)
-	}
-}
-
 func TestDropoutMaskConsistency(t *testing.T) {
 	r := rng.New(3)
 	m := New(8, 8)
