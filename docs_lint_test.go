@@ -131,8 +131,6 @@ var testOnlyExportFixtures = map[string]bool{
 	"internal/tensor.Matrix.Set": true,
 	"internal/tensor.MaxAbsDiff": true,
 	"internal/tensor.Arena.Held": true,
-	// Checkpoint lookup for the recovery tests.
-	"internal/ckpt.Latest": true,
 	// Fault injection, the FMA audit and the reduced-scale experiment
 	// harnesses the tests and testing.B benchmarks run.
 	"internal/dist.Chaos.Kill":                  true,

@@ -65,6 +65,17 @@ func v5Golden(t testing.TB) []byte {
 	return b
 }
 
+// v6Golden returns testdata/v6.ckpt: testState() in the v6 format,
+// committed so that a change to the encoder cannot move a byte unnoticed.
+func v6Golden(t testing.TB) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "v6.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // stamp returns a copy of file with its version u32 (little-endian, after
 // the 4-byte magic) set to ver.
 func stamp(file []byte, ver byte) []byte {
@@ -201,6 +212,66 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestV6Golden pins the current format byte for byte: the encoder writes
+// testdata/v6.ckpt for testState(), and Decode reads the file back to it.
+func TestV6Golden(t *testing.T) {
+	st := testState()
+	golden := v6Golden(t)
+	buf, err := AppendEncode(nil, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, golden) {
+		t.Fatalf("encoder wrote %d bytes that differ from the %d-byte v6 golden", len(buf), len(golden))
+	}
+	got, err := Decode(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st, got) {
+		t.Fatalf("golden decode mismatch:\nwant %+v\ngot  %+v", st, got)
+	}
+}
+
+// TestDecodeRejectsMisorderedSections pins the section order Decode
+// accepts: header, topology, one rank section per rank, end of file. Each
+// case reassembles the sections of a valid file, every one intact and
+// CRC-correct, in a wrong order or number.
+func TestDecodeRejectsMisorderedSections(t *testing.T) {
+	file := v6Golden(t)
+	pre, rest := file[:8], file[8:]
+	var secs [][]byte // header, topology, rank 0, rank 1
+	for len(rest) > 0 {
+		n := 12 + int(binary.LittleEndian.Uint64(rest[4:])) + 4
+		secs = append(secs, rest[:n])
+		rest = rest[n:]
+	}
+	if len(secs) != 4 {
+		t.Fatalf("golden holds %d sections, want 4", len(secs))
+	}
+	hdr, topo, r0, r1 := secs[0], secs[1], secs[2], secs[3]
+	for _, tc := range []struct {
+		name    string
+		secs    [][]byte
+		wantErr string
+	}{
+		{"rank before topology", [][]byte{hdr, r0, topo, r1}, "rank section where topology expected"},
+		{"duplicate topology", [][]byte{hdr, topo, topo, r0, r1}, "topology section where rank expected"},
+		{"missing rank", [][]byte{hdr, topo, r0}, "missing rank section"},
+		{"extra rank", [][]byte{hdr, topo, r0, r1, r1}, "rank section where end of file expected"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := append([]byte(nil), pre...)
+			for _, s := range tc.secs {
+				data = append(data, s...)
+			}
+			if _, err := Decode(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Decode error %v, want %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
 // TestDecodeRejectsCorruption flips every byte of a valid checkpoint, one
 // at a time, and demands that Decode either errors or returns a state that
 // still validates — it must never panic. Most flips are caught by the
@@ -271,13 +342,11 @@ func TestValidateCatchesInconsistency(t *testing.T) {
 
 func TestSaverBarrierWriteAndRotation(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewSaver(Config{Dir: dir, EveryRounds: 1, Retain: 2}, 2, 5)
+	base := testState()
+	s, err := NewSaver(Config{Dir: dir, EveryRounds: 1, Retain: 2}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := testState()
-	s.SetTopology(base.Topo)
-	s.SetRunConfig(base.Dataset, base.Seed, int(base.BatchSize), []int{3, 2}, base.Codec, base.GradCodec)
 	fill := func(src *RankState) func(*RankState) {
 		return func(dst *RankState) { *dst = *src }
 	}
@@ -315,20 +384,21 @@ func TestSaverBarrierWriteAndRotation(t *testing.T) {
 		t.Fatalf("rotation kept %d files %v, want 2", len(names), names)
 	}
 
-	// Latest picks the newest by step; the loaded state round-trips.
-	latest, err := Latest(dir)
+	// Steps lists the newest step first; the loaded state round-trips.
+	held, err := Steps(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if filepath.Base(latest) != FileName(Step{1, 2}) {
-		t.Fatalf("latest = %s, want %s", latest, FileName(Step{1, 2}))
+	if len(held) == 0 || held[0] != (Step{1, 2}) {
+		t.Fatalf("steps = %v, want %v first", held, Step{1, 2})
 	}
+	latest := filepath.Join(dir, FileName(held[0]))
 	got, path, err := LoadLatest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if path != latest {
-		t.Fatalf("LoadLatest chose %s, Latest says %s", path, latest)
+		t.Fatalf("LoadLatest chose %s, Steps says %s", path, latest)
 	}
 	if got.Step != (Step{1, 2}) || len(got.Ranks) != 2 {
 		t.Fatalf("loaded wrong state: %+v", got.Step)
@@ -372,12 +442,10 @@ func TestLoadLatestSkipsTornFile(t *testing.T) {
 
 func TestSaverRejectsBarrierViolations(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewSaver(Config{Dir: dir, EveryRounds: 1}, 2, 5)
+	s, err := NewSaver(Config{Dir: dir, EveryRounds: 1}, testState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetTopology(testState().Topo)
-	s.SetRunConfig("toy-sim", 77, 2, []int{3, 2}, "", "")
 	fill := func(dst *RankState) { *dst = *testState().Ranks[0] }
 	if err := s.Offer(0, Step{0, 1}, fill); err != nil {
 		t.Fatal(err)
@@ -385,12 +453,10 @@ func TestSaverRejectsBarrierViolations(t *testing.T) {
 	if err := s.Offer(0, Step{0, 1}, fill); err == nil {
 		t.Fatal("duplicate offer from the same rank was accepted")
 	}
-	s2, err := NewSaver(Config{Dir: dir, EveryRounds: 1}, 2, 5)
+	s2, err := NewSaver(Config{Dir: dir, EveryRounds: 1}, testState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2.SetTopology(testState().Topo)
-	s2.SetRunConfig("toy-sim", 77, 2, []int{3, 2}, "", "")
 	if err := s2.Offer(0, Step{0, 1}, fill); err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +466,9 @@ func TestSaverRejectsBarrierViolations(t *testing.T) {
 }
 
 func TestDueTriggers(t *testing.T) {
-	s, err := NewSaver(Config{Dir: t.TempDir(), EveryRounds: 3, EveryEpochs: 2}, 1, 10)
+	run := testState()
+	run.Rounds = 10
+	s, err := NewSaver(Config{Dir: t.TempDir(), EveryRounds: 3, EveryEpochs: 2}, run)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,10 @@
 // File layout (little-endian throughout):
 //
 //	magic "SPCK" u32 | version u32
-//	section*        — header, topology, then one rank section per rank
+//	header | topology | one rank section per rank, in rank order
 //
-// Each section is framed as
+// Decode accepts the sections in exactly that order and nothing after the
+// last rank section. Each section is framed as
 //
 //	tag u32 | payloadLen u64 | payload | crc32c(payload) u32
 //
@@ -32,14 +33,17 @@
 //	         modelRNG 4×u64 | loss, accuracy f64 | batches, local, 0,
 //	         cacheHit, remote, bytesSent, gradBytesSent i64
 //
-// The zero after local is the slot that once split local accesses in two
-// (GPU- and CPU-resident rows); Decode adds it to local, so older files
-// still read, and the next format change drops it.
+// The functions header, topology and rank state this layout once; the
+// encoder and the decoder both run them. The zero after local is the slot
+// that once split local accesses in two (GPU- and CPU-resident rows);
+// Decode adds it to local, so older files still read, and the next format
+// change drops it.
 //
 // Decode reads v4 through v6. A v4 file has exactly the v5 layout, which
 // adds a compute-precision string after the codec and eight stage-timing
 // i64s to each rank section (six after bytesSent, two after
-// gradBytesSent); Decode skips both.
+// gradBytesSent); Decode skips both. testdata holds a v5 and a v6 golden
+// file; the encoder must reproduce the v6 one byte for byte.
 //
 // Decode never panics on corrupt input: every array length is bounded by
 // the bytes actually present (allocation grows incrementally while
@@ -48,6 +52,7 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -272,56 +277,205 @@ func (t *TrainState) Validate() error {
 }
 
 // ---------------------------------------------------------------------------
-// Encoding
+// The layout: each function names every field of its section once, in wire
+// order. AppendEncode runs them over a writing cursor and Decode over a
+// reading one, so the two cannot drift apart.
 
-// enc accumulates little-endian primitives into a reusable byte slice.
+func header(c *cursor, t *TrainState) {
+	tp := t.Topo
+	u32(c, &tp.K)
+	u32(c, &t.Step.Epoch)
+	u32(c, &t.Step.Round)
+	u32(c, &t.Rounds)
+	u64(c, &tp.NumVertices)
+	u32(c, &tp.FeatureDim)
+	u64(c, &t.Seed)
+	u32(c, &t.BatchSize)
+	slice(c, &t.Fanouts, 4, u32[int32])
+	c.text(&t.Dataset)
+	c.text(&t.Codec)
+	if c.ver < 6 {
+		var precision string // v4/v5 serving compute precision, ignored
+		c.text(&precision)
+	}
+	c.text(&t.GradCodec)
+}
+
+func topology(c *cursor, tp *Topology) {
+	slice(c, &tp.Perm, 4, u32[int32])
+	slice(c, &tp.Starts, 8, u64[int64])
+	slice(c, &tp.Parts, 4, u32[int32])
+	if c.read {
+		tp.CacheIDs = make([][]int32, tp.K)
+	}
+	for i := range tp.CacheIDs {
+		slice(c, &tp.CacheIDs[i], 4, u32[int32])
+	}
+}
+
+func rank(c *cursor, rs *RankState) {
+	n := uint32(len(rs.Params))
+	u32(c, &n)
+	// Each encoded param costs at least 40 bytes (rows, cols, four length
+	// prefixes), so this bound keeps the ParamState slice allocation
+	// proportional to the bytes actually present.
+	resize(c, &rs.Params, uint64(n), 40)
+	for i := range rs.Params {
+		p := &rs.Params[i]
+		u32(c, &p.Rows)
+		u32(c, &p.Cols)
+		for _, s := range []*[]float32{&p.W, &p.M, &p.V, &p.EF} {
+			slice(c, s, 4, (*cursor).f32)
+		}
+		// An empty residual reads as nil so fp32-gradient states
+		// round-trip exactly.
+		if c.read && len(p.EF) == 0 {
+			p.EF = nil
+		}
+	}
+	u64(c, &rs.AdamStep)
+	for i := range rs.ModelRNG {
+		u64(c, &rs.ModelRNG[i])
+	}
+	pe := &rs.Partial
+	c.f64(&pe.Loss)
+	c.f64(&pe.Accuracy)
+	// local2 is the retired second local-access slot: written as zero,
+	// read into Local. timing absorbs the v4/v5 stage timings.
+	var local2, timing int64
+	for _, v := range []*int64{&pe.Batches, &pe.Local, &local2, &pe.CacheHit, &pe.Remote, &pe.BytesSent} {
+		u64(c, v)
+	}
+	if c.ver < 6 {
+		for range 6 {
+			u64(c, &timing)
+		}
+	}
+	u64(c, &pe.GradBytesSent)
+	if c.ver < 6 {
+		for range 2 {
+			u64(c, &timing)
+		}
+	}
+	if c.read {
+		pe.Local += local2
+	}
+}
+
+// ---------------------------------------------------------------------------
+// The cursor
+
+// enc is a section payload being written.
 type enc struct{ b []byte }
 
-func (e *enc) u32(v uint32) {
-	e.b = append(e.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-func (e *enc) u64(v uint64) {
-	e.u32(uint32(v))
-	e.u32(uint32(v >> 32))
-}
-func (e *enc) i64(v int64) { e.u64(uint64(v)) }
-func (e *enc) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
 func (e *enc) str(s string) {
-	e.u64(uint64(len(s)))
+	e.b = binary.LittleEndian.AppendUint64(e.b, uint64(len(s)))
 	e.b = append(e.b, s...)
 }
 
-func (e *enc) i32s(s []int32) {
-	e.u64(uint64(len(s)))
-	for _, v := range s {
-		e.u32(uint32(v))
-	}
+// section frames the payload: tag, length, payload, CRC.
+func (e *enc) section(dst []byte, tag uint32) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, tag)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(e.b)))
+	dst = append(dst, e.b...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(e.b, castagnoli))
 }
-func (e *enc) i64s(s []int64) {
-	e.u64(uint64(len(s)))
-	for _, v := range s {
-		e.u64(uint64(v))
-	}
+
+// cursor runs the layout in one direction over the payload b of a format
+// version ver. Writing, each field call appends the field's value to b.
+// Reading, it overwrites the field from b at off and keeps the first
+// error; after an error every read leaves its field alone. A reading
+// cursor checks every length against the bytes left before allocating.
+type cursor struct {
+	enc
+	read bool
+	ver  uint32
+	off  int
+	err  error
 }
-func (e *enc) f32s(s []float32) {
-	e.u64(uint64(len(s)))
-	for _, v := range s {
-		e.u32(math.Float32bits(v))
+
+// need reports whether a read of n more bytes fits, recording an error
+// when it does not.
+func (c *cursor) need(n uint64) bool {
+	if c.err == nil && n > uint64(len(c.b)-c.off) {
+		c.err = fmt.Errorf("ckpt: %d bytes exceed remaining payload %d", n, len(c.b)-c.off)
+	}
+	return c.err == nil
+}
+
+func u32[T ~int | ~int32 | ~uint32](c *cursor, v *T) {
+	if !c.read {
+		c.b = binary.LittleEndian.AppendUint32(c.b, uint32(*v))
+	} else if c.need(4) {
+		*v = T(binary.LittleEndian.Uint32(c.b[c.off:]))
+		c.off += 4
 	}
 }
 
-// section frames one payload: tag, length, payload, CRC.
-func (e *enc) section(dst []byte, tag uint32) []byte {
-	var hdr enc
-	hdr.b = dst
-	hdr.u32(tag)
-	hdr.u64(uint64(len(e.b)))
-	hdr.b = append(hdr.b, e.b...)
-	hdr.u32(crc32.Checksum(e.b, castagnoli))
-	return hdr.b
+func u64[T ~int64 | ~uint64](c *cursor, v *T) {
+	if !c.read {
+		c.b = binary.LittleEndian.AppendUint64(c.b, uint64(*v))
+	} else if c.need(8) {
+		*v = T(binary.LittleEndian.Uint64(c.b[c.off:]))
+		c.off += 8
+	}
 }
+
+func (c *cursor) f32(v *float32) {
+	bits := math.Float32bits(*v)
+	u32(c, &bits)
+	if c.read {
+		*v = math.Float32frombits(bits)
+	}
+}
+
+func (c *cursor) f64(v *float64) {
+	bits := math.Float64bits(*v)
+	u64(c, &bits)
+	if c.read {
+		*v = math.Float64frombits(bits)
+	}
+}
+
+func (c *cursor) text(s *string) {
+	if !c.read {
+		c.str(*s)
+		return
+	}
+	var n uint64
+	u64(c, &n)
+	if c.need(n) {
+		*s = string(c.b[c.off : c.off+int(n)])
+		c.off += int(n)
+	}
+}
+
+// resize makes a reading cursor's *s n elements long, once n elements of
+// at least size bytes each fit in the bytes left.
+func resize[T any](c *cursor, s *[]T, n uint64, size int) {
+	if !c.read || c.err != nil {
+		return
+	}
+	if left := len(c.b) - c.off; n > uint64(left/size) {
+		c.err = fmt.Errorf("ckpt: array of %d elements exceeds remaining payload %d", n, left)
+		return
+	}
+	*s = make([]T, n)
+}
+
+// slice runs a u64 length and then each element of *s through elem, which
+// takes size bytes on the wire.
+func slice[T any](c *cursor, s *[]T, size int, elem func(*cursor, *T)) {
+	n := uint64(len(*s))
+	u64(c, &n)
+	resize(c, s, n, size)
+	for i := range *s {
+		elem(c, &(*s)[i])
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Files
 
 // AppendEncode serializes the state, appending to dst (which may be nil or
 // a reused buffer), and returns the result.
@@ -329,182 +483,25 @@ func AppendEncode(dst []byte, t *TrainState) ([]byte, error) {
 	if err := t.Validate(); err != nil {
 		return dst, err
 	}
-	var e enc
-	e.b = dst
-	e.u32(magic)
-	e.u32(version)
-	out := e.b
-
-	var p enc
-	// Header.
-	p.u32(uint32(t.Topo.K))
-	p.u32(uint32(t.Step.Epoch))
-	p.u32(uint32(t.Step.Round))
-	p.u32(uint32(t.Rounds))
-	p.u64(uint64(t.Topo.NumVertices))
-	p.u32(uint32(t.Topo.FeatureDim))
-	p.u64(t.Seed)
-	p.u32(uint32(t.BatchSize))
-	p.i32s(t.Fanouts)
-	p.str(t.Dataset)
-	p.str(t.Codec)
-	p.str(t.GradCodec)
-	out = p.section(out, tagHeader)
-
-	// Topology.
-	p.b = p.b[:0]
-	p.i32s(t.Topo.Perm)
-	p.i64s(t.Topo.Starts)
-	p.i32s(t.Topo.Parts)
-	for _, ids := range t.Topo.CacheIDs {
-		p.i32s(ids)
+	out := binary.LittleEndian.AppendUint32(dst, magic)
+	out = binary.LittleEndian.AppendUint32(out, version)
+	c := &cursor{ver: version}
+	emit := func(tag uint32, body func(*cursor)) {
+		c.b = c.b[:0]
+		body(c)
+		out = c.section(out, tag)
 	}
-	out = p.section(out, tagTopology)
-
-	// Rank sections, in rank order.
+	emit(tagHeader, func(c *cursor) { header(c, t) })
+	emit(tagTopology, func(c *cursor) { topology(c, t.Topo) })
 	for _, rs := range t.Ranks {
-		p.b = p.b[:0]
-		p.u32(uint32(len(rs.Params)))
-		for _, pr := range rs.Params {
-			p.u32(uint32(pr.Rows))
-			p.u32(uint32(pr.Cols))
-			p.f32s(pr.W)
-			p.f32s(pr.M)
-			p.f32s(pr.V)
-			p.f32s(pr.EF)
-		}
-		p.i64(rs.AdamStep)
-		for _, s := range rs.ModelRNG {
-			p.u64(s)
-		}
-		pe := rs.Partial
-		p.f64(pe.Loss)
-		p.f64(pe.Accuracy)
-		p.i64(pe.Batches)
-		p.i64(pe.Local)
-		p.i64(0)
-		p.i64(pe.CacheHit)
-		p.i64(pe.Remote)
-		p.i64(pe.BytesSent)
-		p.i64(pe.GradBytesSent)
-		out = p.section(out, tagRank)
+		emit(tagRank, func(c *cursor) { rank(c, rs) })
 	}
 	return out, nil
 }
 
-// ---------------------------------------------------------------------------
-// Decoding
-
-// cursor is a bounds-checked reader over one section payload.
-type cursor struct {
-	b   []byte
-	off int
-}
-
-func (c *cursor) remaining() int { return len(c.b) - c.off }
-
-func (c *cursor) u32() (uint32, error) {
-	if c.remaining() < 4 {
-		return 0, fmt.Errorf("ckpt: truncated payload")
-	}
-	b := c.b[c.off:]
-	c.off += 4
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
-}
-
-func (c *cursor) u64() (uint64, error) {
-	lo, err := c.u32()
-	if err != nil {
-		return 0, err
-	}
-	hi, err := c.u32()
-	if err != nil {
-		return 0, err
-	}
-	return uint64(lo) | uint64(hi)<<32, nil
-}
-
-func (c *cursor) i64() (int64, error) {
-	v, err := c.u64()
-	return int64(v), err
-}
-
-func (c *cursor) f64() (float64, error) {
-	v, err := c.u64()
-	return math.Float64frombits(v), err
-}
-
-// length reads an array length and checks the payload actually holds
-// elemSize·n more bytes, so a corrupt length cannot drive a huge
-// allocation.
-func (c *cursor) length(elemSize int) (int, error) {
-	v, err := c.u64()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(c.remaining()/elemSize) {
-		return 0, fmt.Errorf("ckpt: array of %d elements exceeds remaining payload %d", v, c.remaining())
-	}
-	return int(v), nil
-}
-
-func (c *cursor) str() (string, error) {
-	n, err := c.length(1)
-	if err != nil {
-		return "", err
-	}
-	out := string(c.b[c.off : c.off+n])
-	c.off += n
-	return out, nil
-}
-
-func (c *cursor) i32s() ([]int32, error) {
-	n, err := c.length(4)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int32, n)
-	for i := range out {
-		v, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = int32(v)
-	}
-	return out, nil
-}
-
-func (c *cursor) i64s() ([]int64, error) {
-	n, err := c.length(8)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, n)
-	for i := range out {
-		v, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = int64(v)
-	}
-	return out, nil
-}
-
-func (c *cursor) f32s() ([]float32, error) {
-	n, err := c.length(4)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, n)
-	for i := range out {
-		v, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = math.Float32frombits(v)
-	}
-	return out, nil
-}
+// sectionNames names the section tags in errors; tag 0 stands for the end
+// of the file.
+var sectionNames = [...]string{"end of file", "header", "topology", "rank"}
 
 // readSection reads one framed section: tag, payload (verified against its
 // CRC), or io.EOF cleanly at end of stream. The payload buffer grows
@@ -517,9 +514,8 @@ func readSection(r io.Reader, scratch []byte) (tag uint32, payload, grown []byte
 		}
 		return 0, nil, scratch, fmt.Errorf("ckpt: reading section header: %w", err)
 	}
-	tag = uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24
-	n := uint64(hdr[4]) | uint64(hdr[5])<<8 | uint64(hdr[6])<<16 | uint64(hdr[7])<<24 |
-		uint64(hdr[8])<<32 | uint64(hdr[9])<<40 | uint64(hdr[10])<<48 | uint64(hdr[11])<<56
+	tag = binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint64(hdr[4:])
 	if n > maxSection {
 		return 0, nil, scratch, fmt.Errorf("ckpt: section of %d bytes exceeds limit", n)
 	}
@@ -550,224 +546,77 @@ func readSection(r io.Reader, scratch []byte) (tag uint32, payload, grown []byte
 	if _, err := io.ReadFull(r, crcb[:]); err != nil {
 		return 0, nil, payload, fmt.Errorf("ckpt: truncated section CRC: %w", err)
 	}
-	want := uint32(crcb[0]) | uint32(crcb[1])<<8 | uint32(crcb[2])<<16 | uint32(crcb[3])<<24
-	if got := crc32.Checksum(payload, castagnoli); got != want {
+	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(crcb[:]); got != want {
 		return 0, nil, payload, fmt.Errorf("ckpt: section CRC mismatch (got %#x want %#x)", got, want)
 	}
 	return tag, payload, payload, nil
 }
 
-// Decode reads a checkpoint written by Encode, verifying magic, version,
-// framing, and every section CRC, and validating the decoded state. It
+// Decode reads a checkpoint written by AppendEncode, verifying magic,
+// version, framing and every section CRC, and validating the decoded
+// state. Sections must come in the order the encoder writes them: header,
+// topology, one rank section per rank, then the end of the file. It
 // returns an error (never panics) on corrupt input.
 func Decode(r io.Reader) (*TrainState, error) {
 	var pre [8]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		return nil, fmt.Errorf("ckpt: reading preamble: %w", err)
 	}
-	if m := uint32(pre[0]) | uint32(pre[1])<<8 | uint32(pre[2])<<16 | uint32(pre[3])<<24; m != magic {
+	if m := binary.LittleEndian.Uint32(pre[:]); m != magic {
 		return nil, fmt.Errorf("ckpt: bad magic %#x", m)
 	}
-	ver := uint32(pre[4]) | uint32(pre[5])<<8 | uint32(pre[6])<<16 | uint32(pre[7])<<24
+	ver := binary.LittleEndian.Uint32(pre[4:])
 	if ver < minVersion || ver > version {
 		return nil, fmt.Errorf("ckpt: unsupported version %d", ver)
 	}
-	// v4 and v5 carry a compute-precision string and eight stage timings
-	// per rank that nothing reads; they are skipped.
-	legacy := ver < 6
 
-	t := &TrainState{}
+	// next reads the section tagged want (0: the end of the file) through
+	// body.
 	var scratch []byte
-	sawHeader := false
-	for {
+	next := func(want uint32, body func(*cursor)) error {
 		tag, payload, grown, err := readSection(r, scratch)
 		scratch = grown
-		if err == io.EOF {
-			break
+		switch {
+		case err == io.EOF && want == 0:
+			return nil
+		case err == io.EOF:
+			return fmt.Errorf("ckpt: missing %s section", sectionNames[want])
+		case err != nil:
+			return err
+		case tag == 0 || tag >= uint32(len(sectionNames)):
+			return fmt.Errorf("ckpt: unknown section tag %d", tag)
+		case tag != want:
+			return fmt.Errorf("ckpt: %s section where %s expected", sectionNames[tag], sectionNames[want])
 		}
-		if err != nil {
+		c := &cursor{enc: enc{b: payload}, read: true, ver: ver}
+		body(c)
+		if c.err == nil && c.off != len(c.b) {
+			c.err = fmt.Errorf("ckpt: %d trailing bytes in %s section", len(c.b)-c.off, sectionNames[tag])
+		}
+		return c.err
+	}
+
+	t := &TrainState{Topo: &Topology{}}
+	tp := t.Topo
+	if err := next(tagHeader, func(c *cursor) { header(c, t) }); err != nil {
+		return nil, err
+	}
+	if uint32(tp.K) > 1<<16 || uint32(t.Rounds) > 1<<30 || uint32(t.Step.Epoch) > 1<<30 || uint64(tp.NumVertices) > 1<<40 {
+		return nil, fmt.Errorf("ckpt: implausible header (k=%d rounds=%d epoch=%d n=%d)",
+			uint32(tp.K), uint32(t.Rounds), uint32(t.Step.Epoch), uint64(tp.NumVertices))
+	}
+	if err := next(tagTopology, func(c *cursor) { topology(c, tp) }); err != nil {
+		return nil, err
+	}
+	for range tp.K {
+		rs := &RankState{}
+		if err := next(tagRank, func(c *cursor) { rank(c, rs) }); err != nil {
 			return nil, err
 		}
-		c := &cursor{b: payload}
-		switch tag {
-		case tagHeader:
-			if sawHeader {
-				return nil, fmt.Errorf("ckpt: duplicate header section")
-			}
-			sawHeader = true
-			k, err := c.u32()
-			if err != nil {
-				return nil, err
-			}
-			epoch, err := c.u32()
-			if err != nil {
-				return nil, err
-			}
-			round, err := c.u32()
-			if err != nil {
-				return nil, err
-			}
-			rounds, err := c.u32()
-			if err != nil {
-				return nil, err
-			}
-			n, err := c.u64()
-			if err != nil {
-				return nil, err
-			}
-			dim, err := c.u32()
-			if err != nil {
-				return nil, err
-			}
-			seed, err := c.u64()
-			if err != nil {
-				return nil, err
-			}
-			batch, err := c.u32()
-			if err != nil {
-				return nil, err
-			}
-			fanouts, err := c.i32s()
-			if err != nil {
-				return nil, err
-			}
-			dsName, err := c.str()
-			if err != nil {
-				return nil, err
-			}
-			codec, err := c.str()
-			if err != nil {
-				return nil, err
-			}
-			if legacy {
-				if _, err := c.str(); err != nil {
-					return nil, err
-				}
-			}
-			gradCodec, err := c.str()
-			if err != nil {
-				return nil, err
-			}
-			if k > 1<<16 || rounds > 1<<30 || epoch > 1<<30 || n > 1<<40 {
-				return nil, fmt.Errorf("ckpt: implausible header (k=%d rounds=%d epoch=%d n=%d)", k, rounds, epoch, n)
-			}
-			t.Step = Step{Epoch: int(epoch), Round: int(round)}
-			t.Rounds = int(rounds)
-			t.Seed = seed
-			t.BatchSize = int32(batch)
-			t.Fanouts = fanouts
-			t.Dataset = dsName
-			t.Codec = codec
-			t.GradCodec = gradCodec
-			t.Topo = &Topology{NumVertices: int64(n), FeatureDim: int32(dim), K: int32(k)}
-		case tagTopology:
-			if !sawHeader {
-				return nil, fmt.Errorf("ckpt: topology before header")
-			}
-			if t.Topo.Perm != nil {
-				return nil, fmt.Errorf("ckpt: duplicate topology section")
-			}
-			if t.Topo.Perm, err = c.i32s(); err != nil {
-				return nil, err
-			}
-			if t.Topo.Starts, err = c.i64s(); err != nil {
-				return nil, err
-			}
-			if t.Topo.Parts, err = c.i32s(); err != nil {
-				return nil, err
-			}
-			t.Topo.CacheIDs = make([][]int32, t.Topo.K)
-			for i := range t.Topo.CacheIDs {
-				if t.Topo.CacheIDs[i], err = c.i32s(); err != nil {
-					return nil, err
-				}
-			}
-		case tagRank:
-			if !sawHeader {
-				return nil, fmt.Errorf("ckpt: rank section before header")
-			}
-			if len(t.Ranks) >= int(t.Topo.K) {
-				return nil, fmt.Errorf("ckpt: more rank sections than K=%d", t.Topo.K)
-			}
-			rs := &RankState{}
-			np, err := c.u32()
-			if err != nil {
-				return nil, err
-			}
-			// Each encoded param costs at least 40 bytes (rows, cols, four
-			// length prefixes), so this bound keeps the ParamState slice
-			// allocation proportional to the bytes actually present.
-			if uint64(np) > uint64(c.remaining()/40) {
-				return nil, fmt.Errorf("ckpt: %d params exceed payload", np)
-			}
-			rs.Params = make([]ParamState, np)
-			for i := range rs.Params {
-				p := &rs.Params[i]
-				rows, err := c.u32()
-				if err != nil {
-					return nil, err
-				}
-				cols, err := c.u32()
-				if err != nil {
-					return nil, err
-				}
-				p.Rows, p.Cols = int32(rows), int32(cols)
-				if p.W, err = c.f32s(); err != nil {
-					return nil, err
-				}
-				if p.M, err = c.f32s(); err != nil {
-					return nil, err
-				}
-				if p.V, err = c.f32s(); err != nil {
-					return nil, err
-				}
-				// An empty residual normalizes to nil so fp32-gradient
-				// states round-trip exactly.
-				if p.EF, err = c.f32s(); err != nil {
-					return nil, err
-				}
-				if len(p.EF) == 0 {
-					p.EF = nil
-				}
-			}
-			if rs.AdamStep, err = c.i64(); err != nil {
-				return nil, err
-			}
-			for i := range rs.ModelRNG {
-				if rs.ModelRNG[i], err = c.u64(); err != nil {
-					return nil, err
-				}
-			}
-			pe := &rs.Partial
-			for _, dst := range []*float64{&pe.Loss, &pe.Accuracy} {
-				if *dst, err = c.f64(); err != nil {
-					return nil, err
-				}
-			}
-			var local2 int64 // the retired second local-access slot
-			counters := []*int64{&pe.Batches, &pe.Local, &local2, &pe.CacheHit,
-				&pe.Remote, &pe.BytesSent, &pe.GradBytesSent}
-			if legacy {
-				var x int64
-				counters = []*int64{&pe.Batches, &pe.Local, &local2, &pe.CacheHit,
-					&pe.Remote, &pe.BytesSent, &x, &x, &x, &x, &x, &x, &pe.GradBytesSent, &x, &x}
-			}
-			for _, dst := range counters {
-				if *dst, err = c.i64(); err != nil {
-					return nil, err
-				}
-			}
-			pe.Local += local2
-			t.Ranks = append(t.Ranks, rs)
-		default:
-			return nil, fmt.Errorf("ckpt: unknown section tag %d", tag)
-		}
-		if c.remaining() != 0 {
-			return nil, fmt.Errorf("ckpt: %d trailing bytes in section %d", c.remaining(), tag)
-		}
+		t.Ranks = append(t.Ranks, rs)
 	}
-	if !sawHeader {
-		return nil, fmt.Errorf("ckpt: missing header section")
+	if err := next(0, nil); err != nil {
+		return nil, err
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

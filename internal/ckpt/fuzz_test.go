@@ -11,8 +11,8 @@ import (
 // does accept must survive validation and re-encode cleanly.
 func FuzzCheckpointDecode(f *testing.F) {
 	// Seed corpus: a valid checkpoint, a truncation, a CRC flip, the bare
-	// preamble, an empty input, the v5 golden and the golden stamped
-	// version 4.
+	// preamble, an empty input, the v6 golden, the v5 golden and the v5
+	// golden stamped version 4.
 	st := testState()
 	buf, err := AppendEncode(nil, st)
 	if err != nil {
@@ -26,6 +26,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add(valid[:8])
 	f.Add([]byte{})
+	f.Add(v6Golden(f))
 	golden := v5Golden(f)
 	f.Add(golden)
 	f.Add(stamp(golden, 4))

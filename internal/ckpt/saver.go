@@ -2,10 +2,10 @@ package ckpt
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -50,22 +50,15 @@ func (c Config) withDefaults() Config {
 // and rounds that do not checkpoint cost one integer check in the training
 // loop (guarded by the pipeline's AllocsPerRun test).
 type Saver struct {
-	cfg    Config
-	k      int
-	rounds int
+	cfg Config
 
-	mu        sync.Mutex
-	topo      *Topology
-	dataset   string
-	seed      uint64
-	batchSize int32
-	fanouts   []int32
-	codec     string
-	gradCodec string
-	slots     []*RankState
+	mu sync.Mutex
+	// state is the file being assembled: the run identity, rounds and
+	// topology NewSaver was given, Step the step the barrier is assembling
+	// (set by its first offer), and Ranks the reused per-rank slots.
+	state     TrainState
 	filled    []bool
 	arrived   int
-	pending   Step
 	lastSaved Step
 	hasSaved  bool
 	encBuf    []byte
@@ -73,53 +66,29 @@ type Saver struct {
 }
 
 // NewSaver validates the configuration, creates the directory, and returns
-// a coordinator for a K-rank run with the given rounds-per-epoch.
-func NewSaver(cfg Config, k, rounds int) (*Saver, error) {
+// a coordinator for the run that run describes. run supplies what every
+// file carries unchanged: the run identity (dataset, seed, batch size,
+// fanouts, wire and gradient codecs), which restore checks for drift, the
+// rounds per epoch, and the topology, which makes each file
+// self-contained. Its Step and Ranks are ignored: each save fills them in.
+func NewSaver(cfg Config, run *TrainState) (*Saver, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("ckpt: saver needs a directory")
 	}
-	if k <= 0 || rounds <= 0 {
-		return nil, fmt.Errorf("ckpt: saver needs positive k (%d) and rounds (%d)", k, rounds)
+	if run.Topo == nil || run.Topo.K <= 0 || run.Rounds <= 0 {
+		return nil, fmt.Errorf("ckpt: saver needs a run with a topology, positive K and positive rounds")
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o777); err != nil {
 		return nil, fmt.Errorf("ckpt: creating %s: %w", cfg.Dir, err)
 	}
-	s := &Saver{cfg: cfg, k: k, rounds: rounds, slots: make([]*RankState, k), filled: make([]bool, k)}
-	for i := range s.slots {
-		s.slots[i] = &RankState{}
+	k := int(run.Topo.K)
+	s := &Saver{cfg: cfg, state: *run, filled: make([]bool, k)}
+	s.state.Ranks = make([]*RankState, k)
+	for i := range s.state.Ranks {
+		s.state.Ranks[i] = &RankState{}
 	}
 	return s, nil
-}
-
-// SetTopology installs the run's immutable topology, included in every
-// checkpoint file so restores are self-contained. Must be called before
-// the first Offer.
-func (s *Saver) SetTopology(t *Topology) { s.topo = t }
-
-// SetRunConfig pins the run identity (dataset name, sampling seed, batch
-// size, fanouts, the feature-gather wire codec, and the gradient
-// all-reduce codec) in every checkpoint so restore can reject drift that
-// would silently train the wrong data, replay different batches,
-// dequantize different feature bytes, or quantize gradients against a
-// stale residual. Must be called before the first Offer. The cluster passes
-// resolved codec names; an empty codec or gradCodec records "fp32".
-func (s *Saver) SetRunConfig(dataset string, seed uint64, batchSize int, fanouts []int, codec, gradCodec string) {
-	s.dataset = dataset
-	s.seed = seed
-	s.batchSize = int32(batchSize)
-	s.fanouts = make([]int32, len(fanouts))
-	for i, f := range fanouts {
-		s.fanouts[i] = int32(f)
-	}
-	if codec == "" {
-		codec = "fp32"
-	}
-	s.codec = codec
-	if gradCodec == "" {
-		gradCodec = "fp32"
-	}
-	s.gradCodec = gradCodec
 }
 
 // DueRound reports whether a checkpoint fires after roundsDone fully
@@ -145,26 +114,26 @@ func (s *Saver) Offer(rank int, step Step, fill func(*RankState)) error {
 	if s.err != nil {
 		return s.err
 	}
-	if rank < 0 || rank >= s.k {
-		return fmt.Errorf("ckpt: offer from rank %d of %d", rank, s.k)
+	if rank < 0 || rank >= len(s.filled) {
+		return fmt.Errorf("ckpt: offer from rank %d of %d", rank, len(s.filled))
 	}
 	if s.hasSaved && !s.lastSaved.Less(step) {
 		return nil // already captured (e.g. round trigger coinciding with epoch trigger)
 	}
 	if s.arrived == 0 {
-		s.pending = step
-	} else if s.pending != step {
-		s.err = fmt.Errorf("ckpt: rank %d offered step %+v while assembling %+v (lost barrier consistency)", rank, step, s.pending)
+		s.state.Step = step
+	} else if s.state.Step != step {
+		s.err = fmt.Errorf("ckpt: rank %d offered step %+v while assembling %+v (lost barrier consistency)", rank, step, s.state.Step)
 		return s.err
 	}
 	if s.filled[rank] {
 		s.err = fmt.Errorf("ckpt: duplicate offer from rank %d at step %+v", rank, step)
 		return s.err
 	}
-	fill(s.slots[rank])
+	fill(s.state.Ranks[rank])
 	s.filled[rank] = true
 	s.arrived++
-	if s.arrived < s.k {
+	if s.arrived < len(s.filled) {
 		return nil
 	}
 	// Barrier complete: this rank writes the file.
@@ -172,12 +141,7 @@ func (s *Saver) Offer(rank int, step Step, fill func(*RankState)) error {
 	for i := range s.filled {
 		s.filled[i] = false
 	}
-	state := &TrainState{
-		Step: step, Rounds: s.rounds,
-		Dataset: s.dataset, Seed: s.seed, BatchSize: s.batchSize, Fanouts: s.fanouts,
-		Codec: s.codec, GradCodec: s.gradCodec, Topo: s.topo, Ranks: s.slots,
-	}
-	if err := s.write(state); err != nil {
+	if err := s.write(); err != nil {
 		s.err = err
 		return err
 	}
@@ -190,22 +154,47 @@ func FileName(step Step) string {
 	return fmt.Sprintf("ckpt-e%05d-r%06d.sppc", step.Epoch, step.Round)
 }
 
-// parseFileName inverts FileName; ok is false for foreign files.
+// parseFileName inverts FileName; ok is false for any other name, so
+// FileName of a parsed step names the file it came from.
 func parseFileName(name string) (Step, bool) {
-	var e, r int
-	if n, err := fmt.Sscanf(name, "ckpt-e%05d-r%06d.sppc", &e, &r); n != 2 || err != nil {
+	var s Step
+	if _, err := fmt.Sscanf(name, "ckpt-e%05d-r%06d.sppc", &s.Epoch, &s.Round); err != nil ||
+		s.Epoch < 0 || s.Round < 0 || name != FileName(s) {
 		return Step{}, false
 	}
-	if !strings.HasSuffix(name, ".sppc") || e < 0 || r < 0 {
-		return Step{}, false
-	}
-	return Step{Epoch: e, Round: r}, true
+	return s, true
 }
 
-// write encodes into the reused buffer and renames a temp file into place,
-// then rotates old checkpoints.
-func (s *Saver) write(state *TrainState) error {
-	b, err := AppendEncode(s.encBuf[:0], state)
+// Steps lists the barrier-consistent checkpoint steps present in dir,
+// newest first — the local half of a membership agreement round (each
+// survivor advertises its list; the consensus resume point is the newest
+// step in every list). Returns an empty slice for a directory with no
+// checkpoints; the error is reserved for an unreadable directory.
+func Steps(dir string) ([]Step, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
+		return nil, err
+	}
+	var steps []Step
+	for _, e := range entries {
+		if e.IsDir() {
+			continue
+		}
+		if step, ok := parseFileName(e.Name()); ok {
+			steps = append(steps, step)
+		}
+	}
+	sort.Slice(steps, func(i, j int) bool { return steps[j].Less(steps[i]) })
+	return steps, nil
+}
+
+// write encodes the assembled state into the reused buffer and renames a
+// temp file into place, then rotates old checkpoints.
+func (s *Saver) write() error {
+	b, err := AppendEncode(s.encBuf[:0], &s.state)
 	s.encBuf = b
 	if err != nil {
 		return err
@@ -229,7 +218,7 @@ func (s *Saver) write(state *TrainState) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("ckpt: closing %s: %w", tmpName, err)
 	}
-	final := filepath.Join(s.cfg.Dir, FileName(state.Step))
+	final := filepath.Join(s.cfg.Dir, FileName(s.state.Step))
 	if err := os.Rename(tmpName, final); err != nil {
 		os.Remove(tmpName)
 		return fmt.Errorf("ckpt: publishing %s: %w", final, err)
@@ -241,33 +230,13 @@ func (s *Saver) write(state *TrainState) error {
 // rotate deletes all but the newest Retain checkpoint files (and any stale
 // temp files). Best-effort: rotation failures never fail a save.
 func (s *Saver) rotate() {
-	entries, err := os.ReadDir(s.cfg.Dir)
-	if err != nil {
-		return
+	tmps, _ := fs.Glob(os.DirFS(s.cfg.Dir), ".ckpt-*.tmp")
+	for _, tmp := range tmps {
+		os.Remove(filepath.Join(s.cfg.Dir, tmp))
 	}
-	type f struct {
-		step Step
-		name string
-	}
-	var files []f
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasPrefix(e.Name(), ".ckpt-") && strings.HasSuffix(e.Name(), ".tmp") {
-			os.Remove(filepath.Join(s.cfg.Dir, e.Name()))
-			continue
-		}
-		if step, ok := parseFileName(e.Name()); ok {
-			files = append(files, f{step, e.Name()})
-		}
-	}
-	if len(files) <= s.cfg.Retain {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool { return files[j].step.Less(files[i].step) })
-	for _, old := range files[s.cfg.Retain:] {
-		os.Remove(filepath.Join(s.cfg.Dir, old.name))
+	steps, _ := Steps(s.cfg.Dir)
+	for _, old := range steps[min(s.cfg.Retain, len(steps)):] {
+		os.Remove(filepath.Join(s.cfg.Dir, FileName(old)))
 	}
 }
 
@@ -281,30 +250,18 @@ func Load(path string) (*TrainState, error) {
 	return Decode(fh)
 }
 
-// Latest returns the path of the newest checkpoint file in dir (by step,
-// not mtime). os.ErrNotExist when the directory holds no checkpoints.
-func Latest(dir string) (string, error) {
-	paths, err := listByStepDescending(dir)
-	if err != nil {
-		return "", err
-	}
-	if len(paths) == 0 {
-		return "", fmt.Errorf("ckpt: no checkpoints in %s: %w", dir, os.ErrNotExist)
-	}
-	return paths[0], nil
-}
-
 // LoadLatest loads the newest *valid* checkpoint in dir, skipping files
 // that fail CRC or structural validation (e.g. a file torn by a crash that
 // somehow bypassed the atomic rename). Returns the state and the path it
 // came from.
 func LoadLatest(dir string) (*TrainState, string, error) {
-	paths, err := listByStepDescending(dir)
+	steps, err := Steps(dir)
 	if err != nil {
 		return nil, "", err
 	}
 	var firstErr error
-	for _, p := range paths {
+	for _, step := range steps {
+		p := filepath.Join(dir, FileName(step))
 		st, err := Load(p)
 		if err == nil {
 			return st, p, nil
@@ -317,30 +274,4 @@ func LoadLatest(dir string) (*TrainState, string, error) {
 		return nil, "", firstErr
 	}
 	return nil, "", fmt.Errorf("ckpt: no checkpoints in %s: %w", dir, os.ErrNotExist)
-}
-
-func listByStepDescending(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	type f struct {
-		step Step
-		path string
-	}
-	var files []f
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if step, ok := parseFileName(e.Name()); ok {
-			files = append(files, f{step, filepath.Join(dir, e.Name())})
-		}
-	}
-	sort.Slice(files, func(i, j int) bool { return files[j].step.Less(files[i].step) })
-	out := make([]string, len(files))
-	for i, x := range files {
-		out[i] = x.path
-	}
-	return out, nil
 }

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"fmt"
-	"os"
 	"sort"
 )
 
@@ -163,30 +162,4 @@ func cloneRankState(rs *RankState) *RankState {
 		}
 	}
 	return out
-}
-
-// Steps lists the barrier-consistent checkpoint steps present in dir,
-// newest first — the local half of a membership agreement round (each
-// survivor advertises its list; the consensus resume point is the newest
-// step in every list). Returns an empty slice for a directory with no
-// checkpoints; the error is reserved for an unreadable directory.
-func Steps(dir string) ([]Step, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var steps []Step
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if step, ok := parseFileName(e.Name()); ok {
-			steps = append(steps, step)
-		}
-	}
-	sort.Slice(steps, func(i, j int) bool { return steps[j].Less(steps[i]) })
-	return steps, nil
 }

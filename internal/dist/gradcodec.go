@@ -49,9 +49,6 @@ func NewGradReducer(comm Comm, codec Codec) *GradReducer {
 	return &GradReducer{comm: comm, codec: codec}
 }
 
-// Codec reports the configured wire encoding.
-func (g *GradReducer) Codec() Codec { return g.codec }
-
 // Reduce replaces each matrix in mats, elementwise, with the sum of that
 // matrix over all ranks. All ranks must call Reduce with identically
 // shaped mats in the same collective order (the matched-collectives

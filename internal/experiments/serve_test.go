@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -84,10 +85,11 @@ func TestServeBenchFromCheckpoint(t *testing.T) {
 	}
 	trainedW := flatRankWeights(cl)
 	cl.Close()
-	path, err := ckpt.Latest(dir)
-	if err != nil {
-		t.Fatal(err)
+	steps, err := ckpt.Steps(dir)
+	if err != nil || len(steps) == 0 {
+		t.Fatalf("no checkpoint in %s: %v", dir, err)
 	}
+	path := filepath.Join(dir, ckpt.FileName(steps[0]))
 
 	res, err := ServeBench(scale, ServeConfig{
 		Clients: 4, RequestsPerClient: 25, Checkpoint: path,
@@ -154,10 +156,11 @@ func TestServeBenchServesForeignCheckpoint(t *testing.T) {
 	if _, err := Accuracy(acfg); err != nil {
 		t.Fatal(err)
 	}
-	path, err := ckpt.Latest(dir)
-	if err != nil {
-		t.Fatal(err)
+	steps, err := ckpt.Steps(dir)
+	if err != nil || len(steps) == 0 {
+		t.Fatalf("no checkpoint in %s: %v", dir, err)
 	}
+	path := filepath.Join(dir, ckpt.FileName(steps[0]))
 	res, err := ServeBench(SmallScale(), ServeConfig{
 		Clients: 2, RequestsPerClient: 10, Checkpoint: path,
 	})

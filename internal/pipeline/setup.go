@@ -178,7 +178,7 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 	var pl *Placement
 	if cfg.Resume != nil {
 		topo := cfg.Resume.Topo
-		if err := validateResume(ds, cfg, cfg.Resume); err != nil {
+		if err := validateResume(ds, cfg, codec, gradCodec, cfg.Resume); err != nil {
 			return nil, err
 		}
 		perm := graph.Permutation(append([]int32(nil), topo.Perm...))
@@ -309,22 +309,34 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 	}
 
 	// Coordinated checkpointing: one saver shared by all ranks, primed with
-	// the run's topology so every checkpoint file is self-contained.
+	// the run's identity and topology so every checkpoint file is
+	// self-contained.
 	if cfg.Checkpoint.Enabled() {
-		saver, err := ckpt.NewSaver(cfg.Checkpoint, cfg.K, pl.Rounds)
+		fanouts := make([]int32, len(cfg.Train.Fanouts))
+		for i, f := range cfg.Train.Fanouts {
+			fanouts[i] = int32(f)
+		}
+		saver, err := ckpt.NewSaver(cfg.Checkpoint, &ckpt.TrainState{
+			Rounds:    pl.Rounds,
+			Dataset:   ds.Name,
+			Seed:      cfg.Train.Seed,
+			BatchSize: int32(cfg.Train.BatchSize),
+			Fanouts:   fanouts,
+			Codec:     codec.String(),
+			GradCodec: gradCodec.String(),
+			Topo: &ckpt.Topology{
+				NumVertices: int64(ds.NumVertices()),
+				FeatureDim:  int32(rds.FeatureDim),
+				K:           int32(cfg.K),
+				Perm:        pl.Perm,
+				Starts:      pl.Layout.Starts,
+				Parts:       pl.Parts,
+				CacheIDs:    cacheIDs,
+			},
+		})
 		if err != nil {
 			return nil, err
 		}
-		saver.SetRunConfig(ds.Name, cfg.Train.Seed, cfg.Train.BatchSize, cfg.Train.Fanouts, codec.String(), gradCodec.String())
-		saver.SetTopology(&ckpt.Topology{
-			NumVertices: int64(ds.NumVertices()),
-			FeatureDim:  int32(rds.FeatureDim),
-			K:           int32(cfg.K),
-			Perm:        pl.Perm,
-			Starts:      pl.Layout.Starts,
-			Parts:       pl.Parts,
-			CacheIDs:    cacheIDs,
-		})
 		for _, rk := range cl.Ranks {
 			rk.SetCheckpointer(saver)
 		}
@@ -334,8 +346,9 @@ func NewCluster(ds *dataset.Dataset, cfg ClusterConfig) (*Cluster, error) {
 }
 
 // validateResume checks a checkpoint against the dataset and configuration
-// it is being restored into.
-func validateResume(ds *dataset.Dataset, cfg ClusterConfig, st *ckpt.TrainState) error {
+// it is being restored into; codec and gradCodec are the configuration's
+// resolved wire and gradient codecs.
+func validateResume(ds *dataset.Dataset, cfg ClusterConfig, codec, gradCodec dist.Codec, st *ckpt.TrainState) error {
 	if err := st.Validate(); err != nil {
 		return err
 	}
@@ -359,18 +372,14 @@ func validateResume(ds *dataset.Dataset, cfg ClusterConfig, st *ckpt.TrainState)
 	// gathered remote feature row, so resuming an fp16 run under fp32 (or
 	// vice versa) would silently diverge from the checkpointed trajectory.
 	// An empty Codec adopts the checkpoint's; an explicit one must match.
-	if codec, err := cfg.FeatureCodec(); err != nil {
-		return err
-	} else if st.Codec != codec.String() {
+	if st.Codec != codec.String() {
 		return fmt.Errorf("pipeline: checkpoint was taken with wire codec %q, configuration says %q", st.Codec, codec.String())
 	}
 	// The gradient codec is run identity exactly like the gather codec: a
 	// lossy gradient reduce perturbs every optimizer step and carries
 	// error-feedback residual state that only means anything under the
 	// codec that produced it.
-	if gradCodec, err := dist.ParseCodec(cfg.Train.GradCodec); err != nil {
-		return err
-	} else if st.GradCodec != gradCodec.String() {
+	if st.GradCodec != gradCodec.String() {
 		return fmt.Errorf("pipeline: checkpoint was taken with gradient codec %q, configuration says %q", st.GradCodec, gradCodec.String())
 	}
 	if int(st.BatchSize) != cfg.Train.BatchSize {

@@ -67,9 +67,6 @@ func (m *MFG) InputIDs() []int32 {
 	return m.Blocks[0].InputIDs
 }
 
-// NumLayers returns the number of blocks (GNN layers).
-func (m *MFG) NumLayers() int { return len(m.Blocks) }
-
 // TotalEdges returns the total sampled message edges across blocks.
 func (m *MFG) TotalEdges() int64 {
 	var t int64

@@ -74,8 +74,8 @@ func TestMFGValidateRejectsSeedMismatch(t *testing.T) {
 
 func TestMFGAccessors(t *testing.T) {
 	m := validMFG()
-	if m.NumLayers() != 2 {
-		t.Fatal("NumLayers")
+	if len(m.Blocks) != 2 {
+		t.Fatal("len(m.Blocks)")
 	}
 	if m.TotalEdges() != 4 {
 		t.Fatalf("TotalEdges=%d want 4", m.TotalEdges())

@@ -39,8 +39,8 @@ func TestSampleStructure(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if m.NumLayers() != 2 {
-		t.Fatalf("layers=%d", m.NumLayers())
+	if len(m.Blocks) != 2 {
+		t.Fatalf("layers=%d", len(m.Blocks))
 	}
 	// Widest-first ordering.
 	if m.Blocks[0].NumInputs() < m.Blocks[1].NumInputs() {
