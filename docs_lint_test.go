@@ -131,6 +131,8 @@ var testOnlyExportFixtures = map[string]bool{
 	"internal/tensor.Matrix.Set": true,
 	"internal/tensor.MaxAbsDiff": true,
 	"internal/tensor.Arena.Held": true,
+	// The store-pool leak gauge the dist, serve and pipeline tests read.
+	"internal/dist.Store.Live": true,
 	// Fault injection, the FMA audit and the reduced-scale experiment
 	// harnesses the tests and testing.B benchmarks run.
 	"internal/dist.Chaos.Kill":                  true,

@@ -11,11 +11,7 @@
 // features are noisy class centroids so the task is learnable.
 package dataset
 
-import (
-	"fmt"
-
-	"salientpp/internal/graph"
-)
+import "salientpp/internal/graph"
 
 // Split labels a vertex's role in training.
 type Split uint8
@@ -102,29 +98,6 @@ func (d *Dataset) CountSplit(s Split) int {
 		}
 	}
 	return c
-}
-
-// Validate checks internal consistency.
-func (d *Dataset) Validate() error {
-	n := d.NumVertices()
-	if err := d.Graph.Validate(); err != nil {
-		return fmt.Errorf("dataset %q: %w", d.Name, err)
-	}
-	if len(d.Labels) != n {
-		return fmt.Errorf("dataset %q: %d labels for %d vertices", d.Name, len(d.Labels), n)
-	}
-	if len(d.Splits) != n {
-		return fmt.Errorf("dataset %q: %d split entries for %d vertices", d.Name, len(d.Splits), n)
-	}
-	for v, l := range d.Labels {
-		if l < 0 || int(l) >= d.NumClasses {
-			return fmt.Errorf("dataset %q: vertex %d has label %d outside [0,%d)", d.Name, v, l, d.NumClasses)
-		}
-	}
-	if d.Features != nil && len(d.Features) != n*d.FeatureDim {
-		return fmt.Errorf("dataset %q: feature buffer has %d values, want %d", d.Name, len(d.Features), n*d.FeatureDim)
-	}
-	return nil
 }
 
 // Relabel returns a copy of the dataset with vertices renamed through perm

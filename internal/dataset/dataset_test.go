@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -19,7 +20,7 @@ func genSmall(t *testing.T, materialize bool) *Dataset {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Validate(); err != nil {
+	if err := validate(d); err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -196,7 +197,7 @@ func TestPaperAnalogStatistics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.Validate(); err != nil {
+			if err := validate(d); err != nil {
 				t.Fatal(err)
 			}
 			if d.FeatureDim != tc.dim {
@@ -221,7 +222,7 @@ func TestRelabelMovesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rd.Validate(); err != nil {
+	if err := validate(rd); err != nil {
 		t.Fatal(err)
 	}
 	for old := 0; old < d.NumVertices(); old++ {
@@ -262,5 +263,45 @@ func TestGenerateDeterminism(t *testing.T) {
 func TestSplitString(t *testing.T) {
 	if SplitTrain.String() != "train" || SplitNone.String() != "none" {
 		t.Fatal("Split.String broken")
+	}
+}
+
+// validate checks a dataset's internal consistency.
+func validate(d *Dataset) error {
+	n := d.NumVertices()
+	if err := d.Graph.Validate(); err != nil {
+		return fmt.Errorf("dataset %q: %w", d.Name, err)
+	}
+	if len(d.Labels) != n {
+		return fmt.Errorf("dataset %q: %d labels for %d vertices", d.Name, len(d.Labels), n)
+	}
+	if len(d.Splits) != n {
+		return fmt.Errorf("dataset %q: %d split entries for %d vertices", d.Name, len(d.Splits), n)
+	}
+	for v, l := range d.Labels {
+		if l < 0 || int(l) >= d.NumClasses {
+			return fmt.Errorf("dataset %q: vertex %d has label %d outside [0,%d)", d.Name, v, l, d.NumClasses)
+		}
+	}
+	if d.Features != nil && len(d.Features) != n*d.FeatureDim {
+		return fmt.Errorf("dataset %q: feature buffer has %d values, want %d", d.Name, len(d.Features), n*d.FeatureDim)
+	}
+	return nil
+}
+
+// BenchmarkGenerate times generating the bench's dataset
+// (bench/workload.go's generate at seed 7): R-MAT, labels, splits and the
+// materialised features.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := SyntheticConfig{
+		Name: "papers-sim", NumVertices: 60000, AvgDegree: 28.8,
+		FeatureDim: 128, NumClasses: 32,
+		TrainFrac: 0.10, ValFrac: 0.02, TestFrac: 0.05,
+		FeatureNoise: 2.0, Materialize: true, Seed: 7,
+	}
+	for b.Loop() {
+		if _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

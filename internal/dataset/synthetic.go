@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"salientpp/internal/graph"
 	"salientpp/internal/rng"
@@ -46,29 +47,45 @@ func Generate(cfg SyntheticConfig) (*Dataset, error) {
 	}
 
 	// Each RMAT insertion becomes ~2 stored directed edges before dedup;
-	// bump by ~6%% to compensate for duplicate removal on skewed graphs.
+	// bump by 6% to compensate for duplicate removal on skewed graphs.
 	insertions := int64(float64(cfg.NumVertices) * cfg.AvgDegree / 2 * 1.06)
+	r := rng.New(cfg.Seed ^ 0xd1ce)
+	// The feature noise depends on nothing the graph decides, so its
+	// stream is drawn beside R-MAT and the centroids are added once the
+	// labels are known.
+	var centroids, features []float32
+	var noise sync.WaitGroup
+	if cfg.Materialize {
+		noise.Add(1)
+		// The stream is copied onto the goroutine's stack: a heap
+		// generator may share a cache line with R-MAT's, and both write
+		// theirs on every draw.
+		go func(r rng.RNG) {
+			defer noise.Done()
+			centroids, features = drawNoise(cfg.NumVertices, cfg.NumClasses, cfg.FeatureDim, cfg.FeatureNoise, &r)
+		}(*r.Split(3))
+	}
 	g, err := graph.RMAT(graph.DefaultRMAT(cfg.NumVertices, insertions, cfg.Seed))
 	if err != nil {
+		noise.Wait()
 		return nil, err
 	}
 
-	r := rng.New(cfg.Seed ^ 0xd1ce)
 	labels := voronoiLabels(g, cfg.NumClasses, r.Split(1))
 	splits := assignSplits(cfg.NumVertices, cfg.TrainFrac, cfg.ValFrac, cfg.TestFrac, r.Split(2))
-
-	d := &Dataset{
+	noise.Wait()
+	if cfg.Materialize {
+		addCentroids(features, centroids, labels, cfg.FeatureDim)
+	}
+	return &Dataset{
 		Name:       cfg.Name,
 		Graph:      g,
 		FeatureDim: cfg.FeatureDim,
+		Features:   features,
 		Labels:     labels,
 		NumClasses: cfg.NumClasses,
 		Splits:     splits,
-	}
-	if cfg.Materialize {
-		d.Features = centroidFeatures(labels, cfg.NumClasses, cfg.FeatureDim, cfg.FeatureNoise, r.Split(3))
-	}
-	return d, nil
+	}, nil
 }
 
 // voronoiLabels plants C homophilous label regions by multi-source BFS from
@@ -139,22 +156,31 @@ func assignSplits(n int, train, val, test float64, r *rng.RNG) []Split {
 	return splits
 }
 
-// centroidFeatures draws a random centroid per class and emits
-// x_v = centroid[label(v)] + noise.
-func centroidFeatures(labels []int32, classes, dim int, noise float64, r *rng.RNG) []float32 {
-	centroids := make([]float32, classes*dim)
+// drawNoise draws a random centroid per class, then float32(noise·z) for
+// every vertex v and dimension j in that order, row v of the returned
+// features holding v's noise.
+func drawNoise(n, classes, dim int, noise float64, r *rng.RNG) (centroids, features []float32) {
+	centroids = make([]float32, classes*dim)
 	for i := range centroids {
 		centroids[i] = float32(r.NormFloat64())
 	}
-	out := make([]float32, len(labels)*dim)
+	features = make([]float32, n*dim)
+	for i := range features {
+		features[i] = float32(noise * r.NormFloat64())
+	}
+	return centroids, features
+}
+
+// addCentroids completes x_v = centroid[label(v)] + noise in place over the
+// noise drawNoise stored in features.
+func addCentroids(features, centroids []float32, labels []int32, dim int) {
 	for v, l := range labels {
 		c := centroids[int(l)*dim : (int(l)+1)*dim]
-		row := out[v*dim : (v+1)*dim]
+		row := features[v*dim : (v+1)*dim]
 		for j := range row {
-			row[j] = c[j] + float32(noise*r.NormFloat64())
+			row[j] = c[j] + row[j]
 		}
 	}
-	return out
 }
 
 // The three paper benchmarks (Table 2), scaled. The scale parameter is the

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Edge is a directed edge from Src to Dst.
@@ -85,7 +85,7 @@ func dedupSorted(g *CSR) *CSR {
 	for v := 0; v < n; v++ {
 		lo, hi := g.Offsets[v], g.Offsets[v+1]
 		nbrs := adj[lo:hi]
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
+		slices.Sort(nbrs)
 		newOffsets[v] = write
 		for i, w := range nbrs {
 			if i > 0 && nbrs[i-1] == w {

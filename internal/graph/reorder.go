@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Permutation maps old vertex ids to new vertex ids: newID = perm[oldID].
@@ -58,7 +59,7 @@ func Relabel(g *CSR, perm Permutation) (*CSR, error) {
 		for i, w := range g.Neighbors(old) {
 			out[i] = perm[w]
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		slices.Sort(out)
 	}
 	return &CSR{Offsets: offsets, Adj: adj, sorted: true}, nil
 }
@@ -96,15 +97,14 @@ func PartitionOrder(parts []int32, k int, score []float64) (Permutation, []int64
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
+	slices.SortFunc(order, func(a, b int32) int {
 		if parts[a] != parts[b] {
-			return parts[a] < parts[b]
+			return cmp.Compare(parts[a], parts[b])
 		}
 		if score != nil && score[a] != score[b] {
-			return score[a] > score[b]
+			return cmp.Compare(score[b], score[a])
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	perm := make(Permutation, n)
 	for nw, old := range order {

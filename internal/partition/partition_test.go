@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"salientpp/internal/dataset"
 	"salientpp/internal/graph"
 	"salientpp/internal/rng"
 )
@@ -242,5 +243,30 @@ func TestPartitionAlwaysValidProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkPartition times partitioning the bench's 60 000-vertex
+// papers-sim graph (bench/workload.go's generate at seed 7) in two under
+// SalientWeights; the graph and its weights are built outside the timer.
+func BenchmarkPartition(b *testing.B) {
+	ds, err := dataset.Generate(dataset.SyntheticConfig{
+		Name: "papers-sim", NumVertices: 60000, AvgDegree: 28.8,
+		FeatureDim: 128, NumClasses: 32,
+		TrainFrac: 0.10, ValFrac: 0.02, TestFrac: 0.05, Seed: 7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := ds.NumVertices()
+	isTrain, isVal, isTest := make([]bool, n), make([]bool, n), make([]bool, n)
+	for v, s := range ds.Splits {
+		isTrain[v], isVal[v], isTest[v] = s == dataset.SplitTrain, s == dataset.SplitVal, s == dataset.SplitTest
+	}
+	cfg := Config{K: 2, Weights: SalientWeights(ds.Graph, isTrain, isVal, isTest), Seed: 7}
+	for b.Loop() {
+		if _, err := Partition(ds.Graph, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -53,10 +53,15 @@ func refine(w *wgraph, parts []int32, k int, eps float64, maxPasses int, r *rng.
 	for i := range stamp {
 		stamp[i] = -1
 	}
+	adjacent := make([]int32, 0, k) // partitions next to v, first seen first
+	order := make([]int32, n)
 
 	for pass := 0; pass < maxPasses; pass++ {
 		moves := 0
-		order := r.Perm(n)
+		for i := range order {
+			order[i] = int32(i)
+		}
+		r.ShuffleInt32(order) // the permutation r.Perm(n) would return
 		for _, v := range order {
 			src := parts[v]
 			if counts[src] <= 1 {
@@ -65,34 +70,32 @@ func refine(w *wgraph, parts []int32, k int, eps float64, maxPasses int, r *rng.
 			nbrs, wgts := w.neighbors(v)
 			// Gather connection weight to each adjacent partition.
 			round := int(v) + pass*n // unique stamp per (pass, vertex)
-			boundary := false
+			adjacent = adjacent[:0]
 			for i, u := range nbrs {
 				p := parts[u]
 				if stamp[p] != round {
 					stamp[p] = round
 					conn[p] = 0
+					if p != src {
+						adjacent = append(adjacent, p)
+					}
 				}
 				conn[p] += wgts[i]
-				if p != src {
-					boundary = true
-				}
 			}
-			if !boundary {
+			if len(adjacent) == 0 {
 				continue
 			}
 			srcConn := float32(0)
 			if stamp[src] == round {
 				srcConn = conn[src]
 			}
-			// Pick the destination with the best (gain, -overflowDelta).
+			// Pick the destination with the best (gain, -overflowDelta),
+			// weighing each adjacent partition once: under the strict
+			// test a repeat could never displace the best so far.
 			bestDst := int32(-1)
 			bestGain := float32(0)
 			bestOD := 0.0
-			for i := range nbrs {
-				p := parts[nbrs[i]]
-				if p == src || stamp[p] != round {
-					continue
-				}
+			for _, p := range adjacent {
 				gain := conn[p] - srcConn
 				od := overflowDelta(v, src, p)
 				accept := (gain > 0 && od <= 0) || od < 0

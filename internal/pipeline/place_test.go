@@ -3,9 +3,11 @@ package pipeline
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"salientpp/internal/dataset"
+	"salientpp/internal/partition"
 )
 
 // TestPlaceInvariants checks a 4-way placement: partitions agree with
@@ -112,6 +114,71 @@ func TestPlacementMatchesParentBits(t *testing.T) {
 	}{{true, wantPlacementBitsVIP}, {false, wantPlacementBitsNoOrder}} {
 		if got := placementBits(t, c.vipReorder); got != c.want {
 			t.Errorf("VIPReorder %v: placement hash %#x, want %#x", c.vipReorder, got, c.want)
+		}
+	}
+}
+
+// Hashes of set-up's inputs to the placement, recorded before refinement
+// scored each adjacent partition once and before the feature noise was
+// drawn beside R-MAT: the generated 20 000-vertex papers-sim dataset
+// (CSR, labels, splits, feature bits) and its partition under
+// SplitWeights at K 2 and K 4. At K 4 a vertex can border several other
+// partitions, so the order refinement weighs them in is pinned too.
+const (
+	wantSetupBitsDataset uint64 = 0x8bc2e4d72d3e68f8
+	wantSetupBitsK2      uint64 = 0x5bfc742d397ed56b
+	wantSetupBitsK4      uint64 = 0xb54db49c9844bb6b
+)
+
+// TestSetupMatchesParentBits pins set-up across commits. The feature
+// noise is drawn on its own goroutine, so CI runs it at -cpu 1,2,4.
+func TestSetupMatchesParentBits(t *testing.T) {
+	ds, err := dataset.PapersSim(20000, true, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	put := func(v uint64) {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	put32 := func(vs []int32) {
+		put(uint64(len(vs)))
+		for _, v := range vs {
+			put(uint64(v))
+		}
+	}
+	put(uint64(len(ds.Graph.Offsets)))
+	for _, o := range ds.Graph.Offsets {
+		put(uint64(o))
+	}
+	put32(ds.Graph.Adj)
+	put32(ds.Labels)
+	put(uint64(len(ds.Splits)))
+	for _, s := range ds.Splits {
+		put(uint64(s))
+	}
+	put(uint64(len(ds.Features)))
+	for _, x := range ds.Features {
+		put(uint64(math.Float32bits(x)))
+	}
+	if got := h.Sum64(); got != wantSetupBitsDataset {
+		t.Errorf("dataset hash %#x, want %#x", got, wantSetupBitsDataset)
+	}
+
+	for _, c := range []struct {
+		k    int
+		want uint64
+	}{{2, wantSetupBitsK2}, {4, wantSetupBitsK4}} {
+		res, err := partition.Partition(ds.Graph, partition.Config{K: c.k, Weights: SplitWeights(ds), Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Reset()
+		put32(res.Parts)
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("K %d: partition hash %#x, want %#x", c.k, got, c.want)
 		}
 	}
 }

@@ -4,10 +4,6 @@
 // shared-memory-parallel batch preparation with deterministic results.
 package sample
 
-import (
-	"fmt"
-)
-
 // Block is one bipartite layer of a message-flow graph. It maps an input
 // (source) vertex set to an output (destination) vertex set:
 //
@@ -74,57 +70,4 @@ func (m *MFG) TotalEdges() int64 {
 		t += int64(b.NumEdges())
 	}
 	return t
-}
-
-// Validate checks the structural invariants connecting blocks: row pointers
-// are monotone and complete, column indices are in range, destination
-// prefixes chain correctly (block i's input set equals block i+1's
-// destination set extended with its sampled neighbors), and the final
-// block's destinations are the seeds.
-func (m *MFG) Validate() error {
-	for li, b := range m.Blocks {
-		if b.NumDst > len(b.InputIDs) {
-			return fmt.Errorf("mfg: block %d has NumDst %d > inputs %d", li, b.NumDst, len(b.InputIDs))
-		}
-		if len(b.RowPtr) != b.NumDst+1 {
-			return fmt.Errorf("mfg: block %d RowPtr length %d, want %d", li, len(b.RowPtr), b.NumDst+1)
-		}
-		if b.RowPtr[0] != 0 || int(b.RowPtr[b.NumDst]) != len(b.Col) {
-			return fmt.Errorf("mfg: block %d RowPtr endpoints invalid", li)
-		}
-		for i := 0; i < b.NumDst; i++ {
-			if b.RowPtr[i+1] < b.RowPtr[i] {
-				return fmt.Errorf("mfg: block %d RowPtr not monotone at %d", li, i)
-			}
-		}
-		for _, c := range b.Col {
-			if c < 0 || int(c) >= len(b.InputIDs) {
-				return fmt.Errorf("mfg: block %d column index %d out of range", li, c)
-			}
-		}
-		if li+1 < len(m.Blocks) {
-			next := m.Blocks[li+1]
-			// next's input set becomes this block's destination set.
-			if b.NumDst != len(next.InputIDs) {
-				return fmt.Errorf("mfg: block %d NumDst %d != block %d inputs %d", li, b.NumDst, li+1, len(next.InputIDs))
-			}
-			for i, id := range next.InputIDs {
-				if b.InputIDs[i] != id {
-					return fmt.Errorf("mfg: block %d dst[%d]=%d mismatches block %d input %d", li, i, b.InputIDs[i], li+1, id)
-				}
-			}
-		}
-	}
-	if len(m.Blocks) > 0 {
-		last := m.Blocks[len(m.Blocks)-1]
-		if last.NumDst != len(m.Seeds) {
-			return fmt.Errorf("mfg: final block NumDst %d != %d seeds", last.NumDst, len(m.Seeds))
-		}
-		for i, s := range m.Seeds {
-			if last.InputIDs[i] != s {
-				return fmt.Errorf("mfg: seed %d is %d in final block, want %d", i, last.InputIDs[i], s)
-			}
-		}
-	}
-	return nil
 }

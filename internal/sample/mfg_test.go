@@ -1,6 +1,9 @@
 package sample
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // validMFG builds a minimal consistent 2-layer MFG by hand.
 func validMFG() *MFG {
@@ -23,7 +26,7 @@ func validMFG() *MFG {
 }
 
 func TestMFGValidateAcceptsConsistent(t *testing.T) {
-	if err := validMFG().Validate(); err != nil {
+	if err := validateMFG(validMFG()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -31,12 +34,12 @@ func TestMFGValidateAcceptsConsistent(t *testing.T) {
 func TestMFGValidateRejectsBadRowPtr(t *testing.T) {
 	m := validMFG()
 	m.Blocks[0].RowPtr = []int32{0, 3} // wrong length for NumDst=2
-	if m.Validate() == nil {
+	if validateMFG(m) == nil {
 		t.Fatal("bad RowPtr length accepted")
 	}
 	m2 := validMFG()
 	m2.Blocks[0].RowPtr[1] = 5 // exceeds final entry -> not monotone chain
-	if m2.Validate() == nil {
+	if validateMFG(m2) == nil {
 		t.Fatal("non-monotone RowPtr accepted")
 	}
 }
@@ -44,7 +47,7 @@ func TestMFGValidateRejectsBadRowPtr(t *testing.T) {
 func TestMFGValidateRejectsBadCol(t *testing.T) {
 	m := validMFG()
 	m.Blocks[0].Col[0] = 99
-	if m.Validate() == nil {
+	if validateMFG(m) == nil {
 		t.Fatal("out-of-range column accepted")
 	}
 }
@@ -54,7 +57,7 @@ func TestMFGValidateRejectsBrokenChain(t *testing.T) {
 	// Block 1's inputs must equal block 0's destination prefix {7, 9};
 	// changing them to {7, 4} breaks the chain.
 	m.Blocks[1].InputIDs[1] = 4
-	if m.Validate() == nil {
+	if validateMFG(m) == nil {
 		t.Fatal("broken dst/input chain accepted")
 	}
 }
@@ -62,12 +65,12 @@ func TestMFGValidateRejectsBrokenChain(t *testing.T) {
 func TestMFGValidateRejectsSeedMismatch(t *testing.T) {
 	m := validMFG()
 	m.Seeds = []int32{9}
-	if m.Validate() == nil {
+	if validateMFG(m) == nil {
 		t.Fatal("seed mismatch accepted")
 	}
 	m2 := validMFG()
 	m2.Seeds = []int32{7, 9}
-	if m2.Validate() == nil {
+	if validateMFG(m2) == nil {
 		t.Fatal("seed count mismatch accepted")
 	}
 }
@@ -94,7 +97,7 @@ func TestSampleEmptySeeds(t *testing.T) {
 	g := testGraph(t)
 	s, _ := NewSampler(g, []int{3, 3})
 	m := s.NewWorker(nil).Sample(nil)
-	if err := m.Validate(); err != nil {
+	if err := validateMFG(m); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.InputIDs()) != 0 || m.TotalEdges() != 0 {
@@ -105,4 +108,57 @@ func TestSampleEmptySeeds(t *testing.T) {
 			t.Fatal("empty blocks expected")
 		}
 	}
+}
+
+// validateMFG checks the structural invariants connecting blocks: row pointers
+// are monotone and complete, column indices are in range, destination
+// prefixes chain correctly (block i's input set equals block i+1's
+// destination set extended with its sampled neighbors), and the final
+// block's destinations are the seeds.
+func validateMFG(m *MFG) error {
+	for li, b := range m.Blocks {
+		if b.NumDst > len(b.InputIDs) {
+			return fmt.Errorf("mfg: block %d has NumDst %d > inputs %d", li, b.NumDst, len(b.InputIDs))
+		}
+		if len(b.RowPtr) != b.NumDst+1 {
+			return fmt.Errorf("mfg: block %d RowPtr length %d, want %d", li, len(b.RowPtr), b.NumDst+1)
+		}
+		if b.RowPtr[0] != 0 || int(b.RowPtr[b.NumDst]) != len(b.Col) {
+			return fmt.Errorf("mfg: block %d RowPtr endpoints invalid", li)
+		}
+		for i := 0; i < b.NumDst; i++ {
+			if b.RowPtr[i+1] < b.RowPtr[i] {
+				return fmt.Errorf("mfg: block %d RowPtr not monotone at %d", li, i)
+			}
+		}
+		for _, c := range b.Col {
+			if c < 0 || int(c) >= len(b.InputIDs) {
+				return fmt.Errorf("mfg: block %d column index %d out of range", li, c)
+			}
+		}
+		if li+1 < len(m.Blocks) {
+			next := m.Blocks[li+1]
+			// next's input set becomes this block's destination set.
+			if b.NumDst != len(next.InputIDs) {
+				return fmt.Errorf("mfg: block %d NumDst %d != block %d inputs %d", li, b.NumDst, li+1, len(next.InputIDs))
+			}
+			for i, id := range next.InputIDs {
+				if b.InputIDs[i] != id {
+					return fmt.Errorf("mfg: block %d dst[%d]=%d mismatches block %d input %d", li, i, b.InputIDs[i], li+1, id)
+				}
+			}
+		}
+	}
+	if len(m.Blocks) > 0 {
+		last := m.Blocks[len(m.Blocks)-1]
+		if last.NumDst != len(m.Seeds) {
+			return fmt.Errorf("mfg: final block NumDst %d != %d seeds", last.NumDst, len(m.Seeds))
+		}
+		for i, s := range m.Seeds {
+			if last.InputIDs[i] != s {
+				return fmt.Errorf("mfg: seed %d is %d in final block, want %d", i, last.InputIDs[i], s)
+			}
+		}
+	}
+	return nil
 }

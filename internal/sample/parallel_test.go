@@ -83,7 +83,7 @@ func TestArenaReuseDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		mfgs := PrepareEpoch(s, batches, rng.New(3), workers)
 		for i, m := range mfgs {
-			if err := m.Validate(); err != nil {
+			if err := validateMFG(m); err != nil {
 				t.Fatalf("workers=%d batch %d: %v", workers, i, err)
 			}
 			if err := sameMFG(ref[i], m); err != nil {
@@ -121,7 +121,7 @@ func TestConcurrentBatchPreparation(t *testing.T) {
 				for i := range batches {
 					w := s.AcquireWorker(base.Split(uint64(i)))
 					m := w.Sample(batches[i])
-					if err := m.Validate(); err != nil {
+					if err := validateMFG(m); err != nil {
 						errs <- fmt.Errorf("goroutine %d rep %d batch %d: %w", gi, rep, i, err)
 						s.ReleaseWorker(w)
 						return

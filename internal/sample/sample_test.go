@@ -36,7 +36,7 @@ func TestSampleStructure(t *testing.T) {
 	w := s.NewWorker(rng.New(1))
 	seeds := []int32{1, 2, 3, 4, 5, 6, 7, 8}
 	m := w.Sample(seeds)
-	if err := m.Validate(); err != nil {
+	if err := validateMFG(m); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Blocks) != 2 {
@@ -221,7 +221,7 @@ func TestPrepareEpochMatchesSerial(t *testing.T) {
 		if par[i] == nil {
 			t.Fatalf("batch %d missing", i)
 		}
-		if err := par[i].Validate(); err != nil {
+		if err := validateMFG(par[i]); err != nil {
 			t.Fatalf("batch %d invalid: %v", i, err)
 		}
 		a, b := par[i], ref[i]
@@ -285,7 +285,7 @@ func TestSampleAlwaysValidProperty(t *testing.T) {
 		k := 1 + r.Intn(50)
 		seeds := r.SampleK(nil, k, g.NumVertices())
 		m := s.NewWorker(r.Split(1)).Sample(seeds)
-		if m.Validate() != nil {
+		if validateMFG(m) != nil {
 			return false
 		}
 		for i, v := range seeds {
